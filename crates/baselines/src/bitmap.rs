@@ -15,7 +15,7 @@
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 use imprints::binning::Binning;
 use imprints::builder::BuildOptions;
-use imprints::simd::{self, PredicateKernel, RefineKernel};
+use imprints::simd::{Hits, PredicateKernel};
 use imprints::Bound;
 
 use crate::wah::WahVector;
@@ -116,69 +116,23 @@ impl<T: Scalar> WahBitmap<T> {
         acc
     }
 
-    /// Counts matching rows without materializing ids — the same bin walk
-    /// and the same [`AccessStats`] as
-    /// [`RangeIndex::evaluate_with_stats`], but the id-aligned result
-    /// bitvector is popcounted instead of being turned into an id list.
-    pub fn count_with_stats(
+    /// The bin walk (§6.3): decodes the bins overlapping the kernel's
+    /// predicate into one id-aligned result bitvector — inner bins ORed in
+    /// wholesale, edge-bin candidates (scattered ids, so the kernel's
+    /// per-value check) weeded for false positives — and emits it into
+    /// `hits` word by word, which materializes ids in order or popcounts.
+    pub fn run(
         &self,
         col: &Column<T>,
-        pred: &RangePredicate<T>,
-    ) -> (u64, AccessStats) {
-        self.count_with_kernel(col, pred, simd::ambient_kernel())
-    }
-
-    /// [`WahBitmap::count_with_stats`] under an explicit refinement kernel
-    /// (differential testing).
-    pub fn count_with_kernel(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (u64, AccessStats) {
-        let (result, stats) = self.result_bitvector(col, pred, kernel);
-        (result.iter().map(|w| w.count_ones() as u64).sum(), stats)
-    }
-
-    /// [`RangeIndex::evaluate_with_stats`] under an explicit refinement
-    /// kernel (differential testing).
-    pub fn evaluate_with_kernel(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (IdList, AccessStats) {
-        let (result, stats) = self.result_bitvector(col, pred, kernel);
-        // Materialize ids in ascending order from the result bitvector.
-        let mut res = Vec::new();
-        for (w, &word) in result.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let b = word.trailing_zeros() as u64;
-                res.push(w as u64 * 64 + b);
-                word &= word - 1;
-            }
-        }
-        (IdList::from_sorted(res), stats)
-    }
-
-    /// The shared evaluation kernel (§6.3): decodes the bins overlapping
-    /// `pred` into one id-aligned result bitvector, value-checking edge
-    /// bins. Edge-bin candidates are scattered ids (set bits of a WAH
-    /// vector), so they take the refinement kernel's per-value check.
-    fn result_bitvector(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (Vec<u64>, AccessStats) {
+        kernel: &PredicateKernel<T>,
+        mut hits: Hits,
+    ) -> (Hits, AccessStats) {
         assert_eq!(col.len(), self.rows, "index does not cover this column");
         let mut stats = AccessStats::default();
-        let kernel = PredicateKernel::with_kernel(pred, kernel);
         if kernel.is_empty() || self.rows == 0 {
-            // Both callers only iterate the words, so skip the allocation.
-            return (Vec::new(), stats);
+            return (hits, stats);
         }
+        let pred = kernel.predicate();
         let mut result = vec![0u64; self.rows.div_ceil(64)];
         let bins = self.binning.bins();
         let bin_lo = match pred.low() {
@@ -206,7 +160,23 @@ impl<T: Scalar> WahBitmap<T> {
                 }
             }
         }
-        (result, stats)
+        for (w, &word) in result.iter().enumerate() {
+            hits.emit_mask(w as u64 * 64, word);
+        }
+        (hits, stats)
+    }
+
+    /// Counts matching rows without materializing ids: [`WahBitmap::run`]
+    /// into a counting sink — the same bin walk and [`AccessStats`] as
+    /// [`RangeIndex::evaluate_with_stats`], the result bitvector
+    /// popcounted instead of turned into an id list.
+    pub fn count_with_stats(
+        &self,
+        col: &Column<T>,
+        pred: &RangePredicate<T>,
+    ) -> (u64, AccessStats) {
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(true));
+        (hits.len(), stats)
     }
 }
 
@@ -232,7 +202,8 @@ impl<T: Scalar> RangeIndex<T> for WahBitmap<T> {
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (IdList, AccessStats) {
-        self.evaluate_with_kernel(col, pred, simd::ambient_kernel())
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(false));
+        (hits.into_ids(), stats)
     }
 }
 

@@ -6,13 +6,14 @@
 //! low-selectivity predicates — exactly the crossover Figures 8–10 chart.
 //!
 //! The full-column value check routes through the shared refinement
-//! kernels of [`imprints::simd`]: one compiled [`PredicateKernel`] per
-//! scan, weeding either by the `u64`-word SWAR kernel or the scalar
-//! oracle loop. A predicate that can match nothing examines no data and
-//! reports zero comparisons/fetches.
+//! kernels of [`imprints::simd`]: [`SeqScan::run`] takes one compiled
+//! [`PredicateKernel`] (SWAR or the scalar oracle loop) and a [`Hits`]
+//! sink, so materializing and counting are the same pass. A predicate that
+//! can match nothing examines no data and reports zero
+//! comparisons/fetches.
 
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
-use imprints::simd::{self, PredicateKernel, RefineKernel};
+use imprints::simd::{Hits, PredicateKernel};
 
 /// The sequential-scan pseudo-index.
 ///
@@ -38,59 +39,32 @@ impl SeqScan {
         SeqScan { rows: col.len() }
     }
 
-    /// Counts matching rows without materializing ids, reporting exactly
-    /// the [`AccessStats`] of [`RangeIndex::evaluate_with_stats`] — the
-    /// count and evaluate arms of an adaptive engine must be
-    /// indistinguishable to probe/comparison accounting.
+    /// The scan: value-checks every row of `col` with `kernel` into `hits`.
+    pub fn run<T: Scalar>(
+        &self,
+        col: &Column<T>,
+        kernel: &PredicateKernel<T>,
+        mut hits: Hits,
+    ) -> (Hits, AccessStats) {
+        assert_eq!(col.len(), self.rows, "scan bound to a different column");
+        let mut stats = AccessStats::default();
+        kernel.check(col.values(), 0..col.len() as u64, &mut hits, &mut stats.value_comparisons);
+        if stats.value_comparisons > 0 {
+            stats.lines_fetched = col.cacheline_count() as u64;
+        }
+        (hits, stats)
+    }
+
+    /// Counts matching rows without materializing ids: [`SeqScan::run`]
+    /// into a counting sink, so the [`AccessStats`] are exactly those of
+    /// [`RangeIndex::evaluate_with_stats`].
     pub fn count_with_stats<T: Scalar>(
         &self,
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (u64, AccessStats) {
-        self.count_with_kernel(col, pred, simd::ambient_kernel())
-    }
-
-    /// [`SeqScan::count_with_stats`] under an explicit refinement kernel
-    /// (differential testing).
-    pub fn count_with_kernel<T: Scalar>(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (u64, AccessStats) {
-        assert_eq!(col.len(), self.rows, "scan bound to a different column");
-        let kernel = PredicateKernel::with_kernel(pred, kernel);
-        let mut stats = AccessStats::default();
-        let n =
-            kernel.count_matches(col.values(), 0..col.len() as u64, &mut stats.value_comparisons);
-        if stats.value_comparisons > 0 {
-            stats.lines_fetched = col.cacheline_count() as u64;
-        }
-        (n, stats)
-    }
-
-    /// [`RangeIndex::evaluate_with_stats`] under an explicit refinement
-    /// kernel (differential testing).
-    pub fn evaluate_with_kernel<T: Scalar>(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (IdList, AccessStats) {
-        assert_eq!(col.len(), self.rows, "scan bound to a different column");
-        let kernel = PredicateKernel::with_kernel(pred, kernel);
-        let mut stats = AccessStats::default();
-        let mut res = Vec::new();
-        kernel.append_matches(
-            col.values(),
-            0..col.len() as u64,
-            &mut res,
-            &mut stats.value_comparisons,
-        );
-        if stats.value_comparisons > 0 {
-            stats.lines_fetched = col.cacheline_count() as u64;
-        }
-        (IdList::from_sorted(res), stats)
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(true));
+        (hits.len(), stats)
     }
 }
 
@@ -114,13 +88,15 @@ impl<T: Scalar> RangeIndex<T> for SeqScan {
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (IdList, AccessStats) {
-        self.evaluate_with_kernel(col, pred, simd::ambient_kernel())
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(false));
+        (hits.into_ids(), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imprints::simd::RefineKernel;
 
     #[test]
     fn scan_finds_everything() {
@@ -147,17 +123,18 @@ mod tests {
     fn scan_empty_predicate_reports_zero_comparisons() {
         let col: Column<i64> = (0..1000).collect();
         let scan = SeqScan::new(&col);
-        for kernel in [RefineKernel::Scalar, RefineKernel::Swar] {
-            let (ids, stats) =
-                scan.evaluate_with_kernel(&col, &RangePredicate::between(5, 1), kernel);
-            assert!(ids.is_empty());
-            assert_eq!(stats, AccessStats::default(), "{kernel:?}");
-            let (n, cstats) = scan.count_with_kernel(&col, &RangePredicate::between(5, 1), kernel);
-            assert_eq!((n, cstats), (0, AccessStats::default()), "{kernel:?}");
+        for flavour in [RefineKernel::Scalar, RefineKernel::Swar] {
+            let kernel = PredicateKernel::with_kernel(&RangePredicate::between(5, 1), flavour);
+            for count_only in [false, true] {
+                let (hits, stats) = scan.run(&col, &kernel, Hits::new(count_only));
+                assert!(hits.is_empty());
+                assert_eq!(stats, AccessStats::default(), "{flavour:?}");
+            }
         }
     }
 
-    /// Scalar and SWAR scans agree byte-for-byte on ids and statistics.
+    /// Scalar and SWAR scans agree byte-for-byte on ids, counts and
+    /// statistics, and both agree with the row-at-a-time oracle.
     #[test]
     fn scan_kernels_agree() {
         let col: Column<i16> = (0..5003).map(|i| (i % 300) as i16 - 150).collect();
@@ -168,13 +145,14 @@ mod tests {
             RangePredicate::all(),
             RangePredicate::less_than(i16::MIN + 1),
         ] {
-            let s = scan.evaluate_with_kernel(&col, &pred, RefineKernel::Scalar);
-            let v = scan.evaluate_with_kernel(&col, &pred, RefineKernel::Swar);
-            assert_eq!(s, v, "{pred}");
-            let sc = scan.count_with_kernel(&col, &pred, RefineKernel::Scalar);
-            let vc = scan.count_with_kernel(&col, &pred, RefineKernel::Swar);
-            assert_eq!(sc, vc, "{pred}");
-            assert_eq!(sc.0 as usize, s.0.len(), "{pred}");
+            let expect = col.values().iter().filter(|v| pred.matches(v)).count() as u64;
+            let scalar = PredicateKernel::with_kernel(&pred, RefineKernel::Scalar);
+            let swar = PredicateKernel::with_kernel(&pred, RefineKernel::Swar);
+            for count_only in [false, true] {
+                let s = scan.run(&col, &scalar, Hits::new(count_only));
+                assert_eq!(s, scan.run(&col, &swar, Hits::new(count_only)), "{pred}");
+                assert_eq!(s.0.len(), expect, "{pred}");
+            }
         }
     }
 

@@ -8,13 +8,15 @@
 //! disjoint zones are skipped, fully-included zones emit all their ids
 //! without value checks, overlapping zones are fetched and checked.
 //!
-//! The overlapping-zone value check routes through the shared refinement
-//! kernels of [`imprints::simd`] — one compiled [`PredicateKernel`] per
-//! query, SWAR or scalar per the ambient selection — and a predicate that
-//! can match nothing skips every zone without probing.
+//! The zone walk is written once, in [`ZoneMap::run`]: it takes one
+//! compiled [`PredicateKernel`] (the shared refinement kernels of
+//! [`imprints::simd`], SWAR or scalar) for the overlapping-zone value
+//! check and a [`Hits`] sink, so materializing and counting are the same
+//! walk. A predicate that can match nothing skips every zone without
+//! probing.
 
 use colstore::{AccessStats, Bound, Column, IdList, RangeIndex, RangePredicate, Scalar};
-use imprints::simd::{self, PredicateKernel, RefineKernel};
+use imprints::simd::{Hits, PredicateKernel};
 
 /// Min/max-per-zone secondary index.
 ///
@@ -130,95 +132,55 @@ impl<T: Scalar> ZoneMap<T> {
         }
     }
 
-    /// Counts matching rows without materializing ids — the same zone
-    /// walk as [`RangeIndex::evaluate_with_stats`], with fully-included
-    /// zones contributing their cardinality directly and no id vector
-    /// allocated.
+    /// The zone walk: disjoint zones are skipped, fully-included zones
+    /// emitted wholesale, overlapping zones value-checked with `kernel`.
+    pub fn run(
+        &self,
+        col: &Column<T>,
+        kernel: &PredicateKernel<T>,
+        mut hits: Hits,
+    ) -> (Hits, AccessStats) {
+        assert_eq!(col.len(), self.rows, "index does not cover this column");
+        let mut stats = AccessStats::default();
+        // An impossible predicate examines no zone and no value — every
+        // zone is "skipped", matching the imprint evaluator's empty-mask
+        // early-out shape.
+        if kernel.is_empty() {
+            stats.lines_skipped = self.mins.len() as u64;
+            return (hits, stats);
+        }
+        let pred = kernel.predicate();
+        let values = col.values();
+        let vpz = self.values_per_zone as u64;
+        let rows = self.rows as u64;
+        for z in 0..self.mins.len() {
+            stats.index_probes += 1;
+            let (zmin, zmax) = (&self.mins[z], &self.maxs[z]);
+            if !Self::overlaps(pred, zmin, zmax) {
+                stats.lines_skipped += 1;
+                continue;
+            }
+            let ids = z as u64 * vpz..((z as u64 + 1) * vpz).min(rows);
+            if Self::fully_inside(pred, zmin, zmax) {
+                hits.emit(ids);
+            } else {
+                stats.lines_fetched += 1;
+                kernel.check(values, ids, &mut hits, &mut stats.value_comparisons);
+            }
+        }
+        (hits, stats)
+    }
+
+    /// Counts matching rows without materializing ids: [`ZoneMap::run`]
+    /// into a counting sink, fully-included zones contributing their
+    /// cardinality directly.
     pub fn count_with_stats(
         &self,
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (u64, AccessStats) {
-        self.count_with_kernel(col, pred, simd::ambient_kernel())
-    }
-
-    /// [`ZoneMap::count_with_stats`] under an explicit refinement kernel
-    /// (differential testing).
-    pub fn count_with_kernel(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (u64, AccessStats) {
-        assert_eq!(col.len(), self.rows, "index does not cover this column");
-        let mut stats = AccessStats::default();
-        let kernel = PredicateKernel::with_kernel(pred, kernel);
-        if kernel.is_empty() {
-            stats.lines_skipped = self.mins.len() as u64;
-            return (0, stats);
-        }
-        let mut total = 0u64;
-        let values = col.values();
-        let vpz = self.values_per_zone as u64;
-        let rows = self.rows as u64;
-        for z in 0..self.mins.len() {
-            stats.index_probes += 1;
-            let (zmin, zmax) = (&self.mins[z], &self.maxs[z]);
-            if !Self::overlaps(pred, zmin, zmax) {
-                stats.lines_skipped += 1;
-                continue;
-            }
-            let start = z as u64 * vpz;
-            let end = ((z as u64 + 1) * vpz).min(rows);
-            if Self::fully_inside(pred, zmin, zmax) {
-                total += end - start;
-            } else {
-                stats.lines_fetched += 1;
-                total += kernel.count_matches(values, start..end, &mut stats.value_comparisons);
-            }
-        }
-        (total, stats)
-    }
-
-    /// [`RangeIndex::evaluate_with_stats`] under an explicit refinement
-    /// kernel (differential testing).
-    pub fn evaluate_with_kernel(
-        &self,
-        col: &Column<T>,
-        pred: &RangePredicate<T>,
-        kernel: RefineKernel,
-    ) -> (IdList, AccessStats) {
-        assert_eq!(col.len(), self.rows, "index does not cover this column");
-        let mut stats = AccessStats::default();
-        let kernel = PredicateKernel::with_kernel(pred, kernel);
-        let mut res: Vec<u64> = Vec::new();
-        // Satellite accounting fix: an impossible predicate examines no
-        // zone and no value — every zone is "skipped", matching the
-        // imprint evaluator's empty-mask early-out shape.
-        if kernel.is_empty() {
-            stats.lines_skipped = self.mins.len() as u64;
-            return (IdList::from_sorted(res), stats);
-        }
-        let values = col.values();
-        let vpz = self.values_per_zone as u64;
-        let rows = self.rows as u64;
-        for z in 0..self.mins.len() {
-            stats.index_probes += 1;
-            let (zmin, zmax) = (&self.mins[z], &self.maxs[z]);
-            if !Self::overlaps(pred, zmin, zmax) {
-                stats.lines_skipped += 1;
-                continue;
-            }
-            let start = z as u64 * vpz;
-            let end = ((z as u64 + 1) * vpz).min(rows);
-            if Self::fully_inside(pred, zmin, zmax) {
-                res.extend(start..end);
-            } else {
-                stats.lines_fetched += 1;
-                kernel.append_matches(values, start..end, &mut res, &mut stats.value_comparisons);
-            }
-        }
-        (IdList::from_sorted(res), stats)
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(true));
+        (hits.len(), stats)
     }
 
     /// Whether every value of a zone `[zmin, zmax]` matches.
@@ -261,13 +223,15 @@ impl<T: Scalar> RangeIndex<T> for ZoneMap<T> {
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (IdList, AccessStats) {
-        self.evaluate_with_kernel(col, pred, simd::ambient_kernel())
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(false));
+        (hits.into_ids(), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imprints::simd::RefineKernel;
 
     fn oracle<T: Scalar>(col: &Column<T>, pred: &RangePredicate<T>) -> Vec<u64> {
         col.values()
@@ -361,8 +325,10 @@ mod tests {
         assert_eq!(stats.value_comparisons, 16_000);
     }
 
+    /// Both sink modes do the same zone walk: the count equals the oracle
+    /// and the statistics equal the materializing walk's.
     #[test]
-    fn count_agrees_with_evaluate_without_materializing() {
+    fn count_agrees_with_oracle_and_bills_the_same_walk() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(33);
@@ -376,7 +342,8 @@ mod tests {
         ] {
             let (ids, estats) = zm.evaluate_with_stats(&col, &pred);
             let (n, cstats) = zm.count_with_stats(&col, &pred);
-            assert_eq!(n as usize, ids.len(), "{pred}");
+            assert_eq!(ids.as_slice(), oracle(&col, &pred), "{pred}");
+            assert_eq!(n as usize, oracle(&col, &pred).len(), "{pred}");
             assert_eq!(estats, cstats, "count must do the same zone walk: {pred}");
         }
     }
@@ -388,17 +355,18 @@ mod tests {
     fn empty_predicate_skips_all_zones_without_comparisons() {
         let col: Column<i32> = (0..10_000).collect();
         let zm = ZoneMap::build(&col);
-        for kernel in [RefineKernel::Scalar, RefineKernel::Swar] {
-            let (ids, stats) =
-                zm.evaluate_with_kernel(&col, &RangePredicate::between(9, 3), kernel);
-            assert!(ids.is_empty());
-            assert_eq!(stats.value_comparisons, 0, "{kernel:?}");
-            assert_eq!(stats.lines_fetched, 0, "{kernel:?}");
-            assert_eq!(stats.lines_skipped as usize, zm.zone_count(), "{kernel:?}");
+        for flavour in [RefineKernel::Scalar, RefineKernel::Swar] {
+            let kernel = PredicateKernel::with_kernel(&RangePredicate::between(9, 3), flavour);
+            let (hits, stats) = zm.run(&col, &kernel, Hits::new(false));
+            assert!(hits.is_empty());
+            assert_eq!(stats.value_comparisons, 0, "{flavour:?}");
+            assert_eq!(stats.lines_fetched, 0, "{flavour:?}");
+            assert_eq!(stats.lines_skipped as usize, zm.zone_count(), "{flavour:?}");
         }
     }
 
-    /// Scalar and SWAR zone walks agree byte-for-byte on ids and stats.
+    /// Scalar and SWAR zone walks agree byte-for-byte on ids, counts and
+    /// stats, and with the oracle.
     #[test]
     fn zonemap_kernels_agree() {
         use rand::rngs::StdRng;
@@ -410,13 +378,13 @@ mod tests {
             let a = rng.gen_range(0..5500u32);
             let b = rng.gen_range(0..5500u32);
             let pred = RangePredicate::between(a.min(b), a.max(b));
-            let s = zm.evaluate_with_kernel(&col, &pred, RefineKernel::Scalar);
-            let v = zm.evaluate_with_kernel(&col, &pred, RefineKernel::Swar);
-            assert_eq!(s, v, "{pred}");
-            let sc = zm.count_with_kernel(&col, &pred, RefineKernel::Scalar);
-            let vc = zm.count_with_kernel(&col, &pred, RefineKernel::Swar);
-            assert_eq!(sc, vc, "{pred}");
-            assert_eq!(sc.0 as usize, s.0.len(), "{pred}");
+            let scalar = PredicateKernel::with_kernel(&pred, RefineKernel::Scalar);
+            let swar = PredicateKernel::with_kernel(&pred, RefineKernel::Swar);
+            for count_only in [false, true] {
+                let s = zm.run(&col, &scalar, Hits::new(count_only));
+                assert_eq!(s, zm.run(&col, &swar, Hits::new(count_only)), "{pred}");
+                assert_eq!(s.0.len() as usize, oracle(&col, &pred).len(), "{pred}");
+            }
         }
     }
 

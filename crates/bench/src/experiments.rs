@@ -2,8 +2,7 @@
 //!
 //! Absolute numbers differ from the paper (different hardware, scaled
 //! synthetic data); the *shapes* — who wins, by what factor, where the
-//! crossovers sit — are the reproduction target. EXPERIMENTS.md records
-//! paper-vs-measured for each experiment.
+//! crossovers sit — are the reproduction target.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -520,7 +519,7 @@ pub fn throughput(cfg: &ExpConfig) {
 pub fn throughput_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, RangeIndex, RangePredicate, Value};
-    use imprints_engine::{EngineConfig, Table as EngineTable, ValueRange, WorkerPool};
+    use imprints_engine::{BatchQuery, EngineConfig, Table as EngineTable, ValueRange, WorkerPool};
     use std::time::Instant;
 
     let queries = 64usize;
@@ -605,8 +604,9 @@ pub fn throughput_with_rows(cfg: &ExpConfig, rows: usize) {
         let pool = WorkerPool::new(workers);
         let (ms, qps) = time_qps(&mut || {
             for &(lo, hi) in &preds {
+                let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
                 let _ = table
-                    .query_on(&pool, &[("v", ValueRange::between(Value::I64(lo), Value::I64(hi)))])
+                    .query_one(&BatchQuery::ids(vec![("v".into(), range)]), Some(&pool))
                     .unwrap();
             }
         });
@@ -781,7 +781,9 @@ pub fn writehead(cfg: &ExpConfig) {
 pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, Value};
-    use imprints_engine::{EngineConfig, Table as EngineTable, ValueRange};
+    use imprints_engine::{
+        BatchAnswer, BatchQuery, EngineConfig, Table as EngineTable, ValueRange,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
@@ -863,12 +865,12 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     let mut scan_cmp = 0u64;
     for _ in 0..rounds {
         for (range, oracle) in preds.iter().zip(&oracles) {
-            let pred = [("v", *range)];
+            let q = BatchQuery::ids(vec![("v".into(), *range)]);
             let t0 = Instant::now();
-            let (ids_s, st_s) = scanned.query_with_stats(&pred, None).unwrap();
+            let (ids_s, st_s) = scanned.query_one(&q, None).unwrap();
             scan_us.push(t0.elapsed().as_secs_f64() * 1e6);
             let t0 = Instant::now();
-            let (ids_t, st_t) = indexed.query_with_stats(&pred, None).unwrap();
+            let (ids_t, st_t) = indexed.query_one(&q, None).unwrap();
             tail_us.push(t0.elapsed().as_secs_f64() * 1e6);
             assert!(st_t.tail_indexed, "the indexed head must answer through its tail imprint");
             assert!(!st_s.tail_indexed);
@@ -876,7 +878,8 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
             tail_cmp += st_t.tail_access.value_comparisons;
             // Byte-identical to each other and to the whole-column oracle.
             assert_eq!(ids_t, ids_s, "tail-indexed head changed query results");
-            assert_eq!(ids_t.as_slice(), oracle.as_slice(), "results must match the oracle");
+            let expect = BatchAnswer::Ids(oracle.iter().copied().collect());
+            assert_eq!(ids_t, expect, "results must match the oracle");
         }
     }
 
@@ -1230,7 +1233,7 @@ pub fn multipred(cfg: &ExpConfig) {
 pub fn multipred_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, Value};
-    use imprints_engine::{Catalog, EngineConfig, ValueRange, ValueSet};
+    use imprints_engine::{BatchAnswer, BatchQuery, Catalog, EngineConfig, ValueRange, ValueSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
@@ -1399,23 +1402,26 @@ pub fn multipred_with_rows(cfg: &ExpConfig, rows: usize) {
     for t in [&planned, &perpred] {
         let in_set = ValueSet::points([Value::I64(3), Value::I64(17), Value::I64(41)]);
         let a_range = ValueSet::range(ValueRange::between(Value::I64(200), Value::I64(449)));
-        let ids = t.query_sets(&[("cb", in_set), ("ca", a_range)]).unwrap();
+        let in_list = BatchQuery::ids_sets(vec![("cb".into(), in_set), ("ca".into(), a_range)]);
         let expect: Vec<u64> = (0..n as u64)
             .filter(|&i| {
                 [3, 17, 41].contains(&cb[i as usize]) && (200..=449).contains(&ca[i as usize])
             })
             .collect();
-        assert_eq!(ids.as_slice(), expect.as_slice(), "{} IN-list diverged", t.name());
+        let (ids, _) = t.query_one(&in_list, None).unwrap();
+        assert_eq!(ids, BatchAnswer::Ids(expect.into()), "{} IN-list diverged", t.name());
 
-        let arms = [
-            ("ca", ValueSet::range(ValueRange::at_most(Value::I64(49)))),
-            ("cc", ValueSet::range(ValueRange::equals(Value::I64(7)))),
+        let arms = vec![
+            ("ca".into(), ValueSet::range(ValueRange::at_most(Value::I64(49)))),
+            ("cc".into(), ValueSet::range(ValueRange::equals(Value::I64(7)))),
         ];
-        let ids = t.query_any(&arms).unwrap();
         let expect: Vec<u64> =
             (0..n as u64).filter(|&i| ca[i as usize] <= 49 || cc[i as usize] == 7).collect();
-        assert_eq!(ids.as_slice(), expect.as_slice(), "{} OR group diverged", t.name());
-        assert_eq!(t.count_any(&arms).unwrap() as usize, expect.len());
+        let (n_any, _) =
+            t.query_one(&BatchQuery::count_sets(arms.clone()).or_group(), None).unwrap();
+        assert_eq!(n_any, BatchAnswer::Count(expect.len() as u64));
+        let (ids, _) = t.query_one(&BatchQuery::ids_sets(arms).or_group(), None).unwrap();
+        assert_eq!(ids, BatchAnswer::Ids(expect.into()), "{} OR group diverged", t.name());
     }
     let checked = per_shape * 2 * (3 + rounds) * 3 + 6;
     println!("[multipred] {checked} answers byte-identical to the brute-force oracle");
@@ -1476,7 +1482,7 @@ pub fn refine(cfg: &ExpConfig) {
 /// small for stable timing).
 pub fn refine_with_rows(cfg: &ExpConfig, rows: usize) {
     use imprints::simd::RefineKernel;
-    use imprints::{query, ImprintStats};
+    use imprints::{query, ImprintStats, PredicateKernel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::time::Instant;
@@ -1532,13 +1538,13 @@ pub fn refine_with_rows(cfg: &ExpConfig, rows: usize) {
             for round in 0..=rounds {
                 let mut st = ImprintStats::default();
                 let t0 = Instant::now();
-                let ids_s =
-                    query::refine_with_kernel(&col, pred, &cands, &mut st, RefineKernel::Scalar);
+                let scalar = PredicateKernel::with_kernel(pred, RefineKernel::Scalar);
+                let ids_s = query::refine(&col, &scalar, &cands, &mut st);
                 let t_s = t0.elapsed().as_secs_f64() * 1e6;
                 let mut st = ImprintStats::default();
                 let t0 = Instant::now();
-                let ids_v =
-                    query::refine_with_kernel(&col, pred, &cands, &mut st, RefineKernel::Swar);
+                let swar = PredicateKernel::with_kernel(pred, RefineKernel::Swar);
+                let ids_v = query::refine(&col, &swar, &cands, &mut st);
                 let t_v = t0.elapsed().as_secs_f64() * 1e6;
                 assert_eq!(
                     ids_s.as_slice(),

@@ -8,8 +8,7 @@
 //! ```
 //!
 //! Results print as aligned tables and are also written as CSV under
-//! `bench_results/`. The per-experiment mapping lives in DESIGN.md §4 and
-//! the measured-vs-paper comparison in EXPERIMENTS.md.
+//! `bench_results/`. The per-experiment mapping lives in DESIGN.md §4.
 
 #![warn(missing_docs)]
 

@@ -95,7 +95,7 @@ pub use index::ColumnImprints;
 pub use masks::QueryMasks;
 pub use multilevel::MultiLevelImprints;
 pub use query::ImprintStats;
-pub use simd::{PredicateKernel, RefineKernel};
+pub use simd::{Hits, PredicateKernel, RefineKernel};
 pub use update::OverlayImprints;
 
 // Re-export the substrate types that appear in this crate's public API so

@@ -21,16 +21,18 @@
 //! through the [`crate::simd`] refinement kernels: the predicate is
 //! compiled once per evaluation into a [`PredicateKernel`] and each
 //! fetched cacheline is weeded either by the `u64`-word SWAR kernel or by
-//! the scalar oracle loop, per the ambient [`RefineKernel`] selection (or
-//! the explicit `*_with_kernel` entry points). The `value_comparisons`
-//! statistic counts values the kernel actually examined, identically
-//! under both kernels — a predicate that can match nothing examines none.
+//! the scalar oracle loop. The walk is written once, in [`run`]: it takes
+//! the compiled kernel and a [`Hits`] sink, so materializing ids
+//! ([`evaluate`]) and counting ([`count`]) are the same traversal with a
+//! different sink. The `value_comparisons` statistic counts values the
+//! kernel actually examined, identically under both kernels — a predicate
+//! that can match nothing examines none.
 
 use colstore::{AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar};
 
 use crate::index::ColumnImprints;
-use crate::masks;
-use crate::simd::{PredicateKernel, RefineKernel};
+use crate::masks::{self, QueryMasks};
+use crate::simd::{Hits, PredicateKernel};
 
 /// Evaluation statistics: the generic [`AccessStats`] plus imprint-specific
 /// breakdowns.
@@ -51,50 +53,75 @@ pub struct ImprintStats {
     pub lines_checked: u64,
 }
 
-#[inline]
-fn emit_ids(res: &mut Vec<u64>, range: std::ops::Range<u64>) {
-    res.extend(range);
-}
-
-/// The false-positive weeding step of Algorithm 3, routed through the
-/// compiled refinement kernel (see [`crate::simd`]): appends matching ids
-/// of `values[range]` and bumps `comparisons` by the values the kernel
-/// actually examined (zero when the predicate can match nothing).
-#[inline]
-fn check_values<T: Scalar>(
-    res: &mut Vec<u64>,
-    values: &[T],
-    kernel: &PredicateKernel<T>,
-    range: std::ops::Range<u64>,
-    comparisons: &mut u64,
-) {
-    kernel.append_matches(values, range, res, comparisons);
-}
-
-/// Evaluates `pred` over `col` through the index: Algorithm 3, returning
-/// the materialized ordered id list plus statistics.
+/// Algorithm 3: evaluates the kernel's predicate over `col` through the
+/// index into `hits` — the one imprint walk every entry point reaches.
+/// The kernel carries both the predicate and the refinement flavour
+/// ([`PredicateKernel::with_kernel`] pins one; the differential harness
+/// races SWAR against the scalar oracle through here).
 ///
 /// # Panics
 /// Panics if `col` is not the column the index was built on (length
 /// mismatch).
+pub fn run<T: Scalar>(
+    idx: &ColumnImprints<T>,
+    col: &Column<T>,
+    kernel: &PredicateKernel<T>,
+    hits: Hits,
+) -> (Hits, ImprintStats) {
+    walk(idx, col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
+}
+
+fn walk<T: Scalar>(
+    idx: &ColumnImprints<T>,
+    col: &Column<T>,
+    kernel: &PredicateKernel<T>,
+    masks: QueryMasks,
+    mut hits: Hits,
+) -> (Hits, ImprintStats) {
+    assert_eq!(col.len(), idx.rows(), "index does not cover this column");
+    let mut stats = ImprintStats::default();
+    if masks.mask == 0 {
+        stats.access.lines_skipped = idx.line_count();
+        return (hits, stats);
+    }
+    let values = col.values();
+    let vpb = idx.values_per_block() as u64;
+    let rows = idx.rows() as u64;
+    let not_inner = !masks.innermask;
+    // A distinct run is one cacheline per probe; a repeat run (and the
+    // partial tail) lets one probe decide `line_count` cachelines at once.
+    for run in idx.runs() {
+        stats.access.index_probes += 1;
+        if run.imprint & masks.mask == 0 {
+            stats.access.lines_skipped += run.line_count;
+            continue;
+        }
+        let ids = run.first_line * vpb..((run.first_line + run.line_count) * vpb).min(rows);
+        if run.imprint & not_inner == 0 {
+            stats.lines_full += run.line_count;
+            stats.ids_via_full_lines += ids.end - ids.start;
+            hits.emit(ids);
+        } else {
+            stats.lines_checked += run.line_count;
+            stats.access.lines_fetched += run.line_count;
+            kernel.check(values, ids, &mut hits, &mut stats.access.value_comparisons);
+        }
+    }
+    (hits, stats)
+}
+
+/// Evaluates `pred` over `col` through the index, returning the
+/// materialized ordered id list plus statistics.
+///
+/// # Panics
+/// Panics if `col` is not the column the index was built on.
 pub fn evaluate<T: Scalar>(
     idx: &ColumnImprints<T>,
     col: &Column<T>,
     pred: &RangePredicate<T>,
 ) -> (IdList, ImprintStats) {
-    evaluate_with_kernel(idx, col, pred, crate::simd::ambient_kernel())
-}
-
-/// [`evaluate`] under an explicit refinement kernel — the differential
-/// harness races the SWAR kernel against the scalar oracle through this.
-pub fn evaluate_with_kernel<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    col: &Column<T>,
-    pred: &RangePredicate<T>,
-    kernel: RefineKernel,
-) -> (IdList, ImprintStats) {
-    let masks = masks::make_masks(idx.binning(), pred);
-    evaluate_with_masks(idx, col, &PredicateKernel::with_kernel(pred, kernel), masks)
+    let (hits, stats) = run(idx, col, &PredicateKernel::new(pred), Hits::new(false));
+    (hits.into_ids(), stats)
 }
 
 /// [`evaluate`] with the `innermask` fast path disabled: every matching
@@ -106,160 +133,21 @@ pub fn evaluate_no_innermask<T: Scalar>(
     col: &Column<T>,
     pred: &RangePredicate<T>,
 ) -> (IdList, ImprintStats) {
-    let mut masks = masks::make_masks(idx.binning(), pred);
-    masks.innermask = 0;
-    evaluate_with_masks(idx, col, &PredicateKernel::new(pred), masks)
+    let masks = QueryMasks { innermask: 0, ..masks::make_masks(idx.binning(), pred) };
+    let (hits, stats) = walk(idx, col, &PredicateKernel::new(pred), masks, Hits::new(false));
+    (hits.into_ids(), stats)
 }
 
-fn evaluate_with_masks<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    col: &Column<T>,
-    kernel: &PredicateKernel<T>,
-    masks: crate::masks::QueryMasks,
-) -> (IdList, ImprintStats) {
-    assert_eq!(col.len(), idx.rows(), "index does not cover this column");
-    let mut stats = ImprintStats::default();
-    let mut res: Vec<u64> = Vec::new();
-    if masks.mask == 0 {
-        stats.access.lines_skipped = idx.line_count();
-        return (IdList::from_sorted(res), stats);
-    }
-    let values = col.values();
-    let vpb = idx.values_per_block() as u64;
-    let rows = idx.rows() as u64;
-    let (imprints, dict) = idx.parts();
-    let not_inner = !masks.innermask;
-
-    let mut i_cnt = 0usize; // position in the imprint array
-    let mut line = 0u64; // current cacheline number
-    for e in dict {
-        let cnt = e.cnt() as u64;
-        if !e.repeat() {
-            // cnt distinct imprints, one cacheline each.
-            for j in 0..cnt {
-                let imp = imprints[i_cnt + j as usize];
-                stats.access.index_probes += 1;
-                if imp & masks.mask != 0 {
-                    let ids = line * vpb..((line + 1) * vpb).min(rows);
-                    if imp & not_inner == 0 {
-                        stats.lines_full += 1;
-                        stats.ids_via_full_lines += ids.end - ids.start;
-                        emit_ids(&mut res, ids);
-                    } else {
-                        stats.lines_checked += 1;
-                        stats.access.lines_fetched += 1;
-                        check_values(
-                            &mut res,
-                            values,
-                            kernel,
-                            ids,
-                            &mut stats.access.value_comparisons,
-                        );
-                    }
-                } else {
-                    stats.access.lines_skipped += 1;
-                }
-                line += 1;
-            }
-            i_cnt += cnt as usize;
-        } else {
-            // One imprint vector describing cnt consecutive cachelines.
-            let imp = imprints[i_cnt];
-            stats.access.index_probes += 1;
-            if imp & masks.mask != 0 {
-                let ids = line * vpb..((line + cnt) * vpb).min(rows);
-                if imp & not_inner == 0 {
-                    stats.lines_full += cnt;
-                    stats.ids_via_full_lines += ids.end - ids.start;
-                    emit_ids(&mut res, ids);
-                } else {
-                    stats.lines_checked += cnt;
-                    stats.access.lines_fetched += cnt;
-                    check_values(
-                        &mut res,
-                        values,
-                        kernel,
-                        ids,
-                        &mut stats.access.value_comparisons,
-                    );
-                }
-            } else {
-                stats.access.lines_skipped += cnt;
-            }
-            i_cnt += 1;
-            line += cnt;
-        }
-    }
-    // The un-finalized partial tail line, if any.
-    if let Some((tail_imp, _)) = idx.tail() {
-        stats.access.index_probes += 1;
-        if tail_imp & masks.mask != 0 {
-            let ids = line * vpb..rows;
-            if tail_imp & not_inner == 0 {
-                stats.lines_full += 1;
-                stats.ids_via_full_lines += ids.end - ids.start;
-                emit_ids(&mut res, ids);
-            } else {
-                stats.lines_checked += 1;
-                stats.access.lines_fetched += 1;
-                check_values(&mut res, values, kernel, ids, &mut stats.access.value_comparisons);
-            }
-        } else {
-            stats.access.lines_skipped += 1;
-        }
-    }
-    (IdList::from_sorted(res), stats)
-}
-
-/// Counts qualifying rows without materializing ids. Same traversal as
-/// [`evaluate`]; fully-covered lines contribute their cardinality directly.
+/// Counts qualifying rows without materializing ids: [`run`] into a
+/// counting sink, so fully-covered lines contribute their cardinality
+/// directly.
 pub fn count<T: Scalar>(
     idx: &ColumnImprints<T>,
     col: &Column<T>,
     pred: &RangePredicate<T>,
 ) -> (u64, ImprintStats) {
-    count_with_kernel(idx, col, pred, crate::simd::ambient_kernel())
-}
-
-/// [`count`] under an explicit refinement kernel (differential testing).
-pub fn count_with_kernel<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    col: &Column<T>,
-    pred: &RangePredicate<T>,
-    kernel: RefineKernel,
-) -> (u64, ImprintStats) {
-    assert_eq!(col.len(), idx.rows(), "index does not cover this column");
-    let mut stats = ImprintStats::default();
-    let masks = masks::make_masks(idx.binning(), pred);
-    if masks.mask == 0 {
-        stats.access.lines_skipped = idx.line_count();
-        return (0, stats);
-    }
-    let kernel = PredicateKernel::with_kernel(pred, kernel);
-    let values = col.values();
-    let vpb = idx.values_per_block() as u64;
-    let rows = idx.rows() as u64;
-    let not_inner = !masks.innermask;
-    let mut total = 0u64;
-    for run in idx.runs() {
-        stats.access.index_probes += 1;
-        if run.imprint & masks.mask == 0 {
-            stats.access.lines_skipped += run.line_count;
-            continue;
-        }
-        let start = run.first_line * vpb;
-        let end = ((run.first_line + run.line_count) * vpb).min(rows);
-        if run.imprint & not_inner == 0 {
-            stats.lines_full += run.line_count;
-            stats.ids_via_full_lines += end - start;
-            total += end - start;
-        } else {
-            stats.lines_checked += run.line_count;
-            stats.access.lines_fetched += run.line_count;
-            total += kernel.count_matches(values, start..end, &mut stats.access.value_comparisons);
-        }
-    }
-    (total, stats)
+    let (hits, stats) = run(idx, col, &PredicateKernel::new(pred), Hits::new(true));
+    (hits.len(), stats)
 }
 
 /// Late materialization, step 1 (§3): the cachelines that *may* contain
@@ -348,7 +236,7 @@ fn set_row_bits(words: &mut [u64], start: u64, end: u64) {
 /// Panics if the slices are shorter than the column's row count requires.
 pub fn classify_rows<T: Scalar>(
     idx: &ColumnImprints<T>,
-    masks: &crate::masks::QueryMasks,
+    masks: &QueryMasks,
     cand: &mut [u64],
     full: &mut [u64],
 ) -> ImprintStats {
@@ -383,33 +271,20 @@ pub fn classify_rows<T: Scalar>(
 
 /// Late materialization, step 2: weeds out false positives from an
 /// *id-space* candidate set (as produced by [`candidate_id_ranges`],
-/// possibly intersected across attributes) and materializes the final ids.
+/// possibly intersected across attributes) with the compiled `kernel` and
+/// materializes the final ids.
 pub fn refine<T: Scalar>(
     col: &Column<T>,
-    pred: &RangePredicate<T>,
+    kernel: &PredicateKernel<T>,
     id_candidates: &CachelineSet,
     stats: &mut ImprintStats,
 ) -> IdList {
-    refine_with_kernel(col, pred, id_candidates, stats, crate::simd::ambient_kernel())
-}
-
-/// [`refine`] under an explicit refinement kernel — what the `refine`
-/// bench experiment times scalar-vs-SWAR and the differential harness
-/// cross-checks.
-pub fn refine_with_kernel<T: Scalar>(
-    col: &Column<T>,
-    pred: &RangePredicate<T>,
-    id_candidates: &CachelineSet,
-    stats: &mut ImprintStats,
-    kernel: RefineKernel,
-) -> IdList {
-    let kernel = PredicateKernel::with_kernel(pred, kernel);
     let values = col.values();
-    let mut res = Vec::new();
+    let mut hits = Hits::new(false);
     for r in id_candidates.runs() {
-        check_values(&mut res, values, &kernel, r, &mut stats.access.value_comparisons);
+        kernel.check(values, r, &mut hits, &mut stats.access.value_comparisons);
     }
-    IdList::from_sorted(res)
+    hits.into_ids()
 }
 
 /// Full multi-attribute conjunction over two columns of possibly different
@@ -426,7 +301,7 @@ pub fn conjunction2<A: Scalar, B: Scalar>(
     stats.access.merge(&sa.access);
     stats.access.merge(&sb.access);
     let joint = ca.intersect(&cb);
-    let a_ids = refine(col_a, pred_a, &joint, &mut stats);
+    let a_ids = refine(col_a, &PredicateKernel::new(pred_a), &joint, &mut stats);
     // Refine B only on ids that survived A (the increasing-selectivity
     // expectation of §3). Survivors are scattered ids, so the per-value
     // kernel check applies, not the chunked one.
@@ -446,6 +321,7 @@ pub fn conjunction2<A: Scalar, B: Scalar>(
 mod tests {
     use super::*;
     use crate::builder::BuildOptions;
+    use crate::simd::RefineKernel;
 
     /// Oracle: brute-force scan.
     fn oracle<T: Scalar>(col: &Column<T>, pred: &RangePredicate<T>) -> Vec<u64> {
@@ -596,7 +472,7 @@ mod tests {
         let idx = ColumnImprints::build(&col);
         let pred = RangePredicate::between(50, 200);
         let (idr, mut stats) = candidate_id_ranges(&idx, &pred);
-        let refined = refine(&col, &pred, &idr, &mut stats);
+        let refined = refine(&col, &PredicateKernel::new(&pred), &idr, &mut stats);
         let (direct, _) = evaluate(&idx, &col, &pred);
         assert_eq!(refined, direct);
     }
@@ -657,7 +533,7 @@ mod tests {
         assert_eq!(s_slow.lines_full, 0);
     }
 
-    /// Satellite regression: `check_values` used to bump `comparisons` by
+    /// Satellite regression: the value check used to bump `comparisons` by
     /// the full range even when the kernel early-outs without examining a
     /// value — an empty predicate refining a candidate set must report
     /// zero comparisons (phantom comparisons with zero matches read as a
@@ -667,27 +543,27 @@ mod tests {
         let col: Column<i32> = (0..4096).collect();
         let mut cands = CachelineSet::new();
         cands.push_run(0, 4096);
-        for kernel in [RefineKernel::Scalar, RefineKernel::Swar] {
-            let pred = RangePredicate::between(10, 5);
+        for flavour in [RefineKernel::Scalar, RefineKernel::Swar] {
+            let kernel = PredicateKernel::with_kernel(&RangePredicate::between(10, 5), flavour);
             let mut stats = ImprintStats::default();
-            let ids = refine_with_kernel(&col, &pred, &cands, &mut stats, kernel);
+            let ids = refine(&col, &kernel, &cands, &mut stats);
             assert!(ids.is_empty());
             assert_eq!(
                 stats.access.value_comparisons, 0,
-                "{kernel:?}: an empty predicate examines no values"
+                "{flavour:?}: an empty predicate examines no values"
             );
             // A non-empty predicate over the same candidates is billed in
             // full — the counter reflects values actually compared.
-            let pred = RangePredicate::between(5, 10);
+            let kernel = PredicateKernel::with_kernel(&RangePredicate::between(5, 10), flavour);
             let mut stats = ImprintStats::default();
-            let ids = refine_with_kernel(&col, &pred, &cands, &mut stats, kernel);
+            let ids = refine(&col, &kernel, &cands, &mut stats);
             assert_eq!(ids.len(), 6);
             assert_eq!(stats.access.value_comparisons, 4096);
         }
     }
 
     /// Both refinement kernels must agree byte-for-byte — ids *and*
-    /// statistics — on every entry point (the module-level differential
+    /// statistics — in both sink modes (the module-level differential
     /// harness in `tests/kernel_differential.rs` proptests this broadly;
     /// this is the fast in-crate smoke version).
     #[test]
@@ -702,14 +578,14 @@ mod tests {
             let a = rng.gen_range(-1100..1100);
             let b = rng.gen_range(-1100..1100);
             let pred = RangePredicate::between(a.min(b), a.max(b));
-            let (ids_s, st_s) = evaluate_with_kernel(&idx, &col, &pred, RefineKernel::Scalar);
-            let (ids_v, st_v) = evaluate_with_kernel(&idx, &col, &pred, RefineKernel::Swar);
-            assert_eq!(ids_s, ids_v, "{pred}");
-            assert_eq!(st_s, st_v, "stats must not depend on the kernel: {pred}");
-            let (n_s, cst_s) = count_with_kernel(&idx, &col, &pred, RefineKernel::Scalar);
-            let (n_v, cst_v) = count_with_kernel(&idx, &col, &pred, RefineKernel::Swar);
-            assert_eq!((n_s, cst_s), (n_v, cst_v), "{pred}");
-            assert_eq!(n_s as usize, ids_s.len(), "{pred}");
+            let scalar = PredicateKernel::with_kernel(&pred, RefineKernel::Scalar);
+            let swar = PredicateKernel::with_kernel(&pred, RefineKernel::Swar);
+            for count_only in [false, true] {
+                let s = run(&idx, &col, &scalar, Hits::new(count_only));
+                let v = run(&idx, &col, &swar, Hits::new(count_only));
+                assert_eq!(s, v, "answer and stats must not depend on the kernel: {pred}");
+                assert_eq!(s.0.len() as usize, oracle(&col, &pred).len(), "{pred}");
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Vectorized false-positive refinement: SWAR predicate kernels.
 //!
 //! Algorithm 3 spends its residual cost weeding false positives out of
-//! candidate cachelines — the `check_values` loop of [`crate::query`], and
+//! candidate cachelines — the value-check step of [`crate::query`], and
 //! its siblings in the zonemap/scan baselines and the engine's write-head
 //! path. Once imprint pruning is cheap, that refinement loop is where a
 //! secondary index wins or loses (the BitWeaving/Hermit/LSI observation),
@@ -48,15 +48,24 @@
 //! ([`set_ambient_kernel`]). In both cases the `IMPRINTS_REFINE_KERNEL`
 //! environment variable (`auto`/`scalar`/`swar`) overrides, which is how
 //! CI forces the scalar fallback through the whole test suite so it can
-//! never rot unexercised. Explicit `*_with_kernel` entry points bypass
-//! everything for differential tests and benchmarks.
+//! never rot unexercised. A kernel compiled with an explicit selection
+//! ([`PredicateKernel::with_kernel`]) bypasses everything, which is how
+//! differential tests and benchmarks race the two.
+//!
+//! ## The result sink
+//!
+//! Every evaluation — whichever access path walks the column — does one of
+//! two things to a stretch of rows: emit it wholesale, or value-check it
+//! with a compiled kernel. [`Hits`] is the one sink both land in, as
+//! materialized ids or as a bare count, so each walk is written once and
+//! counting is that walk with [`Hits::Count`] plugged in.
 
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use colstore::{Bound, RangePredicate, Scalar};
+use colstore::{Bound, IdList, RangePredicate, Scalar};
 
 /// Which kernel weeds false positives out of fetched cachelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,6 +175,101 @@ pub fn effective_kernel(configured: RefineKernel) -> RefineKernel {
     env_kernel().unwrap_or(configured)
 }
 
+/// The result sink of an evaluation: matching row ids in ascending order,
+/// or only their number. An access path feeds it through the two
+/// operations Algorithm 3 consists of — [`Hits::emit`] ("these ids all
+/// match") and a kernel's `check` ("value-check this range") — and never
+/// learns which of the two modes it is serving.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Hits {
+    /// Materialized ids, ascending.
+    Ids(Vec<u64>),
+    /// Number of matching rows.
+    Count(u64),
+}
+
+impl Hits {
+    /// An empty sink: counting when `count_only`, materializing otherwise.
+    pub fn new(count_only: bool) -> Hits {
+        if count_only {
+            Hits::Count(0)
+        } else {
+            Hits::Ids(Vec::new())
+        }
+    }
+
+    /// Wraps already-materialized ids in the requested mode.
+    pub fn from_ids(ids: Vec<u64>, count_only: bool) -> Hits {
+        if count_only {
+            Hits::Count(ids.len() as u64)
+        } else {
+            Hits::Ids(ids)
+        }
+    }
+
+    /// Matching rows recorded so far.
+    pub fn len(&self) -> u64 {
+        match self {
+            Hits::Ids(ids) => ids.len() as u64,
+            Hits::Count(n) => *n,
+        }
+    }
+
+    /// Whether no row matched so far.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every id of `ids` matches — no value was looked at.
+    #[inline]
+    pub fn emit(&mut self, ids: Range<u64>) {
+        match self {
+            Hits::Ids(out) => out.extend(ids),
+            Hits::Count(n) => *n += ids.end.saturating_sub(ids.start),
+        }
+    }
+
+    /// [`Hits::emit`] for a 64-row bit word: bit `i` of `mask` set means
+    /// row `base + i` matches (the shape bitmap and fused-mask plans
+    /// produce). Counting popcounts the word instead of walking its bits.
+    #[inline]
+    pub fn emit_mask(&mut self, base: u64, mut mask: u64) {
+        match self {
+            Hits::Ids(out) => {
+                while mask != 0 {
+                    out.push(base + u64::from(mask.trailing_zeros()));
+                    mask &= mask - 1;
+                }
+            }
+            Hits::Count(n) => *n += u64::from(mask.count_ones()),
+        }
+    }
+
+    /// Folds in `part`, the result of the same query over a later stretch
+    /// of rows numbered from `base` (a segment, the write head).
+    ///
+    /// # Panics
+    /// Panics if an id sink is handed a counted part — the ids are gone.
+    pub fn absorb(&mut self, part: Hits, base: u64) {
+        match (self, part) {
+            (Hits::Ids(out), Hits::Ids(ids)) => out.extend(ids.into_iter().map(|id| id + base)),
+            (Hits::Count(n), part) => *n += part.len(),
+            (Hits::Ids(_), Hits::Count(_)) => panic!("an id sink cannot absorb a counted part"),
+        }
+    }
+
+    /// The materialized ids.
+    ///
+    /// # Panics
+    /// Panics on a counting sink.
+    pub fn into_ids(self) -> IdList {
+        match self {
+            Hits::Ids(ids) => IdList::from_sorted(ids),
+            Hits::Count(_) => panic!("a counting sink holds no ids"),
+        }
+    }
+}
+
 /// A [`RangePredicate`] compiled for repeated evaluation over cachelines:
 /// the key-range reduction and kernel choice happen **once** per query,
 /// not once per line. Both kernels share the compiled empty-range
@@ -191,9 +295,28 @@ impl<T: Scalar> PredicateKernel<T> {
         PredicateKernel { pred: *pred, keys: key_bounds(pred), swar: kernel.use_swar() }
     }
 
+    /// The predicate this kernel was compiled from.
+    pub fn predicate(&self) -> &RangePredicate<T> {
+        &self.pred
+    }
+
     /// Whether the predicate can match no value at all.
     pub fn is_empty(&self) -> bool {
         self.keys.is_none()
+    }
+
+    /// Value-checks `values[ids]` into `hits` — the false-positive weeding
+    /// step of every access path — bumping `comparisons` by the values
+    /// actually examined (zero when the predicate can match nothing).
+    ///
+    /// # Panics
+    /// Panics if `ids` is out of bounds for `values`.
+    #[inline]
+    pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
+        match hits {
+            Hits::Ids(out) => self.append_matches(values, ids, out, comparisons),
+            Hits::Count(n) => *n += self.count_matches(values, ids, comparisons),
+        }
     }
 
     /// Whether one value matches — the single-survivor check used by
@@ -232,7 +355,7 @@ impl<T: Scalar> PredicateKernel<T> {
 
     /// Appends the ids of matching values in `values[ids]` to `out`
     /// (ascending), bumping `comparisons` by the number of values actually
-    /// examined — the `check_values` workhorse of every refinement path.
+    /// examined — the materializing half of [`PredicateKernel::check`].
     ///
     /// # Panics
     /// Panics if `ids` is out of bounds for `values`.
@@ -352,6 +475,18 @@ impl<T: Scalar> SetKernel<T> {
     /// Whether no value can match (every term was impossible).
     pub fn is_empty(&self) -> bool {
         self.kernels.is_empty()
+    }
+
+    /// Value-checks `values[ids]` into `hits`, with single-visit comparison
+    /// accounting ([`PredicateKernel::check`] for set predicates).
+    ///
+    /// # Panics
+    /// Panics if `ids` is out of bounds for `values`.
+    pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
+        match hits {
+            Hits::Ids(out) => self.append_matches(values, ids, out, comparisons),
+            Hits::Count(n) => *n += self.count_matches(values, ids, comparisons),
+        }
     }
 
     /// Whether one value matches any term.

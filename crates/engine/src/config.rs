@@ -16,8 +16,6 @@ pub struct EngineConfig {
     /// planner re-bins drifted segments in the background. When `false`
     /// every seal resamples from scratch.
     pub share_binning: bool,
-    /// Threads used to build one segment's imprint at seal time.
-    pub build_threads: usize,
     /// Minimum open-segment row count before the write head grows its
     /// incremental tail imprint (see [`crate::tail`]). Below the
     /// threshold queries scan the open rows linearly — a tiny head is
@@ -89,7 +87,6 @@ impl Default for EngineConfig {
             segment_rows: 1 << 16,
             workers: 0,
             share_binning: true,
-            build_threads: 1,
             tail_index_min_rows: 4096,
             wah_budget_bytes: 0,
             refine_kernel: RefineKernel::Auto,
@@ -228,10 +225,6 @@ pub struct MaintenanceConfig {
     /// rebuilt). Also the size ratio between tiers. Values below 2 disable
     /// compaction.
     pub tier_fanin: usize,
-    /// Rows of a tier-0 segment for tier classification. `0` (the default)
-    /// uses the table's [`EngineConfig::segment_rows`], which is what every
-    /// freshly sealed segment holds.
-    pub min_segment_rows: usize,
     /// Never merge segments into one larger than this many rows — the top
     /// tier, after which a segment only sees index rebuilds.
     pub max_segment_rows: usize,
@@ -250,7 +243,6 @@ impl Default for MaintenanceConfig {
             fp_threshold: 0.95,
             min_comparisons: 4096,
             tier_fanin: 4,
-            min_segment_rows: 0,
             max_segment_rows: 1 << 22,
             compaction_budget_bytes: 64 << 20,
         }

@@ -75,14 +75,14 @@ pub use catalog::{Catalog, StorageStats};
 pub use config::{EngineConfig, MaintenanceConfig, ServiceConfig, StorageOptions};
 pub use executor::WorkerPool;
 pub use imprints::relation_index::{ValueRange, ValueSet};
-pub use imprints::simd::RefineKernel;
+pub use imprints::simd::{Hits, RefineKernel};
 pub use paths::{PathChooser, PathKind, MAX_PATHS, NUM_BUCKETS};
 pub use persist::RecoveryReport;
 pub use planner::{
     maintenance_tick, path_report, BucketPathReport, ColumnPathReport, CompactionAction,
     MaintenanceAction, MaintenanceDaemon, MaintenanceReport, RebuildReason,
 };
-pub use segment::{SealedSegment, SegBatchAnswer, SegBatchQuery};
+pub use segment::{SealedSegment, SegQuery};
 pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};
 pub use tail::AnyTailIndex;
 
@@ -147,7 +147,7 @@ impl Engine {
 
     /// Evaluates a conjunctive query on the worker pool.
     pub fn query(&self, table: &str, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        self.catalog.table(table)?.query_on(&self.pool, preds)
+        self.catalog.table(table)?.query_on(preds, Some(&self.pool))
     }
 
     /// Counts matching rows on the worker pool.

@@ -173,9 +173,8 @@ fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<Com
     if fanin < 2 {
         return Vec::new();
     }
-    let unit =
-        if cfg.min_segment_rows > 0 { cfg.min_segment_rows } else { table.config().segment_rows }
-            .max(1);
+    // A tier-0 segment is what every fresh seal holds.
+    let unit = table.config().segment_rows;
     let mut actions = Vec::new();
     let mut i = 0;
     while i < sealed.len() {

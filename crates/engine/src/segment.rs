@@ -27,9 +27,8 @@ use imprints::builder::BuildOptions;
 use imprints::masks::make_masks_union;
 use imprints::query;
 use imprints::relation_index::{ValueRange, ValueSet};
+use imprints::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
 use imprints::ColumnImprints;
-
-use imprints::simd::{self, RefineKernel, SetKernel};
 
 use crate::config::EngineConfig;
 use crate::paths::{PathChooser, PathKind, PlanChooser, PlanKind};
@@ -286,14 +285,7 @@ impl<T: Scalar> SegCol<T> {
                 let drift = measure_drift(&binning, &prev.zonemap, col.values());
                 (ColumnImprints::build_with_binning(&col, binning, opts), drift)
             }
-            None => {
-                let built = if cfg.build_threads > 1 {
-                    imprints::parallel::build_parallel(&col, opts, cfg.build_threads)
-                } else {
-                    ColumnImprints::build_with(&col, opts)
-                };
-                (built, 0.0)
-            }
+            None => (ColumnImprints::build_with(&col, opts), 0.0),
         };
         let zonemap = <ZoneMap<T> as BuildableIndex<T>>::build_index(&col);
         SegCol {
@@ -385,10 +377,19 @@ impl<T: Scalar> SegCol<T> {
         built.as_ref()
     }
 
-    /// Evaluates a single-column predicate through the adaptively chosen
-    /// access path, recording observed cost (in the predicate's
-    /// selectivity bucket) and false-positive work.
-    fn evaluate_adaptive(&self, pred: &colstore::RangePredicate<T>) -> (IdList, AccessStats) {
+    /// Evaluates a single-range predicate into a fresh [`Hits`] sink through
+    /// the adaptively chosen access path, recording observed cost (in the
+    /// predicate's selectivity bucket) and false-positive work — ids and
+    /// counts alike, so count-heavy workloads feed the planner and the
+    /// chooser exactly like materializing queries do.
+    fn run(&self, pred: &colstore::RangePredicate<T>, count_only: bool) -> (Hits, AccessStats) {
+        if count_only && !self.data.is_resident() {
+            // Evicted cold data: answer from the resident imprint alone
+            // when it is exact, leaving the data pages on disk.
+            if let Some((n, stats)) = self.count_from_imprint(pred) {
+                return (Hits::Count(n), stats);
+            }
+        }
         let bucket = self.bucket_of(pred);
         let mut path = self.chooser.choose(bucket);
         if path == PathKind::Wah && self.wah_index().is_none() {
@@ -402,78 +403,31 @@ impl<T: Scalar> SegCol<T> {
         // WAH build).
         let data = self.data.get();
         let t0 = Instant::now();
-        let (ids, stats) = match path {
+        let kernel = PredicateKernel::with_kernel(pred, self.kernel);
+        let hits = Hits::new(count_only);
+        let (hits, stats) = match path {
             PathKind::Imprints => {
-                let (ids, istats) =
-                    query::evaluate_with_kernel(&self.imprints, &data, pred, self.kernel);
-                // Ids not emitted via a full line each passed the value
+                let (hits, istats) = query::run(&self.imprints, &data, &kernel, hits);
+                // Hits not emitted via a full line each passed the value
                 // check; `ids_via_full_lines` is exact even when a partial
-                // tail cacheline was emitted wholesale, so this no longer
-                // undercounts matches (and inflates the planner's fp-rate).
-                let via_checks = (ids.len() as u64).saturating_sub(istats.ids_via_full_lines);
+                // tail cacheline was emitted wholesale, so this does not
+                // undercount matches (and inflate the planner's fp-rate).
+                let via_checks = hits.len().saturating_sub(istats.ids_via_full_lines);
                 self.obs.comparisons.fetch_add(istats.access.value_comparisons, Ordering::Relaxed);
                 self.obs.matches.fetch_add(via_checks, Ordering::Relaxed);
-                (ids, istats.access)
+                (hits, istats.access)
             }
-            PathKind::ZoneMap => self.zonemap.evaluate_with_kernel(&data, pred, self.kernel),
-            PathKind::Scan => <SeqScan as BuildableIndex<T>>::build_index(&data)
-                .evaluate_with_kernel(&data, pred, self.kernel),
+            PathKind::ZoneMap => self.zonemap.run(&data, &kernel, hits),
+            PathKind::Scan => SeqScan::new(data.as_ref()).run(&data, &kernel, hits),
             PathKind::Wah => self
                 .wah_index()
                 .expect("wah availability resolved before dispatch")
-                .evaluate_with_kernel(&data, pred, self.kernel),
+                .run(&data, &kernel, hits),
         };
         self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
-        self.chooser.record_selectivity(bucket, ids.len() as u64, data.len() as u64);
+        self.chooser.record_selectivity(bucket, hits.len(), data.len() as u64);
         self.obs.queries.fetch_add(1, Ordering::Relaxed);
-        (ids, stats)
-    }
-
-    /// Counts rows matching a single-column predicate through the
-    /// adaptively chosen access path — the count twin of
-    /// [`SegCol::evaluate_adaptive`], recording the same cost and
-    /// false-positive observations so count-heavy workloads feed the
-    /// planner and the chooser exactly like materializing queries do.
-    /// Every arm reports the [`AccessStats`] its evaluate twin reports.
-    fn count_adaptive(&self, pred: &colstore::RangePredicate<T>) -> (u64, AccessStats) {
-        if !self.data.is_resident() {
-            // Evicted cold data: answer from the resident imprint alone
-            // when it is exact, leaving the data pages on disk.
-            if let Some(out) = self.count_from_imprint(pred) {
-                return out;
-            }
-        }
-        let bucket = self.bucket_of(pred);
-        let mut path = self.chooser.choose(bucket);
-        if path == PathKind::Wah && self.wah_index().is_none() {
-            path = self.chooser.rechoose(bucket);
-        }
-        let data = self.data.get();
-        let t0 = Instant::now();
-        let (n, stats) = match path {
-            PathKind::Imprints => {
-                let (n, istats) =
-                    query::count_with_kernel(&self.imprints, &data, pred, self.kernel);
-                let via_checks = n.saturating_sub(istats.ids_via_full_lines);
-                self.obs.comparisons.fetch_add(istats.access.value_comparisons, Ordering::Relaxed);
-                self.obs.matches.fetch_add(via_checks, Ordering::Relaxed);
-                (n, istats.access)
-            }
-            PathKind::ZoneMap => self.zonemap.count_with_kernel(&data, pred, self.kernel),
-            PathKind::Scan => <SeqScan as BuildableIndex<T>>::build_index(&data).count_with_kernel(
-                &data,
-                pred,
-                self.kernel,
-            ),
-            PathKind::Wah => self
-                .wah_index()
-                .expect("wah availability resolved before dispatch")
-                .count_with_kernel(&data, pred, self.kernel),
-        };
-        self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
-        self.chooser.record_selectivity(bucket, n, data.len() as u64);
-        self.obs.queries.fetch_add(1, Ordering::Relaxed);
-        (n, stats)
+        (hits, stats)
     }
 
     /// Counts from the resident imprint alone — the evicted-segment fast
@@ -571,34 +525,34 @@ impl<T: Scalar> SegCol<T> {
         (acc.unwrap_or_default(), stats)
     }
 
-    /// Materializes the ids in `ranges` whose value satisfies `set`,
-    /// through the compiled [`SetKernel`] over contiguous runs, billing
-    /// this column's observations and `stats`.
+    /// Value-checks the rows of `ranges` against `set` into `hits`, through
+    /// the compiled [`SetKernel`] over contiguous runs, billing this
+    /// column's observations and `stats`.
     fn collect_matches(
         &self,
         set: &ValueSet,
         ranges: &CachelineSet,
+        mut hits: Hits,
         stats: &mut AccessStats,
-    ) -> Vec<u64> {
+    ) -> Hits {
         let preds: Vec<colstore::RangePredicate<T>> =
             set.to_predicates().expect("predicates validated against schema");
         let kernel = SetKernel::with_kernel(&preds, self.kernel);
         let data = self.data.get();
         let values = data.values();
-        let mut out = Vec::new();
         let mut cmp = 0u64;
         // `ranges` is already in row-id space (candidate_id_ranges converts
         // cacheline runs to id runs), so its runs feed the kernel directly.
         for ids in ranges.runs() {
             let end = ids.end.min(values.len() as u64);
             if ids.start < end {
-                kernel.append_matches(values, ids.start..end, &mut out, &mut cmp);
+                kernel.check(values, ids.start..end, &mut hits, &mut cmp);
             }
         }
         stats.value_comparisons += cmp;
         self.obs.comparisons.fetch_add(cmp, Ordering::Relaxed);
-        self.obs.matches.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        self.obs.matches.fetch_add(hits.len(), Ordering::Relaxed);
+        hits
     }
 
     /// Keeps only the survivor ids whose value satisfies `set` — the
@@ -997,17 +951,10 @@ impl AnySegCol {
         seg_dispatch!(self, s => &s.chooser)
     }
 
-    fn evaluate_adaptive(&self, range: &ValueRange) -> (IdList, AccessStats) {
+    fn run(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
         seg_dispatch!(self, s => {
             let pred = range.to_predicate().expect("predicate validated against schema");
-            s.evaluate_adaptive(&pred)
-        })
-    }
-
-    fn count_adaptive(&self, range: &ValueRange) -> (u64, AccessStats) {
-        seg_dispatch!(self, s => {
-            let pred = range.to_predicate().expect("predicate validated against schema");
-            s.count_adaptive(&pred)
+            s.run(&pred, count_only)
         })
     }
 
@@ -1031,9 +978,10 @@ impl AnySegCol {
         &self,
         set: &ValueSet,
         ranges: &CachelineSet,
+        hits: Hits,
         stats: &mut AccessStats,
-    ) -> Vec<u64> {
-        seg_dispatch!(self, s => s.collect_matches(set, ranges, stats))
+    ) -> Hits {
+        seg_dispatch!(self, s => s.collect_matches(set, ranges, hits, stats))
     }
 
     fn filter_survivors(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
@@ -1077,27 +1025,18 @@ impl AnySegCol {
     }
 }
 
-/// One request of a shared segment sweep (see
-/// [`SealedSegment::evaluate_batch`]): resolved predicates plus whether the
-/// caller wants ids or only a count.
-#[derive(Debug, Clone, Copy)]
-pub struct SegBatchQuery<'a> {
+/// One query as a segment (and the open write head) evaluates it:
+/// predicates resolved to column indices, how they combine, and which
+/// [`Hits`] mode the caller wants.
+#[derive(Debug, Clone)]
+pub struct SegQuery {
     /// Resolved `(column index, value set)` predicates.
-    pub preds: &'a [(usize, ValueSet)],
+    pub preds: Vec<(usize, ValueSet)>,
     /// `true` evaluates the predicates as a disjunction (`OR` group)
     /// instead of the default conjunction.
     pub any: bool,
     /// `true` counts matches instead of materializing ids.
     pub count_only: bool,
-}
-
-/// The per-segment answer of one [`SegBatchQuery`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SegBatchAnswer {
-    /// Segment-local matching row ids (a materializing query).
-    Ids(IdList),
-    /// Matching row count (a count-only query).
-    Count(u64),
 }
 
 /// An immutable, indexed run of `rows` consecutive table rows starting at
@@ -1301,44 +1240,51 @@ impl SealedSegment {
         Ok((seg, recovered, rebuilt))
     }
 
-    /// Evaluates a conjunction of (column index, value set) predicates
-    /// over this segment, returning segment-local ids.
+    /// Evaluates `q` over this segment into a fresh [`Hits`] sink
+    /// (segment-local ids, or their count) — the segment's one evaluation
+    /// entry point.
     ///
-    /// A single one-range predicate takes the adaptive single-column path
-    /// (the [`PathChooser`] arbitrating imprints / zonemap / scan / WAH);
-    /// everything else — multi-term sets and multi-predicate conjunctions —
-    /// goes through the conjunction planner, where a per-shape
-    /// [`PlanChooser`] arbitrates the fused row-space plan against the
-    /// per-predicate candidate-intersection plan by observed cost.
-    pub fn evaluate(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    /// Conjunctions: a single one-range predicate takes the adaptive
+    /// single-column path (the [`PathChooser`] arbitrating imprints /
+    /// zonemap / scan / WAH); everything else — multi-term sets and
+    /// multi-predicate conjunctions — goes through the conjunction
+    /// planner, where a per-shape [`PlanChooser`] arbitrates the fused
+    /// row-space plan against the per-predicate candidate-intersection
+    /// plan by observed cost. The empty conjunction selects every row.
+    ///
+    /// Disjunctions (`q.any`): the union of each predicate's own
+    /// adaptively evaluated result. Each arm rides its column's best
+    /// single-column path, so an OR never costs more than the sum of its
+    /// arms; arms may overlap, so they are materialized and unioned even
+    /// when only the count is wanted. The empty group matches nothing (the
+    /// identity of `OR`).
+    pub fn run(&self, q: &SegQuery) -> (Hits, AccessStats) {
+        if !q.any {
+            return self.run_all(&q.preds, q.count_only);
+        }
+        let mut stats = AccessStats::default();
+        let mut acc = IdList::new();
+        for pred in &q.preds {
+            let (hits, s) = self.run_all(std::slice::from_ref(pred), false);
+            stats.merge(&s);
+            acc = acc.union(&hits.into_ids());
+        }
+        (Hits::from_ids(acc.into_vec(), q.count_only), stats)
+    }
+
+    fn run_all(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
         match preds {
             [] => {
-                let ids = IdList::from_sorted((0..self.rows as u64).collect());
-                (ids, AccessStats::default())
+                let mut hits = Hits::new(count_only);
+                hits.emit(0..self.rows as u64);
+                (hits, AccessStats::default())
             }
             [(col, set)] if set.as_single().is_some() => {
                 let range = set.as_single().expect("checked single");
-                self.cols[*col].evaluate_adaptive(range)
+                self.cols[*col].run(range, count_only)
             }
-            _ => self.evaluate_multi(preds),
+            _ => self.run_planned(preds, count_only),
         }
-    }
-
-    /// Evaluates the predicates as a **disjunction** (`OR` group): the
-    /// union of each predicate's own adaptively evaluated result. Each arm
-    /// rides its column's best single-column path, so an OR never costs
-    /// more than the sum of its arms; an empty group matches nothing (the
-    /// identity of `OR`), unlike the empty *conjunction* which matches
-    /// everything.
-    pub fn evaluate_any(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
-        let mut stats = AccessStats::default();
-        let mut acc = IdList::new();
-        for pred in preds {
-            let (ids, s) = self.evaluate(std::slice::from_ref(pred));
-            stats.merge(&s);
-            acc = acc.union(&ids);
-        }
-        (acc, stats)
     }
 
     /// The learned plan chooser of one conjunction shape (the sorted set
@@ -1354,7 +1300,7 @@ impl SealedSegment {
     /// up front (early exits must not hide traffic from the maintenance
     /// planner), then lets the shape's [`PlanChooser`] pick fused or
     /// per-predicate evaluation and records the observed cost.
-    fn evaluate_multi(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    fn run_planned(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
         for (col, _) in preds {
             self.cols[*col].note_query();
         }
@@ -1362,8 +1308,8 @@ impl SealedSegment {
         let plan = chooser.as_ref().map_or(PlanKind::PerPred, |c| c.choose());
         let t0 = Instant::now();
         let out = match plan {
-            PlanKind::Fused => self.evaluate_fused(preds),
-            PlanKind::PerPred => self.evaluate_per_pred(preds),
+            PlanKind::Fused => self.run_fused(preds, Hits::new(count_only)),
+            PlanKind::PerPred => self.run_per_pred(preds, count_only),
         };
         if let Some(c) = chooser {
             c.record(plan, t0.elapsed().as_nanos() as u64);
@@ -1380,8 +1326,9 @@ impl SealedSegment {
     /// had its say. Surviving words are refined with the compiled SWAR
     /// [`SetKernel`]s in ascending estimated-selectivity order, skipping
     /// rows a predicate's imprint already guarantees (`full` words) and
-    /// short-circuiting a word as soon as it empties.
-    fn evaluate_fused(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    /// short-circuiting a word as soon as it empties; what is left of a
+    /// word goes to the sink as one bit mask.
+    fn run_fused(&self, preds: &[(usize, ValueSet)], mut hits: Hits) -> (Hits, AccessStats) {
         let words = self.rows.div_ceil(64);
         let mut stats = AccessStats::default();
         let mut joint: Option<Vec<u64>> = None;
@@ -1412,7 +1359,7 @@ impl SealedSegment {
                 }
             };
             if empty {
-                return (IdList::new(), stats);
+                return (hits, stats);
             }
         }
         let mut joint = joint.unwrap_or_default();
@@ -1430,7 +1377,6 @@ impl SealedSegment {
         // Most selective predicate first: its checks empty words fastest,
         // so later (wider) predicates see the fewest surviving rows.
         plans.sort_by(|a, b| a.sel.total_cmp(&b.sel));
-        let mut out = Vec::new();
         for (w, &jw) in joint.iter().enumerate() {
             if jw == 0 {
                 continue;
@@ -1455,23 +1401,21 @@ impl SealedSegment {
                     }
                 }
             }
-            let base = w as u64 * 64;
-            while cur != 0 {
-                out.push(base + u64::from(cur.trailing_zeros()));
-                cur &= cur - 1;
-            }
+            hits.emit_mask(w as u64 * 64, cur);
         }
-        (IdList::from_sorted(out), stats)
+        (hits, stats)
     }
 
     /// The **per-predicate** fallback plan (and the `multipred` bench
     /// baseline): per-column imprint candidate ranges intersected in
-    /// cacheline space, the first predicate materialized with the compiled
-    /// [`SetKernel`] over the surviving contiguous runs, every further
-    /// predicate weeding the scattered survivors with the gather-style
-    /// SWAR kernel ([`SetKernel::filter_ids`]) — no boxed per-row
-    /// matchers anywhere.
-    fn evaluate_per_pred(&self, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+    /// cacheline space, the first predicate value-checked with the
+    /// compiled [`SetKernel`] over the surviving contiguous runs, every
+    /// further predicate weeding the scattered survivors with the
+    /// gather-style SWAR kernel ([`SetKernel::filter_ids`]) — no boxed
+    /// per-row matchers anywhere. Only a first predicate that is also the
+    /// last checks straight into a counting sink; survivors that a later
+    /// predicate still has to weed are ids either way.
+    fn run_per_pred(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
         let mut stats = AccessStats::default();
         let mut joint: Option<CachelineSet> = None;
         for (col, set) in preds {
@@ -1482,76 +1426,25 @@ impl SealedSegment {
                 None => cands,
             });
             if joint.as_ref().is_some_and(CachelineSet::is_empty) {
-                return (IdList::new(), stats);
+                return (Hits::new(count_only), stats);
             }
         }
         let joint = joint.expect("at least one predicate");
-        let mut ids: Vec<u64> = Vec::new();
-        for (i, (col, set)) in preds.iter().enumerate() {
-            if i == 0 {
-                ids = self.cols[*col].collect_matches(set, &joint, &mut stats);
-            } else {
-                self.cols[*col].filter_survivors(set, &mut ids, &mut stats);
+        let ((col, set), rest) = preds.split_first().expect("at least one predicate");
+        let first = Hits::new(count_only && rest.is_empty());
+        let mut hits = self.cols[*col].collect_matches(set, &joint, first, &mut stats);
+        if let Hits::Ids(ids) = &mut hits {
+            for (col, set) in rest {
+                if ids.is_empty() {
+                    break;
+                }
+                self.cols[*col].filter_survivors(set, ids, &mut stats);
             }
-            if ids.is_empty() {
-                break;
-            }
-        }
-        (IdList::from_sorted(ids), stats)
-    }
-
-    /// Evaluates many independent queries in **one shared sweep over this
-    /// segment** — the serving layer's batched dispatch unit. The win is
-    /// locality and dispatch amortization: the segment's columns, imprints
-    /// and bin dictionaries are touched once and stay cache-hot while
-    /// every queued predicate is answered against them, instead of each
-    /// query paying its own cold walk of the sealed list; on the worker
-    /// pool this is also one task per segment per *batch* rather than per
-    /// query. Each query still routes through the adaptive path chooser
-    /// (and records its observations) exactly as if issued alone, so
-    /// batching never changes answers or planner signals — only the order
-    /// work is scheduled in.
-    pub fn evaluate_batch(&self, queries: &[SegBatchQuery]) -> Vec<(SegBatchAnswer, AccessStats)> {
-        queries
-            .iter()
-            .map(|q| match (q.count_only, q.any) {
-                (true, false) => {
-                    let (n, stats) = self.count(q.preds);
-                    (SegBatchAnswer::Count(n), stats)
-                }
-                (true, true) => {
-                    let (ids, stats) = self.evaluate_any(q.preds);
-                    (SegBatchAnswer::Count(ids.len() as u64), stats)
-                }
-                (false, false) => {
-                    let (ids, stats) = self.evaluate(q.preds);
-                    (SegBatchAnswer::Ids(ids), stats)
-                }
-                (false, true) => {
-                    let (ids, stats) = self.evaluate_any(q.preds);
-                    (SegBatchAnswer::Ids(ids), stats)
-                }
-            })
-            .collect()
-    }
-
-    /// Counts matching rows without materializing ids. A single one-range
-    /// predicate takes the adaptive path (same [`PathChooser`] and
-    /// observation recording as [`SealedSegment::evaluate`], with the
-    /// imprint count kernel on the imprint path); conjunctions and
-    /// multi-term sets materialize internally.
-    pub fn count(&self, preds: &[(usize, ValueSet)]) -> (u64, AccessStats) {
-        match preds {
-            [] => (self.rows as u64, AccessStats::default()),
-            [(col, set)] if set.as_single().is_some() => {
-                let range = set.as_single().expect("checked single");
-                self.cols[*col].count_adaptive(range)
-            }
-            _ => {
-                let (ids, stats) = self.evaluate_multi(preds);
-                (ids.len() as u64, stats)
+            if count_only {
+                hits = Hits::Count(ids.len() as u64);
             }
         }
+        (hits, stats)
     }
 }
 
@@ -1607,6 +1500,33 @@ mod tests {
         (col, ValueSet::range(range))
     }
 
+    fn run(
+        seg: &SealedSegment,
+        preds: &[(usize, ValueSet)],
+        any: bool,
+        count_only: bool,
+    ) -> (Hits, AccessStats) {
+        seg.run(&SegQuery { preds: preds.to_vec(), any, count_only })
+    }
+
+    /// The conjunction of `preds`, materialized.
+    fn eval_ids(seg: &SealedSegment, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+        let (hits, stats) = run(seg, preds, false, false);
+        (hits.into_ids(), stats)
+    }
+
+    /// The conjunction of `preds`, counted.
+    fn eval_count(seg: &SealedSegment, preds: &[(usize, ValueSet)]) -> (u64, AccessStats) {
+        let (hits, stats) = run(seg, preds, false, true);
+        (hits.len(), stats)
+    }
+
+    /// The disjunction of `preds`, materialized.
+    fn eval_any(seg: &SealedSegment, preds: &[(usize, ValueSet)]) -> (IdList, AccessStats) {
+        let (hits, stats) = run(seg, preds, true, false);
+        (hits.into_ids(), stats)
+    }
+
     fn seal_i64(values: Vec<i64>) -> SealedSegment {
         let col: Column<i64> = Column::from(values);
         SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg())
@@ -1637,7 +1557,7 @@ mod tests {
         let expect = oracle(&values, 100, 200);
         // Repeat enough that the chooser routes through all three paths.
         for _ in 0..64 {
-            let (ids, _) = seg.evaluate(&[q(0, range)]);
+            let (ids, _) = eval_ids(&seg, &[q(0, range)]);
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         assert_explored(&seg.columns()[0]);
@@ -1662,9 +1582,9 @@ mod tests {
             for &(lo, hi) in &cases {
                 let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
                 let expect = oracle(&values, lo, hi);
-                let (ids, _) = seg.evaluate(&[q(0, range)]);
+                let (ids, _) = eval_ids(&seg, &[q(0, range)]);
                 assert_eq!(ids.as_slice(), expect.as_slice(), "[{lo}, {hi}]");
-                let (n, _) = seg.count(&[q(0, range)]);
+                let (n, _) = eval_count(&seg, &[q(0, range)]);
                 assert_eq!(n as usize, expect.len(), "count [{lo}, {hi}]");
             }
         }
@@ -1693,7 +1613,7 @@ mod tests {
         let range = ValueRange::between(Value::I64(0), Value::I64(1000));
         let expect = oracle(&values, 0, 1000);
         for _ in 0..64 {
-            let (ids, _) = seg.evaluate(&[q(0, range)]);
+            let (ids, _) = eval_ids(&seg, &[q(0, range)]);
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         let col = &seg.columns()[0];
@@ -1723,13 +1643,13 @@ mod tests {
             q(0, ValueRange::between(Value::I64(10), Value::I64(30))),
             q(1, ValueRange::at_most(Value::F64(9.0))),
         ];
-        let (ids, stats) = seg.evaluate(&preds);
+        let (ids, stats) = eval_ids(&seg, &preds);
         let expect: Vec<u64> = (0..2048u64)
             .filter(|&i| (10..=30).contains(&a[i as usize]) && b[i as usize] <= 9.0)
             .collect();
         assert_eq!(ids.as_slice(), expect.as_slice());
         assert!(stats.index_probes > 0);
-        let (n, _) = seg.count(&preds);
+        let (n, _) = eval_count(&seg, &preds);
         assert_eq!(n as usize, expect.len());
     }
 
@@ -1754,8 +1674,8 @@ mod tests {
         assert_eq!(rebuilt.columns()[0].drift(), 0.0);
         assert_eq!(rebuilt.columns()[0].rebuilds(), 1);
         let range = ValueRange::between(Value::I64(1_000_100), Value::I64(1_000_200));
-        let (a, _) = seg2.evaluate(&[q(0, range)]);
-        let (b, _) = rebuilt.evaluate(&[q(0, range)]);
+        let (a, _) = eval_ids(&seg2, &[q(0, range)]);
+        let (b, _) = eval_ids(&rebuilt, &[q(0, range)]);
         assert_eq!(a, b);
     }
 
@@ -1782,7 +1702,7 @@ mod tests {
         let warm = ValueRange::between(Value::I64(0), Value::I64(100));
         for seg in &sealed {
             for _ in 0..8 {
-                let _ = seg.evaluate(&[q(0, warm)]);
+                let _ = eval_ids(seg, &[q(0, warm)]);
             }
         }
         let merged = SealedSegment::merge(&sealed, &c);
@@ -1795,10 +1715,10 @@ mod tests {
         assert_eq!(merged.columns()[0].drift(), 0.0, "merge re-samples bins");
         // Answers equal the per-part answers shifted to global ids.
         let range = ValueRange::between(Value::I64(500_050), Value::I64(500_500));
-        let (got, _) = merged.evaluate(&[q(0, range)]);
+        let (got, _) = eval_ids(&merged, &[q(0, range)]);
         let mut expect = IdList::new();
         for seg in &sealed {
-            let (ids, _) = seg.evaluate(&[q(0, range)]);
+            let (ids, _) = eval_ids(seg, &[q(0, range)]);
             expect.extend_offset(&ids, seg.base());
         }
         assert_eq!(got, expect);
@@ -1872,24 +1792,124 @@ mod tests {
         );
     }
 
-    /// Satellite regression: the count and evaluate twins must report
-    /// identical [`AccessStats`] on every path — the scan arm of
-    /// `count_adaptive` used to hand-roll its stats and drift from the
-    /// evaluate arm's accounting. Two identical fresh segments walk the
-    /// deterministic bootstrap in lockstep (imprints, zonemap, scan), so
-    /// call *i* of each takes the same path.
+    /// The sink-mode differential: for every access path (WAH within
+    /// budget included), every query shape and both conjunction plans,
+    /// over resident and evicted data, the counting sink's answer equals
+    /// the materializing sink's length and both equal the brute-force
+    /// oracle — and both modes bill identical [`AccessStats`], because
+    /// they are one walk. Two identical fresh segments walk the
+    /// deterministic chooser bootstraps in lockstep (paths: imprints,
+    /// zonemap, scan, wah; plans: fused, per-predicate), so call *i* of
+    /// each takes the same path and plan. The one licensed difference is
+    /// the evicted-data shortcut: a count the resident imprint answers
+    /// exactly touches no data and bills no value work.
     #[test]
-    fn count_and_evaluate_report_identical_stats_on_every_path() {
-        let values: Vec<i64> = (0..3000).map(|i| (i * 37) % 500).collect();
-        let eval_seg = seal_i64(values.clone());
-        let count_seg = seal_i64(values);
-        let range = ValueRange::between(Value::I64(100), Value::I64(200));
-        for call in 0..3 {
-            let (ids, es) = eval_seg.evaluate(&[q(0, range)]);
-            let (n, cs) = count_seg.count(&[q(0, range)]);
-            assert_eq!(n as usize, ids.len());
-            assert_eq!(es, cs, "bootstrap call {call}: count and evaluate stats diverged");
+    fn count_and_id_sinks_agree_with_the_oracle_on_every_path_and_plan() {
+        let a: Vec<i64> = (0..3000).map(|i| (i * 37) % 500).collect();
+        let b: Vec<i64> = (0..3000).map(|i| i % 37).collect();
+        let c: Vec<i64> = (0..3000).map(|i| (i * 7) % 101).collect();
+        let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
+        let in_set = |set: &ValueSet, v: i64| {
+            set.terms.iter().any(|t| {
+                let bound = |b: &Option<Value>, open: i64| match b {
+                    Some(Value::I64(x)) => *x,
+                    _ => open,
+                };
+                (bound(&t.low, i64::MIN)..=bound(&t.high, i64::MAX)).contains(&v)
+            })
+        };
+        type Shape = (&'static str, Vec<(usize, ValueSet)>, bool);
+        let shapes: [Shape; 6] = [
+            ("single range", vec![q(0, between(100, 200))], false),
+            ("covered range", vec![q(0, between(i64::MIN, i64::MAX))], false),
+            ("in-list", vec![(0, ValueSet::points([5, 17, 291].map(Value::I64)))], false),
+            ("2 predicates", vec![q(0, between(10, 300)), q(1, between(0, 8))], false),
+            (
+                "3 predicates",
+                vec![q(0, between(10, 300)), q(1, between(0, 20)), q(2, between(30, 90))],
+                false,
+            ),
+            ("or group", vec![q(0, between(480, 499)), q(1, between(3, 3))], true),
+        ];
+        let root = std::env::temp_dir().join(format!("imprints-sink-modes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let defs: Vec<crate::table::ColumnDef> = ["a", "b", "c"]
+            .iter()
+            .map(|n| crate::table::ColumnDef { name: n.to_string(), ty: colstore::ColumnType::I64 })
+            .collect();
+        let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
+        for planning in [true, false] {
+            let cfg = EngineConfig {
+                segment_rows: 1024,
+                wah_budget_bytes: usize::MAX,
+                conjunction_planning: planning,
+                ..Default::default()
+            };
+            let build = || {
+                let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
+                SealedSegment::seal(0, cols.to_vec(), None, &cfg)
+            };
+            for evicted in [false, true] {
+                for (shape, preds, any) in &shapes {
+                    let case = format!("{shape}, planning {planning}, evicted {evicted}");
+                    let expect: Vec<u64> = (0..3000usize)
+                        .filter(|&i| {
+                            let hit = |(col, set): &(usize, ValueSet)| {
+                                in_set(set, [a[i], b[i], c[i]][*col])
+                            };
+                            if *any {
+                                preds.iter().any(hit)
+                            } else {
+                                preds.iter().all(hit)
+                            }
+                        })
+                        .map(|i| i as u64)
+                        .collect();
+                    assert!(!expect.is_empty(), "{case}: the shape must produce hits");
+                    let (ids_seg, count_seg) = (build(), build());
+                    if evicted {
+                        store.persist_segment(&ids_seg).unwrap();
+                        store.persist_segment(&count_seg).unwrap();
+                    }
+                    // A path bootstrap is four calls, a plan bootstrap two;
+                    // past it each chooser exploits its own timings.
+                    let single = preds.len() == 1 && preds[0].1.as_single().is_some();
+                    let calls = if planning && !single && !any { 2 } else { 4 };
+                    for call in 0..calls {
+                        if evicted {
+                            for seg in [&ids_seg, &count_seg] {
+                                seg.evict();
+                                assert_eq!(seg.data_bytes_resident(), 0, "{case}");
+                            }
+                        }
+                        let (hits, id_stats) = run(&ids_seg, preds, *any, false);
+                        let (n, count_stats) = run(&count_seg, preds, *any, true);
+                        assert_eq!(hits.into_ids().as_slice(), expect.as_slice(), "{case}");
+                        assert_eq!(n, Hits::Count(expect.len() as u64), "{case}, call {call}");
+                        if evicted && *shape == "covered range" {
+                            assert!(!count_seg.data_resident(), "{case}: count faulted data in");
+                            assert_eq!(count_stats.value_comparisons, 0, "{case}");
+                        } else {
+                            assert_eq!(id_stats, count_stats, "{case}, call {call}");
+                        }
+                    }
+                    for seg in [&ids_seg, &count_seg] {
+                        if single {
+                            // Four calls walked all four registered paths
+                            // (the shortcut count never reaches a path).
+                            if !(evicted && *shape == "covered range") {
+                                assert_explored(&seg.columns()[0]);
+                                assert_eq!(seg.columns()[0].wah_built(), Some(true), "{case}");
+                            }
+                        } else if planning && !any {
+                            let est = seg.plan_chooser(preds).estimates();
+                            assert!(est.iter().all(Option::is_some), "{case}: a plan never ran");
+                        }
+                    }
+                }
+            }
         }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Satellite regression: an impossible predicate examines no values on
@@ -1903,7 +1923,7 @@ mod tests {
         let seg = seal_i64((0..2048).collect());
         let range = ValueRange::between(Value::I64(10), Value::I64(5));
         for call in 0..3 {
-            let (ids, stats) = seg.evaluate(&[q(0, range)]);
+            let (ids, stats) = eval_ids(&seg, &[q(0, range)]);
             assert!(ids.is_empty());
             assert_eq!(
                 stats.value_comparisons, 0,
@@ -1919,7 +1939,7 @@ mod tests {
     #[test]
     fn empty_predicate_list_selects_all() {
         let seg = seal_i64((0..100).collect());
-        let (ids, _) = seg.evaluate(&[]);
+        let (ids, _) = eval_ids(&seg, &[]);
         assert_eq!(ids.len(), 100);
     }
 
@@ -1944,7 +1964,7 @@ mod tests {
         let seg = SealedSegment::seal(0, vec![AnyColumn::I32(col)], None, &cfg());
         // One query; a fresh chooser's bootstrap routes it to Imprints.
         let range = ValueRange::between(Value::I32(10), Value::I32(50));
-        let (ids, _) = seg.evaluate(&[q(0, range)]);
+        let (ids, _) = eval_ids(&seg, &[q(0, range)]);
         assert_eq!(ids.len(), 1000);
         let obs = seg.columns()[0].observations();
         let cmp = obs.comparisons.load(Ordering::Relaxed);
@@ -1973,7 +1993,7 @@ mod tests {
         // Enough repetitions that the bootstrap sweep visits all three
         // paths; every path must agree on the count.
         for _ in 0..64 {
-            let (n, _) = seg.count(&[q(0, range)]);
+            let (n, _) = eval_count(&seg, &[q(0, range)]);
             assert_eq!(n, expect);
         }
         let col = &seg.columns()[0];
@@ -1997,7 +2017,7 @@ mod tests {
         let seg = seal_i64(values);
         let range = ValueRange::between(Value::I64(0), Value::I64(1000));
         for _ in 0..32 {
-            let _ = seg.evaluate(&[q(0, range)]);
+            let _ = eval_ids(&seg, &[q(0, range)]);
         }
         let obs = seg.columns()[0].observations();
         assert!(obs.fp_rate(1).is_some(), "comparisons must have been observed");
@@ -2035,7 +2055,7 @@ mod tests {
             .collect();
         let rounds = 32u64;
         for _ in 0..rounds {
-            let (ids, _) = seg.evaluate(&preds);
+            let (ids, _) = eval_ids(&seg, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         for (col, name) in seg.columns().iter().zip(["a", "b"]) {
@@ -2054,10 +2074,13 @@ mod tests {
         // before the second column is touched — still bills the query on
         // every named column, so planner traffic stays honest.
         let before = seg.columns()[1].observations().queries.load(Ordering::Relaxed);
-        let (ids, _) = seg.evaluate(&[
-            q(0, ValueRange::between(Value::I64(500), Value::I64(400))),
-            q(1, ValueRange::at_most(Value::I64(8))),
-        ]);
+        let (ids, _) = eval_ids(
+            &seg,
+            &[
+                q(0, ValueRange::between(Value::I64(500), Value::I64(400))),
+                q(1, ValueRange::at_most(Value::I64(8))),
+            ],
+        );
         assert!(ids.is_empty());
         assert_eq!(
             seg.columns()[1].observations().queries.load(Ordering::Relaxed),
@@ -2081,9 +2104,9 @@ mod tests {
         assert!(!expect.is_empty(), "test data must produce hits");
         // Enough repeats that the plan chooser runs both plans.
         for _ in 0..8 {
-            let (ids, _) = seg.evaluate(&preds);
+            let (ids, _) = eval_ids(&seg, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice());
-            let (n, _) = seg.count(&preds);
+            let (n, _) = eval_count(&seg, &preds);
             assert_eq!(n as usize, expect.len());
         }
     }
@@ -2101,12 +2124,12 @@ mod tests {
         let expect: Vec<u64> = (0..2048u64)
             .filter(|&i| (95..=99).contains(&a[i as usize]) || b[i as usize] == 3)
             .collect();
-        let (ids, stats) = seg.evaluate_any(&preds);
+        let (ids, stats) = eval_any(&seg, &preds);
         assert_eq!(ids.as_slice(), expect.as_slice());
         assert!(stats.index_probes > 0);
-        let (none, _) = seg.evaluate_any(&[]);
+        let (none, _) = eval_any(&seg, &[]);
         assert!(none.is_empty(), "the empty disjunction selects nothing");
-        let (all, _) = seg.evaluate(&[]);
+        let (all, _) = eval_ids(&seg, &[]);
         assert_eq!(all.len(), 2048, "the empty conjunction selects everything");
     }
 
@@ -2130,9 +2153,9 @@ mod tests {
                 .filter(|&i| (lo..=hi).contains(&a[i as usize]) && b[i as usize] <= bmax)
                 .collect();
             for _ in 0..8 {
-                let (ids, _) = planned.evaluate(&preds);
+                let (ids, _) = eval_ids(&planned, &preds);
                 assert_eq!(ids.as_slice(), expect.as_slice(), "planned {lo}..={hi} & <={bmax}");
-                let (ids, _) = baseline.evaluate(&preds);
+                let (ids, _) = eval_ids(&baseline, &preds);
                 assert_eq!(ids.as_slice(), expect.as_slice(), "pinned {lo}..={hi} & <={bmax}");
             }
         }

@@ -30,11 +30,12 @@ use std::sync::{Arc, RwLock};
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, Column, ColumnType, Error, IdList, Result, Scalar, Value};
 use imprints::relation_index::{ValueRange, ValueSet};
+use imprints::simd::{Hits, RefineKernel, SetKernel};
 
 use crate::config::EngineConfig;
 use crate::executor::WorkerPool;
 use crate::persist::{SegmentEntry, TableStore};
-use crate::segment::SealedSegment;
+use crate::segment::{SealedSegment, SegQuery};
 use crate::tail::AnyTailIndex;
 
 /// A named column of a table schema.
@@ -49,8 +50,8 @@ pub struct ColumnDef {
 type SegmentList = Arc<Vec<Arc<SealedSegment>>>;
 
 /// One sealed segment's share of a batch sweep: its base row id plus one
-/// (answer, stats) pair per query slot.
-type SegSweep = (u64, Vec<(crate::segment::SegBatchAnswer, AccessStats)>);
+/// (hits, stats) pair per query slot.
+type SegSweep = (u64, Vec<(Hits, AccessStats)>);
 
 struct OpenSegment {
     base: u64,
@@ -158,6 +159,15 @@ pub enum BatchAnswer {
     Ids(IdList),
     /// Matching row count (a count-only query).
     Count(u64),
+}
+
+impl From<Hits> for BatchAnswer {
+    fn from(hits: Hits) -> BatchAnswer {
+        match hits {
+            Hits::Count(n) => BatchAnswer::Count(n),
+            ids => BatchAnswer::Ids(ids.into_ids()),
+        }
+    }
 }
 
 /// A sharded, concurrently readable and appendable relation.
@@ -292,12 +302,6 @@ impl Table {
             .map(|s| s.columns().iter().map(|c| c.index_bytes()).sum::<usize>())
             .sum::<usize>()
             + tail_bytes
-    }
-
-    /// Resolves and type-checks `(name, value set)` predicates against the
-    /// schema.
-    fn resolve(&self, preds: &[(&str, ValueSet)]) -> Result<Vec<(usize, ValueSet)>> {
-        resolve_sets(&self.schema, preds)
     }
 
     // ------------------------------------------------------------------
@@ -566,375 +570,173 @@ impl Table {
     // ------------------------------------------------------------------
 
     /// Evaluates a conjunction of `(column, range)` predicates serially on
-    /// the calling thread. An empty predicate list selects every row.
+    /// the calling thread — [`Table::query_one`] for the plainest query
+    /// shape. An empty predicate list selects every row.
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        Ok(self.query_with_stats(preds, None)?.0)
+        self.query_on(preds, None)
     }
 
-    /// [`Table::query`] fanned out over a worker pool, one task per sealed
-    /// segment morsel.
-    pub fn query_on(&self, pool: &WorkerPool, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        Ok(self.query_with_stats(preds, Some(pool))?.0)
+    /// [`Table::query`], fanned out over `pool` when one is given.
+    pub(crate) fn query_on(
+        &self,
+        preds: &[(&str, ValueRange)],
+        pool: Option<&WorkerPool>,
+    ) -> Result<IdList> {
+        let q = BatchQuery::ids(preds.iter().map(|(n, r)| (n.to_string(), *r)).collect());
+        match self.query_one(&q, pool)?.0 {
+            BatchAnswer::Ids(ids) => Ok(ids),
+            BatchAnswer::Count(_) => unreachable!("a materializing query answers with ids"),
+        }
     }
 
-    /// Evaluates a conjunction of `(column, value set)` predicates —
-    /// ranges, IN-lists, or any union of intervals per column.
-    pub fn query_sets(&self, preds: &[(&str, ValueSet)]) -> Result<IdList> {
-        Ok(self.query_sets_with_stats(preds, false, None)?.0)
+    /// Counts the rows matching a conjunction of `(column, range)`
+    /// predicates without materializing ids.
+    pub fn count(&self, preds: &[(&str, ValueRange)], pool: Option<&WorkerPool>) -> Result<u64> {
+        let q = BatchQuery::count(preds.iter().map(|(n, r)| (n.to_string(), *r)).collect());
+        match self.query_one(&q, pool)?.0 {
+            BatchAnswer::Count(n) => Ok(n),
+            BatchAnswer::Ids(_) => unreachable!("a count-only query answers with a count"),
+        }
     }
 
-    /// Evaluates the predicates as a **disjunction** (`OR` group): rows
-    /// matching any of them. An empty group matches nothing.
-    pub fn query_any(&self, preds: &[(&str, ValueSet)]) -> Result<IdList> {
-        Ok(self.query_sets_with_stats(preds, true, None)?.0)
-    }
-
-    /// Counts rows matching any of the predicates (`OR` group).
-    pub fn count_any(&self, preds: &[(&str, ValueSet)]) -> Result<u64> {
-        Ok(self.count_sets_with_stats(preds, true, None)?.0)
-    }
-
-    /// Pins the consistent prefix shared by every read entry point: the
-    /// open read lock excludes sealing, so the sealed list and the open
-    /// rows agree. Open rows are evaluated under the lock (bounded by one
-    /// segment, and through the tail imprint once the head is large
-    /// enough); sealed segments are evaluated by the caller after release,
-    /// on the frozen snapshot. Both [`Table::query_with_stats`] and
-    /// [`Table::count_with_stats`] go through here, so the two entry
-    /// points cannot drift on the consistency scheme.
-    fn pin_prefix(&self, rpreds: &[(usize, ValueSet)], any: bool) -> PinnedPrefix {
-        let open = self.open.read().expect("open lock");
-        let sealed_guard = self.sealed.read().expect("sealed lock");
-        let sealed = sealed_guard.clone();
-        // Read under the lock: epoch bumps happen inside the write
-        // critical sections, so this value names exactly the pinned
-        // (sealed list, open rows) pair.
-        let epoch = self.epoch();
-        drop(sealed_guard);
-        let kernel = self.refine_kernel();
-        let open_eval = eval_open(&open.bufs, open.tails.as_deref(), rpreds, any, kernel);
-        PinnedPrefix { sealed, open_base: open.base, open: open_eval, epoch }
+    /// One query, as a batch of one through [`Table::query_batch`].
+    pub fn query_one(
+        &self,
+        query: &BatchQuery,
+        pool: Option<&WorkerPool>,
+    ) -> Result<(BatchAnswer, QueryStats)> {
+        self.query_batch(std::slice::from_ref(query), pool).pop().expect("one answer per query")
     }
 
     /// This table's refinement kernel: the configured selection resolved
     /// against the `IMPRINTS_REFINE_KERNEL` environment override.
-    fn refine_kernel(&self) -> imprints::simd::RefineKernel {
+    fn refine_kernel(&self) -> RefineKernel {
         imprints::simd::effective_kernel(self.cfg.refine_kernel)
     }
 
-    /// Seeds the per-query statistics from a pinned prefix (the fields
-    /// both read entry points report identically).
-    fn prefix_stats(pin: &PinnedPrefix) -> QueryStats {
-        QueryStats {
-            tail_access: pin.open.access,
-            tail_indexed: pin.open.tail_indexed,
-            open_rows: pin.open.rows,
-            sealed_segments: pin.sealed.len(),
-            visible_rows: pin.open_base + pin.open.rows as u64,
-            epoch: pin.epoch,
-            ..Default::default()
-        }
-    }
-
-    /// Full query entry point: resolves predicates, pins a consistent
-    /// prefix (sealed list + open rows), evaluates, merges ordered per-
-    /// segment id lists, and reports statistics.
-    pub fn query_with_stats(
-        &self,
-        preds: &[(&str, ValueRange)],
-        pool: Option<&WorkerPool>,
-    ) -> Result<(IdList, QueryStats)> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        self.query_sets_with_stats(&sets, false, pool)
-    }
-
-    /// The general materializing entry point: value-set predicates under
-    /// conjunction (`any == false`) or disjunction (`any == true`)
-    /// semantics, with the same pinned-prefix consistency as
-    /// [`Table::query_with_stats`].
-    pub fn query_sets_with_stats(
-        &self,
-        preds: &[(&str, ValueSet)],
-        any: bool,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(IdList, QueryStats)> {
-        let rpreds = Arc::new(self.resolve(preds)?);
-        let pin = self.pin_prefix(&rpreds, any);
-        let mut stats = Self::prefix_stats(&pin);
-
-        let eval = move |seg: &SealedSegment, rpreds: &[(usize, ValueSet)]| {
-            if any {
-                seg.evaluate_any(rpreds)
-            } else {
-                seg.evaluate(rpreds)
-            }
+    /// Pins the consistent prefix a batch observes and evaluates every
+    /// query's share of the open write head under it: the open read lock
+    /// excludes sealing, so the sealed list and the open rows agree. Open
+    /// rows are evaluated under the lock (bounded by one segment, and
+    /// through the tail imprint once the head is large enough); the frozen
+    /// sealed list is swept by the caller after release.
+    ///
+    /// A lock poisoned by a writer that panicked is an error, not a panic:
+    /// a half-applied append may have left the head's buffers ragged, so
+    /// the poisoned data is not read, and the caller — in the server, the
+    /// one dispatcher thread every client depends on — lives on.
+    fn pin_prefix(&self, work: &[SegQuery]) -> std::result::Result<PinnedPrefix, String> {
+        let poisoned = |lock: &str| {
+            format!("table {:?}: the {lock} lock was poisoned by a writer that panicked", self.name)
         };
-        let per_segment: Vec<(u64, IdList, AccessStats)> = match pool {
-            Some(pool) if pin.sealed.len() > 1 => {
-                let results = pool.scatter(pin.sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    move || {
-                        let (ids, st) = eval(&seg, &rpreds);
-                        (seg.base(), ids, st)
-                    }
-                }));
-                let mut out = Vec::with_capacity(results.len());
-                for r in results {
-                    out.push(r.ok_or_else(|| {
-                        Error::Mismatch("segment evaluation task panicked".into())
-                    })?);
-                }
-                out
-            }
-            _ => pin
-                .sealed
-                .iter()
-                .map(|seg| {
-                    let (ids, st) = eval(seg, &rpreds);
-                    (seg.base(), ids, st)
-                })
-                .collect(),
-        };
-
-        let mut merged = IdList::with_capacity(
-            per_segment.iter().map(|(_, ids, _)| ids.len()).sum::<usize>() + pin.open.hits.len(),
-        );
-        for (base, ids, st) in per_segment {
-            stats.access.merge(&st);
-            merged.extend_offset(&ids, base);
-        }
-        merged.extend_offset(&pin.open.hits, pin.open_base);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        Ok((merged, stats))
-    }
-
-    /// Counts matching rows without materializing ids, with the same
-    /// pinned-prefix consistency, epoch reporting and tail/sealed stats
-    /// split as [`Table::query_with_stats`].
-    pub fn count_with_stats(
-        &self,
-        preds: &[(&str, ValueRange)],
-        pool: Option<&WorkerPool>,
-    ) -> Result<(u64, QueryStats)> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        self.count_sets_with_stats(&sets, false, pool)
-    }
-
-    /// The general counting entry point: value-set predicates under
-    /// conjunction or disjunction semantics — the count twin of
-    /// [`Table::query_sets_with_stats`].
-    pub fn count_sets_with_stats(
-        &self,
-        preds: &[(&str, ValueSet)],
-        any: bool,
-        pool: Option<&WorkerPool>,
-    ) -> Result<(u64, QueryStats)> {
-        let rpreds = Arc::new(self.resolve(preds)?);
-        let pin = self.pin_prefix(&rpreds, any);
-        let mut stats = Self::prefix_stats(&pin);
-
-        let tally = move |seg: &SealedSegment, rpreds: &[(usize, ValueSet)]| {
-            if any {
-                let (ids, st) = seg.evaluate_any(rpreds);
-                (ids.len() as u64, st)
-            } else {
-                seg.count(rpreds)
-            }
-        };
-        let per_segment: Vec<(u64, AccessStats)> = match pool {
-            Some(pool) if pin.sealed.len() > 1 => {
-                let results = pool.scatter(pin.sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    move || tally(&seg, &rpreds)
-                }));
-                let mut out = Vec::with_capacity(results.len());
-                for r in results {
-                    out.push(
-                        r.ok_or_else(|| Error::Mismatch("segment count task panicked".into()))?,
-                    );
-                }
-                out
-            }
-            _ => pin.sealed.iter().map(|seg| tally(seg, &rpreds)).collect(),
-        };
-
-        let mut total = 0u64;
-        for (n, st) in per_segment {
-            stats.access.merge(&st);
-            total += n;
-        }
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        Ok((total + pin.open.hits.len() as u64, stats))
-    }
-
-    /// Counts matching rows without materializing ids.
-    pub fn count(&self, preds: &[(&str, ValueRange)], pool: Option<&WorkerPool>) -> Result<u64> {
-        Ok(self.count_with_stats(preds, pool)?.0)
+        let open = self.open.read().map_err(|_| poisoned("open"))?;
+        let sealed = self.sealed.read().map_err(|_| poisoned("sealed"))?.clone();
+        // Read under the open lock: epoch bumps happen inside the write
+        // critical sections, so this value names exactly the pinned
+        // (sealed list, open rows) pair.
+        let epoch = self.epoch();
+        let kernel = self.refine_kernel();
+        let opens =
+            work.iter().map(|q| eval_open(&open.bufs, open.tails.as_deref(), q, kernel)).collect();
+        Ok(PinnedPrefix { sealed, open_base: open.base, opens, epoch })
     }
 
     /// Evaluates many independent queries against **one pinned snapshot**
-    /// — the serving layer's shared-morsel batch dispatch.
+    /// — the table's only executor, and the serving layer's shared-morsel
+    /// batch dispatch. A single query is a batch of one
+    /// ([`Table::query_one`]).
     ///
     /// All queries observe the same consistent prefix (one epoch, one
     /// sealed list, one open-head read), and the sealed segments are swept
     /// **once per batch**: each segment is one task answering every
-    /// query's predicates while its data and indexes are cache-hot
-    /// ([`SealedSegment::evaluate_batch`]), instead of one cold sealed-list
-    /// walk per query. Answers are byte-identical to issuing each query
-    /// through [`Table::query_with_stats`] / [`Table::count_with_stats`]
-    /// against an unchanging table.
+    /// query's predicates ([`SealedSegment::run`]) while its data and
+    /// indexes are cache-hot, instead of one cold sealed-list walk per
+    /// query; on the worker pool that is one task per segment per *batch*
+    /// rather than per query. Each query still routes through the adaptive
+    /// path chooser (and records its observations) exactly as if issued
+    /// alone, so batching never changes answers or planner signals — only
+    /// the order work is scheduled in. Per-segment results land in one
+    /// [`Hits`] sink per query, in segment order, so ids stay globally
+    /// sorted and a count never materializes them.
     ///
     /// Per-query predicate resolution errors come back in that query's
-    /// slot; the remaining queries still evaluate. The snapshot stays valid
-    /// even if the table is concurrently dropped from its catalog — the
-    /// pinned `Arc`s keep every segment alive until the batch finishes.
+    /// slot; the remaining queries still evaluate. A poisoned table lock
+    /// or a panicked pool task errors every remaining slot. The snapshot
+    /// stays valid even if the table is concurrently dropped from its
+    /// catalog — the pinned `Arc`s keep every segment alive until the
+    /// batch finishes.
     pub fn query_batch(
         &self,
         queries: &[BatchQuery],
         pool: Option<&WorkerPool>,
     ) -> Vec<Result<(BatchAnswer, QueryStats)>> {
-        use crate::segment::{SegBatchAnswer, SegBatchQuery};
-
         // Resolve every query first; failures keep their slot and never
         // reach the data pass.
-        let mut resolved: Vec<Result<Vec<(usize, ValueSet)>>> = queries
+        let mut work: Vec<SegQuery> = Vec::with_capacity(queries.len());
+        let resolved: Vec<Result<()>> = queries
             .iter()
             .map(|q| {
-                let preds: Vec<(&str, ValueSet)> =
-                    q.preds.iter().map(|(n, s)| (n.as_str(), s.clone())).collect();
-                self.resolve(&preds)
+                let preds = resolve_sets(&self.schema, &q.preds)?;
+                work.push(SegQuery { preds, any: q.any, count_only: q.count_only });
+                Ok(())
             })
             .collect();
-        let valid: Vec<usize> = (0..resolved.len()).filter(|&i| resolved[i].is_ok()).collect();
-
-        // Pin ONE consistent prefix for the whole batch: a single open
-        // read (every query's head evaluation happens under it) and a
-        // single frozen sealed list.
-        let open = self.open.read().expect("open lock");
-        let sealed_guard = self.sealed.read().expect("sealed lock");
-        let sealed = sealed_guard.clone();
-        let epoch = self.epoch();
-        drop(sealed_guard);
-        let kernel = self.refine_kernel();
-        let open_base = open.base;
-        let opens: Vec<OpenEval> = valid
-            .iter()
-            .map(|&i| {
-                let rp = resolved[i].as_ref().expect("valid index");
-                eval_open(&open.bufs, open.tails.as_deref(), rp, queries[i].any, kernel)
-            })
-            .collect();
-        drop(open);
+        let pin = match self.pin_prefix(&work) {
+            Ok(pin) => pin,
+            Err(why) => return fail_resolved(resolved, &why),
+        };
 
         // One shared sweep per sealed segment, answering every valid query.
-        let rpreds: Arc<Vec<Vec<(usize, ValueSet)>>> = Arc::new(
-            valid.iter().map(|&i| resolved[i].as_ref().expect("valid index").clone()).collect(),
-        );
-        let flags: Arc<Vec<(bool, bool)>> =
-            Arc::new(valid.iter().map(|&i| (queries[i].any, queries[i].count_only)).collect());
-        let sweep = |seg: &SealedSegment| {
-            let qs: Vec<SegBatchQuery> = rpreds
-                .iter()
-                .zip(flags.iter())
-                .map(|(preds, &(any, count_only))| SegBatchQuery { preds, any, count_only })
-                .collect();
-            seg.evaluate_batch(&qs)
-        };
-        let per_segment: Vec<Option<SegSweep>> = match pool {
-            Some(pool) if sealed.len() > 1 && !valid.is_empty() => {
-                pool.scatter(sealed.iter().map(|seg| {
-                    let seg = Arc::clone(seg);
-                    let rpreds = Arc::clone(&rpreds);
-                    let flags = Arc::clone(&flags);
-                    move || {
-                        let qs: Vec<SegBatchQuery> = rpreds
-                            .iter()
-                            .zip(flags.iter())
-                            .map(|(preds, &(any, count_only))| SegBatchQuery {
-                                preds,
-                                any,
-                                count_only,
-                            })
-                            .collect();
-                        (seg.base(), seg.evaluate_batch(&qs))
-                    }
-                }))
-            }
-            _ => sealed.iter().map(|seg| Some((seg.base(), sweep(seg)))).collect(),
-        };
-        let panicked = per_segment.iter().any(Option::is_none);
-
-        // Assemble per-query answers in segment order.
-        let mut answers: Vec<Option<(BatchAnswer, QueryStats)>> = valid
+        let mut answers: Vec<(Hits, QueryStats)> = work
             .iter()
-            .zip(&opens)
-            .map(|(_, open_eval)| {
+            .zip(&pin.opens)
+            .map(|(q, open)| {
                 let stats = QueryStats {
-                    tail_access: open_eval.access,
-                    tail_indexed: open_eval.tail_indexed,
-                    open_rows: open_eval.rows,
-                    sealed_segments: sealed.len(),
-                    visible_rows: open_base + open_eval.rows as u64,
-                    epoch,
+                    tail_access: open.access,
+                    tail_indexed: open.tail_indexed,
+                    open_rows: open.rows,
+                    sealed_segments: pin.sealed.len(),
+                    visible_rows: pin.open_base + open.rows as u64,
+                    epoch: pin.epoch,
                     ..Default::default()
                 };
-                Some((BatchAnswer::Count(0), stats))
+                (Hits::new(q.count_only), stats)
             })
             .collect();
-        let mut id_parts: Vec<IdList> = valid.iter().map(|_| IdList::new()).collect();
-        if !panicked {
-            for entry in per_segment.into_iter().flatten() {
-                let (base, seg_answers) = entry;
-                debug_assert_eq!(seg_answers.len(), valid.len());
-                for (slot, (answer, stats)) in seg_answers.into_iter().enumerate() {
-                    let (acc, st) = answers[slot].as_mut().expect("slot populated above");
-                    st.access.merge(&stats);
-                    match answer {
-                        SegBatchAnswer::Ids(ids) => id_parts[slot].extend_offset(&ids, base),
-                        SegBatchAnswer::Count(n) => {
-                            if let BatchAnswer::Count(total) = acc {
-                                *total += n;
-                            }
-                        }
-                    }
-                }
+        let fan_out = pin.sealed.len() > 1 && !work.is_empty();
+        let work = Arc::new(work);
+        let sweep = move |seg: &SealedSegment| -> SegSweep {
+            (seg.base(), work.iter().map(|q| seg.run(q)).collect())
+        };
+        let per_segment: Vec<Option<SegSweep>> = match pool {
+            Some(pool) if fan_out => pool.scatter(pin.sealed.iter().map(|seg| {
+                let (seg, sweep) = (Arc::clone(seg), sweep.clone());
+                move || sweep(&seg)
+            })),
+            _ => pin.sealed.iter().map(|seg| Some(sweep(seg))).collect(),
+        };
+        for part in per_segment {
+            let Some((base, seg_answers)) = part else {
+                return fail_resolved(resolved, "segment evaluation task panicked");
+            };
+            for ((acc, stats), (hits, access)) in answers.iter_mut().zip(seg_answers) {
+                stats.access.merge(&access);
+                acc.absorb(hits, base);
             }
         }
 
-        let mut out: Vec<Result<(BatchAnswer, QueryStats)>> = Vec::with_capacity(queries.len());
-        let mut slot = 0usize;
-        for (i, res) in resolved.iter_mut().enumerate() {
-            match std::mem::replace(res, Ok(Vec::new())) {
-                Err(e) => out.push(Err(e)),
-                Ok(_) => {
-                    if panicked {
-                        out.push(Err(Error::Mismatch("segment evaluation task panicked".into())));
-                        slot += 1;
-                        continue;
-                    }
-                    let (mut answer, stats) = answers[slot].take().expect("assembled above");
-                    let open_eval = &opens[slot];
-                    match &mut answer {
-                        BatchAnswer::Count(total) if queries[i].count_only => {
-                            *total += open_eval.hits.len() as u64;
-                        }
-                        _ => {
-                            let mut ids = std::mem::take(&mut id_parts[slot]);
-                            ids.extend_offset(&open_eval.hits, open_base);
-                            answer = BatchAnswer::Ids(ids);
-                        }
-                    }
-                    self.stats.queries.fetch_add(1, Ordering::Relaxed);
-                    out.push(Ok((answer, stats)));
-                    slot += 1;
-                }
-            }
-        }
-        out
+        self.stats.queries.fetch_add(answers.len() as u64, Ordering::Relaxed);
+        let mut answers = answers.into_iter().zip(pin.opens);
+        resolved
+            .into_iter()
+            .map(|r| {
+                r.map(|()| {
+                    let ((mut acc, stats), open) = answers.next().expect("one per valid query");
+                    acc.absorb(Hits::Ids(open.hits.into_vec()), pin.open_base);
+                    (BatchAnswer::from(acc), stats)
+                })
+            })
+            .collect()
     }
 
     /// Reconstructs the tuple at global row `id` (late materialization).
@@ -979,15 +781,16 @@ impl Table {
 /// `schema` — shared by [`Table`] and [`TableSnapshot`] so both surfaces
 /// report a mismatched bound (in any term of any set) as an error instead
 /// of panicking later.
-fn resolve_sets(
+fn resolve_sets<S: AsRef<str>>(
     schema: &[ColumnDef],
-    preds: &[(&str, ValueSet)],
+    preds: &[(S, ValueSet)],
 ) -> Result<Vec<(usize, ValueSet)>> {
     let mut out = Vec::with_capacity(preds.len());
     for (name, set) in preds {
+        let name = name.as_ref();
         let pos = schema
             .iter()
-            .position(|d| d.name == *name)
+            .position(|d| d.name == name)
             .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
         let ty = schema[pos].ty;
         for range in &set.terms {
@@ -1000,24 +803,32 @@ fn resolve_sets(
                 }
             }
         }
-        out.push((pos, (*set).clone()));
+        out.push((pos, set.clone()));
     }
     Ok(out)
 }
 
-/// The pinned consistent prefix one read observes: the frozen sealed list
-/// plus the already-evaluated open write head (see [`Table::pin_prefix`]).
+/// The answers of a batch that could not run: every query that resolved
+/// fails with `why`, the others keep their own resolution error.
+fn fail_resolved(resolved: Vec<Result<()>>, why: &str) -> Vec<Result<(BatchAnswer, QueryStats)>> {
+    resolved.into_iter().map(|r| r.and_then(|()| Err(Error::Mismatch(why.into())))).collect()
+}
+
+/// The pinned consistent prefix one batch observes: the frozen sealed list
+/// plus every query's already-evaluated share of the open write head (see
+/// [`Table::pin_prefix`]).
 struct PinnedPrefix {
     sealed: SegmentList,
     open_base: u64,
-    open: OpenEval,
+    opens: Vec<OpenEval>,
     epoch: u64,
 }
 
 /// Result of evaluating a query's predicates over the open write head.
 #[derive(Debug, Default)]
 struct OpenEval {
-    /// Matching head-local row ids.
+    /// Matching head-local row ids. The head is at most one segment, so it
+    /// always materializes; a count takes their number.
     hits: IdList,
     /// Open rows visible to the query.
     rows: usize,
@@ -1027,96 +838,66 @@ struct OpenEval {
     tail_indexed: bool,
 }
 
-/// Evaluates resolved predicates over the open segment.
+/// Evaluates a resolved query over the open segment.
 ///
-/// Conjunctions: the first predicate reads the whole head, so it routes
-/// through the column's tail imprint when one is maintained — term by term
-/// for multi-interval sets ([`AnyTailIndex::evaluate_set`]), skipping
-/// non-qualifying cachelines exactly like sealed segments do; the
-/// remaining predicates weed the (typically few, scattered) survivors
-/// with the gather-style kernel. Disjunctions (`any`): every arm reads
-/// the whole head, so each rides its *own* column's tail imprint and the
-/// results union. Without tails every predicate takes the kernel path
-/// over the full buffer.
+/// A predicate that reads the whole head routes through its column's tail
+/// imprint when one is maintained — term by term for multi-interval sets
+/// ([`AnyTailIndex::evaluate_set`]), skipping non-qualifying cachelines
+/// exactly like sealed segments do — and through the kernel over the full
+/// buffer otherwise. Conjunctions read the whole head for their first
+/// predicate only; the remaining predicates weed the (typically few,
+/// scattered) survivors with the gather-style kernel. Disjunctions
+/// (`q.any`) read it once per arm, each riding its *own* column's tail
+/// imprint, and union the results.
 fn eval_open(
     bufs: &[AnyColumn],
     tails: Option<&[AnyTailIndex]>,
-    rpreds: &[(usize, ValueSet)],
-    any: bool,
-    kernel: imprints::simd::RefineKernel,
+    q: &SegQuery,
+    kernel: RefineKernel,
 ) -> OpenEval {
     let rows = bufs.first().map_or(0, AnyColumn::len);
-    if rows == 0 {
-        return OpenEval::default();
-    }
-    if rpreds.is_empty() {
-        // The empty conjunction selects everything; the empty disjunction
-        // (identity of OR) selects nothing.
-        if any {
-            return OpenEval { rows, ..Default::default() };
-        }
-        return OpenEval {
-            hits: IdList::from_sorted((0..rows as u64).collect()),
-            rows,
-            ..Default::default()
-        };
-    }
     let mut out = OpenEval { rows, ..Default::default() };
-    if any {
-        let mut acc = IdList::new();
-        for (col, set) in rpreds {
-            let hits = match tails {
-                Some(tails) => {
-                    let tail = &tails[*col];
-                    debug_assert_eq!(
-                        tail.rows(),
-                        rows,
-                        "tail imprint out of sync with the open buffer"
-                    );
-                    let (ids, stats) = tail.evaluate_set(&bufs[*col], set, kernel);
-                    out.access.merge(&stats);
-                    out.tail_indexed = true;
-                    ids
-                }
-                None => {
-                    let (ids, compared) = filter_open_column(&bufs[*col], set, None, rows, kernel);
-                    out.access.value_comparisons += compared;
-                    IdList::from_sorted(ids)
-                }
-            };
-            acc = acc.union(&hits);
-        }
-        out.hits = acc;
+    if rows == 0 {
         return out;
     }
-    let mut survivors: Option<Vec<u64>> = None;
-    for (i, (col, set)) in rpreds.iter().enumerate() {
-        let next = match (i, tails) {
-            (0, Some(tails)) => {
-                let tail = &tails[*col];
-                debug_assert_eq!(
-                    tail.rows(),
-                    rows,
-                    "tail imprint out of sync with the open buffer"
-                );
-                let (ids, stats) = tail.evaluate_set(&bufs[*col], set, kernel);
-                out.access.merge(&stats);
-                out.tail_indexed = true;
-                ids.into_vec()
-            }
-            _ => {
-                let current = survivors.as_deref();
-                let (ids, compared) = filter_open_column(&bufs[*col], set, current, rows, kernel);
-                out.access.value_comparisons += compared;
-                ids
-            }
-        };
-        if next.is_empty() {
-            return out;
+    let whole_head = |col: usize, set: &ValueSet, out: &mut OpenEval| match tails {
+        Some(tails) => {
+            let tail = &tails[col];
+            debug_assert_eq!(tail.rows(), rows, "tail imprint out of sync with the open buffer");
+            let (ids, stats) = tail.evaluate_set(&bufs[col], set, kernel);
+            out.access.merge(&stats);
+            out.tail_indexed = true;
+            ids
         }
-        survivors = Some(next);
+        None => {
+            let (ids, compared) = filter_open_column(&bufs[col], set, None, rows, kernel);
+            out.access.value_comparisons += compared;
+            IdList::from_sorted(ids)
+        }
+    };
+    if q.any {
+        // The empty disjunction (identity of OR) selects nothing.
+        for (col, set) in &q.preds {
+            let arm = whole_head(*col, set, &mut out);
+            out.hits = out.hits.union(&arm);
+        }
+        return out;
     }
-    out.hits = IdList::from_sorted(survivors.unwrap_or_default());
+    let Some(((col, set), rest)) = q.preds.split_first() else {
+        // The empty conjunction selects everything.
+        out.hits = IdList::from_sorted((0..rows as u64).collect());
+        return out;
+    };
+    let mut survivors = whole_head(*col, set, &mut out).into_vec();
+    for (col, set) in rest {
+        if survivors.is_empty() {
+            break;
+        }
+        let (kept, compared) = filter_open_column(&bufs[*col], set, Some(&survivors), rows, kernel);
+        out.access.value_comparisons += compared;
+        survivors = kept;
+    }
+    out.hits = IdList::from_sorted(survivors);
     out
 }
 
@@ -1155,12 +936,12 @@ fn filter_open_column(
     set: &ValueSet,
     candidates: Option<&[u64]>,
     rows: usize,
-    kernel: imprints::simd::RefineKernel,
+    kernel: RefineKernel,
 ) -> (Vec<u64>, u64) {
     macro_rules! arm {
         ($c:expr) => {{
             let terms = set.to_predicates().expect("predicates validated against schema");
-            let kernel = imprints::simd::SetKernel::with_kernel(&terms, kernel);
+            let kernel = SetKernel::with_kernel(&terms, kernel);
             let values = $c.values();
             let mut compared = 0u64;
             match candidates {
@@ -1199,7 +980,7 @@ pub struct TableSnapshot {
     open_base: u64,
     open_bufs: Vec<AnyColumn>,
     epoch: u64,
-    kernel: imprints::simd::RefineKernel,
+    kernel: RefineKernel,
 }
 
 impl TableSnapshot {
@@ -1213,17 +994,20 @@ impl TableSnapshot {
         self.open_base + self.open_bufs.first().map_or(0, AnyColumn::len) as u64
     }
 
-    /// Evaluates predicates against the frozen view (serial).
+    /// Evaluates predicates against the frozen view (serial), through the
+    /// same per-segment and per-head functions as [`Table::query_batch`].
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
         let sets: Vec<(&str, ValueSet)> =
             preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        let rpreds = resolve_sets(&self.schema, &sets)?;
-        let mut merged = IdList::concat_segments(
-            self.sealed.iter().map(|seg| (seg.base(), seg.evaluate(&rpreds).0)),
-        );
-        let open = eval_open(&self.open_bufs, None, &rpreds, false, self.kernel);
-        merged.extend_offset(&open.hits, self.open_base);
-        Ok(merged)
+        let q =
+            SegQuery { preds: resolve_sets(&self.schema, &sets)?, any: false, count_only: false };
+        let mut acc = Hits::new(false);
+        for seg in self.sealed.iter() {
+            acc.absorb(seg.run(&q).0, seg.base());
+        }
+        let open = eval_open(&self.open_bufs, None, &q, self.kernel);
+        acc.absorb(Hits::Ids(open.hits.into_vec()), self.open_base);
+        Ok(acc.into_ids())
     }
 
     /// The full contents of column `name` as typed values — the oracle
@@ -1266,6 +1050,15 @@ mod tests {
         AnyColumn::I64(values.collect())
     }
 
+    /// The ids and statistics of one serial conjunction of ranges.
+    fn ids_with_stats(t: &Table, preds: &[(&str, ValueRange)]) -> (IdList, QueryStats) {
+        let q = BatchQuery::ids(preds.iter().map(|(n, r)| (n.to_string(), *r)).collect());
+        match t.query_one(&q, None).unwrap() {
+            (BatchAnswer::Ids(ids), stats) => (ids, stats),
+            (BatchAnswer::Count(_), _) => panic!("a materializing query answers with ids"),
+        }
+    }
+
     #[test]
     fn append_seals_segments_and_queries_span_them() {
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
@@ -1284,7 +1077,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let pred = [("v", ValueRange::between(Value::I64(10), Value::I64(50)))];
         let serial = t.query(&pred).unwrap();
-        let parallel = t.query_on(&pool, &pred).unwrap();
+        let parallel = t.query_on(&pred, Some(&pool)).unwrap();
         assert_eq!(serial, parallel);
         assert!(!serial.is_empty());
         let n = t.count(&pred, Some(&pool)).unwrap();
@@ -1414,8 +1207,8 @@ mod tests {
         }
         // A narrow range inside the open head (rows 1024..1664).
         let pred = [("v", ValueRange::between(Value::I64(1100), Value::I64(1160)))];
-        let (ids_i, st_i) = indexed.query_with_stats(&pred, None).unwrap();
-        let (ids_s, st_s) = scanned.query_with_stats(&pred, None).unwrap();
+        let (ids_i, st_i) = ids_with_stats(&indexed, &pred);
+        let (ids_s, st_s) = ids_with_stats(&scanned, &pred);
         assert_eq!(ids_i, ids_s);
         assert_eq!(ids_i.as_slice(), (1100..1161).collect::<Vec<u64>>().as_slice());
         assert_eq!(st_i.open_rows, 640);
@@ -1447,7 +1240,7 @@ mod tests {
             ("a", ValueRange::at_least(Value::I64(1200))),
             ("b", ValueRange::equals(Value::I64(3))),
         ];
-        let (ids, st) = t.query_with_stats(&pred, None).unwrap();
+        let (ids, st) = ids_with_stats(&t, &pred);
         let expect: Vec<u64> =
             (0..1500u64).filter(|&i| a[i as usize] >= 1200 && b[i as usize] == 3).collect();
         assert_eq!(ids.as_slice(), expect.as_slice());
@@ -1458,24 +1251,29 @@ mod tests {
         t.append_batch(vec![ints(0..548), AnyColumn::I64((0..548).map(|i| i % 7).collect())])
             .unwrap();
         assert_eq!(t.row_count() % 1024, 0);
-        let (_, st) = t.query_with_stats(&pred, None).unwrap();
+        let (_, st) = ids_with_stats(&t, &pred);
         assert_eq!(st.open_rows, 0);
         assert!(!st.tail_indexed, "sealing must discard the head's tail imprint");
     }
 
-    /// Count and query share one pinned-prefix path: identical epoch,
-    /// visibility and head accounting, and the count includes open rows.
+    /// Counts and materializing queries are one executor: both equal the
+    /// brute-force oracle, report the same pinned prefix (epoch,
+    /// visibility, head accounting), and the count includes open rows.
     #[test]
-    fn count_shares_the_pinned_prefix_path_with_query() {
+    fn count_and_ids_report_the_same_pinned_prefix() {
         let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
         let vals: Vec<i64> = (0..2500).map(|i| (i * 37) % 1000).collect();
-        t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        let pred = [("v", ValueRange::between(Value::I64(10), Value::I64(50)))];
-        let (ids, qs) = t.query_with_stats(&pred, None).unwrap();
-        let (n, cs) = t.count_with_stats(&pred, None).unwrap();
-        assert_eq!(n as usize, ids.len());
+        t.append_batch(vec![AnyColumn::I64(vals.iter().copied().collect())]).unwrap();
+        let expect: Vec<u64> =
+            (0..2500u64).filter(|&i| (10..=50).contains(&vals[i as usize])).collect();
+        let preds = vec![("v".to_string(), ValueRange::between(Value::I64(10), Value::I64(50)))];
+        let (ids, qs) = t.query_one(&BatchQuery::ids(preds.clone()), None).unwrap();
+        let (n, cs) = t.query_one(&BatchQuery::count(preds), None).unwrap();
+        assert_eq!(ids, BatchAnswer::Ids(IdList::from_sorted(expect.clone())));
+        assert_eq!(n, BatchAnswer::Count(expect.len() as u64));
         assert_eq!(cs.epoch, qs.epoch);
-        assert_eq!(cs.visible_rows, qs.visible_rows);
+        assert_eq!(cs.visible_rows, 2500);
+        assert_eq!(qs.visible_rows, 2500);
         assert_eq!(cs.open_rows, qs.open_rows);
         assert_eq!(cs.sealed_segments, qs.sealed_segments);
         assert_eq!(cs.tail_indexed, qs.tail_indexed);
@@ -1484,11 +1282,11 @@ mod tests {
         assert!(cs.access.index_probes > 0 || cs.access.value_comparisons > 0);
     }
 
-    /// `query_batch` must answer byte-identically to issuing each query
-    /// alone — same ids, same counts, same epoch/visibility accounting —
-    /// for mixed materializing/count batches with the head populated.
+    /// `query_batch` answers every slot of a mixed materializing / count /
+    /// OR batch exactly like the brute-force oracle, on one pinned prefix,
+    /// with the head populated, serially and on the pool.
     #[test]
-    fn query_batch_matches_individual_queries() {
+    fn query_batch_matches_the_oracle() {
         let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(64))
             .unwrap();
         let a: Vec<i64> = (0..3000).map(|i| (i * 37) % 700).collect();
@@ -1498,50 +1296,82 @@ mod tests {
             AnyColumn::I64(b.iter().copied().collect()),
         ])
         .unwrap();
-        let ranges = [
-            vec![("a".to_string(), ValueRange::between(Value::I64(10), Value::I64(80)))],
-            vec![("a".to_string(), ValueRange::at_least(Value::I64(650)))],
-            vec![
-                ("a".to_string(), ValueRange::between(Value::I64(0), Value::I64(300))),
-                ("b".to_string(), ValueRange::equals(Value::I64(4))),
-            ],
-            vec![],
+        type Case = (Vec<(String, ValueRange)>, bool, fn(i64, i64) -> bool);
+        let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
+        let cases: [Case; 5] = [
+            (vec![("a".into(), between(10, 80))], false, |a, _| (10..=80).contains(&a)),
+            (vec![("a".into(), ValueRange::at_least(Value::I64(650)))], false, |a, _| a >= 650),
+            (vec![("a".into(), between(0, 300)), ("b".into(), between(4, 4))], false, |a, b| {
+                (0..=300).contains(&a) && b == 4
+            }),
+            (vec![], false, |_, _| true),
+            (vec![("a".into(), between(690, 699)), ("b".into(), between(12, 12))], true, |a, b| {
+                (690..=699).contains(&a) || b == 12
+            }),
         ];
         let mut batch = Vec::new();
-        for (i, preds) in ranges.iter().enumerate() {
-            let q = if i % 2 == 1 {
-                BatchQuery::count(preds.clone())
-            } else {
-                BatchQuery::ids(preds.clone())
-            };
-            batch.push(q);
+        let mut expect = Vec::new();
+        for count_only in [false, true] {
+            for (preds, any, row_test) in &cases {
+                let mut q = BatchQuery::ids(preds.clone());
+                (q.any, q.count_only) = (*any, count_only);
+                batch.push(q);
+                let ids: Vec<u64> =
+                    (0..3000u64).filter(|&i| row_test(a[i as usize], b[i as usize])).collect();
+                expect.push(if count_only {
+                    BatchAnswer::Count(ids.len() as u64)
+                } else {
+                    BatchAnswer::Ids(IdList::from_sorted(ids))
+                });
+            }
         }
         let pool = WorkerPool::new(2);
         for pool in [None, Some(&pool)] {
             let out = t.query_batch(&batch, pool);
             assert_eq!(out.len(), batch.len());
-            for (q, res) in batch.iter().zip(out) {
-                let preds: Vec<(&str, ValueRange)> = q
-                    .preds
-                    .iter()
-                    .map(|(n, s)| (n.as_str(), *s.as_single().expect("ranges only")))
-                    .collect();
+            for (res, expect) in out.into_iter().zip(&expect) {
                 let (answer, stats) = res.unwrap();
-                if q.count_only {
-                    let (n, st) = t.count_with_stats(&preds, None).unwrap();
-                    assert_eq!(answer, BatchAnswer::Count(n));
-                    assert_eq!(stats.epoch, st.epoch);
-                    assert_eq!(stats.visible_rows, st.visible_rows);
-                } else {
-                    let (ids, st) = t.query_with_stats(&preds, None).unwrap();
-                    assert_eq!(answer, BatchAnswer::Ids(ids));
-                    assert_eq!(stats.epoch, st.epoch);
-                    assert_eq!(stats.visible_rows, st.visible_rows);
-                    assert_eq!(stats.open_rows, st.open_rows);
-                    assert_eq!(stats.tail_indexed, st.tail_indexed);
-                }
+                assert_eq!(&answer, expect);
+                assert_eq!(stats.epoch, t.epoch());
+                assert_eq!(stats.visible_rows, 3000);
+                assert_eq!(stats.open_rows, 3000 % 1024);
+                assert_eq!(stats.sealed_segments, 2);
             }
         }
+    }
+
+    /// A writer that panicked while holding the open lock poisons it. The
+    /// read path must report that as an error in every query's slot — not
+    /// unwind into its caller, which in the server is the one dispatcher
+    /// thread — and must not read the possibly half-appended head.
+    #[test]
+    fn poisoned_open_lock_is_a_query_error_not_a_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
+        t.append_batch(vec![ints(0..600)]).unwrap();
+        let writer = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = t.open.write().unwrap();
+            panic!("writer dies mid-append");
+        }));
+        assert!(writer.is_err() && t.open.is_poisoned());
+        let batch = vec![
+            BatchQuery::ids(vec![("v".into(), ValueRange::at_least(Value::I64(590)))]),
+            BatchQuery::count(vec![]),
+            BatchQuery::ids(vec![("nope".into(), ValueRange::equals(Value::I64(1)))]),
+        ];
+        let pool = WorkerPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let out = catch_unwind(AssertUnwindSafe(|| t.query_batch(&batch, pool)))
+                .expect("a poisoned lock must not unwind out of query_batch");
+            assert_eq!(out.len(), batch.len());
+            for (q, res) in batch.iter().zip(out) {
+                let err = res.expect_err("no slot may answer from a poisoned table");
+                let unresolvable = q.preds.first().is_some_and(|(name, _)| name == "nope");
+                assert_eq!(err.to_string().contains("poisoned"), !unresolvable, "{err}");
+            }
+        }
+        assert!(t.query(&[]).is_err());
+        assert!(t.count(&[], None).is_err());
     }
 
     /// A batch with an unresolvable query errors only that slot; the rest

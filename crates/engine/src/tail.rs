@@ -39,7 +39,8 @@
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, IdList};
-use imprints::relation_index::{ValueRange, ValueSet};
+use imprints::relation_index::ValueSet;
+use imprints::simd::{Hits, PredicateKernel, RefineKernel};
 use imprints::{query, ColumnImprints};
 
 /// The tail imprint of one open column buffer, of whichever scalar type
@@ -160,39 +161,30 @@ impl AnyTailIndex {
         tail_dispatch!(self, i => i.size_bytes())
     }
 
-    /// Evaluates `range` over the write head through the imprint
-    /// (Algorithm 3), returning matching buffer-local row ids. Checked
-    /// head cachelines are weeded by the table's refinement kernel
-    /// ([`imprints::simd`]) exactly like sealed-segment lines, so the
-    /// tail path's false-positive cost rides the same SWAR/scalar switch.
-    pub fn evaluate(
-        &self,
-        buf: &AnyColumn,
-        range: &ValueRange,
-        kernel: imprints::simd::RefineKernel,
-    ) -> (IdList, AccessStats) {
-        tail_pair!(self, buf, (i, c) => {
-            let pred = range.to_predicate().expect("predicate validated against schema");
-            let (ids, stats) = query::evaluate_with_kernel(i, c, &pred, kernel);
-            (ids, stats.access)
-        })
-    }
-
-    /// Evaluates a whole [`ValueSet`] over the write head: the union of
-    /// each term's imprint evaluation. IN-lists and OR arms ride the tail
-    /// imprint term by term, so the head path never falls back to a
-    /// linear scan just because a predicate has more than one interval.
+    /// Evaluates a whole [`ValueSet`] over the write head through the
+    /// imprint, returning matching buffer-local row ids: the union of each
+    /// term's Algorithm 3 walk ([`query::run`]). IN-lists and OR arms ride
+    /// the tail imprint term by term, so the head path never falls back to
+    /// a linear scan just because a predicate has more than one interval.
+    /// Checked head cachelines are weeded by the table's refinement kernel
+    /// ([`imprints::simd`]) exactly like sealed-segment lines, so the tail
+    /// path's false-positive cost rides the same SWAR/scalar switch.
     pub fn evaluate_set(
         &self,
         buf: &AnyColumn,
         set: &ValueSet,
-        kernel: imprints::simd::RefineKernel,
+        kernel: RefineKernel,
     ) -> (IdList, AccessStats) {
         let mut stats = AccessStats::default();
         let mut acc = IdList::new();
         for term in &set.terms {
-            let (ids, s) = self.evaluate(buf, term, kernel);
-            stats.merge(&s);
+            let ids = tail_pair!(self, buf, (i, c) => {
+                let pred = term.to_predicate().expect("predicate validated against schema");
+                let kernel = PredicateKernel::with_kernel(&pred, kernel);
+                let (hits, s) = query::run(i, c, &kernel, Hits::new(false));
+                stats.merge(&s.access);
+                hits.into_ids()
+            });
             acc = acc.union(&ids);
         }
         (acc, stats)
@@ -203,6 +195,7 @@ impl AnyTailIndex {
 mod tests {
     use super::*;
     use colstore::Value;
+    use imprints::relation_index::ValueRange;
 
     fn oracle(values: &[i64], lo: i64, hi: i64) -> Vec<u64> {
         values
@@ -232,7 +225,7 @@ mod tests {
         }
         for (lo, hi) in [(0, 50), (100, 899), (890, 2000), (-5, -1)] {
             let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
-            let (ids, _) = tail.evaluate(&buf, &range, imprints::simd::RefineKernel::Auto);
+            let (ids, _) = tail.evaluate_set(&buf, &ValueSet::range(range), RefineKernel::Auto);
             assert_eq!(ids.as_slice(), oracle(&values, lo, hi).as_slice(), "[{lo}, {hi}]");
         }
     }
@@ -253,7 +246,7 @@ mod tests {
         assert!(!tail.needs_rebuild());
         let all: Vec<i64> = base.iter().chain(&shifted).copied().collect();
         let range = ValueRange::between(Value::I64(1_000_100), Value::I64(1_000_200));
-        let (ids, stats) = tail.evaluate(&buf, &range, imprints::simd::RefineKernel::Auto);
+        let (ids, stats) = tail.evaluate_set(&buf, &ValueSet::range(range), RefineKernel::Auto);
         assert_eq!(ids.as_slice(), oracle(&all, 1_000_100, 1_000_200).as_slice());
         assert!(stats.lines_skipped > 0, "rebuilt borders must let the head skip lines");
     }
@@ -264,7 +257,7 @@ mod tests {
         let buf = AnyColumn::I64(values.iter().copied().collect());
         let tail = AnyTailIndex::build(&buf);
         let range = ValueRange::between(Value::I64(100), Value::I64(200));
-        let (ids, stats) = tail.evaluate(&buf, &range, imprints::simd::RefineKernel::Auto);
+        let (ids, stats) = tail.evaluate_set(&buf, &ValueSet::range(range), RefineKernel::Auto);
         assert_eq!(ids.as_slice(), oracle(&values, 100, 200).as_slice());
         assert!(
             stats.value_comparisons < values.len() as u64 / 10,

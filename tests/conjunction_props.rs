@@ -7,7 +7,7 @@
 
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{ColumnType, Value};
-use column_imprints::engine::{EngineConfig, Table, ValueRange, ValueSet};
+use column_imprints::engine::{BatchAnswer, BatchQuery, EngineConfig, Table, ValueRange, ValueSet};
 use proptest::prelude::*;
 
 /// Row shape shared by every generator: three i64 columns with different
@@ -55,6 +55,22 @@ fn in_set(s: &ValueSet, v: i64) -> bool {
         };
         (lo..=hi).contains(&v)
     })
+}
+
+/// The materialized ids and the count of `preds` — a batch of two, so
+/// both sink modes answer from one pinned prefix.
+fn ids_and_count(t: &Table, preds: &[(&str, ValueSet)], any: bool) -> (Vec<u64>, u64) {
+    let owned: Vec<(String, ValueSet)> =
+        preds.iter().map(|(n, s)| (n.to_string(), s.clone())).collect();
+    let batch = [
+        BatchQuery { preds: owned.clone(), any, count_only: false },
+        BatchQuery { preds: owned, any, count_only: true },
+    ];
+    let mut out = t.query_batch(&batch, None).into_iter().map(|r| r.unwrap().0);
+    match (out.next(), out.next()) {
+        (Some(BatchAnswer::Ids(ids)), Some(BatchAnswer::Count(n))) => (ids.into_vec(), n),
+        other => panic!("ids then count expected, got {other:?}"),
+    }
 }
 
 /// Brute-force oracle over the raw rows, conjunction or disjunction.
@@ -117,12 +133,11 @@ proptest! {
         // Repeats walk the chooser through bootstrap (both plans) and into
         // steady state; every round must stay byte-identical.
         for round in 0..4 {
-            let got = planned.query_sets(&preds).unwrap();
-            prop_assert_eq!(got.as_slice(), expect.as_slice(), "planned, round {}", round);
-            let got = pinned.query_sets(&preds).unwrap();
-            prop_assert_eq!(got.as_slice(), expect.as_slice(), "pinned, round {}", round);
-            let (n, _) = planned.count_sets_with_stats(&preds, false, None).unwrap();
-            prop_assert_eq!(n as usize, expect.len());
+            for (name, t) in [("planned", &planned), ("pinned", &pinned)] {
+                let (got, n) = ids_and_count(t, &preds, false);
+                prop_assert_eq!(&got, &expect, "{}, round {}", name, round);
+                prop_assert_eq!(n as usize, expect.len(), "{} count, round {}", name, round);
+            }
         }
     }
 
@@ -146,19 +161,15 @@ proptest! {
         let in_list = ValueSet::points(points.iter().map(|&p| Value::I64(p)));
         // IN alone.
         let alone = [("a", in_list.clone())];
-        prop_assert_eq!(
-            t.query_sets(&alone).unwrap().as_slice(),
-            oracle(&rows, &alone, false).as_slice()
-        );
+        let expect = oracle(&rows, &alone, false);
+        prop_assert_eq!(ids_and_count(&t, &alone, false), (expect.clone(), expect.len() as u64));
         // IN ∧ range (mixed set shapes in one conjunction).
         let mixed = [("a", in_list), ("b", set_range(b_lo, b_width))];
         let expect = oracle(&rows, &mixed, false);
-        prop_assert_eq!(t.query_sets(&mixed).unwrap().as_slice(), expect.as_slice());
-        let (n, _) = t.count_sets_with_stats(&mixed, false, None).unwrap();
-        prop_assert_eq!(n as usize, expect.len());
+        prop_assert_eq!(ids_and_count(&t, &mixed, false), (expect.clone(), expect.len() as u64));
     }
 
-    /// OR groups: the union evaluation (`query_any`/`count_any`) equals
+    /// OR groups: the union evaluation, materialized and counted, equals
     /// the oracle's any-of-predicates filter; the empty group matches
     /// nothing while the empty conjunction matches everything.
     #[test]
@@ -182,12 +193,12 @@ proptest! {
             ("c", ValueSet::points(c_points.iter().map(|&p| Value::I64(p)))),
         ];
         let expect = oracle(&rows, &preds, true);
-        prop_assert_eq!(t.query_any(&preds).unwrap().as_slice(), expect.as_slice());
-        prop_assert_eq!(t.count_any(&preds).unwrap() as usize, expect.len());
+        prop_assert_eq!(ids_and_count(&t, &preds, true), (expect.clone(), expect.len() as u64));
         // Identity elements: OR of nothing is nothing, AND of nothing is
         // every row.
-        prop_assert_eq!(t.query_any(&[]).unwrap().as_slice(), &[] as &[u64]);
-        prop_assert_eq!(t.query_sets(&[]).unwrap().len(), rows.len());
+        prop_assert_eq!(ids_and_count(&t, &[], true), (vec![], 0));
+        let everything: Vec<u64> = (0..rows.len() as u64).collect();
+        prop_assert_eq!(ids_and_count(&t, &[], false), (everything, rows.len() as u64));
     }
 
     /// Interleaved appends: after every chunk — whatever mix of sealed
@@ -225,14 +236,10 @@ proptest! {
             ])
             .unwrap();
             all.extend_from_slice(chunk);
-            prop_assert_eq!(
-                t.query_sets(&preds).unwrap().as_slice(),
-                oracle(&all, &preds, false).as_slice()
-            );
-            prop_assert_eq!(
-                t.query_any(&preds).unwrap().as_slice(),
-                oracle(&all, &preds, true).as_slice()
-            );
+            for any in [false, true] {
+                let expect = oracle(&all, &preds, any);
+                prop_assert_eq!(ids_and_count(&t, &preds, any), (expect.clone(), expect.len() as u64));
+            }
         }
     }
 }

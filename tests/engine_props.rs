@@ -5,7 +5,8 @@
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{Column, ColumnType, Value};
 use column_imprints::engine::{
-    maintenance_tick, Catalog, EngineConfig, MaintenanceConfig, Table, ValueRange, WorkerPool,
+    maintenance_tick, BatchAnswer, BatchQuery, Catalog, EngineConfig, MaintenanceConfig, Table,
+    ValueRange, ValueSet, WorkerPool,
 };
 use column_imprints::ColumnImprints;
 use proptest::prelude::*;
@@ -69,8 +70,9 @@ proptest! {
         let rb = b.query(&preds).unwrap();
         prop_assert_eq!(ra.as_slice(), rb.as_slice());
         let pool = WorkerPool::new(3);
-        let rp = a.query_on(&pool, &preds).unwrap();
-        prop_assert_eq!(ra.as_slice(), rp.as_slice());
+        let q = BatchQuery::ids(vec![("v".into(), range(lo, width))]);
+        let (rp, _) = a.query_one(&q, Some(&pool)).unwrap();
+        prop_assert_eq!(rp, BatchAnswer::Ids(ra.clone()));
         let n = a.count(&preds, Some(&pool)).unwrap();
         prop_assert_eq!(n as usize, ra.len());
     }
@@ -137,6 +139,67 @@ proptest! {
         let _ = maintenance_tick(&catalog);
         let after = incremental.query(&preds).unwrap();
         prop_assert_eq!(before.as_slice(), after.as_slice());
+    }
+
+    /// The executor has no batch-only behaviour: a `query_batch` of N mixed
+    /// materializing / counting / OR / IN-list queries (one of them
+    /// unresolvable) answers slot for slot like N batches of one, serially
+    /// and on the pool, with sealed segments and an open head in play.
+    #[test]
+    fn batch_of_n_equals_n_batches_of_one(
+        rows in prop::collection::vec((0i64..500, 0i64..50), 1..3000),
+        shapes in prop::collection::vec(
+            ((0i64..550, 0i64..300, 0i64..55, 0i64..30), (0u8..6, any::<bool>())),
+            1..12,
+        ),
+    ) {
+        let cfg = EngineConfig {
+            segment_rows: 256,
+            workers: 2,
+            tail_index_min_rows: 64,
+            ..Default::default()
+        };
+        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg).unwrap();
+        t.append_batch(vec![
+            AnyColumn::I64(rows.iter().map(|r| r.0).collect()),
+            AnyColumn::I64(rows.iter().map(|r| r.1).collect()),
+        ])
+        .unwrap();
+        let batch: Vec<BatchQuery> = shapes
+            .iter()
+            .map(|&((a_lo, a_width, b_lo, b_width), (shape, count_only))| {
+                let a = ("a".to_string(), ValueSet::range(range(a_lo, a_width)));
+                let b = ("b".to_string(), ValueSet::range(range(b_lo, b_width)));
+                let points = [a_lo, a_lo + a_width, b_lo].map(Value::I64);
+                let (preds, any) = match shape {
+                    0 => (vec![a], false),
+                    1 => (vec![a, b], false),
+                    2 => (vec![a, b], true),
+                    3 => (vec![("a".to_string(), ValueSet::points(points)), b], false),
+                    4 => (vec![], false),
+                    _ => (vec![("nope".to_string(), ValueSet::range(range(0, 1)))], false),
+                };
+                BatchQuery { preds, any, count_only }
+            })
+            .collect();
+        let pool = WorkerPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let together = t.query_batch(&batch, pool);
+            prop_assert_eq!(together.len(), batch.len());
+            for (q, got) in batch.iter().zip(together) {
+                match (got, t.query_one(q, pool)) {
+                    (Ok((got, gs)), Ok((alone, als))) => {
+                        prop_assert_eq!(got, alone);
+                        prop_assert_eq!(
+                            (gs.epoch, gs.visible_rows, gs.open_rows, gs.sealed_segments),
+                            (als.epoch, als.visible_rows, als.open_rows, als.sealed_segments)
+                        );
+                    }
+                    (Err(_), Err(_)) => prop_assert_eq!(q.preds[0].0.as_str(), "nope"),
+                    (got, alone) => prop_assert!(false, "slots disagree: {:?} vs {:?}", got, alone),
+                }
+            }
+        }
     }
 
     /// Tail-indexed open-segment evaluation is id-identical to the

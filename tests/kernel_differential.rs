@@ -14,7 +14,7 @@
 
 use baselines::{SeqScan, WahBitmap, ZoneMap};
 use colstore::{Bound, Column, RangePredicate, Scalar};
-use imprints::simd::RefineKernel;
+use imprints::simd::{Hits, PredicateKernel, RefineKernel};
 use imprints::{query, ColumnImprints};
 use proptest::prelude::*;
 
@@ -28,69 +28,50 @@ fn oracle<T: Scalar>(col: &Column<T>, pred: &RangePredicate<T>) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one (column, predicate) pair through every access path under both
-/// kernels and cross-checks ids, counts and statistics.
+/// Runs one (column, predicate) pair through every access path, under both
+/// kernels and into both sinks, and cross-checks ids, counts and
+/// statistics.
 fn assert_kernels_identical<T: Scalar>(values: Vec<T>, pred: &RangePredicate<T>) {
-    const S: RefineKernel = RefineKernel::Scalar;
-    const V: RefineKernel = RefineKernel::Swar;
+    let scalar = PredicateKernel::with_kernel(pred, RefineKernel::Scalar);
+    let swar = PredicateKernel::with_kernel(pred, RefineKernel::Swar);
     let col: Column<T> = Column::from(values);
     let expect = oracle(&col, pred);
     let idx = ColumnImprints::build(&col);
+    let zm = ZoneMap::build(&col);
+    let scan = SeqScan::new(&col);
+    // WAH shares the imprint's binning, as the engine does.
+    let wah = WahBitmap::build_with_binning(&col, idx.binning().clone());
 
-    // Imprints: materializing evaluation.
-    let (ids_s, st_s) = query::evaluate_with_kernel(&idx, &col, pred, S);
-    let (ids_v, st_v) = query::evaluate_with_kernel(&idx, &col, pred, V);
-    assert_eq!(ids_s.as_slice(), expect.as_slice(), "imprints/scalar vs oracle: {pred}");
-    assert_eq!(ids_s, ids_v, "imprints kernels diverged: {pred}");
-    assert_eq!(st_s, st_v, "imprints stats diverged: {pred}");
-
-    // Imprints: count kernel.
-    let (n_s, cst_s) = query::count_with_kernel(&idx, &col, pred, S);
-    let (n_v, cst_v) = query::count_with_kernel(&idx, &col, pred, V);
-    assert_eq!(n_s as usize, expect.len(), "imprints count vs oracle: {pred}");
-    assert_eq!((n_s, cst_s), (n_v, cst_v), "imprints count kernels diverged: {pred}");
+    for count_only in [false, true] {
+        let sink = || Hits::new(count_only);
+        let (imp_s, ist_s) = query::run(&idx, &col, &scalar, sink());
+        let (imp_v, ist_v) = query::run(&idx, &col, &swar, sink());
+        assert_eq!(ist_s, ist_v, "imprints stats diverged: {pred}");
+        let paths = [
+            ("imprints", (imp_s, ist_s.access), (imp_v, ist_v.access)),
+            ("zonemap", zm.run(&col, &scalar, sink()), zm.run(&col, &swar, sink())),
+            ("scan", scan.run(&col, &scalar, sink()), scan.run(&col, &swar, sink())),
+            ("wah", wah.run(&col, &scalar, sink()), wah.run(&col, &swar, sink())),
+        ];
+        for (path, s, v) in paths {
+            assert_eq!(s, v, "{path} kernels diverged (count_only {count_only}): {pred}");
+            match s.0 {
+                Hits::Ids(ids) => assert_eq!(ids, expect, "{path}/scalar vs oracle: {pred}"),
+                Hits::Count(n) => {
+                    assert_eq!(n as usize, expect.len(), "{path} count vs oracle: {pred}")
+                }
+            }
+        }
+    }
 
     // Imprints: late materialization (candidates + refine).
     let (cands, mut rst_s) = query::candidate_id_ranges(&idx, pred);
     let mut rst_v = rst_s;
-    let ref_s = query::refine_with_kernel(&col, pred, &cands, &mut rst_s, S);
-    let ref_v = query::refine_with_kernel(&col, pred, &cands, &mut rst_v, V);
+    let ref_s = query::refine(&col, &scalar, &cands, &mut rst_s);
+    let ref_v = query::refine(&col, &swar, &cands, &mut rst_v);
     assert_eq!(ref_s.as_slice(), expect.as_slice(), "refine/scalar vs oracle: {pred}");
     assert_eq!(ref_s, ref_v, "refine kernels diverged: {pred}");
     assert_eq!(rst_s, rst_v, "refine stats diverged: {pred}");
-
-    // Zonemap.
-    let zm = ZoneMap::build(&col);
-    let (zs, zst_s) = zm.evaluate_with_kernel(&col, pred, S);
-    let (zv, zst_v) = zm.evaluate_with_kernel(&col, pred, V);
-    assert_eq!(zs.as_slice(), expect.as_slice(), "zonemap/scalar vs oracle: {pred}");
-    assert_eq!((zs, zst_s), (zv, zst_v), "zonemap kernels diverged: {pred}");
-    let (zn_s, zcst_s) = zm.count_with_kernel(&col, pred, S);
-    let (zn_v, zcst_v) = zm.count_with_kernel(&col, pred, V);
-    assert_eq!(zn_s as usize, expect.len(), "zonemap count vs oracle: {pred}");
-    assert_eq!((zn_s, zcst_s), (zn_v, zcst_v), "zonemap count kernels diverged: {pred}");
-
-    // Sequential scan.
-    let scan = SeqScan::new(&col);
-    let (ss, sst_s) = scan.evaluate_with_kernel(&col, pred, S);
-    let (sv, sst_v) = scan.evaluate_with_kernel(&col, pred, V);
-    assert_eq!(ss.as_slice(), expect.as_slice(), "scan/scalar vs oracle: {pred}");
-    assert_eq!((ss, sst_s), (sv, sst_v), "scan kernels diverged: {pred}");
-    let (sn_s, scst_s) = scan.count_with_kernel(&col, pred, S);
-    let (sn_v, scst_v) = scan.count_with_kernel(&col, pred, V);
-    assert_eq!(sn_s as usize, expect.len(), "scan count vs oracle: {pred}");
-    assert_eq!((sn_s, scst_s), (sn_v, scst_v), "scan count kernels diverged: {pred}");
-
-    // WAH bitmap, sharing the imprint's binning as the engine does.
-    let wah = WahBitmap::build_with_binning(&col, idx.binning().clone());
-    let (ws, wst_s) = wah.evaluate_with_kernel(&col, pred, S);
-    let (wv, wst_v) = wah.evaluate_with_kernel(&col, pred, V);
-    assert_eq!(ws.as_slice(), expect.as_slice(), "wah/scalar vs oracle: {pred}");
-    assert_eq!((ws, wst_s), (wv, wst_v), "wah kernels diverged: {pred}");
-    let (wn_s, wcst_s) = wah.count_with_kernel(&col, pred, S);
-    let (wn_v, wcst_v) = wah.count_with_kernel(&col, pred, V);
-    assert_eq!(wn_s as usize, expect.len(), "wah count vs oracle: {pred}");
-    assert_eq!((wn_s, wcst_s), (wn_v, wcst_v), "wah count kernels diverged: {pred}");
 }
 
 /// Appends `extra` until the length is not a multiple of this type's

@@ -6,7 +6,7 @@
 use colstore::{CachelineSet, Column, RangePredicate, Relation, Value};
 use datagen::distributions;
 use imprints::query::{candidate_id_ranges, candidates, conjunction2, refine};
-use imprints::ColumnImprints;
+use imprints::{ColumnImprints, PredicateKernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +40,7 @@ fn conjunction_matches_oracle_across_widths() {
     let (cc, _) = candidate_id_ranges(&ic, &pc);
     let joint = ca.intersect(&cb).intersect(&cc);
     let mut stats = imprints::ImprintStats::default();
-    let ids_a = refine(&a, &pa, &joint, &mut stats);
+    let ids_a = refine(&a, &PredicateKernel::new(&pa), &joint, &mut stats);
     let survivors: Vec<u64> = ids_a
         .iter()
         .filter(|&i| pb.matches(&b.values()[i as usize]) && pc.matches(&c.values()[i as usize]))

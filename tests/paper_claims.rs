@@ -1,7 +1,7 @@
 //! Qualitative claims of the paper, asserted at laptop scale.
 //!
-//! These are the *shapes* the evaluation (§6) reports; EXPERIMENTS.md
-//! records the corresponding quantitative runs of the harness.
+//! These are the *shapes* the evaluation (§6) reports; the `experiments`
+//! binary of `imprints-bench` produces the corresponding quantitative runs.
 
 use baselines::{WahBitmap, ZoneMap};
 use colstore::{Column, RangeIndex, RangePredicate};

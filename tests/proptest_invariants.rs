@@ -3,7 +3,7 @@
 use baselines::{WahBitmap, WahVector, ZoneMap};
 use colstore::{Bound, Column, IdList, RangeIndex, RangePredicate};
 use imprints::builder::Compressor;
-use imprints::{column_entropy, Binning, ColumnImprints};
+use imprints::{column_entropy, Binning, ColumnImprints, PredicateKernel};
 use proptest::prelude::*;
 
 /// Oracle filter.
@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(cstats.ids_via_full_lines, stats.ids_via_full_lines);
 
         let (cands, mut rstats) = imprints::query::candidate_id_ranges(&idx, &pred);
-        let refined = imprints::query::refine(&col, &pred, &cands, &mut rstats);
+        let refined = imprints::query::refine(&col, &PredicateKernel::new(&pred), &cands, &mut rstats);
         prop_assert_eq!(refined.as_slice(), expect.as_slice());
 
         // Same partial-tail geometry at u8's 64-values-per-line grid.
@@ -133,7 +133,7 @@ proptest! {
             let (n, _) = imprints::query::count(&u8idx, &u8col, &p);
             prop_assert_eq!(n as usize, expect.len(), "u8 count {}", p);
             let (cands, mut rstats) = imprints::query::candidate_id_ranges(&u8idx, &p);
-            let refined = imprints::query::refine(&u8col, &p, &cands, &mut rstats);
+            let refined = imprints::query::refine(&u8col, &PredicateKernel::new(&p), &cands, &mut rstats);
             prop_assert_eq!(refined.as_slice(), expect.as_slice(), "u8 refine {}", p);
         }
     }

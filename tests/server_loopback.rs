@@ -358,33 +358,38 @@ fn multi_predicate_wire_forms_match_oracle() {
     let mut client = Client::connect(addr).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
-    // IN-list alone, byte-checked against the set-based oracle.
+    // The in-process answers the wire must reproduce byte for byte.
+    let ids_of = |q: BatchQuery| match table.query_one(&q, None).unwrap().0 {
+        BatchAnswer::Ids(ids) => ids,
+        BatchAnswer::Count(_) => panic!("a materializing query answers with ids"),
+    };
+
+    // IN-list alone.
     let in_list = ValueSet::points([Value::U16(1), Value::U16(4), Value::U16(9)]);
-    let ids = table.query_sets(&[("sensor", in_list.clone())]).unwrap();
+    let ids = ids_of(BatchQuery::ids_sets(vec![("sensor".into(), in_list.clone())]));
     client.send("#in QUERY readings sensor=1,4,9").unwrap();
     assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("in"), ids.as_slice()));
 
     // IN-list conjoined with a range predicate.
-    let ids = table
-        .query_sets(&[
-            ("sensor", in_list.clone()),
-            ("value", ValueSet::range(ValueRange::at_most(Value::I64(5000)))),
-        ])
-        .unwrap();
+    let ids = ids_of(BatchQuery::ids_sets(vec![
+        ("sensor".into(), in_list.clone()),
+        ("value".into(), ValueSet::range(ValueRange::at_most(Value::I64(5000)))),
+    ]));
     client.send("#inand QUERY readings sensor=1,4,9 value<=5000").unwrap();
     assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("inand"), ids.as_slice()));
 
     // OR group: the union of its arms, for QUERY and COUNT alike.
-    let or_preds = [
-        ("sensor", ValueSet::range(ValueRange::equals(Value::U16(2)))),
-        ("value", ValueSet::range(ValueRange::at_least(Value::I64(9000)))),
+    let or_preds = vec![
+        ("sensor".to_string(), ValueSet::range(ValueRange::equals(Value::U16(2)))),
+        ("value".to_string(), ValueSet::range(ValueRange::at_least(Value::I64(9000)))),
     ];
-    let ids = table.query_any(&or_preds).unwrap();
+    let ids = ids_of(BatchQuery::ids_sets(or_preds.clone()).or_group());
     client.send("#or QUERY readings OR sensor=2 value>=9000").unwrap();
     assert_eq!(client.recv().unwrap(), fmt_ok_ids(Some("or"), ids.as_slice()));
-    let n = table.count_any(&or_preds).unwrap();
+    let counted = table.query_one(&BatchQuery::count_sets(or_preds).or_group(), None).unwrap().0;
+    assert_eq!(counted, BatchAnswer::Count(ids.len() as u64));
     client.send("#orc COUNT readings or sensor=2 value>=9000").unwrap();
-    assert_eq!(client.recv().unwrap(), fmt_ok_count(Some("orc"), n));
+    assert_eq!(client.recv().unwrap(), fmt_ok_count(Some("orc"), ids.len() as u64));
     check_bystander("after the well-formed multi-predicate requests");
 
     // Malformed IN-list / OR syntax: a tagged ERR each, connection and
