@@ -88,34 +88,6 @@ impl<T: Scalar> WahBitmap<T> {
         self.vectors.iter().map(WahVector::word_count).sum()
     }
 
-    /// The compressed candidate superset for a union of range terms: the
-    /// run-wise OR ([`WahVector::or`]) of every bin vector overlapping any
-    /// term, never decompressed. Edge bins are included, so set bits are
-    /// *candidates* — they still need the false-positive value check. A
-    /// conjunction plan ANDs these vectors across predicates
-    /// ([`WahVector::and`]) before touching any data. Returns `None` when
-    /// no bin overlaps (no row can match); bumps `probes` by the
-    /// compressed words examined.
-    pub fn candidate_vector(
-        &self,
-        terms: &[RangePredicate<T>],
-        probes: &mut u64,
-    ) -> Option<WahVector> {
-        let masks = imprints::masks::make_masks_union(&self.binning, terms);
-        let mut acc: Option<WahVector> = None;
-        for (bin, vec) in self.vectors.iter().enumerate() {
-            if masks.mask & (1u64 << bin) == 0 {
-                continue;
-            }
-            *probes += vec.word_count() as u64 + 1;
-            acc = Some(match acc {
-                None => vec.clone(),
-                Some(a) => a.or(vec),
-            });
-        }
-        acc
-    }
-
     /// The bin walk (§6.3): decodes the bins overlapping the kernel's
     /// predicate into one id-aligned result bitvector — inner bins ORed in
     /// wholesale, edge-bin candidates (scattered ids, so the kernel's
@@ -326,47 +298,6 @@ mod tests {
         let col: Column<i16> = Column::new();
         let bm = WahBitmap::build(&col);
         assert!(bm.evaluate(&col, &RangePredicate::all()).is_empty());
-    }
-
-    #[test]
-    fn candidate_vector_covers_all_matches_and_ands_runwise() {
-        let col: Column<i32> = (0..20_000).map(|i| (i * 13) % 640).collect();
-        let other: Column<i32> = (0..20_000).map(|i| (i * 7) % 640).collect();
-        let bm = WahBitmap::build(&col);
-        let bm2 = WahBitmap::build_with_binning(&other, bm.binning().clone());
-        let pa = RangePredicate::between(100, 160);
-        let pb = RangePredicate::between(300, 360);
-        let mut probes = 0u64;
-        let ca = bm.candidate_vector(&[pa], &mut probes).unwrap();
-        let cb = bm2.candidate_vector(&[pb], &mut probes).unwrap();
-        assert!(probes > 0);
-        // Candidates are supersets of the true matches.
-        let in_vec = |v: &WahVector, id: u64| v.ones().any(|p| p == id);
-        for id in oracle(&col, &pa) {
-            assert!(in_vec(&ca, id), "match {id} lost from candidates");
-        }
-        // The run-wise AND is a superset of the conjunction's matches and
-        // a subset of both sides.
-        let joint = ca.and(&cb);
-        let joint_set: std::collections::HashSet<u64> = joint.ones().collect();
-        for id in 0..col.len() as u64 {
-            let truth =
-                pa.matches(&col.values()[id as usize]) && pb.matches(&other.values()[id as usize]);
-            if truth {
-                assert!(joint_set.contains(&id), "conjunction match {id} lost");
-            }
-        }
-        for &id in &joint_set {
-            assert!(in_vec(&ca, id) && in_vec(&cb, id));
-        }
-        // A union of terms covers both terms' matches; an impossible set
-        // yields no candidates.
-        let mut p2 = 0u64;
-        let union = bm.candidate_vector(&[pa, pb], &mut p2).unwrap();
-        for id in oracle(&col, &pa).into_iter().chain(oracle(&col, &pb)) {
-            assert!(in_vec(&union, id));
-        }
-        assert!(bm.candidate_vector(&[RangePredicate::between(9, 3)], &mut p2).is_none());
     }
 
     #[test]

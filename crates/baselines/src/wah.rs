@@ -214,113 +214,6 @@ impl WahVector {
             .sum()
     }
 
-    /// Emits one 31-bit group (or the trailing partial) onto a vector that
-    /// is group-aligned (`active_bits == 0`), re-deriving fills greedily.
-    fn emit_group(&mut self, word: u32, bits: u32) {
-        debug_assert_eq!(self.active_bits, 0);
-        debug_assert!(bits >= 1 && bits <= GROUP_BITS as u32);
-        let valid = if bits == GROUP_BITS as u32 { LITERAL_MASK } else { (1 << bits) - 1 };
-        let w = word & valid;
-        if bits == GROUP_BITS as u32 {
-            if w == 0 {
-                self.push_fill(false, 1);
-            } else if w == LITERAL_MASK {
-                self.push_fill(true, 1);
-            } else {
-                self.words.push(w);
-            }
-            self.len += GROUP_BITS;
-        } else {
-            self.active = w;
-            self.active_bits = bits;
-            self.len += bits as u64;
-        }
-    }
-
-    /// Combines two equal-length vectors segment-by-segment with a bitwise
-    /// word operation, never materializing either side: fill×fill runs
-    /// collapse in O(1) per run pair, literals combine word-wise, and the
-    /// output re-compresses greedily. The work done is proportional to
-    /// `self.word_count() + other.word_count()`, not to the bit length —
-    /// this is the run-wise AND/OR of compressed-bitmap query processing.
-    fn combine(&self, other: &Self, op: impl Fn(u32, u32) -> u32) -> WahVector {
-        assert_eq!(self.len, other.len, "combine requires equal-length vectors");
-        let expand = |bit: bool| if bit { LITERAL_MASK } else { 0 };
-        let mut out = WahVector::new();
-        let mut ia = self.segments();
-        let mut ib = other.segments();
-        let (mut cur_a, mut cur_b) = (ia.next(), ib.next());
-        while let (Some(sa), Some(sb)) = (cur_a, cur_b) {
-            match (sa, sb) {
-                (Segment::Fill { bit: ba, groups: ga }, Segment::Fill { bit: bb, groups: gb }) => {
-                    let n = ga.min(gb);
-                    out.push_fill(op(expand(ba), expand(bb)) & LITERAL_MASK != 0, n as u64);
-                    out.len += n as u64 * GROUP_BITS;
-                    cur_a = if ga > n {
-                        Some(Segment::Fill { bit: ba, groups: ga - n })
-                    } else {
-                        ia.next()
-                    };
-                    cur_b = if gb > n {
-                        Some(Segment::Fill { bit: bb, groups: gb - n })
-                    } else {
-                        ib.next()
-                    };
-                }
-                (Segment::Fill { bit: ba, groups: ga }, Segment::Literal { word, bits }) => {
-                    debug_assert_eq!(bits, GROUP_BITS as u32, "fill cannot align with a partial");
-                    out.emit_group(op(expand(ba), word), bits);
-                    cur_a = if ga > 1 {
-                        Some(Segment::Fill { bit: ba, groups: ga - 1 })
-                    } else {
-                        ia.next()
-                    };
-                    cur_b = ib.next();
-                }
-                (Segment::Literal { word, bits }, Segment::Fill { bit: bb, groups: gb }) => {
-                    debug_assert_eq!(bits, GROUP_BITS as u32, "fill cannot align with a partial");
-                    out.emit_group(op(word, expand(bb)), bits);
-                    cur_a = ia.next();
-                    cur_b = if gb > 1 {
-                        Some(Segment::Fill { bit: bb, groups: gb - 1 })
-                    } else {
-                        ib.next()
-                    };
-                }
-                (
-                    Segment::Literal { word: wa, bits: xa },
-                    Segment::Literal { word: wb, bits: xb },
-                ) => {
-                    debug_assert_eq!(xa, xb, "equal-length vectors have aligned partials");
-                    out.emit_group(op(wa, wb), xa);
-                    cur_a = ia.next();
-                    cur_b = ib.next();
-                }
-            }
-        }
-        debug_assert!(cur_a.is_none() && cur_b.is_none());
-        debug_assert_eq!(out.len, self.len);
-        out
-    }
-
-    /// Bitwise AND with `other` run-wise, without decompressing either
-    /// vector — the conjunction primitive of the WAH access path.
-    ///
-    /// # Panics
-    /// Panics if the vectors differ in bit length.
-    pub fn and(&self, other: &Self) -> WahVector {
-        self.combine(other, |a, b| a & b)
-    }
-
-    /// Bitwise OR with `other` run-wise, without decompression — unions
-    /// the per-bin vectors of an IN-list / OR group.
-    ///
-    /// # Panics
-    /// Panics if the vectors differ in bit length.
-    pub fn or(&self, other: &Self) -> WahVector {
-        self.combine(other, |a, b| a | b)
-    }
-
     /// ORs the set bits into an uncompressed `u64`-word bitvector (the
     /// id-aligned result vector of §6.3). Returns the number of WAH words
     /// examined (the index-probe count of Figure 11).
@@ -592,64 +485,6 @@ mod tests {
         set_range(&mut dst, 10, 150);
         let total: u32 = dst.iter().map(|w| w.count_ones()).sum();
         assert_eq!(total, 140);
-    }
-
-    #[test]
-    fn and_or_combine_runs_without_decompression() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        for _ in 0..40 {
-            // Build two equal-length vectors from different run structures
-            // (including lengths that leave a ragged partial group).
-            let len = rng.gen_range(1..5000u64);
-            let make = |rng: &mut StdRng| {
-                let mut v = WahVector::new();
-                while v.len() < len {
-                    let bit = rng.gen_bool(0.4);
-                    let run = rng.gen_range(1..400u64).min(len - v.len());
-                    if rng.gen_bool(0.7) {
-                        v.append_run(bit, run);
-                    } else {
-                        for _ in 0..run {
-                            v.push(rng.gen_bool(0.5));
-                        }
-                    }
-                }
-                v
-            };
-            let a = make(&mut rng);
-            let b = make(&mut rng);
-            let (ba, bb) = (to_bools(&a), to_bools(&b));
-            let anded = a.and(&b);
-            let ored = a.or(&b);
-            assert_eq!(anded.len(), len);
-            assert_eq!(ored.len(), len);
-            let expect_and: Vec<bool> = ba.iter().zip(&bb).map(|(x, y)| *x && *y).collect();
-            let expect_or: Vec<bool> = ba.iter().zip(&bb).map(|(x, y)| *x || *y).collect();
-            assert_eq!(to_bools(&anded), expect_and);
-            assert_eq!(to_bools(&ored), expect_or);
-        }
-        // Fill×fill stays O(runs): two long anti-aligned fills AND to one
-        // fill word, not thousands of literals.
-        let mut x = WahVector::new();
-        x.append_run(true, 31 * 10_000);
-        let mut y = WahVector::new();
-        y.append_run(false, 31 * 4_000);
-        y.append_run(true, 31 * 6_000);
-        let z = x.and(&y);
-        assert_eq!(z.count_ones(), 31 * 6_000);
-        assert!(z.word_count() <= 2, "AND of fills must stay compressed");
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn combine_rejects_length_mismatch() {
-        let mut a = WahVector::new();
-        a.append_run(false, 10);
-        let mut b = WahVector::new();
-        b.append_run(false, 11);
-        let _ = a.and(&b);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl ExpConfig {
 }
 
 /// All experiment names accepted by [`run`].
-pub const ALL_EXPERIMENTS: [&str; 18] = [
+pub const ALL_EXPERIMENTS: [&str; 16] = [
     "table1",
     "fig3",
     "fig4",
@@ -66,8 +66,6 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
     "throughput",
     "compaction",
     "writehead",
-    "pathmix",
-    "multipred",
     "refine",
     "qps",
     "recovery",
@@ -95,8 +93,6 @@ pub fn run(name: &str, cfg: &ExpConfig) -> bool {
         "throughput" => throughput(cfg),
         "compaction" => compaction(cfg),
         "writehead" => writehead(cfg),
-        "pathmix" => pathmix(cfg),
-        "multipred" => multipred(cfg),
         "refine" => refine(cfg),
         "qps" => qps(cfg),
         "recovery" => recovery(cfg),
@@ -782,7 +778,7 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, Value};
     use imprints_engine::{
-        BatchAnswer, BatchQuery, EngineConfig, Table as EngineTable, ValueRange,
+        maintenance_tick, BatchAnswer, BatchQuery, Catalog, EngineConfig, ValueRange,
     };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -801,16 +797,13 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
     // An append stream whose domain drifts upward (values track position,
     // ±256 noise): the paper's "new data with different value
     // distribution" appends, and the reason head queries are *hot* —
-    // recent ranges live in the open segment. Fresh binning per seal
-    // (share_binning off) keeps the sealed segments cleanly skippable, so
-    // the measurement isolates the head.
+    // recent ranges live in the open segment.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let values: Vec<i64> = (0..total_rows).map(|i| i as i64 + rng.gen_range(-256..256)).collect();
 
     let table_cfg = |tail_min: usize| EngineConfig {
         segment_rows,
         workers: 1,
-        share_binning: false,
         tail_index_min_rows: tail_min,
         ..Default::default()
     };
@@ -819,8 +812,10 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
         "[writehead] {total_rows} rows → {sealed_target} sealed segments of {segment_rows} \
          + a half-full open head of {open_rows} rows (tail engages at {tail_min})"
     );
-    let indexed = EngineTable::new("wh", &[("v", ColumnType::I64)], table_cfg(tail_min)).unwrap();
-    let scanned = EngineTable::new("wh", &[("v", ColumnType::I64)], table_cfg(usize::MAX)).unwrap();
+    let catalog = Catalog::new();
+    let schema = [("v", ColumnType::I64)];
+    let indexed = catalog.create_table("wh_tail", &schema, table_cfg(tail_min)).unwrap();
+    let scanned = catalog.create_table("wh_scan", &schema, table_cfg(usize::MAX)).unwrap();
     // Trickle-append (odd batch sizes exercise the incremental extend).
     for t in [&indexed, &scanned] {
         for chunk in values.chunks(733) {
@@ -829,6 +824,11 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
         assert_eq!(t.sealed_segment_count(), sealed_target);
         assert_eq!(t.row_count(), total_rows as u64);
     }
+    // Each seal inherited the first segment's binning, which the drifting
+    // domain overflows; let maintenance re-bin (and tier) the sealed
+    // segments as a deployment would, so they are cleanly skippable and
+    // the measurement isolates the head.
+    while !maintenance_tick(&catalog).is_idle() {}
 
     // Narrow ranges spread over the hot head's value domain.
     let queries = 48usize;
@@ -917,549 +917,6 @@ pub fn writehead_with_rows(cfg: &ExpConfig, rows: usize) {
         );
     }
     cfg.save(&t, "writehead");
-}
-
-/// Selectivity-aware access-path choice on a mixed predicate stream: one
-/// table holds a clustered, a uniform-random and a low-cardinality run
-/// column; the workload interleaves narrow and wide ranges over all three.
-/// A selectivity-bucketed engine (`path_buckets = 4`, WAH registered as a
-/// fourth byte-budgeted path) is raced against the single-EWMA baseline
-/// (`path_buckets = 1`, same paths) on identical data; every query result
-/// is asserted byte-identical to the whole-column oracle on both tables —
-/// so every explored path, WAH included, is correctness-checked — and at
-/// full scale the run asserts (a) the bucketed chooser converges to
-/// *different* winners for the narrow and wide buckets of the random
-/// column, (b) its overall median latency is at least as good as the
-/// single-EWMA chooser's, and (c) the WAH budget holds: built on the
-/// compressible columns, rejected on the random one, bytes accounted in
-/// `storage_stats`.
-pub fn pathmix(cfg: &ExpConfig) {
-    pathmix_with_rows(cfg, cfg.rows);
-}
-
-/// [`pathmix`] with an explicit row count (used small in smoke tests; the
-/// winner/latency claims arm at ≥ 200Ki rows, where path costs separate
-/// cleanly from timer noise).
-pub fn pathmix_with_rows(cfg: &ExpConfig, rows: usize) {
-    use colstore::relation::AnyColumn;
-    use colstore::{ColumnType, IdList, Value};
-    use imprints_engine::{path_report, Catalog, EngineConfig, PathKind, ValueRange};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::Instant;
-
-    let segment_rows = (rows / 8).clamp(1024, 1 << 16) / 64 * 64;
-    // Half a segment column's data bytes: comfortably holds the WAH
-    // bitmaps of the clustered and low-cardinality columns, impossible for
-    // the uniform-random one (literals everywhere, §6.2).
-    let wah_budget = segment_rows * 8 / 2;
-    let domain = 1i64 << 20;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let clust: Vec<i64> = (0..rows).map(|i| i as i64 + rng.gen_range(-64..64)).collect();
-    let rand_col: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..domain)).collect();
-    let lowcard: Vec<i64> = (0..rows).map(|i| ((i / 256) % 16) as i64).collect();
-
-    let catalog = Catalog::new();
-    let mk = |name: &str, buckets: usize| {
-        let ecfg = EngineConfig {
-            segment_rows,
-            workers: 1,
-            wah_budget_bytes: wah_budget,
-            path_buckets: buckets,
-            ..Default::default()
-        };
-        let schema =
-            [("clust", ColumnType::I64), ("rand", ColumnType::I64), ("lowcard", ColumnType::I64)];
-        let t = catalog.create_table(name, &schema, ecfg).unwrap();
-        t.append_batch(vec![
-            AnyColumn::I64(clust.iter().copied().collect()),
-            AnyColumn::I64(rand_col.iter().copied().collect()),
-            AnyColumn::I64(lowcard.iter().copied().collect()),
-        ])
-        .unwrap();
-        t
-    };
-    let bucketed = mk("bucketed", 4);
-    let single = mk("single", 1);
-    println!(
-        "[pathmix] {rows} rows × 3 columns in {} segments of {segment_rows}; \
-         wah budget {} per segment column",
-        bucketed.sealed_segment_count(),
-        fmt_bytes(wah_budget)
-    );
-
-    // The mixed stream: per column, narrow (~0.2% of the domain) and wide
-    // (~50%) ranges at rotating positions. `(column, range, class)`.
-    let per_class = 16usize;
-    let mut preds: Vec<(&str, ValueRange, &str)> = Vec::new();
-    for q in 0..per_class {
-        let f = q as i64;
-        let n = rows as i64;
-        let clust_lo = (f * 61) % 90 * n / 100;
-        preds.push((
-            "clust",
-            ValueRange::between(Value::I64(clust_lo), Value::I64(clust_lo + n / 500)),
-            "narrow",
-        ));
-        preds.push((
-            "clust",
-            ValueRange::between(Value::I64((f % 4) * n / 20), Value::I64((f % 4) * n / 20 + n / 2)),
-            "wide",
-        ));
-        let rand_lo = (f * 7919 * 131) % (domain * 9 / 10);
-        preds.push((
-            "rand",
-            ValueRange::between(Value::I64(rand_lo), Value::I64(rand_lo + domain / 500)),
-            "narrow",
-        ));
-        let wide_lo = (f % 4) * domain / 20;
-        preds.push((
-            "rand",
-            ValueRange::between(Value::I64(wide_lo), Value::I64(wide_lo + domain * 11 / 20)),
-            "wide",
-        ));
-        preds.push(("lowcard", ValueRange::equals(Value::I64(f % 16)), "narrow"));
-        preds.push((
-            "lowcard",
-            ValueRange::between(Value::I64(2), Value::I64(2 + (f % 3) + 9)),
-            "wide",
-        ));
-    }
-
-    // One whole-column oracle per predicate (data and predicates fixed).
-    let column_values = |name: &str| -> &[i64] {
-        match name {
-            "clust" => &clust,
-            "rand" => &rand_col,
-            "lowcard" => &lowcard,
-            _ => unreachable!(),
-        }
-    };
-    let oracles: Vec<Vec<u64>> = preds
-        .iter()
-        .map(|(col, range, _)| {
-            let (lo, hi) = match (range.low, range.high) {
-                (Some(Value::I64(lo)), Some(Value::I64(hi))) => (lo, hi),
-                _ => unreachable!("pathmix predicates are closed i64 ranges"),
-            };
-            column_values(col)
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| (lo..=hi).contains(*v))
-                .map(|(i, _)| i as u64)
-                .collect()
-        })
-        .collect();
-
-    // Warm-up: let both choosers bootstrap and converge (unmeasured), with
-    // results checked against the oracle on every query — this is where
-    // the exploration probes route through every registered path,
-    // including the lazily built WAH bitmaps.
-    let check = |t: &imprints_engine::Table, qi: usize| -> IdList {
-        let (col, range, _) = &preds[qi];
-        let ids = t.query(&[(col, *range)]).unwrap();
-        assert_eq!(
-            ids.as_slice(),
-            oracles[qi].as_slice(),
-            "{} results diverged from the oracle on {col} {range:?}",
-            t.name()
-        );
-        ids
-    };
-    let warmup_rounds = 3usize;
-    for _ in 0..warmup_rounds {
-        for qi in 0..preds.len() {
-            check(&bucketed, qi);
-            check(&single, qi);
-        }
-    }
-
-    // Measured phase: identical stream, per-query latency on both tables.
-    let rounds = cfg.rounds.max(2);
-    let mut lat: std::collections::HashMap<(&str, &str, &str), Vec<f64>> =
-        std::collections::HashMap::new();
-    for _ in 0..rounds {
-        for (qi, &(col, range, class)) in preds.iter().enumerate() {
-            for t in [&single, &bucketed] {
-                // Time the query alone; the oracle check runs off-clock so
-                // the medians (and the bucketed-vs-single assertion)
-                // measure path choice, not result verification.
-                let t0 = Instant::now();
-                let ids = t.query(&[(col, range)]).unwrap();
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                assert_eq!(
-                    ids.as_slice(),
-                    oracles[qi].as_slice(),
-                    "{} results diverged from the oracle on {col} {range:?}",
-                    t.name()
-                );
-                lat.entry((t.name(), col, class)).or_default().push(us);
-            }
-        }
-    }
-    println!(
-        "[pathmix] results byte-identical to the whole-column oracle across \
-         {} queries per table",
-        preds.len() * (warmup_rounds + rounds)
-    );
-
-    // Per-bucket winners, as the planner's report sees them.
-    let reports = path_report(&catalog);
-    let winners = |table: &str, column: &str| -> Vec<(usize, PathKind, u64)> {
-        let r = reports
-            .iter()
-            .find(|r| r.table == table && r.column == column)
-            .expect("column reported");
-        r.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.queries > 0)
-            .filter_map(|(i, b)| b.winner.map(|w| (i, w, b.queries)))
-            .collect()
-    };
-
-    let mut t = Table::new(
-        "Path mix: median latency (µs) per column and selectivity class",
-        &["column", "class", "single-EWMA", "bucketed", "bucketed winners (bucket:path)"],
-    );
-    let mut single_all: Vec<f64> = Vec::new();
-    let mut bucketed_all: Vec<f64> = Vec::new();
-    for col in ["clust", "rand", "lowcard"] {
-        for class in ["narrow", "wide"] {
-            let mut s = lat.remove(&("single", col, class)).unwrap();
-            let mut b = lat.remove(&("bucketed", col, class)).unwrap();
-            single_all.extend(s.iter());
-            bucketed_all.extend(b.iter());
-            let ws = winners("bucketed", col)
-                .into_iter()
-                .map(|(i, w, _)| format!("{i}:{}", w.name()))
-                .collect::<Vec<_>>()
-                .join(" ");
-            t.row(vec![
-                col.into(),
-                class.into(),
-                format!("{:.1}", median(&mut s)),
-                format!("{:.1}", median(&mut b)),
-                ws,
-            ]);
-        }
-    }
-    let single_med = median(&mut single_all);
-    let bucketed_med = median(&mut bucketed_all);
-    t.row(vec![
-        "ALL".into(),
-        "mixed".into(),
-        format!("{single_med:.1}"),
-        format!("{bucketed_med:.1}"),
-        String::new(),
-    ]);
-    t.print();
-
-    // Storage accounting: WAH built on the compressible columns, rejected
-    // on the random one, bytes visible in the catalog stats.
-    let stats = catalog.storage_stats();
-    println!(
-        "[pathmix] storage: {} index bytes of which {} WAH; overall median \
-         single {single_med:.1}µs vs bucketed {bucketed_med:.1}µs",
-        fmt_bytes(stats.index_bytes),
-        fmt_bytes(stats.wah_bytes),
-    );
-    for r in reports.iter().filter(|r| r.table == "bucketed") {
-        println!(
-            "[pathmix] {}.{}: wah built on {}/{} segments, rejected on {}",
-            r.table, r.column, r.wah_built, r.segments, r.wah_rejected
-        );
-    }
-    assert!(stats.wah_bytes > 0, "some column must have built its WAH path within budget");
-    assert!(stats.index_bytes > stats.wah_bytes, "imprint+zonemap bytes are always present");
-    let rand_report = reports
-        .iter()
-        .find(|r| r.table == "bucketed" && r.column == "rand")
-        .expect("rand column reported");
-    assert_eq!(
-        rand_report.wah_built, 0,
-        "uniform-random WAH must exceed half the data size and be rejected"
-    );
-    assert!(rand_report.wah_rejected > 0, "the chooser must have tried (and rejected) WAH");
-
-    if rows >= 200_000 {
-        // (a) The bucketed chooser learned different winners for narrow
-        // and wide predicates on the random column.
-        let rand_winners = winners("bucketed", "rand");
-        let distinct: std::collections::HashSet<&str> =
-            rand_winners.iter().map(|(_, w, _)| w.name()).collect();
-        assert!(
-            distinct.len() >= 2,
-            "bucketed chooser must converge to different per-bucket winners \
-             on the random column, got {rand_winners:?}"
-        );
-        // (b) Selectivity bucketing never loses to the single conflated
-        // EWMA on the mixed stream (small tolerance for timer noise).
-        assert!(
-            bucketed_med <= single_med * 1.10,
-            "bucketed chooser must match or beat the single-EWMA median \
-             (single {single_med:.1}µs vs bucketed {bucketed_med:.1}µs)"
-        );
-    }
-    cfg.save(&t, "pathmix");
-}
-
-/// Multi-predicate conjunction planning: imprint-level mask intersection
-/// across all predicates vs the classic first-predicate-then-matcher
-/// evaluation. See [`multipred_with_rows`].
-pub fn multipred(cfg: &ExpConfig) {
-    multipred_with_rows(cfg, cfg.rows);
-}
-
-/// Three-predicate conjunctions (~10% selective each, joint 0.1–1%) over
-/// two data shapes, evaluated three ways:
-///
-/// * **planned** — the engine with conjunction planning on: the
-///   [`PlanChooser`](imprints_engine::Table) arbitrates between the fused
-///   mask-intersection plan and the per-predicate fallback by measured
-///   cost;
-/// * **perpred** — an identical table with `conjunction_planning: false`,
-///   pinning the per-predicate plan (candidate-range intersection +
-///   gather-kernel refinement);
-/// * **first+filter** — the pre-conjunction baseline: the first predicate
-///   through the single-predicate adaptive path, survivors weeded by a
-///   scalar matcher over prefetched whole columns.
-///
-/// Every query on every path is asserted byte-identical to the
-/// brute-force oracle. IN-lists and OR groups ride the same tables,
-/// byte-checked too. At ≥ 1M rows the run asserts the planned engine
-/// beats the first+filter baseline by ≥ 1.5× on the clustered shape's
-/// median.
-pub fn multipred_with_rows(cfg: &ExpConfig, rows: usize) {
-    use colstore::relation::AnyColumn;
-    use colstore::{ColumnType, Value};
-    use imprints_engine::{BatchAnswer, BatchQuery, Catalog, EngineConfig, ValueRange, ValueSet};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::time::Instant;
-
-    let n = rows;
-    let segment_rows = (n / 8).clamp(1024, 1 << 16) / 64 * 64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Clustered shape: a smooth ramp plus two block-periodic columns —
-    // the geometry imprints excel at (every cacheline spans few bins), so
-    // mask intersection prunes almost everything before a value is read.
-    let blk_b = (n / 512).max(8);
-    let blk_c = (n / 128).max(32);
-    let ca: Vec<i64> =
-        (0..n).map(|i| (i as i64 * 1000) / n as i64 + rng.gen_range(-3..=3)).collect();
-    let cb: Vec<i64> = (0..n).map(|i| ((i / blk_b) % 100) as i64).collect();
-    let cc: Vec<i64> = (0..n).map(|i| ((i / blk_c) % 50) as i64).collect();
-    // Random shape: three independent uniform columns — the worst case
-    // for cacheline pruning, reported alongside but never asserted on.
-    let ra: Vec<i64> = (0..n).map(|_| rng.gen_range(0..1000)).collect();
-    let rb: Vec<i64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-    let rc: Vec<i64> = (0..n).map(|_| rng.gen_range(0..50)).collect();
-
-    let catalog = Catalog::new();
-    let mk = |name: &str, conjunction_planning: bool| {
-        let ecfg =
-            EngineConfig { segment_rows, workers: 1, conjunction_planning, ..Default::default() };
-        let schema = [
-            ("ca", ColumnType::I64),
-            ("cb", ColumnType::I64),
-            ("cc", ColumnType::I64),
-            ("ra", ColumnType::I64),
-            ("rb", ColumnType::I64),
-            ("rc", ColumnType::I64),
-        ];
-        let t = catalog.create_table(name, &schema, ecfg).unwrap();
-        t.append_batch(vec![
-            AnyColumn::I64(ca.iter().copied().collect()),
-            AnyColumn::I64(cb.iter().copied().collect()),
-            AnyColumn::I64(cc.iter().copied().collect()),
-            AnyColumn::I64(ra.iter().copied().collect()),
-            AnyColumn::I64(rb.iter().copied().collect()),
-            AnyColumn::I64(rc.iter().copied().collect()),
-        ])
-        .unwrap();
-        t
-    };
-    let planned = mk("mp_planned", true);
-    let perpred = mk("mp_perpred", false);
-    println!(
-        "[multipred] {n} rows × 6 columns in {} segments of {segment_rows}",
-        planned.sealed_segment_count()
-    );
-
-    // The query stream: per shape, 12 three-predicate conjunctions at
-    // rotating positions, each predicate ~10% selective (joint ~0.1%).
-    // Column names stay `'static`: downstream closures key latency maps
-    // and build predicates by name.
-    type Shape<'a> = (&'static str, [&'static str; 3], [&'a Vec<i64>; 3]);
-    let shapes: [Shape; 2] = [
-        ("clustered", ["ca", "cb", "cc"], [&ca, &cb, &cc]),
-        ("random", ["ra", "rb", "rc"], [&ra, &rb, &rc]),
-    ];
-    let per_shape = 12usize;
-    let bounds = |q: usize| {
-        let f = q as i64;
-        let a = ((f * 61) % 900, (f * 61) % 900 + 99);
-        let b = ((f * 13) % 90, (f * 13) % 90 + 9);
-        let c = ((f * 7) % 45, (f * 7) % 45 + 4);
-        [a, b, c]
-    };
-    let preds_of = |cols: [&'static str; 3], q: usize| -> Vec<(&'static str, ValueRange)> {
-        cols.iter()
-            .zip(bounds(q))
-            .map(|(col, (lo, hi))| (*col, ValueRange::between(Value::I64(lo), Value::I64(hi))))
-            .collect()
-    };
-    let oracle_of = |vals: [&Vec<i64>; 3], q: usize| -> Vec<u64> {
-        let b = bounds(q);
-        (0..n as u64)
-            .filter(|&i| vals.iter().zip(b).all(|(v, (lo, hi))| (lo..=hi).contains(&v[i as usize])))
-            .collect()
-    };
-
-    // The first+filter baseline works over prefetched whole columns, as a
-    // matcher-era executor would.
-    let snap = planned.snapshot();
-    let fetched: std::collections::HashMap<&str, Vec<i64>> = shapes
-        .iter()
-        .flat_map(|(_, cols, _)| cols.iter().map(|c| (*c, snap.column_values::<i64>(c).unwrap())))
-        .collect();
-    let first_filter = |cols: [&'static str; 3], q: usize| -> Vec<u64> {
-        let preds = preds_of(cols, q);
-        let ids = planned.query(&preds[..1]).unwrap();
-        let b = bounds(q);
-        ids.iter()
-            .filter(|&id| {
-                cols.iter()
-                    .zip(b)
-                    .skip(1)
-                    .all(|(col, (lo, hi))| (lo..=hi).contains(&fetched[col][id as usize]))
-            })
-            .collect()
-    };
-
-    // Warm-up (unmeasured): bootstrap both engines' choosers — single-
-    // predicate path choosers and the conjunction plan choosers alike —
-    // with every answer byte-checked.
-    let check = |t: &imprints_engine::Table, cols: [&'static str; 3], q: usize, expect: &[u64]| {
-        let ids = t.query(&preds_of(cols, q)).unwrap();
-        assert_eq!(
-            ids.as_slice(),
-            expect,
-            "{} diverged from the oracle on {cols:?} query {q}",
-            t.name()
-        );
-    };
-    let oracles: std::collections::HashMap<(&str, usize), Vec<u64>> = shapes
-        .iter()
-        .flat_map(|(shape, _, vals)| (0..per_shape).map(|q| ((*shape, q), oracle_of(*vals, q))))
-        .collect();
-    for _ in 0..3 {
-        for (shape, cols, _) in shapes {
-            for q in 0..per_shape {
-                let expect = &oracles[&(shape, q)];
-                check(&planned, cols, q, expect);
-                check(&perpred, cols, q, expect);
-                assert_eq!(&first_filter(cols, q), expect, "baseline diverged on {shape} {q}");
-            }
-        }
-    }
-
-    // Measured phase: identical stream, per-query latency on all three
-    // evaluation paths, answers still byte-checked (off-clock).
-    let rounds = cfg.rounds.max(2);
-    let mut lat: std::collections::HashMap<(&str, &str), Vec<f64>> =
-        std::collections::HashMap::new();
-    for _ in 0..rounds {
-        for (shape, cols, _) in shapes {
-            for q in 0..per_shape {
-                let expect = &oracles[&(shape, q)];
-                let preds = preds_of(cols, q);
-
-                let t0 = Instant::now();
-                let ids = planned.query(&preds).unwrap();
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                assert_eq!(ids.as_slice(), expect.as_slice(), "planned diverged on {shape} {q}");
-                lat.entry((shape, "planned")).or_default().push(us);
-
-                let t0 = Instant::now();
-                let ids = perpred.query(&preds).unwrap();
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                assert_eq!(ids.as_slice(), expect.as_slice(), "perpred diverged on {shape} {q}");
-                lat.entry((shape, "perpred")).or_default().push(us);
-
-                let t0 = Instant::now();
-                let ids = first_filter(cols, q);
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                assert_eq!(ids, *expect, "baseline diverged on {shape} {q}");
-                lat.entry((shape, "first+filter")).or_default().push(us);
-            }
-        }
-    }
-
-    // IN-lists and OR groups over the same tables, byte-checked against
-    // their own brute-force oracles on both engines.
-    for t in [&planned, &perpred] {
-        let in_set = ValueSet::points([Value::I64(3), Value::I64(17), Value::I64(41)]);
-        let a_range = ValueSet::range(ValueRange::between(Value::I64(200), Value::I64(449)));
-        let in_list = BatchQuery::ids_sets(vec![("cb".into(), in_set), ("ca".into(), a_range)]);
-        let expect: Vec<u64> = (0..n as u64)
-            .filter(|&i| {
-                [3, 17, 41].contains(&cb[i as usize]) && (200..=449).contains(&ca[i as usize])
-            })
-            .collect();
-        let (ids, _) = t.query_one(&in_list, None).unwrap();
-        assert_eq!(ids, BatchAnswer::Ids(expect.into()), "{} IN-list diverged", t.name());
-
-        let arms = vec![
-            ("ca".into(), ValueSet::range(ValueRange::at_most(Value::I64(49)))),
-            ("cc".into(), ValueSet::range(ValueRange::equals(Value::I64(7)))),
-        ];
-        let expect: Vec<u64> =
-            (0..n as u64).filter(|&i| ca[i as usize] <= 49 || cc[i as usize] == 7).collect();
-        let (n_any, _) =
-            t.query_one(&BatchQuery::count_sets(arms.clone()).or_group(), None).unwrap();
-        assert_eq!(n_any, BatchAnswer::Count(expect.len() as u64));
-        let (ids, _) = t.query_one(&BatchQuery::ids_sets(arms).or_group(), None).unwrap();
-        assert_eq!(ids, BatchAnswer::Ids(expect.into()), "{} OR group diverged", t.name());
-    }
-    let checked = per_shape * 2 * (3 + rounds) * 3 + 6;
-    println!("[multipred] {checked} answers byte-identical to the brute-force oracle");
-
-    let mut t = Table::new(
-        "Multi-predicate conjunctions: median latency (µs), 3 predicates ~10% each",
-        &["shape", "planned", "perpred", "first+filter", "speedup vs first+filter"],
-    );
-    let mut med = |shape: &'static str, plan: &'static str| -> f64 {
-        median(lat.get_mut(&(shape, plan)).unwrap())
-    };
-    let mut speedups = std::collections::HashMap::new();
-    for (shape, _, _) in shapes {
-        let (p, pp, ff) =
-            (med(shape, "planned"), med(shape, "perpred"), med(shape, "first+filter"));
-        speedups.insert(shape, ff / p);
-        t.row(vec![
-            shape.into(),
-            format!("{p:.1}"),
-            format!("{pp:.1}"),
-            format!("{ff:.1}"),
-            format!("{:.2}x", ff / p),
-        ]);
-    }
-    t.print();
-    println!(
-        "[multipred] clustered speedup {:.2}x, random {:.2}x (planned vs first+filter)",
-        speedups["clustered"], speedups["random"]
-    );
-    if rows >= 1_000_000 {
-        assert!(
-            speedups["clustered"] >= 1.5,
-            "imprint-level mask intersection must beat the first-predicate+matcher \
-             baseline by >= 1.5x on selective clustered conjunctions, got {:.2}x",
-            speedups["clustered"]
-        );
-    }
-    cfg.save(&t, "multipred");
 }
 
 /// SWAR vs scalar false-positive refinement: the residual cost of
@@ -2104,30 +1561,6 @@ mod tests {
         // rows, far above this smoke size.
         let cfg = tiny_cfg();
         writehead_with_rows(&cfg, 20_000);
-        let _ = std::fs::remove_dir_all(&cfg.out_dir);
-    }
-
-    #[test]
-    fn pathmix_runs_small_and_verifies_results() {
-        // The experiment asserts every query's result byte-identical to
-        // the whole-column oracle on both the bucketed and single-EWMA
-        // tables — the bootstrap exploration routes queries through every
-        // registered path (WAH included), so completing is the
-        // correctness check; the winner/latency claims arm at ≥200Ki rows.
-        let cfg = tiny_cfg();
-        pathmix_with_rows(&cfg, 24_000);
-        let _ = std::fs::remove_dir_all(&cfg.out_dir);
-    }
-
-    #[test]
-    fn multipred_runs_small_and_verifies_results() {
-        // Every conjunction, IN-list and OR answer — on the planned and
-        // the pinned-per-predicate engines and the first+filter baseline —
-        // is asserted byte-identical to the brute-force oracle, so
-        // completing is the correctness check; the ≥1.5× speedup claim
-        // arms at ≥1M rows.
-        let cfg = tiny_cfg();
-        multipred_with_rows(&cfg, 20_000);
         let _ = std::fs::remove_dir_all(&cfg.out_dir);
     }
 

@@ -182,7 +182,6 @@ impl Catalog {
                 let mut evicted = false;
                 for col in seg.columns() {
                     stats.index_bytes += col.index_bytes();
-                    stats.wah_bytes += col.wah_bytes();
                     if col.data_resident() {
                         stats.data_bytes_resident += col.data_bytes();
                     } else {
@@ -210,12 +209,8 @@ pub struct StorageStats {
     /// Sealed segments across all tables.
     pub sealed_segments: usize,
     /// Bytes of secondary-index structures across all sealed segments
-    /// (imprints + zonemaps + built WAH bitmaps).
+    /// (imprints + zonemaps).
     pub index_bytes: usize,
-    /// Of [`StorageStats::index_bytes`], the bytes of lazily built WAH
-    /// bitmap paths (0 when the WAH path is disabled or no column has
-    /// built one within budget yet).
-    pub wah_bytes: usize,
     /// Visible rows across all tables.
     pub rows: u64,
     /// Sealed-segment data bytes currently memory-resident.
@@ -261,34 +256,5 @@ mod tests {
         assert_eq!(stats.sealed_segments, 2);
         assert_eq!(stats.rows, 300);
         assert!(stats.index_bytes > 0);
-        assert_eq!(stats.wah_bytes, 0, "wah is disabled by default");
-    }
-
-    #[test]
-    fn storage_stats_account_lazily_built_wah() {
-        use colstore::relation::AnyColumn;
-        use colstore::Value;
-        use imprints::relation_index::ValueRange;
-        let cat = Catalog::new();
-        let cfg =
-            EngineConfig { segment_rows: 1024, wah_budget_bytes: usize::MAX, ..Default::default() };
-        let t = cat.create_table("w", &[("x", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..2048).map(|i| i % 50).collect();
-        t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        let before = cat.storage_stats();
-        assert_eq!(before.wah_bytes, 0, "nothing built until the chooser explores wah");
-        // Enough queries that every segment's bootstrap reaches the WAH
-        // slot and lazily builds the bitmap.
-        let pred = [("x", ValueRange::between(Value::I64(10), Value::I64(20)))];
-        for _ in 0..16 {
-            let _ = t.query(&pred).unwrap();
-        }
-        let after = cat.storage_stats();
-        assert!(after.wah_bytes > 0, "built wah bitmaps must be accounted");
-        assert_eq!(
-            after.index_bytes,
-            before.index_bytes + after.wah_bytes,
-            "index_bytes must grow by exactly the built wah bytes"
-        );
     }
 }

@@ -11,11 +11,6 @@ pub struct EngineConfig {
     pub segment_rows: usize,
     /// Worker threads in the query pool (`0` = one per available core).
     pub workers: usize,
-    /// Reuse the previous segment's histogram binning when sealing (the
-    /// paper's §4.1 appends-don't-readjust-borders rule). The maintenance
-    /// planner re-bins drifted segments in the background. When `false`
-    /// every seal resamples from scratch.
-    pub share_binning: bool,
     /// Minimum open-segment row count before the write head grows its
     /// incremental tail imprint (see [`crate::tail`]). Below the
     /// threshold queries scan the open rows linearly — a tiny head is
@@ -24,23 +19,9 @@ pub struct EngineConfig {
     /// accumulated so far and every later append extends it under the
     /// open write lock. `usize::MAX` disables tail indexing entirely.
     pub tail_index_min_rows: usize,
-    /// Per-segment-column byte budget for the WAH bitmap access path
-    /// ([`baselines::WahBitmap`]). `0` (the default) leaves WAH
-    /// unregistered and each segment column keeps the three classic paths
-    /// (imprint, zonemap, scan). A positive budget registers WAH as a
-    /// fourth path, **built lazily** the first time a column's chooser
-    /// explores it — WAH can exceed the data size on high-cardinality
-    /// columns, so a column whose freshly built bitmap comes out larger
-    /// than the budget discards it and permanently falls back to the
-    /// three classic paths (per segment column, until a rebuild re-earns
-    /// the chance). Built bitmaps count toward
-    /// [`Catalog::storage_stats`](crate::Catalog::storage_stats) and
-    /// `index_bytes`.
-    pub wah_budget_bytes: usize,
     /// Which false-positive refinement kernel weeds fetched cachelines on
     /// every access path (imprints check lines, zonemap overlap zones,
-    /// scans, WAH edge bins, tail-imprint head lines, conjunction
-    /// survivors): `Auto` (currently SWAR), `Scalar` (the classic loop,
+    /// scans, tail-imprint head lines, conjunction survivors): `Auto` (currently SWAR), `Scalar` (the classic loop,
     /// kept as the differential oracle), or `Swar`. The selection scopes
     /// to the tables created with this configuration — it is resolved via
     /// [`imprints::simd::effective_kernel`] and threaded into every value
@@ -50,25 +31,6 @@ pub struct EngineConfig {
     /// how CI forces the scalar fallback through the whole suite. Either
     /// kernel returns byte-identical results; only speed differs.
     pub refine_kernel: RefineKernel,
-    /// Selectivity buckets of every segment column's
-    /// [`PathChooser`](crate::paths::PathChooser)
-    /// (1..=[`NUM_BUCKETS`](crate::paths::NUM_BUCKETS)). Each bucket
-    /// learns its own per-path cost EWMA and runs its own exploration
-    /// cadence, so wide and narrow predicates converge to separate
-    /// winners; `1` restores the single conflated EWMA (kept for the
-    /// `pathmix` baseline comparison).
-    pub path_buckets: usize,
-    /// Whether multi-predicate queries may take the fused
-    /// [`PlanKind::Fused`](crate::paths::PlanKind) conjunction plan —
-    /// imprint bitmasks of *all* predicates intersected in row space
-    /// before any value is touched, survivors refined word-wise in
-    /// selectivity order — with the per-segment
-    /// [`PlanChooser`](crate::paths::PlanChooser) arbitrating between it
-    /// and the per-predicate fallback by observed cost. `false` pins
-    /// every conjunction to the per-predicate plan (candidate-range
-    /// intersection + gather-kernel refinement), which is the baseline
-    /// the `multipred` bench experiment compares against.
-    pub conjunction_planning: bool,
     /// Background maintenance thresholds.
     pub maintenance: MaintenanceConfig,
     /// Durable storage: where sealed segments persist and how much of
@@ -86,12 +48,8 @@ impl Default for EngineConfig {
         EngineConfig {
             segment_rows: 1 << 16,
             workers: 0,
-            share_binning: true,
             tail_index_min_rows: 4096,
-            wah_budget_bytes: 0,
             refine_kernel: RefineKernel::Auto,
-            path_buckets: crate::paths::NUM_BUCKETS,
-            conjunction_planning: true,
             maintenance: MaintenanceConfig::default(),
             storage: StorageOptions::default(),
             service: ServiceConfig::default(),
@@ -113,11 +71,6 @@ impl EngineConfig {
     pub fn validate(&self) {
         assert!(self.segment_rows > 0, "segment_rows must be positive");
         assert_eq!(self.segment_rows % 64, 0, "segment_rows must be a multiple of 64");
-        assert!(
-            (1..=crate::paths::NUM_BUCKETS).contains(&self.path_buckets),
-            "path_buckets must be in 1..={}",
-            crate::paths::NUM_BUCKETS
-        );
         self.service.validate();
     }
 }

@@ -15,9 +15,8 @@
 //!   imprint candidates → id-space merge-join → refinement) across
 //!   segments and merges the ordered per-segment id lists.
 //! * **Adaptive access paths** ([`paths`]): each segment column chooses
-//!   imprint vs. zonemap vs. scan — vs. a lazily built, byte-budgeted WAH
-//!   bitmap when configured — per query from observed cost, **bucketed by
-//!   predicate selectivity** so wide and narrow queries learn separate
+//!   imprint vs. zonemap vs. scan per query from observed cost, **bucketed
+//!   by predicate selectivity** so wide and narrow queries learn separate
 //!   winners (per-bucket EWMA + exploration cadence).
 //! * **Tail-indexed write head** ([`tail`]): once the open segment is
 //!   large enough, each open column buffer carries an incremental tail

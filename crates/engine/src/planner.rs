@@ -212,23 +212,18 @@ fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<Com
 pub struct BucketPathReport {
     /// Queries routed through this bucket, across all sealed segments.
     pub queries: u64,
-    /// Per path slot ([`PathKind::ALL`] order): how many segment choosers
+    /// Per path slot ([`PathKind::CLASSIC`] order): how many segment choosers
     /// currently rank it cheapest for this bucket.
     pub votes: [u64; MAX_PATHS],
     /// The majority winner across segments (`None` until some segment has
     /// measured a path for this bucket).
     pub winner: Option<PathKind>,
-    /// Mean observed selectivity (hit fraction) of the bucket's queries,
-    /// averaged over the segments that have recorded any — the signal the
-    /// conjunction planner orders predicates by. `None` until a query has
-    /// routed through the bucket.
-    pub selectivity: Option<f64>,
 }
 
 /// Aggregated access-path telemetry for one table column: per selectivity
 /// bucket, the per-segment-majority winner — the observable half of the
 /// bucketed-chooser claim ("wide and narrow queries learn separate
-/// winners"), consumed by the `pathmix` experiment and operators.
+/// winners"), consumed by operators and the benchmark.
 #[derive(Debug, Clone)]
 pub struct ColumnPathReport {
     /// Table name.
@@ -237,10 +232,6 @@ pub struct ColumnPathReport {
     pub column: String,
     /// Sealed segments inspected.
     pub segments: usize,
-    /// Segments whose WAH bitmap was built within budget.
-    pub wah_built: usize,
-    /// Segments whose WAH build exceeded the budget and fell back.
-    pub wah_rejected: usize,
     /// One entry per selectivity bucket (index = bucket).
     pub buckets: Vec<BucketPathReport>,
 }
@@ -258,45 +249,22 @@ pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
                 table: table.name().to_string(),
                 column: def.name.clone(),
                 segments: sealed.len(),
-                wah_built: 0,
-                wah_rejected: 0,
                 buckets: vec![BucketPathReport::default(); NUM_BUCKETS],
             };
-            let mut sel_segments = [0u64; NUM_BUCKETS];
             for seg in sealed.iter() {
-                let col = &seg.columns()[ci];
-                match col.wah_built() {
-                    Some(true) => report.wah_built += 1,
-                    Some(false) => report.wah_rejected += 1,
-                    None => {}
-                }
-                let chooser = col.chooser();
-                for (b, bucket) in
-                    report.buckets.iter_mut().enumerate().take(chooser.bucket_count())
-                {
+                let chooser = seg.columns()[ci].chooser();
+                for (b, bucket) in report.buckets.iter_mut().enumerate() {
                     bucket.queries += chooser.bucket_queries(b);
                     if let Some(w) = chooser.winner(b) {
                         bucket.votes[w.slot()] += 1;
                     }
-                    if let Some(sel) = chooser.selectivity(b) {
-                        let acc = bucket.selectivity.get_or_insert(0.0);
-                        // Accumulate the sum here; the post-pass below
-                        // divides by the contributing-segment count.
-                        *acc += sel;
-                        sel_segments[b] += 1;
-                    }
                 }
             }
-            for (b, bucket) in report.buckets.iter_mut().enumerate() {
-                if let Some(acc) = bucket.selectivity.as_mut() {
-                    *acc /= sel_segments[b] as f64;
-                }
-                bucket.winner = PathKind::ALL
+            for bucket in &mut report.buckets {
+                bucket.winner = PathKind::CLASSIC
                     .into_iter()
-                    .enumerate()
-                    .filter(|(slot, _)| bucket.votes[*slot] > 0)
-                    .max_by_key(|(slot, _)| bucket.votes[*slot])
-                    .map(|(_, p)| p);
+                    .filter(|p| bucket.votes[p.slot()] > 0)
+                    .max_by_key(|p| bucket.votes[p.slot()]);
             }
             out.push(report);
         }
@@ -647,20 +615,12 @@ mod tests {
         let col = &reports[0];
         assert_eq!((col.table.as_str(), col.column.as_str()), ("pr", "v"));
         assert_eq!(col.segments, 4);
-        assert_eq!(col.wah_built + col.wah_rejected, 0, "wah disabled by default");
         let active: Vec<usize> =
             (0..col.buckets.len()).filter(|&b| col.buckets[b].queries > 0).collect();
         assert_eq!(active.len(), 1, "one selectivity class queried: {:?}", col.buckets);
         let bucket = &col.buckets[active[0]];
         assert!(bucket.winner.is_some(), "48 queries must have produced a winner");
         assert_eq!(bucket.votes.iter().sum::<u64>(), 4, "every segment casts one vote");
-        let sel = bucket.selectivity.expect("queried bucket must report observed selectivity");
-        // ~11 of 1000 domain values qualify — the hit fraction must be
-        // tiny but present (queries did hit: 13 and 1000 share no factor).
-        assert!(sel > 0.0 && sel < 0.1, "narrow predicate selectivity: {sel}");
-        for b in (0..col.buckets.len()).filter(|b| !active.contains(b)) {
-            assert_eq!(col.buckets[b].selectivity, None, "unqueried buckets report none");
-        }
     }
 
     #[test]

@@ -5,21 +5,20 @@
 //! Each sealed segment owns, per column, a cacheline-aligned data chunk and
 //! its own secondary indexes: a [`ColumnImprints`] (the primary access
 //! path, with a bounded rebuild scope — re-binning one segment never
-//! touches its neighbours), a [`ZoneMap`], and optionally a lazily built,
-//! byte-budgeted [`WahBitmap`] — plus an adaptive, selectivity-bucketed
-//! [`PathChooser`] deciding per query which path answers.
+//! touches its neighbours) and a [`ZoneMap`] — plus an adaptive,
+//! selectivity-bucketed [`PathChooser`] deciding per query which path
+//! answers.
 //!
 //! Sealed segments are immutable and shared via `Arc`: queries, appends and
 //! the maintenance planner never copy data, they swap segment pointers.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use baselines::{SeqScan, WahBitmap, WahVector, ZoneMap};
+use baselines::{SeqScan, ZoneMap};
 use colstore::index::BuildableIndex;
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, Bound, CachelineSet, Column, IdList, RangeIndex, Scalar, Value};
@@ -31,7 +30,7 @@ use imprints::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
 use imprints::ColumnImprints;
 
 use crate::config::EngineConfig;
-use crate::paths::{PathChooser, PathKind, PlanChooser, PlanKind};
+use crate::paths::{PathChooser, PathKind};
 use crate::persist;
 
 /// The data payload of one sealed segment column: memory-resident, or
@@ -205,58 +204,12 @@ impl ColumnObservations {
     }
 }
 
-/// The lazily built, byte-budgeted WAH bitmap path of one segment column.
-///
-/// `budget == 0` means the path is disabled by configuration (never
-/// registered with the chooser). Otherwise the cell starts empty and the
-/// bitmap is built — sharing the imprint's binning, as the paper's §6
-/// evaluation does for fairness — the first time the chooser routes a
-/// query to [`PathKind::Wah`]; a bitmap that comes out larger than the
-/// budget is discarded (`Some(None)`) and the chooser's WAH slot is
-/// disabled, leaving the three classic paths.
-#[derive(Debug)]
-struct WahSlot<T: Scalar> {
-    budget: usize,
-    cell: OnceLock<Option<WahBitmap<T>>>,
-}
-
-impl<T: Scalar> WahSlot<T> {
-    fn new(budget: usize) -> Self {
-        WahSlot { budget, cell: OnceLock::new() }
-    }
-
-    /// An empty slot with the same budget (rebuilt/merged columns re-earn
-    /// their lazy build).
-    fn fresh(&self) -> Self {
-        WahSlot::new(self.budget)
-    }
-
-    /// A clone keeping the built (or rejected) state — the shallow-clone
-    /// side of a segment swap, where this column's indexes are unchanged.
-    fn clone_state(&self) -> Self {
-        let cell = OnceLock::new();
-        if let Some(state) = self.cell.get() {
-            let _ = cell.set(state.clone());
-        }
-        WahSlot { budget: self.budget, cell }
-    }
-
-    /// Bytes of the built bitmap (0 when disabled, unbuilt or rejected).
-    fn bytes(&self) -> usize {
-        match self.cell.get() {
-            Some(Some(bm)) => RangeIndex::size_bytes(bm),
-            _ => 0,
-        }
-    }
-}
-
 /// One column of one sealed segment: aligned data plus its access paths.
 #[derive(Debug)]
 pub struct SegCol<T: Scalar> {
     data: DataSlot<T>,
     imprints: ColumnImprints<T>,
     zonemap: ZoneMap<T>,
-    wah: WahSlot<T>,
     /// Fraction of (sampled) values that landed in the binning's overflow
     /// bins at build time — the §4.1 drift signal when binning is inherited
     /// from an older segment.
@@ -273,13 +226,13 @@ pub struct SegCol<T: Scalar> {
 }
 
 impl<T: Scalar> SegCol<T> {
-    /// Seals `col` into an indexed segment column. With `share_binning`
-    /// and a previous segment of the same column available, the previous
-    /// binning is inherited (appends never readjust borders, §4.1) and the
-    /// drift against it recorded; otherwise the binning is freshly sampled.
+    /// Seals `col` into an indexed segment column. With a previous segment
+    /// of the same column available, its binning is inherited (appends
+    /// never readjust borders, §4.1) and the drift against it recorded;
+    /// otherwise the binning is freshly sampled.
     pub fn seal(col: Column<T>, prev: Option<&SegCol<T>>, cfg: &EngineConfig) -> Self {
         let opts = BuildOptions::default();
-        let (imprints, drift) = match prev.filter(|_| cfg.share_binning) {
+        let (imprints, drift) = match prev {
             Some(prev) => {
                 let binning = prev.imprints.binning().clone();
                 let drift = measure_drift(&binning, &prev.zonemap, col.values());
@@ -292,20 +245,17 @@ impl<T: Scalar> SegCol<T> {
             data: DataSlot::new(Arc::new(col)),
             imprints,
             zonemap,
-            wah: WahSlot::new(cfg.wah_budget_bytes),
             drift,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: chooser_for(cfg),
+            chooser: PathChooser::default(),
             obs: ColumnObservations::default(),
         }
     }
 
     /// A copy of this column with freshly sampled binning over the same
     /// (shared) data — the planner's background rebuild. Learned path costs
-    /// and observations reset, since the index changed under them; the WAH
-    /// slot empties too (a rejected bitmap re-earns its lazy build against
-    /// the new binning).
+    /// and observations reset, since the index changed under them.
     pub fn rebuilt(&self) -> Self {
         let opts = *self.imprints.options();
         let data = self.data.get();
@@ -314,11 +264,10 @@ impl<T: Scalar> SegCol<T> {
             data: self.data.share(),
             imprints,
             zonemap: self.zonemap.clone(),
-            wah: self.wah.fresh(),
             drift: 0.0,
             rebuilds: self.rebuilds + 1,
             kernel: self.kernel,
-            chooser: self.chooser.fresh_like(),
+            chooser: PathChooser::default(),
             obs: ColumnObservations::default(),
         }
     }
@@ -344,37 +293,7 @@ impl<T: Scalar> SegCol<T> {
     /// [`PathChooser::bucket_of_span`].
     fn bucket_of(&self, pred: &colstore::RangePredicate<T>) -> usize {
         let bins = self.imprints.binning().bins();
-        self.chooser.bucket_of_span(self.bin_span(pred), bins)
-    }
-
-    /// The selectivity bucket of a whole value set: the terms' bin spans
-    /// summed (clamped to the bin count), classed like one range of the
-    /// combined width — an IN-list of k points behaves like a k-bin range.
-    fn bucket_of_set(&self, preds: &[colstore::RangePredicate<T>]) -> usize {
-        let bins = self.imprints.binning().bins();
-        let span: usize =
-            preds.iter().filter(|p| !p.is_empty_range()).map(|p| self.bin_span(p)).sum();
-        self.chooser.bucket_of_span(span.clamp(1, bins), bins)
-    }
-
-    /// The WAH bitmap, built on first use and `None` once rejected for
-    /// exceeding its byte budget (which also disables the chooser's WAH
-    /// slot, so later queries never route here again). Callers resolve
-    /// this *before* starting their cost timer: the one-off build must not
-    /// enter the path's EWMA.
-    fn wah_index(&self) -> Option<&WahBitmap<T>> {
-        if self.wah.budget == 0 {
-            return None;
-        }
-        let built = self.wah.cell.get_or_init(|| {
-            let data = self.data.get();
-            let bm = WahBitmap::build_with_binning(&data, self.imprints.binning().clone());
-            (RangeIndex::size_bytes(&bm) <= self.wah.budget).then_some(bm)
-        });
-        if built.is_none() {
-            self.chooser.disable(PathKind::Wah);
-        }
-        built.as_ref()
+        PathChooser::bucket_of_span(self.bin_span(pred), bins)
     }
 
     /// Evaluates a single-range predicate into a fresh [`Hits`] sink through
@@ -391,16 +310,9 @@ impl<T: Scalar> SegCol<T> {
             }
         }
         let bucket = self.bucket_of(pred);
-        let mut path = self.chooser.choose(bucket);
-        if path == PathKind::Wah && self.wah_index().is_none() {
-            // The lazy build just blew the budget: WAH is now disabled in
-            // the chooser; route this query through a surviving path
-            // without advancing the cadence again — one query, one count.
-            path = self.chooser.rechoose(bucket);
-        }
+        let path = self.chooser.choose(bucket);
         // Fault evicted data in *before* the cost timer starts: the one-off
-        // disk read must not enter the path's EWMA (same rule as the lazy
-        // WAH build).
+        // disk read must not enter the path's EWMA.
         let data = self.data.get();
         let t0 = Instant::now();
         let kernel = PredicateKernel::with_kernel(pred, self.kernel);
@@ -419,13 +331,8 @@ impl<T: Scalar> SegCol<T> {
             }
             PathKind::ZoneMap => self.zonemap.run(&data, &kernel, hits),
             PathKind::Scan => SeqScan::new(data.as_ref()).run(&data, &kernel, hits),
-            PathKind::Wah => self
-                .wah_index()
-                .expect("wah availability resolved before dispatch")
-                .run(&data, &kernel, hits),
         };
         self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
-        self.chooser.record_selectivity(bucket, hits.len(), data.len() as u64);
         self.obs.queries.fetch_add(1, Ordering::Relaxed);
         (hits, stats)
     }
@@ -446,69 +353,13 @@ impl<T: Scalar> SegCol<T> {
             return None;
         }
         let n: u64 = cand.iter().map(|w| u64::from(w.count_ones())).sum();
-        self.chooser.record_selectivity(self.bucket_of(pred), n, self.imprints.rows() as u64);
         self.obs.queries.fetch_add(1, Ordering::Relaxed);
         Some((n, istats.access))
     }
 
-    /// The WAH bitmap only when it was **already** built within budget.
-    /// The conjunction plan never triggers the lazy build itself — a
-    /// one-off build inside a timed plan would poison the
-    /// [`PlanChooser`]'s cost comparison — it only reuses a bitmap the
-    /// single-column chooser has already paid for.
-    fn wah_ready(&self) -> Option<&WahBitmap<T>> {
-        self.wah.cell.get().and_then(Option::as_ref)
-    }
-
-    /// Classifies this column's predicate for the fused conjunction plan
-    /// (see [`SealedSegment::evaluate_fused`]): the imprint's candidate
-    /// and fully-covered rows as row-space bit words, the WAH candidate
-    /// vector when a built bitmap is available, an ordering estimate from
-    /// the chooser's per-bucket selectivity history, and a boxed word
-    /// checker that runs the compiled [`SetKernel`] over one 64-row word
-    /// and bills this column's observations. Dispatching once per *word*
-    /// (not per row) keeps the type-erasure cost off the value loop.
-    fn plan_pred(&self, set: &ValueSet, words: usize) -> (Vec<u64>, PredPlan<'_>, AccessStats) {
-        let preds: Vec<colstore::RangePredicate<T>> =
-            set.to_predicates().expect("predicates validated against schema");
-        let masks = make_masks_union(self.imprints.binning(), &preds);
-        let mut cand = vec![0u64; words];
-        let mut full = vec![0u64; words];
-        let istats = query::classify_rows(&self.imprints, &masks, &mut cand, &mut full);
-        let mut stats = istats.access;
-        let rows = self.data.len() as u64;
-        let hits: u64 = cand.iter().map(|w| u64::from(w.count_ones())).sum();
-        let bucket = self.bucket_of_set(&preds);
-        self.chooser.record_selectivity(bucket, hits, rows);
-        let sel = self.chooser.selectivity(bucket).unwrap_or(1.0);
-        let wah = self.wah_ready().and_then(|bm| {
-            let mut probes = 0u64;
-            let v = bm.candidate_vector(&preds, &mut probes);
-            stats.index_probes += probes;
-            v
-        });
-        let kernel = SetKernel::with_kernel(&preds, self.kernel);
-        // Data is resolved lazily inside the checker: a conjunction whose
-        // joint candidates never reach this column's value check leaves an
-        // evicted column's data on disk.
-        let slot = &self.data;
-        let cell: OnceLock<Arc<Column<T>>> = OnceLock::new();
-        let obs = &self.obs;
-        let check: WordCheck<'_> = Box::new(move |w, need| {
-            let values = cell.get_or_init(|| slot.get()).values();
-            let start = w * 64;
-            let end = (start + 64).min(values.len());
-            let mm = kernel.match_mask(&values[start..end]);
-            obs.comparisons.fetch_add(u64::from(need.count_ones()), Ordering::Relaxed);
-            obs.matches.fetch_add(u64::from((need & mm).count_ones()), Ordering::Relaxed);
-            mm
-        });
-        (cand, PredPlan { full, sel, wah, check }, stats)
-    }
-
     /// Candidate row-id ranges of a whole value set: the union of each
     /// term's imprint candidates (late materialization step 1 of the
-    /// per-predicate plan), plus probe statistics.
+    /// conjunction plan), plus probe statistics.
     fn candidates_set(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
         let preds: Vec<colstore::RangePredicate<T>> =
             set.to_predicates().expect("predicates validated against schema");
@@ -638,47 +489,12 @@ impl<T: Scalar> SegCol<T> {
             data,
             imprints,
             zonemap,
-            wah: WahSlot::new(cfg.wah_budget_bytes),
             drift: 0.0,
             rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: chooser_for(cfg),
+            chooser: PathChooser::default(),
             obs: ColumnObservations::default(),
         }
-    }
-}
-
-/// One boxed 64-row word check of the fused plan: `(word index, rows
-/// still needing this predicate's check)` to the predicate's match mask
-/// over that word, billing the column's comparison/match observations
-/// for exactly the needed rows on the way.
-type WordCheck<'a> = Box<dyn Fn(usize, u64) -> u64 + Send + Sync + 'a>;
-
-/// Per-predicate state of the fused conjunction plan, produced by the
-/// typed [`SegCol::plan_pred`] and consumed type-erased by
-/// [`SealedSegment::evaluate_fused`]: which rows the predicate's imprint
-/// guarantees (`full`), the optional WAH candidate vector for run-wise
-/// intersection, an ordering estimate, and the word checker.
-struct PredPlan<'a> {
-    /// Rows guaranteed to match (their cacheline's imprint sits entirely
-    /// inside the predicate's inner mask) — never value-checked.
-    full: Vec<u64>,
-    /// Estimated selectivity (matching fraction; lower = more selective)
-    /// from the chooser's per-bucket history, for refinement ordering.
-    sel: f64,
-    /// The WAH candidate vector when this column's bitmap is built.
-    wah: Option<WahVector>,
-    check: WordCheck<'a>,
-}
-
-/// The chooser a freshly sealed segment column starts from: the three
-/// classic paths, plus WAH when the configuration budgets it, bucketed by
-/// [`EngineConfig::path_buckets`].
-fn chooser_for(cfg: &EngineConfig) -> PathChooser {
-    if cfg.wah_budget_bytes > 0 {
-        PathChooser::new(&PathKind::ALL, cfg.path_buckets)
-    } else {
-        PathChooser::new(&PathKind::CLASSIC, cfg.path_buckets)
     }
 }
 
@@ -832,26 +648,9 @@ impl AnySegCol {
         seg_dispatch!(self, s => s.data.get().get(id).map(Scalar::into_value))
     }
 
-    /// Index bytes (imprint + zonemap + built WAH bitmap) for storage
-    /// accounting.
+    /// Index bytes (imprint + zonemap) for storage accounting.
     pub fn index_bytes(&self) -> usize {
-        seg_dispatch!(self, s => {
-            RangeIndex::size_bytes(&s.imprints) + s.zonemap.size_bytes() + s.wah.bytes()
-        })
-    }
-
-    /// Bytes of the built WAH bitmap path (0 when disabled, not yet built,
-    /// or rejected for exceeding its byte budget).
-    pub fn wah_bytes(&self) -> usize {
-        seg_dispatch!(self, s => s.wah.bytes())
-    }
-
-    /// The WAH path's lazy-build state: `None` until the chooser first
-    /// explored it (or when disabled by configuration), then `Some(true)`
-    /// if the bitmap was built within budget, `Some(false)` if it was
-    /// rejected and the column fell back to the three classic paths.
-    pub fn wah_built(&self) -> Option<bool> {
-        seg_dispatch!(self, s => s.wah.cell.get().map(Option::is_some))
+        seg_dispatch!(self, s => RangeIndex::size_bytes(&s.imprints) + s.zonemap.size_bytes())
     }
 
     /// Raw data bytes (resident or not — the column's logical size).
@@ -959,15 +758,11 @@ impl AnySegCol {
     }
 
     /// Bills one query against this column's observation counters. The
-    /// conjunction plans call this once per touched column *up front*, so
+    /// conjunction plan calls this once per touched column *up front*, so
     /// the planner and `path_report` see multi-predicate traffic on every
     /// column it touches — even ones an early-exit never value-checks.
     fn note_query(&self) {
         seg_dispatch!(self, s => s.obs.queries.fetch_add(1, Ordering::Relaxed));
-    }
-
-    fn plan_pred(&self, set: &ValueSet, words: usize) -> (Vec<u64>, PredPlan<'_>, AccessStats) {
-        seg_dispatch!(self, s => s.plan_pred(set, words))
     }
 
     fn candidates_set(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
@@ -1046,15 +841,6 @@ pub struct SealedSegment {
     base: u64,
     rows: usize,
     cols: Vec<AnySegCol>,
-    /// Learned plan costs per touched column set (sorted column indices):
-    /// one [`PlanChooser`] arbitrating fused vs per-predicate evaluation
-    /// for each distinct conjunction shape this segment has seen. Guarded
-    /// by a short-held mutex (lock class `segment.plans`); the choosers
-    /// themselves are lock-free once handed out.
-    plans: Mutex<HashMap<Vec<usize>, Arc<PlanChooser>>>,
-    /// [`EngineConfig::conjunction_planning`] at seal time: `false` pins
-    /// every multi-predicate query to the per-predicate plan.
-    conjunction_planning: bool,
     /// The durable segment-directory name under the table's storage root,
     /// set once the segment is persisted (or recovered). Empty for a
     /// memory-only segment, whose data is consequently never evictable.
@@ -1077,14 +863,7 @@ impl SealedSegment {
             .enumerate()
             .map(|(i, buf)| AnySegCol::seal(buf, prev.map(|p| &p.cols[i]), cfg))
             .collect();
-        SealedSegment {
-            base,
-            rows,
-            cols,
-            plans: Mutex::new(HashMap::new()),
-            conjunction_planning: cfg.conjunction_planning,
-            durable: OnceLock::new(),
-        }
+        SealedSegment { base, rows, cols, durable: OnceLock::new() }
     }
 
     /// Merges `parts` — adjacent sealed segments in ascending base order —
@@ -1115,14 +894,7 @@ impl SealedSegment {
                 AnySegCol::merged(&col_parts, cfg)
             })
             .collect();
-        SealedSegment {
-            base,
-            rows,
-            cols,
-            plans: Mutex::new(HashMap::new()),
-            conjunction_planning: cfg.conjunction_planning,
-            durable: OnceLock::new(),
-        }
+        SealedSegment { base, rows, cols, durable: OnceLock::new() }
     }
 
     /// Copy of this segment with every column in `rebuild` re-binned
@@ -1135,16 +907,7 @@ impl SealedSegment {
             .enumerate()
             .map(|(i, c)| if rebuild.contains(&i) { c.rebuilt() } else { c.shallow_clone() })
             .collect();
-        SealedSegment {
-            base: self.base,
-            rows: self.rows,
-            cols,
-            // Rebuilt indexes change plan costs; learned plan estimates
-            // start over (the per-path choosers already reset likewise).
-            plans: Mutex::new(HashMap::new()),
-            conjunction_planning: self.conjunction_planning,
-            durable: OnceLock::new(),
-        }
+        SealedSegment { base: self.base, rows: self.rows, cols, durable: OnceLock::new() }
     }
 
     /// First global row id covered.
@@ -1228,14 +991,7 @@ impl SealedSegment {
             }
             cols.push(col);
         }
-        let seg = SealedSegment {
-            base,
-            rows,
-            cols,
-            plans: Mutex::new(HashMap::new()),
-            conjunction_planning: cfg.conjunction_planning,
-            durable: OnceLock::new(),
-        };
+        let seg = SealedSegment { base, rows, cols, durable: OnceLock::new() };
         let _ = seg.durable.set(name.to_string());
         Ok((seg, recovered, rebuilt))
     }
@@ -1246,11 +1002,10 @@ impl SealedSegment {
     ///
     /// Conjunctions: a single one-range predicate takes the adaptive
     /// single-column path (the [`PathChooser`] arbitrating imprints /
-    /// zonemap / scan / WAH); everything else — multi-term sets and
-    /// multi-predicate conjunctions — goes through the conjunction
-    /// planner, where a per-shape [`PlanChooser`] arbitrates the fused
-    /// row-space plan against the per-predicate candidate-intersection
-    /// plan by observed cost. The empty conjunction selects every row.
+    /// zonemap / scan); everything else — multi-term sets and
+    /// multi-predicate conjunctions — takes the paper's §3 late
+    /// materialization plan ([`SealedSegment::run_per_pred`]). The empty
+    /// conjunction selects every row.
     ///
     /// Disjunctions (`q.any`): the union of each predicate's own
     /// adaptively evaluated result. Each arm rides its column's best
@@ -1287,140 +1042,33 @@ impl SealedSegment {
         }
     }
 
-    /// The learned plan chooser of one conjunction shape (the sorted set
-    /// of touched columns), created on first sight.
-    fn plan_chooser(&self, preds: &[(usize, ValueSet)]) -> Arc<PlanChooser> {
-        let mut key: Vec<usize> = preds.iter().map(|(c, _)| *c).collect();
-        key.sort_unstable();
-        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(plans.entry(key).or_default())
-    }
-
-    /// The conjunction planner: bills every touched column's query counter
-    /// up front (early exits must not hide traffic from the maintenance
-    /// planner), then lets the shape's [`PlanChooser`] pick fused or
-    /// per-predicate evaluation and records the observed cost.
+    /// Bills every touched column's query counter up front (early exits
+    /// must not hide traffic from the maintenance planner), then runs the
+    /// conjunction plan.
     fn run_planned(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
         for (col, _) in preds {
             self.cols[*col].note_query();
         }
-        let chooser = self.conjunction_planning.then(|| self.plan_chooser(preds));
-        let plan = chooser.as_ref().map_or(PlanKind::PerPred, |c| c.choose());
-        let t0 = Instant::now();
-        let out = match plan {
-            PlanKind::Fused => self.run_fused(preds, Hits::new(count_only)),
-            PlanKind::PerPred => self.run_per_pred(preds, count_only),
-        };
-        if let Some(c) = chooser {
-            c.record(plan, t0.elapsed().as_nanos() as u64);
-        }
-        out
+        self.run_per_pred(preds, count_only)
     }
 
-    /// The **fused** conjunction plan: every predicate's imprint is
-    /// classified into row-space bit words first ([`query::classify_rows`]
-    /// behind a union mask per predicate), candidate words are ANDed
-    /// across all predicates — and, where columns have built WAH bitmaps,
-    /// their candidate vectors are ANDed run-wise without decompression
-    /// and folded in — so no value is fetched before *every* index has
-    /// had its say. Surviving words are refined with the compiled SWAR
-    /// [`SetKernel`]s in ascending estimated-selectivity order, skipping
-    /// rows a predicate's imprint already guarantees (`full` words) and
-    /// short-circuiting a word as soon as it empties; what is left of a
-    /// word goes to the sink as one bit mask.
-    fn run_fused(&self, preds: &[(usize, ValueSet)], mut hits: Hits) -> (Hits, AccessStats) {
-        let words = self.rows.div_ceil(64);
-        let mut stats = AccessStats::default();
-        let mut joint: Option<Vec<u64>> = None;
-        let mut wah_acc: Option<WahVector> = None;
-        let mut plans: Vec<PredPlan<'_>> = Vec::with_capacity(preds.len());
-        for (col, set) in preds {
-            let (cand, plan, s) = self.cols[*col].plan_pred(set, words);
-            stats.merge(&s);
-            wah_acc = match (wah_acc, &plan.wah) {
-                (Some(a), Some(b)) => Some(a.and(b)),
-                (None, Some(b)) => Some(b.clone()),
-                (a, None) => a,
-            };
-            plans.push(plan);
-            let empty = match joint.as_mut() {
-                Some(j) => {
-                    let mut any = 0u64;
-                    for (jw, cw) in j.iter_mut().zip(&cand) {
-                        *jw &= cw;
-                        any |= *jw;
-                    }
-                    any == 0
-                }
-                None => {
-                    let empty = cand.iter().all(|&w| w == 0);
-                    joint = Some(cand);
-                    empty
-                }
-            };
-            if empty {
-                return (hits, stats);
-            }
-        }
-        let mut joint = joint.unwrap_or_default();
-        if let Some(v) = &wah_acc {
-            // One materialization of the run-wise AND, folded into the
-            // joint candidate words. Sound for any subset of predicates:
-            // each candidate vector is a superset of its predicate's
-            // matches, so their intersection still covers the conjunction.
-            let mut ww = vec![0u64; words];
-            stats.index_probes += v.or_into(&mut ww);
-            for (jw, w) in joint.iter_mut().zip(&ww) {
-                *jw &= w;
-            }
-        }
-        // Most selective predicate first: its checks empty words fastest,
-        // so later (wider) predicates see the fewest surviving rows.
-        plans.sort_by(|a, b| a.sel.total_cmp(&b.sel));
-        for (w, &jw) in joint.iter().enumerate() {
-            if jw == 0 {
-                continue;
-            }
-            let mut cur = jw;
-            let mut all_full = jw;
-            for p in &plans {
-                all_full &= p.full[w];
-            }
-            if cur != all_full {
-                stats.lines_fetched += 1;
-                for p in &plans {
-                    let need = cur & !p.full[w];
-                    if need == 0 {
-                        continue;
-                    }
-                    let mm = (p.check)(w, need);
-                    stats.value_comparisons += u64::from(need.count_ones());
-                    cur &= p.full[w] | mm;
-                    if cur == 0 {
-                        break;
-                    }
-                }
-            }
-            hits.emit_mask(w as u64 * 64, cur);
-        }
-        (hits, stats)
-    }
-
-    /// The **per-predicate** fallback plan (and the `multipred` bench
-    /// baseline): per-column imprint candidate ranges intersected in
-    /// cacheline space, the first predicate value-checked with the
-    /// compiled [`SetKernel`] over the surviving contiguous runs, every
-    /// further predicate weeding the scattered survivors with the
-    /// gather-style SWAR kernel ([`SetKernel::filter_ids`]) — no boxed
-    /// per-row matchers anywhere. Only a first predicate that is also the
-    /// last checks straight into a counting sink; survivors that a later
-    /// predicate still has to weed are ids either way.
+    /// The conjunction plan, the paper's §3 late materialization:
+    /// per-column imprint candidate ranges intersected in id space, the
+    /// most selective predicate value-checked with the compiled
+    /// [`SetKernel`] over the surviving contiguous runs, every further
+    /// predicate weeding the scattered survivors with the gather-style
+    /// SWAR kernel ([`SetKernel::filter_ids`]). Only a first predicate
+    /// that is also the last checks straight into a counting sink;
+    /// survivors that a later predicate still has to weed are ids either
+    /// way.
     fn run_per_pred(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
         let mut stats = AccessStats::default();
         let mut joint: Option<CachelineSet> = None;
-        for (col, set) in preds {
+        let mut order: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
+        for (i, (col, set)) in preds.iter().enumerate() {
             let (cands, s) = self.cols[*col].candidates_set(set);
             stats.merge(&s);
+            order.push((cands.line_count(), i));
             joint = Some(match joint {
                 Some(j) => j.intersect(&cands),
                 None => cands,
@@ -1430,11 +1078,16 @@ impl SealedSegment {
             }
         }
         let joint = joint.expect("at least one predicate");
-        let ((col, set), rest) = preds.split_first().expect("at least one predicate");
-        let first = Hits::new(count_only && rest.is_empty());
+        // Fewest candidate rows first: that predicate's value check leaves
+        // the fewest survivors for the others to gather. The sort is
+        // stable, so equal counts keep query order.
+        order.sort_by_key(|&(rows, _)| rows);
+        let mut ordered = order.iter().map(|&(_, i)| &preds[i]);
+        let (col, set) = ordered.next().expect("at least one predicate");
+        let first = Hits::new(count_only && preds.len() == 1);
         let mut hits = self.cols[*col].collect_matches(set, &joint, first, &mut stats);
         if let Hits::Ids(ids) = &mut hits {
-            for (col, set) in rest {
+            for (col, set) in ordered {
                 if ids.is_empty() {
                     break;
                 }
@@ -1461,7 +1114,6 @@ impl AnySegCol {
                     data: $s.data.share(),
                     imprints: $s.imprints.clone(),
                     zonemap: $s.zonemap.clone(),
-                    wah: $s.wah.clone_state(),
                     drift: $s.drift,
                     rebuilds: $s.rebuilds,
                     kernel: $s.kernel,
@@ -1541,10 +1193,10 @@ mod tests {
             .collect()
     }
 
-    /// Registered paths of a column's chooser must all have been measured.
+    /// Every path of a column's chooser must have been measured.
     fn assert_explored(col: &AnySegCol) {
         let est = col.chooser().estimates();
-        for p in col.chooser().paths() {
+        for p in PathKind::CLASSIC {
             assert!(est[p.slot()].is_some(), "{} never explored", p.name());
         }
     }
@@ -1561,72 +1213,6 @@ mod tests {
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         assert_explored(&seg.columns()[0]);
-    }
-
-    /// With a WAH budget configured, the chooser explores all *four* paths
-    /// and every one of them — WAH included — answers byte-identically to
-    /// the oracle, for materializing queries and counts alike.
-    #[test]
-    fn four_path_chooser_matches_oracle_including_wah() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let cfg =
-            EngineConfig { segment_rows: 1024, wah_budget_bytes: usize::MAX, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(11);
-        let values: Vec<i64> = (0..4096).map(|_| rng.gen_range(0..500)).collect();
-        let col: Column<i64> = Column::from(values.clone());
-        let seg = SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg);
-        // Mixed selectivities so several buckets bootstrap through WAH.
-        let cases = [(100i64, 140i64), (0, 499), (42, 42), (100, 350)];
-        for _ in 0..96 {
-            for &(lo, hi) in &cases {
-                let range = ValueRange::between(Value::I64(lo), Value::I64(hi));
-                let expect = oracle(&values, lo, hi);
-                let (ids, _) = eval_ids(&seg, &[q(0, range)]);
-                assert_eq!(ids.as_slice(), expect.as_slice(), "[{lo}, {hi}]");
-                let (n, _) = eval_count(&seg, &[q(0, range)]);
-                assert_eq!(n as usize, expect.len(), "count [{lo}, {hi}]");
-            }
-        }
-        let col = &seg.columns()[0];
-        assert_eq!(col.chooser().paths().len(), 4);
-        assert_explored(col);
-        assert_eq!(col.wah_built(), Some(true), "wah must have been lazily built");
-        assert!(col.wah_bytes() > 0);
-        assert!(col.index_bytes() > col.wah_bytes(), "index bytes include wah + the rest");
-    }
-
-    /// A WAH bitmap larger than its byte budget is rejected: the column
-    /// permanently falls back to the three classic paths, reports zero WAH
-    /// bytes, and queries keep answering correctly.
-    #[test]
-    fn wah_over_budget_falls_back_to_three_paths() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // High-cardinality random data: WAH at its worst (§6.2); a budget
-        // of a few hundred bytes is impossible to meet.
-        let cfg = EngineConfig { segment_rows: 1024, wah_budget_bytes: 512, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(13);
-        let values: Vec<i64> = (0..4096).map(|_| rng.gen_range(0..1_000_000)).collect();
-        let col: Column<i64> = Column::from(values.clone());
-        let seg = SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg);
-        let range = ValueRange::between(Value::I64(0), Value::I64(1000));
-        let expect = oracle(&values, 0, 1000);
-        for _ in 0..64 {
-            let (ids, _) = eval_ids(&seg, &[q(0, range)]);
-            assert_eq!(ids.as_slice(), expect.as_slice());
-        }
-        let col = &seg.columns()[0];
-        assert_eq!(col.wah_built(), Some(false), "the over-budget build must be rejected");
-        assert_eq!(col.wah_bytes(), 0);
-        assert!(!col.chooser().is_enabled(PathKind::Wah));
-        // Review regression: the rejected-WAH query re-picks its path via
-        // rechoose(), so 64 user queries count exactly 64 in the cadence.
-        assert_eq!(col.chooser().queries(), 64, "a wah rejection must not double-count its query");
-        // The three survivors finished their bootstrap regardless.
-        let est = col.chooser().estimates();
-        assert!(est[..3].iter().all(Option::is_some));
-        assert_eq!(est[3], None, "a rejected wah never records a cost");
     }
 
     #[test]
@@ -1792,19 +1378,17 @@ mod tests {
         );
     }
 
-    /// The sink-mode differential: for every access path (WAH within
-    /// budget included), every query shape and both conjunction plans,
-    /// over resident and evicted data, the counting sink's answer equals
-    /// the materializing sink's length and both equal the brute-force
-    /// oracle — and both modes bill identical [`AccessStats`], because
-    /// they are one walk. Two identical fresh segments walk the
-    /// deterministic chooser bootstraps in lockstep (paths: imprints,
-    /// zonemap, scan, wah; plans: fused, per-predicate), so call *i* of
-    /// each takes the same path and plan. The one licensed difference is
-    /// the evicted-data shortcut: a count the resident imprint answers
-    /// exactly touches no data and bills no value work.
+    /// The sink-mode differential: for every access path and every query
+    /// shape, over resident and evicted data, the counting sink's answer
+    /// equals the materializing sink's length and both equal the
+    /// brute-force oracle — and both modes bill identical [`AccessStats`],
+    /// because they are one walk. Two identical fresh segments walk the
+    /// deterministic chooser bootstrap (imprints, zonemap, scan) in
+    /// lockstep, so call *i* of each takes the same path. The one licensed
+    /// difference is the evicted-data shortcut: a count the resident
+    /// imprint answers exactly touches no data and bills no value work.
     #[test]
-    fn count_and_id_sinks_agree_with_the_oracle_on_every_path_and_plan() {
+    fn count_and_id_sinks_agree_with_the_oracle_on_every_path() {
         let a: Vec<i64> = (0..3000).map(|i| (i * 37) % 500).collect();
         let b: Vec<i64> = (0..3000).map(|i| i % 37).collect();
         let c: Vec<i64> = (0..3000).map(|i| (i * 7) % 101).collect();
@@ -1838,74 +1422,57 @@ mod tests {
             .map(|n| crate::table::ColumnDef { name: n.to_string(), ty: colstore::ColumnType::I64 })
             .collect();
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
-        for planning in [true, false] {
-            let cfg = EngineConfig {
-                segment_rows: 1024,
-                wah_budget_bytes: usize::MAX,
-                conjunction_planning: planning,
-                ..Default::default()
-            };
-            let build = || {
-                let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
-                SealedSegment::seal(0, cols.to_vec(), None, &cfg)
-            };
-            for evicted in [false, true] {
-                for (shape, preds, any) in &shapes {
-                    let case = format!("{shape}, planning {planning}, evicted {evicted}");
-                    let expect: Vec<u64> = (0..3000usize)
-                        .filter(|&i| {
-                            let hit = |(col, set): &(usize, ValueSet)| {
-                                in_set(set, [a[i], b[i], c[i]][*col])
-                            };
-                            if *any {
-                                preds.iter().any(hit)
-                            } else {
-                                preds.iter().all(hit)
-                            }
-                        })
-                        .map(|i| i as u64)
-                        .collect();
-                    assert!(!expect.is_empty(), "{case}: the shape must produce hits");
-                    let (ids_seg, count_seg) = (build(), build());
-                    if evicted {
-                        store.persist_segment(&ids_seg).unwrap();
-                        store.persist_segment(&count_seg).unwrap();
-                    }
-                    // A path bootstrap is four calls, a plan bootstrap two;
-                    // past it each chooser exploits its own timings.
-                    let single = preds.len() == 1 && preds[0].1.as_single().is_some();
-                    let calls = if planning && !single && !any { 2 } else { 4 };
-                    for call in 0..calls {
-                        if evicted {
-                            for seg in [&ids_seg, &count_seg] {
-                                seg.evict();
-                                assert_eq!(seg.data_bytes_resident(), 0, "{case}");
-                            }
-                        }
-                        let (hits, id_stats) = run(&ids_seg, preds, *any, false);
-                        let (n, count_stats) = run(&count_seg, preds, *any, true);
-                        assert_eq!(hits.into_ids().as_slice(), expect.as_slice(), "{case}");
-                        assert_eq!(n, Hits::Count(expect.len() as u64), "{case}, call {call}");
-                        if evicted && *shape == "covered range" {
-                            assert!(!count_seg.data_resident(), "{case}: count faulted data in");
-                            assert_eq!(count_stats.value_comparisons, 0, "{case}");
+        let build = || {
+            let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
+            SealedSegment::seal(0, cols.to_vec(), None, &cfg())
+        };
+        for evicted in [false, true] {
+            for (shape, preds, any) in &shapes {
+                let case = format!("{shape}, evicted {evicted}");
+                let expect: Vec<u64> = (0..3000usize)
+                    .filter(|&i| {
+                        let hit =
+                            |(col, set): &(usize, ValueSet)| in_set(set, [a[i], b[i], c[i]][*col]);
+                        if *any {
+                            preds.iter().any(hit)
                         } else {
-                            assert_eq!(id_stats, count_stats, "{case}, call {call}");
+                            preds.iter().all(hit)
+                        }
+                    })
+                    .map(|i| i as u64)
+                    .collect();
+                assert!(!expect.is_empty(), "{case}: the shape must produce hits");
+                let (ids_seg, count_seg) = (build(), build());
+                if evicted {
+                    store.persist_segment(&ids_seg).unwrap();
+                    store.persist_segment(&count_seg).unwrap();
+                }
+                // A path bootstrap is three calls; past it each chooser
+                // exploits its own timings.
+                for call in 0..PathKind::CLASSIC.len() {
+                    if evicted {
+                        for seg in [&ids_seg, &count_seg] {
+                            seg.evict();
+                            assert_eq!(seg.data_bytes_resident(), 0, "{case}");
                         }
                     }
-                    for seg in [&ids_seg, &count_seg] {
-                        if single {
-                            // Four calls walked all four registered paths
-                            // (the shortcut count never reaches a path).
-                            if !(evicted && *shape == "covered range") {
-                                assert_explored(&seg.columns()[0]);
-                                assert_eq!(seg.columns()[0].wah_built(), Some(true), "{case}");
-                            }
-                        } else if planning && !any {
-                            let est = seg.plan_chooser(preds).estimates();
-                            assert!(est.iter().all(Option::is_some), "{case}: a plan never ran");
-                        }
+                    let (hits, id_stats) = run(&ids_seg, preds, *any, false);
+                    let (n, count_stats) = run(&count_seg, preds, *any, true);
+                    assert_eq!(hits.into_ids().as_slice(), expect.as_slice(), "{case}");
+                    assert_eq!(n, Hits::Count(expect.len() as u64), "{case}, call {call}");
+                    if evicted && *shape == "covered range" {
+                        assert!(!count_seg.data_resident(), "{case}: count faulted data in");
+                        assert_eq!(count_stats.value_comparisons, 0, "{case}");
+                    } else {
+                        assert_eq!(id_stats, count_stats, "{case}, call {call}");
                     }
+                }
+                let single = preds.len() == 1 && preds[0].1.as_single().is_some();
+                if single && !(evicted && *shape == "covered range") {
+                    // Three calls walked all three paths (the shortcut
+                    // count never reaches a path).
+                    assert_explored(&ids_seg.columns()[0]);
+                    assert_explored(&count_seg.columns()[0]);
                 }
             }
         }
@@ -2090,7 +1657,7 @@ mod tests {
     }
 
     /// IN-lists (multi-interval `ValueSet`s) must answer exactly like the
-    /// brute-force oracle through both conjunction plans.
+    /// brute-force oracle through the conjunction plan.
     #[test]
     fn in_list_matches_oracle() {
         let (seg, a, b) = two_col_seg(&cfg());
@@ -2102,13 +1669,10 @@ mod tests {
             .filter(|&i| [5, 17, 91].contains(&a[i as usize]) && b[i as usize] <= 20)
             .collect();
         assert!(!expect.is_empty(), "test data must produce hits");
-        // Enough repeats that the plan chooser runs both plans.
-        for _ in 0..8 {
-            let (ids, _) = eval_ids(&seg, &preds);
-            assert_eq!(ids.as_slice(), expect.as_slice());
-            let (n, _) = eval_count(&seg, &preds);
-            assert_eq!(n as usize, expect.len());
-        }
+        let (ids, _) = eval_ids(&seg, &preds);
+        assert_eq!(ids.as_slice(), expect.as_slice());
+        let (n, _) = eval_count(&seg, &preds);
+        assert_eq!(n as usize, expect.len());
     }
 
     /// OR groups union their arms; the empty group is the identity of OR
@@ -2133,40 +1697,34 @@ mod tests {
         assert_eq!(all.len(), 2048, "the empty conjunction selects everything");
     }
 
-    /// The fused and per-predicate plans must agree byte-for-byte: with
-    /// planning enabled the chooser's bootstrap alternates both plans over
-    /// the same query, and with `conjunction_planning: false` the pinned
-    /// per-predicate baseline must produce the identical answer.
+    /// The conjunction plan value-checks the predicate with the fewest
+    /// imprint candidates first, whatever order the query names them in:
+    /// `[wide, narrow]` and `[narrow, wide]` do the same value work.
     #[test]
-    fn fused_and_per_pred_plans_agree() {
-        let base = cfg();
-        let pinned = EngineConfig { conjunction_planning: false, ..cfg() };
-        let (planned, a, b) = two_col_seg(&base);
-        let (baseline, _, _) = two_col_seg(&pinned);
-        let cases: &[(i64, i64, i64)] = &[(10, 30, 9), (0, 99, 36), (50, 50, 0), (80, 20, 5)];
-        for &(lo, hi, bmax) in cases {
-            let preds = [
-                q(0, ValueRange::between(Value::I64(lo), Value::I64(hi))),
-                q(1, ValueRange::at_most(Value::I64(bmax))),
-            ];
-            let expect: Vec<u64> = (0..2048u64)
-                .filter(|&i| (lo..=hi).contains(&a[i as usize]) && b[i as usize] <= bmax)
-                .collect();
-            for _ in 0..8 {
-                let (ids, _) = eval_ids(&planned, &preds);
-                assert_eq!(ids.as_slice(), expect.as_slice(), "planned {lo}..={hi} & <={bmax}");
-                let (ids, _) = eval_ids(&baseline, &preds);
-                assert_eq!(ids.as_slice(), expect.as_slice(), "pinned {lo}..={hi} & <={bmax}");
-            }
-        }
-        // The arbitrated segment measured both plans; the pinned one
-        // never consulted a chooser (per-predicate throughout).
-        let chooser = planned.plan_chooser(&[
-            q(0, ValueRange::equals(Value::I64(0))),
-            q(1, ValueRange::equals(Value::I64(0))),
-        ]);
-        assert!(chooser.queries() > 0, "planned segment must have recorded plan costs");
-        let est = chooser.estimates();
-        assert!(est.iter().all(Option::is_some), "bootstrap must have measured both plans");
+    fn conjunction_checks_the_most_selective_predicate_first() {
+        // `a` is clustered (the imprint prunes a narrow range to a few
+        // cachelines); `b` cycles through 0..37 inside every cacheline, so
+        // its imprint keeps every row a candidate.
+        let a: Vec<i64> = (0..4096).collect();
+        let b: Vec<i64> = (0..4096).map(|i| i % 37).collect();
+        let seg = SealedSegment::seal(
+            0,
+            vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::I64(Column::from(b.clone()))],
+            None,
+            &cfg(),
+        );
+        let narrow = q(0, ValueRange::between(Value::I64(1000), Value::I64(1100)));
+        let wide = q(1, ValueRange::between(Value::I64(0), Value::I64(30)));
+        let expect: Vec<u64> = (0..4096u64)
+            .filter(|&i| (1000..=1100).contains(&a[i as usize]) && b[i as usize] <= 30)
+            .collect();
+        let (ids_nw, stats_nw) = eval_ids(&seg, &[narrow.clone(), wide.clone()]);
+        let (ids_wn, stats_wn) = eval_ids(&seg, &[wide, narrow]);
+        assert_eq!(ids_nw.as_slice(), expect.as_slice());
+        assert_eq!(ids_wn.as_slice(), expect.as_slice());
+        assert_eq!(
+            stats_wn.value_comparisons, stats_nw.value_comparisons,
+            "query order must not change which predicate is checked first"
+        );
     }
 }

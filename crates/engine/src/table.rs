@@ -25,7 +25,7 @@
 //! sealed segment builds its real per-segment imprint.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, Column, ColumnType, Error, IdList, Result, Scalar, Value};
@@ -279,21 +279,30 @@ impl Table {
     }
 
     /// Total rows (sealed + open) at this instant.
+    ///
+    /// This and the other read-only counters ([`Table::sealed_segment_count`],
+    /// [`Table::index_bytes`], the sealed snapshot behind
+    /// [`Catalog::storage_stats`](crate::Catalog::storage_stats)) keep
+    /// answering on a table whose lock a panicked writer poisoned: they
+    /// read a base, lengths and an `Arc` clone, never row data, so the
+    /// operator asking what is wrong still gets numbers. After such a
+    /// panic the count may include a half-applied batch; queries, appends
+    /// and seals on that table keep failing loudly.
     pub fn row_count(&self) -> u64 {
-        let open = self.open.read().expect("open lock");
+        let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
         open.base + open.len() as u64
     }
 
     /// Number of sealed segments at this instant.
     pub fn sealed_segment_count(&self) -> usize {
-        self.sealed.read().expect("sealed lock").len()
+        self.sealed.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Bytes of secondary-index structures: every sealed segment's imprint
     /// and zonemap, plus the open head's tail imprints once built.
     pub fn index_bytes(&self) -> usize {
-        let open = self.open.read().expect("open lock");
-        let sealed = self.sealed.read().expect("sealed lock").clone();
+        let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
+        let sealed = self.sealed_snapshot();
         let tail_bytes: usize =
             open.tails.as_ref().map_or(0, |tails| tails.iter().map(AnyTailIndex::size_bytes).sum());
         drop(open);
@@ -562,7 +571,7 @@ impl Table {
 
     /// The current sealed segment list (a frozen snapshot).
     pub(crate) fn sealed_snapshot(&self) -> SegmentList {
-        self.sealed.read().expect("sealed lock").clone()
+        self.sealed.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     // ------------------------------------------------------------------
@@ -1340,6 +1349,15 @@ mod tests {
         }
     }
 
+    fn poison_open(t: &Table) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let writer = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = t.open.write().unwrap();
+            panic!("writer dies mid-append");
+        }));
+        assert!(writer.is_err() && t.open.is_poisoned());
+    }
+
     /// A writer that panicked while holding the open lock poisons it. The
     /// read path must report that as an error in every query's slot — not
     /// unwind into its caller, which in the server is the one dispatcher
@@ -1349,11 +1367,7 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
         t.append_batch(vec![ints(0..600)]).unwrap();
-        let writer = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = t.open.write().unwrap();
-            panic!("writer dies mid-append");
-        }));
-        assert!(writer.is_err() && t.open.is_poisoned());
+        poison_open(&t);
         let batch = vec![
             BatchQuery::ids(vec![("v".into(), ValueRange::at_least(Value::I64(590)))]),
             BatchQuery::count(vec![]),
@@ -1372,6 +1386,25 @@ mod tests {
         }
         assert!(t.query(&[]).is_err());
         assert!(t.count(&[], None).is_err());
+    }
+
+    /// The operator's counters keep answering on a poisoned table — `STATS`
+    /// is how they find out what is wrong — while queries on it still
+    /// error.
+    #[test]
+    fn poisoned_open_lock_still_answers_storage_stats_and_path_report() {
+        let cat = crate::Catalog::new();
+        let t = cat.create_table("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
+        t.append_batch(vec![ints(0..600)]).unwrap();
+        let sealed = t.sealed_segment_count();
+        assert!(sealed > 0);
+        poison_open(&t);
+        let stats = cat.storage_stats();
+        assert_eq!((stats.rows, stats.sealed_segments), (600, sealed));
+        assert!(stats.index_bytes > 0 && t.index_bytes() >= stats.index_bytes);
+        let report = crate::planner::path_report(&cat);
+        assert_eq!((report.len(), report[0].segments), (1, sealed));
+        assert!(t.query_batch(&[BatchQuery::count(vec![])], None)[0].is_err());
     }
 
     /// A batch with an unresolvable query errors only that slot; the rest

@@ -28,14 +28,14 @@
 //!    real per-segment imprint (with binning inheritance), which the tail
 //!    index never tries to replace.
 //!
-//! Unlike sealed segment columns — whose N-path, selectivity-bucketed
+//! Unlike sealed segment columns — whose selectivity-bucketed
 //! [`PathChooser`](crate::paths::PathChooser) arbitrates between imprint,
-//! zonemap, scan and WAH — the write head deliberately stays
-//! imprint-only: its buffer mutates under the open write lock on every
-//! append, so any additional per-head structure (zonemap, WAH vectors)
-//! would need the same incremental-extend treatment for marginal gain on
-//! at most one segment of rows, and cost-model state learned on a buffer
-//! that is discarded at seal would never amortize.
+//! zonemap and scan — the write head deliberately stays imprint-only: its
+//! buffer mutates under the open write lock on every append, so any
+//! additional per-head structure (a zonemap, say) would need the same
+//! incremental-extend treatment for marginal gain on at most one segment
+//! of rows, and cost-model state learned on a buffer that is discarded at
+//! seal would never amortize.
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, IdList};

@@ -1,8 +1,8 @@
 //! `xtask` — the workspace invariant analyzer behind `cargo xtask lint`.
 //!
 //! The engine's correctness rests on hand-maintained concurrency
-//! invariants: epoch-swapped sealed lists, lazily-built WAH paths behind
-//! `OnceLock`, a condvar-based admission queue, and raw-pointer
+//! invariants: epoch-swapped sealed lists, evictable segment data behind
+//! `RwLock`/`OnceLock`, a condvar-based admission queue, and raw-pointer
 //! `AlignedVec` storage. Stock clippy checks none of the *discipline*
 //! around them. This crate is a repo-native static-analysis pass — a
 //! hand-rolled lexer (no external parser crates) plus five rule families

@@ -1,8 +1,9 @@
 //! Property tests for multi-predicate planning: conjunctions, OR groups
 //! and IN-lists must be indistinguishable from the brute-force row oracle
 //! for any data, any segmentation, any access-path mix (imprint, zonemap,
-//! scan, WAH), any head geometry (tail-indexed or scalar-scanned, partial
-//! or just-sealed) and either refinement kernel (the CI matrix forces the
+//! scan), any head geometry (tail-indexed or scalar-scanned, partial or
+//! just-sealed), any order the query names its predicates in, and either
+//! refinement kernel (the CI matrix forces the
 //! scalar kernel through this suite via `IMPRINTS_REFINE_KERNEL`).
 
 use column_imprints::colstore::relation::AnyColumn;
@@ -11,8 +12,8 @@ use column_imprints::engine::{BatchAnswer, BatchQuery, EngineConfig, Table, Valu
 use proptest::prelude::*;
 
 /// Row shape shared by every generator: three i64 columns with different
-/// domains so per-column selectivities (and therefore the plans the
-/// chooser picks) diverge.
+/// domains so per-column selectivities (and therefore the order the
+/// conjunction plan checks them in) diverge.
 type Row = (i64, i64, i64);
 
 fn three_col_table(rows: &[Row], chunks: usize, cfg: EngineConfig) -> Table {
@@ -98,18 +99,17 @@ fn oracle(rows: &[Row], preds: &[(&str, ValueSet)], any: bool) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Three-predicate conjunctions: the fused mask-intersection plan, the
-    /// pinned per-predicate plan and the brute-force oracle agree for any
-    /// data, any segment size, tail-indexed or scanned heads, with or
-    /// without a WAH budget — and keep agreeing across repeated runs while
-    /// the `PlanChooser` bootstraps and explores.
+    /// Three-predicate conjunctions equal the brute-force oracle for any
+    /// data, any segment size, tail-indexed or scanned heads — and in
+    /// every order the query can name the predicates in: the plan picks
+    /// its own check order, so all six permutations return identical ids
+    /// and counts.
     #[test]
-    fn conjunction_equals_oracle_across_plans_and_paths(
+    fn conjunction_equals_oracle_in_every_predicate_order(
         rows in prop::collection::vec((0i64..1000, 0i64..100, 0i64..50), 0..3000),
         chunks in 1usize..5,
         seg_exp in 1usize..5,
         tail_indexed in any::<bool>(),
-        wah in any::<bool>(),
         a_lo in 0i64..1100, a_width in 0i64..400,
         b_lo in 0i64..110, b_width in 0i64..40,
         c_lo in 0i64..55, c_width in 0i64..20,
@@ -118,26 +118,20 @@ proptest! {
             segment_rows: 64usize << seg_exp, // 128..=1024
             workers: 2,
             tail_index_min_rows: if tail_indexed { 64 } else { usize::MAX },
-            wah_budget_bytes: if wah { 1 << 20 } else { 0 },
             ..Default::default()
         };
-        let pinned_cfg = EngineConfig { conjunction_planning: false, ..cfg.clone() };
-        let planned = three_col_table(&rows, chunks, cfg);
-        let pinned = three_col_table(&rows, chunks, pinned_cfg);
+        let t = three_col_table(&rows, chunks, cfg);
         let preds = [
             ("a", set_range(a_lo, a_width)),
             ("b", set_range(b_lo, b_width)),
             ("c", set_range(c_lo, c_width)),
         ];
         let expect = oracle(&rows, &preds, false);
-        // Repeats walk the chooser through bootstrap (both plans) and into
-        // steady state; every round must stay byte-identical.
-        for round in 0..4 {
-            for (name, t) in [("planned", &planned), ("pinned", &pinned)] {
-                let (got, n) = ids_and_count(t, &preds, false);
-                prop_assert_eq!(&got, &expect, "{}, round {}", name, round);
-                prop_assert_eq!(n as usize, expect.len(), "{} count, round {}", name, round);
-            }
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let permuted = order.map(|i| preds[i].clone());
+            let (got, n) = ids_and_count(&t, &permuted, false);
+            prop_assert_eq!(&got, &expect, "order {:?}", order);
+            prop_assert_eq!(n as usize, expect.len(), "count, order {:?}", order);
         }
     }
 
