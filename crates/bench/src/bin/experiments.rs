@@ -21,27 +21,18 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut cfg = ExpConfig::default();
     let mut experiment = String::from("all");
-    let mut rows_given = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--experiment" | "-e" => experiment = val(),
-            "--rows" | "-n" => {
-                cfg.rows = val().parse().unwrap_or_else(|_| usage());
-                rows_given = true;
-            }
+            "--rows" | "-n" => cfg.rows = val().parse().unwrap_or_else(|_| usage()),
             "--rounds" | "-r" => cfg.rounds = val().parse().unwrap_or_else(|_| usage()),
             "--seed" | "-s" => cfg.seed = val().parse().unwrap_or_else(|_| usage()),
             "--out" | "-o" => cfg.out_dir = val().into(),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
-    }
-    // The throughput experiment measures serving-scale QPS: default it to
-    // 10M rows unless the user sized it explicitly.
-    if experiment == "throughput" && !rows_given {
-        cfg.rows = 10_000_000;
     }
     println!(
         "column imprints experiment harness — experiment={experiment} rows={} rounds={} seed={}\n",

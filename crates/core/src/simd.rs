@@ -70,11 +70,12 @@ use colstore::{Bound, IdList, RangePredicate, Scalar};
 /// Which kernel weeds false positives out of fetched cachelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefineKernel {
-    /// Resolve automatically. Currently the SWAR kernel: it is portable
-    /// `u64` arithmetic and won or tied the scalar loop on every measured
-    /// type × workload (see the `refine` bench experiment); the variant
-    /// exists so the resolution policy can grow (e.g. per-type choices)
-    /// without an API change.
+    /// Resolve automatically. Currently the SWAR kernel, for every type:
+    /// it is portable `u64` arithmetic. The benchmark measures both
+    /// kernels on every workload (`core.refine_gbps` beside
+    /// `core.refine_scalar_gbps`); the variant exists so the resolution
+    /// policy can follow those rows (e.g. per-type choices) without an
+    /// API change.
     #[default]
     Auto,
     /// The branchy one-value-at-a-time loop — the differential oracle.

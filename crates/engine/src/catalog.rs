@@ -167,9 +167,9 @@ impl Catalog {
         self.tables.read().expect("catalog lock").values().cloned().collect()
     }
 
-    /// Aggregate storage statistics across all tables — the compaction
-    /// experiment's before/after metric and a cheap health probe for
-    /// operators. Per table, the segment count and index bytes come from
+    /// Aggregate storage statistics across all tables — what the benchmark
+    /// reads its size and residency metrics from, and a cheap health probe
+    /// for operators. Per table, the segment count and index bytes come from
     /// one frozen sealed-list snapshot, so they can never pair a pre-swap
     /// count with post-swap bytes even while compaction churns.
     pub fn storage_stats(&self) -> StorageStats {

@@ -102,7 +102,7 @@ pub struct StorageOptions {
     /// indexes back (leaving segment data evicted until first touched) or
     /// ignores them and rebuilds every index from the column data. `true`
     /// is the fast restart path; `false` is the rebuild baseline the
-    /// `recovery` bench experiment compares against.
+    /// benchmark's `engine.open_rebuild_s` times beside `engine.open_s`.
     pub load_indexes: bool,
 }
 

@@ -79,7 +79,7 @@ pub use paths::{PathChooser, PathKind, MAX_PATHS, NUM_BUCKETS};
 pub use persist::RecoveryReport;
 pub use planner::{
     maintenance_tick, path_report, BucketPathReport, ColumnPathReport, CompactionAction,
-    MaintenanceAction, MaintenanceDaemon, MaintenanceReport, RebuildReason,
+    MaintenanceDaemon, MaintenanceReport, RebuildReason,
 };
 pub use segment::{SealedSegment, SegQuery};
 pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};

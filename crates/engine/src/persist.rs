@@ -165,8 +165,9 @@ impl TableStore {
     }
 
     /// Writes `seg` as a fresh segment directory: every column's data,
-    /// imprint and zonemap into a `.tmp` directory, fsynced, then one
-    /// rename publishing it. On success the segment is marked durable
+    /// imprint and zonemap into a `.tmp` directory, each file fsynced and
+    /// then the directory holding their names, then one rename publishing
+    /// it. On success the segment is marked durable
     /// (directory name + per-column data files pinned). A segment that is
     /// already durable — a recovered one — is left as is.
     pub(crate) fn persist_segment(&self, seg: &SealedSegment) -> Result<()> {
@@ -187,6 +188,10 @@ impl TableStore {
             write_file(&tmp.join(imprint_file(ci)), |w| col.write_index_to(w))?;
             write_file(&tmp.join(zonemap_file(ci)), |w| col.write_zonemap_to(w))?;
         }
+        // The files' *names* live in the tmp directory: without this a
+        // committed manifest could name a directory whose entries never
+        // reached the disk.
+        sync_dir(&tmp)?;
         let dir = self.root.join(&name);
         fs::rename(&tmp, &dir)?;
         sync_dir(&self.root)?;

@@ -84,16 +84,6 @@ pub struct CompactionAction {
     pub tier: u32,
 }
 
-/// Anything the maintenance planner wants done: re-bin one segment
-/// column's index, or merge a run of adjacent segments into a higher tier.
-#[derive(Debug, Clone)]
-pub enum MaintenanceAction {
-    /// Rebuild a degraded segment column's index in place.
-    Rebuild(RebuildAction),
-    /// Merge adjacent same-tier segments into one.
-    Compact(CompactionAction),
-}
-
 /// Outcome of one maintenance pass.
 #[derive(Debug, Default)]
 pub struct MaintenanceReport {
@@ -272,32 +262,6 @@ pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
     out
 }
 
-/// Inspects every table and returns what a maintenance pass would do —
-/// index rebuilds and compaction merges — without touching anything.
-pub fn plan(catalog: &Catalog) -> Vec<MaintenanceAction> {
-    let mut actions = Vec::new();
-    for table in catalog.tables() {
-        let cfg = &table.config().maintenance;
-        let sealed = table.sealed_snapshot();
-        for (si, seg) in sealed.iter().enumerate() {
-            for (ci, col) in seg.columns().iter().enumerate() {
-                if let Some(reason) = diagnose(&table, col, cfg) {
-                    actions.push(MaintenanceAction::Rebuild(RebuildAction {
-                        table: table.name().to_string(),
-                        segment: si,
-                        column: table.schema()[ci].name.clone(),
-                        reason,
-                    }));
-                }
-            }
-        }
-        actions.extend(
-            plan_compactions_for(&table, &sealed).into_iter().map(MaintenanceAction::Compact),
-        );
-    }
-    actions
-}
-
 /// One maintenance pass: diagnose and rebuild degraded segment columns,
 /// then merge small segment tiers under the compaction budget, swapping
 /// every result in atomically. Returns what happened.
@@ -318,12 +282,14 @@ pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
                 continue;
             }
             // Rebuild every degraded column of the segment off the frozen
-            // snapshot (no locks held), then swap once — the swap checks
-            // the segment is still the one we rebuilt from, so a true
+            // snapshot (no locks held), then install once — the install
+            // checks the segment is still the one we rebuilt from, so a true
             // concurrent change (not our own swap) makes it a no-op.
             let cols: Vec<usize> = degraded.iter().map(|d| d.0).collect();
             let rebuilt = seg.with_rebuilt_columns(&cols);
-            if table.replace_segment(si, seg, rebuilt) {
+            if table.install(std::slice::from_ref(seg), rebuilt) {
+                // ordering: monotonic telemetry, guards no other memory.
+                table.stats().rebuilds.fetch_add(1, Ordering::Relaxed);
                 for (ci, reason) in degraded {
                     report.applied.push(RebuildAction {
                         table: table.name().to_string(),
@@ -388,10 +354,10 @@ fn evict_cold(table: &Table, report: &mut MaintenanceReport) {
 
 /// The compaction half of one tick. Each pass of the outer loop freezes one
 /// snapshot, plans once, and applies *every* planned window against it —
-/// the windows are non-overlapping and ascending, so later windows stay
-/// valid after earlier swaps once their indices are shifted by the
-/// segments already consumed. Merges are built off the snapshot with no
-/// locks held and swapped in atomically. The outer loop then re-plans so
+/// the windows are non-overlapping, and [`Table::install`] finds each by
+/// row id, so later windows stay valid after earlier installs shrank the
+/// live list. Merges are built off the snapshot with no locks held and
+/// installed atomically. The outer loop then re-plans so
 /// merges cascade within one tick (four tier-0 merges can produce the four
 /// tier-1 segments that immediately merge into a tier-2), stopping when
 /// the plan is empty, the byte budget is spent, or a swap loses a race
@@ -408,9 +374,6 @@ fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut Maintenanc
         if plan.is_empty() {
             return;
         }
-        // Each applied merge replaces `len` segments by one, shifting every
-        // later window left by `len - 1` in the live list.
-        let mut shift = 0usize;
         for action in plan {
             let window = &sealed[action.start..action.start + action.len];
             let bytes: usize = window
@@ -423,8 +386,11 @@ fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut Maintenanc
                 return;
             }
             let merged = SealedSegment::merge(window, table.config());
-            if table.replace_segments(action.start - shift, window, merged) {
-                shift += action.len - 1;
+            if table.install(window, merged) {
+                // ordering: monotonic telemetry, guards no other memory.
+                table.stats().compactions.fetch_add(1, Ordering::Relaxed);
+                // ordering: as above.
+                table.stats().segments_compacted.fetch_add(action.len as u64, Ordering::Relaxed);
                 spent += bytes;
                 report.compaction_bytes += bytes;
                 report.compacted.push(action);
@@ -517,19 +483,14 @@ mod tests {
     fn planner_detects_and_repairs_drift() {
         let cat = Catalog::new();
         let t = drifted_table(&cat);
-        let planned = plan(&cat);
-        assert!(
-            planned.iter().any(|a| matches!(
-                a,
-                MaintenanceAction::Rebuild(r) if matches!(r.reason, RebuildReason::Drifted(_))
-            )),
-            "expected drift actions, got {planned:?}"
-        );
         let pred = [("v", ValueRange::between(Value::I64(10_000_100), Value::I64(10_000_300)))];
         let before = t.query(&pred).unwrap();
         let epoch_before = t.epoch();
         let report = maintenance_tick(&cat);
-        assert!(!report.applied.is_empty(), "tick must apply the planned rebuilds");
+        assert!(
+            report.applied.iter().any(|r| matches!(r.reason, RebuildReason::Drifted(_))),
+            "the tick must diagnose and repair the drift, got {report:?}"
+        );
         assert!(t.epoch() > epoch_before, "swaps must bump the epoch");
         // Rebuilt index answers identically.
         let after = t.query(&pred).unwrap();
@@ -566,7 +527,7 @@ mod tests {
         let mut repaired: Vec<&str> = report.applied.iter().map(|a| a.column.as_str()).collect();
         repaired.sort_unstable();
         assert_eq!(repaired, vec!["a", "b"], "both degraded columns repaired in one tick");
-        assert!(plan(&cat).is_empty(), "one tick must leave nothing diagnosed");
+        assert!(maintenance_tick(&cat).is_idle(), "one tick must leave nothing diagnosed");
     }
 
     /// Satellite regression: a constant column appended across many sealed
@@ -585,16 +546,11 @@ mod tests {
         let t = cat.create_table("const", &[("v", ColumnType::I64)], cfg).unwrap();
         t.append_batch(vec![AnyColumn::I64(std::iter::repeat_n(7i64, 2048).collect())]).unwrap();
         assert_eq!(t.sealed_segment_count(), 4);
-        assert!(
-            plan(&cat).is_empty(),
-            "an in-domain constant chain must diagnose clean: {:?}",
-            plan(&cat)
-        );
         let report = maintenance_tick(&cat);
-        assert!(report.applied.is_empty(), "nothing to rebuild: {report:?}");
+        assert!(report.is_idle(), "an in-domain constant chain must diagnose clean: {report:?}");
         // And appending more of the same never re-arms the signal.
         t.append_batch(vec![AnyColumn::I64(std::iter::repeat_n(7i64, 1024).collect())]).unwrap();
-        assert!(plan(&cat).is_empty());
+        assert!(maintenance_tick(&cat).is_idle());
     }
 
     #[test]
@@ -760,16 +716,16 @@ mod tests {
         let t = { drifted_table(&cat) };
         let mut d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
         // Wait for the daemon to repair the drifted segments.
+        let rebuilds = || t.stats().rebuilds.load(Ordering::Relaxed);
         for _ in 0..500 {
-            if plan(&cat).is_empty() {
+            if rebuilds() > 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(plan(&cat).is_empty(), "daemon should have repaired drift");
+        assert!(rebuilds() > 0, "daemon should have repaired drift");
         assert!(d.is_running());
         d.stop();
         assert!(!d.is_running());
-        drop(t);
     }
 }

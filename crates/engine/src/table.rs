@@ -392,38 +392,25 @@ impl Table {
     /// tail imprint is discarded here: the sealed segment builds its real
     /// per-segment imprint (with binning inheritance) below.
     ///
-    /// Index building and the durable segment write both happen *before*
-    /// the sealed lock — only the list swap needs it. Seals are serialized
-    /// by the open write lock the caller holds, so the previous segment
-    /// (read from a snapshot for binning inheritance) cannot be outpaced
-    /// by another seal; a concurrent maintenance swap of it is harmless,
-    /// the pinned `Arc` stays valid. Persisting first also means a
-    /// manifest can never name a directory that is not fully on disk.
+    /// Seals are serialized by the open write lock the caller holds, so the
+    /// previous segment (read from a snapshot for binning inheritance)
+    /// cannot be outpaced by another seal; a concurrent maintenance swap of
+    /// it is harmless, the pinned `Arc` stays valid.
     fn seal_open(&self, open: &mut OpenSegment) {
         open.tails = None;
         let bufs = std::mem::replace(
             &mut open.bufs,
             self.schema.iter().map(|d| AnyColumn::new_empty(d.ty)).collect(),
         );
-        let base = open.base;
         let rows = bufs.first().map_or(0, AnyColumn::len);
         let prev = self.sealed_snapshot();
-        let seg =
-            Arc::new(SealedSegment::seal(base, bufs, prev.last().map(Arc::as_ref), &self.cfg));
-        self.persist_segment(&seg);
-        let mut sealed = self.sealed.write().expect("sealed lock");
-        let mut list: Vec<Arc<SealedSegment>> = sealed.as_ref().clone();
-        list.push(seg);
-        *sealed = Arc::new(list);
-        // Bump while still holding the write lock, so a reader holding the
-        // read lock always sees an epoch that matches the list it pinned.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let snapshot = sealed.clone();
-        drop(sealed);
-        open.base = base + rows as u64;
+        let seg = SealedSegment::seal(open.base, bufs, prev.last().map(Arc::as_ref), &self.cfg);
+        assert!(
+            self.install(&[], seg),
+            "a seal appends at the list's end under the open write lock: nothing can race it"
+        );
+        open.base += rows as u64;
         self.stats.segments_sealed.fetch_add(1, Ordering::Relaxed);
-        self.commit_manifest_for(epoch, &snapshot);
     }
 
     /// Seals the open write head even when partially filled — the
@@ -493,78 +480,54 @@ impl Table {
         self.store.as_ref()
     }
 
-    /// Atomically replaces sealed segment `idx` if it is still `old` —
-    /// the planner's swap step. Returns whether the swap happened.
-    pub(crate) fn replace_segment(
-        &self,
-        idx: usize,
-        old: &Arc<SealedSegment>,
-        new: SealedSegment,
-    ) -> bool {
-        let new = Arc::new(new);
-        // Persist before the swap: losing the race below merely leaves an
-        // orphan directory for the next startup's garbage collection.
-        self.persist_segment(&new);
-        let mut sealed = self.sealed.write().expect("sealed lock");
-        match sealed.get(idx) {
-            Some(cur) if Arc::ptr_eq(cur, old) => {
-                let mut list: Vec<Arc<SealedSegment>> = sealed.as_ref().clone();
-                list[idx] = new;
-                *sealed = Arc::new(list);
-                self.epoch.fetch_add(1, Ordering::AcqRel);
-                let epoch = self.epoch.load(Ordering::Acquire);
-                let snapshot = sealed.clone();
-                drop(sealed);
-                self.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                self.commit_manifest_for(epoch, &snapshot);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Atomically replaces the `old.len()` sealed segments starting at
-    /// `start` with the single merged segment `new` — the compaction swap.
-    /// Succeeds only if every segment of the window is still the exact
-    /// `Arc` the merge was built from (a seal appending behind the window
-    /// does not invalidate it; a concurrent rebuild or compaction inside it
-    /// does). Readers pinned to the old list keep a fully consistent view;
-    /// new readers see the merged segment. Returns whether the swap
-    /// happened.
-    pub(crate) fn replace_segments(
-        &self,
-        start: usize,
-        old: &[Arc<SealedSegment>],
-        new: SealedSegment,
-    ) -> bool {
-        debug_assert!(old.len() >= 2, "compaction must merge at least two segments");
-        debug_assert_eq!(new.base(), old[0].base(), "merged segment must keep the window base");
-        debug_assert_eq!(
-            new.rows(),
-            old.iter().map(|s| s.rows()).sum::<usize>(),
-            "merged segment must keep every row"
+    /// Installs `new` in place of the sealed segments `old` — the only code
+    /// that changes the sealed list. A seal passes no `old` and appends at
+    /// the end; a rebuild replaces one segment; a compaction replaces a run
+    /// of adjacent ones. The window is located by `new`'s base row id, and
+    /// the install happens only if it still holds exactly the `Arc`s of
+    /// `old` (an empty window: only if `new` continues the list's end). A
+    /// seal appending behind a window does not invalidate it; a rebuild or
+    /// compaction inside it does. Returns whether the list changed; a lost
+    /// race leaves an orphan directory for the next startup's `gc`.
+    ///
+    /// The order is the durability argument: the segment directory is
+    /// persisted before it is published, so a manifest can never name a
+    /// directory that is not fully on disk; the epoch is bumped under the
+    /// sealed write lock, so a reader holding the read lock always sees an
+    /// epoch that matches the list it pinned; the manifest is committed
+    /// after the lock is released. Readers pinned to the old list keep a
+    /// fully consistent view.
+    pub(crate) fn install(&self, old: &[Arc<SealedSegment>], new: SealedSegment) -> bool {
+        assert!(
+            old.is_empty()
+                || (new.base() == old[0].base()
+                    && new.rows() == old.iter().map(|s| s.rows()).sum::<usize>()),
+            "a replacement must cover exactly the rows of its window"
         );
         let new = Arc::new(new);
         self.persist_segment(&new);
         let mut sealed = self.sealed.write().expect("sealed lock");
-        let window = match sealed.get(start..start + old.len()) {
-            Some(w) => w,
-            None => return false,
+        let start = sealed.partition_point(|s| s.base() < new.base());
+        let end = start + old.len();
+        let current = if old.is_empty() {
+            let covered = sealed.last().map_or(0, |s| s.base() + s.rows() as u64);
+            start == sealed.len() && new.base() == covered
+        } else {
+            sealed
+                .get(start..end)
+                .is_some_and(|w| w.iter().zip(old).all(|(a, b)| Arc::ptr_eq(a, b)))
         };
-        if !window.iter().zip(old).all(|(cur, o)| Arc::ptr_eq(cur, o)) {
+        if !current {
             return false;
         }
-        let mut list: Vec<Arc<SealedSegment>> = Vec::with_capacity(sealed.len() - old.len() + 1);
-        list.extend(sealed[..start].iter().cloned());
+        let mut list: Vec<Arc<SealedSegment>> = Vec::with_capacity(sealed.len() + 1 - old.len());
+        list.extend_from_slice(&sealed[..start]);
         list.push(new);
-        list.extend(sealed[start + old.len()..].iter().cloned());
+        list.extend_from_slice(&sealed[end..]);
         *sealed = Arc::new(list);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        let epoch = self.epoch.load(Ordering::Acquire);
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         let snapshot = sealed.clone();
         drop(sealed);
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.stats.segments_compacted.fetch_add(old.len() as u64, Ordering::Relaxed);
         self.commit_manifest_for(epoch, &snapshot);
         true
     }
@@ -1165,31 +1128,46 @@ mod tests {
     }
 
     #[test]
-    fn replace_segments_swaps_atomically_and_rejects_stale_windows() {
+    fn install_swaps_windows_by_row_id_and_refuses_stale_ones() {
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
         t.append_batch(vec![ints(0..1024)]).unwrap(); // 4 sealed segments of 256
         let sealed = t.sealed_snapshot();
         assert_eq!(sealed.len(), 4);
         let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(700)))];
         let before = t.query(&pred).unwrap();
-        let epoch = t.epoch();
+        let merge = |w: std::ops::Range<usize>| SealedSegment::merge(&sealed[w], t.config());
+        let bases = || t.sealed_snapshot().iter().map(|s| s.base()).collect::<Vec<u64>>();
 
-        let merged = SealedSegment::merge(&sealed[1..3], t.config());
-        assert!(t.replace_segments(1, &sealed[1..3], merged));
-        assert_eq!(t.sealed_segment_count(), 3);
-        assert!(t.epoch() > epoch, "compaction swaps must bump the epoch");
-        assert_eq!(t.stats().compactions.load(Ordering::Relaxed), 1);
-        assert_eq!(t.stats().segments_compacted.load(Ordering::Relaxed), 2);
-        assert_eq!(t.query(&pred).unwrap(), before, "row ids must survive the merge");
+        // Two windows planned from one snapshot both install, the second
+        // with no index correction although the first shrank the list.
+        let epoch = t.epoch();
+        assert!(t.install(&sealed[0..2], merge(0..2)));
+        assert!(t.install(&sealed[2..4], merge(2..4)));
+        assert_eq!(bases(), vec![0, 512]);
+        assert_eq!(t.epoch(), epoch + 2, "every install bumps the epoch once");
+        assert_eq!(t.query(&pred).unwrap(), before, "row ids must survive the merges");
         assert_eq!(t.tuple(300), Some(vec![Value::I64(300)]));
 
-        // The same window is now stale: the swap must refuse it.
-        let merged_again = SealedSegment::merge(&sealed[1..3], t.config());
-        assert!(!t.replace_segments(1, &sealed[1..3], merged_again));
-        // And an out-of-range window is refused outright.
-        let merged_oob = SealedSegment::merge(&sealed[2..4], t.config());
-        assert!(!t.replace_segments(2, &sealed[2..4], merged_oob));
+        // Refused: a window holding a stale `Arc`, and one past the end.
+        assert!(!t.install(&sealed[0..2], merge(0..2)));
+        assert!(!t.install(&sealed[3..4], sealed[3].with_rebuilt_columns(&[0])));
+
+        // One-for-one: a rebuild of a live segment keeps its place.
+        let live = t.sealed_snapshot();
+        assert!(t.install(&live[1..2], live[1].with_rebuilt_columns(&[0])));
+        assert_eq!(bases(), vec![0, 512]);
+        assert!(!Arc::ptr_eq(&t.sealed_snapshot()[1], &live[1]));
         assert_eq!(t.query(&pred).unwrap(), before);
+
+        // The empty window appends — only where the list ends.
+        let sealing = |base: u64| {
+            SealedSegment::seal(base, vec![ints(0..256)], live.last().map(Arc::as_ref), t.config())
+        };
+        assert!(!t.install(&[], sealing(512)), "an append cannot land inside the list");
+        assert!(!t.install(&[], sealing(2048)), "an append cannot leave a gap");
+        assert!(t.install(&[], sealing(1024)));
+        assert_eq!(bases(), vec![0, 512, 1024]);
+        assert_eq!(t.epoch(), epoch + 4, "a refused install changes nothing");
     }
 
     fn tail_cfg(min_rows: usize) -> EngineConfig {

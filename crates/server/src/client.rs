@@ -1,5 +1,5 @@
 //! A small blocking client for the line protocol, used by the example, the
-//! `qps` bench experiment and the loopback tests. One `Client` owns one
+//! `benchmark/` package and the loopback tests. One `Client` owns one
 //! connection; [`send`](Client::send)/[`recv_reply`](Client::recv_reply)
 //! expose the raw halves so callers can pipeline tagged requests.
 

@@ -17,9 +17,10 @@
 //!   (bounded queue, shed-on-overload, per-client fairness) and batched
 //!   shared-morsel dispatch into the engine's worker pool.
 //!
-//! See the `examples/` directory for runnable end-to-end scenarios and the
+//! See the `examples/` directory for runnable end-to-end scenarios, the
 //! `imprints-bench` crate for the harness that regenerates every table and
-//! figure of the paper.
+//! figure of the paper (and nothing else), and the `benchmark/` package
+//! (`BENCHMARK.json`) for every measurement of the engine and the server.
 
 pub use baselines;
 pub use colstore;
