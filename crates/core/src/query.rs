@@ -437,6 +437,25 @@ mod tests {
         assert_eq!(ids.as_slice(), &[1000, 1001, 1002]);
     }
 
+    /// `ids_via_full_lines` is a count, not `lines_full * values_per_block`:
+    /// a partial tail cacheline emitted wholesale contributes only the ids
+    /// it holds. Here every compared value matches, so the ids that did
+    /// not come through a full line are exactly the comparisons.
+    #[test]
+    fn ids_via_full_lines_exact_with_partial_tail_emitted_wholesale() {
+        // 1000 i32 rows, 16 per line: 62 full lines + an 8-value tail. 41
+        // distinct values (< 64) give one bin per value, so the tail
+        // values 18..=25 sit strictly inside [10, 50] and the tail line is
+        // emitted via the innermask, while lines holding a 10 or a 50
+        // (border bins) take the value check — and every check matches.
+        let col: Column<i32> = (0..1000).map(|i| 10 + (i % 41)).collect();
+        let idx = ColumnImprints::build(&col);
+        let (ids, stats) = evaluate(&idx, &col, &RangePredicate::between(10, 50));
+        assert_eq!(ids.len(), 1000);
+        assert!(stats.access.value_comparisons > 0, "a border line must take the check path");
+        assert_eq!(ids.len() as u64 - stats.ids_via_full_lines, stats.access.value_comparisons);
+    }
+
     #[test]
     fn repeat_runs_probed_once() {
         // Constant column: one repeat run; matching query probes once.

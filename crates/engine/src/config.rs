@@ -31,7 +31,7 @@ pub struct EngineConfig {
     /// how CI forces the scalar fallback through the whole suite. Either
     /// kernel returns byte-identical results; only speed differs.
     pub refine_kernel: RefineKernel,
-    /// Background maintenance thresholds.
+    /// Background maintenance: compaction tiering and its per-tick budget.
     pub maintenance: MaintenanceConfig,
     /// Durable storage: where sealed segments persist and how much of
     /// their data stays memory-resident.
@@ -154,24 +154,12 @@ impl ServiceConfig {
     }
 }
 
-/// When the background planner rewrites a segment's index, and how it
-/// merges small sealed segments into larger tiers.
+/// How the background planner merges small sealed segments into larger
+/// tiers. (There is nothing to configure about *re*building an index: a
+/// sealed segment's bins are sampled from its own rows at seal time, and
+/// only a compaction merge ever builds an index again.)
 #[derive(Debug, Clone)]
 pub struct MaintenanceConfig {
-    /// Rebuild when the imprint's mean bits-set fraction exceeds this
-    /// (saturated vectors filter nothing; `ColumnImprints::saturation`).
-    pub saturation_threshold: f64,
-    /// Rebuild when this fraction of a segment's values landed in the
-    /// binning's overflow bins at seal time (the §4.1 drift signal, which
-    /// here means the inherited borders no longer fit the data).
-    pub drift_threshold: f64,
-    /// Rebuild when the observed false-positive rate of the imprint path —
-    /// fraction of value comparisons that did *not* produce a match —
-    /// stays above this.
-    pub fp_threshold: f64,
-    /// Ignore the false-positive signal until a segment has at least this
-    /// many observed value comparisons (avoids reacting to noise).
-    pub min_comparisons: u64,
     /// Tier fan-in of segment compaction: a run of this many adjacent
     /// sealed segments of the same size tier is merged into one segment
     /// (data concatenated, bins re-sampled once, imprint + zonemap
@@ -179,7 +167,7 @@ pub struct MaintenanceConfig {
     /// compaction.
     pub tier_fanin: usize,
     /// Never merge segments into one larger than this many rows — the top
-    /// tier, after which a segment only sees index rebuilds.
+    /// tier, after which a segment is never rewritten.
     pub max_segment_rows: usize,
     /// Input-data budget of one maintenance tick's compaction work, in
     /// bytes. Each tick merges at least one planned run (so tiering never
@@ -191,10 +179,6 @@ pub struct MaintenanceConfig {
 impl Default for MaintenanceConfig {
     fn default() -> Self {
         MaintenanceConfig {
-            saturation_threshold: 0.75,
-            drift_threshold: 0.5,
-            fp_threshold: 0.95,
-            min_comparisons: 4096,
             tier_fanin: 4,
             max_segment_rows: 1 << 22,
             compaction_budget_bytes: 64 << 20,

@@ -4,8 +4,9 @@
 //!
 //! * **Segments** ([`segment`]): columns are split into fixed-size,
 //!   cacheline-aligned segments, each carrying its own [`ColumnImprints`]
-//!   and [`baselines::ZoneMap`] — index (re)builds have bounded scope and
-//!   segments are natural parallelism morsels.
+//!   and [`baselines::ZoneMap`], binned from the segment's own rows when
+//!   it is sealed — index builds have bounded scope and segments are
+//!   natural parallelism morsels.
 //! * **Epoch-guarded catalog** ([`catalog`], [`table`]): relations hold
 //!   their sealed segments behind an `Arc`-swap scheme; readers pin a
 //!   consistent prefix in O(1) and never block while an appender seals new
@@ -23,12 +24,11 @@
 //!   imprint extended on every append (§4.1: appends never readjust
 //!   borders), so queries skip cachelines of the hot head instead of
 //!   scanning it linearly under the open read lock.
-//! * **Maintenance planner** ([`planner`]): watches saturation, append
-//!   drift and observed false-positive rates, and re-bins degraded
-//!   segment indexes in the background, swapping them in atomically; the
-//!   same loop runs LSM-style **tiered compaction**, merging runs of
-//!   adjacent same-tier sealed segments into one (re-binned once over the
-//!   merged values) under a per-tick byte budget.
+//! * **Maintenance planner** ([`planner`]): LSM-style **tiered
+//!   compaction** in the background — runs of adjacent same-tier sealed
+//!   segments merge into one (re-binned once over the merged values) under
+//!   a per-tick byte budget, swapped in atomically — then eviction of the
+//!   coldest persisted segments' data over the resident budget.
 //!
 //! ```
 //! use colstore::{ColumnType, Value};
@@ -79,7 +79,7 @@ pub use paths::{PathChooser, PathKind, MAX_PATHS, NUM_BUCKETS};
 pub use persist::RecoveryReport;
 pub use planner::{
     maintenance_tick, path_report, BucketPathReport, ColumnPathReport, CompactionAction,
-    MaintenanceDaemon, MaintenanceReport, RebuildReason,
+    MaintenanceDaemon, MaintenanceReport,
 };
 pub use segment::{SealedSegment, SegQuery};
 pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};

@@ -20,10 +20,9 @@
 //! literature buckets to avoid. Each bucket exploits its own cheapest path
 //! and runs its own deterministic round-robin exploration probe every
 //! [`EXPLORE_PERIOD`]-th query, so a path whose relative cost changed
-//! (appends elsewhere, different predicate mix, post-rebuild) gets
-//! re-measured per class. All state is atomic: choosers live inside
-//! shared, immutable segments and are updated concurrently by many
-//! readers.
+//! (appends elsewhere, different predicate mix) gets re-measured per
+//! class. All state is atomic: choosers live inside shared, immutable
+//! segments and are updated concurrently by many readers.
 //!
 //! The observed costs are end-to-end wall clock, so they include each
 //! path's false-positive refinement work — which every path routes
@@ -153,9 +152,7 @@ impl PathChooser {
         if n.is_multiple_of(EXPLORE_PERIOD) {
             return PathKind::CLASSIC[((n / EXPLORE_PERIOD) % k) as usize];
         }
-        // `None` only if a concurrent `reset` forgot every cost since the
-        // bootstrap check above.
-        self.winner(bucket).unwrap_or(PathKind::Imprints)
+        self.winner(bucket).expect("every path was measured above, and costs are never forgotten")
     }
 
     /// Feeds back the observed cost of one evaluation over `path` for a
@@ -224,34 +221,6 @@ impl PathChooser {
     /// Queries routed through one bucket.
     pub fn bucket_queries(&self, bucket: usize) -> u64 {
         self.state[bucket].queries.load(Ordering::Relaxed)
-    }
-
-    /// A copy with the same counters and learned costs — used when a
-    /// sibling column's rebuild swaps the segment but this column's index
-    /// is unchanged, so its cost model stays valid. A compaction merge
-    /// must **not** carry choosers over: the merged segment's data volume
-    /// and index are nothing like any input's, so its columns start fresh
-    /// and re-explore (see
-    /// [`SealedSegment::merge`](crate::segment::SealedSegment::merge)).
-    pub fn carry_over(&self) -> PathChooser {
-        PathChooser {
-            state: std::array::from_fn(|b| BucketState {
-                queries: AtomicU64::new(self.state[b].queries.load(Ordering::Relaxed)),
-                cost: std::array::from_fn(|slot| {
-                    AtomicU64::new(self.state[b].cost[slot].load(Ordering::Relaxed))
-                }),
-            }),
-        }
-    }
-
-    /// Forgets learned costs (after a rebuild changed the index); the
-    /// query cadence is kept.
-    pub fn reset(&self) {
-        for b in &self.state {
-            for c in &b.cost {
-                c.store(UNSEEN, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -389,56 +358,6 @@ mod tests {
         // A sane cost recorded afterwards still moves the estimate.
         ch.record(0, PathKind::Scan, 100);
         assert!(ch.estimates_for(0)[PathKind::Scan.slot()].unwrap() < COST_CAP);
-    }
-
-    /// The compaction-swap contract, shallow-clone side: a column whose
-    /// index survived the swap keeps its learned costs and query cadence
-    /// byte-for-byte.
-    #[test]
-    fn carry_over_preserves_costs_and_cadence() {
-        let ch = PathChooser::default();
-        for _ in 0..40 {
-            let p = ch.choose(2);
-            let cost = match p {
-                PathKind::Imprints => 2_000,
-                PathKind::ZoneMap => 700,
-                PathKind::Scan => 9_000,
-            };
-            ch.record(2, p, cost);
-        }
-        let copy = ch.carry_over();
-        assert_eq!(copy.estimates_for(2), ch.estimates_for(2));
-        assert_eq!(copy.queries(), ch.queries());
-        // The copy exploits the same winner the original learned.
-        let picks: Vec<PathKind> = (0..8).map(|_| copy.choose(2)).collect();
-        assert!(picks.iter().filter(|p| **p == PathKind::ZoneMap).count() >= 6, "{picks:?}");
-    }
-
-    /// The compaction-swap contract, merged-segment side: stale
-    /// per-segment estimates must not be trusted — `reset` drops every
-    /// learned cost and forces the bootstrap exploration sweep, exactly
-    /// what a fresh chooser does after a merge changed the index.
-    #[test]
-    fn reset_forgets_costs_and_forces_reexploration() {
-        let ch = PathChooser::default();
-        for _ in 0..40 {
-            let p = ch.choose(0);
-            ch.record(0, p, if p == PathKind::Scan { 100 } else { 50_000 });
-        }
-        assert!(ch.estimates_for(0).iter().all(Option::is_some));
-        ch.reset();
-        assert_eq!(ch.estimates(), [None; MAX_PATHS], "reset must forget all learned costs");
-        // Until every path is re-measured, choose() is in the bootstrap
-        // branch: it cycles deterministically instead of exploiting the
-        // (forgotten) scan winner.
-        let picks: Vec<PathKind> = (0..3).map(|_| ch.choose(0)).collect();
-        let mut distinct = picks.clone();
-        distinct.sort_by_key(|p| p.slot());
-        distinct.dedup();
-        assert_eq!(distinct.len(), 3, "bootstrap must probe all three paths: {picks:?}");
-        // Query cadence survives reset (it is not a new segment, the same
-        // one just got a new index).
-        assert_eq!(ch.queries(), 43);
     }
 
     #[test]

@@ -1,72 +1,36 @@
-//! The stats-driven maintenance planner: index rebuilds + tiered segment
-//! compaction.
+//! The maintenance planner: tiered segment compaction + cold-data
+//! eviction.
 //!
-//! Sealed segments inherit their binning from the previous segment
-//! (§4.1: appends never readjust borders), so a shifting value
-//! distribution slowly degrades the index: values pile into the overflow
-//! bins, imprint vectors saturate, and the false-positive weeding cost
-//! grows. Instead of rebuilding eagerly — or never — the planner watches
-//! three per-segment-column signals and schedules **bounded** background
-//! rebuilds (one segment's index at a time, data shared, readers never
-//! blocked):
-//!
-//! * **saturation** — mean bits-set fraction of the stored imprint vectors;
-//! * **drift** — fraction of the segment's values that landed in the
-//!   inherited binning's overflow bins at seal time;
-//! * **observed false-positive rate** — fraction of fetched-and-compared
-//!   values that did not match, accumulated by live queries.
-//!
-//! A second degradation mode is *structural*: trickle appends seal many
-//! small segments, each paying its own index overhead (bin dictionary,
-//! header, imprint-run breaks at segment boundaries) and each a separate
-//! stop on every query's sealed-list walk. The planner answers with
-//! LSM-style **tiered compaction**: segments are bucketed into size tiers
-//! (tier *t* holds segments of `unit·fanin^t ..< unit·fanin^(t+1)` rows),
-//! and a run of [`MaintenanceConfig::tier_fanin`] adjacent same-tier
+//! A sealed segment's index is built once, from its own rows, when the
+//! segment is sealed (see [`crate::segment`]), so there is no per-index
+//! degradation to watch for. What does degrade is *structural*: trickle
+//! appends seal many small segments, each paying its own index overhead
+//! (bin dictionary, header, imprint-run breaks at segment boundaries) and
+//! each a separate stop on every query's sealed-list walk. The planner
+//! answers with LSM-style **tiered compaction**: segments are bucketed
+//! into size tiers (tier *t* holds segments of
+//! `unit·fanin^t ..< unit·fanin^(t+1)` rows), and a run of
+//! [`tier_fanin`](crate::MaintenanceConfig::tier_fanin) adjacent same-tier
 //! segments is merged into one — data concatenated, bins re-sampled once
 //! over the union, imprint + zonemap rebuilt — then swapped in atomically,
-//! exactly like a rebuild. Ticks interleave both kinds of work, with
-//! compaction throughput capped per tick by
-//! [`MaintenanceConfig::compaction_budget_bytes`].
+//! with compaction throughput capped per tick by
+//! [`compaction_budget_bytes`](crate::MaintenanceConfig::compaction_budget_bytes).
+//! The second half of a tick evicts the data pages of the coldest
+//! persisted segments when a table is over its resident-data budget.
 //!
 //! This is the automated-index-management loop (AIM-style): observe →
-//! decide → rebuild/merge → swap, with the epoch scheme making each swap
+//! decide → merge/evict → swap, with the epoch scheme making each swap
 //! atomic to readers.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::catalog::Catalog;
-use crate::config::MaintenanceConfig;
 use crate::paths::{PathKind, MAX_PATHS, NUM_BUCKETS};
 use crate::segment::SealedSegment;
 use crate::table::Table;
-
-/// Why a segment column was (or would be) rebuilt.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RebuildReason {
-    /// Imprint vectors saturated past the threshold.
-    Saturated(f64),
-    /// Seal-time overflow drift past the threshold.
-    Drifted(f64),
-    /// Observed false-positive rate past the threshold.
-    FalsePositives(f64),
-}
-
-/// One planned or applied rebuild.
-#[derive(Debug, Clone)]
-pub struct RebuildAction {
-    /// Table name.
-    pub table: String,
-    /// Sealed segment index at planning time.
-    pub segment: usize,
-    /// Column name.
-    pub column: String,
-    /// The triggering signal.
-    pub reason: RebuildReason,
-}
 
 /// One planned or applied compaction merge: `len` adjacent sealed segments
 /// starting at index `start` (at planning time) merge into one.
@@ -87,12 +51,6 @@ pub struct CompactionAction {
 /// Outcome of one maintenance pass.
 #[derive(Debug, Default)]
 pub struct MaintenanceReport {
-    /// Segment columns examined.
-    pub examined: usize,
-    /// Rebuilds applied (segment swapped).
-    pub applied: Vec<RebuildAction>,
-    /// Rebuilds that lost the swap race (segment changed meanwhile).
-    pub skipped: usize,
     /// Compaction merges applied (window swapped for one segment).
     pub compacted: Vec<CompactionAction>,
     /// Input data bytes consumed by the applied compactions.
@@ -106,33 +64,10 @@ pub struct MaintenanceReport {
 }
 
 impl MaintenanceReport {
-    /// Whether the pass changed nothing (no rebuilds, no compactions, no
-    /// evictions).
+    /// Whether the pass changed nothing (no compactions, no evictions).
     pub fn is_idle(&self) -> bool {
-        self.applied.is_empty() && self.compacted.is_empty() && self.evicted_segments == 0
+        self.compacted.is_empty() && self.evicted_segments == 0
     }
-}
-
-fn diagnose(
-    table: &Table,
-    seg_cols: &crate::segment::AnySegCol,
-    cfg: &MaintenanceConfig,
-) -> Option<RebuildReason> {
-    let _ = table;
-    let sat = seg_cols.saturation();
-    if sat > cfg.saturation_threshold {
-        return Some(RebuildReason::Saturated(sat));
-    }
-    let drift = seg_cols.drift();
-    if drift > cfg.drift_threshold {
-        return Some(RebuildReason::Drifted(drift));
-    }
-    if let Some(fp) = seg_cols.observations().fp_rate(cfg.min_comparisons) {
-        if fp > cfg.fp_threshold {
-            return Some(RebuildReason::FalsePositives(fp));
-        }
-    }
-    None
 }
 
 /// Size tier of a segment of `rows` rows: tier `t` spans
@@ -155,8 +90,9 @@ fn tier_of(rows: usize, unit: usize, fanin: usize) -> u32 {
 /// The tier policy over one frozen sealed list: walks runs of adjacent
 /// same-tier segments and emits one `Compact` window per `fanin` of them,
 /// skipping windows whose merged size would cross
-/// [`MaintenanceConfig::max_segment_rows`]. Windows never overlap, so any
-/// prefix of the plan can be applied against the same snapshot.
+/// [`max_segment_rows`](crate::MaintenanceConfig::max_segment_rows).
+/// Windows never overlap, so any prefix of the plan can be applied against
+/// the same snapshot.
 fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<CompactionAction> {
     let cfg = &table.config().maintenance;
     let fanin = cfg.tier_fanin;
@@ -262,47 +198,13 @@ pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
     out
 }
 
-/// One maintenance pass: diagnose and rebuild degraded segment columns,
-/// then merge small segment tiers under the compaction budget, swapping
-/// every result in atomically. Returns what happened.
+/// One maintenance pass: merge small segment tiers under the compaction
+/// budget, swapping every result in atomically, then evict cold data over
+/// the resident budget. Returns what happened.
 pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
     let mut report = MaintenanceReport::default();
     for table in catalog.tables() {
-        let cfg = table.config().maintenance.clone();
-        let sealed = table.sealed_snapshot();
-        for (si, seg) in sealed.iter().enumerate() {
-            let mut degraded: Vec<(usize, RebuildReason)> = Vec::new();
-            for (ci, col) in seg.columns().iter().enumerate() {
-                report.examined += 1;
-                if let Some(reason) = diagnose(&table, col, &cfg) {
-                    degraded.push((ci, reason));
-                }
-            }
-            if degraded.is_empty() {
-                continue;
-            }
-            // Rebuild every degraded column of the segment off the frozen
-            // snapshot (no locks held), then install once — the install
-            // checks the segment is still the one we rebuilt from, so a true
-            // concurrent change (not our own swap) makes it a no-op.
-            let cols: Vec<usize> = degraded.iter().map(|d| d.0).collect();
-            let rebuilt = seg.with_rebuilt_columns(&cols);
-            if table.install(std::slice::from_ref(seg), rebuilt) {
-                // ordering: monotonic telemetry, guards no other memory.
-                table.stats().rebuilds.fetch_add(1, Ordering::Relaxed);
-                for (ci, reason) in degraded {
-                    report.applied.push(RebuildAction {
-                        table: table.name().to_string(),
-                        segment: si,
-                        column: table.schema()[ci].name.clone(),
-                        reason,
-                    });
-                }
-            } else {
-                report.skipped += degraded.len();
-            }
-        }
-        compact_table(&table, &cfg, &mut report);
+        compact_table(&table, &mut report);
         evict_cold(&table, &mut report);
     }
     report
@@ -312,9 +214,8 @@ pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
 /// exceeds the table's configured `storage.max_resident_data_bytes`
 /// budget, persisted segments
 /// are evicted **coldest first** — ascending cumulative per-column query
-/// counts, the same observation stream the rebuild planner reads — until
-/// the table is back under budget. Only the data pages go; imprints and
-/// zonemaps stay resident, so evicted segments keep answering
+/// counts — until the table is back under budget. Only the data pages go;
+/// imprints and zonemaps stay resident, so evicted segments keep answering
 /// fully-covered counts from memory and pruning candidates for
 /// everything else. Never-persisted segments (memory-only tables, or a
 /// segment whose durable write failed) are silently skipped: eviction
@@ -362,8 +263,8 @@ fn evict_cold(table: &Table, report: &mut MaintenanceReport) {
 /// tier-1 segments that immediately merge into a tier-2), stopping when
 /// the plan is empty, the byte budget is spent, or a swap loses a race
 /// (stale snapshot; the next tick retries).
-fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut MaintenanceReport) {
-    let budget = match cfg.compaction_budget_bytes {
+fn compact_table(table: &Table, report: &mut MaintenanceReport) {
+    let budget = match table.config().maintenance.compaction_budget_bytes {
         0 => usize::MAX,
         b => b,
     };
@@ -405,7 +306,6 @@ fn compact_table(table: &Table, cfg: &MaintenanceConfig, report: &mut Maintenanc
 /// A background thread running [`maintenance_tick`] on an interval.
 pub struct MaintenanceDaemon {
     stop: Arc<(Mutex<bool>, Condvar)>,
-    running: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -413,9 +313,7 @@ impl MaintenanceDaemon {
     /// Starts the daemon over `catalog`, ticking every `interval`.
     pub fn start(catalog: Arc<Catalog>, interval: Duration) -> MaintenanceDaemon {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let running = Arc::new(AtomicBool::new(true));
         let stop2 = Arc::clone(&stop);
-        let running2 = Arc::clone(&running);
         let handle = std::thread::Builder::new()
             .name("imprints-maintenance".into())
             .spawn(move || {
@@ -429,15 +327,15 @@ impl MaintenanceDaemon {
                         break;
                     }
                 }
-                running2.store(false, Ordering::Release);
             })
             .expect("spawn maintenance thread");
-        MaintenanceDaemon { stop, running, handle: Some(handle) }
+        MaintenanceDaemon { stop, handle: Some(handle) }
     }
 
-    /// Whether the daemon thread is still alive.
+    /// Whether the daemon thread is still alive — `false` once stopped, and
+    /// also if a tick panicked and took the thread with it.
     pub fn is_running(&self) -> bool {
-        self.running.load(Ordering::Acquire)
+        self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 
     /// Stops the daemon and joins its thread.
@@ -467,92 +365,6 @@ mod tests {
     use colstore::{ColumnType, Value};
     use imprints::relation_index::ValueRange;
 
-    fn drifted_table(cat: &Catalog) -> Arc<Table> {
-        let cfg = EngineConfig { segment_rows: 512, ..Default::default() };
-        let t = cat.create_table("drift", &[("v", ColumnType::I64)], cfg).unwrap();
-        // First segments: small domain. Later segments: domain shifted far
-        // outside the inherited borders → drift signal fires.
-        let lo: Vec<i64> = (0..1024).map(|i| i % 1000).collect();
-        t.append_batch(vec![AnyColumn::I64(lo.into_iter().collect())]).unwrap();
-        let hi: Vec<i64> = (0..1024).map(|i| 10_000_000 + i % 1000).collect();
-        t.append_batch(vec![AnyColumn::I64(hi.into_iter().collect())]).unwrap();
-        t
-    }
-
-    #[test]
-    fn planner_detects_and_repairs_drift() {
-        let cat = Catalog::new();
-        let t = drifted_table(&cat);
-        let pred = [("v", ValueRange::between(Value::I64(10_000_100), Value::I64(10_000_300)))];
-        let before = t.query(&pred).unwrap();
-        let epoch_before = t.epoch();
-        let report = maintenance_tick(&cat);
-        assert!(
-            report.applied.iter().any(|r| matches!(r.reason, RebuildReason::Drifted(_))),
-            "the tick must diagnose and repair the drift, got {report:?}"
-        );
-        assert!(t.epoch() > epoch_before, "swaps must bump the epoch");
-        // Rebuilt index answers identically.
-        let after = t.query(&pred).unwrap();
-        assert_eq!(before, after);
-        // Signals cleared: a second tick has nothing to do.
-        let again = maintenance_tick(&cat);
-        assert!(again.applied.is_empty(), "second tick should be clean, got {again:?}");
-        assert!(t.stats().rebuilds.load(std::sync::atomic::Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn one_tick_repairs_every_degraded_column_of_a_segment() {
-        let cat = Catalog::new();
-        let cfg = EngineConfig { segment_rows: 512, ..Default::default() };
-        let t = cat
-            .create_table("multi", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg)
-            .unwrap();
-        // Seed segment sets the binnings; the second segment shifts BOTH
-        // column domains so both columns of it drift.
-        let lo: Vec<i64> = (0..512).map(|i| i % 1000).collect();
-        t.append_batch(vec![
-            AnyColumn::I64(lo.iter().copied().collect()),
-            AnyColumn::I64(lo.iter().copied().collect()),
-        ])
-        .unwrap();
-        let hi: Vec<i64> = (0..512).map(|i| 5_000_000 + i % 1000).collect();
-        t.append_batch(vec![
-            AnyColumn::I64(hi.iter().copied().collect()),
-            AnyColumn::I64(hi.iter().copied().collect()),
-        ])
-        .unwrap();
-        let report = maintenance_tick(&cat);
-        assert_eq!(report.skipped, 0, "no swap race exists, nothing may be skipped");
-        let mut repaired: Vec<&str> = report.applied.iter().map(|a| a.column.as_str()).collect();
-        repaired.sort_unstable();
-        assert_eq!(repaired, vec!["a", "b"], "both degraded columns repaired in one tick");
-        assert!(maintenance_tick(&cat).is_idle(), "one tick must leave nothing diagnosed");
-    }
-
-    /// Satellite regression: a constant column appended across many sealed
-    /// segments (binning inherited down the chain) is perfectly in-domain;
-    /// the planner must diagnose nothing — the old bin-index drift measure
-    /// kept every such segment above the threshold and rebuilt it forever.
-    #[test]
-    fn constant_column_never_triggers_the_rebuild_loop() {
-        let cat = Catalog::new();
-        // Compaction off: this test isolates the drift diagnosis.
-        let cfg = EngineConfig {
-            segment_rows: 512,
-            maintenance: crate::config::MaintenanceConfig { tier_fanin: 0, ..Default::default() },
-            ..Default::default()
-        };
-        let t = cat.create_table("const", &[("v", ColumnType::I64)], cfg).unwrap();
-        t.append_batch(vec![AnyColumn::I64(std::iter::repeat_n(7i64, 2048).collect())]).unwrap();
-        assert_eq!(t.sealed_segment_count(), 4);
-        let report = maintenance_tick(&cat);
-        assert!(report.is_idle(), "an in-domain constant chain must diagnose clean: {report:?}");
-        // And appending more of the same never re-arms the signal.
-        t.append_batch(vec![AnyColumn::I64(std::iter::repeat_n(7i64, 1024).collect())]).unwrap();
-        assert!(maintenance_tick(&cat).is_idle());
-    }
-
     #[test]
     fn path_report_aggregates_bucket_winners() {
         use colstore::Value;
@@ -561,8 +373,9 @@ mod tests {
         let t = cat.create_table("pr", &[("v", ColumnType::I64)], cfg).unwrap();
         let vals: Vec<i64> = (0..2048).map(|i| (i * 13) % 1000).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        // Narrow queries only: exactly one bucket accumulates cadence.
-        let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(110)))];
+        // Point queries only — one bin wide under every segment's own
+        // borders — so exactly one bucket accumulates cadence.
+        let pred = [("v", ValueRange::equals(Value::I64(104)))];
         for _ in 0..48 {
             let _ = t.query(&pred).unwrap();
         }
@@ -676,7 +489,6 @@ mod tests {
                 tier_fanin: 2,
                 max_segment_rows: 256,
                 compaction_budget_bytes: 0,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -710,22 +522,56 @@ mod tests {
         assert_eq!(t.sealed_segment_count(), 8);
     }
 
-    #[test]
-    fn daemon_runs_and_stops() {
-        let cat = Arc::new(Catalog::new());
-        let t = { drifted_table(&cat) };
-        let mut d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
-        // Wait for the daemon to repair the drifted segments.
-        let rebuilds = || t.stats().rebuilds.load(Ordering::Relaxed);
+    /// Four full tier-0 segments: one default-fan-in merge away from idle.
+    fn four_segments(cat: &Catalog, cfg: EngineConfig) -> Arc<Table> {
+        let cfg = EngineConfig { segment_rows: 512, ..cfg };
+        let t = cat.create_table("four", &[("v", ColumnType::I64)], cfg).unwrap();
+        t.append_batch(vec![AnyColumn::I64((0..2048).map(|i| i % 1000).collect())]).unwrap();
+        assert_eq!(t.sealed_segment_count(), 4);
+        t
+    }
+
+    /// Polls `done` every 2 ms for up to a second.
+    fn wait_for(done: impl Fn() -> bool) -> bool {
         for _ in 0..500 {
-            if rebuilds() > 0 {
-                break;
+            if done() {
+                return true;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(rebuilds() > 0, "daemon should have repaired drift");
+        done()
+    }
+
+    #[test]
+    fn daemon_runs_and_stops() {
+        let cat = Arc::new(Catalog::new());
+        let t = four_segments(&cat, EngineConfig::default());
+        let mut d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
+        let compactions = || t.stats().compactions.load(Ordering::Relaxed);
+        assert!(wait_for(|| compactions() > 0), "daemon should have merged the four segments");
         assert!(d.is_running());
         d.stop();
         assert!(!d.is_running());
+    }
+
+    /// A tick that panics takes the daemon thread with it, and
+    /// `is_running` must say so: here an evicted column's file vanishes,
+    /// so the merge's fault-in panics by design ([`SealedSegment::merge`]
+    /// reads every part).
+    #[test]
+    fn daemon_death_is_visible_through_is_running() {
+        let root = std::env::temp_dir().join(format!("imprints-daemon-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cat = Arc::new(Catalog::new());
+        let storage =
+            crate::config::StorageOptions { root: Some(root.clone()), ..Default::default() };
+        let t = four_segments(&cat, EngineConfig { storage, ..Default::default() });
+        let sealed = t.sealed_snapshot();
+        assert!(sealed.iter().all(|s| s.evict() > 0), "persisted segments must evict");
+        let dir = root.join("four").join(sealed[0].durable_name().unwrap());
+        std::fs::remove_file(dir.join(crate::persist::column_file(0))).unwrap();
+        let d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
+        assert!(wait_for(|| !d.is_running()), "a dead daemon thread must not report running");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

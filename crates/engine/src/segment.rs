@@ -4,13 +4,16 @@
 //! [`EngineConfig::segment_rows`](crate::EngineConfig::segment_rows) rows.
 //! Each sealed segment owns, per column, a cacheline-aligned data chunk and
 //! its own secondary indexes: a [`ColumnImprints`] (the primary access
-//! path, with a bounded rebuild scope — re-binning one segment never
-//! touches its neighbours) and a [`ZoneMap`] — plus an adaptive,
+//! path, binned from a sample of the segment's own rows — the paper's
+//! Algorithms 1 and 2, unmodified — so a sealed index is a function of
+//! its data alone) and a [`ZoneMap`] — plus an adaptive,
 //! selectivity-bucketed [`PathChooser`] deciding per query which path
 //! answers.
 //!
-//! Sealed segments are immutable and shared via `Arc`: queries, appends and
-//! the maintenance planner never copy data, they swap segment pointers.
+//! Sealed segments are immutable and shared via `Arc`: an index is built
+//! once, when its segment is sealed, and only a compaction merge ever
+//! builds it again (over the merged rows); queries, appends and the
+//! maintenance planner never copy data, they swap segment pointers.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -51,8 +54,8 @@ struct DataSlot<T: Scalar> {
     rows: usize,
     bytes: usize,
     /// The durable column file backing fault-in, set once persisted. A
-    /// rebuilt or merged copy starts without one until the replacement
-    /// segment is persisted in turn.
+    /// merged copy starts without one until the replacement segment is
+    /// persisted in turn.
     file: OnceLock<PathBuf>,
     /// Data bytes faulted back in from disk over this slot's lifetime.
     faulted: AtomicU64,
@@ -149,59 +152,14 @@ impl<T: Scalar> DataSlot<T> {
     fn faulted_bytes(&self) -> u64 {
         self.faulted.load(Ordering::Relaxed)
     }
-
-    /// A clone sharing the resident `Arc` (or the evicted state) and the
-    /// durable file pointer — the shallow-clone side of a segment swap,
-    /// where this column's data and file are unchanged.
-    fn share(&self) -> DataSlot<T> {
-        let cur = self.cold.read().unwrap_or_else(PoisonError::into_inner).clone();
-        let slot = DataSlot {
-            rows: self.rows,
-            bytes: self.bytes,
-            cold: RwLock::new(cur),
-            file: OnceLock::new(),
-            faulted: AtomicU64::new(self.faulted.load(Ordering::Relaxed)),
-        };
-        if let Some(f) = self.file.get() {
-            let _ = slot.file.set(f.clone());
-        }
-        slot
-    }
 }
 
-/// Cumulative per-column observation counters, updated lock-free by
-/// concurrent readers and consumed by the maintenance planner.
+/// The per-column observation counter, updated lock-free by concurrent
+/// readers and consumed by the maintenance planner's eviction order.
 #[derive(Debug, Default)]
 pub struct ColumnObservations {
-    /// Value comparisons spent weeding candidates on the imprint path.
-    pub comparisons: AtomicU64,
-    /// Of those comparisons, how many produced a match (the complement is
-    /// the index's false-positive work).
-    pub matches: AtomicU64,
     /// Queries evaluated against this column.
     pub queries: AtomicU64,
-}
-
-impl ColumnObservations {
-    /// Observed false-positive rate of the imprint path: the fraction of
-    /// fetched-and-compared values that did not match. `None` below
-    /// `min_comparisons` observations.
-    pub fn fp_rate(&self, min_comparisons: u64) -> Option<f64> {
-        let cmp = self.comparisons.load(Ordering::Relaxed);
-        if cmp < min_comparisons.max(1) {
-            return None;
-        }
-        let m = self.matches.load(Ordering::Relaxed).min(cmp);
-        Some(1.0 - m as f64 / cmp as f64)
-    }
-
-    fn carry_over(&self) -> ColumnObservations {
-        ColumnObservations {
-            comparisons: AtomicU64::new(self.comparisons.load(Ordering::Relaxed)),
-            matches: AtomicU64::new(self.matches.load(Ordering::Relaxed)),
-            queries: AtomicU64::new(self.queries.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 /// One column of one sealed segment: aligned data plus its access paths.
@@ -210,12 +168,6 @@ pub struct SegCol<T: Scalar> {
     data: DataSlot<T>,
     imprints: ColumnImprints<T>,
     zonemap: ZoneMap<T>,
-    /// Fraction of (sampled) values that landed in the binning's overflow
-    /// bins at build time — the §4.1 drift signal when binning is inherited
-    /// from an older segment.
-    drift: f64,
-    /// Times the planner re-binned this column.
-    rebuilds: u32,
     /// The refinement kernel this column's value checks run under —
     /// [`EngineConfig::refine_kernel`] resolved against the env override
     /// at seal time, so kernel choice scopes to the table that configured
@@ -226,50 +178,14 @@ pub struct SegCol<T: Scalar> {
 }
 
 impl<T: Scalar> SegCol<T> {
-    /// Seals `col` into an indexed segment column. With a previous segment
-    /// of the same column available, its binning is inherited (appends
-    /// never readjust borders, §4.1) and the drift against it recorded;
-    /// otherwise the binning is freshly sampled.
-    pub fn seal(col: Column<T>, prev: Option<&SegCol<T>>, cfg: &EngineConfig) -> Self {
-        let opts = BuildOptions::default();
-        let (imprints, drift) = match prev {
-            Some(prev) => {
-                let binning = prev.imprints.binning().clone();
-                let drift = measure_drift(&binning, &prev.zonemap, col.values());
-                (ColumnImprints::build_with_binning(&col, binning, opts), drift)
-            }
-            None => (ColumnImprints::build_with(&col, opts), 0.0),
-        };
+    /// Seals `col` into an indexed segment column: bin borders sampled from
+    /// `col`'s own values, imprint and zonemap built over them. Seal,
+    /// compaction merge and recovery-rebuild all construct here, so a
+    /// column's index depends on its rows alone.
+    pub fn seal(col: Column<T>, cfg: &EngineConfig) -> Self {
+        let imprints = ColumnImprints::build_with(&col, BuildOptions::default());
         let zonemap = <ZoneMap<T> as BuildableIndex<T>>::build_index(&col);
-        SegCol {
-            data: DataSlot::new(Arc::new(col)),
-            imprints,
-            zonemap,
-            drift,
-            rebuilds: 0,
-            kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: PathChooser::default(),
-            obs: ColumnObservations::default(),
-        }
-    }
-
-    /// A copy of this column with freshly sampled binning over the same
-    /// (shared) data — the planner's background rebuild. Learned path costs
-    /// and observations reset, since the index changed under them.
-    pub fn rebuilt(&self) -> Self {
-        let opts = *self.imprints.options();
-        let data = self.data.get();
-        let imprints = ColumnImprints::build_with(&data, opts);
-        SegCol {
-            data: self.data.share(),
-            imprints,
-            zonemap: self.zonemap.clone(),
-            drift: 0.0,
-            rebuilds: self.rebuilds + 1,
-            kernel: self.kernel,
-            chooser: PathChooser::default(),
-            obs: ColumnObservations::default(),
-        }
+        SegCol::assemble(DataSlot::new(Arc::new(col)), imprints, zonemap, cfg)
     }
 
     /// Bins the predicate's range covers over the imprint's binning.
@@ -298,9 +214,9 @@ impl<T: Scalar> SegCol<T> {
 
     /// Evaluates a single-range predicate into a fresh [`Hits`] sink through
     /// the adaptively chosen access path, recording observed cost (in the
-    /// predicate's selectivity bucket) and false-positive work — ids and
-    /// counts alike, so count-heavy workloads feed the planner and the
-    /// chooser exactly like materializing queries do.
+    /// predicate's selectivity bucket) — ids and counts alike, so
+    /// count-heavy workloads feed the chooser exactly like materializing
+    /// queries do.
     fn run(&self, pred: &colstore::RangePredicate<T>, count_only: bool) -> (Hits, AccessStats) {
         if count_only && !self.data.is_resident() {
             // Evicted cold data: answer from the resident imprint alone
@@ -320,13 +236,6 @@ impl<T: Scalar> SegCol<T> {
         let (hits, stats) = match path {
             PathKind::Imprints => {
                 let (hits, istats) = query::run(&self.imprints, &data, &kernel, hits);
-                // Hits not emitted via a full line each passed the value
-                // check; `ids_via_full_lines` is exact even when a partial
-                // tail cacheline was emitted wholesale, so this does not
-                // undercount matches (and inflate the planner's fp-rate).
-                let via_checks = hits.len().saturating_sub(istats.ids_via_full_lines);
-                self.obs.comparisons.fetch_add(istats.access.value_comparisons, Ordering::Relaxed);
-                self.obs.matches.fetch_add(via_checks, Ordering::Relaxed);
                 (hits, istats.access)
             }
             PathKind::ZoneMap => self.zonemap.run(&data, &kernel, hits),
@@ -377,8 +286,7 @@ impl<T: Scalar> SegCol<T> {
     }
 
     /// Value-checks the rows of `ranges` against `set` into `hits`, through
-    /// the compiled [`SetKernel`] over contiguous runs, billing this
-    /// column's observations and `stats`.
+    /// the compiled [`SetKernel`] over contiguous runs, billing `stats`.
     fn collect_matches(
         &self,
         set: &ValueSet,
@@ -401,15 +309,12 @@ impl<T: Scalar> SegCol<T> {
             }
         }
         stats.value_comparisons += cmp;
-        self.obs.comparisons.fetch_add(cmp, Ordering::Relaxed);
-        self.obs.matches.fetch_add(hits.len(), Ordering::Relaxed);
         hits
     }
 
     /// Keeps only the survivor ids whose value satisfies `set` — the
     /// gather-style SWAR kernel over scattered ids
-    /// ([`SetKernel::filter_ids`]), billing this column's observations
-    /// and `stats`.
+    /// ([`SetKernel::filter_ids`]), billing `stats`.
     fn filter_survivors(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
         let preds: Vec<colstore::RangePredicate<T>> =
             set.to_predicates().expect("predicates validated against schema");
@@ -418,8 +323,6 @@ impl<T: Scalar> SegCol<T> {
         let data = self.data.get();
         kernel.filter_ids(data.values(), ids, &mut cmp);
         stats.value_comparisons += cmp;
-        self.obs.comparisons.fetch_add(cmp, Ordering::Relaxed);
-        self.obs.matches.fetch_add(ids.len() as u64, Ordering::Relaxed);
     }
 
     /// Recovers this column from its persisted files in `dir`. With
@@ -442,7 +345,7 @@ impl<T: Scalar> SegCol<T> {
             if let Ok((imprints, zonemap)) = Self::read_indexes(dir, ci, rows) {
                 let bytes = rows * std::mem::size_of::<T>();
                 let slot = DataSlot::evicted(rows, bytes, data_file);
-                return Ok((Self::from_recovered(slot, imprints, zonemap, cfg), true));
+                return Ok((Self::assemble(slot, imprints, zonemap, cfg), true));
             }
         }
         let col = persist::read_column_file::<T>(&data_file)?;
@@ -452,7 +355,7 @@ impl<T: Scalar> SegCol<T> {
                 col.len()
             )));
         }
-        let col = SegCol::seal(col, None, cfg);
+        let col = SegCol::seal(col, cfg);
         col.data.mark_durable(data_file);
         Ok((col, false))
     }
@@ -476,10 +379,10 @@ impl<T: Scalar> SegCol<T> {
         Ok((imprints, zonemap))
     }
 
-    /// Assembles a column from recovered parts: indexes read back, data
-    /// evicted, and every learned signal (drift, path costs, observations)
-    /// reset — cost profiles do not survive a restart.
-    fn from_recovered(
+    /// Assembles a column from its parts with fresh adaptivity: a new
+    /// index (or a restart — cost profiles do not survive one) starts the
+    /// chooser and the heat counter from zero.
+    fn assemble(
         data: DataSlot<T>,
         imprints: ColumnImprints<T>,
         zonemap: ZoneMap<T>,
@@ -489,75 +392,11 @@ impl<T: Scalar> SegCol<T> {
             data,
             imprints,
             zonemap,
-            drift: 0.0,
-            rebuilds: 0,
             kernel: simd::effective_kernel(cfg.refine_kernel),
             chooser: PathChooser::default(),
             obs: ColumnObservations::default(),
         }
     }
-}
-
-/// Fraction of (sampled) values falling *outside the binning's sampled
-/// domain* — strictly below the first border or strictly above the last
-/// real border (the §4.1 drift signal for inherited binnings).
-///
-/// Measuring by bin index (`bin == 0 || bin == bins - 1`) is wrong at both
-/// ends: the bin count is rounded up to a power of two, so a
-/// low-cardinality binning's top *reachable* bin sits far below `bins - 1`
-/// and true overflow there went unnoticed, while a column with exactly
-/// `bins - 1` distinct values (or any 64-bin equal-height binning) keeps
-/// its perfectly in-domain maximum values in bin `bins - 1` — reporting
-/// near-1.0 drift forever on skewed-to-max data and sending the planner
-/// into a rebuild loop (each rebuild resamples the same borders and the
-/// next seal re-reports the same phantom drift). Comparing against the
-/// border values directly is exact for every bin count.
-///
-/// One ambiguity remains in the borders alone: a *real* border equal to
-/// the type's total-order maximum (a column legitimately holding the
-/// domain maximum, or NaN — the float total-order maximum — as a sentinel
-/// marker) is indistinguishable from the unused-slot sentinel, so values
-/// near the top would read as phantom overflow. The previous segment's
-/// zonemap resolves it for free: its zone bounds give the exact min/max
-/// of the data the chain last held, and the in-domain range is the union
-/// of the border span and that data span — widening only ever suppresses
-/// phantom drift, never true domain shifts, since inherited borders were
-/// fitted to (an ancestor of) exactly that data.
-fn measure_drift<T: Scalar>(
-    binning: &imprints::Binning<T>,
-    prev_zonemap: &ZoneMap<T>,
-    values: &[T],
-) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let borders = binning.borders();
-    let mut lo = borders[0];
-    // The largest non-sentinel border (unused tail entries hold the domain
-    // maximum): the top of the sampled domain. A domain-max border means
-    // nothing can sit above it — then only underflow can drift.
-    let max = T::MAX_VALUE;
-    let mut hi =
-        *borders[..binning.bins() - 1].iter().rev().find(|b| b.lt_total(&max)).unwrap_or(&max);
-    for z in 0..prev_zonemap.zone_count() {
-        let (zmin, zmax) = prev_zonemap.zone_bounds(z);
-        if zmin.lt_total(&lo) {
-            lo = zmin;
-        }
-        if hi.lt_total(&zmax) {
-            hi = zmax;
-        }
-    }
-    // Sample every 64th value: the signal is a fraction, not a count.
-    let mut seen = 0u64;
-    let mut out = 0u64;
-    for v in values.iter().step_by(64) {
-        seen += 1;
-        if v.lt_total(&lo) || hi.lt_total(v) {
-            out += 1;
-        }
-    }
-    out as f64 / seen.max(1) as f64
 }
 
 /// A [`SegCol`] of whichever scalar type its column holds.
@@ -602,39 +441,20 @@ macro_rules! seg_dispatch {
     };
 }
 
-macro_rules! seal_pairing {
-    ($data:expr, $prev:expr, $cfg:expr; $($v:ident),+) => {
-        match $data {
-            $(AnyColumn::$v(c) => {
-                let prev = match $prev {
-                    Some(AnySegCol::$v(p)) => Some(p),
-                    _ => None,
-                };
-                AnySegCol::$v(SegCol::seal(c, prev, $cfg))
-            })+
-        }
-    };
-}
-
 impl AnySegCol {
     /// Seals a typed column buffer (see [`SegCol::seal`]).
-    pub fn seal(data: AnyColumn, prev: Option<&AnySegCol>, cfg: &EngineConfig) -> AnySegCol {
-        seal_pairing!(data, prev, cfg; I8, U8, I16, U16, I32, U32, I64, U64, F32, F64)
-    }
-
-    /// Background-rebuilt copy (fresh binning, shared data).
-    pub fn rebuilt(&self) -> AnySegCol {
-        match self {
-            AnySegCol::I8(s) => AnySegCol::I8(s.rebuilt()),
-            AnySegCol::U8(s) => AnySegCol::U8(s.rebuilt()),
-            AnySegCol::I16(s) => AnySegCol::I16(s.rebuilt()),
-            AnySegCol::U16(s) => AnySegCol::U16(s.rebuilt()),
-            AnySegCol::I32(s) => AnySegCol::I32(s.rebuilt()),
-            AnySegCol::U32(s) => AnySegCol::U32(s.rebuilt()),
-            AnySegCol::I64(s) => AnySegCol::I64(s.rebuilt()),
-            AnySegCol::U64(s) => AnySegCol::U64(s.rebuilt()),
-            AnySegCol::F32(s) => AnySegCol::F32(s.rebuilt()),
-            AnySegCol::F64(s) => AnySegCol::F64(s.rebuilt()),
+    pub fn seal(data: AnyColumn, cfg: &EngineConfig) -> AnySegCol {
+        match data {
+            AnyColumn::I8(c) => AnySegCol::I8(SegCol::seal(c, cfg)),
+            AnyColumn::U8(c) => AnySegCol::U8(SegCol::seal(c, cfg)),
+            AnyColumn::I16(c) => AnySegCol::I16(SegCol::seal(c, cfg)),
+            AnyColumn::U16(c) => AnySegCol::U16(SegCol::seal(c, cfg)),
+            AnyColumn::I32(c) => AnySegCol::I32(SegCol::seal(c, cfg)),
+            AnyColumn::U32(c) => AnySegCol::U32(SegCol::seal(c, cfg)),
+            AnyColumn::I64(c) => AnySegCol::I64(SegCol::seal(c, cfg)),
+            AnyColumn::U64(c) => AnySegCol::U64(SegCol::seal(c, cfg)),
+            AnyColumn::F32(c) => AnySegCol::F32(SegCol::seal(c, cfg)),
+            AnyColumn::F64(c) => AnySegCol::F64(SegCol::seal(c, cfg)),
         }
     }
 
@@ -725,22 +545,7 @@ impl AnySegCol {
         })
     }
 
-    /// Imprint saturation (mean bits-set fraction; 1.0 filters nothing).
-    pub fn saturation(&self) -> f64 {
-        seg_dispatch!(self, s => s.imprints.saturation())
-    }
-
-    /// Overflow-bin drift against the inherited binning, measured at seal.
-    pub fn drift(&self) -> f64 {
-        seg_dispatch!(self, s => s.drift)
-    }
-
-    /// Times the planner re-binned this column.
-    pub fn rebuilds(&self) -> u32 {
-        seg_dispatch!(self, s => s.rebuilds)
-    }
-
-    /// The observation counters feeding the planner.
+    /// The observation counter feeding the planner's eviction order.
     pub fn observations(&self) -> &ColumnObservations {
         seg_dispatch!(self, s => &s.obs)
     }
@@ -757,9 +562,9 @@ impl AnySegCol {
         })
     }
 
-    /// Bills one query against this column's observation counters. The
+    /// Bills one query against this column's observation counter. The
     /// conjunction plan calls this once per touched column *up front*, so
-    /// the planner and `path_report` see multi-predicate traffic on every
+    /// the planner's heat order sees multi-predicate traffic on every
     /// column it touches — even ones an early-exit never value-checks.
     fn note_query(&self) {
         seg_dispatch!(self, s => s.obs.queries.fetch_add(1, Ordering::Relaxed));
@@ -788,8 +593,7 @@ impl AnySegCol {
     /// over the combined values, imprint and zonemap rebuilt. Path costs
     /// and observations start from scratch — the merged segment's cost
     /// profile is nothing like its parts', so inheriting their per-segment
-    /// estimates would mislead the chooser (see
-    /// [`PathChooser::reset`](crate::paths::PathChooser::reset)).
+    /// estimates would mislead the chooser.
     fn merged(parts: &[&AnySegCol], cfg: &EngineConfig) -> AnySegCol {
         macro_rules! arm {
             ($v:ident) => {{
@@ -802,7 +606,7 @@ impl AnySegCol {
                     })
                     .collect();
                 let refs: Vec<&Column<_>> = typed.iter().map(Arc::as_ref).collect();
-                AnySegCol::$v(SegCol::seal(Column::concat(&refs), None, cfg))
+                AnySegCol::$v(SegCol::seal(Column::concat(&refs), cfg))
             }};
         }
         match parts.first().expect("merge needs at least one segment") {
@@ -848,21 +652,12 @@ pub struct SealedSegment {
 }
 
 impl SealedSegment {
-    /// Seals one segment's column buffers. `prev` is the previously sealed
-    /// segment (for binning inheritance).
-    pub fn seal(
-        base: u64,
-        bufs: Vec<AnyColumn>,
-        prev: Option<&SealedSegment>,
-        cfg: &EngineConfig,
-    ) -> SealedSegment {
+    /// Seals one segment's column buffers, each column binned from its own
+    /// rows (see [`SegCol::seal`]).
+    pub fn seal(base: u64, bufs: Vec<AnyColumn>, cfg: &EngineConfig) -> SealedSegment {
         let rows = bufs.first().map_or(0, AnyColumn::len);
         debug_assert!(bufs.iter().all(|b| b.len() == rows), "ragged segment buffers");
-        let cols = bufs
-            .into_iter()
-            .enumerate()
-            .map(|(i, buf)| AnySegCol::seal(buf, prev.map(|p| &p.cols[i]), cfg))
-            .collect();
+        let cols = bufs.into_iter().map(|buf| AnySegCol::seal(buf, cfg)).collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
     }
 
@@ -871,8 +666,8 @@ impl SealedSegment {
     /// data is concatenated and the index rebuilt with **one** fresh
     /// binning sample over all merged values, which is the whole point of
     /// tiering: N per-segment index overheads (bin dictionaries, headers,
-    /// run breaks at segment boundaries) collapse into one, and bins fitted
-    /// to the union replace bins inherited segment-by-segment.
+    /// run breaks at segment boundaries) collapse into one, and one set of
+    /// bins fitted to the union replaces N sets fitted part by part.
     ///
     /// Row ids are preserved exactly: the merged segment starts at
     /// `parts[0].base()` and keeps every row in order, so readers observe
@@ -895,19 +690,6 @@ impl SealedSegment {
             })
             .collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
-    }
-
-    /// Copy of this segment with every column in `rebuild` re-binned
-    /// (fresh sampling); the other columns keep their indexes, cost models
-    /// and observation counters.
-    pub fn with_rebuilt_columns(&self, rebuild: &[usize]) -> SealedSegment {
-        let cols = self
-            .cols
-            .iter()
-            .enumerate()
-            .map(|(i, c)| if rebuild.contains(&i) { c.rebuilt() } else { c.shallow_clone() })
-            .collect();
-        SealedSegment { base: self.base, rows: self.rows, cols, durable: OnceLock::new() }
     }
 
     /// First global row id covered.
@@ -1101,42 +883,6 @@ impl SealedSegment {
     }
 }
 
-impl AnySegCol {
-    /// Clone sharing data `Arc`s and *rebuilding nothing* — used when a
-    /// sibling column of the same segment is replaced. Index structures are
-    /// cloned (they are a few percent of the data); observation counters
-    /// and learned path costs carry over, since this column's index is
-    /// unchanged and the planner must keep seeing its accumulated signal.
-    fn shallow_clone(&self) -> AnySegCol {
-        macro_rules! arm {
-            ($v:ident, $s:expr) => {
-                AnySegCol::$v(SegCol {
-                    data: $s.data.share(),
-                    imprints: $s.imprints.clone(),
-                    zonemap: $s.zonemap.clone(),
-                    drift: $s.drift,
-                    rebuilds: $s.rebuilds,
-                    kernel: $s.kernel,
-                    chooser: $s.chooser.carry_over(),
-                    obs: $s.obs.carry_over(),
-                })
-            };
-        }
-        match self {
-            AnySegCol::I8(s) => arm!(I8, s),
-            AnySegCol::U8(s) => arm!(U8, s),
-            AnySegCol::I16(s) => arm!(I16, s),
-            AnySegCol::U16(s) => arm!(U16, s),
-            AnySegCol::I32(s) => arm!(I32, s),
-            AnySegCol::U32(s) => arm!(U32, s),
-            AnySegCol::I64(s) => arm!(I64, s),
-            AnySegCol::U64(s) => arm!(U64, s),
-            AnySegCol::F32(s) => arm!(F32, s),
-            AnySegCol::F64(s) => arm!(F64, s),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1181,7 +927,7 @@ mod tests {
 
     fn seal_i64(values: Vec<i64>) -> SealedSegment {
         let col: Column<i64> = Column::from(values);
-        SealedSegment::seal(0, vec![AnyColumn::I64(col)], None, &cfg())
+        SealedSegment::seal(0, vec![AnyColumn::I64(col)], &cfg())
     }
 
     fn oracle(values: &[i64], lo: i64, hi: i64) -> Vec<u64> {
@@ -1222,7 +968,6 @@ mod tests {
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::F64(Column::from(b.clone()))],
-            None,
             &cfg(),
         );
         let preds = [
@@ -1240,50 +985,17 @@ mod tests {
     }
 
     #[test]
-    fn binning_inheritance_and_drift() {
-        let first: Vec<i64> = (0..2048).map(|i| i % 1000).collect();
-        let seg1 = seal_i64(first);
-        // Second segment drawn from a shifted domain: most values land in
-        // the inherited binning's top overflow bin.
-        let shifted: Vec<i64> = (0..2048).map(|i| 1_000_000 + i % 1000).collect();
-        let col: Column<i64> = Column::from(shifted);
-        let seg2 = SealedSegment::seal(2048, vec![AnyColumn::I64(col)], Some(&seg1), &cfg());
-        assert!(seg1.columns()[0].drift() < 0.3, "fresh binning must not drift");
-        assert!(
-            seg2.columns()[0].drift() > 0.9,
-            "shifted domain must show overflow drift, got {}",
-            seg2.columns()[0].drift()
-        );
-        // Rebuild resamples: drift resets and queries still match.
-        let seg2 = Arc::new(seg2);
-        let rebuilt = seg2.with_rebuilt_columns(&[0]);
-        assert_eq!(rebuilt.columns()[0].drift(), 0.0);
-        assert_eq!(rebuilt.columns()[0].rebuilds(), 1);
-        let range = ValueRange::between(Value::I64(1_000_100), Value::I64(1_000_200));
-        let (a, _) = eval_ids(&seg2, &[q(0, range)]);
-        let (b, _) = eval_ids(&rebuilt, &[q(0, range)]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn merge_concatenates_rebins_once_and_resets_adaptivity() {
         let c = cfg();
-        // Three adjacent segments sealed as a chain (binning inherited), the
-        // later ones from a shifted domain so their inherited bins drift.
-        let parts: Vec<Vec<i64>> = (0..3)
-            .map(|s| (0..1024).map(|i| s as i64 * 500_000 + (i * 13) % 900).collect())
+        // Three adjacent segments, each from its own value domain.
+        let sealed: Vec<Arc<SealedSegment>> = (0..3u64)
+            .map(|s| {
+                let values: Vec<i64> =
+                    (0..1024).map(|i| s as i64 * 500_000 + (i * 13) % 900).collect();
+                let bufs = vec![AnyColumn::I64(Column::from(values))];
+                Arc::new(SealedSegment::seal(s * 1024, bufs, &c))
+            })
             .collect();
-        let mut sealed: Vec<Arc<SealedSegment>> = Vec::new();
-        for (s, values) in parts.iter().enumerate() {
-            let prev = sealed.last().map(Arc::clone);
-            let seg = SealedSegment::seal(
-                s as u64 * 1024,
-                vec![AnyColumn::I64(Column::from(values.clone()))],
-                prev.as_deref(),
-                &c,
-            );
-            sealed.push(Arc::new(seg));
-        }
         // Warm the parts' choosers/observations so the reset is observable.
         let warm = ValueRange::between(Value::I64(0), Value::I64(100));
         for seg in &sealed {
@@ -1298,7 +1010,6 @@ mod tests {
         assert!(merged.columns()[0].chooser().estimates().iter().all(Option::is_none));
         assert_eq!(merged.columns()[0].chooser().queries(), 0);
         assert_eq!(merged.columns()[0].observations().queries.load(Ordering::Relaxed), 0);
-        assert_eq!(merged.columns()[0].drift(), 0.0, "merge re-samples bins");
         // Answers equal the per-part answers shifted to global ids.
         let range = ValueRange::between(Value::I64(500_050), Value::I64(500_500));
         let (got, _) = eval_ids(&merged, &[q(0, range)]);
@@ -1311,71 +1022,36 @@ mod tests {
         assert!(!got.is_empty());
     }
 
-    /// Satellite regression: a constant (or low-cardinality) column sealed
-    /// in a binning-inheritance chain is perfectly in-domain — the old
-    /// bin-index drift measure (`bin == 0 || bin == bins - 1`) must not
-    /// report phantom overflow that sends the planner into a rebuild loop.
+    /// A sealed segment's index is a function of its rows alone: the same
+    /// values sealed through a table as its first segment, after a segment
+    /// from a disjoint lower domain, and after one from a disjoint higher
+    /// domain give byte-identical indexes and do identical work for the
+    /// same query.
     #[test]
-    fn constant_column_chain_reports_no_drift() {
-        let c = cfg();
-        let mut prev: Option<SealedSegment> = None;
-        for s in 0..3u64 {
-            let col: Column<i64> = Column::from(vec![42i64; 1024]);
-            let seg = SealedSegment::seal(s * 1024, vec![AnyColumn::I64(col)], prev.as_ref(), &c);
-            assert_eq!(
-                seg.columns()[0].drift(),
-                0.0,
-                "segment {s} of a constant chain must not drift"
-            );
-            prev = Some(seg);
-        }
-        // A column holding exactly bins-1 distinct values skewed to its
-        // maximum: the max lands in bin `bins - 1` (the rounded-up bin
-        // count leaves it the top reachable bin), which the old measure
-        // counted as overflow — near-1.0 drift on perfectly in-domain data.
-        let skewed: Vec<i64> =
-            (0..1024).map(|i| if i % 8 == 0 { i as i64 % 7 } else { 6 }).collect();
-        let first =
-            SealedSegment::seal(0, vec![AnyColumn::I64(Column::from(skewed.clone()))], None, &c);
-        let second =
-            SealedSegment::seal(1024, vec![AnyColumn::I64(Column::from(skewed))], Some(&first), &c);
-        assert_eq!(
-            second.columns()[0].drift(),
-            0.0,
-            "in-domain max values must not count as overflow drift"
-        );
-        // True out-of-domain appends still fire the signal, at both ends.
-        let below: Vec<i64> = vec![-1000; 1024];
-        let under =
-            SealedSegment::seal(2048, vec![AnyColumn::I64(Column::from(below))], Some(&first), &c);
-        assert!(under.columns()[0].drift() > 0.9, "underflow must still be measured");
-        let above: Vec<i64> = vec![1_000_000; 1024];
-        let over =
-            SealedSegment::seal(3072, vec![AnyColumn::I64(Column::from(above))], Some(&first), &c);
-        assert!(over.columns()[0].drift() > 0.9, "true overflow must still be measured");
-        // A column whose sentinel/NULL marker is the type maximum: the
-        // real border at `i64::MAX` is indistinguishable from the unused
-        // binning slots, so MAX values must never count as phantom
-        // overflow in their inheritance chain.
-        let with_sentinel: Vec<i64> =
-            (0..1024).map(|i| if i % 4 == 0 { i as i64 % 97 } else { i64::MAX }).collect();
-        let s1 = SealedSegment::seal(
-            0,
-            vec![AnyColumn::I64(Column::from(with_sentinel.clone()))],
-            None,
-            &c,
-        );
-        let s2 = SealedSegment::seal(
-            1024,
-            vec![AnyColumn::I64(Column::from(with_sentinel))],
-            Some(&s1),
-            &c,
-        );
-        assert_eq!(
-            s2.columns()[0].drift(),
-            0.0,
-            "type-max sentinel values must not report phantom drift"
-        );
+    fn a_sealed_index_depends_only_on_its_own_rows() {
+        let values: Vec<i64> = (0..4096).map(|i| 1_000_000 + (i * 37) % 5000).collect();
+        let preds = [q(0, ValueRange::between(Value::I64(1_000_100), Value::I64(1_000_300)))];
+        let sealed_after = |history: Option<i64>| {
+            let cfg = EngineConfig { segment_rows: 4096, ..Default::default() };
+            let t = crate::Table::new("t", &[("v", colstore::ColumnType::I64)], cfg).unwrap();
+            if let Some(origin) = history {
+                let older: Vec<i64> = (0..4096).map(|i| origin + i % 900).collect();
+                t.append_batch(vec![AnyColumn::I64(Column::from(older))]).unwrap();
+            }
+            t.append_batch(vec![AnyColumn::I64(Column::from(values.clone()))]).unwrap();
+            let seg = Arc::clone(t.sealed_snapshot().last().unwrap());
+            let col = &seg.columns()[0];
+            let mut index = Vec::new();
+            col.write_index_to(&mut index).unwrap();
+            // A fresh chooser's bootstrap routes the first query to Imprints.
+            let (ids, stats) = eval_ids(&seg, &preds);
+            (col.index_bytes(), index, ids, stats)
+        };
+        let first = sealed_after(None);
+        assert!(!first.2.is_empty());
+        assert!(first.3.lines_skipped > 0, "the imprint must discriminate on its own domain");
+        assert_eq!(sealed_after(Some(0)), first, "after a lower-domain segment");
+        assert_eq!(sealed_after(Some(50_000_000)), first, "after a higher-domain segment");
     }
 
     /// The sink-mode differential: for every access path and every query
@@ -1424,7 +1100,7 @@ mod tests {
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
         let build = || {
             let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
-            SealedSegment::seal(0, cols.to_vec(), None, &cfg())
+            SealedSegment::seal(0, cols.to_vec(), &cfg())
         };
         for evicted in [false, true] {
             for (shape, preds, any) in &shapes {
@@ -1498,9 +1174,6 @@ mod tests {
             );
             assert_eq!(stats.lines_fetched, 0, "bootstrap call {call}");
         }
-        let obs = seg.columns()[0].observations();
-        assert_eq!(obs.comparisons.load(Ordering::Relaxed), 0);
-        assert_eq!(obs.fp_rate(1), None, "no comparisons means no fp-rate signal");
     }
 
     #[test]
@@ -1510,43 +1183,8 @@ mod tests {
         assert_eq!(ids.len(), 100);
     }
 
-    /// Regression for the fp-rate accounting bug: a segment whose row count
-    /// is not a multiple of `values_per_block` has a partial tail cacheline;
-    /// when a predicate emits that line wholesale it contributes fewer than
-    /// `values_per_block` ids, and the old `emitted - lines_full * vpb`
-    /// reconstruction undercounted check-path matches — here every compared
-    /// value matches, so any observed fp-rate above zero is pure accounting
-    /// error (and planner-visible: it triggers spurious rebuilds).
-    #[test]
-    fn fp_accounting_exact_with_partial_tail_emitted_wholesale() {
-        // 1000 i32 rows, 16 values per 64-byte line: 62 full lines + an
-        // 8-value tail. 41 distinct values (< 64) give one bin per value,
-        // so the tail values 18..=25 sit in bins strictly inside the
-        // predicate [10, 50] and the tail line is emitted via the
-        // innermask fast path, while lines holding a 10 or a 50 (border
-        // bins) take the value-check route — and every check matches.
-        let values: Vec<i32> = (0..1000).map(|i| 10 + (i % 41)).collect();
-        assert!(values.iter().all(|v| (10..=50).contains(v)));
-        let col: Column<i32> = Column::from(values);
-        let seg = SealedSegment::seal(0, vec![AnyColumn::I32(col)], None, &cfg());
-        // One query; a fresh chooser's bootstrap routes it to Imprints.
-        let range = ValueRange::between(Value::I32(10), Value::I32(50));
-        let (ids, _) = eval_ids(&seg, &[q(0, range)]);
-        assert_eq!(ids.len(), 1000);
-        let obs = seg.columns()[0].observations();
-        let cmp = obs.comparisons.load(Ordering::Relaxed);
-        let matches = obs.matches.load(Ordering::Relaxed);
-        assert!(cmp > 0, "some border line must have taken the check path");
-        assert_eq!(
-            matches, cmp,
-            "every compared value matches, so matches must equal comparisons \
-             (undercounting here is the old partial-tail formula bug)"
-        );
-        assert_eq!(obs.fp_rate(1), Some(0.0));
-    }
-
     /// The count path is planner-visible: single-predicate counts go
-    /// through the chooser and record cost + observations exactly like
+    /// through the chooser and bill the column's heat counter exactly like
     /// materializing queries.
     #[test]
     fn count_routes_through_chooser_and_records_observations() {
@@ -1566,28 +1204,7 @@ mod tests {
         let col = &seg.columns()[0];
         assert_eq!(col.chooser().queries(), 64, "counts must advance the chooser cadence");
         assert_explored(col);
-        let obs = col.observations();
-        assert_eq!(obs.queries.load(Ordering::Relaxed), 64);
-        assert!(
-            obs.comparisons.load(Ordering::Relaxed) > 0,
-            "imprint-path counts on unclustered data must record fp work"
-        );
-    }
-
-    #[test]
-    fn fp_rate_visible_on_unclustered_data() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(3);
-        // High-cardinality random data: imprints produce false positives.
-        let values: Vec<i64> = (0..8192).map(|_| rng.gen_range(0..1_000_000)).collect();
-        let seg = seal_i64(values);
-        let range = ValueRange::between(Value::I64(0), Value::I64(1000));
-        for _ in 0..32 {
-            let _ = eval_ids(&seg, &[q(0, range)]);
-        }
-        let obs = seg.columns()[0].observations();
-        assert!(obs.fp_rate(1).is_some(), "comparisons must have been observed");
+        assert_eq!(col.observations().queries.load(Ordering::Relaxed), 64);
     }
 
     /// Builds the two-column segment every multi-predicate test below
@@ -1598,18 +1215,16 @@ mod tests {
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::I64(Column::from(b.clone()))],
-            None,
             cfg,
         );
         (seg, a, b)
     }
 
     /// Satellite regression: a conjunction must bill *every* touched
-    /// column's observations — queries on all predicates (even when an
-    /// earlier predicate's candidates empty the plan), and comparisons on
-    /// the columns that actually weeded values — so the maintenance
-    /// planner and `path_report` see multi-predicate traffic instead of
-    /// attributing the whole query to the first column.
+    /// column's query counter (even when an earlier predicate's candidates
+    /// empty the plan), so the maintenance planner's heat order sees
+    /// multi-predicate traffic instead of attributing the whole query to
+    /// the first column.
     #[test]
     fn conjunction_bills_every_touched_column() {
         let (seg, a, b) = two_col_seg(&cfg());
@@ -1626,15 +1241,10 @@ mod tests {
             assert_eq!(ids.as_slice(), expect.as_slice());
         }
         for (col, name) in seg.columns().iter().zip(["a", "b"]) {
-            let obs = col.observations();
             assert_eq!(
-                obs.queries.load(Ordering::Relaxed),
+                col.observations().queries.load(Ordering::Relaxed),
                 rounds,
                 "column {name} must be billed one query per conjunction"
-            );
-            assert!(
-                obs.comparisons.load(Ordering::Relaxed) > 0,
-                "column {name} weeded values but recorded no comparisons"
             );
         }
         // Early exit — an impossible first predicate empties the plan
@@ -1710,7 +1320,6 @@ mod tests {
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::I64(Column::from(b.clone()))],
-            None,
             &cfg(),
         );
         let narrow = q(0, ValueRange::between(Value::I64(1000), Value::I64(1100)));

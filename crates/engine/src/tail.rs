@@ -25,8 +25,8 @@
 //!    signal), [`AnyTailIndex::rebuild`] re-samples over the current
 //!    buffer — bounded work, at most one segment of rows.
 //! 4. At seal the tail index is discarded: the sealed segment builds its
-//!    real per-segment imprint (with binning inheritance), which the tail
-//!    index never tries to replace.
+//!    real per-segment imprint, binned from a fresh sample of the full
+//!    segment's rows, which the tail index never tries to replace.
 //!
 //! Unlike sealed segment columns — whose selectivity-bucketed
 //! [`PathChooser`](crate::paths::PathChooser) arbitrates between imprint,

@@ -200,7 +200,6 @@ fn stats_line(shared: &Shared, tag: Option<&str>, table: Option<&str>) -> String
                     format!("queries={}", s.queries.load(Ordering::Relaxed)),
                     format!("rows_appended={}", s.rows_appended.load(Ordering::Relaxed)),
                     format!("segments_sealed={}", s.segments_sealed.load(Ordering::Relaxed)),
-                    format!("rebuilds={}", s.rebuilds.load(Ordering::Relaxed)),
                     format!("compactions={}", s.compactions.load(Ordering::Relaxed)),
                 ];
                 protocol::fmt_ok_list(tag, &items)

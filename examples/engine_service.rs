@@ -3,8 +3,9 @@
 //!
 //! Boots the real TCP front-end (`imprints-server`) on a loopback port,
 //! streams sensor readings into a three-column relation (with the value
-//! distribution drifting over time, and the maintenance daemon re-binning
-//! drifted segment indexes in the background), and drives it with several
+//! distribution drifting over time — each sealed segment fits its bins to
+//! its own rows — and the maintenance daemon tiering small segments into
+//! larger ones in the background), and drives it with several
 //! *network* clients speaking the line protocol — tagged pipelined
 //! QUERY/COUNT requests, admission control and batched shared-morsel
 //! dispatch included. Prints a live summary at the end, sourced from the
@@ -52,8 +53,10 @@ fn main() {
     let t0 = Instant::now();
 
     std::thread::scope(|s| {
-        // Ingest: time-ordered readings whose value domain drifts upward —
-        // exactly the append pattern that degrades inherited binnings.
+        // Ingest: time-ordered readings whose value domain drifts upward.
+        // Every sealed segment samples its bins from its own rows, so the
+        // drift costs nothing; the daemon's work is merging the seals into
+        // tiers (and, on a durable table over budget, evicting cold data).
         {
             let table = Arc::clone(&table);
             let done = Arc::clone(&done);
@@ -158,9 +161,10 @@ fn main() {
     println!("shed (BUSY)        : {}", busy.load(Ordering::Relaxed));
     println!("server STATS       : {server_stats}");
     println!(
-        "background rebuilds: {} (final sweep examined {} segment-columns)",
-        stats.rebuilds.load(Ordering::Relaxed),
-        report.examined
+        "compactions        : {} ({} of them in the final sweep; {} segments evicted)",
+        stats.compactions.load(Ordering::Relaxed),
+        report.compacted.len(),
+        report.evicted_segments
     );
     // Late materialization: reconstruct a matching tuple in-process.
     if let Some(t) = table.tuple(0) {

@@ -112,9 +112,9 @@ proptest! {
     }
 
     /// Appending in many small batches equals appending at once, and
-    /// background rebuilds never change answers.
+    /// background maintenance never changes answers.
     #[test]
-    fn incremental_appends_and_rebuilds_preserve_answers(
+    fn incremental_appends_and_maintenance_preserve_answers(
         chunks in prop::collection::vec(
             prop::collection::vec(-2000i64..2000, 1..700),
             1..6,
@@ -124,7 +124,13 @@ proptest! {
     ) {
         let all: Vec<i64> = chunks.iter().flatten().copied().collect();
         let whole = engine_table(&all, 256);
-        let cfg = EngineConfig { segment_rows: 256, workers: 2, ..Default::default() };
+        // Fan-in 2, so the tick below swaps segments whenever two sealed.
+        let cfg = EngineConfig {
+            segment_rows: 256,
+            workers: 2,
+            maintenance: MaintenanceConfig { tier_fanin: 2, ..Default::default() },
+            ..Default::default()
+        };
         let catalog = Catalog::new();
         let incremental = catalog.create_table("t", &[("v", ColumnType::I64)], cfg).unwrap();
         for chunk in &chunks {
@@ -135,7 +141,7 @@ proptest! {
         let preds = [("v", range(lo, width))];
         let before = incremental.query(&preds).unwrap();
         prop_assert_eq!(before.as_slice(), whole.query(&preds).unwrap().as_slice());
-        // Force every segment column through a rebuild: answers invariant.
+        // Merge every tier the appends left behind: answers invariant.
         let _ = maintenance_tick(&catalog);
         let after = incremental.query(&preds).unwrap();
         prop_assert_eq!(before.as_slice(), after.as_slice());

@@ -1,7 +1,7 @@
 //! Concurrency stress tests for the engine: concurrent readers and one
-//! appender, with the maintenance daemon running (index rebuilds *and*
-//! tiered segment compaction), must always produce results identical to a
-//! serial scan of a consistent snapshot.
+//! appender, with the maintenance daemon running (tiered segment
+//! compaction), must always produce results identical to a serial scan of
+//! a consistent snapshot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,16 +39,9 @@ fn concurrent_readers_and_appender_stay_consistent() {
         // readers exercise the tail-indexed eval_open path against the
         // appender's incremental extends and seal-time discards.
         tail_index_min_rows: 128,
-        // Aggressive thresholds so background rebuilds actually trigger
-        // mid-flight; fan-in 4 lets tiered compaction churn the sealed
-        // list under the readers at the same time.
-        maintenance: MaintenanceConfig {
-            drift_threshold: 0.3,
-            fp_threshold: 0.9,
-            min_comparisons: 256,
-            tier_fanin: 4,
-            ..Default::default()
-        },
+        // Fan-in 4 lets tiered compaction churn the sealed list under the
+        // readers.
+        maintenance: MaintenanceConfig { tier_fanin: 4, ..Default::default() },
         ..Default::default()
     };
     let table = catalog
@@ -63,7 +56,7 @@ fn concurrent_readers_and_appender_stay_consistent() {
 
     std::thread::scope(|s| {
         // One appender: batches of drifting data (later batches shift the
-        // key domain so inherited binnings degrade and get rebuilt).
+        // key domain, so segments of one merge window straddle domains).
         {
             let table = Arc::clone(&table);
             let done = Arc::clone(&done);
@@ -148,8 +141,9 @@ fn concurrent_readers_and_appender_stay_consistent() {
     });
 
     drop(daemon);
-    // Deterministic final passes: any drift or pending tier merges the
-    // daemon did not get to are applied (and counted) here.
+    let churned = table.stats().compactions.load(Ordering::Relaxed);
+    // Deterministic final passes: any pending tier merges the daemon did
+    // not get to are applied (and counted) here.
     let mut guard = 0;
     while !maintenance_tick(&catalog).is_idle() {
         guard += 1;
@@ -175,11 +169,7 @@ fn concurrent_readers_and_appender_stay_consistent() {
         n_checks >= READERS as u64,
         "each reader must have completed at least one validated query, got {n_checks}"
     );
-    // The drifting appender must have caused real background rebuilds.
-    assert!(
-        table.stats().rebuilds.load(Ordering::Relaxed) > 0,
-        "maintenance daemon never rebuilt a segment"
-    );
+    assert!(churned > 0, "the daemon never churned the sealed list under the readers");
 }
 
 /// Validating readers hold `TableSnapshot`s *across* compaction swaps while
