@@ -65,7 +65,7 @@
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |
 //! | [`parallel`] | §7 | multi-core construction (future-work extension) |
 //! | [`multilevel`] | §7 | two-level imprint organization (future-work extension) |
-//! | [`relation_index`] | §3 | relation-level indexes + conjunctive query plan |
+//! | [`relation_index`] | §3 | the multi-attribute plan, written once ([`relation_index::run`]): relation-level indexes run it, and so do the engine's sealed segments and write head |
 //! | [`storage`] | — | checksummed binary persistence of an index |
 
 #![warn(missing_docs)]

@@ -82,28 +82,6 @@ pub fn make_masks<T: Scalar>(binning: &Binning<T>, pred: &RangePredicate<T>) -> 
     QueryMasks { mask, innermask }
 }
 
-/// Builds the masks for a *union* of ranges (an OR of terms, e.g. an
-/// IN-list lowered to point intervals) against `binning`.
-///
-/// `mask` is the union of the per-term masks: a cacheline may hold a match
-/// iff some term's bins intersect its imprint. `innermask` is the union of
-/// the per-term innermasks, which is sound for wholesale emission: a bin
-/// fully inside *some* term means every value falling into that bin
-/// matches the union, so an imprint with no bits outside the combined
-/// innermask holds only qualifying values.
-pub fn make_masks_union<T: Scalar>(
-    binning: &Binning<T>,
-    terms: &[RangePredicate<T>],
-) -> QueryMasks {
-    let mut out = QueryMasks::EMPTY;
-    for term in terms {
-        let m = make_masks(binning, term);
-        out.mask |= m.mask;
-        out.innermask |= m.innermask;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,27 +154,6 @@ mod tests {
         // Bin 5 = [5,6): ints make [5,5] cover it logically, but the bin
         // range extends beyond the point, so it is not "fully inside".
         assert_eq!(m.innermask, 0);
-    }
-
-    #[test]
-    fn union_masks_or_terms_together() {
-        let b = binning_1_to_7();
-        // IN (2, 5): two point terms. Mask = both bins; innermask stays
-        // empty because a point never fully covers its bin.
-        let m = make_masks_union(&b, &[RangePredicate::equals(2), RangePredicate::equals(5)]);
-        assert_eq!(m.mask, (1 << 2) | (1 << 5));
-        assert_eq!(m.innermask, 0);
-        // Union of two wide ranges: inner bins of either term stay inner.
-        let m = make_masks_union(&b, &[RangePredicate::between(1, 3), RangePredicate::at_least(5)]);
-        let a = make_masks(&b, &RangePredicate::between(1, 3));
-        let c = make_masks(&b, &RangePredicate::at_least(5));
-        assert_eq!(m.mask, a.mask | c.mask);
-        assert_eq!(m.innermask, a.innermask | c.innermask);
-        assert!(m.innermask & !m.mask == 0, "innermask ⊆ mask");
-        // Empty and no-op terms.
-        assert_eq!(make_masks_union::<i32>(&b, &[]), QueryMasks::EMPTY);
-        let m = make_masks_union(&b, &[RangePredicate::between(5, 2)]);
-        assert_eq!(m, QueryMasks::EMPTY);
     }
 
     #[test]

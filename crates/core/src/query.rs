@@ -195,78 +195,40 @@ pub fn candidate_id_ranges<T: Scalar>(
     (ids, stats)
 }
 
-/// Sets row bits `start..end` in a row-space bitvec (`words[i]` covers rows
-/// `64*i..64*i+64`, row `r` = bit `r % 64` of word `r / 64`).
-fn set_row_bits(words: &mut [u64], start: u64, end: u64) {
-    if start >= end {
-        return;
-    }
-    let (sw, sb) = ((start / 64) as usize, start % 64);
-    let (ew, eb) = ((end / 64) as usize, end % 64);
-    if sw == ew {
-        words[sw] |= ((1u64 << (end - start)) - 1) << sb;
-        return;
-    }
-    words[sw] |= u64::MAX << sb;
-    for w in &mut words[sw + 1..ew] {
-        *w = u64::MAX;
-    }
-    if eb > 0 {
-        words[ew] |= (1u64 << eb) - 1;
-    }
-}
-
-/// Classifies every row of the column into the three outcomes of
-/// Algorithm 3, expressed as **row-space bitvecs** so classifications of
-/// columns with different value widths (hence different cacheline
-/// geometry) can be ANDed word-wise by a multi-predicate plan:
-///
-/// * bit set in `cand` — the row's cacheline imprint overlaps `masks.mask`
-///   (the row may match);
-/// * bit set in `full` — additionally every set imprint bit is an inner
-///   bin (the row *does* match, no value check needed). `full ⊆ cand`.
-///
-/// Rows in neither vector are guaranteed non-matching. Both slices must
-/// hold `rows.div_ceil(64)` words and arrive zeroed (bits are only ever
-/// set). The partial tail line, when present, is classified like any other
-/// run ([`ColumnImprints::runs`] yields it). Returns the index-side costs:
-/// one probe per imprint run, skips counted in cachelines.
-///
-/// # Panics
-/// Panics if the slices are shorter than the column's row count requires.
-pub fn classify_rows<T: Scalar>(
+/// Counts qualifying rows from the index alone, when it can: `Some`
+/// exactly when every candidate run is fully covered by the predicate's
+/// `innermask`, so the count is exact with no value ever read; `None` at
+/// the first candidate run that would need a value check. One pass over
+/// the runs, no allocation, the same probe/skip accounting as [`run`] —
+/// what lets a column whose data is not in memory answer a covered `COUNT`
+/// without fetching it.
+pub fn count_covered<T: Scalar>(
     idx: &ColumnImprints<T>,
-    masks: &QueryMasks,
-    cand: &mut [u64],
-    full: &mut [u64],
-) -> ImprintStats {
+    pred: &RangePredicate<T>,
+) -> Option<(u64, ImprintStats)> {
     let mut stats = ImprintStats::default();
+    let masks = masks::make_masks(idx.binning(), pred);
     if masks.mask == 0 {
         stats.access.lines_skipped = idx.line_count();
-        return stats;
+        return Some((0, stats));
     }
     let vpb = idx.values_per_block() as u64;
     let rows = idx.rows() as u64;
-    let words = rows.div_ceil(64) as usize;
-    assert!(cand.len() >= words && full.len() >= words, "bitvecs shorter than the column");
-    let not_inner = !masks.innermask;
+    let mut n = 0u64;
     for run in idx.runs() {
         stats.access.index_probes += 1;
-        if run.imprint & masks.mask == 0 {
+        if !masks.may_match(run.imprint) {
             stats.access.lines_skipped += run.line_count;
-            continue;
-        }
-        let start = run.first_line * vpb;
-        let end = ((run.first_line + run.line_count) * vpb).min(rows);
-        set_row_bits(cand, start, end);
-        if run.imprint & not_inner == 0 {
-            // Whether the line is *emitted* wholesale is the plan's call
-            // (another predicate may still need a check), so lines_full /
-            // fetch costs are billed by the consumer, not here.
-            set_row_bits(full, start, end);
+        } else if masks.fully_covered(run.imprint) {
+            let ids = ((run.first_line + run.line_count) * vpb).min(rows) - run.first_line * vpb;
+            stats.lines_full += run.line_count;
+            stats.ids_via_full_lines += ids;
+            n += ids;
+        } else {
+            return None;
         }
     }
-    stats
+    Some((n, stats))
 }
 
 /// Late materialization, step 2: weeds out false positives from an
@@ -285,36 +247,6 @@ pub fn refine<T: Scalar>(
         kernel.check(values, r, &mut hits, &mut stats.access.value_comparisons);
     }
     hits.into_ids()
-}
-
-/// Full multi-attribute conjunction over two columns of possibly different
-/// types: per-column candidate generation, id-space merge-join, then one
-/// refinement pass per column — the query plan sketched at the end of §3.
-pub fn conjunction2<A: Scalar, B: Scalar>(
-    (idx_a, col_a, pred_a): (&ColumnImprints<A>, &Column<A>, &RangePredicate<A>),
-    (idx_b, col_b, pred_b): (&ColumnImprints<B>, &Column<B>, &RangePredicate<B>),
-) -> (IdList, ImprintStats) {
-    assert_eq!(col_a.len(), col_b.len(), "conjunction requires one relation");
-    let mut stats = ImprintStats::default();
-    let (ca, sa) = candidate_id_ranges(idx_a, pred_a);
-    let (cb, sb) = candidate_id_ranges(idx_b, pred_b);
-    stats.access.merge(&sa.access);
-    stats.access.merge(&sb.access);
-    let joint = ca.intersect(&cb);
-    let a_ids = refine(col_a, &PredicateKernel::new(pred_a), &joint, &mut stats);
-    // Refine B only on ids that survived A (the increasing-selectivity
-    // expectation of §3). Survivors are scattered ids, so the per-value
-    // kernel check applies, not the chunked one.
-    let values_b = col_b.values();
-    let kernel_b = PredicateKernel::new(pred_b);
-    let mut out = Vec::with_capacity(a_ids.len());
-    for id in a_ids.iter() {
-        stats.access.value_comparisons += 1;
-        if kernel_b.matches(&values_b[id as usize]) {
-            out.push(id);
-        }
-    }
-    (IdList::from_sorted(out), stats)
 }
 
 #[cfg(test)]
@@ -497,27 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn conjunction_two_attributes() {
-        // Same relation, different widths: i32 and f64.
-        let n = 8000usize;
-        let a: Column<i32> = (0..n as i32).map(|i| i % 100).collect();
-        let b: Column<f64> = (0..n).map(|i| (i % 37) as f64).collect();
-        let ia = ColumnImprints::build(&a);
-        let ib = ColumnImprints::build(&b);
-        let pa = RangePredicate::between(10, 20);
-        let pb = RangePredicate::between(5.0, 9.0);
-        let (ids, _) = conjunction2((&ia, &a, &pa), (&ib, &b, &pb));
-        let expect: Vec<u64> = (0..n as u64)
-            .filter(|&i| {
-                let va = a.get(i as usize).unwrap();
-                let vb = b.get(i as usize).unwrap();
-                (10..=20).contains(&va) && (5.0..=9.0).contains(&vb)
-            })
-            .collect();
-        assert_eq!(ids.as_slice(), expect.as_slice());
-    }
-
-    #[test]
     fn non_default_block_size_correctness() {
         let col: Column<i32> = (0..9999).map(|i| (i * 31) % 444).collect();
         for block in [64usize, 128, 256, 512] {
@@ -609,60 +520,28 @@ mod tests {
     }
 
     #[test]
-    fn set_row_bits_spans_word_boundaries() {
-        let mut w = vec![0u64; 4];
-        set_row_bits(&mut w, 3, 3); // empty span is a no-op
-        assert_eq!(w, [0, 0, 0, 0]);
-        set_row_bits(&mut w, 2, 5);
-        assert_eq!(w[0], 0b11100);
-        set_row_bits(&mut w, 60, 130);
-        assert_eq!(w[0], 0b11100 | (0b1111 << 60));
-        assert_eq!(w[1], u64::MAX);
-        assert_eq!(w[2], 0b11);
-        let mut w = vec![0u64; 2];
-        set_row_bits(&mut w, 0, 128); // exact word multiples: no partial tail word
-        assert_eq!(w, [u64::MAX, u64::MAX]);
-    }
-
-    #[test]
-    fn classify_rows_brackets_evaluate() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(23);
-        // 10_007 rows: forces a partial tail line and a ragged last word.
-        let col: Column<i64> = (0..10_007).map(|_| rng.gen_range(-500..500)).collect();
+    fn count_covered_is_exact_or_none() {
+        // A sorted column: one bin per 1,000 values, 16 values per line.
+        let col: Column<i32> = (0..64_000).collect();
         let idx = ColumnImprints::build(&col);
-        let words = col.len().div_ceil(64);
-        for pred in [
-            RangePredicate::between(-50, 50),
-            RangePredicate::at_least(400),
-            RangePredicate::all(),
-            RangePredicate::between(10, 5),
-        ] {
-            let masks = masks::make_masks(idx.binning(), &pred);
-            let mut cand = vec![0u64; words];
-            let mut full = vec![0u64; words];
-            let stats = classify_rows(&idx, &masks, &mut cand, &mut full);
-            let bit = |w: &[u64], r: u64| w[(r / 64) as usize] >> (r % 64) & 1 == 1;
-            for r in 0..col.len() as u64 {
-                assert!(!bit(&full, r) || bit(&cand, r), "full ⊆ cand violated at {r}");
-                let matches = pred.matches(&col.values()[r as usize]);
-                if matches {
-                    assert!(bit(&cand, r), "{pred}: matching row {r} not a candidate");
-                }
-                if bit(&full, r) {
-                    assert!(matches, "{pred}: fully-covered row {r} does not match");
-                }
-            }
-            // No bits beyond the last row.
-            let tail_bits = col.len() as u64 % 64;
-            if tail_bits > 0 {
-                assert_eq!(cand[words - 1] >> tail_bits, 0, "{pred}: ghost rows set");
-            }
-            // Probe accounting mirrors the other entry points.
-            let (_, estats) = evaluate(&idx, &col, &pred);
-            assert_eq!(stats.access.index_probes, estats.access.index_probes, "{pred}");
-        }
+        // A span whose every candidate line is covered: count's answer,
+        // count's index-side accounting, and not one value compared.
+        let covered = RangePredicate::all();
+        let (n, stats) = count_covered(&idx, &covered).expect("every line is covered");
+        let (expect, estats) = count(&idx, &col, &covered);
+        assert_eq!(n, expect);
+        assert_eq!(stats, estats);
+        assert_eq!(stats.access.value_comparisons, 0);
+        // One straddling line — the query's border falls inside it.
+        assert_eq!(count_covered(&idx, &RangePredicate::at_least(32_005)), None);
+        // An impossible predicate is covered vacuously.
+        let (n, stats) = count_covered(&idx, &RangePredicate::between(10, 5)).unwrap();
+        assert_eq!((n, stats.access.index_probes), (0, 0));
+        assert_eq!(stats.access.lines_skipped, idx.line_count());
+        // A partial tail line counts the rows it holds, not a full line.
+        let col: Column<i32> = std::iter::repeat_n(7, 1003).collect();
+        let idx = ColumnImprints::build(&col);
+        assert_eq!(count_covered(&idx, &RangePredicate::all()).map(|(n, _)| n), Some(1003));
     }
 
     #[test]

@@ -1,11 +1,24 @@
-//! Relation-level imprint management.
+//! The §3 multi-attribute plan, written once.
 //!
 //! The paper's §3 closes with the multi-attribute plan: "the query()
 //! procedure … is invoked multiple times, one for each attribute, with
 //! possible different [low, high] values", the candidate cacheline lists
-//! are merge-joined, and only then are false positives weeded. This module
-//! packages that plan behind a relation-level API: one imprint index per
-//! column of a [`Relation`], queried with dynamically-typed bounds.
+//! are merge-joined, and only then are false positives weeded. [`run`] is
+//! that plan, over any columns that implement [`PlanColumn`], and it has
+//! three callers that differ only in what index each column carries:
+//!
+//! * [`RelationImprints::query`] — the relation-level API of this crate:
+//!   one imprint index per column of a [`Relation`], queried with
+//!   dynamically-typed bounds through [`IndexedColumn`] views;
+//! * the engine's sealed segments, whose columns add a zonemap, an
+//!   adaptive path chooser and lazily faulted data behind the same trait;
+//! * the engine's open write head, again through [`IndexedColumn`], with
+//!   an [`AnyImprints`] per buffer extended in place on every append
+//!   (§4.1) once the head is large enough, and none before.
+//!
+//! The dynamically-typed predicate types ([`ValueRange`], [`ValueSet`]),
+//! the resolved query ([`SegQuery`]) and the name → position → bound-type
+//! resolver ([`resolve_sets`]) live here with it.
 //!
 //! ```
 //! use colstore::{Column, Relation, Value};
@@ -25,11 +38,14 @@
 //! assert_eq!(ids.as_slice(), &[2]);
 //! ```
 
-use colstore::relation::AnyColumn;
-use colstore::{CachelineSet, Error, IdList, RangePredicate, Relation, Result, Scalar, Value};
+use colstore::relation::{AnyColumn, Field};
+use colstore::{
+    AccessStats, CachelineSet, Error, IdList, RangePredicate, Relation, Result, Scalar, Value,
+};
 
 use crate::index::ColumnImprints;
 use crate::query;
+use crate::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
 
 /// A dynamically-typed closed range: `low ≤ v ≤ high`, either side
 /// optional. The variants must match the target column's scalar type.
@@ -67,11 +83,6 @@ impl ValueRange {
     /// tables) uses to reach the typed index kernels. Fails if either bound
     /// has a different scalar type than `T`.
     pub fn to_predicate<T: Scalar>(&self) -> Result<RangePredicate<T>> {
-        self.typed()
-    }
-
-    /// Converts to the typed predicate of column type `T`.
-    fn typed<T: Scalar>(&self) -> Result<RangePredicate<T>> {
         let conv = |v: &Value| {
             T::from_value(v).ok_or_else(|| {
                 Error::Mismatch(format!(
@@ -141,6 +152,196 @@ impl From<ValueRange> for ValueSet {
     }
 }
 
+/// One query as the plan evaluates it: predicates resolved to column
+/// positions ([`resolve_sets`]), how they combine, and which [`Hits`] mode
+/// the caller wants.
+#[derive(Debug, Clone)]
+pub struct SegQuery {
+    /// Resolved `(column index, value set)` predicates.
+    pub preds: Vec<(usize, ValueSet)>,
+    /// `true` evaluates the predicates as a disjunction (`OR` group)
+    /// instead of the default conjunction.
+    pub any: bool,
+    /// `true` counts matches instead of materializing ids.
+    pub count_only: bool,
+}
+
+/// Resolves and type-checks `(name, value set)` predicates against
+/// `schema` — the one name → position → bound-type check every front-end
+/// ([`RelationImprints::query`], the engine's tables and snapshots) runs
+/// before [`run`], so a mismatched bound (in any term of any set) is an
+/// error here instead of a panic in a typed kernel later.
+pub fn resolve_sets<S: AsRef<str>>(
+    schema: &[Field],
+    preds: &[(S, ValueSet)],
+) -> Result<Vec<(usize, ValueSet)>> {
+    let mut out = Vec::with_capacity(preds.len());
+    for (name, set) in preds {
+        let name = name.as_ref();
+        let pos = schema
+            .iter()
+            .position(|f| f.name == name)
+            .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
+        let ty = schema[pos].ty;
+        for range in &set.terms {
+            for bound in [&range.low, &range.high].into_iter().flatten() {
+                if bound.column_type() != ty {
+                    return Err(Error::Mismatch(format!(
+                        "predicate bound {bound} has type {}, column {name:?} holds {ty}",
+                        bound.column_type()
+                    )));
+                }
+            }
+        }
+        out.push((pos, set.clone()));
+    }
+    Ok(out)
+}
+
+/// What the plan needs from one column. The two implementors differ only
+/// in what index the column carries and where its values live:
+/// [`IndexedColumn`] (a buffer and an optional imprint) and the engine's
+/// sealed segment column (imprint, zonemap, path chooser, lazily faulted
+/// data). [`run`] is generic over the implementor, so its column calls are
+/// statically dispatched. Every predicate handed in was type-checked by
+/// [`resolve_sets`]; implementations may panic on one that was not.
+pub trait PlanColumn {
+    /// Evaluates one range over the whole column into a fresh sink, on
+    /// whichever access path the column prefers.
+    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats);
+
+    /// The row-id ranges that may hold a match of `set` — the union of
+    /// each term's imprint candidates — and the probe statistics. No value
+    /// is read.
+    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats);
+
+    /// Value-checks the rows of `ranges` against `set` into `hits` with
+    /// the compiled [`SetKernel`], billing `stats`.
+    fn check(
+        &self,
+        set: &ValueSet,
+        ranges: &CachelineSet,
+        hits: Hits,
+        stats: &mut AccessStats,
+    ) -> Hits;
+
+    /// Keeps only the ids whose value satisfies `set` — the gather kernel
+    /// over scattered ids ([`SetKernel::filter_ids`]) — billing `stats`.
+    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats);
+
+    /// Bills one query against the column's observation counter, if it
+    /// keeps one. The plan calls this once per touched column *up front*,
+    /// so a heat order built on the counter sees multi-predicate traffic
+    /// on every column — even ones an early exit never value-checks.
+    fn note_query(&self) {}
+}
+
+/// Evaluates `q` over the `rows` rows of `cols` into a fresh [`Hits`] sink
+/// (ids local to the row range, or their count) — the one evaluation entry
+/// point of a sealed segment, the open write head and a
+/// [`RelationImprints`].
+///
+/// Conjunctions: a single one-range predicate takes the column's own
+/// single-range path ([`PlanColumn::run_range`]); everything else —
+/// multi-term sets and multi-predicate conjunctions — takes the paper's §3
+/// late materialization plan (`late_materialize`). The empty conjunction
+/// selects every row.
+///
+/// Disjunctions (`q.any`): the union of each predicate's own result. Each
+/// arm rides its column's best single-column path, so an OR never costs
+/// more than the sum of its arms; arms may overlap, so they are
+/// materialized and unioned even when only the count is wanted. The empty
+/// group matches nothing (the identity of `OR`).
+pub fn run<C: PlanColumn>(cols: &[C], rows: u64, q: &SegQuery) -> (Hits, AccessStats) {
+    if !q.any {
+        return run_conjunction(cols, rows, &q.preds, q.count_only);
+    }
+    let mut stats = AccessStats::default();
+    let mut acc = IdList::new();
+    for pred in &q.preds {
+        let (hits, s) = run_conjunction(cols, rows, std::slice::from_ref(pred), false);
+        stats.merge(&s);
+        acc = acc.union(&hits.into_ids());
+    }
+    (Hits::from_ids(acc.into_vec(), q.count_only), stats)
+}
+
+fn run_conjunction<C: PlanColumn>(
+    cols: &[C],
+    rows: u64,
+    preds: &[(usize, ValueSet)],
+    count_only: bool,
+) -> (Hits, AccessStats) {
+    match preds {
+        [] => {
+            let mut hits = Hits::new(count_only);
+            hits.emit(0..rows);
+            (hits, AccessStats::default())
+        }
+        [(col, set)] if set.as_single().is_some() => {
+            let range = set.as_single().expect("checked single");
+            cols[*col].run_range(range, count_only)
+        }
+        _ => {
+            for (col, _) in preds {
+                cols[*col].note_query();
+            }
+            late_materialize(cols, preds, count_only)
+        }
+    }
+}
+
+/// The conjunction plan, the paper's §3 late materialization: per-column
+/// imprint candidate ranges intersected in id space, the most selective
+/// predicate value-checked with the compiled [`SetKernel`] over the
+/// surviving contiguous runs, every further predicate weeding the
+/// scattered survivors with the gather-style SWAR kernel
+/// ([`SetKernel::filter_ids`]). Only a first predicate that is also the
+/// last checks straight into a counting sink; survivors that a later
+/// predicate still has to weed are ids either way.
+fn late_materialize<C: PlanColumn>(
+    cols: &[C],
+    preds: &[(usize, ValueSet)],
+    count_only: bool,
+) -> (Hits, AccessStats) {
+    let mut stats = AccessStats::default();
+    let mut joint: Option<CachelineSet> = None;
+    let mut order: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
+    for (i, (col, set)) in preds.iter().enumerate() {
+        let (cands, s) = cols[*col].candidates(set);
+        stats.merge(&s);
+        order.push((cands.line_count(), i));
+        joint = Some(match joint {
+            Some(j) => j.intersect(&cands),
+            None => cands,
+        });
+        if joint.as_ref().is_some_and(CachelineSet::is_empty) {
+            return (Hits::new(count_only), stats);
+        }
+    }
+    let joint = joint.expect("at least one predicate");
+    // Fewest candidate rows first: that predicate's value check leaves
+    // the fewest survivors for the others to gather. The sort is
+    // stable, so equal counts keep query order.
+    order.sort_by_key(|&(rows, _)| rows);
+    let mut ordered = order.iter().map(|&(_, i)| &preds[i]);
+    let (col, set) = ordered.next().expect("at least one predicate");
+    let first = Hits::new(count_only && preds.len() == 1);
+    let mut hits = cols[*col].check(set, &joint, first, &mut stats);
+    if let Hits::Ids(ids) = &mut hits {
+        for (col, set) in ordered {
+            if ids.is_empty() {
+                break;
+            }
+            cols[*col].weed(set, ids, &mut stats);
+        }
+        if count_only {
+            hits = Hits::Count(ids.len() as u64);
+        }
+    }
+    (hits, stats)
+}
+
 /// A column imprints index of whichever scalar type its column holds.
 #[derive(Debug, Clone)]
 pub enum AnyImprints {
@@ -166,8 +367,29 @@ pub enum AnyImprints {
     F64(ColumnImprints<f64>),
 }
 
+/// Dispatches on an index alone.
 macro_rules! any_dispatch {
-    ($idx:expr, $col:expr, $i:ident, $c:ident => $body:expr) => {
+    ($idx:expr, $i:ident => $body:expr) => {
+        match $idx {
+            AnyImprints::I8($i) => $body,
+            AnyImprints::U8($i) => $body,
+            AnyImprints::I16($i) => $body,
+            AnyImprints::U16($i) => $body,
+            AnyImprints::I32($i) => $body,
+            AnyImprints::U32($i) => $body,
+            AnyImprints::I64($i) => $body,
+            AnyImprints::U64($i) => $body,
+            AnyImprints::F32($i) => $body,
+            AnyImprints::F64($i) => $body,
+        }
+    };
+}
+
+/// Dispatches on the (index, column) pair, which are the same variant by
+/// construction: an index is built from its own column and every caller
+/// keeps the two side by side.
+macro_rules! any_pair {
+    ($idx:expr, $col:expr, ($i:ident, $c:ident) => $body:expr) => {
         match ($idx, $col) {
             (AnyImprints::I8($i), AnyColumn::I8($c)) => $body,
             (AnyImprints::U8($i), AnyColumn::U8($c)) => $body,
@@ -179,68 +401,166 @@ macro_rules! any_dispatch {
             (AnyImprints::U64($i), AnyColumn::U64($c)) => $body,
             (AnyImprints::F32($i), AnyColumn::F32($c)) => $body,
             (AnyImprints::F64($i), AnyColumn::F64($c)) => $body,
-            _ => return Err(Error::Mismatch("index and column scalar types diverged".into())),
+            _ => unreachable!("index and column scalar types diverged"),
+        }
+    };
+}
+
+/// Dispatches on a column alone.
+macro_rules! col_dispatch {
+    ($col:expr, $c:ident => $body:expr) => {
+        match $col {
+            AnyColumn::I8($c) => $body,
+            AnyColumn::U8($c) => $body,
+            AnyColumn::I16($c) => $body,
+            AnyColumn::U16($c) => $body,
+            AnyColumn::I32($c) => $body,
+            AnyColumn::U32($c) => $body,
+            AnyColumn::I64($c) => $body,
+            AnyColumn::U64($c) => $body,
+            AnyColumn::F32($c) => $body,
+            AnyColumn::F64($c) => $body,
         }
     };
 }
 
 impl AnyImprints {
-    /// Builds the appropriately-typed index for `col`.
+    /// Builds the appropriately-typed index for `col`, sampling bin
+    /// borders from its current rows.
     pub fn build(col: &AnyColumn) -> Self {
-        match col {
-            AnyColumn::I8(c) => AnyImprints::I8(ColumnImprints::build(c)),
-            AnyColumn::U8(c) => AnyImprints::U8(ColumnImprints::build(c)),
-            AnyColumn::I16(c) => AnyImprints::I16(ColumnImprints::build(c)),
-            AnyColumn::U16(c) => AnyImprints::U16(ColumnImprints::build(c)),
-            AnyColumn::I32(c) => AnyImprints::I32(ColumnImprints::build(c)),
-            AnyColumn::U32(c) => AnyImprints::U32(ColumnImprints::build(c)),
-            AnyColumn::I64(c) => AnyImprints::I64(ColumnImprints::build(c)),
-            AnyColumn::U64(c) => AnyImprints::U64(ColumnImprints::build(c)),
-            AnyColumn::F32(c) => AnyImprints::F32(ColumnImprints::build(c)),
-            AnyColumn::F64(c) => AnyImprints::F64(ColumnImprints::build(c)),
+        macro_rules! arm {
+            ($($v:ident),+) => {
+                match col {
+                    $(AnyColumn::$v(c) => AnyImprints::$v(ColumnImprints::build(c)),)+
+                }
+            };
         }
+        arm!(I8, U8, I16, U16, I32, U32, I64, U64, F32, F64)
     }
 
     /// Index size in bytes.
     pub fn size_bytes(&self) -> usize {
-        match self {
-            AnyImprints::I8(i) => i.size_bytes(),
-            AnyImprints::U8(i) => i.size_bytes(),
-            AnyImprints::I16(i) => i.size_bytes(),
-            AnyImprints::U16(i) => i.size_bytes(),
-            AnyImprints::I32(i) => i.size_bytes(),
-            AnyImprints::U32(i) => i.size_bytes(),
-            AnyImprints::I64(i) => i.size_bytes(),
-            AnyImprints::U64(i) => i.size_bytes(),
-            AnyImprints::F32(i) => i.size_bytes(),
-            AnyImprints::F64(i) => i.size_bytes(),
-        }
+        any_dispatch!(self, i => i.size_bytes())
     }
 
-    /// Candidate rows (id-space cacheline ranges) for a dynamic range.
-    fn candidates(&self, col: &AnyColumn, range: &ValueRange) -> Result<CachelineSet> {
-        any_dispatch!(self, col, i, _c => {
-            let pred = range.typed()?;
-            Ok(query::candidate_id_ranges(i, &pred).0)
-        })
+    /// Rows covered by the index.
+    pub fn rows(&self) -> usize {
+        any_dispatch!(self, i => i.rows())
     }
 
-    /// A boxed per-row matcher for the dynamic range over `col`.
-    fn matcher<'a>(
-        &self,
-        col: &'a AnyColumn,
-        range: &ValueRange,
-    ) -> Result<Box<dyn Fn(u64) -> bool + 'a>> {
-        any_dispatch!(self, col, _i, c => {
-            let pred = range.typed()?;
-            let values = c.values();
-            Ok(Box::new(move |id: u64| pred.matches(&values[id as usize])))
-        })
+    /// Extends the index for the rows `from..col.len()` the caller just
+    /// appended to `col` (§4.1: existing vectors are never touched, bin
+    /// borders never readjusted).
+    pub fn append(&mut self, col: &AnyColumn, from: usize) {
+        any_pair!(self, col, (i, c) => {
+            i.append(&c.values()[from..]);
+        });
+    }
+
+    /// Whether appended rows drifted off the sampled domain enough that
+    /// the imprint stopped discriminating — the O(1) §4.1 overflow-drift
+    /// half of [`ColumnImprints::needs_rebuild`] only; the saturation
+    /// sweep is O(stored vectors) and is left to callers that can afford
+    /// it per append.
+    pub fn append_drift_excessive(&self) -> bool {
+        any_dispatch!(self, i => i.append_drift_excessive())
+    }
+
+    /// Re-samples bin borders over `col`'s current contents and rebuilds.
+    pub fn rebuild(&mut self, col: &AnyColumn) {
+        any_pair!(self, col, (i, c) => {
+            *i = i.rebuild(c);
+        });
     }
 }
 
-/// One imprint index per column of a relation, with the §3 conjunctive
-/// query plan.
+/// A column whose values sit in a plain buffer, as [`run`] sees it: the
+/// view [`RelationImprints::query`] and the engine's open write head
+/// borrow per evaluation. Without an index (a write head too small to be
+/// worth one) every row is a candidate and the kernels read the buffer.
+///
+/// # Panics
+/// The [`PlanColumn`] methods panic if `imprints` was not built over
+/// `col`, or on a predicate [`resolve_sets`] did not type-check.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexedColumn<'a> {
+    /// The column's values.
+    pub col: &'a AnyColumn,
+    /// The column's imprint, if it carries one.
+    pub imprints: Option<&'a AnyImprints>,
+    /// The refinement kernel value checks run under.
+    pub kernel: RefineKernel,
+}
+
+impl IndexedColumn<'_> {
+    /// Every row of the column as one candidate run.
+    fn all_rows(&self) -> CachelineSet {
+        let mut all = CachelineSet::new();
+        all.push_run(0, self.col.len() as u64);
+        all
+    }
+}
+
+const VALIDATED: &str = "predicates validated against schema";
+
+impl PlanColumn for IndexedColumn<'_> {
+    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
+        let Some(idx) = self.imprints else {
+            let mut stats = AccessStats::default();
+            let hits = Hits::new(count_only);
+            let hits = self.check(&ValueSet::range(*range), &self.all_rows(), hits, &mut stats);
+            return (hits, stats);
+        };
+        any_pair!(idx, self.col, (i, c) => {
+            let pred = range.to_predicate().expect(VALIDATED);
+            let kernel = PredicateKernel::with_kernel(&pred, self.kernel);
+            let (hits, stats) = query::run(i, c, &kernel, Hits::new(count_only));
+            (hits, stats.access)
+        })
+    }
+
+    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
+        let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
+        debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
+        let mut stats = AccessStats::default();
+        let lines = any_dispatch!(idx, i => {
+            let terms = set.to_predicates().expect(VALIDATED);
+            let per_term = terms.iter().map(|pred| {
+                let (lines, s) = query::candidate_id_ranges(i, pred);
+                stats.merge(&s.access);
+                lines
+            });
+            per_term.reduce(|a, b| a.union(&b)).unwrap_or_default()
+        });
+        (lines, stats)
+    }
+
+    fn check(
+        &self,
+        set: &ValueSet,
+        ranges: &CachelineSet,
+        mut hits: Hits,
+        stats: &mut AccessStats,
+    ) -> Hits {
+        col_dispatch!(self.col, c => {
+            let kernel = SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), self.kernel);
+            for ids in ranges.runs() {
+                kernel.check(c.values(), ids, &mut hits, &mut stats.value_comparisons);
+            }
+        });
+        hits
+    }
+
+    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
+        col_dispatch!(self.col, c => {
+            let kernel = SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), self.kernel);
+            kernel.filter_ids(c.values(), ids, &mut stats.value_comparisons);
+        });
+    }
+}
+
+/// One imprint index per column of a relation, queried through the §3
+/// plan ([`run`]).
 #[derive(Debug, Clone)]
 pub struct RelationImprints {
     indexes: Vec<AnyImprints>,
@@ -266,45 +586,23 @@ impl RelationImprints {
         Ok(&self.indexes[pos])
     }
 
-    /// Evaluates a conjunction of dynamic range predicates: per-column
-    /// candidate generation, id-space merge-join, then one pass weeding
-    /// false positives against *all* predicates (late materialization).
-    ///
-    /// An empty predicate list selects every row.
+    /// Evaluates a conjunction of dynamic range predicates over `rel` (the
+    /// relation the indexes were built on) through [`run`], under the
+    /// ambient refinement kernel. An empty predicate list selects every
+    /// row.
     pub fn query(&self, rel: &Relation, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        if preds.is_empty() {
-            return Ok(IdList::from_sorted((0..rel.row_count() as u64).collect()));
-        }
-        // Phase 1: candidates per predicate, merge-joined in id space.
-        let mut joint: Option<CachelineSet> = None;
-        let mut matchers: Vec<Box<dyn Fn(u64) -> bool + '_>> = Vec::with_capacity(preds.len());
-        for (name, range) in preds {
-            let pos = rel
-                .schema()
-                .position(name)
-                .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
-            let idx = &self.indexes[pos];
-            let col = &rel.columns()[pos];
-            let cands = idx.candidates(col, range)?;
-            joint = Some(match joint {
-                Some(j) => j.intersect(&cands),
-                None => cands,
-            });
-            matchers.push(idx.matcher(col, range)?);
-        }
-        // Phase 2: false-positive weeding over the surviving ids.
-        let mut out = Vec::new();
-        for run in joint.expect("at least one predicate").runs() {
-            'ids: for id in run {
-                for m in &matchers {
-                    if !m(id) {
-                        continue 'ids;
-                    }
-                }
-                out.push(id);
-            }
-        }
-        Ok(IdList::from_sorted(out))
+        let sets: Vec<(&str, ValueSet)> =
+            preds.iter().map(|(name, range)| (*name, ValueSet::range(*range))).collect();
+        let preds = resolve_sets(rel.schema().fields(), &sets)?;
+        let kernel = simd::ambient_kernel();
+        let cols: Vec<IndexedColumn> = rel
+            .columns()
+            .iter()
+            .zip(&self.indexes)
+            .map(|(col, idx)| IndexedColumn { col, imprints: Some(idx), kernel })
+            .collect();
+        let q = SegQuery { preds, any: false, count_only: false };
+        Ok(run(&cols, rel.row_count() as u64, &q).0.into_ids())
     }
 }
 
@@ -412,6 +710,152 @@ mod tests {
         let one = ValueSet::from(ValueRange::at_least(Value::U16(5)));
         assert_eq!(one.as_single(), Some(&ValueRange::at_least(Value::U16(5))));
         assert!(ValueSet::default().is_empty());
+    }
+
+    /// Same relation, different widths: `i32` and `f64` cachelines hold
+    /// different row counts, so the merge-join must happen in id space.
+    #[test]
+    fn conjunction_two_attributes() {
+        let n = 8000usize;
+        let a: Column<i32> = (0..n as i32).map(|i| i % 100).collect();
+        let b: Column<f64> = (0..n).map(|i| (i % 37) as f64).collect();
+        let mut rel = Relation::new("ab");
+        rel.add_column("a", a.clone()).unwrap();
+        rel.add_column("b", b.clone()).unwrap();
+        let ids = RelationImprints::build(&rel)
+            .query(
+                &rel,
+                &[
+                    ("a", ValueRange::between(Value::I32(10), Value::I32(20))),
+                    ("b", ValueRange::between(Value::F64(5.0), Value::F64(9.0))),
+                ],
+            )
+            .unwrap();
+        let expect = oracle(&rel, |i| {
+            let va = a.get(i as usize).unwrap();
+            let vb = b.get(i as usize).unwrap();
+            (10..=20).contains(&va) && (5.0..=9.0).contains(&vb)
+        });
+        assert_eq!(ids.as_slice(), expect.as_slice());
+    }
+
+    fn between(lo: i64, hi: i64) -> ValueSet {
+        ValueSet::range(ValueRange::between(Value::I64(lo), Value::I64(hi)))
+    }
+
+    fn i64_column(values: &[i64]) -> AnyColumn {
+        AnyColumn::I64(values.iter().copied().collect())
+    }
+
+    /// Runs `preds` over `bufs` through [`run`] four ways — with and
+    /// without the imprints, materializing and counting — checks all four
+    /// against `expect`, and returns the (indexed, unindexed) statistics
+    /// of the materializing runs.
+    fn run_every_way(
+        bufs: &[AnyColumn],
+        tails: &[AnyImprints],
+        preds: &[(usize, ValueSet)],
+        any: bool,
+        expect: &[u64],
+    ) -> (AccessStats, AccessStats) {
+        let rows = bufs[0].len() as u64;
+        let stats = [true, false].map(|indexed| {
+            let cols: Vec<IndexedColumn> = bufs
+                .iter()
+                .zip(tails)
+                .map(|(col, idx)| IndexedColumn {
+                    col,
+                    imprints: indexed.then_some(idx),
+                    kernel: simd::ambient_kernel(),
+                })
+                .collect();
+            let q = |count_only| SegQuery { preds: preds.to_vec(), any, count_only };
+            let (ids, stats) = run(&cols, rows, &q(false));
+            assert_eq!(ids.into_ids().as_slice(), expect, "indexed {indexed}, {preds:?}");
+            let (n, _) = run(&cols, rows, &q(true));
+            assert_eq!(n, Hits::Count(expect.len() as u64), "indexed {indexed}, {preds:?}");
+            stats
+        });
+        (stats[0], stats[1])
+    }
+
+    /// §4.1 appends through [`AnyImprints::append`], then every query
+    /// shape of the plan over the extended buffers: the imprint is an
+    /// invisible accelerator, with it or without it the answers are the
+    /// oracle's.
+    #[test]
+    fn build_append_run_matches_oracle() {
+        let a: Vec<i64> = (0..3572).map(|i| (i * 17) % 900).collect();
+        let b: Vec<i64> = (0..3572).map(|i| i % 37).collect();
+        let full = [i64_column(&a), i64_column(&b)];
+        let mut bufs = [i64_column(&a[..3000]), i64_column(&b[..3000])];
+        let mut tails = [AnyImprints::build(&bufs[0]), AnyImprints::build(&bufs[1])];
+        // Odd-sized batches, extending each imprint like an append path.
+        for end in [3007, 3508, 3572] {
+            for ((buf, tail), src) in bufs.iter_mut().zip(&mut tails).zip(&full) {
+                let from = buf.len();
+                buf.extend_from_range(src, from..end).unwrap();
+                tail.append(buf, from);
+                assert_eq!(tail.rows(), end);
+            }
+        }
+        let rows = 0..a.len() as u64;
+        for (lo, hi) in [(0, 50), (100, 899), (890, 2000), (-5, -1)] {
+            let expect: Vec<u64> =
+                rows.clone().filter(|&i| (lo..=hi).contains(&a[i as usize])).collect();
+            run_every_way(&bufs, &tails, &[(0, between(lo, hi))], false, &expect);
+        }
+        let in_list = ValueSet::points([5, 17, 291].map(Value::I64));
+        let wanted = |i: u64| [5, 17, 291].contains(&a[i as usize]);
+        let expect: Vec<u64> = rows.clone().filter(|&i| wanted(i)).collect();
+        run_every_way(&bufs, &tails, &[(0, in_list.clone())], false, &expect);
+        let and = [(0, between(100, 500)), (1, between(3, 9))];
+        let expect: Vec<u64> = rows
+            .clone()
+            .filter(|&i| (100..=500).contains(&a[i as usize]) && (3..=9).contains(&b[i as usize]))
+            .collect();
+        assert!(!expect.is_empty());
+        run_every_way(&bufs, &tails, &and, false, &expect);
+        let or = [(0, in_list), (1, between(36, 36))];
+        let expect: Vec<u64> = rows.filter(|&i| wanted(i) || b[i as usize] == 36).collect();
+        run_every_way(&bufs, &tails, &or, true, &expect);
+    }
+
+    #[test]
+    fn drifted_appends_trigger_rebuild_and_stay_correct() {
+        let base: Vec<i64> = (0..2048).collect();
+        let mut bufs = [i64_column(&base)];
+        let mut tails = [AnyImprints::build(&bufs[0])];
+        // Appends far outside the sampled domain: overflow drift.
+        let shifted: Vec<i64> = (0..2048).map(|i| 1_000_000 + i).collect();
+        bufs[0].extend_from_range(&i64_column(&shifted), 0..shifted.len()).unwrap();
+        tails[0].append(&bufs[0], base.len());
+        assert!(
+            tails[0].append_drift_excessive(),
+            "wholesale domain shift must trip the drift heuristic"
+        );
+        tails[0].rebuild(&bufs[0]);
+        assert!(!tails[0].append_drift_excessive());
+        let expect: Vec<u64> = (2048 + 100..=2048 + 200).collect();
+        let preds = [(0, between(1_000_100, 1_000_200))];
+        let (indexed, _) = run_every_way(&bufs, &tails, &preds, false, &expect);
+        assert!(indexed.lines_skipped > 0, "rebuilt borders must let the plan skip lines");
+    }
+
+    #[test]
+    fn skips_cachelines_on_a_clustered_column() {
+        let values: Vec<i64> = (0..32_768).collect();
+        let bufs = [i64_column(&values)];
+        let tails = [AnyImprints::build(&bufs[0])];
+        let expect: Vec<u64> = (100..=200).collect();
+        let (indexed, scanned) =
+            run_every_way(&bufs, &tails, &[(0, between(100, 200))], false, &expect);
+        assert!(
+            indexed.value_comparisons < values.len() as u64 / 10,
+            "the imprint must not degenerate into a scan ({} comparisons)",
+            indexed.value_comparisons
+        );
+        assert_eq!(scanned.value_comparisons, values.len() as u64, "no imprint: every row");
     }
 
     #[test]

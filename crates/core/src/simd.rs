@@ -41,14 +41,14 @@
 //! two kernels must return byte-identical ids and identical statistics,
 //! which `tests/kernel_differential.rs` proptests across all scalar
 //! types, partial-tail geometries and all four access paths), or `Swar`.
-//! Scoped configuration (the engine's per-table
-//! `EngineConfig::refine_kernel`) resolves through [`effective_kernel`]
-//! and is threaded explicitly; bare entry points without a kernel
-//! argument fall back to the [`ambient_kernel`] process default
-//! ([`set_ambient_kernel`]). In both cases the `IMPRINTS_REFINE_KERNEL`
-//! environment variable (`auto`/`scalar`/`swar`) overrides, which is how
-//! CI forces the scalar fallback through the whole test suite so it can
-//! never rot unexercised. A kernel compiled with an explicit selection
+//! There is one configured selection, the engine's per-table
+//! `EngineConfig::refine_kernel`; it resolves through
+//! [`effective_kernel`] and is threaded explicitly. Bare entry points
+//! without a kernel argument run under [`ambient_kernel`], which is `Auto`.
+//! In both cases the `IMPRINTS_REFINE_KERNEL` environment variable
+//! (`auto`/`scalar`/`swar`) overrides, which is how CI forces the scalar
+//! fallback through the whole test suite so it can never rot
+//! unexercised. A kernel compiled with an explicit selection
 //! ([`PredicateKernel::with_kernel`]) bypasses everything, which is how
 //! differential tests and benchmarks race the two.
 //!
@@ -62,7 +62,6 @@
 
 use std::ops::Range;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use colstore::{Bound, IdList, RangePredicate, Scalar};
@@ -122,9 +121,6 @@ impl std::fmt::Display for RefineKernel {
 /// Environment variable overriding the ambient kernel selection.
 pub const KERNEL_ENV_VAR: &str = "IMPRINTS_REFINE_KERNEL";
 
-/// Ambient selection (0 = Auto, 1 = Scalar, 2 = Swar), process-wide.
-static AMBIENT: AtomicU8 = AtomicU8::new(0);
-
 /// The env override, parsed once. A malformed value is reported to stderr
 /// once and ignored rather than panicking inside arbitrary query paths.
 fn env_kernel() -> Option<RefineKernel> {
@@ -141,29 +137,10 @@ fn env_kernel() -> Option<RefineKernel> {
     })
 }
 
-/// Sets the process-wide ambient kernel (what `EngineConfig::refine_kernel`
-/// applies at table creation). The [`KERNEL_ENV_VAR`] environment variable,
-/// when set to a valid value, takes precedence over this.
-pub fn set_ambient_kernel(kernel: RefineKernel) {
-    // ordering: Relaxed — a standalone configuration cell; no other memory
-    // is published with it, and readers only need to eventually observe
-    // the latest selection.
-    AMBIENT.store(kernel as u8, Ordering::Relaxed);
-}
-
-/// The currently effective kernel selection: the env override if present,
-/// else the last [`set_ambient_kernel`] value (default [`RefineKernel::Auto`]).
+/// The selection bare entry points without a kernel argument run under:
+/// the env override if present, else [`RefineKernel::Auto`].
 pub fn ambient_kernel() -> RefineKernel {
-    if let Some(k) = env_kernel() {
-        return k;
-    }
-    // ordering: Relaxed — pairs with the store in `set_ambient_kernel`;
-    // the value is self-contained, so no acquire edge is needed.
-    match AMBIENT.load(Ordering::Relaxed) {
-        1 => RefineKernel::Scalar,
-        2 => RefineKernel::Swar,
-        _ => RefineKernel::Auto,
-    }
+    env_kernel().unwrap_or(RefineKernel::Auto)
 }
 
 /// Resolves a *configured* selection (e.g. a per-table

@@ -12,7 +12,7 @@ pub struct EngineConfig {
     /// Worker threads in the query pool (`0` = one per available core).
     pub workers: usize,
     /// Minimum open-segment row count before the write head grows its
-    /// incremental tail imprint (see [`crate::tail`]). Below the
+    /// incremental tail imprint (see [`crate::table`]). Below the
     /// threshold queries scan the open rows linearly — a tiny head is
     /// cheaper to scan than to index, and the bin sample would be too
     /// thin; at the threshold the tail index is built from the rows
@@ -21,9 +21,11 @@ pub struct EngineConfig {
     pub tail_index_min_rows: usize,
     /// Which false-positive refinement kernel weeds fetched cachelines on
     /// every access path (imprints check lines, zonemap overlap zones,
-    /// scans, tail-imprint head lines, conjunction survivors): `Auto` (currently SWAR), `Scalar` (the classic loop,
-    /// kept as the differential oracle), or `Swar`. The selection scopes
-    /// to the tables created with this configuration — it is resolved via
+    /// scans, tail-imprint head lines, conjunction survivors): `Auto`
+    /// (currently SWAR), `Scalar` (the classic loop, kept as the
+    /// differential oracle), or `Swar`. This is the only configured
+    /// selection there is — no process-wide setter exists — and it scopes
+    /// to the tables created with this configuration: it is resolved via
     /// [`imprints::simd::effective_kernel`] and threaded into every value
     /// check, so tables with different selections coexist in one process.
     /// The `IMPRINTS_REFINE_KERNEL` environment variable

@@ -13,17 +13,21 @@
 //!   segments.
 //! * **Morsel-driven executor** ([`executor`]): a persistent worker pool
 //!   fans multi-predicate queries (late materialization: per-column
-//!   imprint candidates → id-space merge-join → refinement) across
-//!   segments and merges the ordered per-segment id lists.
+//!   imprint candidates → id-space merge-join → refinement — the §3 plan
+//!   of [`imprints::relation_index::run`], which this crate calls and
+//!   does not copy) across segments and merges the ordered per-segment
+//!   id lists.
 //! * **Adaptive access paths** ([`paths`]): each segment column chooses
 //!   imprint vs. zonemap vs. scan per query from observed cost, **bucketed
 //!   by predicate selectivity** so wide and narrow queries learn separate
 //!   winners (per-bucket EWMA + exploration cadence).
-//! * **Tail-indexed write head** ([`tail`]): once the open segment is
+//! * **Tail-indexed write head** ([`table`]): once the open segment is
 //!   large enough, each open column buffer carries an incremental tail
-//!   imprint extended on every append (§4.1: appends never readjust
-//!   borders), so queries skip cachelines of the hot head instead of
-//!   scanning it linearly under the open read lock.
+//!   imprint — an [`imprints::relation_index::AnyImprints`] extended on
+//!   every append (§4.1: appends never readjust borders) — so queries
+//!   skip cachelines of the hot head instead of scanning it linearly
+//!   under the open read lock, through the same plan the sealed segments
+//!   run.
 //! * **Maintenance planner** ([`planner`]): LSM-style **tiered
 //!   compaction** in the background — runs of adjacent same-tier sealed
 //!   segments merge into one (re-binned once over the merged values) under
@@ -63,7 +67,6 @@ pub mod persist;
 pub mod planner;
 pub mod segment;
 pub mod table;
-pub mod tail;
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -73,7 +76,7 @@ use colstore::{ColumnType, IdList, Result};
 pub use catalog::{Catalog, StorageStats};
 pub use config::{EngineConfig, MaintenanceConfig, ServiceConfig, StorageOptions};
 pub use executor::WorkerPool;
-pub use imprints::relation_index::{ValueRange, ValueSet};
+pub use imprints::relation_index::{SegQuery, ValueRange, ValueSet};
 pub use imprints::simd::{Hits, RefineKernel};
 pub use paths::{PathChooser, PathKind, MAX_PATHS, NUM_BUCKETS};
 pub use persist::RecoveryReport;
@@ -81,9 +84,8 @@ pub use planner::{
     maintenance_tick, path_report, BucketPathReport, ColumnPathReport, CompactionAction,
     MaintenanceDaemon, MaintenanceReport,
 };
-pub use segment::{SealedSegment, SegQuery};
+pub use segment::SealedSegment;
 pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};
-pub use tail::AnyTailIndex;
 
 /// The assembled engine: catalog + worker pool + optional maintenance
 /// daemon, under one configuration.

@@ -24,11 +24,10 @@ use std::time::Instant;
 use baselines::{SeqScan, ZoneMap};
 use colstore::index::BuildableIndex;
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, Bound, CachelineSet, Column, IdList, RangeIndex, Scalar, Value};
+use colstore::{AccessStats, Bound, CachelineSet, Column, RangeIndex, Scalar, Value};
 use imprints::builder::BuildOptions;
-use imprints::masks::make_masks_union;
 use imprints::query;
-use imprints::relation_index::{ValueRange, ValueSet};
+use imprints::relation_index::{self, PlanColumn, SegQuery, ValueRange, ValueSet};
 use imprints::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
 use imprints::ColumnImprints;
 
@@ -247,21 +246,14 @@ impl<T: Scalar> SegCol<T> {
     }
 
     /// Counts from the resident imprint alone — the evicted-segment fast
-    /// path. `Some` exactly when every candidate cacheline is *fully*
-    /// covered by the predicate's inner mask, making the imprint count
-    /// exact with zero data bytes touched; `None` when any candidate line
-    /// needs value refinement, in which case the caller falls through to
-    /// the normal adaptive path (faulting the data back in).
+    /// path ([`query::count_covered`]). `Some` exactly when every candidate
+    /// cacheline is *fully* covered by the predicate's inner mask, making
+    /// the imprint count exact with zero data bytes touched; `None` when
+    /// any candidate line needs value refinement, in which case the caller
+    /// falls through to the normal adaptive path (faulting the data back
+    /// in).
     fn count_from_imprint(&self, pred: &colstore::RangePredicate<T>) -> Option<(u64, AccessStats)> {
-        let words = self.imprints.rows().div_ceil(64);
-        let masks = make_masks_union(self.imprints.binning(), std::slice::from_ref(pred));
-        let mut cand = vec![0u64; words];
-        let mut full = vec![0u64; words];
-        let istats = query::classify_rows(&self.imprints, &masks, &mut cand, &mut full);
-        if cand != full {
-            return None;
-        }
-        let n: u64 = cand.iter().map(|w| u64::from(w.count_ones())).sum();
+        let (n, istats) = query::count_covered(&self.imprints, pred)?;
         self.obs.queries.fetch_add(1, Ordering::Relaxed);
         Some((n, istats.access))
     }
@@ -555,39 +547,6 @@ impl AnySegCol {
         seg_dispatch!(self, s => &s.chooser)
     }
 
-    fn run(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
-        seg_dispatch!(self, s => {
-            let pred = range.to_predicate().expect("predicate validated against schema");
-            s.run(&pred, count_only)
-        })
-    }
-
-    /// Bills one query against this column's observation counter. The
-    /// conjunction plan calls this once per touched column *up front*, so
-    /// the planner's heat order sees multi-predicate traffic on every
-    /// column it touches — even ones an early-exit never value-checks.
-    fn note_query(&self) {
-        seg_dispatch!(self, s => s.obs.queries.fetch_add(1, Ordering::Relaxed));
-    }
-
-    fn candidates_set(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
-        seg_dispatch!(self, s => s.candidates_set(set))
-    }
-
-    fn collect_matches(
-        &self,
-        set: &ValueSet,
-        ranges: &CachelineSet,
-        hits: Hits,
-        stats: &mut AccessStats,
-    ) -> Hits {
-        seg_dispatch!(self, s => s.collect_matches(set, ranges, hits, stats))
-    }
-
-    fn filter_survivors(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        seg_dispatch!(self, s => s.filter_survivors(set, ids, stats))
-    }
-
     /// Merges the same column of several adjacent segments into one
     /// freshly indexed column: data concatenated, bins re-sampled **once**
     /// over the combined values, imprint and zonemap rebuilt. Path costs
@@ -624,18 +583,39 @@ impl AnySegCol {
     }
 }
 
-/// One query as a segment (and the open write head) evaluates it:
-/// predicates resolved to column indices, how they combine, and which
-/// [`Hits`] mode the caller wants.
-#[derive(Debug, Clone)]
-pub struct SegQuery {
-    /// Resolved `(column index, value set)` predicates.
-    pub preds: Vec<(usize, ValueSet)>,
-    /// `true` evaluates the predicates as a disjunction (`OR` group)
-    /// instead of the default conjunction.
-    pub any: bool,
-    /// `true` counts matches instead of materializing ids.
-    pub count_only: bool,
+/// A sealed segment column under the shared §3 plan: each call forwards
+/// to the typed column, which picks its access path, bills its heat
+/// counter and faults its data in only when a value is actually needed.
+impl PlanColumn for AnySegCol {
+    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
+        seg_dispatch!(self, s => {
+            let pred = range.to_predicate().expect("predicate validated against schema");
+            s.run(&pred, count_only)
+        })
+    }
+
+    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
+        seg_dispatch!(self, s => s.candidates_set(set))
+    }
+
+    fn check(
+        &self,
+        set: &ValueSet,
+        ranges: &CachelineSet,
+        hits: Hits,
+        stats: &mut AccessStats,
+    ) -> Hits {
+        seg_dispatch!(self, s => s.collect_matches(set, ranges, hits, stats))
+    }
+
+    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
+        seg_dispatch!(self, s => s.filter_survivors(set, ids, stats))
+    }
+
+    /// The maintenance planner's eviction order reads this counter.
+    fn note_query(&self) {
+        seg_dispatch!(self, s => s.obs.queries.fetch_add(1, Ordering::Relaxed));
+    }
 }
 
 /// An immutable, indexed run of `rows` consecutive table rows starting at
@@ -780,113 +760,20 @@ impl SealedSegment {
 
     /// Evaluates `q` over this segment into a fresh [`Hits`] sink
     /// (segment-local ids, or their count) — the segment's one evaluation
-    /// entry point.
-    ///
-    /// Conjunctions: a single one-range predicate takes the adaptive
-    /// single-column path (the [`PathChooser`] arbitrating imprints /
-    /// zonemap / scan); everything else — multi-term sets and
-    /// multi-predicate conjunctions — takes the paper's §3 late
-    /// materialization plan ([`SealedSegment::run_per_pred`]). The empty
-    /// conjunction selects every row.
-    ///
-    /// Disjunctions (`q.any`): the union of each predicate's own
-    /// adaptively evaluated result. Each arm rides its column's best
-    /// single-column path, so an OR never costs more than the sum of its
-    /// arms; arms may overlap, so they are materialized and unioned even
-    /// when only the count is wanted. The empty group matches nothing (the
-    /// identity of `OR`).
+    /// entry point, and one of the three callers of the shared §3 plan
+    /// ([`relation_index::run`]): a single one-range predicate takes the
+    /// adaptive single-column path (the [`PathChooser`] arbitrating
+    /// imprints / zonemap / scan), everything else the late
+    /// materialization plan over this segment's columns.
     pub fn run(&self, q: &SegQuery) -> (Hits, AccessStats) {
-        if !q.any {
-            return self.run_all(&q.preds, q.count_only);
-        }
-        let mut stats = AccessStats::default();
-        let mut acc = IdList::new();
-        for pred in &q.preds {
-            let (hits, s) = self.run_all(std::slice::from_ref(pred), false);
-            stats.merge(&s);
-            acc = acc.union(&hits.into_ids());
-        }
-        (Hits::from_ids(acc.into_vec(), q.count_only), stats)
-    }
-
-    fn run_all(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
-        match preds {
-            [] => {
-                let mut hits = Hits::new(count_only);
-                hits.emit(0..self.rows as u64);
-                (hits, AccessStats::default())
-            }
-            [(col, set)] if set.as_single().is_some() => {
-                let range = set.as_single().expect("checked single");
-                self.cols[*col].run(range, count_only)
-            }
-            _ => self.run_planned(preds, count_only),
-        }
-    }
-
-    /// Bills every touched column's query counter up front (early exits
-    /// must not hide traffic from the maintenance planner), then runs the
-    /// conjunction plan.
-    fn run_planned(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
-        for (col, _) in preds {
-            self.cols[*col].note_query();
-        }
-        self.run_per_pred(preds, count_only)
-    }
-
-    /// The conjunction plan, the paper's §3 late materialization:
-    /// per-column imprint candidate ranges intersected in id space, the
-    /// most selective predicate value-checked with the compiled
-    /// [`SetKernel`] over the surviving contiguous runs, every further
-    /// predicate weeding the scattered survivors with the gather-style
-    /// SWAR kernel ([`SetKernel::filter_ids`]). Only a first predicate
-    /// that is also the last checks straight into a counting sink;
-    /// survivors that a later predicate still has to weed are ids either
-    /// way.
-    fn run_per_pred(&self, preds: &[(usize, ValueSet)], count_only: bool) -> (Hits, AccessStats) {
-        let mut stats = AccessStats::default();
-        let mut joint: Option<CachelineSet> = None;
-        let mut order: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
-        for (i, (col, set)) in preds.iter().enumerate() {
-            let (cands, s) = self.cols[*col].candidates_set(set);
-            stats.merge(&s);
-            order.push((cands.line_count(), i));
-            joint = Some(match joint {
-                Some(j) => j.intersect(&cands),
-                None => cands,
-            });
-            if joint.as_ref().is_some_and(CachelineSet::is_empty) {
-                return (Hits::new(count_only), stats);
-            }
-        }
-        let joint = joint.expect("at least one predicate");
-        // Fewest candidate rows first: that predicate's value check leaves
-        // the fewest survivors for the others to gather. The sort is
-        // stable, so equal counts keep query order.
-        order.sort_by_key(|&(rows, _)| rows);
-        let mut ordered = order.iter().map(|&(_, i)| &preds[i]);
-        let (col, set) = ordered.next().expect("at least one predicate");
-        let first = Hits::new(count_only && preds.len() == 1);
-        let mut hits = self.cols[*col].collect_matches(set, &joint, first, &mut stats);
-        if let Hits::Ids(ids) = &mut hits {
-            for (col, set) in ordered {
-                if ids.is_empty() {
-                    break;
-                }
-                self.cols[*col].filter_survivors(set, ids, &mut stats);
-            }
-            if count_only {
-                hits = Hits::Count(ids.len() as u64);
-            }
-        }
-        (hits, stats)
+        relation_index::run(&self.cols, self.rows as u64, q)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colstore::Column;
+    use colstore::{Column, IdList};
 
     fn cfg() -> EngineConfig {
         EngineConfig { segment_rows: 1024, ..Default::default() }

@@ -18,34 +18,35 @@
 //!
 //! The write head is not a blind buffer: once it holds
 //! [`EngineConfig::tail_index_min_rows`] rows, each open column buffer
-//! carries an incremental **tail imprint** ([`crate::tail`]) extended on
-//! every append inside the same write critical section, so queries skip
-//! non-qualifying cachelines of the head instead of scanning it linearly
-//! under the read lock. The tail index is discarded at seal, when the
-//! sealed segment builds its real per-segment imprint.
+//! carries an incremental **tail imprint** (an [`AnyImprints`], see
+//! `index_open_tail`) extended on every append inside the same write
+//! critical section, so queries skip non-qualifying cachelines of the head
+//! instead of scanning it linearly under the read lock. The tail imprint
+//! is discarded at seal, when the sealed segment builds its real
+//! per-segment imprint.
+//!
+//! The head and the sealed segments answer a query through the same plan,
+//! [`imprints::relation_index::run`]; they differ only in what index each
+//! column carries.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, Column, ColumnType, Error, IdList, Result, Scalar, Value};
-use imprints::relation_index::{ValueRange, ValueSet};
-use imprints::simd::{Hits, RefineKernel, SetKernel};
+use imprints::relation_index::{
+    self, resolve_sets, AnyImprints, IndexedColumn, SegQuery, ValueRange, ValueSet,
+};
+use imprints::simd::{Hits, RefineKernel};
 
 use crate::config::EngineConfig;
 use crate::executor::WorkerPool;
 use crate::persist::{SegmentEntry, TableStore};
-use crate::segment::{SealedSegment, SegQuery};
-use crate::tail::AnyTailIndex;
+use crate::segment::SealedSegment;
 
-/// A named column of a table schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnDef {
-    /// Column name.
-    pub name: String,
-    /// Scalar type.
-    pub ty: ColumnType,
-}
+/// A named column of a table schema: its `name` and scalar type `ty`.
+pub use colstore::relation::Field as ColumnDef;
 
 type SegmentList = Arc<Vec<Arc<SealedSegment>>>;
 
@@ -59,7 +60,7 @@ struct OpenSegment {
     /// Per-column incremental tail imprints over `bufs`, present once the
     /// head crossed [`EngineConfig::tail_index_min_rows`]; maintained
     /// under the open write lock and discarded at seal.
-    tails: Option<Vec<AnyTailIndex>>,
+    tails: Option<Vec<AnyImprints>>,
 }
 
 impl OpenSegment {
@@ -308,7 +309,7 @@ impl Table {
         let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
         let sealed = self.sealed_snapshot();
         let tail_bytes: usize =
-            open.tails.as_ref().map_or(0, |tails| tails.iter().map(AnyTailIndex::size_bytes).sum());
+            open.tails.as_ref().map_or(0, |tails| tails.iter().map(AnyImprints::size_bytes).sum());
         drop(open);
         sealed
             .iter()
@@ -605,10 +606,11 @@ impl Table {
         // critical sections, so this value names exactly the pinned
         // (sealed list, open rows) pair.
         let epoch = self.epoch();
-        let kernel = self.refine_kernel();
-        let opens =
-            work.iter().map(|q| eval_open(&open.bufs, open.tails.as_deref(), q, kernel)).collect();
-        Ok(PinnedPrefix { sealed, open_base: open.base, opens, epoch })
+        let head = head_columns(&open.bufs, open.tails.as_deref(), self.refine_kernel());
+        let open_rows = open.len();
+        let opens = work.iter().map(|q| relation_index::run(&head, open_rows as u64, q)).collect();
+        let tail_indexed = open.tails.is_some();
+        Ok(PinnedPrefix { sealed, open_base: open.base, open_rows, tail_indexed, opens, epoch })
     }
 
     /// Evaluates many independent queries against **one pinned snapshot**
@@ -660,13 +662,13 @@ impl Table {
         let mut answers: Vec<(Hits, QueryStats)> = work
             .iter()
             .zip(&pin.opens)
-            .map(|(q, open)| {
+            .map(|(q, (_, head_access))| {
                 let stats = QueryStats {
-                    tail_access: open.access,
-                    tail_indexed: open.tail_indexed,
-                    open_rows: open.rows,
+                    tail_access: *head_access,
+                    tail_indexed: pin.tail_indexed && !q.preds.is_empty(),
+                    open_rows: pin.open_rows,
                     sealed_segments: pin.sealed.len(),
-                    visible_rows: pin.open_base + open.rows as u64,
+                    visible_rows: pin.open_base + pin.open_rows as u64,
                     epoch: pin.epoch,
                     ..Default::default()
                 };
@@ -675,15 +677,23 @@ impl Table {
             .collect();
         let fan_out = pin.sealed.len() > 1 && !work.is_empty();
         let work = Arc::new(work);
-        let sweep = move |seg: &SealedSegment| -> SegSweep {
-            (seg.base(), work.iter().map(|q| seg.run(q)).collect())
+        // A segment evaluation can panic by design (`DataSlot::get`: an
+        // evicted column whose file vanished). The sweep contains that
+        // itself, so the calling thread — in the server, the one
+        // dispatcher — survives it the same way serially and on the pool.
+        let sweep = move |seg: &SealedSegment| -> Option<SegSweep> {
+            let answer_all = || (seg.base(), work.iter().map(|q| seg.run(q)).collect());
+            catch_unwind(AssertUnwindSafe(answer_all)).ok()
         };
         let per_segment: Vec<Option<SegSweep>> = match pool {
-            Some(pool) if fan_out => pool.scatter(pin.sealed.iter().map(|seg| {
-                let (seg, sweep) = (Arc::clone(seg), sweep.clone());
-                move || sweep(&seg)
-            })),
-            _ => pin.sealed.iter().map(|seg| Some(sweep(seg))).collect(),
+            Some(pool) if fan_out => {
+                let tasks = pin.sealed.iter().map(|seg| {
+                    let (seg, sweep) = (Arc::clone(seg), sweep.clone());
+                    move || sweep(&seg)
+                });
+                pool.scatter(tasks).into_iter().map(Option::flatten).collect()
+            }
+            _ => pin.sealed.iter().map(|seg| sweep(seg)).collect(),
         };
         for part in per_segment {
             let Some((base, seg_answers)) = part else {
@@ -701,8 +711,9 @@ impl Table {
             .into_iter()
             .map(|r| {
                 r.map(|()| {
-                    let ((mut acc, stats), open) = answers.next().expect("one per valid query");
-                    acc.absorb(Hits::Ids(open.hits.into_vec()), pin.open_base);
+                    let ((mut acc, stats), (head_hits, _)) =
+                        answers.next().expect("one per valid query");
+                    acc.absorb(head_hits, pin.open_base);
                     (BatchAnswer::from(acc), stats)
                 })
             })
@@ -747,37 +758,6 @@ impl Table {
     }
 }
 
-/// Resolves and type-checks `(name, value set)` predicates against
-/// `schema` — shared by [`Table`] and [`TableSnapshot`] so both surfaces
-/// report a mismatched bound (in any term of any set) as an error instead
-/// of panicking later.
-fn resolve_sets<S: AsRef<str>>(
-    schema: &[ColumnDef],
-    preds: &[(S, ValueSet)],
-) -> Result<Vec<(usize, ValueSet)>> {
-    let mut out = Vec::with_capacity(preds.len());
-    for (name, set) in preds {
-        let name = name.as_ref();
-        let pos = schema
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
-        let ty = schema[pos].ty;
-        for range in &set.terms {
-            for bound in [&range.low, &range.high].into_iter().flatten() {
-                if bound.column_type() != ty {
-                    return Err(Error::Mismatch(format!(
-                        "predicate bound {bound} has type {}, column {name:?} holds {ty}",
-                        bound.column_type()
-                    )));
-                }
-            }
-        }
-        out.push((pos, set.clone()));
-    }
-    Ok(out)
-}
-
 /// The answers of a batch that could not run: every query that resolved
 /// fails with `why`, the others keep their own resolution error.
 fn fail_resolved(resolved: Vec<Result<()>>, why: &str) -> Vec<Result<(BatchAnswer, QueryStats)>> {
@@ -790,93 +770,68 @@ fn fail_resolved(resolved: Vec<Result<()>>, why: &str) -> Vec<Result<(BatchAnswe
 struct PinnedPrefix {
     sealed: SegmentList,
     open_base: u64,
-    opens: Vec<OpenEval>,
+    /// Open rows visible to the batch.
+    open_rows: usize,
+    /// Whether the head carries tail imprints (every predicate that
+    /// touches it then rides one).
+    tail_indexed: bool,
+    /// Per query, the head's share of the answer in the query's own sink
+    /// mode (head-local ids, or their count) and the work it took.
+    opens: Vec<(Hits, AccessStats)>,
     epoch: u64,
 }
 
-/// Result of evaluating a query's predicates over the open write head.
-#[derive(Debug, Default)]
-struct OpenEval {
-    /// Matching head-local row ids. The head is at most one segment, so it
-    /// always materializes; a count takes their number.
-    hits: IdList,
-    /// Open rows visible to the query.
-    rows: usize,
-    /// Work performed on the head (imprint probes or scalar comparisons).
-    access: AccessStats,
-    /// Whether the tail imprint served the head.
-    tail_indexed: bool,
-}
-
-/// Evaluates a resolved query over the open segment.
-///
-/// A predicate that reads the whole head routes through its column's tail
-/// imprint when one is maintained — term by term for multi-interval sets
-/// ([`AnyTailIndex::evaluate_set`]), skipping non-qualifying cachelines
-/// exactly like sealed segments do — and through the kernel over the full
-/// buffer otherwise. Conjunctions read the whole head for their first
-/// predicate only; the remaining predicates weed the (typically few,
-/// scattered) survivors with the gather-style kernel. Disjunctions
-/// (`q.any`) read it once per arm, each riding its *own* column's tail
-/// imprint, and union the results.
-fn eval_open(
-    bufs: &[AnyColumn],
-    tails: Option<&[AnyTailIndex]>,
-    q: &SegQuery,
+/// The open write head as the plan the sealed segments run sees it
+/// ([`relation_index::run`]): one borrowed [`IndexedColumn`] per buffer,
+/// carrying that buffer's tail imprint when the head maintains them —
+/// every predicate then rides its own column's; below
+/// [`EngineConfig::tail_index_min_rows`] every row is a candidate and the
+/// kernels read the buffers.
+fn head_columns<'a>(
+    bufs: &'a [AnyColumn],
+    tails: Option<&'a [AnyImprints]>,
     kernel: RefineKernel,
-) -> OpenEval {
-    let rows = bufs.first().map_or(0, AnyColumn::len);
-    let mut out = OpenEval { rows, ..Default::default() };
-    if rows == 0 {
-        return out;
-    }
-    let whole_head = |col: usize, set: &ValueSet, out: &mut OpenEval| match tails {
-        Some(tails) => {
-            let tail = &tails[col];
-            debug_assert_eq!(tail.rows(), rows, "tail imprint out of sync with the open buffer");
-            let (ids, stats) = tail.evaluate_set(&bufs[col], set, kernel);
-            out.access.merge(&stats);
-            out.tail_indexed = true;
-            ids
-        }
-        None => {
-            let (ids, compared) = filter_open_column(&bufs[col], set, None, rows, kernel);
-            out.access.value_comparisons += compared;
-            IdList::from_sorted(ids)
-        }
-    };
-    if q.any {
-        // The empty disjunction (identity of OR) selects nothing.
-        for (col, set) in &q.preds {
-            let arm = whole_head(*col, set, &mut out);
-            out.hits = out.hits.union(&arm);
-        }
-        return out;
-    }
-    let Some(((col, set), rest)) = q.preds.split_first() else {
-        // The empty conjunction selects everything.
-        out.hits = IdList::from_sorted((0..rows as u64).collect());
-        return out;
-    };
-    let mut survivors = whole_head(*col, set, &mut out).into_vec();
-    for (col, set) in rest {
-        if survivors.is_empty() {
-            break;
-        }
-        let (kept, compared) = filter_open_column(&bufs[*col], set, Some(&survivors), rows, kernel);
-        out.access.value_comparisons += compared;
-        survivors = kept;
-    }
-    out.hits = IdList::from_sorted(survivors);
-    out
+) -> Vec<IndexedColumn<'a>> {
+    bufs.iter()
+        .enumerate()
+        .map(|(i, col)| IndexedColumn { col, imprints: tails.map(|t| &t[i]), kernel })
+        .collect()
 }
 
 /// Maintains the open segment's tail imprints after an append landed rows
-/// `from..open.len()`: extends existing tails with exactly those rows,
-/// builds the tails once the head crosses `min_rows` (sampling bin borders
-/// from the rows accumulated so far), and re-bins a tail whose appended
-/// data drifted off its sampled domain — all bounded by one segment of
-/// rows, under the open write lock the caller already holds.
+/// `from..open.len()`, under the open write lock the caller already holds
+/// — so readers never observe imprint and buffer out of sync, and all of
+/// it is bounded by one segment of rows. The lifecycle:
+///
+/// 1. Below `min_rows` ([`EngineConfig::tail_index_min_rows`]) open rows,
+///    no tail imprint exists — a tiny head is cheaper to scan than to
+///    index, and the bin sample would be too thin to discriminate.
+/// 2. Crossing the threshold, [`AnyImprints::build`] samples the rows
+///    accumulated so far — real data, not guesses — and every subsequent
+///    append goes through [`AnyImprints::append`] (§4.1: existing vectors
+///    are never touched, borders never readjusted), so the index grows in
+///    O(new rows).
+/// 3. When appended data drifts off the sampled domain
+///    ([`AnyImprints::append_drift_excessive`], the O(1) half of the
+///    paper's §4.1 rebuild heuristic), [`AnyImprints::rebuild`] re-samples
+///    over the current buffer. The saturation sweep of
+///    [`ColumnImprints::needs_rebuild`](imprints::ColumnImprints::needs_rebuild)
+///    is deliberately *not* consulted: this check runs once per append
+///    batch under the open write lock, where an O(stored vectors) popcount
+///    per chunk would make trickle appends quadratic in head size and
+///    stall concurrent readers.
+/// 4. At seal the tail imprint is discarded: the sealed segment builds its
+///    real per-segment imprint, binned from a fresh sample of the full
+///    segment's rows, which the tail imprint never tries to replace.
+///
+/// Unlike sealed segment columns — whose selectivity-bucketed
+/// [`PathChooser`](crate::paths::PathChooser) arbitrates between imprint,
+/// zonemap and scan — the write head deliberately stays imprint-only: its
+/// buffer mutates under the open write lock on every append, so any
+/// additional per-head structure (a zonemap, say) would need the same
+/// incremental-extend treatment for marginal gain on at most one segment
+/// of rows, and cost-model state learned on a buffer that is discarded at
+/// seal would never amortize.
 fn index_open_tail(open: &mut OpenSegment, from: usize, min_rows: usize) {
     if open.len() < min_rows {
         return;
@@ -884,61 +839,13 @@ fn index_open_tail(open: &mut OpenSegment, from: usize, min_rows: usize) {
     match &mut open.tails {
         Some(tails) => {
             for (tail, buf) in tails.iter_mut().zip(&open.bufs) {
-                tail.extend(buf, from);
-                if tail.needs_rebuild() {
+                tail.append(buf, from);
+                if tail.append_drift_excessive() {
                     tail.rebuild(buf);
                 }
             }
         }
-        None => open.tails = Some(open.bufs.iter().map(AnyTailIndex::build).collect()),
-    }
-}
-
-/// One column's filter pass over the open segment, routed through the
-/// table's refinement kernel ([`imprints::simd`]): a full-head pass takes
-/// the chunked cacheline kernel, a survivors pass the gather-style
-/// [`SetKernel::filter_ids`](imprints::simd::SetKernel::filter_ids) over
-/// the (scattered) candidate ids. Returns the matching local ids and the
-/// number of values actually compared — zero when the predicate can match
-/// nothing, so the head's `value_comparisons` stay honest.
-fn filter_open_column(
-    buf: &AnyColumn,
-    set: &ValueSet,
-    candidates: Option<&[u64]>,
-    rows: usize,
-    kernel: RefineKernel,
-) -> (Vec<u64>, u64) {
-    macro_rules! arm {
-        ($c:expr) => {{
-            let terms = set.to_predicates().expect("predicates validated against schema");
-            let kernel = SetKernel::with_kernel(&terms, kernel);
-            let values = $c.values();
-            let mut compared = 0u64;
-            match candidates {
-                Some(ids) => {
-                    let mut kept = ids.to_vec();
-                    kernel.filter_ids(values, &mut kept, &mut compared);
-                    (kept, compared)
-                }
-                None => {
-                    let mut out = Vec::new();
-                    kernel.append_matches(values, 0..rows as u64, &mut out, &mut compared);
-                    (out, compared)
-                }
-            }
-        }};
-    }
-    match buf {
-        AnyColumn::I8(c) => arm!(c),
-        AnyColumn::U8(c) => arm!(c),
-        AnyColumn::I16(c) => arm!(c),
-        AnyColumn::U16(c) => arm!(c),
-        AnyColumn::I32(c) => arm!(c),
-        AnyColumn::U32(c) => arm!(c),
-        AnyColumn::I64(c) => arm!(c),
-        AnyColumn::U64(c) => arm!(c),
-        AnyColumn::F32(c) => arm!(c),
-        AnyColumn::F64(c) => arm!(c),
+        None => open.tails = Some(open.bufs.iter().map(AnyImprints::build).collect()),
     }
 }
 
@@ -975,8 +882,9 @@ impl TableSnapshot {
         for seg in self.sealed.iter() {
             acc.absorb(seg.run(&q).0, seg.base());
         }
-        let open = eval_open(&self.open_bufs, None, &q, self.kernel);
-        acc.absorb(Hits::Ids(open.hits.into_vec()), self.open_base);
+        let head = head_columns(&self.open_bufs, None, self.kernel);
+        let open_rows = self.row_count() - self.open_base;
+        acc.absorb(relation_index::run(&head, open_rows, &q).0, self.open_base);
         Ok(acc.into_ids())
     }
 
@@ -1248,10 +1156,11 @@ mod tests {
         assert!(after.access.value_comparisons <= 2 * 4096 / 64 + 2 * one_line);
     }
 
-    /// Sealing discards the tail imprint; the fresh (empty, below
+    /// Every predicate of a conjunction rides its own column's tail
+    /// imprint; sealing discards them, and the fresh (empty, below
     /// threshold) head falls back to the scalar path until it regrows.
     #[test]
-    fn seal_discards_tail_and_conjunctions_use_it_for_the_first_predicate() {
+    fn every_conjunct_rides_its_tail_imprint_and_seal_discards_them() {
         let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(128))
             .unwrap();
         let a: Vec<i64> = (0..1500).collect();
@@ -1269,7 +1178,10 @@ mod tests {
         let expect: Vec<u64> =
             (0..1500u64).filter(|&i| a[i as usize] >= 1200 && b[i as usize] == 3).collect();
         assert_eq!(ids.as_slice(), expect.as_slice());
-        assert!(st.tail_indexed, "first predicate of a conjunction must ride the tail");
+        assert!(st.tail_indexed, "a conjunction over an indexed head must ride the tails");
+        // Both columns' imprints were probed: `a`'s alone holds 60 lines in
+        // the 476-row head.
+        assert!(st.tail_access.index_probes > 60, "{:?}", st.tail_access);
 
         // Fill the head to exactly the seal boundary: the new head is empty
         // and below threshold, so the next query takes the scalar path.
@@ -1279,6 +1191,54 @@ mod tests {
         let (_, st) = ids_with_stats(&t, &pred);
         assert_eq!(st.open_rows, 0);
         assert!(!st.tail_indexed, "sealing must discard the head's tail imprint");
+    }
+
+    /// An 8,192-row tail-indexed head of two monotone columns, nothing
+    /// sealed: `a` and `b` both count 0, 1, 2, ….
+    fn monotone_head() -> Table {
+        let cfg = EngineConfig { segment_rows: 16_384, ..tail_cfg(64) };
+        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg).unwrap();
+        t.append_batch(vec![ints(0..8192), ints(0..8192)]).unwrap();
+        assert_eq!((t.sealed_segment_count(), t.row_count()), (0, 8192));
+        t
+    }
+
+    /// The head runs the sealed plan: the predicate with the fewest
+    /// imprint candidates is value-checked first whatever order the query
+    /// names them in. (The head's own plan rode the tail imprint for the
+    /// first-named predicate only: `a>=0 b=5000..5010` compared 8,200
+    /// values, `b=5000..5010 a>=0` 147.)
+    #[test]
+    fn head_conjunction_cost_does_not_depend_on_predicate_order() {
+        let t = monotone_head();
+        let wide = ("a", ValueRange::at_least(Value::I64(0)));
+        let narrow = ("b", ValueRange::between(Value::I64(5000), Value::I64(5010)));
+        let (ids_wn, wn) = ids_with_stats(&t, &[wide, narrow]);
+        let (ids_nw, nw) = ids_with_stats(&t, &[narrow, wide]);
+        assert_eq!(ids_wn.as_slice(), (5000..=5010).collect::<Vec<u64>>().as_slice());
+        assert_eq!(ids_nw, ids_wn);
+        assert!(wn.tail_indexed && nw.tail_indexed);
+        assert_eq!(wn.tail_access, nw.tail_access, "query order must not change the head's work");
+        assert!(
+            wn.tail_access.value_comparisons < 8192 / 50,
+            "a narrow conjunct must bound the head's value work: {:?}",
+            wn.tail_access
+        );
+    }
+
+    /// Disjoint candidate ranges answer before any value is fetched, on
+    /// the head as on a sealed segment.
+    #[test]
+    fn head_conjunction_exits_on_an_empty_candidate_intersection() {
+        let t = monotone_head();
+        let preds = [
+            ("a", ValueRange::between(Value::I64(1000), Value::I64(3000))),
+            ("b", ValueRange::between(Value::I64(6000), Value::I64(7000))),
+        ];
+        let (ids, st) = ids_with_stats(&t, &preds);
+        assert!(ids.is_empty());
+        assert!(st.tail_indexed && st.tail_access.index_probes > 0);
+        assert_eq!(st.tail_access.value_comparisons, 0, "{:?}", st.tail_access);
     }
 
     /// Counts and materializing queries are one executor: both equal the
@@ -1366,7 +1326,6 @@ mod tests {
     }
 
     fn poison_open(t: &Table) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let writer = catch_unwind(AssertUnwindSafe(|| {
             let _guard = t.open.write().unwrap();
             panic!("writer dies mid-append");
@@ -1380,7 +1339,6 @@ mod tests {
     /// thread — and must not read the possibly half-appended head.
     #[test]
     fn poisoned_open_lock_is_a_query_error_not_a_panic() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
         t.append_batch(vec![ints(0..600)]).unwrap();
         poison_open(&t);
@@ -1402,6 +1360,45 @@ mod tests {
         }
         assert!(t.query(&[]).is_err());
         assert!(t.count(&[], None).is_err());
+    }
+
+    /// A segment evaluation that panics — `DataSlot::get` on an evicted
+    /// column whose file vanished — is an `Err` in every slot of the batch
+    /// on *both* sweep branches: the pooled fan-out (two segments and a
+    /// pool) and the calling thread (one segment, or no pool), which in
+    /// the server is the one dispatcher thread.
+    #[test]
+    fn fault_in_failure_is_a_query_error_with_one_segment_too() {
+        let root = std::env::temp_dir().join(format!("imprints-vanished-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let pool = WorkerPool::new(2);
+        for segments in [1i64, 2] {
+            let mut cfg = small_cfg();
+            cfg.storage.root = Some(root.clone());
+            let name = format!("t{segments}");
+            let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
+            let t = Table::new(&name, &schema, cfg).unwrap();
+            t.append_batch(vec![ints(0..256 * segments), ints(0..256 * segments)]).unwrap();
+            let sealed = t.sealed_snapshot();
+            assert_eq!((sealed.len(), t.persist_errors()), (segments as usize, 0));
+            for seg in sealed.iter() {
+                assert!(seg.evict() > 0);
+                let dir = root.join(&name).join(seg.durable_name().unwrap());
+                std::fs::remove_file(dir.join(crate::persist::column_file(0))).unwrap();
+            }
+            // The range needs a value check, so the data must fault in.
+            let lost = [("a", ValueRange::between(Value::I64(3), Value::I64(9)))];
+            for pool in [None, Some(&pool)] {
+                let res = catch_unwind(AssertUnwindSafe(|| t.query_on(&lost, pool)))
+                    .expect("a failed fault-in must not unwind out of query_batch");
+                let err = res.expect_err("no answer without the column's data");
+                assert!(err.to_string().contains("panicked"), "{err}");
+                // Column `b`'s files are intact: the table still answers.
+                let healthy = [("b", ValueRange::between(Value::I64(3), Value::I64(9)))];
+                assert_eq!(t.query_on(&healthy, pool).unwrap().len(), 7);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The operator's counters keep answering on a poisoned table — `STATS`

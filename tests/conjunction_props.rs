@@ -4,11 +4,15 @@
 //! scan), any head geometry (tail-indexed or scalar-scanned, partial or
 //! just-sealed), any order the query names its predicates in, and either
 //! refinement kernel (the CI matrix forces the
-//! scalar kernel through this suite via `IMPRINTS_REFINE_KERNEL`).
+//! scalar kernel through this suite via `IMPRINTS_REFINE_KERNEL`). The
+//! paper layer is one more evaluator of the same cases: a `Relation` +
+//! `RelationImprints` over the same rows runs the plan the engine runs
+//! (`relation_index::run`) and must return the engine's ids.
 
 use column_imprints::colstore::relation::AnyColumn;
-use column_imprints::colstore::{ColumnType, Value};
+use column_imprints::colstore::{Column, ColumnType, Relation, Value};
 use column_imprints::engine::{BatchAnswer, BatchQuery, EngineConfig, Table, ValueRange, ValueSet};
+use column_imprints::imprints::relation_index::RelationImprints;
 use proptest::prelude::*;
 
 /// Row shape shared by every generator: three i64 columns with different
@@ -74,6 +78,17 @@ fn ids_and_count(t: &Table, preds: &[(&str, ValueSet)], any: bool) -> (Vec<u64>,
     }
 }
 
+/// The paper layer over `rows`: one unsegmented relation, one imprint per
+/// column.
+fn paper_layer(rows: &[Row]) -> (Relation, RelationImprints) {
+    let mut rel = Relation::new("t");
+    rel.add_column("a", rows.iter().map(|r| r.0).collect::<Column<i64>>()).unwrap();
+    rel.add_column("b", rows.iter().map(|r| r.1).collect::<Column<i64>>()).unwrap();
+    rel.add_column("c", rows.iter().map(|r| r.2).collect::<Column<i64>>()).unwrap();
+    let idx = RelationImprints::build(&rel);
+    (rel, idx)
+}
+
 /// Brute-force oracle over the raw rows, conjunction or disjunction.
 fn oracle(rows: &[Row], preds: &[(&str, ValueSet)], any: bool) -> Vec<u64> {
     (0..rows.len() as u64)
@@ -127,11 +142,15 @@ proptest! {
             ("c", set_range(c_lo, c_width)),
         ];
         let expect = oracle(&rows, &preds, false);
+        let (rel, rel_idx) = paper_layer(&rows);
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
             let permuted = order.map(|i| preds[i].clone());
             let (got, n) = ids_and_count(&t, &permuted, false);
             prop_assert_eq!(&got, &expect, "order {:?}", order);
             prop_assert_eq!(n as usize, expect.len(), "count, order {:?}", order);
+            let ranges = permuted.clone().map(|(name, set)| (name, set.terms[0]));
+            let paper = rel_idx.query(&rel, &ranges).unwrap();
+            prop_assert_eq!(paper.as_slice(), &got[..], "paper layer, order {:?}", order);
         }
     }
 

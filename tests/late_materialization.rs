@@ -5,7 +5,8 @@
 
 use colstore::{CachelineSet, Column, RangePredicate, Relation, Value};
 use datagen::distributions;
-use imprints::query::{candidate_id_ranges, candidates, conjunction2, refine};
+use imprints::query::{candidate_id_ranges, candidates, refine};
+use imprints::relation_index::{RelationImprints, ValueRange};
 use imprints::{ColumnImprints, PredicateKernel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +28,19 @@ fn conjunction_matches_oracle_across_widths() {
     let pb = RangePredicate::between(1000, 4000);
     let pc = RangePredicate::between(25.0, 75.0);
 
-    // Pairwise conjunctions via the built-in helper.
-    let (ab, _) = conjunction2((&ia, &a, &pa), (&ib, &b, &pb));
+    // Pairwise conjunction via the relation-level plan.
+    let mut rel = Relation::new("abc");
+    rel.add_column("a", a.clone()).unwrap();
+    rel.add_column("b", b.clone()).unwrap();
+    let ab = RelationImprints::build(&rel)
+        .query(
+            &rel,
+            &[
+                ("a", ValueRange::between(Value::U8(10), Value::U8(20))),
+                ("b", ValueRange::between(Value::I32(1000), Value::I32(4000))),
+            ],
+        )
+        .unwrap();
     let oracle_ab: Vec<u64> = (0..n as u64)
         .filter(|&i| pa.matches(&a.values()[i as usize]) && pb.matches(&b.values()[i as usize]))
         .collect();
@@ -106,14 +118,18 @@ fn relation_tuple_reconstruction_after_conjunction() {
     let temp: Column<f32> = (0..n).map(|i| 15.0 + ((i % 200) as f32) / 10.0).collect();
     let station: Column<u16> = (0..n).map(|i| (i % 37) as u16).collect();
     let mut rel = Relation::new("weather");
-    rel.add_column("temp", temp.clone()).unwrap();
-    rel.add_column("station", station.clone()).unwrap();
+    rel.add_column("temp", temp).unwrap();
+    rel.add_column("station", station).unwrap();
 
-    let it = ColumnImprints::build(&temp);
-    let is = ColumnImprints::build(&station);
-    let pt = RangePredicate::between(20.0f32, 21.0);
-    let ps = RangePredicate::equals(5u16);
-    let (ids, _) = conjunction2((&it, &temp, &pt), (&is, &station, &ps));
+    let ids = RelationImprints::build(&rel)
+        .query(
+            &rel,
+            &[
+                ("temp", ValueRange::between(Value::F32(20.0), Value::F32(21.0))),
+                ("station", ValueRange::equals(Value::U16(5))),
+            ],
+        )
+        .unwrap();
     let tuples = rel.tuples(&ids);
     assert_eq!(tuples.len(), ids.len());
     for t in &tuples {
@@ -132,13 +148,22 @@ fn empty_intersection_short_circuits() {
     let n = 20_000usize;
     let a: Column<i32> = (0..n).map(|i| (i % 100) as i32).collect();
     let b: Column<i32> = (0..n).map(|i| ((i + 50) % 100) as i32).collect();
-    let ia = ColumnImprints::build(&a);
-    let ib = ColumnImprints::build(&b);
+    let mut rel = Relation::new("ab");
+    rel.add_column("a", a.clone()).unwrap();
+    rel.add_column("b", b.clone()).unwrap();
     // Disjoint value predicates that no row satisfies jointly... a values
     // 0..10 happen at i%100 < 10; b at those rows is 50..60.
     let pa = RangePredicate::between(0, 9);
     let pb = RangePredicate::between(90, 95);
-    let (ids, _) = conjunction2((&ia, &a, &pa), (&ib, &b, &pb));
+    let ids = RelationImprints::build(&rel)
+        .query(
+            &rel,
+            &[
+                ("a", ValueRange::between(Value::I32(0), Value::I32(9))),
+                ("b", ValueRange::between(Value::I32(90), Value::I32(95))),
+            ],
+        )
+        .unwrap();
     let oracle: Vec<u64> = (0..n as u64)
         .filter(|&i| pa.matches(&a.values()[i as usize]) && pb.matches(&b.values()[i as usize]))
         .collect();

@@ -498,3 +498,48 @@ fn drop_table_race_over_the_wire_answers_everything() {
         }
     }
 }
+
+/// A column file that vanishes under an evicted segment fails the query
+/// that needs it with `ERR` — on the one-sealed-segment shape, where the
+/// sweep runs on the dispatcher thread itself — and the dispatcher lives
+/// to answer the next request, on any table.
+#[test]
+fn vanished_column_file_gets_err_and_the_dispatcher_survives() {
+    let root = std::env::temp_dir().join(format!("imprints-loopback-cold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = EngineConfig { segment_rows: 1024, workers: 2, ..Default::default() };
+    cfg.storage.root = Some(root.clone());
+    cfg.storage.max_resident_data_bytes = 0;
+    let engine = Arc::new(Engine::new(cfg));
+    for (name, rows) in [("cold", 1024), ("warm", 1124)] {
+        let t = engine.create_table(name, &[("v", ColumnType::I64)]).unwrap();
+        t.append_batch(vec![AnyColumn::I64((0..rows).collect())]).unwrap();
+        assert_eq!((t.sealed_segment_count(), t.persist_errors()), (1, 0));
+    }
+    for _ in 0..8 {
+        engine.maintenance_tick();
+    }
+    assert_eq!(engine.catalog().storage_stats().data_bytes_resident, 0, "both segments evicted");
+    let mut removed = 0;
+    for seg in std::fs::read_dir(root.join("cold")).unwrap() {
+        let seg = seg.unwrap().path();
+        if seg.is_dir() {
+            std::fs::remove_file(seg.join("c0.col")).unwrap();
+            removed += 1;
+        }
+    }
+    assert_eq!(removed, 1);
+
+    let server =
+        Server::start(Arc::clone(&engine), ServerConfig::from_engine(engine.config())).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    // The range needs a value check, so the query must fault `c0.col` in.
+    client.send("#q QUERY cold v=3..9").unwrap();
+    let line = client.recv().unwrap();
+    assert!(line.starts_with("#q ERR "), "a failed fault-in is an ERR reply, got {line:?}");
+    client.send("#c COUNT warm v>=100").unwrap();
+    assert_eq!(client.recv().unwrap(), fmt_ok_count(Some("c"), 1024));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
+}
