@@ -16,7 +16,6 @@ use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 use imprints::binning::Binning;
 use imprints::builder::BuildOptions;
 use imprints::simd::{Hits, PredicateKernel};
-use imprints::Bound;
 
 use crate::wah::WahVector;
 
@@ -106,15 +105,7 @@ impl<T: Scalar> WahBitmap<T> {
         }
         let pred = kernel.predicate();
         let mut result = vec![0u64; self.rows.div_ceil(64)];
-        let bins = self.binning.bins();
-        let bin_lo = match pred.low() {
-            Bound::Unbounded => 0,
-            Bound::Inclusive(l) | Bound::Exclusive(l) => self.binning.bin_of(*l),
-        };
-        let bin_hi = match pred.high() {
-            Bound::Unbounded => bins - 1,
-            Bound::Inclusive(h) | Bound::Exclusive(h) => self.binning.bin_of(*h),
-        };
+        let (bin_lo, bin_hi) = self.binning.bin_span(pred);
         let values = col.values();
         for bin in bin_lo..=bin_hi {
             let vec = &self.vectors[bin];

@@ -20,7 +20,7 @@
 //! `+∞`. The first and last bins thereby absorb out-of-sample outliers,
 //! which is what makes appends cheap (§4.1).
 
-use colstore::{Bound, Column, Scalar};
+use colstore::{Bound, Column, RangePredicate, Scalar};
 
 use crate::sampling;
 use crate::search;
@@ -212,6 +212,23 @@ impl<T: Scalar> Binning<T> {
     pub fn bin_of_portable(&self, v: T) -> usize {
         let raw = search::count_le_portable(&self.borders, v);
         raw.min(self.bins as usize - 1)
+    }
+
+    /// The inclusive bin range `(lowest, highest)` a value matching `pred`
+    /// can fall into — two border searches. `bin_of` is monotone, so any
+    /// `v ≥/> low` has `bin(v) ≥ bin(low)`, and symmetrically for the
+    /// highest bin. Conservative for exclusive bounds (the bound's own bin
+    /// is included), and only meaningful for a non-empty predicate range.
+    pub fn bin_span(&self, pred: &RangePredicate<T>) -> (usize, usize) {
+        let lo = match pred.low() {
+            Bound::Unbounded => 0,
+            Bound::Inclusive(l) | Bound::Exclusive(l) => self.bin_of(*l),
+        };
+        let hi = match pred.high() {
+            Bound::Unbounded => self.bins() - 1,
+            Bound::Inclusive(h) | Bound::Exclusive(h) => self.bin_of(*h),
+        };
+        (lo, hi)
     }
 
     /// The value range covered by bin `i`, as bounds:

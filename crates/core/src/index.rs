@@ -202,15 +202,22 @@ impl<T: Scalar> ColumnImprints<T> {
     /// as one run of `cnt` lines; distinct runs come out as `cnt` runs of
     /// one line each; the tail (if present) is the final 1-line run.
     pub fn runs(&self) -> Runs<'_> {
+        self.runs_at(RunCursor::default(), 0)
+    }
+
+    /// Resumes [`ColumnImprints::runs`] at cacheline `line`, from the
+    /// `cursor` a walk of this index reported ([`Runs::cursor`]) when it
+    /// stood at that line. A cursor taken mid-way through a repeat run
+    /// resumes with the rest of that run. The line number travels beside
+    /// the cursor instead of inside it: whoever stores a cursor per block
+    /// of lines (the level-2 index) can compute it, and stores 12 bytes.
+    pub fn runs_at(&self, cursor: RunCursor, line: u64) -> Runs<'_> {
         Runs {
             imprints: self.comp.imprints(),
             dict: self.comp.dict(),
-            tail: self.tail(),
-            entry: 0,
-            within: 0,
-            imp_pos: 0,
-            line: 0,
-            tail_done: false,
+            tail: self.tail().map(|(imprint, _)| imprint),
+            at: cursor,
+            line,
         }
     }
 
@@ -283,58 +290,80 @@ impl<T: Scalar> RangeIndex<T> for ColumnImprints<T> {
     }
 }
 
+/// A position in the compressed structure: which dictionary entry the
+/// next run comes from, how many of its lines are already consumed, and
+/// where its imprint vector sits. 12 bytes; see
+/// [`ColumnImprints::runs_at`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCursor {
+    entry: u32,
+    within: u32,
+    imp_pos: u32,
+}
+
 /// Iterator over the [`Run`]s of a [`ColumnImprints`]; see
 /// [`ColumnImprints::runs`].
 #[derive(Debug, Clone)]
 pub struct Runs<'a> {
     imprints: &'a [u64],
     dict: &'a [DictEntry],
-    tail: Option<(u64, usize)>,
-    entry: usize,
-    within: u32,
-    imp_pos: usize,
+    /// The un-finalized tail line's imprint, until it has been yielded.
+    tail: Option<u64>,
+    at: RunCursor,
     line: u64,
-    tail_done: bool,
+}
+
+impl Runs<'_> {
+    /// Where the walk stands: the position [`ColumnImprints::runs_at`]
+    /// resumes from. It always names the entry the next run comes from —
+    /// an exhausted entry is stepped over as soon as its last line is
+    /// yielded, never left for the following call to find.
+    pub fn cursor(&self) -> RunCursor {
+        self.at
+    }
+
+    /// The next run, cut short at cacheline `end`; `None` once the walk
+    /// has reached `end` (or the end of the index). Only a repeat run spans
+    /// lines, so only a repeat run is ever cut: the walk then steps back
+    /// into it, and it — and its cursor — stand mid-run.
+    pub(crate) fn next_before(&mut self, end: u64) -> Option<Run> {
+        if self.line >= end {
+            return None;
+        }
+        let before = self.at;
+        let mut run = self.next()?;
+        if self.line > end {
+            run.line_count -= self.line - end;
+            self.line = end;
+            self.at = RunCursor { within: before.within + run.line_count as u32, ..before };
+        }
+        Some(run)
+    }
 }
 
 impl Iterator for Runs<'_> {
     type Item = Run;
 
+    #[inline]
     fn next(&mut self) -> Option<Run> {
-        while self.entry < self.dict.len() {
-            let e = self.dict[self.entry];
-            if e.repeat() {
-                let run = Run {
-                    imprint: self.imprints[self.imp_pos],
-                    first_line: self.line,
-                    line_count: e.cnt() as u64,
-                };
-                self.line += e.cnt() as u64;
-                self.imp_pos += 1;
-                self.entry += 1;
-                return Some(run);
-            }
-            if self.within < e.cnt() {
-                let run = Run {
-                    imprint: self.imprints[self.imp_pos],
-                    first_line: self.line,
-                    line_count: 1,
-                };
-                self.line += 1;
-                self.imp_pos += 1;
-                self.within += 1;
-                return Some(run);
-            }
-            self.within = 0;
-            self.entry += 1;
+        let Some(&e) = self.dict.get(self.at.entry as usize) else {
+            let imprint = self.tail.take()?;
+            return Some(Run { imprint, first_line: self.line, line_count: 1 });
+        };
+        // A distinct run stores one vector per line; one vector describes
+        // a repeat run, or what a resumed cursor left of it. No entry has
+        // a zero count (`Compressor::verify`).
+        let imprint = self.imprints[self.at.imp_pos as usize];
+        let line_count = if e.repeat() { u64::from(e.cnt() - self.at.within) } else { 1 };
+        let run = Run { imprint, first_line: self.line, line_count };
+        self.line += line_count;
+        self.at.imp_pos += 1;
+        self.at.within += line_count as u32;
+        if self.at.within == e.cnt() {
+            self.at.entry += 1;
+            self.at.within = 0;
         }
-        if !self.tail_done {
-            self.tail_done = true;
-            if let Some((imp, _)) = self.tail {
-                return Some(Run { imprint: imp, first_line: self.line, line_count: 1 });
-            }
-        }
-        None
+        Some(run)
     }
 }
 
@@ -366,6 +395,43 @@ mod tests {
             expected_line += run.line_count;
         }
         assert_eq!(expected_line, idx.line_count());
+    }
+
+    /// Resuming is invisible: for every line `L` — the middle of a repeat
+    /// run, the line after a distinct entry ran out, and the tail included
+    /// — `runs_at(cursor recorded at L, L)` yields exactly what is left of
+    /// `runs()` from `L` on.
+    #[test]
+    fn runs_resume_at_every_line() {
+        let n = 16 * 203 + 5; // i32: 16 values per line, and a partial tail
+        let columns: [Column<i32>; 4] = [
+            (0..n).collect(),
+            std::iter::repeat_n(7, n as usize).collect(),
+            (0..n).map(|i| if (i / 16) % 5 < 2 { i % 3000 } else { 0 }).collect(),
+            (0..n).map(|i| (i.wrapping_mul(2_654_435_761u32 as i32) >> 8) % 4000).collect(),
+        ];
+        for col in &columns {
+            let idx = ColumnImprints::build(col);
+            let all: Vec<Run> = idx.runs().collect();
+            let mut walk = idx.runs();
+            for line in 0..idx.line_count() {
+                let cursor = walk.cursor();
+                let expect: Vec<Run> = all
+                    .iter()
+                    .filter(|r| r.first_line + r.line_count > line)
+                    .map(|r| {
+                        let first_line = r.first_line.max(line);
+                        let line_count = r.first_line + r.line_count - first_line;
+                        Run { imprint: r.imprint, first_line, line_count }
+                    })
+                    .collect();
+                let resumed: Vec<Run> = idx.runs_at(cursor, line).collect();
+                assert_eq!(resumed, expect, "resumed at line {line}");
+                let step = walk.next_before(line + 1).expect("a line is left");
+                assert_eq!((step.first_line, step.line_count), (line, 1));
+            }
+            assert_eq!(walk.next(), None);
+        }
     }
 
     #[test]

@@ -58,13 +58,13 @@
 //! | [`builder`] | §2.4, Alg. 1 | imprint construction + row-wise RLE compression |
 //! | [`index`] | §2 | the [`ColumnImprints`] structure |
 //! | [`masks`] | §3 | query `mask` / `innermask` derivation |
-//! | [`query`] | §3, Alg. 3 | range evaluation, late materialization, stats |
+//! | [`query`] | §3, Alg. 3 | the one probe walk ([`query::probe`]) and its visitors: range evaluation, late materialization, covered counts, stats |
 //! | [`simd`] | §3 residual cost | SWAR false-positive refinement kernels |
 //! | [`update`] | §4 | appends, delta merging, saturation & rebuild |
 //! | [`entropy`] | §6.1 | the column entropy metric `E` |
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |
 //! | [`parallel`] | §7 | multi-core construction (future-work extension) |
-//! | [`multilevel`] | §7 | two-level imprint organization (future-work extension) |
+//! | [`multilevel`] | §7 | two-level imprint organization (future-work extension), a run source for the probe walk |
 //! | [`relation_index`] | §3 | the multi-attribute plan, written once ([`relation_index::run`]): relation-level indexes run it, and so do the engine's sealed segments and write head |
 //! | [`storage`] | — | checksummed binary persistence of an index |
 

@@ -11,7 +11,7 @@
 //!   `innermask`, every value of the cacheline qualifies and the
 //!   false-positive check is skipped wholesale.
 
-use colstore::{Bound, RangePredicate, Scalar};
+use colstore::{RangePredicate, Scalar};
 
 use crate::binning::Binning;
 
@@ -59,18 +59,7 @@ pub fn make_masks<T: Scalar>(binning: &Binning<T>, pred: &RangePredicate<T>) -> 
     if pred.is_empty_range() {
         return QueryMasks::EMPTY;
     }
-    let bins = binning.bins();
-    // The lowest bin a matching value can fall into: bin_of is monotone, so
-    // any v ≥/> low has bin(v) ≥ bin(low).
-    let bin_lo = match pred.low() {
-        Bound::Unbounded => 0,
-        Bound::Inclusive(l) | Bound::Exclusive(l) => binning.bin_of(*l),
-    };
-    // Symmetrically for the highest bin.
-    let bin_hi = match pred.high() {
-        Bound::Unbounded => bins - 1,
-        Bound::Inclusive(h) | Bound::Exclusive(h) => binning.bin_of(*h),
-    };
+    let (bin_lo, bin_hi) = binning.bin_span(pred);
     debug_assert!(bin_lo <= bin_hi);
     let mask = bit_span(bin_lo, bin_hi);
     let mut innermask = 0u64;

@@ -8,30 +8,26 @@
 //! may contain matches descend into the level-1 dictionary walk, resumed
 //! from a precomputed per-block cursor.
 //!
+//! The second level is a *run source*, not an evaluator: it decides, per
+//! block, which runs Algorithm 3's one walk ([`crate::query::probe`]) gets
+//! to see — the block's level-2 vector as a single run the probe skips
+//! whole, or the block's level-1 runs ([`ColumnImprints::runs_at`]) — and
+//! the skip / emit / value-check decision, the refinement kernel, the
+//! result sink and the accounting are the base index's own.
+//!
 //! For selective queries over large columns this cuts level-1 probes by up
 //! to `fanout×`, at a storage cost of `8 + 12` bytes per block (vector +
 //! cursor) — under 0.4% extra for the default fanout of 64.
 
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
-use crate::index::ColumnImprints;
+use crate::index::{ColumnImprints, Run, RunCursor};
 use crate::masks;
-use crate::query::ImprintStats;
+use crate::query::{self, ImprintStats};
+use crate::simd::{Hits, PredicateKernel};
 
 /// Default number of cachelines per level-2 block.
 pub const DEFAULT_FANOUT: u64 = 64;
-
-/// Traversal state at a block boundary: where in the compressed level-1
-/// structure the block's first line lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockCursor {
-    /// Dictionary entry index.
-    dict_pos: u32,
-    /// Lines of that entry already consumed before this block.
-    within: u32,
-    /// Index into the imprint array of the entry's current vector.
-    imp_pos: u32,
-}
 
 /// A two-level column imprints index.
 ///
@@ -51,7 +47,8 @@ pub struct MultiLevelImprints<T: Scalar> {
     base: ColumnImprints<T>,
     fanout: u64,
     level2: Vec<u64>,
-    cursors: Vec<BlockCursor>,
+    /// Where in the level-1 structure each block's first line lives.
+    cursors: Vec<RunCursor>,
 }
 
 impl<T: Scalar> MultiLevelImprints<T> {
@@ -72,56 +69,15 @@ impl<T: Scalar> MultiLevelImprints<T> {
         let n_blocks = total_lines.div_ceil(fanout) as usize;
         let mut level2 = vec![0u64; n_blocks];
         let mut cursors = Vec::with_capacity(n_blocks);
-
-        let (imprints, dict) = base.parts();
-        let mut dict_pos = 0usize;
-        let mut within = 0u64; // lines consumed of the current entry
-        let mut imp_pos = 0usize;
-        let mut line = 0u64;
-        // Walk line-by-line in run-sized jumps, recording a cursor at each
-        // block boundary and ORing imprints into the block vectors.
-        while line < total_lines {
-            if line.is_multiple_of(fanout) {
-                cursors.push(BlockCursor {
-                    dict_pos: dict_pos as u32,
-                    within: within as u32,
-                    imp_pos: imp_pos as u32,
-                });
-            }
-            let block = (line / fanout) as usize;
-            let block_end = ((block as u64 + 1) * fanout).min(total_lines);
-            // Current imprint vector and how many lines it still covers.
-            let (vector, run_left) = if dict_pos < dict.len() {
-                let e = dict[dict_pos];
-                if e.repeat() {
-                    (imprints[imp_pos], e.cnt() as u64 - within)
-                } else {
-                    (imprints[imp_pos], 1)
-                }
-            } else {
-                // The un-finalized tail line.
-                (base.tail().expect("lines beyond dict imply a tail").0, 1)
-            };
-            let take = run_left.min(block_end - line);
-            level2[block] |= vector;
-            line += take;
-            // Advance the level-1 position by `take` lines.
-            if dict_pos < dict.len() {
-                let e = dict[dict_pos];
-                within += take;
-                if e.repeat() {
-                    if within == e.cnt() as u64 {
-                        dict_pos += 1;
-                        imp_pos += 1;
-                        within = 0;
-                    }
-                } else {
-                    imp_pos += take as usize;
-                    if within == e.cnt() as u64 {
-                        dict_pos += 1;
-                        within = 0;
-                    }
-                }
+        // One level-1 walk, cut at every block boundary: the cursor there
+        // is the block's entry point, the runs up to the next boundary OR
+        // into its vector.
+        let mut runs = base.runs();
+        for (b, vector) in level2.iter_mut().enumerate() {
+            cursors.push(runs.cursor());
+            let block_end = (b as u64 + 1) * fanout;
+            while let Some(run) = runs.next_before(block_end) {
+                *vector |= run.imprint;
             }
         }
         MultiLevelImprints { base, fanout, level2, cursors }
@@ -147,96 +103,56 @@ impl<T: Scalar> MultiLevelImprints<T> {
         self.level2[b]
     }
 
-    /// Evaluates a range predicate, returning ids and statistics. Identical
-    /// answers to the level-1 [`crate::query::evaluate`]; level-2 probes are
+    /// Block `b` as the probe sees it: descended into, its level-1 runs —
+    /// resumed from the block's cursor, cut at the block's end; otherwise
+    /// one run carrying its level-2 vector.
+    fn block_runs(&self, b: usize, descend: bool) -> impl Iterator<Item = Run> + '_ {
+        let first_line = b as u64 * self.fanout;
+        let end = (first_line + self.fanout).min(self.base.line_count());
+        let mut level1 = self.base.runs_at(self.cursors[b], first_line);
+        let mut whole =
+            Some(Run { imprint: self.level2[b], first_line, line_count: end - first_line });
+        std::iter::from_fn(move || if descend { level1.next_before(end) } else { whole.take() })
+    }
+
+    /// Algorithm 3 through both levels into `hits`: the one imprint walk
+    /// ([`query::probe`]) fed, block by block, with either a single run
+    /// carrying the level-2 vector — no bit in common with `mask`, so the
+    /// probe skips the whole block at once — or the block's level-1 runs,
+    /// resumed from its cursor and cut at its end. Level-2 probes are
     /// counted in `access.index_probes` together with the level-1 probes.
+    ///
+    /// # Panics
+    /// Panics if `col` does not have the indexed column's length.
+    pub fn run(
+        &self,
+        col: &Column<T>,
+        kernel: &PredicateKernel<T>,
+        hits: Hits,
+    ) -> (Hits, ImprintStats) {
+        let masks = masks::make_masks(self.base.binning(), kernel.predicate());
+        let mut descents = 0u64;
+        let runs = (0..self.level2.len()).flat_map(|b| {
+            let descend = self.level2[b] & masks.mask != 0;
+            descents += u64::from(descend);
+            self.block_runs(b, descend)
+        });
+        let (hits, mut stats) = query::walk(&self.base, runs, col, kernel, masks, hits);
+        // The walk billed the level-2 probes that skipped their block; the
+        // ones that chose to descend were probes too.
+        stats.access.index_probes += descents;
+        (hits, stats)
+    }
+
+    /// Evaluates a range predicate, returning ids and statistics. Identical
+    /// answers to the level-1 [`crate::query::evaluate`].
     pub fn evaluate_with_imprint_stats(
         &self,
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (IdList, ImprintStats) {
-        assert_eq!(col.len(), self.base.rows(), "index does not cover this column");
-        let mut stats = ImprintStats::default();
-        let m = masks::make_masks(self.base.binning(), pred);
-        let mut res: Vec<u64> = Vec::new();
-        if m.mask == 0 {
-            stats.access.lines_skipped = self.base.line_count();
-            return (IdList::from_sorted(res), stats);
-        }
-        let values = col.values();
-        let vpb = self.base.values_per_block() as u64;
-        let rows = self.base.rows() as u64;
-        let total_lines = self.base.line_count();
-        let (imprints, dict) = self.base.parts();
-        let not_inner = !m.innermask;
-
-        for (b, &block_vec) in self.level2.iter().enumerate() {
-            let first_line = b as u64 * self.fanout;
-            let block_end = (first_line + self.fanout).min(total_lines);
-            stats.access.index_probes += 1; // the level-2 probe
-            if block_vec & m.mask == 0 {
-                stats.access.lines_skipped += block_end - first_line;
-                continue;
-            }
-            // Descend: walk level-1 from the block cursor.
-            let cur = self.cursors[b];
-            let mut dict_pos = cur.dict_pos as usize;
-            let mut within = cur.within as u64;
-            let mut imp_pos = cur.imp_pos as usize;
-            let mut line = first_line;
-            while line < block_end {
-                let (vector, run_left) = if dict_pos < dict.len() {
-                    let e = dict[dict_pos];
-                    if e.repeat() {
-                        (imprints[imp_pos], e.cnt() as u64 - within)
-                    } else {
-                        (imprints[imp_pos], 1)
-                    }
-                } else {
-                    (self.base.tail().expect("tail line").0, 1)
-                };
-                let take = run_left.min(block_end - line);
-                stats.access.index_probes += 1;
-                if vector & m.mask != 0 {
-                    let ids = line * vpb..((line + take) * vpb).min(rows);
-                    if vector & not_inner == 0 {
-                        stats.lines_full += take;
-                        stats.ids_via_full_lines += ids.end - ids.start;
-                        res.extend(ids);
-                    } else {
-                        stats.lines_checked += take;
-                        stats.access.lines_fetched += take;
-                        stats.access.value_comparisons += ids.end - ids.start;
-                        for id in ids {
-                            if pred.matches(&values[id as usize]) {
-                                res.push(id);
-                            }
-                        }
-                    }
-                } else {
-                    stats.access.lines_skipped += take;
-                }
-                line += take;
-                if dict_pos < dict.len() {
-                    let e = dict[dict_pos];
-                    within += take;
-                    if e.repeat() {
-                        if within == e.cnt() as u64 {
-                            dict_pos += 1;
-                            imp_pos += 1;
-                            within = 0;
-                        }
-                    } else {
-                        imp_pos += take as usize;
-                        if within == e.cnt() as u64 {
-                            dict_pos += 1;
-                            within = 0;
-                        }
-                    }
-                }
-            }
-        }
-        (IdList::from_sorted(res), stats)
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(false));
+        (hits.into_ids(), stats)
     }
 
     /// Bytes of the two-level structure: level-1 plus block vectors and
@@ -244,7 +160,7 @@ impl<T: Scalar> MultiLevelImprints<T> {
     pub fn size_bytes(&self) -> usize {
         RangeIndex::size_bytes(&self.base)
             + self.level2.len() * 8
-            + self.cursors.len() * std::mem::size_of::<BlockCursor>()
+            + self.cursors.len() * std::mem::size_of::<RunCursor>()
     }
 }
 

@@ -12,25 +12,35 @@
 //! 3. otherwise the cacheline is fetched and each value is compared against
 //!    the predicate to weed out false positives.
 //!
-//! Besides materialized evaluation the module offers the
-//! late-materialization path of §3: [`candidates`] returns the qualifying
-//! cachelines as a [`CachelineSet`] (to be merge-joined across attributes)
-//! and [`refine`] applies the false-positive check afterwards.
+//! That decision is written once, in [`probe`], which bills the probe and
+//! the skipped lines and hands every other run to a *visitor*. The entry
+//! points are its visitors: [`run`] (and [`evaluate`], [`count`],
+//! [`evaluate_no_innermask`] over it) emits case 2 into a [`Hits`] sink
+//! and value-checks case 3; the late-materialization path of §3 —
+//! [`candidates`] / [`candidate_id_ranges`] — collects both cases as a
+//! [`CachelineSet`] (to be merge-joined across attributes, [`refine`]
+//! applying the false-positive check afterwards); [`count_covered`] adds
+//! up case 2 and stops at the first case 3. The index variants —
+//! [`crate::OverlayImprints`] (§4.2), [`crate::MultiLevelImprints`] (§7) —
+//! are *run sources*: they change which runs the probe sees, not what it
+//! does with them.
 //!
 //! The false-positive check itself — case 3's per-value compare — routes
 //! through the [`crate::simd`] refinement kernels: the predicate is
 //! compiled once per evaluation into a [`PredicateKernel`] and each
 //! fetched cacheline is weeded either by the `u64`-word SWAR kernel or by
-//! the scalar oracle loop. The walk is written once, in [`run`]: it takes
-//! the compiled kernel and a [`Hits`] sink, so materializing ids
-//! ([`evaluate`]) and counting ([`count`]) are the same traversal with a
-//! different sink. The `value_comparisons` statistic counts values the
-//! kernel actually examined, identically under both kernels — a predicate
-//! that can match nothing examines none.
+//! the scalar oracle loop. [`run`] takes the compiled kernel and a
+//! [`Hits`] sink, so materializing ids ([`evaluate`]) and counting
+//! ([`count`]) are the same traversal with a different sink. The
+//! `value_comparisons` statistic counts values the kernel actually
+//! examined, identically under both kernels and on every variant — a
+//! predicate that can match nothing examines none.
+
+use std::ops::{ControlFlow, Range};
 
 use colstore::{AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar};
 
-use crate::index::ColumnImprints;
+use crate::index::{ColumnImprints, Run};
 use crate::masks::{self, QueryMasks};
 use crate::simd::{Hits, PredicateKernel};
 
@@ -53,6 +63,51 @@ pub struct ImprintStats {
     pub lines_checked: u64,
 }
 
+impl ImprintStats {
+    /// Bills `run` as emitted wholesale with the row ids `ids`.
+    fn note_full(&mut self, run: Run, ids: &Range<u64>) {
+        self.lines_full += run.line_count;
+        self.ids_via_full_lines += ids.end - ids.start;
+    }
+}
+
+/// Algorithm 3's probe, the one place the three-case decision is made.
+/// Each run of `runs` — `idx.runs()`, or a variant's view of them — costs
+/// one index probe: a run the query `masks` rule out is billed as skipped;
+/// any other goes to `visit` with its row-id range (clamped to the column)
+/// and whether it is *full*, i.e. covered by the `innermask`, so that
+/// every one of its values qualifies unread. What happens to a candidate
+/// run — emit or value-check it, collect it, count it — and how that is
+/// billed is the visitor's business; it may stop the walk with
+/// [`ControlFlow::Break`], which `probe` hands back.
+#[inline]
+pub fn probe<T: Scalar, B>(
+    idx: &ColumnImprints<T>,
+    runs: impl Iterator<Item = Run>,
+    masks: QueryMasks,
+    stats: &mut ImprintStats,
+    mut visit: impl FnMut(&mut ImprintStats, Run, Range<u64>, bool) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    if masks.mask == 0 {
+        stats.access.lines_skipped = idx.line_count();
+        return ControlFlow::Continue(());
+    }
+    let vpb = idx.values_per_block() as u64;
+    let rows = idx.rows() as u64;
+    // A distinct run is one cacheline per probe; a repeat run (and the
+    // partial tail) lets one probe decide `line_count` cachelines at once.
+    for run in runs {
+        stats.access.index_probes += 1;
+        if !masks.may_match(run.imprint) {
+            stats.access.lines_skipped += run.line_count;
+            continue;
+        }
+        let ids = run.first_line * vpb..((run.first_line + run.line_count) * vpb).min(rows);
+        visit(stats, run, ids, masks.fully_covered(run.imprint))?;
+    }
+    ControlFlow::Continue(())
+}
+
 /// Algorithm 3: evaluates the kernel's predicate over `col` through the
 /// index into `hits` — the one imprint walk every entry point reaches.
 /// The kernel carries both the predicate and the refinement flavour
@@ -68,11 +123,16 @@ pub fn run<T: Scalar>(
     kernel: &PredicateKernel<T>,
     hits: Hits,
 ) -> (Hits, ImprintStats) {
-    walk(idx, col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
+    walk(idx, idx.runs(), col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
 }
 
-fn walk<T: Scalar>(
+/// The evaluating visitor of [`probe`]: full runs are emitted into `hits`
+/// unread, the others fetched and value-checked by `kernel`. `runs` is
+/// the index's own ([`run`]) or a variant's view of them (the §4.2 overlay,
+/// the §7 second level).
+pub(crate) fn walk<T: Scalar>(
     idx: &ColumnImprints<T>,
+    runs: impl Iterator<Item = Run>,
     col: &Column<T>,
     kernel: &PredicateKernel<T>,
     masks: QueryMasks,
@@ -80,33 +140,18 @@ fn walk<T: Scalar>(
 ) -> (Hits, ImprintStats) {
     assert_eq!(col.len(), idx.rows(), "index does not cover this column");
     let mut stats = ImprintStats::default();
-    if masks.mask == 0 {
-        stats.access.lines_skipped = idx.line_count();
-        return (hits, stats);
-    }
     let values = col.values();
-    let vpb = idx.values_per_block() as u64;
-    let rows = idx.rows() as u64;
-    let not_inner = !masks.innermask;
-    // A distinct run is one cacheline per probe; a repeat run (and the
-    // partial tail) lets one probe decide `line_count` cachelines at once.
-    for run in idx.runs() {
-        stats.access.index_probes += 1;
-        if run.imprint & masks.mask == 0 {
-            stats.access.lines_skipped += run.line_count;
-            continue;
-        }
-        let ids = run.first_line * vpb..((run.first_line + run.line_count) * vpb).min(rows);
-        if run.imprint & not_inner == 0 {
-            stats.lines_full += run.line_count;
-            stats.ids_via_full_lines += ids.end - ids.start;
+    let _ = probe(idx, runs, masks, &mut stats, |stats, run, ids, full| {
+        if full {
+            stats.note_full(run, &ids);
             hits.emit(ids);
         } else {
             stats.lines_checked += run.line_count;
             stats.access.lines_fetched += run.line_count;
             kernel.check(values, ids, &mut hits, &mut stats.access.value_comparisons);
         }
-    }
+        ControlFlow::<()>::Continue(())
+    });
     (hits, stats)
 }
 
@@ -134,7 +179,8 @@ pub fn evaluate_no_innermask<T: Scalar>(
     pred: &RangePredicate<T>,
 ) -> (IdList, ImprintStats) {
     let masks = QueryMasks { innermask: 0, ..masks::make_masks(idx.binning(), pred) };
-    let (hits, stats) = walk(idx, col, &PredicateKernel::new(pred), masks, Hits::new(false));
+    let kernel = PredicateKernel::new(pred);
+    let (hits, stats) = walk(idx, idx.runs(), col, &kernel, masks, Hits::new(false));
     (hits.into_ids(), stats)
 }
 
@@ -150,28 +196,31 @@ pub fn count<T: Scalar>(
     (hits.len(), stats)
 }
 
+/// The collecting visitor of [`probe`]: every candidate run, full or not,
+/// joins a coalesced set — as cachelines, or as the row ids they hold.
+fn collect_candidates<T: Scalar>(
+    idx: &ColumnImprints<T>,
+    pred: &RangePredicate<T>,
+    as_ids: bool,
+) -> (CachelineSet, ImprintStats) {
+    let mut stats = ImprintStats::default();
+    let mut set = CachelineSet::new();
+    let masks = masks::make_masks(idx.binning(), pred);
+    let _ = probe(idx, idx.runs(), masks, &mut stats, |_, run, ids, _| {
+        let r = if as_ids { ids } else { run.first_line..run.first_line + run.line_count };
+        set.push_run(r.start, r.end);
+        ControlFlow::<()>::Continue(())
+    });
+    (set, stats)
+}
+
 /// Late materialization, step 1 (§3): the cachelines that *may* contain
 /// matches, as a coalesced [`CachelineSet`] in cacheline space.
 pub fn candidates<T: Scalar>(
     idx: &ColumnImprints<T>,
     pred: &RangePredicate<T>,
 ) -> (CachelineSet, ImprintStats) {
-    let mut stats = ImprintStats::default();
-    let masks = masks::make_masks(idx.binning(), pred);
-    let mut set = CachelineSet::new();
-    if masks.mask == 0 {
-        stats.access.lines_skipped = idx.line_count();
-        return (set, stats);
-    }
-    for run in idx.runs() {
-        stats.access.index_probes += 1;
-        if run.imprint & masks.mask != 0 {
-            set.push_run(run.first_line, run.first_line + run.line_count);
-        } else {
-            stats.access.lines_skipped += run.line_count;
-        }
-    }
-    (set, stats)
+    collect_candidates(idx, pred, false)
 }
 
 /// Like [`candidates`], but expressed as *row-id* ranges, so candidate sets
@@ -181,54 +230,32 @@ pub fn candidate_id_ranges<T: Scalar>(
     idx: &ColumnImprints<T>,
     pred: &RangePredicate<T>,
 ) -> (CachelineSet, ImprintStats) {
-    let (lines, stats) = candidates(idx, pred);
-    let vpb = idx.values_per_block() as u64;
-    let rows = idx.rows() as u64;
-    let mut ids = CachelineSet::new();
-    for r in lines.runs() {
-        let start = r.start * vpb;
-        let end = (r.end * vpb).min(rows);
-        if start < end {
-            ids.push_run(start, end);
-        }
-    }
-    (ids, stats)
+    collect_candidates(idx, pred, true)
 }
 
 /// Counts qualifying rows from the index alone, when it can: `Some`
 /// exactly when every candidate run is fully covered by the predicate's
 /// `innermask`, so the count is exact with no value ever read; `None` at
-/// the first candidate run that would need a value check. One pass over
-/// the runs, no allocation, the same probe/skip accounting as [`run`] —
-/// what lets a column whose data is not in memory answer a covered `COUNT`
-/// without fetching it.
+/// the first candidate run that would need a value check. The counting
+/// visitor of [`probe`]: one pass over the runs, no allocation, the same
+/// probe/skip accounting as [`run`] — what lets a column whose data is not
+/// in memory answer a covered `COUNT` without fetching it.
 pub fn count_covered<T: Scalar>(
     idx: &ColumnImprints<T>,
     pred: &RangePredicate<T>,
 ) -> Option<(u64, ImprintStats)> {
     let mut stats = ImprintStats::default();
-    let masks = masks::make_masks(idx.binning(), pred);
-    if masks.mask == 0 {
-        stats.access.lines_skipped = idx.line_count();
-        return Some((0, stats));
-    }
-    let vpb = idx.values_per_block() as u64;
-    let rows = idx.rows() as u64;
     let mut n = 0u64;
-    for run in idx.runs() {
-        stats.access.index_probes += 1;
-        if !masks.may_match(run.imprint) {
-            stats.access.lines_skipped += run.line_count;
-        } else if masks.fully_covered(run.imprint) {
-            let ids = ((run.first_line + run.line_count) * vpb).min(rows) - run.first_line * vpb;
-            stats.lines_full += run.line_count;
-            stats.ids_via_full_lines += ids;
-            n += ids;
-        } else {
-            return None;
+    let masks = masks::make_masks(idx.binning(), pred);
+    let walked = probe(idx, idx.runs(), masks, &mut stats, |stats, run, ids, full| {
+        if !full {
+            return ControlFlow::Break(());
         }
-    }
-    Some((n, stats))
+        stats.note_full(run, &ids);
+        n += ids.end - ids.start;
+        ControlFlow::Continue(())
+    });
+    walked.is_continue().then_some((n, stats))
 }
 
 /// Late materialization, step 2: weeds out false positives from an
@@ -489,6 +516,47 @@ mod tests {
             let ids = refine(&col, &kernel, &cands, &mut stats);
             assert_eq!(ids.len(), 6);
             assert_eq!(stats.access.value_comparisons, 4096);
+        }
+    }
+
+    /// "A predicate that can match nothing examines no data" holds on
+    /// every imprint variant, also for predicates whose bounds are in order
+    /// — so the masks are not empty and lines are fetched — but whose key
+    /// interval is empty: the variants feed the same walk, kernel and
+    /// accounting as the base index.
+    #[test]
+    fn impossible_predicates_bill_nothing_on_every_variant() {
+        use crate::{MultiLevelImprints, OverlayImprints};
+        use colstore::Bound::{Exclusive, Unbounded};
+        // Eight values, one bin each, all eight in every cacheline.
+        let col: Column<i64> = (0..4096).map(|i| i % 8).collect();
+        let idx = ColumnImprints::build(&col);
+        let clean = OverlayImprints::new(idx.clone());
+        let mut updated = OverlayImprints::new(idx.clone());
+        for id in [8u64, 1001, 4095] {
+            updated.note_update(id, col.values()[id as usize]);
+        }
+        let levels = [1, 7, 64].map(|fanout| MultiLevelImprints::from_base(idx.clone(), fanout));
+        for pred in [
+            RangePredicate::with_bounds(Exclusive(3), Exclusive(4)),
+            RangePredicate::with_bounds(Exclusive(i64::MAX), Unbounded),
+            RangePredicate::with_bounds(Unbounded, Exclusive(i64::MIN)),
+        ] {
+            let (base_ids, base) = evaluate(&idx, &col, &pred);
+            assert!(base_ids.is_empty(), "{pred}");
+            assert_eq!(base.access.value_comparisons, 0, "base: {pred}");
+            let variants = [
+                ("overlay", clean.evaluate_with_imprint_stats(&col, &pred)),
+                ("overlay with updates", updated.evaluate_with_imprint_stats(&col, &pred)),
+                ("fanout 1", levels[0].evaluate_with_imprint_stats(&col, &pred)),
+                ("fanout 7", levels[1].evaluate_with_imprint_stats(&col, &pred)),
+                ("fanout 64", levels[2].evaluate_with_imprint_stats(&col, &pred)),
+            ];
+            for (name, (ids, stats)) in variants {
+                assert_eq!(ids, base_ids, "{name}: {pred}");
+                assert_eq!(stats.access.value_comparisons, 0, "{name}: {pred}");
+                assert_eq!(stats.access.lines_fetched, base.access.lines_fetched, "{name}: {pred}");
+            }
         }
     }
 

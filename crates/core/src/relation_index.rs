@@ -342,6 +342,71 @@ fn late_materialize<C: PlanColumn>(
     (hits, stats)
 }
 
+const VALIDATED: &str = "predicates validated against schema";
+
+/// Compiles `set` for column type `T` under `kernel`.
+fn compile<T: Scalar>(set: &ValueSet, kernel: RefineKernel) -> SetKernel<T> {
+    SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), kernel)
+}
+
+/// [`PlanColumn::candidates`] over a typed imprint: the union of each
+/// term's candidate row-id ranges, plus the probe statistics. Both plan
+/// columns — [`IndexedColumn`] and the engine's sealed segment column —
+/// run this body and the two below.
+///
+/// # Panics
+/// Panics on a set [`resolve_sets`] did not type-check against `T`.
+pub fn set_candidates<T: Scalar>(
+    idx: &ColumnImprints<T>,
+    set: &ValueSet,
+) -> (CachelineSet, AccessStats) {
+    let mut stats = AccessStats::default();
+    let terms: Vec<RangePredicate<T>> = set.to_predicates().expect(VALIDATED);
+    let per_term = terms.iter().map(|pred| {
+        let (ranges, s) = query::candidate_id_ranges(idx, pred);
+        stats.merge(&s.access);
+        ranges
+    });
+    (per_term.reduce(|a, b| a.union(&b)).unwrap_or_default(), stats)
+}
+
+/// [`PlanColumn::check`] over typed values: the compiled [`SetKernel`]
+/// over the contiguous runs of `ranges`, which is in row-id space already
+/// ([`query::candidate_id_ranges`] turns cacheline runs into id runs
+/// clamped to the column), so its runs feed the kernel directly.
+///
+/// # Panics
+/// Panics on a mistyped set, or on `ranges` beyond `values`.
+pub fn set_check<T: Scalar>(
+    values: &[T],
+    kernel: RefineKernel,
+    set: &ValueSet,
+    ranges: &CachelineSet,
+    mut hits: Hits,
+    stats: &mut AccessStats,
+) -> Hits {
+    let kernel = compile(set, kernel);
+    for ids in ranges.runs() {
+        kernel.check(values, ids, &mut hits, &mut stats.value_comparisons);
+    }
+    hits
+}
+
+/// [`PlanColumn::weed`] over typed values: the gather kernel
+/// ([`SetKernel::filter_ids`]) over scattered survivor ids.
+///
+/// # Panics
+/// Panics on a mistyped set, or on an id beyond `values`.
+pub fn set_weed<T: Scalar>(
+    values: &[T],
+    kernel: RefineKernel,
+    set: &ValueSet,
+    ids: &mut Vec<u64>,
+    stats: &mut AccessStats,
+) {
+    compile(set, kernel).filter_ids(values, ids, &mut stats.value_comparisons);
+}
+
 /// A column imprints index of whichever scalar type its column holds.
 #[derive(Debug, Clone)]
 pub enum AnyImprints {
@@ -501,8 +566,6 @@ impl IndexedColumn<'_> {
     }
 }
 
-const VALIDATED: &str = "predicates validated against schema";
-
 impl PlanColumn for IndexedColumn<'_> {
     fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
         let Some(idx) = self.imprints else {
@@ -522,40 +585,21 @@ impl PlanColumn for IndexedColumn<'_> {
     fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
         let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
         debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
-        let mut stats = AccessStats::default();
-        let lines = any_dispatch!(idx, i => {
-            let terms = set.to_predicates().expect(VALIDATED);
-            let per_term = terms.iter().map(|pred| {
-                let (lines, s) = query::candidate_id_ranges(i, pred);
-                stats.merge(&s.access);
-                lines
-            });
-            per_term.reduce(|a, b| a.union(&b)).unwrap_or_default()
-        });
-        (lines, stats)
+        any_dispatch!(idx, i => set_candidates(i, set))
     }
 
     fn check(
         &self,
         set: &ValueSet,
         ranges: &CachelineSet,
-        mut hits: Hits,
+        hits: Hits,
         stats: &mut AccessStats,
     ) -> Hits {
-        col_dispatch!(self.col, c => {
-            let kernel = SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), self.kernel);
-            for ids in ranges.runs() {
-                kernel.check(c.values(), ids, &mut hits, &mut stats.value_comparisons);
-            }
-        });
-        hits
+        col_dispatch!(self.col, c => set_check(c.values(), self.kernel, set, ranges, hits, stats))
     }
 
     fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        col_dispatch!(self.col, c => {
-            let kernel = SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), self.kernel);
-            kernel.filter_ids(c.values(), ids, &mut stats.value_comparisons);
-        });
+        col_dispatch!(self.col, c => set_weed(c.values(), self.kernel, set, ids, stats));
     }
 }
 

@@ -59,6 +59,14 @@
 //! with a compiled kernel. [`Hits`] is the one sink both land in, as
 //! materialized ids or as a bare count, so each walk is written once and
 //! counting is that walk with [`Hits::Count`] plugged in.
+//!
+//! The refinement loops are written once too. A single range
+//! ([`PredicateKernel`]) and a set of ranges ([`SetKernel`]) differ only
+//! in how the match bitmask of one ≤64-value chunk is computed; the walk
+//! over contiguous rows into the sink (`check_chunks`) and the gather walk
+//! over scattered ids (`gather_chunks`) take that as a closure. The scalar
+//! flavour stays outside them: it is the oracle, and keeps its straight
+//! `for v in values` loops.
 
 use std::ops::Range;
 use std::str::FromStr;
@@ -285,16 +293,33 @@ impl<T: Scalar> PredicateKernel<T> {
 
     /// Value-checks `values[ids]` into `hits` — the false-positive weeding
     /// step of every access path — bumping `comparisons` by the values
-    /// actually examined (zero when the predicate can match nothing).
+    /// actually examined (zero when the predicate can match nothing). The
+    /// scalar flavour is the oracle and keeps its straight
+    /// one-value-at-a-time loops; the SWAR flavour is `check_chunks`.
     ///
     /// # Panics
     /// Panics if `ids` is out of bounds for `values`.
     #[inline]
     pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
-        match hits {
-            Hits::Ids(out) => self.append_matches(values, ids, out, comparisons),
-            Hits::Count(n) => *n += self.count_matches(values, ids, comparisons),
+        let Some((lo, hi)) = self.keys else { return };
+        let slice = &values[ids.start as usize..ids.end as usize];
+        *comparisons += slice.len() as u64;
+        if self.swar {
+            check_chunks(slice, ids.start, hits, |chunk| swar_match_mask(chunk, lo, hi));
+        } else {
+            check_scalar(&self.pred, slice, ids.start, hits);
         }
+    }
+
+    /// Counts matching values in `values[ids]` without materializing ids:
+    /// [`PredicateKernel::check`] into a counting sink.
+    ///
+    /// # Panics
+    /// Panics if `ids` is out of bounds for `values`.
+    pub fn count_matches(&self, values: &[T], ids: Range<u64>, comparisons: &mut u64) -> u64 {
+        let mut hits = Hits::Count(0);
+        self.check(values, ids, &mut hits, comparisons);
+        hits.len()
     }
 
     /// Whether one value matches — the single-survivor check used by
@@ -331,57 +356,6 @@ impl<T: Scalar> PredicateKernel<T> {
         }
     }
 
-    /// Appends the ids of matching values in `values[ids]` to `out`
-    /// (ascending), bumping `comparisons` by the number of values actually
-    /// examined — the materializing half of [`PredicateKernel::check`].
-    ///
-    /// # Panics
-    /// Panics if `ids` is out of bounds for `values`.
-    pub fn append_matches(
-        &self,
-        values: &[T],
-        ids: Range<u64>,
-        out: &mut Vec<u64>,
-        comparisons: &mut u64,
-    ) {
-        let Some((lo, hi)) = self.keys else { return };
-        let (start, end) = (ids.start as usize, ids.end as usize);
-        *comparisons += (end - start) as u64;
-        if !self.swar {
-            for (i, v) in values[start..end].iter().enumerate() {
-                if self.pred.matches(v) {
-                    out.push(ids.start + i as u64);
-                }
-            }
-            return;
-        }
-        for (c, chunk) in values[start..end].chunks(64).enumerate() {
-            let mut mask = swar_match_mask(chunk, lo, hi);
-            let base = ids.start + c as u64 * 64;
-            while mask != 0 {
-                out.push(base + mask.trailing_zeros() as u64);
-                mask &= mask - 1;
-            }
-        }
-    }
-
-    /// Counts matching values in `values[ids]` without materializing ids,
-    /// with the same comparison accounting as
-    /// [`PredicateKernel::append_matches`].
-    ///
-    /// # Panics
-    /// Panics if `ids` is out of bounds for `values`.
-    pub fn count_matches(&self, values: &[T], ids: Range<u64>, comparisons: &mut u64) -> u64 {
-        let Some((lo, hi)) = self.keys else { return 0 };
-        let (start, end) = (ids.start as usize, ids.end as usize);
-        *comparisons += (end - start) as u64;
-        let slice = &values[start..end];
-        if !self.swar {
-            return slice.iter().filter(|v| self.pred.matches(v)).count() as u64;
-        }
-        slice.chunks(64).map(|chunk| swar_match_mask(chunk, lo, hi).count_ones() as u64).sum()
-    }
-
     /// Keeps only the ids whose value matches — the **gather-style kernel
     /// over scattered ids** used when a conjunction weeds survivors that no
     /// longer form contiguous runs. The SWAR flavour gathers up to 64
@@ -397,27 +371,63 @@ impl<T: Scalar> PredicateKernel<T> {
             return;
         };
         *comparisons += ids.len() as u64;
-        if !self.swar {
+        if self.swar {
+            gather_chunks(values, ids, |chunk| swar_match_mask(chunk, lo, hi));
+        } else {
             ids.retain(|&id| self.pred.matches(&values[id as usize]));
-            return;
         }
-        let n = ids.len();
-        let (mut read, mut write) = (0usize, 0usize);
-        let mut buf: Vec<T> = Vec::with_capacity(64);
-        while read < n {
-            let k = (n - read).min(64);
-            buf.clear();
-            buf.extend(ids[read..read + k].iter().map(|&id| values[id as usize]));
-            let mut mask = swar_match_mask(&buf, lo, hi);
-            while mask != 0 {
-                ids[write] = ids[read + mask.trailing_zeros() as usize];
-                write += 1;
-                mask &= mask - 1;
-            }
-            read += k;
-        }
-        ids.truncate(write);
     }
+}
+
+/// The oracle's walk: `slice`, whose first value is row `base`, one value
+/// at a time through [`RangePredicate::matches`]. Deliberately not built
+/// on a per-chunk mask like [`check_chunks`]: these straight loops are
+/// what the SWAR kernel is checked against, and `core.refine_scalar_gbps`
+/// is a ledger row that the detour through a mask costs a third of.
+fn check_scalar<T: Scalar>(pred: &RangePredicate<T>, slice: &[T], base: u64, hits: &mut Hits) {
+    match hits {
+        Hits::Ids(out) => {
+            for (i, v) in slice.iter().enumerate() {
+                if pred.matches(v) {
+                    out.push(base + i as u64);
+                }
+            }
+        }
+        Hits::Count(n) => *n += slice.iter().filter(|v| pred.matches(v)).count() as u64,
+    }
+}
+
+/// The chunk walk: value-checks `slice`, whose first value is row `base`,
+/// 64 values at a time — `mask_of` turns a chunk into its match bitmask,
+/// which lands in `hits` as set-bit ids or a popcount. What a single range
+/// and a set of ranges differ in is `mask_of`; the walk is this one.
+#[inline]
+fn check_chunks<T>(slice: &[T], base: u64, hits: &mut Hits, mask_of: impl Fn(&[T]) -> u64) {
+    for (c, chunk) in slice.chunks(64).enumerate() {
+        hits.emit_mask(base + c as u64 * 64, mask_of(chunk));
+    }
+}
+
+/// The gather walk over scattered ids: up to 64 values are gathered into
+/// one stack chunk, `mask_of` evaluates the whole chunk branch-free, and
+/// the survivors are compacted in place.
+fn gather_chunks<T: Scalar>(values: &[T], ids: &mut Vec<u64>, mask_of: impl Fn(&[T]) -> u64) {
+    let n = ids.len();
+    let (mut read, mut write) = (0usize, 0usize);
+    let mut buf: Vec<T> = Vec::with_capacity(64);
+    while read < n {
+        let k = (n - read).min(64);
+        buf.clear();
+        buf.extend(ids[read..read + k].iter().map(|&id| values[id as usize]));
+        let mut mask = mask_of(&buf);
+        while mask != 0 {
+            ids[write] = ids[read + mask.trailing_zeros() as usize];
+            write += 1;
+            mask &= mask - 1;
+        }
+        read += k;
+    }
+    ids.truncate(write);
 }
 
 /// A compiled disjunction of range predicates on one column — the kernel
@@ -461,9 +471,14 @@ impl<T: Scalar> SetKernel<T> {
     /// # Panics
     /// Panics if `ids` is out of bounds for `values`.
     pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
-        match hits {
-            Hits::Ids(out) => self.append_matches(values, ids, out, comparisons),
-            Hits::Count(n) => *n += self.count_matches(values, ids, comparisons),
+        match self.kernels.as_slice() {
+            [] => {}
+            [one] => one.check(values, ids, hits, comparisons),
+            _ => {
+                let slice = &values[ids.start as usize..ids.end as usize];
+                *comparisons += slice.len() as u64;
+                check_chunks(slice, ids.start, hits, |chunk| self.union_mask(chunk));
+            }
         }
     }
 
@@ -475,61 +490,8 @@ impl<T: Scalar> SetKernel<T> {
 
     /// Match bitmask of one chunk of up to 64 values — the OR of the member
     /// masks.
-    ///
-    /// # Panics
-    /// Panics if `chunk.len() > 64`.
-    pub fn match_mask(&self, chunk: &[T]) -> u64 {
+    fn union_mask(&self, chunk: &[T]) -> u64 {
         self.kernels.iter().fold(0u64, |m, k| m | k.match_mask(chunk))
-    }
-
-    /// Appends the ids of matching values in `values[ids]` to `out`, with
-    /// single-visit comparison accounting.
-    ///
-    /// # Panics
-    /// Panics if `ids` is out of bounds for `values`.
-    pub fn append_matches(
-        &self,
-        values: &[T],
-        ids: Range<u64>,
-        out: &mut Vec<u64>,
-        comparisons: &mut u64,
-    ) {
-        match self.kernels.as_slice() {
-            [] => {}
-            [one] => one.append_matches(values, ids, out, comparisons),
-            _ => {
-                let (start, end) = (ids.start as usize, ids.end as usize);
-                *comparisons += (end - start) as u64;
-                for (c, chunk) in values[start..end].chunks(64).enumerate() {
-                    let mut mask = self.match_mask(chunk);
-                    let base = ids.start + c as u64 * 64;
-                    while mask != 0 {
-                        out.push(base + mask.trailing_zeros() as u64);
-                        mask &= mask - 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Counts matching values in `values[ids]`, with the same accounting as
-    /// [`SetKernel::append_matches`].
-    ///
-    /// # Panics
-    /// Panics if `ids` is out of bounds for `values`.
-    pub fn count_matches(&self, values: &[T], ids: Range<u64>, comparisons: &mut u64) -> u64 {
-        match self.kernels.as_slice() {
-            [] => 0,
-            [one] => one.count_matches(values, ids, comparisons),
-            _ => {
-                let (start, end) = (ids.start as usize, ids.end as usize);
-                *comparisons += (end - start) as u64;
-                values[start..end]
-                    .chunks(64)
-                    .map(|chunk| self.match_mask(chunk).count_ones() as u64)
-                    .sum()
-            }
-        }
     }
 
     /// Keeps only the ids whose value matches any term — the scattered-id
@@ -543,22 +505,7 @@ impl<T: Scalar> SetKernel<T> {
             [one] => one.filter_ids(values, ids, comparisons),
             _ => {
                 *comparisons += ids.len() as u64;
-                let n = ids.len();
-                let (mut read, mut write) = (0usize, 0usize);
-                let mut buf: Vec<T> = Vec::with_capacity(64);
-                while read < n {
-                    let k = (n - read).min(64);
-                    buf.clear();
-                    buf.extend(ids[read..read + k].iter().map(|&id| values[id as usize]));
-                    let mut mask = self.match_mask(&buf);
-                    while mask != 0 {
-                        ids[write] = ids[read + mask.trailing_zeros() as usize];
-                        write += 1;
-                        mask &= mask - 1;
-                    }
-                    read += k;
-                }
-                ids.truncate(write);
+                gather_chunks(values, ids, |chunk| self.union_mask(chunk));
             }
         }
     }
@@ -707,6 +654,14 @@ fn swar_match_mask<T: Scalar>(chunk: &[T], lo: u64, hi: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// Runs one kernel's `check` into an id sink (or a counting one),
+    /// returning what matched and the comparisons billed.
+    fn checked(count_only: bool, check: impl FnOnce(&mut Hits, &mut u64)) -> (Hits, u64) {
+        let (mut hits, mut cmp) = (Hits::new(count_only), 0u64);
+        check(&mut hits, &mut cmp);
+        (hits, cmp)
+    }
+
     fn both<T: Scalar>(pred: &RangePredicate<T>) -> [PredicateKernel<T>; 2] {
         [
             PredicateKernel::with_kernel(pred, RefineKernel::Scalar),
@@ -844,12 +799,11 @@ mod tests {
                 .collect();
             let mut results = Vec::new();
             for kernel in both(&pred) {
-                let mut out = Vec::new();
-                let mut cmp = 0u64;
-                kernel.append_matches(&values, 0..values.len() as u64, &mut out, &mut cmp);
-                assert_eq!(out, oracle, "{pred}");
+                let all = 0..values.len() as u64;
+                let (out, cmp) = checked(false, |h, c| kernel.check(&values, all.clone(), h, c));
+                assert_eq!(out, Hits::Ids(oracle.clone()), "{pred}");
                 let mut ccmp = 0u64;
-                let n = kernel.count_matches(&values, 0..values.len() as u64, &mut ccmp);
+                let n = kernel.count_matches(&values, all, &mut ccmp);
                 assert_eq!(n as usize, oracle.len(), "{pred}");
                 assert_eq!(cmp, ccmp, "{pred}");
                 results.push((out, cmp));
@@ -872,9 +826,7 @@ mod tests {
         ] {
             for kernel in both(&pred) {
                 assert!(kernel.is_empty(), "{pred}");
-                let mut out = Vec::new();
-                let mut cmp = 0u64;
-                kernel.append_matches(&values, 0..512, &mut out, &mut cmp);
+                let (out, mut cmp) = checked(false, |h, c| kernel.check(&values, 0..512, h, c));
                 assert!(out.is_empty());
                 assert_eq!(cmp, 0, "early-out must not be billed as comparisons: {pred}");
                 let n = kernel.count_matches(&values, 100..300, &mut cmp);
@@ -889,13 +841,11 @@ mod tests {
         let values: Vec<u8> = (0..200u16).map(|i| (i % 50) as u8).collect();
         let pred = RangePredicate::between(10u8, 12);
         for kernel in both(&pred) {
-            let mut out = Vec::new();
-            let mut cmp = 0u64;
-            kernel.append_matches(&values, 60..140, &mut out, &mut cmp);
+            let (out, cmp) = checked(false, |h, c| kernel.check(&values, 60..140, h, c));
             assert_eq!(cmp, 80);
             let expect: Vec<u64> =
                 (60..140u64).filter(|&i| (10..=12).contains(&values[i as usize])).collect();
-            assert_eq!(out, expect);
+            assert_eq!(out, Hits::Ids(expect));
         }
     }
 
@@ -955,18 +905,19 @@ mod tests {
             let set = SetKernel::with_kernel(&terms, sel);
             assert!(!set.is_empty());
             assert!(set.matches(&50) && set.matches(&5) && !set.matches(&7));
-            // Chunked mask agrees with the per-value oracle.
-            let mask = set.match_mask(&values[..64]);
+            // One chunk's matches agree with the per-value oracle.
+            let (chunk, _) = checked(false, |h, c| set.check(&values, 0..64, h, c));
+            let chunk = chunk.into_ids();
             for (lane, v) in values[..64].iter().enumerate() {
-                assert_eq!(mask >> lane & 1 == 1, in_union(v), "lane {lane}");
+                assert_eq!(chunk.contains(lane as u64), in_union(v), "lane {lane}");
             }
-            // append / count / filter bill each value once, not per term.
-            let (mut out, mut cmp) = (Vec::new(), 0u64);
-            set.append_matches(&values, 0..777, &mut out, &mut cmp);
-            assert_eq!(out, oracle);
+            // id sink / counting sink / filter bill each value once, not
+            // per term.
+            let (out, cmp) = checked(false, |h, c| set.check(&values, 0..777, h, c));
+            assert_eq!(out, Hits::Ids(oracle.clone()));
             assert_eq!(cmp, 777);
-            let mut ccmp = 0u64;
-            assert_eq!(set.count_matches(&values, 0..777, &mut ccmp) as usize, oracle.len());
+            let (n, ccmp) = checked(true, |h, c| set.check(&values, 0..777, h, c));
+            assert_eq!(n, Hits::Count(oracle.len() as u64));
             assert_eq!(ccmp, 777);
             let mut ids: Vec<u64> = (0..777u64).step_by(2).collect();
             let id_oracle: Vec<u64> =
@@ -987,22 +938,20 @@ mod tests {
             RefineKernel::Swar,
         );
         assert!(dead.is_empty());
-        let (mut out, mut cmp) = (Vec::new(), 0u64);
-        dead.append_matches(&values, 0..100, &mut out, &mut cmp);
-        assert_eq!(dead.count_matches(&values, 0..100, &mut cmp), 0);
+        let (out, mut cmp) = checked(false, |h, c| dead.check(&values, 0..100, h, c));
+        assert_eq!(checked(true, |h, c| dead.check(&values, 0..100, h, c)), (Hits::Count(0), 0));
         let mut ids = vec![1u64, 2, 3];
         dead.filter_ids(&values, &mut ids, &mut cmp);
         assert!(out.is_empty() && ids.is_empty() && cmp == 0);
-        assert_eq!(dead.match_mask(&values[..64]), 0);
+        assert!(!values.iter().any(|v| dead.matches(v)));
         // Single-term set behaves exactly like the bare kernel.
         let pred = RangePredicate::between(3u8, 6);
         let single = SetKernel::with_kernel(&[pred], RefineKernel::Swar);
         let bare = PredicateKernel::with_kernel(&pred, RefineKernel::Swar);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut ca, mut cb) = (0u64, 0u64);
-        single.append_matches(&values, 0..100, &mut a, &mut ca);
-        bare.append_matches(&values, 0..100, &mut b, &mut cb);
-        assert_eq!((a, ca), (b, cb));
+        assert_eq!(
+            checked(false, |h, c| single.check(&values, 0..100, h, c)),
+            checked(false, |h, c| bare.check(&values, 0..100, h, c))
+        );
     }
 
     /// Exhaustive 8-bit cross-check of the SWAR compare primitives: every

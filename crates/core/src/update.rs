@@ -21,9 +21,10 @@ use std::collections::BTreeMap;
 use colstore::{AccessStats, Column, DeltaStore, IdList, RangeIndex, RangePredicate, Scalar};
 
 use crate::builder::line_imprint;
-use crate::index::ColumnImprints;
+use crate::index::{ColumnImprints, Run};
 use crate::masks;
 use crate::query;
+use crate::simd::{Hits, PredicateKernel};
 
 /// What one append batch did to the index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -171,7 +172,9 @@ pub fn stale_line_count<T: Scalar>(idx: &ColumnImprints<T>, col_after_updates: &
 /// overlay into the stored vector of the affected lines — repeat runs are
 /// split on the fly around overlaid lines, so unaffected lines keep their
 /// one-probe treatment. Bits are only ever added, so results stay a
-/// superset at the imprint level and exact after the value check.
+/// superset at the imprint level and exact after the value check. The
+/// overlay is a *run source*: it hands those split runs to Algorithm 3's
+/// one walk ([`query::probe`]) and evaluates nothing itself.
 ///
 /// When [`OverlayImprints::saturated`] trips, rebuild — the overlay is the
 /// measured embodiment of the paper's saturation argument.
@@ -223,72 +226,59 @@ impl<T: Scalar> OverlayImprints<T> {
         self.updates = 0;
     }
 
+    /// The base index's runs as the updated column sees them: a run holding
+    /// overlaid lines is split around them — each overlaid line a run of its
+    /// own with the extra bits ORed in — so clean stretches keep their
+    /// single probe.
+    fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+        self.base.runs().flat_map(move |run| {
+            let end = run.first_line + run.line_count;
+            let mut dirty = self.overlay.range(run.first_line..end).peekable();
+            let mut next = run.first_line;
+            std::iter::from_fn(move || {
+                if next == end {
+                    return None;
+                }
+                let (line_count, extra) = match dirty.peek() {
+                    Some(&(&line, &extra)) if line == next => {
+                        dirty.next();
+                        (1, extra)
+                    }
+                    Some(&(&line, _)) => (line - next, 0),
+                    None => (end - next, 0),
+                };
+                let piece = Run { imprint: run.imprint | extra, first_line: next, line_count };
+                next += line_count;
+                Some(piece)
+            })
+        })
+    }
+
+    /// Algorithm 3 over the updated column into `hits`: the one imprint
+    /// walk ([`query::probe`]) fed with [`OverlayImprints`]'s view of the
+    /// runs, so the overlay shares the base index's kernel, sink and
+    /// accounting.
+    ///
+    /// # Panics
+    /// Panics if `col` does not have the indexed column's length.
+    pub fn run(
+        &self,
+        col: &Column<T>,
+        kernel: &PredicateKernel<T>,
+        hits: Hits,
+    ) -> (Hits, query::ImprintStats) {
+        let masks = masks::make_masks(self.base.binning(), kernel.predicate());
+        query::walk(&self.base, self.runs(), col, kernel, masks, hits)
+    }
+
     /// Evaluates a range predicate against the updated column.
     pub fn evaluate_with_imprint_stats(
         &self,
         col: &Column<T>,
         pred: &RangePredicate<T>,
     ) -> (IdList, query::ImprintStats) {
-        assert_eq!(col.len(), self.base.rows(), "index does not cover this column");
-        let mut stats = query::ImprintStats::default();
-        let m = masks::make_masks(self.base.binning(), pred);
-        let mut res: Vec<u64> = Vec::new();
-        if m.mask == 0 {
-            stats.access.lines_skipped = self.base.line_count();
-            return (IdList::from_sorted(res), stats);
-        }
-        let values = col.values();
-        let vpb = self.base.values_per_block() as u64;
-        let rows = self.base.rows() as u64;
-        let not_inner = !m.innermask;
-        let handle = |imprint: u64,
-                      first_line: u64,
-                      line_count: u64,
-                      stats: &mut query::ImprintStats,
-                      res: &mut Vec<u64>| {
-            stats.access.index_probes += 1;
-            if imprint & m.mask == 0 {
-                stats.access.lines_skipped += line_count;
-                return;
-            }
-            let ids = first_line * vpb..((first_line + line_count) * vpb).min(rows);
-            if imprint & not_inner == 0 {
-                stats.lines_full += line_count;
-                stats.ids_via_full_lines += ids.end - ids.start;
-                res.extend(ids);
-            } else {
-                stats.lines_checked += line_count;
-                stats.access.lines_fetched += line_count;
-                stats.access.value_comparisons += ids.end - ids.start;
-                for id in ids {
-                    if pred.matches(&values[id as usize]) {
-                        res.push(id);
-                    }
-                }
-            }
-        };
-        for run in self.base.runs() {
-            let run_end = run.first_line + run.line_count;
-            if self.overlay.range(run.first_line..run_end).next().is_none() {
-                // Fast path: no overlaid line inside the run.
-                handle(run.imprint, run.first_line, run.line_count, &mut stats, &mut res);
-                continue;
-            }
-            // Split the run around overlaid lines so clean stretches keep
-            // their single probe.
-            let mut cursor = run.first_line;
-            for (&line, &extra) in self.overlay.range(run.first_line..run_end) {
-                if line > cursor {
-                    handle(run.imprint, cursor, line - cursor, &mut stats, &mut res);
-                }
-                handle(run.imprint | extra, line, 1, &mut stats, &mut res);
-                cursor = line + 1;
-            }
-            if cursor < run_end {
-                handle(run.imprint, cursor, run_end - cursor, &mut stats, &mut res);
-            }
-        }
-        (IdList::from_sorted(res), stats)
+        let (hits, stats) = self.run(col, &PredicateKernel::new(pred), Hits::new(false));
+        (hits.into_ids(), stats)
     }
 }
 

@@ -24,11 +24,11 @@ use std::time::Instant;
 use baselines::{SeqScan, ZoneMap};
 use colstore::index::BuildableIndex;
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, Bound, CachelineSet, Column, RangeIndex, Scalar, Value};
+use colstore::{AccessStats, CachelineSet, Column, RangeIndex, Scalar, Value};
 use imprints::builder::BuildOptions;
 use imprints::query;
 use imprints::relation_index::{self, PlanColumn, SegQuery, ValueRange, ValueSet};
-use imprints::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
+use imprints::simd::{self, Hits, PredicateKernel, RefineKernel};
 use imprints::ColumnImprints;
 
 use crate::config::EngineConfig;
@@ -187,28 +187,13 @@ impl<T: Scalar> SegCol<T> {
         SegCol::assemble(DataSlot::new(Arc::new(col)), imprints, zonemap, cfg)
     }
 
-    /// Bins the predicate's range covers over the imprint's binning.
-    /// O(log bins) — two border searches.
-    fn bin_span(&self, pred: &colstore::RangePredicate<T>) -> usize {
-        let binning = self.imprints.binning();
-        let bins = binning.bins();
-        let lo = match pred.low() {
-            Bound::Unbounded => 0,
-            Bound::Inclusive(l) | Bound::Exclusive(l) => binning.bin_of(*l),
-        };
-        let hi = match pred.high() {
-            Bound::Unbounded => bins - 1,
-            Bound::Inclusive(h) | Bound::Exclusive(h) => binning.bin_of(*h),
-        };
-        hi.saturating_sub(lo) + 1
-    }
-
     /// The selectivity bucket of `pred` on this column: the span the
-    /// predicate covers over the imprint's binning, classed by
-    /// [`PathChooser::bucket_of_span`].
+    /// predicate covers over the imprint's binning (O(log bins) — two
+    /// border searches), classed by [`PathChooser::bucket_of_span`].
     fn bucket_of(&self, pred: &colstore::RangePredicate<T>) -> usize {
-        let bins = self.imprints.binning().bins();
-        PathChooser::bucket_of_span(self.bin_span(pred), bins)
+        let binning = self.imprints.binning();
+        let (lo, hi) = binning.bin_span(pred);
+        PathChooser::bucket_of_span(hi.saturating_sub(lo) + 1, binning.bins())
     }
 
     /// Evaluates a single-range predicate into a fresh [`Hits`] sink through
@@ -256,65 +241,6 @@ impl<T: Scalar> SegCol<T> {
         let (n, istats) = query::count_covered(&self.imprints, pred)?;
         self.obs.queries.fetch_add(1, Ordering::Relaxed);
         Some((n, istats.access))
-    }
-
-    /// Candidate row-id ranges of a whole value set: the union of each
-    /// term's imprint candidates (late materialization step 1 of the
-    /// conjunction plan), plus probe statistics.
-    fn candidates_set(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
-        let preds: Vec<colstore::RangePredicate<T>> =
-            set.to_predicates().expect("predicates validated against schema");
-        let mut stats = AccessStats::default();
-        let mut acc: Option<CachelineSet> = None;
-        for pred in &preds {
-            let (lines, istats) = query::candidate_id_ranges(&self.imprints, pred);
-            stats.merge(&istats.access);
-            acc = Some(match acc {
-                Some(a) => a.union(&lines),
-                None => lines,
-            });
-        }
-        (acc.unwrap_or_default(), stats)
-    }
-
-    /// Value-checks the rows of `ranges` against `set` into `hits`, through
-    /// the compiled [`SetKernel`] over contiguous runs, billing `stats`.
-    fn collect_matches(
-        &self,
-        set: &ValueSet,
-        ranges: &CachelineSet,
-        mut hits: Hits,
-        stats: &mut AccessStats,
-    ) -> Hits {
-        let preds: Vec<colstore::RangePredicate<T>> =
-            set.to_predicates().expect("predicates validated against schema");
-        let kernel = SetKernel::with_kernel(&preds, self.kernel);
-        let data = self.data.get();
-        let values = data.values();
-        let mut cmp = 0u64;
-        // `ranges` is already in row-id space (candidate_id_ranges converts
-        // cacheline runs to id runs), so its runs feed the kernel directly.
-        for ids in ranges.runs() {
-            let end = ids.end.min(values.len() as u64);
-            if ids.start < end {
-                kernel.check(values, ids.start..end, &mut hits, &mut cmp);
-            }
-        }
-        stats.value_comparisons += cmp;
-        hits
-    }
-
-    /// Keeps only the survivor ids whose value satisfies `set` — the
-    /// gather-style SWAR kernel over scattered ids
-    /// ([`SetKernel::filter_ids`]), billing `stats`.
-    fn filter_survivors(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        let preds: Vec<colstore::RangePredicate<T>> =
-            set.to_predicates().expect("predicates validated against schema");
-        let kernel = SetKernel::with_kernel(&preds, self.kernel);
-        let mut cmp = 0u64;
-        let data = self.data.get();
-        kernel.filter_ids(data.values(), ids, &mut cmp);
-        stats.value_comparisons += cmp;
     }
 
     /// Recovers this column from its persisted files in `dir`. With
@@ -595,7 +521,7 @@ impl PlanColumn for AnySegCol {
     }
 
     fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
-        seg_dispatch!(self, s => s.candidates_set(set))
+        seg_dispatch!(self, s => relation_index::set_candidates(&s.imprints, set))
     }
 
     fn check(
@@ -605,11 +531,15 @@ impl PlanColumn for AnySegCol {
         hits: Hits,
         stats: &mut AccessStats,
     ) -> Hits {
-        seg_dispatch!(self, s => s.collect_matches(set, ranges, hits, stats))
+        seg_dispatch!(self, s => {
+            relation_index::set_check(s.data.get().values(), s.kernel, set, ranges, hits, stats)
+        })
     }
 
     fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        seg_dispatch!(self, s => s.filter_survivors(set, ids, stats))
+        seg_dispatch!(self, s => {
+            relation_index::set_weed(s.data.get().values(), s.kernel, set, ids, stats)
+        });
     }
 
     /// The maintenance planner's eviction order reads this counter.

@@ -4,8 +4,8 @@
 //! observationally identical: byte-identical id lists, identical counts
 //! and identical access statistics, on every access path that weeds
 //! candidates — imprints (evaluate, count, and the late-materialization
-//! `candidates` + `refine` pair), zonemap, sequential scan, and the WAH
-//! bitmap's edge bins — across all scalar widths (8/32/64-bit lanes,
+//! `candidates` + `refine` pair), its two-level and overlay variants,
+//! zonemap, sequential scan, and the WAH bitmap's edge bins — across all scalar widths (8/32/64-bit lanes,
 //! floats included), arbitrary bound shapes (unbounded / inclusive /
 //! exclusive / point / impossible) and partial-tail geometries (column
 //! lengths that are not a multiple of `values_per_block`). Everything is
@@ -15,7 +15,7 @@
 use baselines::{SeqScan, WahBitmap, ZoneMap};
 use colstore::{Bound, Column, RangePredicate, Scalar};
 use imprints::simd::{Hits, PredicateKernel, RefineKernel};
-use imprints::{query, ColumnImprints};
+use imprints::{query, ColumnImprints, ImprintStats, MultiLevelImprints, OverlayImprints};
 use proptest::prelude::*;
 
 /// Brute-force oracle: the definition of a correct answer.
@@ -41,22 +41,48 @@ fn assert_kernels_identical<T: Scalar>(values: Vec<T>, pred: &RangePredicate<T>)
     let scan = SeqScan::new(&col);
     // WAH shares the imprint's binning, as the engine does.
     let wah = WahBitmap::build_with_binning(&col, idx.binning().clone());
+    // The §7 second level over the same index, and the §4.2 overlay over
+    // a copy of the column with a few rows rewritten in place (column and
+    // overlay updated alike) — both feed the one imprint walk.
+    let ml = MultiLevelImprints::from_base(idx.clone(), 7);
+    let mut ocol = col.clone();
+    let mut overlay = OverlayImprints::new(idx.clone());
+    let n = col.len();
+    for id in [0, n / 3, n / 2, n.saturating_sub(1)].into_iter().filter(|&id| id < n) {
+        let v = col.values()[n - 1 - id];
+        ocol.values_mut()[id] = v;
+        overlay.note_update(id as u64, v);
+    }
+    let oexpect = oracle(&ocol, pred);
 
     for count_only in [false, true] {
         let sink = || Hits::new(count_only);
+        let access = |(hits, stats): (Hits, ImprintStats)| (hits, stats.access);
         let (imp_s, ist_s) = query::run(&idx, &col, &scalar, sink());
         let (imp_v, ist_v) = query::run(&idx, &col, &swar, sink());
         assert_eq!(ist_s, ist_v, "imprints stats diverged: {pred}");
         let paths = [
-            ("imprints", (imp_s, ist_s.access), (imp_v, ist_v.access)),
-            ("zonemap", zm.run(&col, &scalar, sink()), zm.run(&col, &swar, sink())),
-            ("scan", scan.run(&col, &scalar, sink()), scan.run(&col, &swar, sink())),
-            ("wah", wah.run(&col, &scalar, sink()), wah.run(&col, &swar, sink())),
+            ("imprints", (imp_s, ist_s.access), (imp_v, ist_v.access), &expect),
+            ("zonemap", zm.run(&col, &scalar, sink()), zm.run(&col, &swar, sink()), &expect),
+            ("scan", scan.run(&col, &scalar, sink()), scan.run(&col, &swar, sink()), &expect),
+            ("wah", wah.run(&col, &scalar, sink()), wah.run(&col, &swar, sink()), &expect),
+            (
+                "multilevel",
+                access(ml.run(&col, &scalar, sink())),
+                access(ml.run(&col, &swar, sink())),
+                &expect,
+            ),
+            (
+                "overlay",
+                access(overlay.run(&ocol, &scalar, sink())),
+                access(overlay.run(&ocol, &swar, sink())),
+                &oexpect,
+            ),
         ];
-        for (path, s, v) in paths {
+        for (path, s, v, expect) in paths {
             assert_eq!(s, v, "{path} kernels diverged (count_only {count_only}): {pred}");
             match s.0 {
-                Hits::Ids(ids) => assert_eq!(ids, expect, "{path}/scalar vs oracle: {pred}"),
+                Hits::Ids(ids) => assert_eq!(&ids, expect, "{path}/scalar vs oracle: {pred}"),
                 Hits::Count(n) => {
                     assert_eq!(n as usize, expect.len(), "{path} count vs oracle: {pred}")
                 }
