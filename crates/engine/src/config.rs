@@ -39,7 +39,7 @@ pub struct EngineConfig {
     /// their data stays memory-resident.
     pub storage: StorageOptions,
     /// Serving-layer knobs consumed by the network front-end
-    /// (`imprints-server`): admission-queue depth and batching tick. Kept
+    /// (`imprints-server`): admission-queue depth and batch size. Kept
     /// on the engine configuration so a deployment tunes its engine and
     /// its service surface in one place.
     pub service: ServiceConfig,
@@ -125,30 +125,22 @@ pub struct ServiceConfig {
     /// reply instead of unbounded queueing — overload degrades into
     /// explicit rejections, never into hangs or memory growth.
     pub queue_depth: usize,
-    /// Maximum requests dispatched as one batch. Requests admitted in the
-    /// same tick are grouped by table and evaluated as one shared morsel
-    /// pass ([`Table::query_batch`](crate::Table::query_batch)): one
-    /// segment sweep answers up to this many predicates.
+    /// Maximum requests dispatched as one batch. A dispatcher takes what
+    /// queued while every dispatcher was busy — it never waits for
+    /// company — groups it by table and evaluates each group as one shared
+    /// morsel pass ([`Table::query_batch`](crate::Table::query_batch)):
+    /// one segment sweep answers up to this many predicates. `1` is
+    /// request-at-a-time dispatch.
     pub batch_max: usize,
-    /// How long the dispatcher lingers after the first admitted request,
-    /// in microseconds, letting concurrent arrivals join its batch. `0`
-    /// dispatches immediately with whatever is queued — the
-    /// request-at-a-time baseline when paired with `batch_max = 1`.
-    pub batch_tick_micros: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig { queue_depth: 1024, batch_max: 128, batch_tick_micros: 200 }
+        ServiceConfig { queue_depth: 1024, batch_max: 128 }
     }
 }
 
 impl ServiceConfig {
-    /// The batching tick as a [`std::time::Duration`].
-    pub fn batch_tick(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.batch_tick_micros)
-    }
-
     /// Panics if the configuration is structurally invalid.
     pub fn validate(&self) {
         assert!(self.queue_depth > 0, "queue_depth must be positive");

@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -28,6 +28,16 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
+}
+
+impl Shared {
+    /// Locks the job queue, recovering from poison: a `VecDeque` of boxed
+    /// jobs and a flag have no invariant a panic can break, and every
+    /// worker — and every dispatcher blocked in `scatter` — depends on the
+    /// lock staying usable.
+    fn queue(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A fixed-size pool of persistent worker threads.
@@ -50,6 +60,8 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("imprints-worker-{i}"))
                     .spawn(move || Self::worker_loop(&shared))
+                    // panic-ok: start-up, before any query runs; an engine
+                    // that cannot start its workers cannot serve.
                     .expect("spawn worker thread")
             })
             .collect();
@@ -64,7 +76,7 @@ impl WorkerPool {
     fn worker_loop(shared: &Shared) {
         loop {
             let job = {
-                let mut st = shared.state.lock().expect("pool lock");
+                let mut st = shared.queue();
                 loop {
                     if let Some(job) = st.jobs.pop_front() {
                         break job;
@@ -72,7 +84,7 @@ impl WorkerPool {
                     if st.shutdown {
                         return;
                     }
-                    st = shared.cv.wait(st).expect("pool lock");
+                    st = shared.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // Contain task panics: the scatter side observes the dropped
@@ -83,7 +95,7 @@ impl WorkerPool {
 
     /// Enqueues one fire-and-forget job.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        let mut st = self.shared.state.lock().expect("pool lock");
+        let mut st = self.shared.queue();
         if st.shutdown {
             return;
         }
@@ -117,6 +129,7 @@ impl WorkerPool {
         // Every sender is either consumed by a finished task or dropped by
         // a panicked one, so this loop always terminates.
         while let Ok((i, r)) = rx.recv() {
+            // panic-ok: `i` was enumerated from the `n` tasks counted above.
             out[i] = Some(r);
         }
         out
@@ -126,7 +139,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut st = self.shared.state.lock().expect("pool lock");
+            let mut st = self.shared.queue();
             st.shutdown = true;
         }
         self.cv_notify_all();
@@ -173,6 +186,20 @@ mod tests {
         // Pool still works after a panic.
         let again = pool.scatter((0..4).map(|i| move || i + 1));
         assert!(again.iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn poisoned_queue_lock_does_not_kill_the_pool() {
+        let pool = WorkerPool::new(2);
+        let shared = Arc::clone(&pool.shared);
+        let holder = std::thread::spawn(move || {
+            let _guard = shared.state.lock().unwrap();
+            panic!("dies holding the queue lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(pool.shared.state.is_poisoned());
+        let out = pool.scatter((0..8).map(|i| move || i));
+        assert!(out.iter().all(Option::is_some), "workers and scatter outlive the poison");
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! The batching dispatcher: drains admitted tickets in ticks, groups them
-//! by table, and evaluates each group as one shared morsel pass.
+//! The batching dispatchers: each drains admitted tickets, groups them by
+//! table, and evaluates each group as one shared morsel pass.
 //!
-//! Requests admitted within one [`drain`](crate::admission::Admission::drain)
-//! tick become one batch. The batch is grouped by table (arrival order
+//! One dispatcher thread per pool worker runs [`run`], all competing on
+//! the same admission queue. A dispatcher never waits for company: one
+//! [`drain`](crate::admission::Drainer::drain) takes what queued while
+//! every dispatcher was busy — a single request on an idle server, up to
+//! `batch_max` under load — and holds those requests' connections until
+//! the batch's last reply is written, so no second dispatcher answers the
+//! same connection beside it. The batch is grouped by table (arrival order
 //! preserved within each group) and every group goes through
 //! [`Table::query_batch`], which pins **one** consistent snapshot for the
-//! whole group and answers all its predicates from one sweep per segment —
-//! the amortization that makes concurrent point-lookups cheap at serving
-//! scale. Per-request failures (bad column, bad bound, panicked task) are
+//! whole group and answers all its predicates from one sweep per segment.
+//! Per-request failures (bad column, bad bound, panicked task) are
 //! answered per request and never poison batch neighbors.
 
 use std::sync::atomic::Ordering;
@@ -19,12 +23,14 @@ use crate::protocol::{fmt_err, fmt_ok_count, fmt_ok_ids};
 use crate::server::{Shared, Ticket};
 
 /// Dispatcher thread body: drain → group → evaluate, until the admission
-/// queue is closed and empty.
+/// queue is closed. The drainer is dropped on the way out — also by a
+/// panic — which releases the connections of the batch in hand.
 pub(crate) fn run(shared: &Shared) {
+    let mut drainer = shared.admission.drainer();
     loop {
-        let batch = shared.admission.drain(shared.cfg.batch_max, shared.cfg.batch_tick);
+        let batch = drainer.drain(shared.cfg.batch_max);
         if batch.is_empty() {
-            // Only returned once the queue is closed and fully drained.
+            // Only returned once the queue is closed.
             return;
         }
         shared.counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -51,7 +57,7 @@ fn dispatch(shared: &Shared, batch: Vec<Ticket>) {
             Err(e) => {
                 let msg = e.to_string();
                 for t in tickets {
-                    t.conn.send(&fmt_err(t.tag.as_deref(), &msg));
+                    t.conn.send(fmt_err(t.tag.as_deref(), &msg));
                 }
             }
         }
@@ -71,7 +77,7 @@ fn run_group(shared: &Shared, table: &Arc<Table>, tickets: Vec<Ticket>) {
                 queries.push(q);
                 owners.push(t);
             }
-            Err(msg) => t.conn.send(&fmt_err(t.tag.as_deref(), &msg)),
+            Err(msg) => t.conn.send(fmt_err(t.tag.as_deref(), &msg)),
         }
     }
     if queries.is_empty() {
@@ -81,9 +87,9 @@ fn run_group(shared: &Shared, table: &Arc<Table>, tickets: Vec<Ticket>) {
     for (t, answer) in owners.iter().zip(answers) {
         let tag = t.tag.as_deref();
         match answer {
-            Ok((BatchAnswer::Ids(ids), _)) => t.conn.send(&fmt_ok_ids(tag, ids.as_slice())),
-            Ok((BatchAnswer::Count(n), _)) => t.conn.send(&fmt_ok_count(tag, n)),
-            Err(e) => t.conn.send(&fmt_err(tag, &e.to_string())),
+            Ok((BatchAnswer::Ids(ids), _)) => t.conn.send(fmt_ok_ids(tag, ids.as_slice())),
+            Ok((BatchAnswer::Count(n), _)) => t.conn.send(fmt_ok_count(tag, n)),
+            Err(e) => t.conn.send(fmt_err(tag, &e.to_string())),
         }
     }
 }

@@ -10,8 +10,8 @@ use crate::protocol::{self, RawPred, Request};
 use crate::server::{Shared, Ticket};
 
 /// The write half of one client connection. Shared between the reader
-/// thread (inline replies) and the dispatcher (batched replies); the mutex
-/// keeps response lines from interleaving.
+/// thread (inline replies) and the dispatchers (batched replies); the
+/// mutex keeps response lines from interleaving.
 pub(crate) struct Conn {
     pub id: u64,
     writer: Mutex<TcpStream>,
@@ -22,18 +22,18 @@ impl Conn {
         Conn { id, writer: Mutex::new(writer) }
     }
 
-    /// Sends one response line. Write errors are swallowed: a client that
-    /// vanished mid-flight only affects itself, and its reader thread will
-    /// see the hangup and clean up.
-    pub fn send(&self, line: &str) {
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
+    /// Sends one response line, taken by value so the newline is pushed in
+    /// place — a wide id reply is not copied again under the writer mutex.
+    /// Write errors are swallowed: a client that vanished mid-flight only
+    /// affects itself, and its reader thread will see the hangup and clean
+    /// up.
+    pub fn send(&self, mut line: String) {
+        line.push('\n');
         // Poison recovery: the guarded value is a raw socket handle with no
         // invariants a panic could break; at worst the peer sees a torn
         // line and hangs up, which only affects that one client.
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.write_all(buf.as_bytes());
+        let _ = w.write_all(line.as_bytes());
     }
 }
 
@@ -125,12 +125,12 @@ pub(crate) fn serve(shared: Arc<Shared>, conn: Arc<Conn>, stream: TcpStream) {
                 // The offending line was never buffered, so its tag (if
                 // any) is unknown — the ERR goes back untagged.
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                conn.send(&protocol::fmt_err(None, &format!("request line exceeds {max} bytes")));
+                conn.send(protocol::fmt_err(None, &format!("request line exceeds {max} bytes")));
                 continue;
             }
             LineOutcome::NotUtf8 => {
                 shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-                conn.send(&protocol::fmt_err(None, "request line is not valid UTF-8"));
+                conn.send(protocol::fmt_err(None, "request line is not valid UTF-8"));
                 continue;
             }
             LineOutcome::Closed => break,
@@ -144,16 +144,16 @@ pub(crate) fn serve(shared: Arc<Shared>, conn: Arc<Conn>, stream: TcpStream) {
         if shared.stopping() {
             // Draining: nothing new is admitted, but every request still
             // gets an explicit answer instead of silence.
-            conn.send(&protocol::fmt_busy(tag));
+            conn.send(protocol::fmt_busy(tag));
             continue;
         }
         match protocol::parse_request(body) {
-            Err(msg) => conn.send(&protocol::fmt_err(tag, &msg)),
-            Ok(Request::Ping) => conn.send(&protocol::fmt_ok_list(tag, &[])),
+            Err(msg) => conn.send(protocol::fmt_err(tag, &msg)),
+            Ok(Request::Ping) => conn.send(protocol::fmt_ok_list(tag, &[])),
             Ok(Request::Tables) => {
-                conn.send(&protocol::fmt_ok_list(tag, &shared.engine.catalog().table_names()))
+                conn.send(protocol::fmt_ok_list(tag, &shared.engine.catalog().table_names()))
             }
-            Ok(Request::Stats(table)) => conn.send(&stats_line(&shared, tag, table.as_deref())),
+            Ok(Request::Stats(table)) => conn.send(stats_line(&shared, tag, table.as_deref())),
             Ok(Request::Query { table, preds, any }) => {
                 enqueue(&shared, &conn, tag, table, preds, any, false)
             }
@@ -185,7 +185,7 @@ fn enqueue(
         count_only,
     };
     if !shared.admission.offer(conn.id, ticket) {
-        conn.send(&protocol::fmt_busy(tag));
+        conn.send(protocol::fmt_busy(tag));
     }
 }
 
@@ -223,6 +223,8 @@ fn stats_line(shared: &Shared, tag: Option<&str>, table: Option<&str>) -> String
                 format!("admitted={}", st.admitted),
                 format!("shed={}", st.shed),
                 format!("queued={}", st.queued),
+                format!("dispatchers={}", st.dispatchers),
+                format!("in_service={}", st.in_service),
                 format!("batches={}", st.batches),
                 format!("batched_requests={}", st.batched_requests),
             ];

@@ -10,16 +10,17 @@
 //!   shed-on-overload — an offer past the configured depth gets an
 //!   immediate `BUSY` reply, never a hang — and per-client round-robin
 //!   dequeue, so a pipelining hog cannot starve its neighbors.
-//! * **Batched dispatch** ([`Server`]'s dispatcher thread): requests
-//!   admitted in the same tick are grouped by table and evaluated as one
-//!   shared morsel pass ([`imprints_engine::Table::query_batch`]) — one
-//!   pinned snapshot and one sweep per segment answer the whole group,
-//!   which is where the paper's cacheline-granular index pays off under
-//!   concurrent load.
+//! * **Batched dispatch** ([`Server`]'s dispatcher threads, one per pool
+//!   worker): a dispatcher takes what queued while all of them were busy —
+//!   it never waits for company — groups it by table and evaluates each
+//!   group as one shared morsel pass
+//!   ([`imprints_engine::Table::query_batch`]): one pinned snapshot and
+//!   one sweep per segment answer the whole group. A connection is served
+//!   by one dispatcher at a time, so its replies keep admission order.
 //!
 //! Shutdown ([`Server::shutdown`], also run on `Drop`) drains gracefully:
 //! stop accepting, `BUSY` to everything queued, finish the in-flight
-//! batch, hang up, and only then stop the engine's maintenance daemon.
+//! batches, hang up, and only then stop the engine's maintenance daemon.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -47,7 +48,7 @@ mod conn;
 pub mod protocol;
 pub mod server;
 
-pub use admission::Admission;
+pub use admission::{Admission, Drainer};
 pub use client::{request_line, Client};
 pub use protocol::{parse_reply, RawPred, Reply, Request};
 pub use server::{Server, ServerConfig, ServerStats};

@@ -42,9 +42,13 @@
 //! [tag] "BUSY"             -- shed by admission control; retry later
 //! ```
 //!
-//! Because every response carries its request tag, clients may pipeline:
-//! responses to *admitted* requests come back in dispatch order, which under
-//! batching is not necessarily arrival order.
+//! Because every response carries its request tag, clients may pipeline.
+//! Reply order, precisely: on one connection, `QUERY`/`COUNT` replies come
+//! back in the order the requests were admitted (requests to different
+//! tables that shared a batch are answered table by table); across
+//! connections there is no order; and the inline verbs (`PING`, `TABLES`,
+//! `STATS`), `BUSY` and parse errors are written by the connection's reader
+//! and may overtake queued requests sent before them.
 
 use colstore::{ColumnType, Value};
 use imprints_engine::{ValueRange, ValueSet};

@@ -7,7 +7,6 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 use imprints_engine::{Engine, EngineConfig};
 
@@ -30,9 +29,6 @@ pub struct ServerConfig {
     /// Maximum requests per dispatched batch (see
     /// [`ServiceConfig::batch_max`](imprints_engine::ServiceConfig::batch_max)).
     pub batch_max: usize,
-    /// Batching tick: how long the dispatcher lingers after the first
-    /// admitted request so concurrent arrivals share its morsel pass.
-    pub batch_tick: Duration,
     /// Hard cap on one request line's length in bytes (newline excluded).
     /// A longer line is discarded as it streams in — bounded memory per
     /// connection — and answered with an untagged `ERR`.
@@ -54,7 +50,6 @@ impl ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_depth: s.queue_depth,
             batch_max: s.batch_max,
-            batch_tick: s.batch_tick(),
             // Generous for QUERY lines with many predicates, small enough
             // that a hostile pipeline cannot balloon reader memory.
             max_line_bytes: 64 * 1024,
@@ -76,6 +71,12 @@ pub struct ServerStats {
     pub shed: u64,
     /// Requests queued right now.
     pub queued: u64,
+    /// Dispatcher threads: one per worker of the engine's pool.
+    pub dispatchers: u64,
+    /// Connections in service right now: some dispatcher holds a batch
+    /// with their requests and has not yet written its last reply. With
+    /// `queued` this tells "queue empty, dispatchers busy" from "idle".
+    pub in_service: u64,
     /// Batches dispatched.
     pub batches: u64,
     /// Requests dispatched inside those batches.
@@ -96,8 +97,7 @@ pub(crate) struct Ticket {
 impl Ticket {
     /// Answers the ticket with `BUSY` (shed after admission, at drain).
     pub fn reject(self) {
-        let line = fmt_busy(self.tag.as_deref());
-        self.conn.send(&line);
+        self.conn.send(fmt_busy(self.tag.as_deref()));
     }
 }
 
@@ -110,7 +110,7 @@ pub(crate) struct Counters {
     pub batched_requests: AtomicU64,
 }
 
-/// State shared by the accept loop, connection readers and the dispatcher.
+/// State shared by the accept loop, connection readers and the dispatchers.
 pub(crate) struct Shared {
     pub engine: Arc<Engine>,
     pub cfg: ServerConfig,
@@ -143,6 +143,8 @@ impl Shared {
             admitted: self.admission.admitted(),
             shed: self.admission.shed(),
             queued: self.admission.queued() as u64,
+            dispatchers: self.engine.pool().workers() as u64,
+            in_service: self.admission.in_service() as u64,
             batches: self.counters.batches.load(Ordering::Relaxed),
             batched_requests: self.counters.batched_requests.load(Ordering::Relaxed),
         }
@@ -150,14 +152,14 @@ impl Shared {
 }
 
 /// The running server: accept thread + per-connection readers + one
-/// batching dispatcher in front of the engine's worker pool.
+/// batching dispatcher per worker of the engine's pool, in front of it.
 ///
 /// Dropping the server runs the full graceful [`shutdown`](Server::shutdown).
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<thread::JoinHandle<()>>,
-    dispatcher: Option<thread::JoinHandle<()>>,
+    dispatchers: Vec<thread::JoinHandle<()>>,
     conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
     down: bool,
 }
@@ -176,28 +178,32 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(1),
         });
-        let dispatcher = {
-            let s = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("imprints-dispatch".to_string())
-                .spawn(move || batcher::run(&s))?
-        };
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let s = Arc::clone(&shared);
-            let threads = Arc::clone(&conn_threads);
-            thread::Builder::new()
-                .name("imprints-accept".to_string())
-                .spawn(move || accept_loop(listener, s, threads))?
-        };
-        Ok(Server {
+        // A spawn that fails below drops `server`, whose shutdown releases
+        // and joins the threads already started.
+        let mut server = Server {
             shared,
             addr,
-            accept: Some(accept),
-            dispatcher: Some(dispatcher),
-            conn_threads,
+            accept: None,
+            dispatchers: Vec::new(),
+            conn_threads: Arc::new(Mutex::new(Vec::new())),
             down: false,
-        })
+        };
+        // One dispatcher per pool worker: independent connections are
+        // served side by side on as many cores as the engine was given.
+        for i in 0..server.shared.engine.pool().workers() {
+            let s = Arc::clone(&server.shared);
+            let spawned = thread::Builder::new()
+                .name(format!("imprints-dispatch-{i}"))
+                .spawn(move || batcher::run(&s))?;
+            server.dispatchers.push(spawned);
+        }
+        let s = Arc::clone(&server.shared);
+        let threads = Arc::clone(&server.conn_threads);
+        let accept = thread::Builder::new()
+            .name("imprints-accept".to_string())
+            .spawn(move || accept_loop(listener, s, threads))?;
+        server.accept = Some(accept);
+        Ok(server)
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -220,7 +226,7 @@ impl Server {
     /// 1. stop accepting connections;
     /// 2. close the admission queue — everything still queued is answered
     ///    `BUSY`, requests arriving during the drain are answered `BUSY`
-    ///    by their readers, and the dispatcher finishes its in-flight
+    ///    by their readers, and every dispatcher finishes its in-flight
     ///    batch before exiting (a half-dispatched batch is never aborted);
     /// 3. hang up the remaining connections and join their readers;
     /// 4. only then stop the engine's maintenance daemon.
@@ -243,7 +249,7 @@ impl Server {
         for ticket in self.shared.admission.close() {
             ticket.reject();
         }
-        if let Some(h) = self.dispatcher.take() {
+        for h in self.dispatchers.drain(..) {
             let _ = h.join();
         }
         for (_, sock) in self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner).drain() {

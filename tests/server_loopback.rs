@@ -1,12 +1,14 @@
 //! Loopback integration tests for the network front-end: concurrent
 //! clients must see responses byte-identical to the in-process oracle,
-//! overload must shed with `BUSY` (never a hang), shutdown must drain, and
+//! overload must shed with `BUSY` (never a hang), one connection must not
+//! wait behind another while a dispatcher is free, a connection's replies
+//! must keep its request order, shutdown must drain, and
 //! `Catalog::drop_table` must not invalidate snapshots pinned by in-flight
-//! batches.
+//! batches. Every engine here has `workers: 2`, hence two dispatchers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -16,7 +18,7 @@ use column_imprints::engine::{
     BatchAnswer, BatchQuery, Engine, EngineConfig, ValueRange, ValueSet,
 };
 use column_imprints::server::protocol::{fmt_err, fmt_ok_count, fmt_ok_ids};
-use column_imprints::server::{Client, Reply, Server, ServerConfig};
+use column_imprints::server::{Client, Reply, Server, ServerConfig, ServerStats};
 
 const SENSORS: u64 = 13;
 const VALUE_MOD: u64 = 10007;
@@ -140,12 +142,8 @@ fn concurrent_clients_match_in_process_oracle() {
 fn overload_sheds_with_busy_and_nothing_hangs() {
     const FLOOD: usize = 1000;
     let engine = build_engine(200_000, 2048);
-    let cfg = ServerConfig {
-        queue_depth: 4,
-        batch_max: 4,
-        batch_tick: Duration::ZERO,
-        ..ServerConfig::from_engine(engine.config())
-    };
+    let cfg =
+        ServerConfig { queue_depth: 4, batch_max: 4, ..ServerConfig::from_engine(engine.config()) };
     let server = Server::start(Arc::clone(&engine), cfg).unwrap();
     let oracle_heavy =
         engine.query("readings", &[("value", ValueRange::at_least(Value::I64(1)))]).unwrap();
@@ -186,50 +184,159 @@ fn overload_sheds_with_busy_and_nothing_hangs() {
     assert_eq!(stats.admitted, 1 + ok as u64);
 }
 
+/// Parks every worker of the engine's pool until the returned senders are
+/// dropped. A request over more than one sealed segment fans out on the
+/// pool, so the dispatcher serving it then waits in `scatter` for exactly
+/// as long as the test wants — on any host, whatever its socket buffers.
+fn park_pool(engine: &Engine) -> Vec<mpsc::Sender<()>> {
+    (0..engine.pool().workers())
+        .map(|_| {
+            let (release, parked) = mpsc::channel::<()>();
+            engine.pool().spawn(move || {
+                let _ = parked.recv();
+            });
+            release
+        })
+        .collect()
+}
+
+/// Opens a connection and sends one request that needs the (parked) pool;
+/// returns once a dispatcher has taken it and the connection is one of
+/// `in_service` held ones.
+fn occupy_dispatcher(server: &Server, tag: &str, in_service: u64) -> Client {
+    let drained_before = server.stats().batched_requests;
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    client.send(&format!("#{tag} QUERY readings value>=1")).unwrap();
+    wait_for(server, |s| s.batched_requests == drained_before + 1 && s.in_service == in_service);
+    client
+}
+
+/// Polls the server's counters until `ready` holds.
+fn wait_for(server: &Server, ready: impl Fn(&ServerStats) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !ready(&server.stats()) {
+        assert!(std::time::Instant::now() < deadline, "stuck at {:?}", server.stats());
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// No head-of-line blocking across connections: while one dispatcher is
+/// held up inside a connection's request, another connection's request —
+/// sent afterwards — is answered by the other dispatcher, before the first
+/// connection has its reply. `notes` has no sealed segment, so its requests
+/// run on the dispatcher's own thread and do not need the parked pool.
+#[test]
+fn busy_dispatcher_does_not_block_another_connection() {
+    let engine = build_engine(20_000, 1024);
+    let notes = engine.create_table("notes", &[("n", ColumnType::I64)]).unwrap();
+    notes.append_batch(vec![AnyColumn::I64((0..100i64).collect())]).unwrap();
+    let server =
+        Server::start(Arc::clone(&engine), ServerConfig::from_engine(engine.config())).unwrap();
+    let oracle_heavy =
+        engine.query("readings", &[("value", ValueRange::at_least(Value::I64(1)))]).unwrap();
+
+    let parked = park_pool(&engine);
+    let mut held = occupy_dispatcher(&server, "h", 1);
+    let mut quick = Client::connect(server.local_addr()).unwrap();
+    quick.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    assert_eq!(quick.count("notes", &["n>=40"]).unwrap().count(), Some(60));
+    // The operator's view of the same moment, over the wire.
+    let Reply::Ok(stats) = quick.roundtrip("STATS").unwrap() else { panic!("STATS answers OK") };
+    let stat = |key: &str| -> u64 {
+        let field = stats.iter().find_map(|f| f.strip_prefix(key)).expect(key);
+        field.parse().unwrap()
+    };
+    assert_eq!((stat("dispatchers="), stat("queued=")), (2, 0));
+    assert!(stat("in_service=") >= 1, "the held connection's request is still being served");
+    drop(parked);
+    assert_eq!(held.recv().unwrap(), fmt_ok_ids(Some("h"), oracle_heavy.as_slice()));
+}
+
+/// One connection's pipelined replies never reorder, although either
+/// dispatcher may serve any of its batches: 200 untagged requests with
+/// pairwise-distinct answers, one to a batch and alternately dear (ids)
+/// and cheap (a count) — so that a second dispatcher running the next
+/// request beside the current one would finish first — come back in
+/// request order.
+#[test]
+fn pipelined_replies_keep_request_order_across_dispatchers() {
+    let engine = build_engine(20_000, 1024);
+    let cfg = ServerConfig { batch_max: 1, ..ServerConfig::from_engine(engine.config()) };
+    let server = Server::start(Arc::clone(&engine), cfg).unwrap();
+    assert_eq!(server.stats().dispatchers, 2);
+    // `value` takes every one of 0..VALUE_MOD at least once, so the rows
+    // below a bound grow strictly with the bound.
+    let requests: Vec<(String, String)> = (0..200i64)
+        .map(|i| {
+            let x = 10 + i * 50;
+            let bound = [("value", ValueRange::at_most(Value::I64(x)))];
+            if i % 2 == 0 {
+                let ids = engine.query("readings", &bound).unwrap();
+                (format!("QUERY readings value<={x}"), fmt_ok_ids(None, ids.as_slice()))
+            } else {
+                let n = engine.count("readings", &bound).unwrap();
+                (format!("COUNT readings value<={x}"), fmt_ok_count(None, n))
+            }
+        })
+        .collect();
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    for (request, _) in &requests {
+        client.send(request).unwrap();
+    }
+    for (i, (request, expected)) in requests.iter().enumerate() {
+        assert_eq!(client.recv().unwrap(), *expected, "reply {i} must answer {request:?}");
+    }
+    assert_eq!(server.stats().batches, 200);
+}
+
 #[test]
 fn shutdown_drains_queued_requests_with_busy() {
-    let engine = build_engine(10_000, 1024);
-    // A huge batching tick parks the dispatcher lingering for company, so
-    // everything the client pipelines is still queued when shutdown lands —
-    // the drain must answer all of it with BUSY, then hang up.
-    let cfg = ServerConfig {
-        queue_depth: 64,
-        batch_max: 1000,
-        batch_tick: Duration::from_secs(30),
-        ..ServerConfig::from_engine(engine.config())
-    };
-    let mut server = Server::start(Arc::clone(&engine), cfg).unwrap();
-    let addr = server.local_addr();
+    let engine = build_engine(20_000, 1024);
+    let server =
+        Server::start(Arc::clone(&engine), ServerConfig::from_engine(engine.config())).unwrap();
+    let oracle_heavy =
+        engine.query("readings", &[("value", ValueRange::at_least(Value::I64(1)))]).unwrap();
+    // Occupy both dispatchers, one after the other so that each holds one
+    // connection's request: everything a third client pipelines stays
+    // queued until shutdown lands — the drain must answer all of it with
+    // BUSY, finish the two requests in flight, then hang up.
+    let parked = park_pool(&engine);
+    let mut occupiers = [occupy_dispatcher(&server, "a", 1), occupy_dispatcher(&server, "b", 2)];
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    assert_eq!(client.ping().unwrap(), Reply::Ok(Vec::new()), "inline verbs bypass the queue");
+    for i in 0..13 {
+        client.send(&format!("#q{i} QUERY readings sensor=1")).unwrap();
+    }
+    wait_for(&server, |s| s.queued == 13);
 
-    let client = thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        assert_eq!(c.ping().unwrap(), Reply::Ok(Vec::new()), "inline verbs bypass the queue");
-        for i in 0..13 {
-            c.send(&format!("#q{i} QUERY readings sensor=1")).unwrap();
-        }
-        let mut replies = Vec::new();
-        while let Ok(reply) = c.recv_reply() {
-            replies.push(reply);
-        }
-        replies // the Err terminates the loop: connection closed by the drain
+    let stopper = thread::spawn(move || {
+        let mut server = server;
+        server.shutdown();
+        server
     });
-
-    thread::sleep(Duration::from_millis(100));
-    server.shutdown();
-    let replies = client.join().unwrap();
-    assert_eq!(replies.len(), 13, "every queued request must be answered before the hangup");
     let mut tags: Vec<String> = Vec::new();
-    for (tag, reply) in replies {
+    for _ in 0..13 {
+        let (tag, reply) = client.recv_reply().unwrap();
         assert_eq!(reply, Reply::Busy, "queued requests are shed at drain");
         tags.push(tag.expect("tag echoed"));
     }
     tags.sort();
     let mut expect: Vec<String> = (0..13).map(|i| format!("q{i}")).collect();
     expect.sort();
-    assert_eq!(tags, expect);
+    assert_eq!(tags, expect, "every queued request is answered exactly once");
+    // The drain waits for the in-flight batches: a half-dispatched request
+    // is answered in full, not aborted.
+    drop(parked);
+    for (occupier, tag) in occupiers.iter_mut().zip(["a", "b"]) {
+        assert_eq!(occupier.recv().unwrap(), fmt_ok_ids(Some(tag), oracle_heavy.as_slice()));
+    }
+    assert!(client.recv_reply().is_err(), "then the connection is closed by the drain");
     // Idempotent, and the engine daemon slot is already stopped.
-    server.shutdown();
+    stopper.join().unwrap().shutdown();
 }
 
 /// Hostile and broken input must never kill a reader thread: malformed
