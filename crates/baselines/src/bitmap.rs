@@ -143,12 +143,6 @@ impl<T: Scalar> WahBitmap<T> {
     }
 }
 
-impl<T: Scalar> colstore::index::BuildableIndex<T> for WahBitmap<T> {
-    fn build_index(col: &Column<T>) -> Self {
-        WahBitmap::build(col)
-    }
-}
-
 impl<T: Scalar> RangeIndex<T> for WahBitmap<T> {
     fn name(&self) -> &'static str {
         "wah"

@@ -19,7 +19,6 @@
 
 pub mod bitmap;
 pub mod scan;
-pub mod storage;
 pub mod wah;
 pub mod zonemap;
 
@@ -27,26 +26,3 @@ pub use bitmap::WahBitmap;
 pub use scan::SeqScan;
 pub use wah::WahVector;
 pub use zonemap::ZoneMap;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use colstore::index::BuildableIndex;
-    use colstore::{Column, IdList, RangePredicate};
-
-    /// The pluggable-access-path contract: any `BuildableIndex` can be
-    /// instantiated from a column alone and must answer identically.
-    fn build_and_eval<I: BuildableIndex<i32>>(col: &Column<i32>) -> IdList {
-        I::build_index(col).evaluate(col, &RangePredicate::between(100, 200))
-    }
-
-    #[test]
-    fn every_access_path_builds_generically_and_agrees() {
-        let col: Column<i32> = (0..10_000).map(|i| (i * 7) % 1000).collect();
-        let scan = build_and_eval::<SeqScan>(&col);
-        assert_eq!(build_and_eval::<ZoneMap<i32>>(&col), scan);
-        assert_eq!(build_and_eval::<WahBitmap<i32>>(&col), scan);
-        assert_eq!(build_and_eval::<imprints::ColumnImprints<i32>>(&col), scan);
-        assert!(!scan.is_empty());
-    }
-}

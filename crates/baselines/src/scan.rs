@@ -68,12 +68,6 @@ impl SeqScan {
     }
 }
 
-impl<T: Scalar> colstore::index::BuildableIndex<T> for SeqScan {
-    fn build_index(col: &Column<T>) -> Self {
-        SeqScan::new(col)
-    }
-}
-
 impl<T: Scalar> RangeIndex<T> for SeqScan {
     fn name(&self) -> &'static str {
         "scan"

@@ -70,30 +70,6 @@ impl<T: Scalar> ZoneMap<T> {
         ZoneMap { mins, maxs, rows: col.len(), values_per_zone }
     }
 
-    /// Reassembles a zonemap from serialized parts, validating the
-    /// geometry a file claims before trusting it (see
-    /// [`crate::storage::read_zonemap`]).
-    pub fn from_raw_parts(
-        mins: Vec<T>,
-        maxs: Vec<T>,
-        rows: usize,
-        values_per_zone: usize,
-    ) -> std::result::Result<Self, String> {
-        if values_per_zone == 0 {
-            return Err("zone must hold at least one value".into());
-        }
-        if mins.len() != maxs.len() {
-            return Err(format!("{} min bounds vs {} max bounds", mins.len(), maxs.len()));
-        }
-        if mins.len() != rows.div_ceil(values_per_zone) {
-            return Err(format!(
-                "{} zones cannot cover {rows} rows at {values_per_zone} values per zone",
-                mins.len()
-            ));
-        }
-        Ok(ZoneMap { mins, maxs, rows, values_per_zone })
-    }
-
     /// Rows covered by this zonemap.
     pub fn rows(&self) -> usize {
         self.rows
@@ -199,12 +175,6 @@ impl<T: Scalar> ZoneMap<T> {
             Bound::Inclusive(h) => zmax.le_total(h),
             Bound::Exclusive(h) => zmax.lt_total(h),
         }
-    }
-}
-
-impl<T: Scalar> colstore::index::BuildableIndex<T> for ZoneMap<T> {
-    fn build_index(col: &Column<T>) -> Self {
-        ZoneMap::build(col)
     }
 }
 

@@ -80,14 +80,6 @@ pub trait RangeIndex<T: Scalar> {
     }
 }
 
-/// A [`RangeIndex`] that can be constructed from a column alone — the
-/// contract pluggable access paths implement so an engine can instantiate
-/// any of them per data segment without knowing the concrete type.
-pub trait BuildableIndex<T: Scalar>: RangeIndex<T> + Send + Sync + Sized {
-    /// Builds the index over `col`.
-    fn build_index(col: &Column<T>) -> Self;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

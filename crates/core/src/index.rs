@@ -265,12 +265,6 @@ impl<T: Scalar> ColumnImprints<T> {
     }
 }
 
-impl<T: Scalar> colstore::index::BuildableIndex<T> for ColumnImprints<T> {
-    fn build_index(col: &Column<T>) -> Self {
-        ColumnImprints::build(col)
-    }
-}
-
 impl<T: Scalar> RangeIndex<T> for ColumnImprints<T> {
     fn name(&self) -> &'static str {
         "imprints"

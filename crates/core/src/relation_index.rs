@@ -10,8 +10,8 @@
 //! * [`RelationImprints::query`] — the relation-level API of this crate:
 //!   one imprint index per column of a [`Relation`], queried with
 //!   dynamically-typed bounds through [`IndexedColumn`] views;
-//! * the engine's sealed segments, whose columns add a zonemap, an
-//!   adaptive path chooser and lazily faulted data behind the same trait;
+//! * the engine's sealed segments, whose columns keep their imprint
+//!   resident and fault their data in lazily behind the same trait;
 //! * the engine's open write head, again through [`IndexedColumn`], with
 //!   an [`AnyImprints`] per buffer extended in place on every append
 //!   (§4.1) once the head is large enough, and none before.
@@ -201,13 +201,12 @@ pub fn resolve_sets<S: AsRef<str>>(
 /// What the plan needs from one column. The two implementors differ only
 /// in what index the column carries and where its values live:
 /// [`IndexedColumn`] (a buffer and an optional imprint) and the engine's
-/// sealed segment column (imprint, zonemap, path chooser, lazily faulted
-/// data). [`run`] is generic over the implementor, so its column calls are
-/// statically dispatched. Every predicate handed in was type-checked by
+/// sealed segment column (an imprint over lazily faulted data). [`run`] is
+/// generic over the implementor, so its column calls are statically
+/// dispatched. Every predicate handed in was type-checked by
 /// [`resolve_sets`]; implementations may panic on one that was not.
 pub trait PlanColumn {
-    /// Evaluates one range over the whole column into a fresh sink, on
-    /// whichever access path the column prefers.
+    /// Evaluates one range over the whole column into a fresh sink.
     fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats);
 
     /// The row-id ranges that may hold a match of `set` — the union of

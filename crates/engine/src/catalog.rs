@@ -79,12 +79,11 @@ impl Catalog {
     /// [`StorageOptions::root`](crate::StorageOptions::root): every
     /// subdirectory with a committed manifest becomes a table, its sealed
     /// segments restored in manifest order. Per segment column, the
-    /// persisted imprint and zonemap are read back with the data left
-    /// **evicted** on disk (with
-    /// [`load_indexes`](crate::StorageOptions::load_indexes), the fast
-    /// path) or the checksummed column data is read and the indexes
-    /// rebuilt (the fallback for missing or damaged index files — data is
-    /// ground truth, indexes are derived state). Orphan segment
+    /// persisted imprint is read back with the data left **evicted** on
+    /// disk (with [`load_indexes`](crate::StorageOptions::load_indexes),
+    /// the fast path) or the checksummed column data is read and the
+    /// imprint rebuilt (the fallback for a missing or damaged index file —
+    /// data is ground truth, the index is derived state). Orphan segment
     /// directories from crashed or lost-race writes are removed. The
     /// report says which path each column took and what it cost.
     pub fn open(cfg: &EngineConfig) -> Result<(Catalog, RecoveryReport)> {
@@ -208,8 +207,8 @@ pub struct StorageStats {
     pub tables: usize,
     /// Sealed segments across all tables.
     pub sealed_segments: usize,
-    /// Bytes of secondary-index structures across all sealed segments
-    /// (imprints + zonemaps).
+    /// Bytes of secondary-index structures (imprints) across all sealed
+    /// segments.
     pub index_bytes: usize,
     /// Visible rows across all tables.
     pub rows: u64,

@@ -19,9 +19,9 @@ pub struct EngineConfig {
     /// accumulated so far and every later append extends it under the
     /// open write lock. `usize::MAX` disables tail indexing entirely.
     pub tail_index_min_rows: usize,
-    /// Which false-positive refinement kernel weeds fetched cachelines on
-    /// every access path (imprints check lines, zonemap overlap zones,
-    /// scans, tail-imprint head lines, conjunction survivors): `Auto`
+    /// Which false-positive refinement kernel weeds fetched cachelines
+    /// everywhere a value is checked (sealed imprint check lines,
+    /// tail-imprint head lines, conjunction survivors): `Auto`
     /// (currently SWAR), `Scalar` (the classic loop, kept as the
     /// differential oracle), or `Swar`. This is the only configured
     /// selection there is — no process-wide setter exists — and it scopes
@@ -82,7 +82,7 @@ impl EngineConfig {
 ///
 /// The paper's size argument (§5: an imprint is a few percent of its
 /// column) is what makes eviction worthwhile: with `root` set, every
-/// sealed segment's columns, imprints and zonemaps are persisted under
+/// sealed segment's columns and imprints are persisted under
 /// `root/<table>/seg-*` and a restart recovers tables via
 /// [`Catalog::open`](crate::Catalog::open); with a finite
 /// `max_resident_data_bytes`, the maintenance planner drops the *data*
@@ -156,8 +156,8 @@ impl ServiceConfig {
 pub struct MaintenanceConfig {
     /// Tier fan-in of segment compaction: a run of this many adjacent
     /// sealed segments of the same size tier is merged into one segment
-    /// (data concatenated, bins re-sampled once, imprint + zonemap
-    /// rebuilt). Also the size ratio between tiers. Values below 2 disable
+    /// (data concatenated, bins re-sampled once, the imprint rebuilt).
+    /// Also the size ratio between tiers. Values below 2 disable
     /// compaction.
     pub tier_fanin: usize,
     /// Never merge segments into one larger than this many rows — the top

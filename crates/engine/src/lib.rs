@@ -3,10 +3,9 @@
 //! Turns the single-column [`imprints`] primitives into a serving system:
 //!
 //! * **Segments** ([`segment`]): columns are split into fixed-size,
-//!   cacheline-aligned segments, each carrying its own [`ColumnImprints`]
-//!   and [`baselines::ZoneMap`], binned from the segment's own rows when
-//!   it is sealed — index builds have bounded scope and segments are
-//!   natural parallelism morsels.
+//!   cacheline-aligned segments, each carrying its own [`ColumnImprints`],
+//!   binned from the segment's own rows when it is sealed — index builds
+//!   have bounded scope and segments are natural parallelism morsels.
 //! * **Epoch-guarded catalog** ([`catalog`], [`table`]): relations hold
 //!   their sealed segments behind an `Arc`-swap scheme; readers pin a
 //!   consistent prefix in O(1) and never block while an appender seals new
@@ -17,10 +16,6 @@
 //!   of [`imprints::relation_index::run`], which this crate calls and
 //!   does not copy) across segments and merges the ordered per-segment
 //!   id lists.
-//! * **Adaptive access paths** ([`paths`]): each segment column chooses
-//!   imprint vs. zonemap vs. scan per query from observed cost, **bucketed
-//!   by predicate selectivity** so wide and narrow queries learn separate
-//!   winners (per-bucket EWMA + exploration cadence).
 //! * **Tail-indexed write head** ([`table`]): once the open segment is
 //!   large enough, each open column buffer carries an incremental tail
 //!   imprint — an [`imprints::relation_index::AnyImprints`] extended on
@@ -62,7 +57,6 @@
 pub mod catalog;
 pub mod config;
 pub mod executor;
-pub mod paths;
 pub mod persist;
 pub mod planner;
 pub mod segment;
@@ -78,11 +72,10 @@ pub use config::{EngineConfig, MaintenanceConfig, ServiceConfig, StorageOptions}
 pub use executor::WorkerPool;
 pub use imprints::relation_index::{SegQuery, ValueRange, ValueSet};
 pub use imprints::simd::{Hits, RefineKernel};
-pub use paths::{PathChooser, PathKind, MAX_PATHS, NUM_BUCKETS};
 pub use persist::RecoveryReport;
 pub use planner::{
     maintenance_tick, path_report, BucketPathReport, ColumnPathReport, CompactionAction,
-    MaintenanceDaemon, MaintenanceReport,
+    MaintenanceDaemon, MaintenanceReport, PathKind,
 };
 pub use segment::SealedSegment;
 pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};

@@ -6,8 +6,8 @@
 //! <root>/<table>/
 //!   MANIFEST                  # committed segment list (epoch, schema, dirs)
 //!   seg-<base>-<uid>/         # one directory per sealed segment
-//!     c0.col  c0.imp  c0.zone # per column: data, imprint, zonemap
-//!     c1.col  ...
+//!     c0.col  c0.imp          # per column: data, imprint
+//!     c1.col  c1.imp  ...
 //! ```
 //!
 //! Every file reuses the checksummed [`colstore::storage`] framing, so a
@@ -52,11 +52,6 @@ pub(crate) fn column_file(ci: usize) -> String {
 /// Imprint index file of column `ci`.
 pub(crate) fn imprint_file(ci: usize) -> String {
     format!("c{ci}.imp")
-}
-
-/// Zonemap file of column `ci`.
-pub(crate) fn zonemap_file(ci: usize) -> String {
-    format!("c{ci}.zone")
 }
 
 /// Opens `path` buffered for reading.
@@ -164,12 +159,12 @@ impl TableStore {
         self.root.join(name)
     }
 
-    /// Writes `seg` as a fresh segment directory: every column's data,
-    /// imprint and zonemap into a `.tmp` directory, each file fsynced and
-    /// then the directory holding their names, then one rename publishing
-    /// it. On success the segment is marked durable
-    /// (directory name + per-column data files pinned). A segment that is
-    /// already durable — a recovered one — is left as is.
+    /// Writes `seg` as a fresh segment directory: every column's data and
+    /// imprint into a `.tmp` directory, each file fsynced and then the
+    /// directory holding their names, then one rename publishing it. On
+    /// success the segment is marked durable (directory name + per-column
+    /// data files pinned). A segment that is already durable — a recovered
+    /// one — is left as is.
     pub(crate) fn persist_segment(&self, seg: &SealedSegment) -> Result<()> {
         if seg.durable_name().is_some() {
             return Ok(());
@@ -186,7 +181,6 @@ impl TableStore {
         for (ci, col) in seg.columns().iter().enumerate() {
             write_file(&tmp.join(column_file(ci)), |w| col.write_data_to(w))?;
             write_file(&tmp.join(imprint_file(ci)), |w| col.write_index_to(w))?;
-            write_file(&tmp.join(zonemap_file(ci)), |w| col.write_zonemap_to(w))?;
         }
         // The files' *names* live in the tmp directory: without this a
         // committed manifest could name a directory whose entries never

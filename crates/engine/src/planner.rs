@@ -12,7 +12,7 @@
 //! `unit·fanin^t ..< unit·fanin^(t+1)` rows), and a run of
 //! [`tier_fanin`](crate::MaintenanceConfig::tier_fanin) adjacent same-tier
 //! segments is merged into one — data concatenated, bins re-sampled once
-//! over the union, imprint + zonemap rebuilt — then swapped in atomically,
+//! over the union, the imprint rebuilt — then swapped in atomically,
 //! with compaction throughput capped per tick by
 //! [`compaction_budget_bytes`](crate::MaintenanceConfig::compaction_budget_bytes).
 //! The second half of a tick evicts the data pages of the coldest
@@ -28,7 +28,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::catalog::Catalog;
-use crate::paths::{PathKind, MAX_PATHS, NUM_BUCKETS};
 use crate::segment::SealedSegment;
 use crate::table::Table;
 
@@ -131,69 +130,55 @@ fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<Com
     actions
 }
 
-/// One selectivity bucket of a [`ColumnPathReport`]: how many queries the
-/// bucket routed (summed over segments) and which access path the
-/// segments' choosers currently rank cheapest for it.
-#[derive(Debug, Clone, Default)]
-pub struct BucketPathReport {
-    /// Queries routed through this bucket, across all sealed segments.
-    pub queries: u64,
-    /// Per path slot ([`PathKind::CLASSIC`] order): how many segment choosers
-    /// currently rank it cheapest for this bucket.
-    pub votes: [u64; MAX_PATHS],
-    /// The majority winner across segments (`None` until some segment has
-    /// measured a path for this bucket).
-    pub winner: Option<PathKind>,
+// A sealed segment answers through its imprint, so there is no path
+// choice to report. What follows is the smallest shape that keeps the
+// names `benchmark/src/surface.rs` reads for its `engine.path_share.*`
+// rows; ROADMAP item 1(b) retires those rows and, with them, everything
+// down to `path_report`.
+
+/// A slot of [`BucketPathReport::votes`]. The engine only ever answers
+/// through [`PathKind::Imprints`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathKind {
+    /// The column-imprints secondary index.
+    Imprints,
+    /// Unused slot.
+    ZoneMap,
+    /// Unused slot.
+    Scan,
 }
 
-/// Aggregated access-path telemetry for one table column: per selectivity
-/// bucket, the per-segment-majority winner — the observable half of the
-/// bucketed-chooser claim ("wide and narrow queries learn separate
-/// winners"), consumed by operators and the benchmark.
+impl PathKind {
+    /// All slots, in [`PathKind::slot`] order.
+    pub const CLASSIC: [PathKind; 3] = [PathKind::Imprints, PathKind::ZoneMap, PathKind::Scan];
+
+    /// Index into [`BucketPathReport::votes`].
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+}
+
+/// Sealed segments per [`PathKind`] slot.
+#[derive(Debug, Clone)]
+pub struct BucketPathReport {
+    /// One vote per sealed segment, all in the imprint slot.
+    pub votes: [u64; 3],
+}
+
+/// The access path of one table column's sealed segments.
 #[derive(Debug, Clone)]
 pub struct ColumnPathReport {
-    /// Table name.
-    pub table: String,
-    /// Column name.
-    pub column: String,
-    /// Sealed segments inspected.
-    pub segments: usize,
-    /// One entry per selectivity bucket (index = bucket).
+    /// Always one entry.
     pub buckets: Vec<BucketPathReport>,
 }
 
-/// Walks one frozen sealed snapshot per table and aggregates every
-/// column's per-bucket [`PathChooser`](crate::paths::PathChooser) state:
-/// each segment casts one vote per bucket for the path it currently ranks
-/// cheapest, and the majority becomes the bucket's winner.
+/// One [`ColumnPathReport`] per column of every table.
 pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
     let mut out = Vec::new();
     for table in catalog.tables() {
-        let sealed = table.sealed_snapshot();
-        for (ci, def) in table.schema().iter().enumerate() {
-            let mut report = ColumnPathReport {
-                table: table.name().to_string(),
-                column: def.name.clone(),
-                segments: sealed.len(),
-                buckets: vec![BucketPathReport::default(); NUM_BUCKETS],
-            };
-            for seg in sealed.iter() {
-                let chooser = seg.columns()[ci].chooser();
-                for (b, bucket) in report.buckets.iter_mut().enumerate() {
-                    bucket.queries += chooser.bucket_queries(b);
-                    if let Some(w) = chooser.winner(b) {
-                        bucket.votes[w.slot()] += 1;
-                    }
-                }
-            }
-            for bucket in &mut report.buckets {
-                bucket.winner = PathKind::CLASSIC
-                    .into_iter()
-                    .filter(|p| bucket.votes[p.slot()] > 0)
-                    .max_by_key(|p| bucket.votes[p.slot()]);
-            }
-            out.push(report);
-        }
+        let votes = [table.sealed_snapshot().len() as u64, 0, 0];
+        let column = ColumnPathReport { buckets: vec![BucketPathReport { votes }] };
+        out.extend(std::iter::repeat_n(column, table.schema().len()));
     }
     out
 }
@@ -215,7 +200,7 @@ pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
 /// budget, persisted segments
 /// are evicted **coldest first** — ascending cumulative per-column query
 /// counts — until the table is back under budget. Only the data pages go;
-/// imprints and zonemaps stay resident, so evicted segments keep answering
+/// the imprints stay resident, so evicted segments keep answering
 /// fully-covered counts from memory and pruning candidates for
 /// everything else. Never-persisted segments (memory-only tables, or a
 /// segment whose durable write failed) are silently skipped: eviction
@@ -364,33 +349,6 @@ mod tests {
     use colstore::relation::AnyColumn;
     use colstore::{ColumnType, Value};
     use imprints::relation_index::ValueRange;
-
-    #[test]
-    fn path_report_aggregates_bucket_winners() {
-        use colstore::Value;
-        let cat = Catalog::new();
-        let cfg = EngineConfig { segment_rows: 512, ..Default::default() };
-        let t = cat.create_table("pr", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..2048).map(|i| (i * 13) % 1000).collect();
-        t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        // Point queries only — one bin wide under every segment's own
-        // borders — so exactly one bucket accumulates cadence.
-        let pred = [("v", ValueRange::equals(Value::I64(104)))];
-        for _ in 0..48 {
-            let _ = t.query(&pred).unwrap();
-        }
-        let reports = path_report(&cat);
-        assert_eq!(reports.len(), 1);
-        let col = &reports[0];
-        assert_eq!((col.table.as_str(), col.column.as_str()), ("pr", "v"));
-        assert_eq!(col.segments, 4);
-        let active: Vec<usize> =
-            (0..col.buckets.len()).filter(|&b| col.buckets[b].queries > 0).collect();
-        assert_eq!(active.len(), 1, "one selectivity class queried: {:?}", col.buckets);
-        let bucket = &col.buckets[active[0]];
-        assert!(bucket.winner.is_some(), "48 queries must have produced a winner");
-        assert_eq!(bucket.votes.iter().sum::<u64>(), 4, "every segment casts one vote");
-    }
 
     #[test]
     fn tier_of_buckets_by_size_ratio() {

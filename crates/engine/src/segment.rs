@@ -3,12 +3,10 @@
 //! A table's data is split into fixed-size segments of
 //! [`EngineConfig::segment_rows`](crate::EngineConfig::segment_rows) rows.
 //! Each sealed segment owns, per column, a cacheline-aligned data chunk and
-//! its own secondary indexes: a [`ColumnImprints`] (the primary access
-//! path, binned from a sample of the segment's own rows — the paper's
-//! Algorithms 1 and 2, unmodified — so a sealed index is a function of
-//! its data alone) and a [`ZoneMap`] — plus an adaptive,
-//! selectivity-bucketed [`PathChooser`] deciding per query which path
-//! answers.
+//! one secondary index: a [`ColumnImprints`] binned from a sample of the
+//! segment's own rows — the paper's Algorithms 1 and 2, unmodified — so a
+//! sealed index is a function of its data alone, and every query is
+//! answered through it (the paper's Algorithm 3, [`query::run`]).
 //!
 //! Sealed segments are immutable and shared via `Arc`: an index is built
 //! once, when its segment is sealed, and only a compaction merge ever
@@ -19,10 +17,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
-use std::time::Instant;
 
-use baselines::{SeqScan, ZoneMap};
-use colstore::index::BuildableIndex;
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, CachelineSet, Column, RangeIndex, Scalar, Value};
 use imprints::builder::BuildOptions;
@@ -32,15 +27,14 @@ use imprints::simd::{self, Hits, PredicateKernel, RefineKernel};
 use imprints::ColumnImprints;
 
 use crate::config::EngineConfig;
-use crate::paths::{PathChooser, PathKind};
 use crate::persist;
 
 /// The data payload of one sealed segment column: memory-resident, or
 /// *evicted* to its durable column file with only the metadata (and the
-/// indexes owning it) left in memory.
+/// imprint indexing it) left in memory.
 ///
 /// Eviction is what turns the imprint's size advantage into a memory
-/// story: the per-column indexes stay resident, the data pages go, and
+/// story: the per-column imprints stay resident, the data pages go, and
 /// [`DataSlot::get`] faults the column back in from its file the first
 /// time refinement actually needs a value. The slot can only evict once
 /// [`DataSlot::mark_durable`] pinned a file — un-persisted data is never
@@ -161,96 +155,56 @@ pub struct ColumnObservations {
     pub queries: AtomicU64,
 }
 
-/// One column of one sealed segment: aligned data plus its access paths.
+/// One column of one sealed segment: aligned data plus its imprint.
 #[derive(Debug)]
 pub struct SegCol<T: Scalar> {
     data: DataSlot<T>,
     imprints: ColumnImprints<T>,
-    zonemap: ZoneMap<T>,
     /// The refinement kernel this column's value checks run under —
     /// [`EngineConfig::refine_kernel`] resolved against the env override
     /// at seal time, so kernel choice scopes to the table that configured
     /// it instead of leaking process-wide.
     kernel: RefineKernel,
-    chooser: PathChooser,
     obs: ColumnObservations,
 }
 
 impl<T: Scalar> SegCol<T> {
     /// Seals `col` into an indexed segment column: bin borders sampled from
-    /// `col`'s own values, imprint and zonemap built over them. Seal,
-    /// compaction merge and recovery-rebuild all construct here, so a
-    /// column's index depends on its rows alone.
+    /// `col`'s own values, the imprint built over them. Seal, compaction
+    /// merge and recovery-rebuild all construct here, so a column's index
+    /// depends on its rows alone.
     pub fn seal(col: Column<T>, cfg: &EngineConfig) -> Self {
         let imprints = ColumnImprints::build_with(&col, BuildOptions::default());
-        let zonemap = <ZoneMap<T> as BuildableIndex<T>>::build_index(&col);
-        SegCol::assemble(DataSlot::new(Arc::new(col)), imprints, zonemap, cfg)
+        SegCol::assemble(DataSlot::new(Arc::new(col)), imprints, cfg)
     }
 
-    /// The selectivity bucket of `pred` on this column: the span the
-    /// predicate covers over the imprint's binning (O(log bins) — two
-    /// border searches), classed by [`PathChooser::bucket_of_span`].
-    fn bucket_of(&self, pred: &colstore::RangePredicate<T>) -> usize {
-        let binning = self.imprints.binning();
-        let (lo, hi) = binning.bin_span(pred);
-        PathChooser::bucket_of_span(hi.saturating_sub(lo) + 1, binning.bins())
-    }
-
-    /// Evaluates a single-range predicate into a fresh [`Hits`] sink through
-    /// the adaptively chosen access path, recording observed cost (in the
-    /// predicate's selectivity bucket) — ids and counts alike, so
-    /// count-heavy workloads feed the chooser exactly like materializing
-    /// queries do.
+    /// Evaluates a single-range predicate through the imprint into a fresh
+    /// [`Hits`] sink — ids and counts alike — and bills the heat counter.
     fn run(&self, pred: &colstore::RangePredicate<T>, count_only: bool) -> (Hits, AccessStats) {
+        self.obs.queries.fetch_add(1, Ordering::Relaxed);
         if count_only && !self.data.is_resident() {
-            // Evicted cold data: answer from the resident imprint alone
-            // when it is exact, leaving the data pages on disk.
-            if let Some((n, stats)) = self.count_from_imprint(pred) {
-                return (Hits::Count(n), stats);
+            // Evicted cold data: when every candidate cacheline is fully
+            // covered by the predicate's inner mask the resident imprint
+            // counts exactly ([`query::count_covered`]), leaving the data
+            // pages on disk. Otherwise fall through and fault them in.
+            if let Some((n, istats)) = query::count_covered(&self.imprints, pred) {
+                return (Hits::Count(n), istats.access);
             }
         }
-        let bucket = self.bucket_of(pred);
-        let path = self.chooser.choose(bucket);
-        // Fault evicted data in *before* the cost timer starts: the one-off
-        // disk read must not enter the path's EWMA.
         let data = self.data.get();
-        let t0 = Instant::now();
         let kernel = PredicateKernel::with_kernel(pred, self.kernel);
-        let hits = Hits::new(count_only);
-        let (hits, stats) = match path {
-            PathKind::Imprints => {
-                let (hits, istats) = query::run(&self.imprints, &data, &kernel, hits);
-                (hits, istats.access)
-            }
-            PathKind::ZoneMap => self.zonemap.run(&data, &kernel, hits),
-            PathKind::Scan => SeqScan::new(data.as_ref()).run(&data, &kernel, hits),
-        };
-        self.chooser.record(bucket, path, t0.elapsed().as_nanos() as u64);
-        self.obs.queries.fetch_add(1, Ordering::Relaxed);
-        (hits, stats)
-    }
-
-    /// Counts from the resident imprint alone — the evicted-segment fast
-    /// path ([`query::count_covered`]). `Some` exactly when every candidate
-    /// cacheline is *fully* covered by the predicate's inner mask, making
-    /// the imprint count exact with zero data bytes touched; `None` when
-    /// any candidate line needs value refinement, in which case the caller
-    /// falls through to the normal adaptive path (faulting the data back
-    /// in).
-    fn count_from_imprint(&self, pred: &colstore::RangePredicate<T>) -> Option<(u64, AccessStats)> {
-        let (n, istats) = query::count_covered(&self.imprints, pred)?;
-        self.obs.queries.fetch_add(1, Ordering::Relaxed);
-        Some((n, istats.access))
+        let (hits, istats) = query::run(&self.imprints, &data, &kernel, Hits::new(count_only));
+        (hits, istats.access)
     }
 
     /// Recovers this column from its persisted files in `dir`. With
-    /// `load_indexes`, the imprint and zonemap are read back and the data
-    /// stays **evicted** — the imprint-resident restart, where column data
-    /// is only faulted in when a query refines into it. When the index
-    /// files are missing, corrupt, or `load_indexes` is off, the column
-    /// data is read and the indexes rebuilt from scratch (the checksummed
-    /// data file is the ground truth; indexes are derived state). Returns
-    /// the column and whether its indexes were recovered (vs rebuilt).
+    /// `load_indexes`, the imprint is read back and the data stays
+    /// **evicted** — the imprint-resident restart, where column data is
+    /// only faulted in when a query refines into it. When the index file
+    /// is missing, corrupt, or `load_indexes` is off, the column data is
+    /// read and the imprint rebuilt from scratch (the checksummed data
+    /// file is the ground truth; the index is derived state). Returns the
+    /// column and whether its index was recovered (vs rebuilt).
     fn recover(
         dir: &Path,
         ci: usize,
@@ -260,10 +214,10 @@ impl<T: Scalar> SegCol<T> {
     ) -> colstore::Result<(SegCol<T>, bool)> {
         let data_file = dir.join(persist::column_file(ci));
         if load_indexes {
-            if let Ok((imprints, zonemap)) = Self::read_indexes(dir, ci, rows) {
+            if let Ok(imprints) = Self::read_index(dir, ci, rows) {
                 let bytes = rows * std::mem::size_of::<T>();
                 let slot = DataSlot::evicted(rows, bytes, data_file);
-                return Ok((Self::assemble(slot, imprints, zonemap, cfg), true));
+                return Ok((Self::assemble(slot, imprints, cfg), true));
             }
         }
         let col = persist::read_column_file::<T>(&data_file)?;
@@ -278,40 +232,25 @@ impl<T: Scalar> SegCol<T> {
         Ok((col, false))
     }
 
-    fn read_indexes(
-        dir: &Path,
-        ci: usize,
-        rows: usize,
-    ) -> colstore::Result<(ColumnImprints<T>, ZoneMap<T>)> {
+    fn read_index(dir: &Path, ci: usize, rows: usize) -> colstore::Result<ColumnImprints<T>> {
         let mut f = persist::open_file(&dir.join(persist::imprint_file(ci)))?;
         let imprints = imprints::storage::read_index::<T, _>(&mut f)?;
-        let mut f = persist::open_file(&dir.join(persist::zonemap_file(ci)))?;
-        let zonemap = baselines::storage::read_zonemap::<T, _>(&mut f)?;
-        if imprints.rows() != rows || zonemap.rows() != rows {
+        if imprints.rows() != rows {
             return Err(colstore::Error::Mismatch(format!(
-                "column {ci} indexes cover {}/{} rows, manifest says {rows}",
-                imprints.rows(),
-                zonemap.rows()
+                "column {ci} imprint covers {} rows, manifest says {rows}",
+                imprints.rows()
             )));
         }
-        Ok((imprints, zonemap))
+        Ok(imprints)
     }
 
-    /// Assembles a column from its parts with fresh adaptivity: a new
-    /// index (or a restart — cost profiles do not survive one) starts the
-    /// chooser and the heat counter from zero.
-    fn assemble(
-        data: DataSlot<T>,
-        imprints: ColumnImprints<T>,
-        zonemap: ZoneMap<T>,
-        cfg: &EngineConfig,
-    ) -> SegCol<T> {
+    /// Assembles a column from its parts: a new index (or a restart)
+    /// starts the heat counter from zero.
+    fn assemble(data: DataSlot<T>, imprints: ColumnImprints<T>, cfg: &EngineConfig) -> SegCol<T> {
         SegCol {
             data,
             imprints,
-            zonemap,
             kernel: simd::effective_kernel(cfg.refine_kernel),
-            chooser: PathChooser::default(),
             obs: ColumnObservations::default(),
         }
     }
@@ -386,9 +325,9 @@ impl AnySegCol {
         seg_dispatch!(self, s => s.data.get().get(id).map(Scalar::into_value))
     }
 
-    /// Index bytes (imprint + zonemap) for storage accounting.
+    /// Index bytes (the imprint) for storage accounting.
     pub fn index_bytes(&self) -> usize {
-        seg_dispatch!(self, s => RangeIndex::size_bytes(&s.imprints) + s.zonemap.size_bytes())
+        seg_dispatch!(self, s => RangeIndex::size_bytes(&s.imprints))
     }
 
     /// Raw data bytes (resident or not — the column's logical size).
@@ -427,13 +366,8 @@ impl AnySegCol {
         seg_dispatch!(self, s => imprints::storage::write_index(&s.imprints, &mut out))
     }
 
-    /// Serializes the column's zonemap.
-    pub(crate) fn write_zonemap_to(&self, mut out: &mut dyn Write) -> colstore::Result<()> {
-        seg_dispatch!(self, s => baselines::storage::write_zonemap(&s.zonemap, &mut out))
-    }
-
     /// Recovers one column of type `ty` from its persisted files (see
-    /// [`SegCol::recover`]). The bool reports indexes recovered vs rebuilt.
+    /// [`SegCol::recover`]). The bool reports index recovered vs rebuilt.
     pub(crate) fn recover(
         ty: colstore::ColumnType,
         dir: &Path,
@@ -468,17 +402,10 @@ impl AnySegCol {
         seg_dispatch!(self, s => &s.obs)
     }
 
-    /// The path chooser (exposed for reporting).
-    pub fn chooser(&self) -> &PathChooser {
-        seg_dispatch!(self, s => &s.chooser)
-    }
-
     /// Merges the same column of several adjacent segments into one
     /// freshly indexed column: data concatenated, bins re-sampled **once**
-    /// over the combined values, imprint and zonemap rebuilt. Path costs
-    /// and observations start from scratch — the merged segment's cost
-    /// profile is nothing like its parts', so inheriting their per-segment
-    /// estimates would mislead the chooser.
+    /// over the combined values, the imprint rebuilt. The heat counter
+    /// starts from zero.
     fn merged(parts: &[&AnySegCol], cfg: &EngineConfig) -> AnySegCol {
         macro_rules! arm {
             ($v:ident) => {{
@@ -510,8 +437,8 @@ impl AnySegCol {
 }
 
 /// A sealed segment column under the shared §3 plan: each call forwards
-/// to the typed column, which picks its access path, bills its heat
-/// counter and faults its data in only when a value is actually needed.
+/// to the typed column, which probes its imprint, bills its heat counter
+/// and faults its data in only when a value is actually needed.
 impl PlanColumn for AnySegCol {
     fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
         seg_dispatch!(self, s => {
@@ -646,9 +573,9 @@ impl SealedSegment {
         self.cols.iter().all(AnySegCol::data_resident)
     }
 
-    /// Evicts every persisted column's data, keeping the imprints and
-    /// zonemaps resident; returns the bytes freed (0 when the segment was
-    /// never persisted).
+    /// Evicts every persisted column's data, keeping the imprints
+    /// resident; returns the bytes freed (0 when the segment was never
+    /// persisted).
     pub fn evict(&self) -> usize {
         self.cols.iter().map(AnySegCol::evict).sum()
     }
@@ -660,7 +587,7 @@ impl SealedSegment {
 
     /// Recovers a sealed segment from its durable directory as listed in
     /// the table manifest. Returns the segment plus how many columns came
-    /// back with recovered indexes vs rebuilt ones (see
+    /// back with a recovered index vs a rebuilt one (see
     /// [`SegCol::recover`] for the per-column decision).
     pub(crate) fn recover(
         base: u64,
@@ -691,9 +618,8 @@ impl SealedSegment {
     /// Evaluates `q` over this segment into a fresh [`Hits`] sink
     /// (segment-local ids, or their count) — the segment's one evaluation
     /// entry point, and one of the three callers of the shared §3 plan
-    /// ([`relation_index::run`]): a single one-range predicate takes the
-    /// adaptive single-column path (the [`PathChooser`] arbitrating
-    /// imprints / zonemap / scan), everything else the late
+    /// ([`relation_index::run`]): a single one-range predicate is one
+    /// imprint evaluation of its column, everything else the late
     /// materialization plan over this segment's columns.
     pub fn run(&self, q: &SegQuery) -> (Hits, AccessStats) {
         relation_index::run(&self.cols, self.rows as u64, q)
@@ -756,26 +682,36 @@ mod tests {
             .collect()
     }
 
-    /// Every path of a column's chooser must have been measured.
-    fn assert_explored(col: &AnySegCol) {
-        let est = col.chooser().estimates();
-        for p in PathKind::CLASSIC {
-            assert!(est[p.slot()].is_some(), "{} never explored", p.name());
-        }
-    }
-
+    /// Point, narrow, mid, wide, empty and unbounded single predicates,
+    /// materialized and counted, against the brute-force oracle; an
+    /// impossible predicate examines no values and fetches no lines.
     #[test]
-    fn single_predicate_matches_oracle_on_every_path() {
+    fn single_predicate_matches_oracle() {
         let values: Vec<i64> = (0..4096).map(|i| (i * 37) % 500).collect();
         let seg = seal_i64(values.clone());
-        let range = ValueRange::between(Value::I64(100), Value::I64(200));
-        let expect = oracle(&values, 100, 200);
-        // Repeat enough that the chooser routes through all three paths.
-        for _ in 0..64 {
-            let (ids, _) = eval_ids(&seg, &[q(0, range)]);
-            assert_eq!(ids.as_slice(), expect.as_slice());
+        let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
+        let cases = [
+            ("point", between(104, 104), (104, 104)),
+            ("narrow", between(100, 120), (100, 120)),
+            ("mid", between(100, 300), (100, 300)),
+            ("wide", between(5, 495), (5, 495)),
+            ("empty", between(10, 5), (10, 5)),
+            ("at least", ValueRange::at_least(Value::I64(250)), (250, i64::MAX)),
+            ("at most", ValueRange::at_most(Value::I64(250)), (i64::MIN, 250)),
+            ("unbounded", between(i64::MIN, i64::MAX), (i64::MIN, i64::MAX)),
+        ];
+        for (case, range, (lo, hi)) in cases {
+            let expect = oracle(&values, lo, hi);
+            let (ids, id_stats) = eval_ids(&seg, &[q(0, range)]);
+            assert_eq!(ids.as_slice(), expect.as_slice(), "{case}");
+            let (n, count_stats) = eval_count(&seg, &[q(0, range)]);
+            assert_eq!(n as usize, expect.len(), "{case}");
+            assert_eq!(id_stats, count_stats, "{case}: both sinks are one walk");
+            if expect.is_empty() {
+                // Nothing that reads the query stats sees phantom work.
+                assert_eq!((id_stats.value_comparisons, id_stats.lines_fetched), (0, 0), "{case}");
+            }
         }
-        assert_explored(&seg.columns()[0]);
     }
 
     #[test]
@@ -802,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_rebins_once_and_resets_adaptivity() {
+    fn merge_concatenates_rebins_once_and_resets_heat() {
         let c = cfg();
         // Three adjacent segments, each from its own value domain.
         let sealed: Vec<Arc<SealedSegment>> = (0..3u64)
@@ -813,7 +749,7 @@ mod tests {
                 Arc::new(SealedSegment::seal(s * 1024, bufs, &c))
             })
             .collect();
-        // Warm the parts' choosers/observations so the reset is observable.
+        // Warm the parts' heat counters so the reset is observable.
         let warm = ValueRange::between(Value::I64(0), Value::I64(100));
         for seg in &sealed {
             for _ in 0..8 {
@@ -823,9 +759,9 @@ mod tests {
         let merged = SealedSegment::merge(&sealed, &c);
         assert_eq!(merged.base(), 0);
         assert_eq!(merged.rows(), 3 * 1024);
-        // Fresh adaptivity: no learned costs, no carried observations.
-        assert!(merged.columns()[0].chooser().estimates().iter().all(Option::is_none));
-        assert_eq!(merged.columns()[0].chooser().queries(), 0);
+        for seg in &sealed {
+            assert_eq!(seg.columns()[0].observations().queries.load(Ordering::Relaxed), 8);
+        }
         assert_eq!(merged.columns()[0].observations().queries.load(Ordering::Relaxed), 0);
         // Answers equal the per-part answers shifted to global ids.
         let range = ValueRange::between(Value::I64(500_050), Value::I64(500_500));
@@ -860,7 +796,6 @@ mod tests {
             let col = &seg.columns()[0];
             let mut index = Vec::new();
             col.write_index_to(&mut index).unwrap();
-            // A fresh chooser's bootstrap routes the first query to Imprints.
             let (ids, stats) = eval_ids(&seg, &preds);
             (col.index_bytes(), index, ids, stats)
         };
@@ -871,17 +806,15 @@ mod tests {
         assert_eq!(sealed_after(Some(50_000_000)), first, "after a higher-domain segment");
     }
 
-    /// The sink-mode differential: for every access path and every query
-    /// shape, over resident and evicted data, the counting sink's answer
-    /// equals the materializing sink's length and both equal the
-    /// brute-force oracle — and both modes bill identical [`AccessStats`],
-    /// because they are one walk. Two identical fresh segments walk the
-    /// deterministic chooser bootstrap (imprints, zonemap, scan) in
-    /// lockstep, so call *i* of each takes the same path. The one licensed
-    /// difference is the evicted-data shortcut: a count the resident
-    /// imprint answers exactly touches no data and bills no value work.
+    /// The sink-mode differential: for every query shape, over resident
+    /// and evicted data, the counting sink's answer equals the
+    /// materializing sink's length and both equal the brute-force oracle —
+    /// and both modes bill identical [`AccessStats`], because they are one
+    /// walk. The one licensed difference is the evicted-data shortcut: a
+    /// count the resident imprint answers exactly touches no data and
+    /// bills no value work.
     #[test]
-    fn count_and_id_sinks_agree_with_the_oracle_on_every_path() {
+    fn count_and_id_sinks_agree_with_the_oracle() {
         let a: Vec<i64> = (0..3000).map(|i| (i * 37) % 500).collect();
         let b: Vec<i64> = (0..3000).map(|i| i % 37).collect();
         let c: Vec<i64> = (0..3000).map(|i| (i * 7) % 101).collect();
@@ -915,11 +848,12 @@ mod tests {
             .map(|n| crate::table::ColumnDef { name: n.to_string(), ty: colstore::ColumnType::I64 })
             .collect();
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
-        let build = || {
-            let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
-            SealedSegment::seal(0, cols.to_vec(), &cfg())
-        };
         for evicted in [false, true] {
+            let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
+            let seg = SealedSegment::seal(0, cols.to_vec(), &cfg());
+            if evicted {
+                store.persist_segment(&seg).unwrap();
+            }
             for (shape, preds, any) in &shapes {
                 let case = format!("{shape}, evicted {evicted}");
                 let expect: Vec<u64> = (0..3000usize)
@@ -935,62 +869,26 @@ mod tests {
                     .map(|i| i as u64)
                     .collect();
                 assert!(!expect.is_empty(), "{case}: the shape must produce hits");
-                let (ids_seg, count_seg) = (build(), build());
-                if evicted {
-                    store.persist_segment(&ids_seg).unwrap();
-                    store.persist_segment(&count_seg).unwrap();
-                }
-                // A path bootstrap is three calls; past it each chooser
-                // exploits its own timings.
-                for call in 0..PathKind::CLASSIC.len() {
+                let run_cold = |count_only| {
                     if evicted {
-                        for seg in [&ids_seg, &count_seg] {
-                            seg.evict();
-                            assert_eq!(seg.data_bytes_resident(), 0, "{case}");
-                        }
+                        seg.evict();
+                        assert_eq!(seg.data_bytes_resident(), 0, "{case}");
                     }
-                    let (hits, id_stats) = run(&ids_seg, preds, *any, false);
-                    let (n, count_stats) = run(&count_seg, preds, *any, true);
-                    assert_eq!(hits.into_ids().as_slice(), expect.as_slice(), "{case}");
-                    assert_eq!(n, Hits::Count(expect.len() as u64), "{case}, call {call}");
-                    if evicted && *shape == "covered range" {
-                        assert!(!count_seg.data_resident(), "{case}: count faulted data in");
-                        assert_eq!(count_stats.value_comparisons, 0, "{case}");
-                    } else {
-                        assert_eq!(id_stats, count_stats, "{case}, call {call}");
-                    }
-                }
-                let single = preds.len() == 1 && preds[0].1.as_single().is_some();
-                if single && !(evicted && *shape == "covered range") {
-                    // Three calls walked all three paths (the shortcut
-                    // count never reaches a path).
-                    assert_explored(&ids_seg.columns()[0]);
-                    assert_explored(&count_seg.columns()[0]);
+                    run(&seg, preds, *any, count_only)
+                };
+                let (hits, id_stats) = run_cold(false);
+                let (n, count_stats) = run_cold(true);
+                assert_eq!(hits.into_ids().as_slice(), expect.as_slice(), "{case}");
+                assert_eq!(n, Hits::Count(expect.len() as u64), "{case}");
+                if evicted && *shape == "covered range" {
+                    assert!(!seg.data_resident(), "{case}: count faulted data in");
+                    assert_eq!(count_stats.value_comparisons, 0, "{case}");
+                } else {
+                    assert_eq!(id_stats, count_stats, "{case}");
                 }
             }
         }
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// Satellite regression: an impossible predicate examines no values on
-    /// *any* chooser path — the scan arm used to bill a full segment of
-    /// `value_comparisons` (and the zonemap arm a zone's worth per
-    /// overlapping zone), feeding phantom costs to everything that reads
-    /// the query stats. Three queries walk the deterministic bootstrap
-    /// (imprints, zonemap, scan), so every classic path is checked.
-    #[test]
-    fn empty_range_reports_zero_comparisons_on_every_path() {
-        let seg = seal_i64((0..2048).collect());
-        let range = ValueRange::between(Value::I64(10), Value::I64(5));
-        for call in 0..3 {
-            let (ids, stats) = eval_ids(&seg, &[q(0, range)]);
-            assert!(ids.is_empty());
-            assert_eq!(
-                stats.value_comparisons, 0,
-                "bootstrap call {call} billed comparisons for an impossible predicate"
-            );
-            assert_eq!(stats.lines_fetched, 0, "bootstrap call {call}");
-        }
     }
 
     #[test]
@@ -1000,28 +898,22 @@ mod tests {
         assert_eq!(ids.len(), 100);
     }
 
-    /// The count path is planner-visible: single-predicate counts go
-    /// through the chooser and bill the column's heat counter exactly like
-    /// materializing queries.
+    /// The count path is planner-visible: a single-predicate count bills
+    /// the column's heat counter exactly like a materializing query.
     #[test]
-    fn count_routes_through_chooser_and_records_observations() {
+    fn a_count_bills_the_heat_counter() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let values: Vec<i64> = (0..8192).map(|_| rng.gen_range(0..1_000_000)).collect();
         let seg = seal_i64(values.clone());
         let range = ValueRange::between(Value::I64(0), Value::I64(1000));
-        let expect = oracle(&values, 0, 1000).len() as u64;
-        // Enough repetitions that the bootstrap sweep visits all three
-        // paths; every path must agree on the count.
-        for _ in 0..64 {
-            let (n, _) = eval_count(&seg, &[q(0, range)]);
-            assert_eq!(n, expect);
-        }
-        let col = &seg.columns()[0];
-        assert_eq!(col.chooser().queries(), 64, "counts must advance the chooser cadence");
-        assert_explored(col);
-        assert_eq!(col.observations().queries.load(Ordering::Relaxed), 64);
+        let (n, _) = eval_count(&seg, &[q(0, range)]);
+        assert_eq!(n, oracle(&values, 0, 1000).len() as u64);
+        let heat = &seg.columns()[0].observations().queries;
+        assert_eq!(heat.load(Ordering::Relaxed), 1);
+        let _ = eval_ids(&seg, &[q(0, range)]);
+        assert_eq!(heat.load(Ordering::Relaxed), 2);
     }
 
     /// Builds the two-column segment every multi-predicate test below

@@ -303,8 +303,8 @@ impl Table {
         self.sealed.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
-    /// Bytes of secondary-index structures: every sealed segment's imprint
-    /// and zonemap, plus the open head's tail imprints once built.
+    /// Bytes of secondary-index structures: every sealed segment's
+    /// imprints, plus the open head's tail imprints once built.
     pub fn index_bytes(&self) -> usize {
         let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
         let sealed = self.sealed_snapshot();
@@ -624,8 +624,8 @@ impl Table {
     /// query's predicates ([`SealedSegment::run`]) while its data and
     /// indexes are cache-hot, instead of one cold sealed-list walk per
     /// query; on the worker pool that is one task per segment per *batch*
-    /// rather than per query. Each query still routes through the adaptive
-    /// path chooser (and records its observations) exactly as if issued
+    /// rather than per query. Each query still probes every segment's
+    /// imprints (and bills their heat counters) exactly as if issued
     /// alone, so batching never changes answers or planner signals — only
     /// the order work is scheduled in. Per-segment results land in one
     /// [`Hits`] sink per query, in segment order, so ids stay globally
@@ -823,15 +823,6 @@ fn head_columns<'a>(
 /// 4. At seal the tail imprint is discarded: the sealed segment builds its
 ///    real per-segment imprint, binned from a fresh sample of the full
 ///    segment's rows, which the tail imprint never tries to replace.
-///
-/// Unlike sealed segment columns — whose selectivity-bucketed
-/// [`PathChooser`](crate::paths::PathChooser) arbitrates between imprint,
-/// zonemap and scan — the write head deliberately stays imprint-only: its
-/// buffer mutates under the open write lock on every append, so any
-/// additional per-head structure (a zonemap, say) would need the same
-/// incremental-extend treatment for marginal gain on at most one segment
-/// of rows, and cost-model state learned on a buffer that is discarded at
-/// seal would never amortize.
 fn index_open_tail(open: &mut OpenSegment, from: usize, min_rows: usize) {
     if open.len() < min_rows {
         return;
@@ -1143,8 +1134,8 @@ mod tests {
         let (ids_after, after) = ids_with_stats(&t, &pred);
         assert_eq!(ids_after, ids_before);
         assert_eq!(after.open_rows, 0);
-        // Segment 0 prunes the range from its zone bounds on both calls
-        // (its values end at 4095), so the sealed work is segment 1's.
+        // Segment 0's values end at 4095: the range falls off its last
+        // border, so nearly all the sealed work is segment 1's.
         let one_line = 8; // i64 values per 64-byte cacheline
         assert!(
             after.access.value_comparisons <= before.tail_access.value_comparisons + one_line,
@@ -1416,7 +1407,7 @@ mod tests {
         assert_eq!((stats.rows, stats.sealed_segments), (600, sealed));
         assert!(stats.index_bytes > 0 && t.index_bytes() >= stats.index_bytes);
         let report = crate::planner::path_report(&cat);
-        assert_eq!((report.len(), report[0].segments), (1, sealed));
+        assert_eq!((report.len(), report[0].buckets[0].votes), (1, [sealed as u64, 0, 0]));
         assert!(t.query_batch(&[BatchQuery::count(vec![])], None)[0].is_err());
     }
 

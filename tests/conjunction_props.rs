@@ -1,9 +1,8 @@
 //! Property tests for multi-predicate planning: conjunctions, OR groups
 //! and IN-lists must be indistinguishable from the brute-force row oracle
-//! for any data, any segmentation, any access-path mix (imprint, zonemap,
-//! scan), any head geometry (tail-indexed or scalar-scanned, partial or
-//! just-sealed), any order the query names its predicates in, and either
-//! refinement kernel (the CI matrix forces the
+//! for any data, any segmentation, any head geometry (tail-indexed or
+//! scalar-scanned, partial or just-sealed), any order the query names its
+//! predicates in, and either refinement kernel (the CI matrix forces the
 //! scalar kernel through this suite via `IMPRINTS_REFINE_KERNEL`). The
 //! paper layer is one more evaluator of the same cases: a `Relation` +
 //! `RelationImprints` over the same rows runs the plan the engine runs

@@ -77,6 +77,44 @@ proptest! {
         prop_assert_eq!(n as usize, ra.len());
     }
 
+    /// The engine's counters are the paper layer's counters: the same
+    /// query twice gives the same answer and the same sealed
+    /// [`QueryStats::access`](column_imprints::engine::QueryStats), and
+    /// that access is the sum of what `imprints::query::evaluate` bills
+    /// over each sealed segment's rows.
+    #[test]
+    fn sealed_access_counters_repeat_and_equal_the_paper_layer(
+        values in prop::collection::vec(-3000i64..3000, 0..6000),
+        seg_exp in 1usize..6,
+        lo in -3500i64..3500,
+        width in 0i64..2500,
+        count_only in any::<bool>(),
+    ) {
+        let segment_rows = 64usize << seg_exp;
+        let table = engine_table(&values, segment_rows);
+        let q = BatchQuery {
+            preds: vec![("v".into(), ValueSet::range(range(lo, width)))],
+            any: false,
+            count_only,
+        };
+        let (first, first_stats) = table.query_one(&q, None).unwrap();
+        let (second, second_stats) = table.query_one(&q, None).unwrap();
+        prop_assert_eq!(first, second);
+        prop_assert_eq!(first_stats.access, second_stats.access);
+
+        let pred = column_imprints::RangePredicate::between(lo, lo + width);
+        let mut expect = column_imprints::colstore::AccessStats::default();
+        let sealed = values.chunks_exact(segment_rows);
+        prop_assert_eq!(first_stats.sealed_segments, sealed.len());
+        for rows in sealed {
+            let col: Column<i64> = Column::from(rows.to_vec());
+            let idx = ColumnImprints::build(&col);
+            let (_, stats) = column_imprints::imprints::query::evaluate(&idx, &col, &pred);
+            expect.merge(&stats.access);
+        }
+        prop_assert_eq!(first_stats.access, expect);
+    }
+
     /// Multi-predicate conjunctions through the engine's late
     /// materialization match the oracle.
     #[test]

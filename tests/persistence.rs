@@ -122,20 +122,17 @@ fn index_file_size_tracks_index_size() {
 }
 
 /// Exhaustive corruption matrix: flip one bit at *every* byte offset of
-/// a serialized column, imprint, and zonemap; every flip must surface as
+/// a serialized column and imprint; every flip must surface as
 /// a typed `Err` — never a panic, never a clean read of damaged bytes.
 #[test]
 fn bitflip_matrix_every_offset_yields_typed_error() {
     let col: Column<i32> = (0..512).map(|i| (i * 31) % 200).collect();
     let idx = ColumnImprints::build(&col);
-    let zm = baselines::ZoneMap::build(&col);
 
     let mut col_bytes = Vec::new();
     colstorage::write_column(&col, &mut col_bytes).unwrap();
     let mut idx_bytes = Vec::new();
     idxstorage::write_index(&idx, &mut idx_bytes).unwrap();
-    let mut zm_bytes = Vec::new();
-    baselines::storage::write_zonemap(&zm, &mut zm_bytes).unwrap();
 
     for pos in 0..col_bytes.len() {
         let mut c = col_bytes.clone();
@@ -153,19 +150,11 @@ fn bitflip_matrix_every_offset_yields_typed_error() {
             "imprint bit flip at {pos} went undetected"
         );
     }
-    for pos in 0..zm_bytes.len() {
-        let mut c = zm_bytes.clone();
-        c[pos] ^= 0x10;
-        assert!(
-            baselines::storage::read_zonemap::<i32, _>(&mut c.as_slice()).is_err(),
-            "zonemap bit flip at {pos} went undetected"
-        );
-    }
 }
 
 /// Round-trip equality for every scalar type at arbitrary (partial-tail)
-/// lengths: column bytes, imprint, and zonemap must all reload to
-/// structures indistinguishable from the originals.
+/// lengths: column bytes and imprint must both reload to structures
+/// indistinguishable from the originals.
 mod roundtrip_props {
     use super::*;
     use colstore::{RangeIndex, RangePredicate, Scalar};
@@ -185,12 +174,6 @@ mod roundtrip_props {
         idx2.verify(&col2).unwrap();
         let all = RangePredicate::all();
         assert_eq!(idx2.evaluate(&col2, &all), idx.evaluate(&col, &all));
-
-        let zm = baselines::ZoneMap::build(&col);
-        let mut b = Vec::new();
-        baselines::storage::write_zonemap(&zm, &mut b).unwrap();
-        let zm2 = baselines::storage::read_zonemap::<T, _>(&mut b.as_slice()).unwrap();
-        assert_eq!(zm2.evaluate(&col2, &all), zm.evaluate(&col, &all));
     }
 
     proptest! {
@@ -198,7 +181,7 @@ mod roundtrip_props {
 
         // Lengths deliberately cover 0 and non-multiples of every
         // cacheline width (8..64 values per line), so partial tails hit
-        // all tail-handling code in the three serializers.
+        // all tail-handling code in both serializers.
         #[test]
         fn all_scalar_types_roundtrip(seeds in prop::collection::vec(any::<i64>(), 0..300)) {
             roundtrip::<i8>(seeds.iter().map(|&v| v as i8).collect());

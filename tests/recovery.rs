@@ -99,6 +99,42 @@ fn restart_recovers_byte_identical_answers() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A segment directory is `c<i>.col` + `c<i>.imp` per column, and a
+/// `c<i>.zone` left behind by an older build is never opened: garbage in
+/// one does not cost the fast restart path anything.
+#[test]
+fn segment_directory_is_data_plus_imprint_and_a_leftover_zone_file_is_ignored() {
+    let root = tmproot("layout");
+    let engine = seed_engine(durable_cfg(&root));
+    let oracle = answers(&engine);
+    drop(engine);
+
+    let mut seg_dirs = 0;
+    for entry in std::fs::read_dir(root.join("t")).unwrap() {
+        let dir = entry.unwrap().path();
+        if !dir.is_dir() {
+            continue;
+        }
+        seg_dirs += 1;
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["c0.col", "c0.imp", "c1.col", "c1.imp"], "{}", dir.display());
+    }
+    assert_eq!(seg_dirs, 4);
+
+    let zone = find_file(&root.join("t"), "c0.col").with_extension("zone");
+    std::fs::write(&zone, b"not a zonemap").unwrap();
+
+    let (engine, report) = Engine::open(durable_cfg(&root)).unwrap();
+    assert_eq!((report.indexes_recovered, report.indexes_rebuilt), (8, 0));
+    assert_eq!(engine.catalog().storage_stats().data_bytes_resident, 0);
+    assert_eq!(answers(&engine), oracle);
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn rebuild_path_answers_identically() {
     let root = tmproot("rebuild");
