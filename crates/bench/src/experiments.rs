@@ -7,7 +7,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use colstore::Column;
+use colstore::relation::AnyColumn;
+use colstore::{dispatch, Column};
 use datagen::datasets::{self, DatasetFamily, GeneratedColumn};
 use datagen::entropy_sweep;
 use datagen::workload::QueryWorkload;
@@ -15,7 +16,6 @@ use imprints::{column_entropy, ColumnImprints};
 
 use crate::report::{fmt_bytes, fmt_duration, median, Table};
 use crate::runner::{self, PerIndex, QueryMeasurement};
-use crate::with_typed_column;
 
 /// Shared experiment configuration.
 #[derive(Debug, Clone)]
@@ -115,7 +115,7 @@ pub fn fig3(cfg: &ExpConfig) {
     for family in DatasetFamily::ALL {
         let cols = datasets::generate(family, cfg.rows.min(200_000), cfg.seed);
         let gc = &cols[0];
-        let (render, entropy) = with_typed_column!(&gc.column, c => {
+        let (render, entropy) = dispatch!(AnyColumn(c) = &gc.column => {
             let idx = ColumnImprints::build(c);
             (imprints::print::render_stored(&idx, 24), column_entropy(&idx))
         });
@@ -135,7 +135,8 @@ fn all_columns_for_distribution(cfg: &ExpConfig) -> Vec<(String, f64)> {
     // Several seeds of the five families...
     for s in 0..4u64 {
         for gc in datasets::generate_all(rows, cfg.seed ^ (s * 7919)) {
-            let e = with_typed_column!(&gc.column, c => column_entropy(&ColumnImprints::build(c)));
+            let e =
+                dispatch!(AnyColumn(c) = &gc.column => column_entropy(&ColumnImprints::build(c)));
             entropies.push((format!("{}#{s}", gc.name), e));
         }
     }
@@ -187,7 +188,7 @@ pub fn fig5(cfg: &ExpConfig) {
     cols.sort_by_key(|c| (c.column.column_type().width(), c.data_bytes()));
     for gc in &cols {
         let width = gc.column.column_type().width();
-        let (sizes, times) = with_typed_column!(&gc.column, c => {
+        let (sizes, times) = dispatch!(AnyColumn(c) = &gc.column => {
             let (set, times) = runner::build_all(c);
             (set.sizes(), times)
         });
@@ -223,7 +224,7 @@ pub fn fig6(cfg: &ExpConfig) {
     );
     for family in DatasetFamily::ALL {
         for gc in datasets::generate(family, cfg.rows, cfg.seed) {
-            let sizes = with_typed_column!(&gc.column, c => runner::build_all(c).0.sizes());
+            let sizes = dispatch!(AnyColumn(c) = &gc.column => runner::build_all(c).0.sizes());
             let pct = |s: usize| format!("{:.2}", 100.0 * s as f64 / gc.data_bytes() as f64);
             t.row(vec![
                 family.name().to_string(),
@@ -283,7 +284,7 @@ fn query_columns(cfg: &ExpConfig) -> Vec<GeneratedColumn> {
 fn run_query_measurements(cfg: &ExpConfig) -> Vec<(DatasetFamily, String, QueryMeasurement)> {
     let mut all = Vec::new();
     for gc in query_columns(cfg) {
-        let ms = with_typed_column!(&gc.column, c => {
+        let ms = dispatch!(AnyColumn(c) = &gc.column => {
             let (set, _) = runner::build_all(c);
             let wl = QueryWorkload::for_column(c, cfg.rounds, cfg.seed ^ 0xABCD);
             runner::run_workload(c, &set, &wl)

@@ -20,25 +20,3 @@
 pub mod experiments;
 pub mod report;
 pub mod runner;
-
-/// Dispatches a [`colstore::relation::AnyColumn`] to generic code: binds
-/// the typed `Column<T>` to `$c` and evaluates `$body` for whichever scalar
-/// type the column holds.
-#[macro_export]
-macro_rules! with_typed_column {
-    ($any:expr, $c:ident => $body:expr) => {{
-        use colstore::relation::AnyColumn;
-        match $any {
-            AnyColumn::I8($c) => $body,
-            AnyColumn::U8($c) => $body,
-            AnyColumn::I16($c) => $body,
-            AnyColumn::U16($c) => $body,
-            AnyColumn::I32($c) => $body,
-            AnyColumn::U32($c) => $body,
-            AnyColumn::I64($c) => $body,
-            AnyColumn::U64($c) => $body,
-            AnyColumn::F32($c) => $body,
-            AnyColumn::F64($c) => $body,
-        }
-    }};
-}

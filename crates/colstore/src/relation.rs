@@ -6,8 +6,12 @@
 //! reconstruction, which the evaluation engine uses *after* the indexes have
 //! produced a final id list (late materialization).
 
+use std::any::Any;
+use std::io::{Read, Write};
+
 use crate::column::Column;
 use crate::error::{Error, Result};
+use crate::storage::{read_column, write_column};
 use crate::types::{ColumnType, Scalar, Value};
 
 /// Description of one attribute of a relation.
@@ -76,27 +80,10 @@ pub enum AnyColumn {
     F64(Column<f64>),
 }
 
-macro_rules! dispatch {
-    ($self:expr, $c:ident => $body:expr) => {
-        match $self {
-            AnyColumn::I8($c) => $body,
-            AnyColumn::U8($c) => $body,
-            AnyColumn::I16($c) => $body,
-            AnyColumn::U16($c) => $body,
-            AnyColumn::I32($c) => $body,
-            AnyColumn::U32($c) => $body,
-            AnyColumn::I64($c) => $body,
-            AnyColumn::U64($c) => $body,
-            AnyColumn::F32($c) => $body,
-            AnyColumn::F64($c) => $body,
-        }
-    };
-}
-
 impl AnyColumn {
     /// Number of rows in the column.
     pub fn len(&self) -> usize {
-        dispatch!(self, c => c.len())
+        crate::dispatch!(AnyColumn(c) = self => c.len())
     }
 
     /// Whether the column is empty.
@@ -106,44 +93,22 @@ impl AnyColumn {
 
     /// The scalar type of the column.
     pub fn column_type(&self) -> ColumnType {
-        match self {
-            AnyColumn::I8(_) => ColumnType::I8,
-            AnyColumn::U8(_) => ColumnType::U8,
-            AnyColumn::I16(_) => ColumnType::I16,
-            AnyColumn::U16(_) => ColumnType::U16,
-            AnyColumn::I32(_) => ColumnType::I32,
-            AnyColumn::U32(_) => ColumnType::U32,
-            AnyColumn::I64(_) => ColumnType::I64,
-            AnyColumn::U64(_) => ColumnType::U64,
-            AnyColumn::F32(_) => ColumnType::F32,
-            AnyColumn::F64(_) => ColumnType::F64,
-        }
+        crate::dispatch!(AnyColumn(_) = self => into ColumnType)
     }
 
     /// The value at row `id` as a dynamically-typed [`Value`].
     pub fn value(&self, id: usize) -> Option<Value> {
-        dispatch!(self, c => c.get(id).map(Scalar::into_value))
+        crate::dispatch!(AnyColumn(c) = self => c.get(id).map(Scalar::into_value))
     }
 
     /// Bytes of raw value data.
     pub fn data_bytes(&self) -> usize {
-        dispatch!(self, c => c.data_bytes())
+        crate::dispatch!(AnyColumn(c) = self => c.data_bytes())
     }
 
     /// An empty column of scalar type `ty`.
     pub fn new_empty(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::I8 => AnyColumn::I8(Column::new()),
-            ColumnType::U8 => AnyColumn::U8(Column::new()),
-            ColumnType::I16 => AnyColumn::I16(Column::new()),
-            ColumnType::U16 => AnyColumn::U16(Column::new()),
-            ColumnType::I32 => AnyColumn::I32(Column::new()),
-            ColumnType::U32 => AnyColumn::U32(Column::new()),
-            ColumnType::I64 => AnyColumn::I64(Column::new()),
-            ColumnType::U64 => AnyColumn::U64(Column::new()),
-            ColumnType::F32 => AnyColumn::F32(Column::new()),
-            ColumnType::F64 => AnyColumn::F64(Column::new()),
-        }
+        crate::dispatch!(type T = ty => into AnyColumn(Column::<T>::new()))
     }
 
     /// Appends a dynamically-typed value; the value's type must match.
@@ -155,7 +120,7 @@ impl AnyColumn {
                 self.column_type()
             )));
         }
-        dispatch!(self, c => {
+        crate::dispatch!(AnyColumn(c) = self => {
             // The type check above makes from_value infallible here.
             c.push(Scalar::from_value(&v).expect("type tag checked"));
         });
@@ -177,37 +142,43 @@ impl AnyColumn {
                 self.column_type()
             )));
         }
-        dispatch!(self, c => {
+        crate::dispatch!(AnyColumn(c) = self => {
             let src = other.downcast::<_>().expect("type tag checked");
             c.extend_from_slice(&src.values()[range]);
         });
         Ok(())
     }
 
+    /// Concatenates `parts`, each of scalar type `ty`, into one column in
+    /// order — the segment-merge primitive ([`Column::concat`]).
+    pub fn concat(ty: ColumnType, parts: &[&AnyColumn]) -> crate::Result<AnyColumn> {
+        Ok(crate::dispatch!(type T = ty => into AnyColumn({
+            let typed: Option<Vec<&Column<T>>> = parts.iter().map(|p| p.downcast()).collect();
+            Column::concat(&typed.ok_or_else(|| {
+                Error::Mismatch(format!("cannot concatenate mixed columns as {ty}"))
+            })?)
+        })))
+    }
+
     /// Borrows the inner typed column, if the type matches.
     pub fn downcast<T: Scalar>(&self) -> Option<&Column<T>> {
-        // A tiny hand-rolled Any: compare runtime tags, then the pointer
-        // reinterpretation is safe because the enum payloads are distinct
-        // monomorphic types checked via TYPE.
-        macro_rules! down {
-            ($($v:ident => $t:ty),*) => {
-                match self {
-                    $(AnyColumn::$v(c) if T::TYPE == <$t as Scalar>::TYPE => {
-                        // SAFETY: T::TYPE equality implies T == $t because the
-                        // TYPE associated const is unique per implementor.
-                        Some(unsafe { &*(c as *const Column<$t> as *const Column<T>) })
-                    })*
-                    _ => None,
-                }
-            };
-        }
-        down!(I8 => i8, U8 => u8, I16 => i16, U16 => u16, I32 => i32,
-              U32 => u32, I64 => i64, U64 => u64, F32 => f32, F64 => f64)
+        crate::dispatch!(AnyColumn(c) = self => (c as &dyn Any).downcast_ref())
+    }
+
+    /// Serializes the column ([`write_column`]).
+    pub fn write_to<W: Write>(&self, out: &mut W) -> Result<()> {
+        crate::dispatch!(AnyColumn(c) = self => write_column(c, out))
+    }
+
+    /// Deserializes a column of type `ty` written by [`AnyColumn::write_to`]
+    /// ([`read_column`]).
+    pub fn read_from<R: Read>(ty: ColumnType, input: &mut R) -> Result<AnyColumn> {
+        Ok(crate::dispatch!(type T = ty => into AnyColumn(read_column::<T, _>(input)?)))
     }
 }
 
 macro_rules! impl_from_column {
-    ($($t:ty => $v:ident),* $(,)?) => {$(
+    ($($v:ident $t:ty),*) => {$(
         impl From<Column<$t>> for AnyColumn {
             fn from(c: Column<$t>) -> Self {
                 AnyColumn::$v(c)
@@ -216,8 +187,7 @@ macro_rules! impl_from_column {
     )*};
 }
 
-impl_from_column!(i8 => I8, u8 => U8, i16 => I16, u16 => U16, i32 => I32,
-                  u32 => U32, i64 => I64, u64 => U64, f32 => F32, f64 => F64);
+crate::dispatch!(each impl_from_column);
 
 /// A named bundle of equally-long columns — one decomposed relation.
 ///

@@ -80,6 +80,60 @@ impl ColumnType {
     }
 }
 
+/// Runs generic code for whichever scalar type a runtime value holds — the
+/// workspace's one `(variant, type)` list. Every ten-way enum over the
+/// scalar types ([`Value`], [`AnyColumn`](crate::relation::AnyColumn), the
+/// `imprints` crate's `AnyImprints`) names its variants after
+/// [`ColumnType`]'s, so one list serves them all:
+///
+/// * `dispatch!(Enum(x) = expr => body)` matches `expr` against every
+///   variant of `Enum`, binding the payload to `x`;
+/// * `dispatch!(type T = ty => body)` matches the [`ColumnType`] `ty`,
+///   with `T` aliasing the scalar type in `body`;
+/// * either form, written `=> into Out(body)`, wraps `body` in `Out`'s
+///   variant of the same name, and `=> into Out` names a unit variant;
+/// * `dispatch!(each m)` expands `m!(I8 i8, U8 u8, …)` (item position).
+///
+/// ```
+/// use colstore::relation::AnyColumn;
+/// use colstore::{dispatch, Column, ColumnType, Scalar};
+///
+/// let col = AnyColumn::from(Column::from(vec![3u16, 1, 2]));
+/// let sum = dispatch!(AnyColumn(c) = &col => c.values().iter().map(|v| v.as_f64()).sum::<f64>());
+/// assert_eq!(sum, 6.0);
+/// assert_eq!(dispatch!(AnyColumn(_) = &col => into ColumnType), ColumnType::U16);
+/// let empty = dispatch!(type T = ColumnType::F32 => into AnyColumn(Column::<T>::new()));
+/// assert_eq!(empty.column_type(), ColumnType::F32);
+/// ```
+#[macro_export]
+macro_rules! dispatch {
+    (@on [$($v:ident $t:ty),*] type $T:ident = $ty:expr => into $out:ident($body:expr)) => {
+        match $ty { $($crate::ColumnType::$v => { type $T = $t; $out::$v($body) })* }
+    };
+    (@on [$($v:ident $t:ty),*] type $T:ident = $ty:expr => $body:expr) => {
+        match $ty { $($crate::ColumnType::$v => { type $T = $t; $body })* }
+    };
+    (@on [$($v:ident $t:ty),*] each $m:ident) => {
+        $m!($($v $t),*);
+    };
+    (@on [$($v:ident $t:ty),*] $enum:ident($x:pat) = $e:expr => into $out:ident($body:expr)) => {
+        match $e { $($enum::$v($x) => $out::$v($body),)* }
+    };
+    (@on [$($v:ident $t:ty),*] $enum:ident($x:pat) = $e:expr => into $out:ident) => {
+        match $e { $($enum::$v($x) => $out::$v,)* }
+    };
+    (@on [$($v:ident $t:ty),*] $enum:ident($x:pat) = $e:expr => $body:expr) => {
+        match $e { $($enum::$v($x) => $body,)* }
+    };
+    ($($form:tt)*) => {
+        $crate::dispatch! {
+            @on [I8 i8, U8 u8, I16 i16, U16 u16, I32 i32, U32 u32,
+                 I64 i64, U64 u64, F32 f32, F64 f64]
+            $($form)*
+        }
+    };
+}
+
 impl fmt::Display for ColumnType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -366,51 +420,18 @@ pub enum Value {
 impl Value {
     /// The runtime type of this value.
     pub fn column_type(&self) -> ColumnType {
-        match self {
-            Value::I8(_) => ColumnType::I8,
-            Value::U8(_) => ColumnType::U8,
-            Value::I16(_) => ColumnType::I16,
-            Value::U16(_) => ColumnType::U16,
-            Value::I32(_) => ColumnType::I32,
-            Value::U32(_) => ColumnType::U32,
-            Value::I64(_) => ColumnType::I64,
-            Value::U64(_) => ColumnType::U64,
-            Value::F32(_) => ColumnType::F32,
-            Value::F64(_) => ColumnType::F64,
-        }
+        crate::dispatch!(Value(_) = self => into ColumnType)
     }
 
     /// Numeric view for reporting (lossy for large 64-bit integers).
     pub fn as_f64(&self) -> f64 {
-        match *self {
-            Value::I8(v) => v as f64,
-            Value::U8(v) => v as f64,
-            Value::I16(v) => v as f64,
-            Value::U16(v) => v as f64,
-            Value::I32(v) => v as f64,
-            Value::U32(v) => v as f64,
-            Value::I64(v) => v as f64,
-            Value::U64(v) => v as f64,
-            Value::F32(v) => v as f64,
-            Value::F64(v) => v,
-        }
+        crate::dispatch!(Value(v) = *self => v.as_f64())
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::I8(v) => write!(f, "{v}"),
-            Value::U8(v) => write!(f, "{v}"),
-            Value::I16(v) => write!(f, "{v}"),
-            Value::U16(v) => write!(f, "{v}"),
-            Value::I32(v) => write!(f, "{v}"),
-            Value::U32(v) => write!(f, "{v}"),
-            Value::I64(v) => write!(f, "{v}"),
-            Value::U64(v) => write!(f, "{v}"),
-            Value::F32(v) => write!(f, "{v}"),
-            Value::F64(v) => write!(f, "{v}"),
-        }
+        crate::dispatch!(Value(v) = self => write!(f, "{v}"))
     }
 }
 

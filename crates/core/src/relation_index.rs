@@ -11,7 +11,8 @@
 //!   one imprint index per column of a [`Relation`], queried with
 //!   dynamically-typed bounds through [`IndexedColumn`] views;
 //! * the engine's sealed segments, whose columns keep their imprint
-//!   resident and fault their data in lazily behind the same trait;
+//!   resident, fault their data in lazily, and then run the typed bodies
+//!   of [`IndexedColumn`];
 //! * the engine's open write head, again through [`IndexedColumn`], with
 //!   an [`AnyImprints`] per buffer extended in place on every append
 //!   (§4.1) once the head is large enough, and none before.
@@ -38,9 +39,12 @@
 //! assert_eq!(ids.as_slice(), &[2]);
 //! ```
 
+use std::io::{Read, Write};
+
 use colstore::relation::{AnyColumn, Field};
 use colstore::{
-    AccessStats, CachelineSet, Error, IdList, RangePredicate, Relation, Result, Scalar, Value,
+    dispatch, AccessStats, CachelineSet, ColumnType, Error, IdList, RangePredicate, Relation,
+    Result, Scalar, Value,
 };
 
 use crate::index::ColumnImprints;
@@ -198,10 +202,10 @@ pub fn resolve_sets<S: AsRef<str>>(
     Ok(out)
 }
 
-/// What the plan needs from one column. The two implementors differ only
-/// in what index the column carries and where its values live:
-/// [`IndexedColumn`] (a buffer and an optional imprint) and the engine's
-/// sealed segment column (an imprint over lazily faulted data). [`run`] is
+/// What the plan needs from one column. [`IndexedColumn`] (a buffer and
+/// an optional imprint) holds the typed bodies; the engine's sealed
+/// segment column only decides where its values live (faulted in lazily)
+/// and forwards to one. [`run`] is
 /// generic over the implementor, so its column calls are statically
 /// dispatched. Every predicate handed in was type-checked by
 /// [`resolve_sets`]; implementations may panic on one that was not.
@@ -342,6 +346,7 @@ fn late_materialize<C: PlanColumn>(
 }
 
 const VALIDATED: &str = "predicates validated against schema";
+const DIVERGED: &str = "index and column scalar types diverged";
 
 /// Compiles `set` for column type `T` under `kernel`.
 fn compile<T: Scalar>(set: &ValueSet, kernel: RefineKernel) -> SetKernel<T> {
@@ -349,13 +354,11 @@ fn compile<T: Scalar>(set: &ValueSet, kernel: RefineKernel) -> SetKernel<T> {
 }
 
 /// [`PlanColumn::candidates`] over a typed imprint: the union of each
-/// term's candidate row-id ranges, plus the probe statistics. Both plan
-/// columns — [`IndexedColumn`] and the engine's sealed segment column —
-/// run this body and the two below.
+/// term's candidate row-id ranges, plus the probe statistics.
 ///
 /// # Panics
 /// Panics on a set [`resolve_sets`] did not type-check against `T`.
-pub fn set_candidates<T: Scalar>(
+fn set_candidates<T: Scalar>(
     idx: &ColumnImprints<T>,
     set: &ValueSet,
 ) -> (CachelineSet, AccessStats) {
@@ -376,7 +379,7 @@ pub fn set_candidates<T: Scalar>(
 ///
 /// # Panics
 /// Panics on a mistyped set, or on `ranges` beyond `values`.
-pub fn set_check<T: Scalar>(
+fn set_check<T: Scalar>(
     values: &[T],
     kernel: RefineKernel,
     set: &ValueSet,
@@ -396,7 +399,7 @@ pub fn set_check<T: Scalar>(
 ///
 /// # Panics
 /// Panics on a mistyped set, or on an id beyond `values`.
-pub fn set_weed<T: Scalar>(
+fn set_weed<T: Scalar>(
     values: &[T],
     kernel: RefineKernel,
     set: &ValueSet,
@@ -431,93 +434,29 @@ pub enum AnyImprints {
     F64(ColumnImprints<f64>),
 }
 
-/// Dispatches on an index alone.
-macro_rules! any_dispatch {
-    ($idx:expr, $i:ident => $body:expr) => {
-        match $idx {
-            AnyImprints::I8($i) => $body,
-            AnyImprints::U8($i) => $body,
-            AnyImprints::I16($i) => $body,
-            AnyImprints::U16($i) => $body,
-            AnyImprints::I32($i) => $body,
-            AnyImprints::U32($i) => $body,
-            AnyImprints::I64($i) => $body,
-            AnyImprints::U64($i) => $body,
-            AnyImprints::F32($i) => $body,
-            AnyImprints::F64($i) => $body,
-        }
-    };
-}
-
-/// Dispatches on the (index, column) pair, which are the same variant by
-/// construction: an index is built from its own column and every caller
-/// keeps the two side by side.
-macro_rules! any_pair {
-    ($idx:expr, $col:expr, ($i:ident, $c:ident) => $body:expr) => {
-        match ($idx, $col) {
-            (AnyImprints::I8($i), AnyColumn::I8($c)) => $body,
-            (AnyImprints::U8($i), AnyColumn::U8($c)) => $body,
-            (AnyImprints::I16($i), AnyColumn::I16($c)) => $body,
-            (AnyImprints::U16($i), AnyColumn::U16($c)) => $body,
-            (AnyImprints::I32($i), AnyColumn::I32($c)) => $body,
-            (AnyImprints::U32($i), AnyColumn::U32($c)) => $body,
-            (AnyImprints::I64($i), AnyColumn::I64($c)) => $body,
-            (AnyImprints::U64($i), AnyColumn::U64($c)) => $body,
-            (AnyImprints::F32($i), AnyColumn::F32($c)) => $body,
-            (AnyImprints::F64($i), AnyColumn::F64($c)) => $body,
-            _ => unreachable!("index and column scalar types diverged"),
-        }
-    };
-}
-
-/// Dispatches on a column alone.
-macro_rules! col_dispatch {
-    ($col:expr, $c:ident => $body:expr) => {
-        match $col {
-            AnyColumn::I8($c) => $body,
-            AnyColumn::U8($c) => $body,
-            AnyColumn::I16($c) => $body,
-            AnyColumn::U16($c) => $body,
-            AnyColumn::I32($c) => $body,
-            AnyColumn::U32($c) => $body,
-            AnyColumn::I64($c) => $body,
-            AnyColumn::U64($c) => $body,
-            AnyColumn::F32($c) => $body,
-            AnyColumn::F64($c) => $body,
-        }
-    };
-}
-
 impl AnyImprints {
     /// Builds the appropriately-typed index for `col`, sampling bin
     /// borders from its current rows.
     pub fn build(col: &AnyColumn) -> Self {
-        macro_rules! arm {
-            ($($v:ident),+) => {
-                match col {
-                    $(AnyColumn::$v(c) => AnyImprints::$v(ColumnImprints::build(c)),)+
-                }
-            };
-        }
-        arm!(I8, U8, I16, U16, I32, U32, I64, U64, F32, F64)
+        dispatch!(AnyColumn(c) = col => into AnyImprints(ColumnImprints::build(c)))
     }
 
     /// Index size in bytes.
     pub fn size_bytes(&self) -> usize {
-        any_dispatch!(self, i => i.size_bytes())
+        dispatch!(AnyImprints(i) = self => i.size_bytes())
     }
 
     /// Rows covered by the index.
     pub fn rows(&self) -> usize {
-        any_dispatch!(self, i => i.rows())
+        dispatch!(AnyImprints(i) = self => i.rows())
     }
 
     /// Extends the index for the rows `from..col.len()` the caller just
     /// appended to `col` (§4.1: existing vectors are never touched, bin
     /// borders never readjusted).
     pub fn append(&mut self, col: &AnyColumn, from: usize) {
-        any_pair!(self, col, (i, c) => {
-            i.append(&c.values()[from..]);
+        dispatch!(AnyImprints(i) = self => {
+            i.append(&col.downcast().expect(DIVERGED).values()[from..]);
         });
     }
 
@@ -527,21 +466,55 @@ impl AnyImprints {
     /// sweep is O(stored vectors) and is left to callers that can afford
     /// it per append.
     pub fn append_drift_excessive(&self) -> bool {
-        any_dispatch!(self, i => i.append_drift_excessive())
+        dispatch!(AnyImprints(i) = self => i.append_drift_excessive())
     }
 
     /// Re-samples bin borders over `col`'s current contents and rebuilds.
     pub fn rebuild(&mut self, col: &AnyColumn) {
-        any_pair!(self, col, (i, c) => {
-            *i = i.rebuild(c);
-        });
+        dispatch!(AnyImprints(i) = self => *i = i.rebuild(col.downcast().expect(DIVERGED)));
+    }
+
+    /// The row-id ranges that may hold a match of `set` and the probe
+    /// statistics — [`PlanColumn::candidates`] from the index alone, so a
+    /// column whose data is elsewhere (evicted) answers it too.
+    ///
+    /// # Panics
+    /// Panics on a set [`resolve_sets`] did not type-check.
+    pub fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
+        dispatch!(AnyImprints(i) = self => set_candidates(i, set))
+    }
+
+    /// Counts the rows matching `range` from the index alone, when every
+    /// candidate cacheline is fully covered by it
+    /// ([`query::count_covered`]); `None` when a value check would be
+    /// needed.
+    ///
+    /// # Panics
+    /// Panics on a range [`resolve_sets`] did not type-check.
+    pub fn count_covered(&self, range: &ValueRange) -> Option<(u64, AccessStats)> {
+        dispatch!(AnyImprints(i) = self => {
+            let (n, stats) = query::count_covered(i, &range.to_predicate().expect(VALIDATED))?;
+            Some((n, stats.access))
+        })
+    }
+
+    /// Serializes the index ([`storage::write_index`](crate::storage::write_index)).
+    pub fn write_to<W: Write>(&self, out: &mut W) -> Result<()> {
+        dispatch!(AnyImprints(i) = self => crate::storage::write_index(i, out))
+    }
+
+    /// Deserializes an index over a column of type `ty`, written by
+    /// [`AnyImprints::write_to`] ([`storage::read_index`](crate::storage::read_index)).
+    pub fn read_from<R: Read>(ty: ColumnType, input: &mut R) -> Result<Self> {
+        Ok(dispatch!(type T = ty => into AnyImprints(crate::storage::read_index::<T, _>(input)?)))
     }
 }
 
 /// A column whose values sit in a plain buffer, as [`run`] sees it: the
-/// view [`RelationImprints::query`] and the engine's open write head
-/// borrow per evaluation. Without an index (a write head too small to be
-/// worth one) every row is a candidate and the kernels read the buffer.
+/// view [`RelationImprints::query`], the engine's open write head and its
+/// sealed segment columns borrow per evaluation. Without an index (a write
+/// head too small to be worth one) every row is a candidate and the
+/// kernels read the buffer.
 ///
 /// # Panics
 /// The [`PlanColumn`] methods panic if `imprints` was not built over
@@ -573,10 +546,11 @@ impl PlanColumn for IndexedColumn<'_> {
             let hits = self.check(&ValueSet::range(*range), &self.all_rows(), hits, &mut stats);
             return (hits, stats);
         };
-        any_pair!(idx, self.col, (i, c) => {
+        dispatch!(AnyImprints(i) = idx => {
             let pred = range.to_predicate().expect(VALIDATED);
             let kernel = PredicateKernel::with_kernel(&pred, self.kernel);
-            let (hits, stats) = query::run(i, c, &kernel, Hits::new(count_only));
+            let col = self.col.downcast().expect(DIVERGED);
+            let (hits, stats) = query::run(i, col, &kernel, Hits::new(count_only));
             (hits, stats.access)
         })
     }
@@ -584,7 +558,7 @@ impl PlanColumn for IndexedColumn<'_> {
     fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
         let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
         debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
-        any_dispatch!(idx, i => set_candidates(i, set))
+        idx.candidates(set)
     }
 
     fn check(
@@ -594,11 +568,13 @@ impl PlanColumn for IndexedColumn<'_> {
         hits: Hits,
         stats: &mut AccessStats,
     ) -> Hits {
-        col_dispatch!(self.col, c => set_check(c.values(), self.kernel, set, ranges, hits, stats))
+        dispatch!(AnyColumn(c) = self.col => {
+            set_check(c.values(), self.kernel, set, ranges, hits, stats)
+        })
     }
 
     fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        col_dispatch!(self.col, c => set_weed(c.values(), self.kernel, set, ids, stats));
+        dispatch!(AnyColumn(c) = self.col => set_weed(c.values(), self.kernel, set, ids, stats));
     }
 }
 

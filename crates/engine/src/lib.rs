@@ -3,9 +3,13 @@
 //! Turns the single-column [`imprints`] primitives into a serving system:
 //!
 //! * **Segments** ([`segment`]): columns are split into fixed-size,
-//!   cacheline-aligned segments, each carrying its own [`ColumnImprints`],
+//!   cacheline-aligned segments, each column carrying its own imprint,
 //!   binned from the segment's own rows when it is sealed — index builds
-//!   have bounded scope and segments are natural parallelism morsels.
+//!   have bounded scope and segments are natural parallelism morsels. A
+//!   segment column is an untyped `AnyColumn` plus an
+//!   [`AnyImprints`](imprints::relation_index::AnyImprints): the typed
+//!   work is the `imprints` crate's, reached through `colstore::dispatch!`,
+//!   so this crate holds no per-type code.
 //! * **Epoch-guarded catalog** ([`catalog`], [`table`]): relations hold
 //!   their sealed segments behind an `Arc`-swap scheme; readers pin a
 //!   consistent prefix in O(1) and never block while an appender seals new

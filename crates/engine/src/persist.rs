@@ -31,8 +31,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use colstore::storage::{read_column, Reader, Writer};
-use colstore::{Column, ColumnType, Error, Result, Scalar};
+use colstore::relation::AnyColumn;
+use colstore::storage::{Reader, Writer};
+use colstore::{ColumnType, Error, Result};
+use imprints::relation_index::AnyImprints;
 
 use crate::segment::SealedSegment;
 use crate::table::ColumnDef;
@@ -55,13 +57,18 @@ pub(crate) fn imprint_file(ci: usize) -> String {
 }
 
 /// Opens `path` buffered for reading.
-pub(crate) fn open_file(path: &Path) -> Result<BufReader<fs::File>> {
+fn open_file(path: &Path) -> Result<BufReader<fs::File>> {
     Ok(BufReader::new(fs::File::open(path)?))
 }
 
-/// Reads one whole checksummed column file.
-pub(crate) fn read_column_file<T: Scalar>(path: &Path) -> Result<Column<T>> {
-    read_column(&mut open_file(path)?)
+/// Reads one whole checksummed column file holding a column of type `ty`.
+pub(crate) fn read_column_file(path: &Path, ty: ColumnType) -> Result<AnyColumn> {
+    AnyColumn::read_from(ty, &mut open_file(path)?)
+}
+
+/// Reads one whole checksummed imprint file indexing a column of type `ty`.
+pub(crate) fn read_index_file(path: &Path, ty: ColumnType) -> Result<AnyImprints> {
+    AnyImprints::read_from(ty, &mut open_file(path)?)
 }
 
 /// One committed segment in a [`Manifest`].

@@ -2,11 +2,14 @@
 //!
 //! A table's data is split into fixed-size segments of
 //! [`EngineConfig::segment_rows`](crate::EngineConfig::segment_rows) rows.
-//! Each sealed segment owns, per column, a cacheline-aligned data chunk and
-//! one secondary index: a [`ColumnImprints`] binned from a sample of the
-//! segment's own rows — the paper's Algorithms 1 and 2, unmodified — so a
-//! sealed index is a function of its data alone, and every query is
-//! answered through it (the paper's Algorithm 3, [`query::run`]).
+//! Each sealed segment owns, per column, its cacheline-aligned data (an
+//! [`AnyColumn`]) and one secondary index (an [`AnyImprints`]) binned from
+//! a sample of the segment's own rows — the paper's Algorithms 1 and 2,
+//! unmodified — so a sealed index is a function of its data alone, and
+//! every query is answered through it by the typed bodies the write head
+//! runs too ([`IndexedColumn`], the paper's Algorithm 3). This module
+//! holds no typed code: what it adds is residency (eviction and
+//! fault-in), the heat counter and the column's files.
 //!
 //! Sealed segments are immutable and shared via `Arc`: an index is built
 //! once, when its segment is sealed, and only a compaction merge ever
@@ -16,15 +19,14 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, CachelineSet, Column, RangeIndex, Scalar, Value};
-use imprints::builder::BuildOptions;
-use imprints::query;
-use imprints::relation_index::{self, PlanColumn, SegQuery, ValueRange, ValueSet};
-use imprints::simd::{self, Hits, PredicateKernel, RefineKernel};
-use imprints::ColumnImprints;
+use colstore::{AccessStats, CachelineSet, ColumnType, Value};
+use imprints::relation_index::{
+    self, AnyImprints, IndexedColumn, PlanColumn, SegQuery, ValueRange, ValueSet,
+};
+use imprints::simd::{self, Hits, RefineKernel};
 
 use crate::config::EngineConfig;
 use crate::persist;
@@ -35,17 +37,25 @@ use crate::persist;
 ///
 /// Eviction is what turns the imprint's size advantage into a memory
 /// story: the per-column imprints stay resident, the data pages go, and
-/// [`DataSlot::get`] faults the column back in from its file the first
+/// [`DataSlot::read`] faults the column back in from its file the first
 /// time refinement actually needs a value. The slot can only evict once
 /// [`DataSlot::mark_durable`] pinned a file — un-persisted data is never
 /// dropped.
+///
+/// The slot owns its column outright. A reader holds the read lock for the
+/// one column evaluation it needs the values for, so an eviction waits for
+/// the evaluations in flight. (Why not an `Arc` per column cloned out to
+/// readers: DESIGN.md, "Imprint-resident cold eviction".)
 #[derive(Debug)]
-struct DataSlot<T: Scalar> {
+struct DataSlot {
     /// `Some` while resident, `None` while evicted (lock class
-    /// `segment.data`; held only for pointer swaps and the fault-in read).
-    cold: RwLock<Option<Arc<Column<T>>>>,
+    /// `segment.data`). Readers hold it for one column evaluation; the
+    /// write side is taken to evict and to fault in. Never take it while
+    /// holding it: behind a waiting writer a nested read blocks forever.
+    cold: RwLock<Option<AnyColumn>>,
+    /// The scalar type the column faults back in as.
+    ty: ColumnType,
     rows: usize,
-    bytes: usize,
     /// The durable column file backing fault-in, set once persisted. A
     /// merged copy starts without one until the replacement segment is
     /// persisted in turn.
@@ -54,11 +64,11 @@ struct DataSlot<T: Scalar> {
     faulted: AtomicU64,
 }
 
-impl<T: Scalar> DataSlot<T> {
-    fn new(col: Arc<Column<T>>) -> Self {
+impl DataSlot {
+    fn new(col: AnyColumn) -> Self {
         DataSlot {
+            ty: col.column_type(),
             rows: col.len(),
-            bytes: col.data_bytes(),
             cold: RwLock::new(Some(col)),
             file: OnceLock::new(),
             faulted: AtomicU64::new(0),
@@ -67,33 +77,29 @@ impl<T: Scalar> DataSlot<T> {
 
     /// A slot born evicted — the recovery path, where the manifest vouches
     /// for the file and the data is only read if a query refines into it.
-    fn evicted(rows: usize, bytes: usize, file: PathBuf) -> Self {
-        let slot = DataSlot {
-            rows,
-            bytes,
+    fn evicted(ty: ColumnType, rows: usize, file: PathBuf) -> Self {
+        DataSlot {
             cold: RwLock::new(None),
-            file: OnceLock::new(),
+            ty,
+            rows,
+            file: OnceLock::from(file),
             faulted: AtomicU64::new(0),
-        };
-        let _ = slot.file.set(file);
-        slot
+        }
     }
 
-    fn len(&self) -> usize {
-        self.rows
-    }
-
+    /// Raw data bytes, resident or not — the column's logical size.
     fn data_bytes(&self) -> usize {
-        self.bytes
+        self.rows * self.ty.width()
     }
 
     fn is_resident(&self) -> bool {
         self.cold.read().unwrap_or_else(PoisonError::into_inner).is_some()
     }
 
-    /// The resident column, faulting it back in from its durable file if
-    /// evicted (double-checked under the write lock, so concurrent readers
-    /// fault at most once).
+    /// The resident column under the read lock, faulting it back in from
+    /// its durable file first if evicted (double-checked under the write
+    /// lock, so concurrent readers fault at most once). The guard always
+    /// holds `Some`.
     ///
     /// # Panics
     /// Panics if an evicted column's file can no longer be read or no
@@ -101,26 +107,29 @@ impl<T: Scalar> DataSlot<T> {
     /// checksummed by this process (or validated at recovery); losing it
     /// mid-run is environmental damage on par with memory corruption, and
     /// the checksum turns silent bit rot into this loud stop.
-    fn get(&self) -> Arc<Column<T>> {
-        {
+    fn read(&self) -> RwLockReadGuard<'_, Option<AnyColumn>> {
+        loop {
             let slot = self.cold.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(col) = slot.as_ref() {
-                return Arc::clone(col);
+            if slot.is_some() {
+                return slot;
+            }
+            drop(slot);
+            let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
+            if slot.is_none() {
+                let file = self.file.get().expect("evicted column always has a durable file");
+                let col = persist::read_column_file(file, self.ty).unwrap_or_else(|e| {
+                    panic!("faulting column back in from {} failed: {e}", file.display())
+                });
+                assert_eq!(col.len(), self.rows, "faulted column geometry changed on disk");
+                self.faulted.fetch_add(self.data_bytes() as u64, Ordering::Relaxed);
+                *slot = Some(col);
             }
         }
-        let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(col) = slot.as_ref() {
-            return Arc::clone(col);
-        }
-        let file = self.file.get().expect("evicted column always has a durable file");
-        let col = persist::read_column_file::<T>(file).unwrap_or_else(|e| {
-            panic!("faulting column back in from {} failed: {e}", file.display())
-        });
-        assert_eq!(col.len(), self.rows, "faulted column geometry changed on disk");
-        let col = Arc::new(col);
-        self.faulted.fetch_add(self.bytes as u64, Ordering::Relaxed);
-        *slot = Some(Arc::clone(&col));
-        col
+    }
+
+    /// Runs `f` over the resident column ([`DataSlot::read`]).
+    fn with<R>(&self, f: impl FnOnce(&AnyColumn) -> R) -> R {
+        f(self.read().as_ref().expect(RESIDENT))
     }
 
     /// Pins the durable file backing this slot. First caller wins: a slot
@@ -137,15 +146,13 @@ impl<T: Scalar> DataSlot<T> {
         }
         let mut slot = self.cold.write().unwrap_or_else(PoisonError::into_inner);
         match slot.take() {
-            Some(_) => self.bytes,
+            Some(_) => self.data_bytes(),
             None => 0,
         }
     }
-
-    fn faulted_bytes(&self) -> u64 {
-        self.faulted.load(Ordering::Relaxed)
-    }
 }
+
+const RESIDENT: &str = "DataSlot::read returns a resident slot";
 
 /// The per-column observation counter, updated lock-free by concurrent
 /// readers and consumed by the maintenance planner's eviction order.
@@ -157,9 +164,9 @@ pub struct ColumnObservations {
 
 /// One column of one sealed segment: aligned data plus its imprint.
 #[derive(Debug)]
-pub struct SegCol<T: Scalar> {
-    data: DataSlot<T>,
-    imprints: ColumnImprints<T>,
+pub struct SegCol {
+    data: DataSlot,
+    imprints: AnyImprints,
     /// The refinement kernel this column's value checks run under —
     /// [`EngineConfig::refine_kernel`] resolved against the env override
     /// at seal time, so kernel choice scopes to the table that configured
@@ -168,37 +175,29 @@ pub struct SegCol<T: Scalar> {
     obs: ColumnObservations,
 }
 
-impl<T: Scalar> SegCol<T> {
+impl SegCol {
     /// Seals `col` into an indexed segment column: bin borders sampled from
     /// `col`'s own values, the imprint built over them. Seal, compaction
     /// merge and recovery-rebuild all construct here, so a column's index
-    /// depends on its rows alone.
-    pub fn seal(col: Column<T>, cfg: &EngineConfig) -> Self {
-        let imprints = ColumnImprints::build_with(&col, BuildOptions::default());
-        SegCol::assemble(DataSlot::new(Arc::new(col)), imprints, cfg)
+    /// depends on its rows alone. The heat counter starts from zero.
+    pub fn seal(col: AnyColumn, cfg: &EngineConfig) -> Self {
+        let imprints = AnyImprints::build(&col);
+        SegCol::assemble(DataSlot::new(col), imprints, cfg)
     }
 
-    /// Evaluates a single-range predicate through the imprint into a fresh
-    /// [`Hits`] sink — ids and counts alike — and bills the heat counter.
-    fn run(&self, pred: &colstore::RangePredicate<T>, count_only: bool) -> (Hits, AccessStats) {
-        self.obs.queries.fetch_add(1, Ordering::Relaxed);
-        if count_only && !self.data.is_resident() {
-            // Evicted cold data: when every candidate cacheline is fully
-            // covered by the predicate's inner mask the resident imprint
-            // counts exactly ([`query::count_covered`]), leaving the data
-            // pages on disk. Otherwise fall through and fault them in.
-            if let Some((n, istats)) = query::count_covered(&self.imprints, pred) {
-                return (Hits::Count(n), istats.access);
-            }
+    /// Assembles a column from its parts: a new index (or a restart)
+    /// starts the heat counter from zero.
+    fn assemble(data: DataSlot, imprints: AnyImprints, cfg: &EngineConfig) -> SegCol {
+        SegCol {
+            data,
+            imprints,
+            kernel: simd::effective_kernel(cfg.refine_kernel),
+            obs: ColumnObservations::default(),
         }
-        let data = self.data.get();
-        let kernel = PredicateKernel::with_kernel(pred, self.kernel);
-        let (hits, istats) = query::run(&self.imprints, &data, &kernel, Hits::new(count_only));
-        (hits, istats.access)
     }
 
-    /// Recovers this column from its persisted files in `dir`. With
-    /// `load_indexes`, the imprint is read back and the data stays
+    /// Recovers column `ci` of type `ty` from its persisted files in `dir`.
+    /// With `load_indexes`, the imprint is read back and the data stays
     /// **evicted** — the imprint-resident restart, where column data is
     /// only faulted in when a query refines into it. When the index file
     /// is missing, corrupt, or `load_indexes` is off, the column data is
@@ -206,21 +205,24 @@ impl<T: Scalar> SegCol<T> {
     /// file is the ground truth; the index is derived state). Returns the
     /// column and whether its index was recovered (vs rebuilt).
     fn recover(
+        ty: ColumnType,
         dir: &Path,
         ci: usize,
         rows: usize,
         cfg: &EngineConfig,
         load_indexes: bool,
-    ) -> colstore::Result<(SegCol<T>, bool)> {
+    ) -> colstore::Result<(SegCol, bool)> {
         let data_file = dir.join(persist::column_file(ci));
         if load_indexes {
-            if let Ok(imprints) = Self::read_index(dir, ci, rows) {
-                let bytes = rows * std::mem::size_of::<T>();
-                let slot = DataSlot::evicted(rows, bytes, data_file);
-                return Ok((Self::assemble(slot, imprints, cfg), true));
+            if let Ok(imprints) = persist::read_index_file(&dir.join(persist::imprint_file(ci)), ty)
+            {
+                if imprints.rows() == rows {
+                    let slot = DataSlot::evicted(ty, rows, data_file);
+                    return Ok((SegCol::assemble(slot, imprints, cfg), true));
+                }
             }
         }
-        let col = persist::read_column_file::<T>(&data_file)?;
+        let col = persist::read_column_file(&data_file, ty)?;
         if col.len() != rows {
             return Err(colstore::Error::Corrupt(format!(
                 "segment column {ci} holds {} rows, manifest says {rows}",
@@ -232,223 +234,99 @@ impl<T: Scalar> SegCol<T> {
         Ok((col, false))
     }
 
-    fn read_index(dir: &Path, ci: usize, rows: usize) -> colstore::Result<ColumnImprints<T>> {
-        let mut f = persist::open_file(&dir.join(persist::imprint_file(ci)))?;
-        let imprints = imprints::storage::read_index::<T, _>(&mut f)?;
-        if imprints.rows() != rows {
-            return Err(colstore::Error::Mismatch(format!(
-                "column {ci} imprint covers {} rows, manifest says {rows}",
-                imprints.rows()
-            )));
-        }
-        Ok(imprints)
+    /// Merges the same column of several adjacent segments into one
+    /// freshly indexed column: data concatenated (evicted parts fault in —
+    /// a merge reads every value), bins re-sampled **once** over the
+    /// combined values, the imprint rebuilt.
+    fn merged(parts: &[&SegCol], cfg: &EngineConfig) -> SegCol {
+        let ty = parts.first().expect("merge needs at least one segment").data.ty;
+        let data: Vec<_> = parts.iter().map(|p| p.data.read()).collect();
+        let refs: Vec<&AnyColumn> = data.iter().map(|d| d.as_ref().expect(RESIDENT)).collect();
+        let col = AnyColumn::concat(ty, &refs).expect("merging segments with mismatched types");
+        drop(refs);
+        drop(data);
+        SegCol::seal(col, cfg)
     }
 
-    /// Assembles a column from its parts: a new index (or a restart)
-    /// starts the heat counter from zero.
-    fn assemble(data: DataSlot<T>, imprints: ColumnImprints<T>, cfg: &EngineConfig) -> SegCol<T> {
-        SegCol {
-            data,
-            imprints,
-            kernel: simd::effective_kernel(cfg.refine_kernel),
-            obs: ColumnObservations::default(),
-        }
-    }
-}
-
-/// A [`SegCol`] of whichever scalar type its column holds.
-#[derive(Debug)]
-pub enum AnySegCol {
-    /// `i8` column segment.
-    I8(SegCol<i8>),
-    /// `u8` column segment.
-    U8(SegCol<u8>),
-    /// `i16` column segment.
-    I16(SegCol<i16>),
-    /// `u16` column segment.
-    U16(SegCol<u16>),
-    /// `i32` column segment.
-    I32(SegCol<i32>),
-    /// `u32` column segment.
-    U32(SegCol<u32>),
-    /// `i64` column segment.
-    I64(SegCol<i64>),
-    /// `u64` column segment.
-    U64(SegCol<u64>),
-    /// `f32` column segment.
-    F32(SegCol<f32>),
-    /// `f64` column segment.
-    F64(SegCol<f64>),
-}
-
-macro_rules! seg_dispatch {
-    ($any:expr, $s:ident => $body:expr) => {
-        match $any {
-            AnySegCol::I8($s) => $body,
-            AnySegCol::U8($s) => $body,
-            AnySegCol::I16($s) => $body,
-            AnySegCol::U16($s) => $body,
-            AnySegCol::I32($s) => $body,
-            AnySegCol::U32($s) => $body,
-            AnySegCol::I64($s) => $body,
-            AnySegCol::U64($s) => $body,
-            AnySegCol::F32($s) => $body,
-            AnySegCol::F64($s) => $body,
-        }
-    };
-}
-
-impl AnySegCol {
-    /// Seals a typed column buffer (see [`SegCol::seal`]).
-    pub fn seal(data: AnyColumn, cfg: &EngineConfig) -> AnySegCol {
-        match data {
-            AnyColumn::I8(c) => AnySegCol::I8(SegCol::seal(c, cfg)),
-            AnyColumn::U8(c) => AnySegCol::U8(SegCol::seal(c, cfg)),
-            AnyColumn::I16(c) => AnySegCol::I16(SegCol::seal(c, cfg)),
-            AnyColumn::U16(c) => AnySegCol::U16(SegCol::seal(c, cfg)),
-            AnyColumn::I32(c) => AnySegCol::I32(SegCol::seal(c, cfg)),
-            AnyColumn::U32(c) => AnySegCol::U32(SegCol::seal(c, cfg)),
-            AnyColumn::I64(c) => AnySegCol::I64(SegCol::seal(c, cfg)),
-            AnyColumn::U64(c) => AnySegCol::U64(SegCol::seal(c, cfg)),
-            AnyColumn::F32(c) => AnySegCol::F32(SegCol::seal(c, cfg)),
-            AnyColumn::F64(c) => AnySegCol::F64(SegCol::seal(c, cfg)),
-        }
-    }
-
-    /// Rows in the segment column.
-    pub fn rows(&self) -> usize {
-        seg_dispatch!(self, s => s.data.len())
+    /// Runs `f` over the column's data, faulted back in if evicted.
+    pub fn with_data<R>(&self, f: impl FnOnce(&AnyColumn) -> R) -> R {
+        self.data.with(f)
     }
 
     /// The value at local row `id` (faults evicted data back in).
     pub fn value(&self, id: usize) -> Option<Value> {
-        seg_dispatch!(self, s => s.data.get().get(id).map(Scalar::into_value))
+        self.data.with(|col| col.value(id))
     }
 
     /// Index bytes (the imprint) for storage accounting.
     pub fn index_bytes(&self) -> usize {
-        seg_dispatch!(self, s => RangeIndex::size_bytes(&s.imprints))
+        self.imprints.size_bytes()
     }
 
     /// Raw data bytes (resident or not — the column's logical size).
     pub fn data_bytes(&self) -> usize {
-        seg_dispatch!(self, s => s.data.data_bytes())
+        self.data.data_bytes()
     }
 
     /// `true` while the data payload is memory-resident (not evicted).
     pub fn data_resident(&self) -> bool {
-        seg_dispatch!(self, s => s.data.is_resident())
+        self.data.is_resident()
     }
 
     /// Drops the resident data if a durable file backs it; returns the
     /// bytes freed.
     pub fn evict(&self) -> usize {
-        seg_dispatch!(self, s => s.data.evict())
+        self.data.evict()
     }
 
     /// Data bytes faulted back in from disk over this column's lifetime.
     pub fn faulted_bytes(&self) -> u64 {
-        seg_dispatch!(self, s => s.data.faulted_bytes())
-    }
-
-    /// Pins the durable column file backing eviction and fault-in.
-    pub(crate) fn mark_durable(&self, file: PathBuf) {
-        seg_dispatch!(self, s => s.data.mark_durable(file))
-    }
-
-    /// Serializes the column data (faulting it in if evicted).
-    pub(crate) fn write_data_to(&self, mut out: &mut dyn Write) -> colstore::Result<()> {
-        seg_dispatch!(self, s => colstore::storage::write_column(s.data.get().as_ref(), &mut out))
-    }
-
-    /// Serializes the column's imprint index.
-    pub(crate) fn write_index_to(&self, mut out: &mut dyn Write) -> colstore::Result<()> {
-        seg_dispatch!(self, s => imprints::storage::write_index(&s.imprints, &mut out))
-    }
-
-    /// Recovers one column of type `ty` from its persisted files (see
-    /// [`SegCol::recover`]). The bool reports index recovered vs rebuilt.
-    pub(crate) fn recover(
-        ty: colstore::ColumnType,
-        dir: &Path,
-        ci: usize,
-        rows: usize,
-        cfg: &EngineConfig,
-        load_indexes: bool,
-    ) -> colstore::Result<(AnySegCol, bool)> {
-        use colstore::ColumnType as Ty;
-        macro_rules! arm {
-            ($v:ident, $t:ty) => {{
-                let (col, recovered) = SegCol::<$t>::recover(dir, ci, rows, cfg, load_indexes)?;
-                (AnySegCol::$v(col), recovered)
-            }};
-        }
-        Ok(match ty {
-            Ty::I8 => arm!(I8, i8),
-            Ty::U8 => arm!(U8, u8),
-            Ty::I16 => arm!(I16, i16),
-            Ty::U16 => arm!(U16, u16),
-            Ty::I32 => arm!(I32, i32),
-            Ty::U32 => arm!(U32, u32),
-            Ty::I64 => arm!(I64, i64),
-            Ty::U64 => arm!(U64, u64),
-            Ty::F32 => arm!(F32, f32),
-            Ty::F64 => arm!(F64, f64),
-        })
+        self.data.faulted.load(Ordering::Relaxed)
     }
 
     /// The observation counter feeding the planner's eviction order.
     pub fn observations(&self) -> &ColumnObservations {
-        seg_dispatch!(self, s => &s.obs)
+        &self.obs
     }
 
-    /// Merges the same column of several adjacent segments into one
-    /// freshly indexed column: data concatenated, bins re-sampled **once**
-    /// over the combined values, the imprint rebuilt. The heat counter
-    /// starts from zero.
-    fn merged(parts: &[&AnySegCol], cfg: &EngineConfig) -> AnySegCol {
-        macro_rules! arm {
-            ($v:ident) => {{
-                // Faults evicted parts back in: a merge reads every value.
-                let typed: Vec<Arc<Column<_>>> = parts
-                    .iter()
-                    .map(|p| match p {
-                        AnySegCol::$v(s) => s.data.get(),
-                        _ => unreachable!("merging segments with mismatched column types"),
-                    })
-                    .collect();
-                let refs: Vec<&Column<_>> = typed.iter().map(Arc::as_ref).collect();
-                AnySegCol::$v(SegCol::seal(Column::concat(&refs), cfg))
-            }};
-        }
-        match parts.first().expect("merge needs at least one segment") {
-            AnySegCol::I8(_) => arm!(I8),
-            AnySegCol::U8(_) => arm!(U8),
-            AnySegCol::I16(_) => arm!(I16),
-            AnySegCol::U16(_) => arm!(U16),
-            AnySegCol::I32(_) => arm!(I32),
-            AnySegCol::U32(_) => arm!(U32),
-            AnySegCol::I64(_) => arm!(I64),
-            AnySegCol::U64(_) => arm!(U64),
-            AnySegCol::F32(_) => arm!(F32),
-            AnySegCol::F64(_) => arm!(F64),
-        }
+    /// Serializes the column data (faulting it in if evicted).
+    pub(crate) fn write_data_to(&self, mut out: &mut dyn Write) -> colstore::Result<()> {
+        self.data.with(|col| col.write_to(&mut out))
+    }
+
+    /// Serializes the column's imprint index.
+    pub(crate) fn write_index_to(&self, mut out: &mut dyn Write) -> colstore::Result<()> {
+        self.imprints.write_to(&mut out)
+    }
+
+    /// The column as the typed plan bodies see it: `data` (read-locked by
+    /// the caller) plus the resident imprint.
+    fn indexed<'a>(&'a self, data: &'a AnyColumn) -> IndexedColumn<'a> {
+        IndexedColumn { col: data, imprints: Some(&self.imprints), kernel: self.kernel }
     }
 }
 
-/// A sealed segment column under the shared §3 plan: each call forwards
-/// to the typed column, which probes its imprint, bills its heat counter
-/// and faults its data in only when a value is actually needed.
-impl PlanColumn for AnySegCol {
+/// A sealed segment column under the shared §3 plan: this impl only keeps
+/// the data resident while a value is needed and bills the heat counter;
+/// the work is [`IndexedColumn`]'s, the same typed bodies the write head
+/// and `RelationImprints` run.
+impl PlanColumn for SegCol {
     fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
-        seg_dispatch!(self, s => {
-            let pred = range.to_predicate().expect("predicate validated against schema");
-            s.run(&pred, count_only)
-        })
+        self.note_query();
+        if count_only && !self.data.is_resident() {
+            // Evicted cold data: when every candidate cacheline is fully
+            // covered by the predicate's inner mask the resident imprint
+            // counts exactly, leaving the data pages on disk. Otherwise
+            // fall through and fault them in.
+            if let Some((n, stats)) = self.imprints.count_covered(range) {
+                return (Hits::Count(n), stats);
+            }
+        }
+        self.data.with(|col| self.indexed(col).run_range(range, count_only))
     }
 
     fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
-        seg_dispatch!(self, s => relation_index::set_candidates(&s.imprints, set))
+        self.imprints.candidates(set)
     }
 
     fn check(
@@ -458,20 +336,16 @@ impl PlanColumn for AnySegCol {
         hits: Hits,
         stats: &mut AccessStats,
     ) -> Hits {
-        seg_dispatch!(self, s => {
-            relation_index::set_check(s.data.get().values(), s.kernel, set, ranges, hits, stats)
-        })
+        self.data.with(|col| self.indexed(col).check(set, ranges, hits, stats))
     }
 
     fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        seg_dispatch!(self, s => {
-            relation_index::set_weed(s.data.get().values(), s.kernel, set, ids, stats)
-        });
+        self.data.with(|col| self.indexed(col).weed(set, ids, stats));
     }
 
     /// The maintenance planner's eviction order reads this counter.
     fn note_query(&self) {
-        seg_dispatch!(self, s => s.obs.queries.fetch_add(1, Ordering::Relaxed));
+        self.obs.queries.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -481,7 +355,7 @@ impl PlanColumn for AnySegCol {
 pub struct SealedSegment {
     base: u64,
     rows: usize,
-    cols: Vec<AnySegCol>,
+    cols: Vec<SegCol>,
     /// The durable segment-directory name under the table's storage root,
     /// set once the segment is persisted (or recovered). Empty for a
     /// memory-only segment, whose data is consequently never evictable.
@@ -494,7 +368,7 @@ impl SealedSegment {
     pub fn seal(base: u64, bufs: Vec<AnyColumn>, cfg: &EngineConfig) -> SealedSegment {
         let rows = bufs.first().map_or(0, AnyColumn::len);
         debug_assert!(bufs.iter().all(|b| b.len() == rows), "ragged segment buffers");
-        let cols = bufs.into_iter().map(|buf| AnySegCol::seal(buf, cfg)).collect();
+        let cols = bufs.into_iter().map(|buf| SegCol::seal(buf, cfg)).collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
     }
 
@@ -522,8 +396,8 @@ impl SealedSegment {
         let rows = parts.iter().map(|p| p.rows).sum();
         let cols = (0..first.cols.len())
             .map(|ci| {
-                let col_parts: Vec<&AnySegCol> = parts.iter().map(|p| &p.cols[ci]).collect();
-                AnySegCol::merged(&col_parts, cfg)
+                let col_parts: Vec<&SegCol> = parts.iter().map(|p| &p.cols[ci]).collect();
+                SegCol::merged(&col_parts, cfg)
             })
             .collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
@@ -540,7 +414,7 @@ impl SealedSegment {
     }
 
     /// The per-column structures.
-    pub fn columns(&self) -> &[AnySegCol] {
+    pub fn columns(&self) -> &[SegCol] {
         &self.cols
     }
 
@@ -553,36 +427,36 @@ impl SealedSegment {
     /// `dir`, pinning each column's durable data file. First caller wins.
     pub(crate) fn mark_durable(&self, name: &str, dir: &Path) {
         for (ci, col) in self.cols.iter().enumerate() {
-            col.mark_durable(dir.join(persist::column_file(ci)));
+            col.data.mark_durable(dir.join(persist::column_file(ci)));
         }
         let _ = self.durable.set(name.to_string());
     }
 
     /// Memory-resident data bytes across this segment's columns.
     pub fn data_bytes_resident(&self) -> usize {
-        self.cols.iter().filter(|c| c.data_resident()).map(AnySegCol::data_bytes).sum()
+        self.cols.iter().filter(|c| c.data_resident()).map(SegCol::data_bytes).sum()
     }
 
     /// Evicted (on-disk only) data bytes across this segment's columns.
     pub fn data_bytes_evicted(&self) -> usize {
-        self.cols.iter().filter(|c| !c.data_resident()).map(AnySegCol::data_bytes).sum()
+        self.cols.iter().filter(|c| !c.data_resident()).map(SegCol::data_bytes).sum()
     }
 
     /// `true` while every column's data payload is memory-resident.
     pub fn data_resident(&self) -> bool {
-        self.cols.iter().all(AnySegCol::data_resident)
+        self.cols.iter().all(SegCol::data_resident)
     }
 
     /// Evicts every persisted column's data, keeping the imprints
     /// resident; returns the bytes freed (0 when the segment was never
     /// persisted).
     pub fn evict(&self) -> usize {
-        self.cols.iter().map(AnySegCol::evict).sum()
+        self.cols.iter().map(SegCol::evict).sum()
     }
 
     /// Data bytes faulted back in from disk over this segment's lifetime.
     pub fn faulted_bytes(&self) -> u64 {
-        self.cols.iter().map(AnySegCol::faulted_bytes).sum()
+        self.cols.iter().map(SegCol::faulted_bytes).sum()
     }
 
     /// Recovers a sealed segment from its durable directory as listed in
@@ -592,7 +466,7 @@ impl SealedSegment {
     pub(crate) fn recover(
         base: u64,
         rows: usize,
-        types: &[colstore::ColumnType],
+        types: &[ColumnType],
         name: &str,
         dir: &Path,
         cfg: &EngineConfig,
@@ -602,7 +476,7 @@ impl SealedSegment {
         let mut rebuilt = 0;
         let mut cols = Vec::with_capacity(types.len());
         for (ci, &ty) in types.iter().enumerate() {
-            let (col, rec) = AnySegCol::recover(ty, dir, ci, rows, cfg, load_indexes)?;
+            let (col, rec) = SegCol::recover(ty, dir, ci, rows, cfg, load_indexes)?;
             if rec {
                 recovered += 1;
             } else {

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, Column, ColumnType, Error, IdList, Result, Scalar, Value};
+use colstore::{AccessStats, ColumnType, Error, IdList, Result, Scalar, Value};
 use imprints::relation_index::{
     self, resolve_sets, AnyImprints, IndexedColumn, SegQuery, ValueRange, ValueSet,
 };
@@ -658,65 +658,30 @@ impl Table {
             Err(why) => return fail_resolved(resolved, &why),
         };
 
-        // One shared sweep per sealed segment, answering every valid query.
-        let mut answers: Vec<(Hits, QueryStats)> = work
-            .iter()
-            .zip(&pin.opens)
-            .map(|(q, (_, head_access))| {
+        let work = Arc::new(work);
+        let sealed = match sweep_sealed(&pin.sealed, &work, pool) {
+            Ok(sealed) => sealed,
+            Err(why) => return fail_resolved(resolved, &why),
+        };
+        self.stats.queries.fetch_add(work.len() as u64, Ordering::Relaxed);
+        let mut answers = work.iter().zip(sealed).zip(pin.opens).map(
+            |((q, (mut hits, access)), (head_hits, tail_access))| {
+                hits.absorb(head_hits, pin.open_base);
                 let stats = QueryStats {
-                    tail_access: *head_access,
+                    access,
+                    tail_access,
                     tail_indexed: pin.tail_indexed && !q.preds.is_empty(),
                     open_rows: pin.open_rows,
                     sealed_segments: pin.sealed.len(),
                     visible_rows: pin.open_base + pin.open_rows as u64,
                     epoch: pin.epoch,
-                    ..Default::default()
                 };
-                (Hits::new(q.count_only), stats)
-            })
-            .collect();
-        let fan_out = pin.sealed.len() > 1 && !work.is_empty();
-        let work = Arc::new(work);
-        // A segment evaluation can panic by design (`DataSlot::get`: an
-        // evicted column whose file vanished). The sweep contains that
-        // itself, so the calling thread — in the server, the one
-        // dispatcher — survives it the same way serially and on the pool.
-        let sweep = move |seg: &SealedSegment| -> Option<SegSweep> {
-            let answer_all = || (seg.base(), work.iter().map(|q| seg.run(q)).collect());
-            catch_unwind(AssertUnwindSafe(answer_all)).ok()
-        };
-        let per_segment: Vec<Option<SegSweep>> = match pool {
-            Some(pool) if fan_out => {
-                let tasks = pin.sealed.iter().map(|seg| {
-                    let (seg, sweep) = (Arc::clone(seg), sweep.clone());
-                    move || sweep(&seg)
-                });
-                pool.scatter(tasks).into_iter().map(Option::flatten).collect()
-            }
-            _ => pin.sealed.iter().map(|seg| sweep(seg)).collect(),
-        };
-        for part in per_segment {
-            let Some((base, seg_answers)) = part else {
-                return fail_resolved(resolved, "segment evaluation task panicked");
-            };
-            for ((acc, stats), (hits, access)) in answers.iter_mut().zip(seg_answers) {
-                stats.access.merge(&access);
-                acc.absorb(hits, base);
-            }
-        }
-
-        self.stats.queries.fetch_add(answers.len() as u64, Ordering::Relaxed);
-        let mut answers = answers.into_iter().zip(pin.opens);
+                (BatchAnswer::from(hits), stats)
+            },
+        );
         resolved
             .into_iter()
-            .map(|r| {
-                r.map(|()| {
-                    let ((mut acc, stats), (head_hits, _)) =
-                        answers.next().expect("one per valid query");
-                    acc.absorb(head_hits, pin.open_base);
-                    (BatchAnswer::from(acc), stats)
-                })
-            })
+            .map(|r| r.map(|()| answers.next().expect("one per valid query")))
             .collect()
     }
 
@@ -762,6 +727,51 @@ impl Table {
 /// fails with `why`, the others keep their own resolution error.
 fn fail_resolved(resolved: Vec<Result<()>>, why: &str) -> Vec<Result<(BatchAnswer, QueryStats)>> {
     resolved.into_iter().map(|r| r.and_then(|()| Err(Error::Mismatch(why.into())))).collect()
+}
+
+/// Sweeps a frozen sealed list once for every query of `work`: each
+/// segment is one task answering all of them while its data and indexes
+/// are cache-hot ([`SealedSegment::run`]), fanned out over `pool` when
+/// there is one and more than one segment. Returns, per query, its
+/// sealed share in its own [`Hits`] mode (global ids in segment order, or
+/// their count) and the access work.
+///
+/// A segment evaluation can panic by design (`DataSlot::read`: an evicted
+/// column whose file vanished). The sweep contains that itself and
+/// returns `Err`, so the calling thread — in the server, a dispatcher —
+/// survives it the same way serially and on the pool.
+fn sweep_sealed(
+    sealed: &[Arc<SealedSegment>],
+    work: &Arc<Vec<SegQuery>>,
+    pool: Option<&WorkerPool>,
+) -> std::result::Result<Vec<(Hits, AccessStats)>, String> {
+    let sweep = {
+        let work = Arc::clone(work);
+        move |seg: &SealedSegment| -> Option<SegSweep> {
+            let answer_all = || (seg.base(), work.iter().map(|q| seg.run(q)).collect());
+            catch_unwind(AssertUnwindSafe(answer_all)).ok()
+        }
+    };
+    let per_segment: Vec<Option<SegSweep>> = match pool {
+        Some(pool) if sealed.len() > 1 && !work.is_empty() => {
+            let tasks = sealed.iter().map(|seg| {
+                let (seg, sweep) = (Arc::clone(seg), sweep.clone());
+                move || sweep(&seg)
+            });
+            pool.scatter(tasks).into_iter().map(Option::flatten).collect()
+        }
+        _ => sealed.iter().map(|seg| sweep(seg)).collect(),
+    };
+    let mut acc: Vec<(Hits, AccessStats)> =
+        work.iter().map(|q| (Hits::new(q.count_only), AccessStats::default())).collect();
+    for part in per_segment {
+        let (base, seg_answers) = part.ok_or("segment evaluation task panicked")?;
+        for ((hits, stats), (seg_hits, access)) in acc.iter_mut().zip(seg_answers) {
+            stats.merge(&access);
+            hits.absorb(seg_hits, base);
+        }
+    }
+    Ok(acc)
 }
 
 /// The pinned consistent prefix one batch observes: the frozen sealed list
@@ -863,20 +873,21 @@ impl TableSnapshot {
     }
 
     /// Evaluates predicates against the frozen view (serial), through the
-    /// same per-segment and per-head functions as [`Table::query_batch`].
+    /// same sealed sweep and head plan as [`Table::query_batch`] — so a
+    /// segment whose evaluation fails is an `Err` here too.
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
         let sets: Vec<(&str, ValueSet)> =
             preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
         let q =
             SegQuery { preds: resolve_sets(&self.schema, &sets)?, any: false, count_only: false };
-        let mut acc = Hits::new(false);
-        for seg in self.sealed.iter() {
-            acc.absorb(seg.run(&q).0, seg.base());
-        }
         let head = head_columns(&self.open_bufs, None, self.kernel);
         let open_rows = self.row_count() - self.open_base;
-        acc.absorb(relation_index::run(&head, open_rows, &q).0, self.open_base);
-        Ok(acc.into_ids())
+        let (head_hits, _) = relation_index::run(&head, open_rows, &q);
+        let sealed =
+            sweep_sealed(&self.sealed, &Arc::new(vec![q]), None).map_err(Error::Mismatch)?;
+        let (mut hits, _) = sealed.into_iter().next().expect("one answer per query");
+        hits.absorb(head_hits, self.open_base);
+        Ok(hits.into_ids())
     }
 
     /// The full contents of column `name` as typed values — the oracle
@@ -888,21 +899,17 @@ impl TableSnapshot {
             .position(|d| d.name == name)
             .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
         let mut out: Vec<T> = Vec::with_capacity(self.row_count() as usize);
+        let mut extend = |col: &AnyColumn| -> Result<()> {
+            let col = col
+                .downcast::<T>()
+                .ok_or_else(|| Error::Mismatch(format!("column {name:?} type mismatch")))?;
+            out.extend_from_slice(col.values());
+            Ok(())
+        };
         for seg in self.sealed.iter() {
-            let col = &seg.columns()[pos];
-            let n = col.rows();
-            for i in 0..n {
-                let v = col.value(i).expect("in range");
-                out.push(T::from_value(&v).ok_or_else(|| {
-                    Error::Mismatch(format!("column {name:?} is not of the requested type"))
-                })?);
-            }
+            seg.columns()[pos].with_data(&mut extend)?;
         }
-        let buf = &self.open_bufs[pos];
-        let col: &Column<T> = buf
-            .downcast()
-            .ok_or_else(|| Error::Mismatch(format!("column {name:?} type mismatch")))?;
-        out.extend_from_slice(col.values());
+        extend(&self.open_bufs[pos])?;
         Ok(out)
     }
 }
@@ -994,7 +1001,7 @@ mod tests {
         assert!(t.query(&[("nope", ValueRange::equals(Value::I64(1)))]).is_err());
         assert!(t.query(&[("v", ValueRange::equals(Value::I32(1)))]).is_err());
         assert!(t.append_row(&[Value::I32(1)]).is_err());
-        assert!(t.append_batch(vec![AnyColumn::I32(Column::from(vec![1]))]).is_err());
+        assert!(t.append_batch(vec![AnyColumn::I32(vec![1].into())]).is_err());
         assert!(Table::new("t", &[], small_cfg()).is_err());
         assert!(
             Table::new("t", &[("a", ColumnType::I8), ("a", ColumnType::I8)], small_cfg()).is_err()
@@ -1353,7 +1360,7 @@ mod tests {
         assert!(t.count(&[], None).is_err());
     }
 
-    /// A segment evaluation that panics — `DataSlot::get` on an evicted
+    /// A segment evaluation that panics — `DataSlot::read` on an evicted
     /// column whose file vanished — is an `Err` in every slot of the batch
     /// on *both* sweep branches: the pooled fan-out (two segments and a
     /// pool) and the calling thread (one segment, or no pool), which in
@@ -1389,6 +1396,32 @@ mod tests {
                 assert_eq!(t.query_on(&healthy, pool).unwrap().len(), 7);
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A snapshot query runs the same sealed sweep, so the same failed
+    /// fault-in is an `Err` from it too, not a panic in its caller.
+    #[test]
+    fn fault_in_failure_is_a_snapshot_query_error() {
+        let root = std::env::temp_dir().join(format!("imprints-snap-lost-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cfg = small_cfg();
+        cfg.storage.root = Some(root.clone());
+        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg).unwrap();
+        t.append_batch(vec![ints(0..600), ints(0..600)]).unwrap();
+        let snap = t.snapshot();
+        for seg in t.sealed_snapshot().iter() {
+            assert!(seg.evict() > 0);
+            let dir = root.join("t").join(seg.durable_name().unwrap());
+            std::fs::remove_file(dir.join(crate::persist::column_file(0))).unwrap();
+        }
+        let lost = [("a", ValueRange::between(Value::I64(3), Value::I64(9)))];
+        let res = catch_unwind(AssertUnwindSafe(|| snap.query(&lost)))
+            .expect("a failed fault-in must not unwind out of a snapshot query");
+        let err = res.expect_err("no answer without the column's data");
+        assert!(err.to_string().contains("panicked"), "{err}");
+        let healthy = [("b", ValueRange::between(Value::I64(3), Value::I64(590)))];
+        assert_eq!(snap.query(&healthy).unwrap().len(), 588);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -50,7 +50,7 @@
 //! `STATS`), `BUSY` and parse errors are written by the connection's reader
 //! and may overtake queued requests sent before them.
 
-use colstore::{ColumnType, Value};
+use colstore::{dispatch, ColumnType, Scalar, Value};
 use imprints_engine::{ValueRange, ValueSet};
 
 /// One parsed request line.
@@ -133,21 +133,8 @@ impl RawPred {
 
 /// Parses one wire value of type `ty`.
 pub fn parse_value(ty: ColumnType, s: &str) -> Result<Value, String> {
-    fn err<E: std::fmt::Display>(ty: ColumnType, s: &str, e: E) -> String {
-        format!("bad {ty:?} value {s:?}: {e}")
-    }
-    match ty {
-        ColumnType::I8 => s.parse().map(Value::I8).map_err(|e| err(ty, s, e)),
-        ColumnType::U8 => s.parse().map(Value::U8).map_err(|e| err(ty, s, e)),
-        ColumnType::I16 => s.parse().map(Value::I16).map_err(|e| err(ty, s, e)),
-        ColumnType::U16 => s.parse().map(Value::U16).map_err(|e| err(ty, s, e)),
-        ColumnType::I32 => s.parse().map(Value::I32).map_err(|e| err(ty, s, e)),
-        ColumnType::U32 => s.parse().map(Value::U32).map_err(|e| err(ty, s, e)),
-        ColumnType::I64 => s.parse().map(Value::I64).map_err(|e| err(ty, s, e)),
-        ColumnType::U64 => s.parse().map(Value::U64).map_err(|e| err(ty, s, e)),
-        ColumnType::F32 => s.parse().map(Value::F32).map_err(|e| err(ty, s, e)),
-        ColumnType::F64 => s.parse().map(Value::F64).map_err(|e| err(ty, s, e)),
-    }
+    let bad = |e: &dyn std::fmt::Display| format!("bad {ty:?} value {s:?}: {e}");
+    dispatch!(type T = ty => s.parse::<T>().map(Scalar::into_value).map_err(|e| bad(&e)))
 }
 
 /// Splits a request line into its optional tag and the rest.
@@ -457,6 +444,29 @@ mod tests {
             terms: vec![term(Some("5"), Some("5")), term(Some("7"), Some("7"))],
         };
         assert_eq!(list.to_set(ColumnType::I64).unwrap().terms.len(), 2);
+    }
+
+    /// Every type's extreme literals parse back to the same `Value`, and an
+    /// integer literal one past either end is rejected, not wrapped.
+    #[test]
+    fn every_type_parses_its_extremes_and_rejects_out_of_range() {
+        let types: Vec<ColumnType> = (0..).map_while(ColumnType::from_tag).collect();
+        assert_eq!(types.len(), 10);
+        for ty in types {
+            let (min, max, past) = dispatch!(type T = ty => (
+                T::MIN.into_value(),
+                T::MAX.into_value(),
+                [(T::MIN as i128).saturating_sub(1), (T::MAX as i128).saturating_add(1)],
+            ));
+            for v in [min, max] {
+                assert_eq!(parse_value(ty, &v.to_string()), Ok(v), "{ty}");
+            }
+            if !matches!(ty, ColumnType::F32 | ColumnType::F64) {
+                for p in past {
+                    assert!(parse_value(ty, &p.to_string()).is_err(), "{ty} accepted {p}");
+                }
+            }
+        }
     }
 
     #[test]

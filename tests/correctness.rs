@@ -2,7 +2,7 @@
 //! answer, on every data shape and scalar type the system supports.
 
 use baselines::{SeqScan, WahBitmap, ZoneMap};
-use colstore::{Column, RangeIndex, RangePredicate, Scalar};
+use colstore::{dispatch, Column, RangeIndex, RangePredicate, Scalar};
 use datagen::{datasets, distributions};
 use imprints::ColumnImprints;
 
@@ -162,30 +162,15 @@ fn all_dataset_families_cross_validate() {
     use colstore::relation::AnyColumn;
     for family in datasets::DatasetFamily::ALL {
         for gc in datasets::generate(family, 30_000, 99) {
-            macro_rules! check {
-                ($c:expr) => {{
-                    let c = $c;
-                    let mut sorted = c.values().to_vec();
-                    sorted.sort_unstable_by(|a, b| {
-                        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let lo = sorted[sorted.len() / 4];
-                    let hi = sorted[sorted.len() / 2];
-                    check_all_indexes(c, &[RangePredicate::between(lo, hi), RangePredicate::all()]);
-                }};
-            }
-            match &gc.column {
-                AnyColumn::I8(c) => check!(c),
-                AnyColumn::U8(c) => check!(c),
-                AnyColumn::I16(c) => check!(c),
-                AnyColumn::U16(c) => check!(c),
-                AnyColumn::I32(c) => check!(c),
-                AnyColumn::U32(c) => check!(c),
-                AnyColumn::I64(c) => check!(c),
-                AnyColumn::U64(c) => check!(c),
-                AnyColumn::F32(c) => check!(c),
-                AnyColumn::F64(c) => check!(c),
-            }
+            dispatch!(AnyColumn(c) = &gc.column => {
+                let mut sorted = c.values().to_vec();
+                sorted.sort_unstable_by(|a, b| {
+                    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+                });
+                let lo = sorted[sorted.len() / 4];
+                let hi = sorted[sorted.len() / 2];
+                check_all_indexes(c, &[RangePredicate::between(lo, hi), RangePredicate::all()]);
+            });
         }
     }
 }

@@ -4,7 +4,8 @@
 //! binary of `imprints-bench` produces the corresponding quantitative runs.
 
 use baselines::{WahBitmap, ZoneMap};
-use colstore::{Column, RangeIndex, RangePredicate};
+use colstore::relation::AnyColumn;
+use colstore::{dispatch, Column, RangeIndex, RangePredicate};
 use datagen::{datasets, distributions, entropy_sweep};
 use imprints::{column_entropy, ColumnImprints};
 
@@ -26,25 +27,9 @@ fn imprint_overhead_bounded_on_all_datasets() {
 }
 
 fn column_imprints_overhead(gc: &datasets::GeneratedColumn) -> f64 {
-    use colstore::relation::AnyColumn;
-    macro_rules! ov {
-        ($c:expr) => {{
-            let idx = ColumnImprints::build($c);
-            RangeIndex::size_bytes(&idx) as f64 / $c.data_bytes() as f64
-        }};
-    }
-    match &gc.column {
-        AnyColumn::I8(c) => ov!(c),
-        AnyColumn::U8(c) => ov!(c),
-        AnyColumn::I16(c) => ov!(c),
-        AnyColumn::U16(c) => ov!(c),
-        AnyColumn::I32(c) => ov!(c),
-        AnyColumn::U32(c) => ov!(c),
-        AnyColumn::I64(c) => ov!(c),
-        AnyColumn::U64(c) => ov!(c),
-        AnyColumn::F32(c) => ov!(c),
-        AnyColumn::F64(c) => ov!(c),
-    }
+    dispatch!(AnyColumn(c) = &gc.column => {
+        RangeIndex::size_bytes(&ColumnImprints::build(c)) as f64 / c.data_bytes() as f64
+    })
 }
 
 /// §6.2 / Fig. 7: imprints stay ≤ ~12% across the whole entropy range,
@@ -125,24 +110,7 @@ fn entropy_orders_dataset_families() {
 }
 
 fn column_imprints_entropy(gc: &datasets::GeneratedColumn) -> f64 {
-    use colstore::relation::AnyColumn;
-    macro_rules! e {
-        ($c:expr) => {
-            column_entropy(&ColumnImprints::build($c))
-        };
-    }
-    match &gc.column {
-        AnyColumn::I8(c) => e!(c),
-        AnyColumn::U8(c) => e!(c),
-        AnyColumn::I16(c) => e!(c),
-        AnyColumn::U16(c) => e!(c),
-        AnyColumn::I32(c) => e!(c),
-        AnyColumn::U32(c) => e!(c),
-        AnyColumn::I64(c) => e!(c),
-        AnyColumn::U64(c) => e!(c),
-        AnyColumn::F32(c) => e!(c),
-        AnyColumn::F64(c) => e!(c),
-    }
+    dispatch!(AnyColumn(c) = &gc.column => column_entropy(&ColumnImprints::build(c)))
 }
 
 /// §6.3 / Fig. 11: probe/comparison profile — WAH probes the most (more
