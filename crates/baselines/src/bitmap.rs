@@ -82,11 +82,6 @@ impl<T: Scalar> WahBitmap<T> {
         &self.vectors[i]
     }
 
-    /// Compressed words across all bins (compressibility metric).
-    pub fn total_words(&self) -> usize {
-        self.vectors.iter().map(WahVector::word_count).sum()
-    }
-
     /// The bin walk (§6.3): decodes the bins overlapping the kernel's
     /// predicate into one id-aligned result bitvector — inner bins ORed in
     /// wholesale, edge-bin candidates (scattered ids, so the kernel's

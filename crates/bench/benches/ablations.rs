@@ -1,33 +1,22 @@
 //! Criterion micro-benchmarks: the design-choice ablations of DESIGN.md §7.
 //!
-//! 1. `get_bin`: unrolled branch-parallel binary search vs the portable
-//!    `partition_point` (§2.5 claims ~3× for the unrolled form in C).
-//! 2. Imprint block granularity: 64 B cachelines vs 128/256/512 B blocks.
-//! 3. The `innermask` fast path on vs off.
-//! 4. Row-wise RLE compression: `Compressor` vs storing raw vectors.
+//! 1. Imprint block granularity: 64 B cachelines vs 128/256/512 B blocks.
+//! 2. The `innermask` fast path on vs off.
+//! 3. Row-wise RLE compression: `Compressor` vs storing raw vectors.
+//! 4. The §7 two-level organization vs the flat index.
+//! 5. Equi-height vs equi-width binning.
+//!
+//! §2.5's unrolled `get_bin` search is not an ablation here: measured
+//! against it, `slice::partition_point` (what `Binning::bin_of` uses) was
+//! ~1.35× faster, so the unrolled form was deleted (DESIGN.md, "One bin
+//! search").
 
 use colstore::{Column, RangeIndex, RangePredicate};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imprints::builder::{BuildOptions, Compressor};
-use imprints::{query, Binning, ColumnImprints};
+use imprints::{query, ColumnImprints};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn bench_get_bin(c: &mut Criterion) {
-    let sample: Vec<i64> = (0..100_000).map(|i| i * 7).collect();
-    let binning = Binning::from_sorted_sample(&sample);
-    let mut rng = StdRng::seed_from_u64(3);
-    let probes: Vec<i64> = (0..4096).map(|_| rng.gen_range(-1000..800_000)).collect();
-    let mut g = c.benchmark_group("get_bin");
-    g.throughput(Throughput::Elements(probes.len() as u64));
-    g.bench_function("unrolled", |b| {
-        b.iter(|| probes.iter().map(|&v| binning.bin_of(v)).sum::<usize>())
-    });
-    g.bench_function("portable", |b| {
-        b.iter(|| probes.iter().map(|&v| binning.bin_of_portable(v)).sum::<usize>())
-    });
-    g.finish();
-}
 
 fn bench_block_granularity(c: &mut Criterion) {
     let rows = 1 << 20;
@@ -129,8 +118,10 @@ fn bench_multilevel(c: &mut Criterion) {
 
 fn bench_binning_strategy(c: &mut Criterion) {
     use imprints::BinningStrategy;
-    // Zipf-skewed data: equi-height adapts its borders, equi-width wastes
-    // most bins on the empty tail of the domain.
+    // Heavy-tailed data: equi-height packs its borders where the data is,
+    // equi-width spreads them over the whole range. The query times do not
+    // show equi-height winning (equi-width was the faster in five of six
+    // runs).
     let mut rng = StdRng::seed_from_u64(12);
     let col: Column<i64> = (0..1 << 20)
         .map(|_| {
@@ -152,7 +143,6 @@ fn bench_binning_strategy(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_get_bin,
     bench_block_granularity,
     bench_innermask,
     bench_compression,

@@ -118,48 +118,6 @@ impl IdList {
         IdList { ids: out }
     }
 
-    /// Ids in `self` but not in `other` (the delta-structure difference of
-    /// §4.2: subtracting deleted rows from a base result).
-    pub fn difference(&self, other: &IdList) -> IdList {
-        let mut out = Vec::with_capacity(self.len());
-        let mut j = 0;
-        for &id in &self.ids {
-            while j < other.ids.len() && other.ids[j] < id {
-                j += 1;
-            }
-            if j >= other.ids.len() || other.ids[j] != id {
-                out.push(id);
-            }
-        }
-        IdList { ids: out }
-    }
-
-    /// Appends every id of `other`, shifted up by `offset`. The shifted ids
-    /// must all be greater than the current last id — the segment-merge
-    /// case, where per-segment results are local ids and `offset` is the
-    /// segment's base row id.
-    pub fn extend_offset(&mut self, other: &IdList, offset: u64) {
-        debug_assert!(
-            self.ids.last().is_none_or(|&last| {
-                other.ids.first().is_none_or(|&first| last < first + offset)
-            }),
-            "offset segments must be appended in ascending order"
-        );
-        self.ids.reserve(other.len());
-        self.ids.extend(other.ids.iter().map(|id| id + offset));
-    }
-
-    /// Concatenates per-segment id lists into one global list. Each part is
-    /// `(segment base row id, local ids)`; parts must arrive in ascending
-    /// base order and each local list must fit before the next base.
-    pub fn concat_segments<I: IntoIterator<Item = (u64, IdList)>>(parts: I) -> IdList {
-        let mut out = IdList::new();
-        for (base, part) in parts {
-            out.extend_offset(&part, base);
-        }
-        out
-    }
-
     /// Consumes the list, returning the underlying vector.
     pub fn into_vec(self) -> Vec<u64> {
         self.ids
@@ -357,13 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn idlist_union_and_difference() {
+    fn idlist_union() {
         let a = IdList::from_sorted(vec![1, 3, 5]);
         let b = IdList::from_sorted(vec![2, 3, 6]);
         assert_eq!(a.union(&b).as_slice(), &[1, 2, 3, 5, 6]);
-        assert_eq!(a.difference(&b).as_slice(), &[1, 5]);
-        assert_eq!(b.difference(&a).as_slice(), &[2, 6]);
-        assert_eq!(a.difference(&IdList::new()).as_slice(), &[1, 3, 5]);
+        assert_eq!(a.union(&IdList::new()), a);
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //! * **Id lists** ([`idlist::IdList`], [`idlist::CachelineSet`]): sorted
 //!   row-id result sets and candidate cacheline sets, with the merge-join
 //!   style intersection used for multi-attribute conjunctive queries.
-//! * **Delta structures** ([`delta::DeltaStore`]): pending
-//!   inserts/deletes/in-place updates merged at query time, as columnar
-//!   systems never update in place (paper §4.2).
 //! * **Binary persistence** ([`storage`]): an explicit, checksummed
 //!   little-endian page format for columns (and, in the `imprints` crate,
 //!   for indexes), with no external serialization dependency.
@@ -31,7 +28,6 @@
 
 pub mod aligned;
 pub mod column;
-pub mod delta;
 pub mod error;
 pub mod idlist;
 pub mod index;
@@ -42,7 +38,6 @@ pub mod types;
 
 pub use aligned::AlignedVec;
 pub use column::Column;
-pub use delta::DeltaStore;
 pub use error::{Error, Result};
 pub use idlist::{CachelineSet, IdList};
 pub use index::{AccessStats, RangeIndex};

@@ -83,7 +83,7 @@ impl ColumnType {
 /// Runs generic code for whichever scalar type a runtime value holds — the
 /// workspace's one `(variant, type)` list. Every ten-way enum over the
 /// scalar types ([`Value`], [`AnyColumn`](crate::relation::AnyColumn), the
-/// `imprints` crate's `AnyImprints`) names its variants after
+/// `imprints` crate's `AnyImprints` and `AnySet`) names its variants after
 /// [`ColumnType`]'s, so one list serves them all:
 ///
 /// * `dispatch!(Enum(x) = expr => body)` matches `expr` against every

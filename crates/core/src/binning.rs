@@ -23,16 +23,15 @@
 use colstore::{Bound, Column, RangePredicate, Scalar};
 
 use crate::sampling;
-use crate::search;
 use crate::MAX_BINS;
 
 /// How bin borders are derived from the sample.
 ///
 /// The paper uses the equi-height split exclusively; §7 names "judicious
 /// choice of the binning scheme" as future work, so the equi-width
-/// alternative is provided for the ablation benchmark: it is better when
-/// queries are uniform over the *domain* rather than over the *data*, and
-/// markedly worse under skew (hot bins stay huge).
+/// alternative is provided for the ablation benchmark. That benchmark
+/// (`ablations::binning_strategy`, heavy-tailed data) does not show
+/// equi-height winning: equi-width was the faster in five of six runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BinningStrategy {
     /// Approximate equi-height: each bin holds roughly the same number of
@@ -187,30 +186,13 @@ impl<T: Scalar> Binning<T> {
     /// The bin `v` falls into: `min(#{i : b[i] ≤ v}, bins − 1)`.
     ///
     /// §2.5 motivates a hand-unrolled branch-parallel binary search ("three
-    /// times faster" than a loop in the authors' C). In Rust, the ablation
-    /// benchmark (`ablations::get_bin`) shows `slice::partition_point`
-    /// already compiles to a branchless 6-probe search and *beats* the
-    /// paper-style unrolled form ([`Binning::bin_of_unrolled`], 7 probes),
-    /// so the portable form is the default. Both are kept and
-    /// differential-tested against each other.
+    /// times faster" than a loop in the authors' C). In Rust
+    /// `slice::partition_point` measured ~1.35× *faster* than a branchless
+    /// unrolled form over the same 64 borders (DESIGN.md, "One bin
+    /// search"), so it is the only search.
     #[inline]
     pub fn bin_of(&self, v: T) -> usize {
         let raw = self.borders.partition_point(|b| b.le_total(&v));
-        raw.min(self.bins as usize - 1)
-    }
-
-    /// The paper-faithful unrolled branch-parallel search (§2.5); see
-    /// [`Binning::bin_of`] for why it is not the default here.
-    #[inline]
-    pub fn bin_of_unrolled(&self, v: T) -> usize {
-        let raw = search::count_le_unrolled(&self.borders, v);
-        raw.min(self.bins as usize - 1)
-    }
-
-    /// Alias of the portable implementation, kept for differential tests.
-    #[inline]
-    pub fn bin_of_portable(&self, v: T) -> usize {
-        let raw = search::count_le_portable(&self.borders, v);
         raw.min(self.bins as usize - 1)
     }
 
@@ -352,16 +334,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unrolled_matches_portable_exhaustively() {
-        let b = binning_of((0..6400).map(|i| i * 3).collect());
-        for v in -10..19_300 {
-            assert_eq!(b.bin_of(v), b.bin_of_unrolled(v), "v = {v}");
-            assert_eq!(b.bin_of(v), b.bin_of_portable(v), "v = {v}");
+    /// The definition `bin_of` implements, `min(#{i : b[i] ≤ v}, bins − 1)`,
+    /// as a plain loop.
+    fn bin_by_definition<T: Scalar>(b: &Binning<T>, v: T) -> usize {
+        let mut at_or_below = 0;
+        for border in b.borders() {
+            if border.le_total(&v) {
+                at_or_below += 1;
+            }
         }
-        // Domain extremes.
-        assert_eq!(b.bin_of(i32::MIN), b.bin_of_unrolled(i32::MIN));
-        assert_eq!(b.bin_of(i32::MAX), b.bin_of_unrolled(i32::MAX));
+        at_or_below.min(b.bins() - 1)
+    }
+
+    #[test]
+    fn bin_of_matches_the_definition_exhaustively() {
+        let b = binning_of((0..6400).map(|i| i * 3).collect());
+        for v in (-10..19_300).chain([i32::MIN, i32::MAX]) {
+            assert_eq!(b.bin_of(v), bin_by_definition(&b, v), "v = {v}");
+        }
     }
 
     #[test]
@@ -474,7 +464,7 @@ mod tests {
         // Both remain valid binnings.
         for v in [0i64, 50, 500, 999, 5000] {
             assert!(eh.bin_of(v) < eh.bins());
-            assert_eq!(ew.bin_of(v), ew.bin_of_portable(v));
+            assert_eq!(ew.bin_of(v), bin_by_definition(&ew, v));
         }
     }
 
@@ -494,7 +484,7 @@ mod tests {
         for &v in col.values().iter().take(1000) {
             let bin = b.bin_of(v);
             assert!(bin < 64);
-            assert_eq!(bin, b.bin_of_portable(v));
+            assert_eq!(bin, bin_by_definition(&b, v));
         }
     }
 }

@@ -7,8 +7,6 @@
 //! that appends (§4.1) can keep filling it without rewriting compressed
 //! state.
 
-use std::ops::Range;
-
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
 use crate::binning::Binning;
@@ -225,15 +223,6 @@ impl<T: Scalar> ColumnImprints<T> {
     /// vectors — what Figure 3 prints and what the entropy metric reads.
     pub fn line_imprints(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs().flat_map(|r| std::iter::repeat_n(r.imprint, r.line_count as usize))
-    }
-
-    /// The row-id range covered by cacheline `line`, clamped to the column
-    /// length.
-    pub fn line_id_range(&self, line: u64) -> Range<u64> {
-        let vpb = self.values_per_block() as u64;
-        let start = line * vpb;
-        let end = ((line + 1) * vpb).min(self.rows as u64);
-        start..end
     }
 
     /// Fully recomputes the imprint of every cacheline of `col` and checks

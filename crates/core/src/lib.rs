@@ -52,15 +52,14 @@
 //! | module | paper section | contents |
 //! |---|---|---|
 //! | [`sampling`] | §2.4–2.5 | uniform sampling, sort, duplicate elimination |
-//! | [`binning`] | §2.5, Alg. 2 | histogram bins and borders |
-//! | [`search`] | §2.5 | branch-parallel unrolled `get_bin` binary search |
+//! | [`binning`] | §2.5, Alg. 2 | histogram bins and borders, `get_bin` ([`Binning::bin_of`]) |
 //! | [`dict`] | §2.3–2.4 | packed cacheline-dictionary entries |
 //! | [`builder`] | §2.4, Alg. 1 | imprint construction + row-wise RLE compression |
 //! | [`index`] | §2 | the [`ColumnImprints`] structure |
 //! | [`masks`] | §3 | query `mask` / `innermask` derivation |
 //! | [`query`] | §3, Alg. 3 | the one probe walk ([`query::probe`]) and its visitors: range evaluation, late materialization, covered counts, stats |
 //! | [`simd`] | §3 residual cost | SWAR false-positive refinement kernels |
-//! | [`update`] | §4 | appends, delta merging, saturation & rebuild |
+//! | [`update`] | §4 | appends (§4.1), in-place updates as an overlay run source for the probe walk (§4.2), saturation & rebuild |
 //! | [`entropy`] | §6.1 | the column entropy metric `E` |
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |
 //! | [`parallel`] | §7 | multi-core construction (future-work extension) |
@@ -82,7 +81,6 @@ pub mod print;
 pub mod query;
 pub mod relation_index;
 pub mod sampling;
-pub mod search;
 pub mod simd;
 pub mod storage;
 pub mod update;

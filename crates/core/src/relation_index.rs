@@ -18,8 +18,11 @@
 //!   (§4.1) once the head is large enough, and none before.
 //!
 //! The dynamically-typed predicate types ([`ValueRange`], [`ValueSet`]),
-//! the resolved query ([`SegQuery`]) and the name → position → bound-type
-//! resolver ([`resolve_sets`]) live here with it.
+//! the resolved query ([`SegQuery`]) and its resolver ([`resolve_sets`])
+//! live here with it. Resolving is the one place a predicate meets its
+//! column's scalar type: each set comes out compiled ([`AnySet`]) under
+//! the caller's refinement kernel, once per query, and every segment and
+//! the write head run that one compiled query.
 //!
 //! ```
 //! use colstore::{Column, Relation, Value};
@@ -39,6 +42,7 @@
 //! assert_eq!(ids.as_slice(), &[2]);
 //! ```
 
+use std::any::Any;
 use std::io::{Read, Write};
 
 use colstore::relation::{AnyColumn, Field};
@@ -49,7 +53,7 @@ use colstore::{
 
 use crate::index::ColumnImprints;
 use crate::query;
-use crate::simd::{self, Hits, PredicateKernel, RefineKernel, SetKernel};
+use crate::simd::{self, Hits, RefineKernel, SetKernel};
 
 /// A dynamically-typed closed range: `low ≤ v ≤ high`, either side
 /// optional. The variants must match the target column's scalar type.
@@ -82,15 +86,15 @@ impl ValueRange {
         ValueRange { low: None, high: Some(high) }
     }
 
-    /// Converts to the typed predicate of column type `T` — the bridge a
-    /// dynamically-typed query front-end (this module, the engine crate's
-    /// tables) uses to reach the typed index kernels. Fails if either bound
-    /// has a different scalar type than `T`.
-    pub fn to_predicate<T: Scalar>(&self) -> Result<RangePredicate<T>> {
+    /// Converts to the typed predicate of `column`, whose type is `T` — the
+    /// bridge from a dynamically-typed query to the typed index kernels,
+    /// crossed once per query by [`resolve_sets`]. Fails, naming `column`,
+    /// if either bound has a different scalar type than `T`.
+    pub fn to_predicate<T: Scalar>(&self, column: &str) -> Result<RangePredicate<T>> {
         let conv = |v: &Value| {
             T::from_value(v).ok_or_else(|| {
                 Error::Mismatch(format!(
-                    "predicate bound {v} has type {}, column holds {}",
+                    "predicate bound {v} has type {}, column {column:?} holds {}",
                     v.column_type(),
                     T::TYPE
                 ))
@@ -134,19 +138,10 @@ impl ValueSet {
         self.terms.is_empty()
     }
 
-    /// The single range when the set has exactly one term — the fast path
-    /// callers use to keep plain range predicates on their existing route.
-    pub fn as_single(&self) -> Option<&ValueRange> {
-        match self.terms.as_slice() {
-            [one] => Some(one),
-            _ => None,
-        }
-    }
-
-    /// Types every term against column type `T`. Fails if any bound has a
-    /// different scalar type.
-    pub fn to_predicates<T: Scalar>(&self) -> Result<Vec<RangePredicate<T>>> {
-        self.terms.iter().map(ValueRange::to_predicate).collect()
+    /// Types every term against `column`, whose type is `T`. Fails if any
+    /// bound has a different scalar type ([`ValueRange::to_predicate`]).
+    pub fn to_predicates<T: Scalar>(&self, column: &str) -> Result<Vec<RangePredicate<T>>> {
+        self.terms.iter().map(|range| range.to_predicate(column)).collect()
     }
 }
 
@@ -156,13 +151,56 @@ impl From<ValueRange> for ValueSet {
     }
 }
 
+/// A [`ValueSet`] compiled for the column it names: a [`SetKernel`] of
+/// that column's scalar type, one kernel per term (impossible terms
+/// included, so the plan a query takes and what it bills do not depend on
+/// what compiled away). [`resolve_sets`] builds them.
+#[derive(Debug, Clone)]
+pub enum AnySet {
+    /// A set over an `i8` column.
+    I8(SetKernel<i8>),
+    /// A set over a `u8` column.
+    U8(SetKernel<u8>),
+    /// A set over an `i16` column.
+    I16(SetKernel<i16>),
+    /// A set over a `u16` column.
+    U16(SetKernel<u16>),
+    /// A set over an `i32` column.
+    I32(SetKernel<i32>),
+    /// A set over a `u32` column.
+    U32(SetKernel<u32>),
+    /// A set over an `i64` column.
+    I64(SetKernel<i64>),
+    /// A set over a `u64` column.
+    U64(SetKernel<u64>),
+    /// A set over an `f32` column.
+    F32(SetKernel<f32>),
+    /// A set over an `f64` column.
+    F64(SetKernel<f64>),
+}
+
+impl AnySet {
+    /// Number of terms the query gave the set.
+    fn term_count(&self) -> usize {
+        dispatch!(AnySet(k) = self => k.terms().len())
+    }
+
+    /// The compiled set, for the column of `T` it was resolved against.
+    ///
+    /// # Panics
+    /// Panics if that column does not hold `T`.
+    fn typed<T: Scalar>(&self) -> &SetKernel<T> {
+        dispatch!(AnySet(k) = self => (k as &dyn Any).downcast_ref()).expect(DIVERGED)
+    }
+}
+
 /// One query as the plan evaluates it: predicates resolved to column
-/// positions ([`resolve_sets`]), how they combine, and which [`Hits`] mode
-/// the caller wants.
+/// positions and compiled ([`resolve_sets`]), how they combine, and which
+/// [`Hits`] mode the caller wants.
 #[derive(Debug, Clone)]
 pub struct SegQuery {
-    /// Resolved `(column index, value set)` predicates.
-    pub preds: Vec<(usize, ValueSet)>,
+    /// Resolved `(column index, compiled set)` predicates.
+    pub preds: Vec<(usize, AnySet)>,
     /// `true` evaluates the predicates as a disjunction (`OR` group)
     /// instead of the default conjunction.
     pub any: bool,
@@ -170,59 +208,54 @@ pub struct SegQuery {
     pub count_only: bool,
 }
 
-/// Resolves and type-checks `(name, value set)` predicates against
-/// `schema` — the one name → position → bound-type check every front-end
-/// ([`RelationImprints::query`], the engine's tables and snapshots) runs
-/// before [`run`], so a mismatched bound (in any term of any set) is an
-/// error here instead of a panic in a typed kernel later.
+/// Resolves `(name, value set)` predicates against `schema` and compiles
+/// each set for its column under `kernel` — the one name → position →
+/// scalar type step every front-end ([`RelationImprints::query`], the
+/// engine's tables and snapshots) runs before [`run`]. A bound of the wrong
+/// type (in any term of any set) is an error here; past it, every column
+/// of every segment runs the same compiled sets.
 pub fn resolve_sets<S: AsRef<str>>(
     schema: &[Field],
     preds: &[(S, ValueSet)],
-) -> Result<Vec<(usize, ValueSet)>> {
-    let mut out = Vec::with_capacity(preds.len());
-    for (name, set) in preds {
-        let name = name.as_ref();
-        let pos = schema
-            .iter()
-            .position(|f| f.name == name)
-            .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
-        let ty = schema[pos].ty;
-        for range in &set.terms {
-            for bound in [&range.low, &range.high].into_iter().flatten() {
-                if bound.column_type() != ty {
-                    return Err(Error::Mismatch(format!(
-                        "predicate bound {bound} has type {}, column {name:?} holds {ty}",
-                        bound.column_type()
-                    )));
-                }
-            }
-        }
-        out.push((pos, set.clone()));
-    }
-    Ok(out)
+    kernel: RefineKernel,
+) -> Result<Vec<(usize, AnySet)>> {
+    preds
+        .iter()
+        .map(|(name, set)| {
+            let name = name.as_ref();
+            let pos = schema
+                .iter()
+                .position(|f| f.name == name)
+                .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
+            let compiled = dispatch!(type T = schema[pos].ty => into AnySet(
+                SetKernel::with_kernel(&set.to_predicates::<T>(name)?, kernel)
+            ));
+            Ok((pos, compiled))
+        })
+        .collect()
 }
 
 /// What the plan needs from one column. [`IndexedColumn`] (a buffer and
 /// an optional imprint) holds the typed bodies; the engine's sealed
 /// segment column only decides where its values live (faulted in lazily)
-/// and forwards to one. [`run`] is
-/// generic over the implementor, so its column calls are statically
-/// dispatched. Every predicate handed in was type-checked by
-/// [`resolve_sets`]; implementations may panic on one that was not.
+/// and forwards to one. [`run`] is generic over the implementor, so its
+/// column calls are statically dispatched. Every set handed in was
+/// compiled by [`resolve_sets`] against this column.
 pub trait PlanColumn {
-    /// Evaluates one range over the whole column into a fresh sink.
-    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats);
+    /// Evaluates the one term of `set` over the whole column into a fresh
+    /// sink.
+    fn run_range(&self, set: &AnySet, count_only: bool) -> (Hits, AccessStats);
 
     /// The row-id ranges that may hold a match of `set` — the union of
     /// each term's imprint candidates — and the probe statistics. No value
     /// is read.
-    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats);
+    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats);
 
-    /// Value-checks the rows of `ranges` against `set` into `hits` with
-    /// the compiled [`SetKernel`], billing `stats`.
+    /// Value-checks the rows of `ranges` against `set` into `hits`,
+    /// billing `stats`.
     fn check(
         &self,
-        set: &ValueSet,
+        set: &AnySet,
         ranges: &CachelineSet,
         hits: Hits,
         stats: &mut AccessStats,
@@ -230,7 +263,7 @@ pub trait PlanColumn {
 
     /// Keeps only the ids whose value satisfies `set` — the gather kernel
     /// over scattered ids ([`SetKernel::filter_ids`]) — billing `stats`.
-    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats);
+    fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats);
 
     /// Bills one query against the column's observation counter, if it
     /// keeps one. The plan calls this once per touched column *up front*,
@@ -272,7 +305,7 @@ pub fn run<C: PlanColumn>(cols: &[C], rows: u64, q: &SegQuery) -> (Hits, AccessS
 fn run_conjunction<C: PlanColumn>(
     cols: &[C],
     rows: u64,
-    preds: &[(usize, ValueSet)],
+    preds: &[(usize, AnySet)],
     count_only: bool,
 ) -> (Hits, AccessStats) {
     match preds {
@@ -281,10 +314,7 @@ fn run_conjunction<C: PlanColumn>(
             hits.emit(0..rows);
             (hits, AccessStats::default())
         }
-        [(col, set)] if set.as_single().is_some() => {
-            let range = set.as_single().expect("checked single");
-            cols[*col].run_range(range, count_only)
-        }
+        [(col, set)] if set.term_count() == 1 => cols[*col].run_range(set, count_only),
         _ => {
             for (col, _) in preds {
                 cols[*col].note_query();
@@ -296,7 +326,7 @@ fn run_conjunction<C: PlanColumn>(
 
 /// The conjunction plan, the paper's §3 late materialization: per-column
 /// imprint candidate ranges intersected in id space, the most selective
-/// predicate value-checked with the compiled [`SetKernel`] over the
+/// predicate value-checked with its compiled [`SetKernel`] over the
 /// surviving contiguous runs, every further predicate weeding the
 /// scattered survivors with the gather-style SWAR kernel
 /// ([`SetKernel::filter_ids`]). Only a first predicate that is also the
@@ -304,7 +334,7 @@ fn run_conjunction<C: PlanColumn>(
 /// predicate still has to weed are ids either way.
 fn late_materialize<C: PlanColumn>(
     cols: &[C],
-    preds: &[(usize, ValueSet)],
+    preds: &[(usize, AnySet)],
     count_only: bool,
 ) -> (Hits, AccessStats) {
     let mut stats = AccessStats::default();
@@ -345,68 +375,41 @@ fn late_materialize<C: PlanColumn>(
     (hits, stats)
 }
 
-const VALIDATED: &str = "predicates validated against schema";
-const DIVERGED: &str = "index and column scalar types diverged";
-
-/// Compiles `set` for column type `T` under `kernel`.
-fn compile<T: Scalar>(set: &ValueSet, kernel: RefineKernel) -> SetKernel<T> {
-    SetKernel::with_kernel(&set.to_predicates().expect(VALIDATED), kernel)
-}
+const DIVERGED: &str = "index, column and compiled set scalar types diverged";
 
 /// [`PlanColumn::candidates`] over a typed imprint: the union of each
 /// term's candidate row-id ranges, plus the probe statistics.
-///
-/// # Panics
-/// Panics on a set [`resolve_sets`] did not type-check against `T`.
 fn set_candidates<T: Scalar>(
     idx: &ColumnImprints<T>,
-    set: &ValueSet,
+    set: &SetKernel<T>,
 ) -> (CachelineSet, AccessStats) {
     let mut stats = AccessStats::default();
-    let terms: Vec<RangePredicate<T>> = set.to_predicates().expect(VALIDATED);
-    let per_term = terms.iter().map(|pred| {
-        let (ranges, s) = query::candidate_id_ranges(idx, pred);
+    let per_term = set.terms().iter().map(|term| {
+        let (ranges, s) = query::candidate_id_ranges(idx, term.predicate());
         stats.merge(&s.access);
         ranges
     });
     (per_term.reduce(|a, b| a.union(&b)).unwrap_or_default(), stats)
 }
 
-/// [`PlanColumn::check`] over typed values: the compiled [`SetKernel`]
-/// over the contiguous runs of `ranges`, which is in row-id space already
+/// [`PlanColumn::check`] over typed values: the compiled set over the
+/// contiguous runs of `ranges`, which is in row-id space already
 /// ([`query::candidate_id_ranges`] turns cacheline runs into id runs
 /// clamped to the column), so its runs feed the kernel directly.
 ///
 /// # Panics
-/// Panics on a mistyped set, or on `ranges` beyond `values`.
+/// Panics on `ranges` beyond `values`.
 fn set_check<T: Scalar>(
     values: &[T],
-    kernel: RefineKernel,
-    set: &ValueSet,
+    set: &SetKernel<T>,
     ranges: &CachelineSet,
     mut hits: Hits,
     stats: &mut AccessStats,
 ) -> Hits {
-    let kernel = compile(set, kernel);
     for ids in ranges.runs() {
-        kernel.check(values, ids, &mut hits, &mut stats.value_comparisons);
+        set.check(values, ids, &mut hits, &mut stats.value_comparisons);
     }
     hits
-}
-
-/// [`PlanColumn::weed`] over typed values: the gather kernel
-/// ([`SetKernel::filter_ids`]) over scattered survivor ids.
-///
-/// # Panics
-/// Panics on a mistyped set, or on an id beyond `values`.
-fn set_weed<T: Scalar>(
-    values: &[T],
-    kernel: RefineKernel,
-    set: &ValueSet,
-    ids: &mut Vec<u64>,
-    stats: &mut AccessStats,
-) {
-    compile(set, kernel).filter_ids(values, ids, &mut stats.value_comparisons);
 }
 
 /// A column imprints index of whichever scalar type its column holds.
@@ -479,21 +482,21 @@ impl AnyImprints {
     /// column whose data is elsewhere (evicted) answers it too.
     ///
     /// # Panics
-    /// Panics on a set [`resolve_sets`] did not type-check.
-    pub fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
-        dispatch!(AnyImprints(i) = self => set_candidates(i, set))
+    /// Panics on a set compiled for another column type.
+    pub fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
+        dispatch!(AnyImprints(i) = self => set_candidates(i, set.typed()))
     }
 
-    /// Counts the rows matching `range` from the index alone, when every
-    /// candidate cacheline is fully covered by it
+    /// Counts the rows matching the one term of `set` from the index
+    /// alone, when every candidate cacheline is fully covered by it
     /// ([`query::count_covered`]); `None` when a value check would be
     /// needed.
     ///
     /// # Panics
-    /// Panics on a range [`resolve_sets`] did not type-check.
-    pub fn count_covered(&self, range: &ValueRange) -> Option<(u64, AccessStats)> {
+    /// Panics on a set compiled for another column type, or without terms.
+    pub fn count_covered(&self, set: &AnySet) -> Option<(u64, AccessStats)> {
         dispatch!(AnyImprints(i) = self => {
-            let (n, stats) = query::count_covered(i, &range.to_predicate().expect(VALIDATED))?;
+            let (n, stats) = query::count_covered(i, set.typed().terms()[0].predicate())?;
             Some((n, stats.access))
         })
     }
@@ -518,15 +521,13 @@ impl AnyImprints {
 ///
 /// # Panics
 /// The [`PlanColumn`] methods panic if `imprints` was not built over
-/// `col`, or on a predicate [`resolve_sets`] did not type-check.
+/// `col`, or on a set compiled for another column type.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexedColumn<'a> {
     /// The column's values.
     pub col: &'a AnyColumn,
     /// The column's imprint, if it carries one.
     pub imprints: Option<&'a AnyImprints>,
-    /// The refinement kernel value checks run under.
-    pub kernel: RefineKernel,
 }
 
 impl IndexedColumn<'_> {
@@ -539,23 +540,20 @@ impl IndexedColumn<'_> {
 }
 
 impl PlanColumn for IndexedColumn<'_> {
-    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
+    fn run_range(&self, set: &AnySet, count_only: bool) -> (Hits, AccessStats) {
         let Some(idx) = self.imprints else {
             let mut stats = AccessStats::default();
-            let hits = Hits::new(count_only);
-            let hits = self.check(&ValueSet::range(*range), &self.all_rows(), hits, &mut stats);
+            let hits = self.check(set, &self.all_rows(), Hits::new(count_only), &mut stats);
             return (hits, stats);
         };
         dispatch!(AnyImprints(i) = idx => {
-            let pred = range.to_predicate().expect(VALIDATED);
-            let kernel = PredicateKernel::with_kernel(&pred, self.kernel);
             let col = self.col.downcast().expect(DIVERGED);
-            let (hits, stats) = query::run(i, col, &kernel, Hits::new(count_only));
+            let (hits, stats) = query::run(i, col, &set.typed().terms()[0], Hits::new(count_only));
             (hits, stats.access)
         })
     }
 
-    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
+    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
         let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
         debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
         idx.candidates(set)
@@ -563,18 +561,18 @@ impl PlanColumn for IndexedColumn<'_> {
 
     fn check(
         &self,
-        set: &ValueSet,
+        set: &AnySet,
         ranges: &CachelineSet,
         hits: Hits,
         stats: &mut AccessStats,
     ) -> Hits {
-        dispatch!(AnyColumn(c) = self.col => {
-            set_check(c.values(), self.kernel, set, ranges, hits, stats)
-        })
+        dispatch!(AnyColumn(c) = self.col => set_check(c.values(), set.typed(), ranges, hits, stats))
     }
 
-    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        dispatch!(AnyColumn(c) = self.col => set_weed(c.values(), self.kernel, set, ids, stats));
+    fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
+        dispatch!(AnyColumn(c) = self.col => {
+            set.typed().filter_ids(c.values(), ids, &mut stats.value_comparisons);
+        });
     }
 }
 
@@ -612,13 +610,12 @@ impl RelationImprints {
     pub fn query(&self, rel: &Relation, preds: &[(&str, ValueRange)]) -> Result<IdList> {
         let sets: Vec<(&str, ValueSet)> =
             preds.iter().map(|(name, range)| (*name, ValueSet::range(*range))).collect();
-        let preds = resolve_sets(rel.schema().fields(), &sets)?;
-        let kernel = simd::ambient_kernel();
+        let preds = resolve_sets(rel.schema().fields(), &sets, simd::ambient_kernel())?;
         let cols: Vec<IndexedColumn> = rel
             .columns()
             .iter()
             .zip(&self.indexes)
-            .map(|(col, idx)| IndexedColumn { col, imprints: Some(idx), kernel })
+            .map(|(col, idx)| IndexedColumn { col, imprints: Some(idx) })
             .collect();
         let q = SegQuery { preds, any: false, count_only: false };
         Ok(run(&cols, rel.row_count() as u64, &q).0.into_ids())
@@ -721,14 +718,40 @@ mod tests {
     fn value_set_shapes_and_typing() {
         let set = ValueSet::points([Value::I64(3), Value::I64(9)]);
         assert_eq!(set.terms.len(), 2);
-        assert!(set.as_single().is_none());
-        let preds: Vec<RangePredicate<i64>> = set.to_predicates().unwrap();
+        let preds: Vec<RangePredicate<i64>> = set.to_predicates("v").unwrap();
         assert!(preds[0].matches(&3) && preds[1].matches(&9));
-        assert!(set.to_predicates::<i32>().is_err(), "mismatched scalar must fail");
+        let err = set.to_predicates::<i32>("v").unwrap_err().to_string();
+        assert!(err.contains("bound 3 has type i64, column \"v\" holds i32"), "{err}");
 
         let one = ValueSet::from(ValueRange::at_least(Value::U16(5)));
-        assert_eq!(one.as_single(), Some(&ValueRange::at_least(Value::U16(5))));
+        assert_eq!(one.terms, [ValueRange::at_least(Value::U16(5))]);
         assert!(ValueSet::default().is_empty());
+    }
+
+    /// Resolving keeps one compiled entry per term, impossible and empty
+    /// sets included, and names the column a mistyped bound was aimed at.
+    #[test]
+    fn resolve_sets_compiles_every_term() {
+        let schema = [Field { name: "v".into(), ty: ColumnType::I64 }];
+        let sets = [
+            ("v", between(5, 1)),
+            ("v", ValueSet::points([7, 9, 11].map(Value::I64))),
+            ("v", ValueSet::default()),
+        ];
+        let compiled = resolve_sets(&schema, &sets, RefineKernel::Scalar).unwrap();
+        let terms: Vec<usize> = compiled.iter().map(|(_, s)| s.term_count()).collect();
+        assert_eq!(terms, [1, 3, 0]);
+        assert!(compiled[0].1.typed::<i64>().is_empty());
+        let err = resolve_sets(
+            &schema,
+            &[("v", between(1, 2)), ("v", ValueSet::points([Value::U8(1)]))],
+            RefineKernel::Auto,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "structure mismatch: predicate bound 1 has type u8, column \"v\" holds i64"
+        );
     }
 
     /// Same relation, different widths: `i32` and `f64` cachelines hold
@@ -778,17 +801,21 @@ mod tests {
         expect: &[u64],
     ) -> (AccessStats, AccessStats) {
         let rows = bufs[0].len() as u64;
+        let schema: Vec<Field> = bufs
+            .iter()
+            .enumerate()
+            .map(|(i, col)| Field { name: i.to_string(), ty: col.column_type() })
+            .collect();
+        let named: Vec<(String, ValueSet)> =
+            preds.iter().map(|(i, set)| (i.to_string(), set.clone())).collect();
+        let compiled = resolve_sets(&schema, &named, simd::ambient_kernel()).unwrap();
         let stats = [true, false].map(|indexed| {
             let cols: Vec<IndexedColumn> = bufs
                 .iter()
                 .zip(tails)
-                .map(|(col, idx)| IndexedColumn {
-                    col,
-                    imprints: indexed.then_some(idx),
-                    kernel: simd::ambient_kernel(),
-                })
+                .map(|(col, idx)| IndexedColumn { col, imprints: indexed.then_some(idx) })
                 .collect();
-            let q = |count_only| SegQuery { preds: preds.to_vec(), any, count_only };
+            let q = |count_only| SegQuery { preds: compiled.clone(), any, count_only };
             let (ids, stats) = run(&cols, rows, &q(false));
             assert_eq!(ids.into_ids().as_slice(), expect, "indexed {indexed}, {preds:?}");
             let (n, _) = run(&cols, rows, &q(true));

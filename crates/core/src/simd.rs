@@ -43,7 +43,8 @@
 //! types, partial-tail geometries and all four access paths), or `Swar`.
 //! There is one configured selection, the engine's per-table
 //! `EngineConfig::refine_kernel`; it resolves through
-//! [`effective_kernel`] and is threaded explicitly. Bare entry points
+//! [`effective_kernel`] and is compiled into each query when the query is
+//! resolved ([`crate::relation_index::resolve_sets`]). Bare entry points
 //! without a kernel argument run under [`ambient_kernel`], which is `Auto`.
 //! In both cases the `IMPRINTS_REFINE_KERNEL` environment variable
 //! (`auto`/`scalar`/`swar`) overrides, which is how CI forces the scalar
@@ -431,38 +432,42 @@ fn gather_chunks<T: Scalar>(values: &[T], ids: &mut Vec<u64>, mask_of: impl Fn(&
 }
 
 /// A compiled disjunction of range predicates on one column — the kernel
-/// form of a [`crate::relation_index::ValueSet`] (IN-lists, OR terms). A
-/// value matches when any member kernel matches; impossible members are
-/// dropped at compile time, so an all-empty set examines no data and bills
-/// zero comparisons, exactly like an empty [`PredicateKernel`]. Comparison
-/// accounting counts each value examined **once**, regardless of how many
-/// member intervals it is tested against — the statistic tracks data
-/// touched, not arithmetic.
+/// form of a [`crate::relation_index::ValueSet`] (IN-lists, OR terms). It
+/// keeps one [`PredicateKernel`] per term, impossible ones included, so the
+/// plan sees the set's terms as the query wrote them ([`SetKernel::terms`]).
+/// A value matches when any term matches; the value checks skip impossible
+/// terms, so an all-empty set examines no data and bills zero comparisons,
+/// exactly like an empty [`PredicateKernel`]. Comparison accounting counts
+/// each value examined **once**, regardless of how many terms it is tested
+/// against — the statistic tracks data touched, not arithmetic.
 #[derive(Debug, Clone)]
 pub struct SetKernel<T: Scalar> {
     kernels: Vec<PredicateKernel<T>>,
 }
 
 impl<T: Scalar> SetKernel<T> {
-    /// Compiles `terms` under the ambient kernel selection.
-    pub fn new(terms: &[RangePredicate<T>]) -> Self {
-        Self::with_kernel(terms, ambient_kernel())
-    }
-
     /// Compiles `terms` under an explicit kernel.
     pub fn with_kernel(terms: &[RangePredicate<T>], kernel: RefineKernel) -> Self {
         SetKernel {
-            kernels: terms
-                .iter()
-                .map(|p| PredicateKernel::with_kernel(p, kernel))
-                .filter(|k| !k.is_empty())
-                .collect(),
+            kernels: terms.iter().map(|p| PredicateKernel::with_kernel(p, kernel)).collect(),
         }
     }
 
-    /// Whether no value can match (every term was impossible).
+    /// One compiled kernel per term, in query order.
+    pub(crate) fn terms(&self) -> &[PredicateKernel<T>] {
+        &self.kernels
+    }
+
+    /// Whether no value can match (every term is impossible).
     pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+        self.kernels.iter().all(PredicateKernel::is_empty)
+    }
+
+    /// The first two terms that can match a value: with none, nothing is
+    /// examined; with exactly one, its own kernel runs.
+    fn live(&self) -> (Option<&PredicateKernel<T>>, Option<&PredicateKernel<T>>) {
+        let mut live = self.kernels.iter().filter(|k| !k.is_empty());
+        (live.next(), live.next())
     }
 
     /// Value-checks `values[ids]` into `hits`, with single-visit comparison
@@ -471,9 +476,9 @@ impl<T: Scalar> SetKernel<T> {
     /// # Panics
     /// Panics if `ids` is out of bounds for `values`.
     pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
-        match self.kernels.as_slice() {
-            [] => {}
-            [one] => one.check(values, ids, hits, comparisons),
+        match self.live() {
+            (None, _) => {}
+            (Some(one), None) => one.check(values, ids, hits, comparisons),
             _ => {
                 let slice = &values[ids.start as usize..ids.end as usize];
                 *comparisons += slice.len() as u64;
@@ -488,8 +493,8 @@ impl<T: Scalar> SetKernel<T> {
         self.kernels.iter().any(|k| k.matches(v))
     }
 
-    /// Match bitmask of one chunk of up to 64 values — the OR of the member
-    /// masks.
+    /// Match bitmask of one chunk of up to 64 values — the OR of the term
+    /// masks (an impossible term's is 0).
     fn union_mask(&self, chunk: &[T]) -> u64 {
         self.kernels.iter().fold(0u64, |m, k| m | k.match_mask(chunk))
     }
@@ -500,9 +505,9 @@ impl<T: Scalar> SetKernel<T> {
     /// # Panics
     /// Panics if any id is out of bounds for `values`.
     pub fn filter_ids(&self, values: &[T], ids: &mut Vec<u64>, comparisons: &mut u64) {
-        match self.kernels.as_slice() {
-            [] => ids.clear(),
-            [one] => one.filter_ids(values, ids, comparisons),
+        match self.live() {
+            (None, _) => ids.clear(),
+            (Some(one), None) => one.filter_ids(values, ids, comparisons),
             _ => {
                 *comparisons += ids.len() as u64;
                 gather_chunks(values, ids, |chunk| self.union_mask(chunk));
@@ -896,7 +901,7 @@ mod tests {
         let terms = [
             RangePredicate::equals(5i64),
             RangePredicate::between(40, 60),
-            RangePredicate::between(9, 2), // impossible term is dropped
+            RangePredicate::between(9, 2), // impossible term is kept, never checked
             RangePredicate::equals(250),
         ];
         let in_union = |v: &i64| terms.iter().any(|t| t.matches(v));
@@ -904,6 +909,7 @@ mod tests {
         for sel in [RefineKernel::Scalar, RefineKernel::Swar] {
             let set = SetKernel::with_kernel(&terms, sel);
             assert!(!set.is_empty());
+            assert_eq!(set.terms().len(), terms.len());
             assert!(set.matches(&50) && set.matches(&5) && !set.matches(&7));
             // One chunk's matches agree with the per-value oracle.
             let (chunk, _) = checked(false, |h, c| set.check(&values, 0..64, h, c));

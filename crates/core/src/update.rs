@@ -8,19 +8,16 @@
 //! are overflow bins — but appends landing there are counted as a drift
 //! signal.
 //!
-//! **Arbitrary updates** (§4.2) go through the column store's
-//! [`colstore::DeltaStore`]; [`evaluate_with_delta`] merges the base-index
-//! result with the pending changes at query time. Deletions can be ignored
-//! by the imprints (they only create false positives); in-place updates are
-//! handled by re-checking affected ids against their *new* values; when the
-//! delta grows too large the index is simply rebuilt — "the overhead for
-//! rebuilding an imprint index during a regular scan is minimal".
+//! **In-place updates** (§4.2) set the new value's bin bit on the
+//! affected cacheline ([`OverlayImprints`]); bits are only ever added, so
+//! stale bits cost false positives, never answers. When the overlay stops
+//! being sparse the index is simply rebuilt — "the overhead for rebuilding
+//! an imprint index during a regular scan is minimal".
 
 use std::collections::BTreeMap;
 
-use colstore::{AccessStats, Column, DeltaStore, IdList, RangeIndex, RangePredicate, Scalar};
+use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
-use crate::builder::line_imprint;
 use crate::index::{ColumnImprints, Run};
 use crate::masks;
 use crate::query;
@@ -125,40 +122,6 @@ impl<T: Scalar> ColumnImprints<T> {
     pub fn rebuild(&self, col: &Column<T>) -> Self {
         ColumnImprints::build_with(col, *self.options())
     }
-}
-
-/// Evaluates `pred` through the index over the *base* column, then merges
-/// the pending changes of `delta` (§4.2): deleted rows drop out, updated
-/// rows are re-checked against their new values, and qualifying appended
-/// rows (ids ≥ base length) join the result.
-pub fn evaluate_with_delta<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    col: &Column<T>,
-    delta: &DeltaStore<T>,
-    pred: &RangePredicate<T>,
-) -> IdList {
-    let (base_result, _) = query::evaluate(idx, col, pred);
-    delta.merge_result(&base_result, |v| pred.matches(v))
-}
-
-/// Recomputes the imprint of the cachelines that `delta`'s in-place updates
-/// touch and reports how many of them now carry *stale* bits (bits set for
-/// values no longer present). Stale bits are harmless — they only produce
-/// false positives — but quantify index decay between rebuilds.
-pub fn stale_line_count<T: Scalar>(idx: &ColumnImprints<T>, col_after_updates: &Column<T>) -> u64 {
-    let vpb = idx.values_per_block();
-    let mut stale = 0u64;
-    let mut lines = idx.line_imprints();
-    for chunk in col_after_updates.values().chunks(vpb) {
-        let fresh = line_imprint(idx.binning(), chunk);
-        match lines.next() {
-            // Stored may have extra bits (stale) but must cover fresh ones
-            // unless the update took values to new bins.
-            Some(stored) if stored != fresh => stale += 1,
-            _ => {}
-        }
-    }
-    stale
 }
 
 /// In-place updates without rebuild (§4.2): "an insertion however, will
@@ -400,50 +363,6 @@ mod tests {
         let col2: Column<u8> = (0..6400).map(|i| (i / 640) as u8).collect();
         let idx2 = ColumnImprints::build(&col2);
         assert!(idx2.saturation() < 0.3);
-    }
-
-    #[test]
-    fn delta_merged_query() {
-        let col: Column<i32> = (0..5000).map(|i| i % 100).collect();
-        let idx = ColumnImprints::build(&col);
-        let mut delta = DeltaStore::new(col.len());
-        delta.delete(0); // value 0, won't qualify anyway
-        delta.delete(50); // value 50, qualifies in base
-        delta.update(51, 999); // was 51 (qualifying) -> now out of range
-        delta.update(200, 55); // was 0 -> now qualifies
-        delta.append(60); // qualifies
-        delta.append(5); // does not
-
-        let pred = RangePredicate::between(50, 60);
-        let merged = evaluate_with_delta(&idx, &col, &delta, &pred);
-
-        let consolidated: Column<i32> = Column::from(delta.consolidate(col.values()));
-        // Oracle over the *logical* table: base ids minus deletions with
-        // updates applied, appends at the end. Compute directly.
-        let mut expect: Vec<u64> = Vec::new();
-        for id in 0..delta.logical_len() {
-            if let Some(v) = delta.effective_value(id, col.values()) {
-                if pred.matches(&v) {
-                    expect.push(id);
-                }
-            }
-        }
-        assert_eq!(merged.as_slice(), expect.as_slice());
-        // Sanity: consolidation then rebuild agrees on cardinality.
-        let idx2 = ColumnImprints::build(&consolidated);
-        let (fresh, _) = query::evaluate(&idx2, &consolidated, &pred);
-        assert_eq!(fresh.len(), expect.len()); // same multiset size
-    }
-
-    #[test]
-    fn stale_lines_counted_after_inplace_updates() {
-        let mut col: Column<i32> = (0..6400).map(|i| i % 10).collect();
-        let idx = ColumnImprints::build(&col);
-        assert_eq!(stale_line_count(&idx, &col), 0);
-        // Move one value below every border: bin 0 is a bin the original
-        // imprint of that line never set.
-        col.values_mut()[100] = -5;
-        assert_eq!(stale_line_count(&idx, &col), 1);
     }
 
     #[test]

@@ -117,7 +117,6 @@ impl Catalog {
                     &types,
                     &entry.dir,
                     &dir,
-                    cfg,
                     cfg.storage.load_indexes,
                 )?;
                 let nanos = t0.elapsed().as_nanos() as u64;

@@ -271,7 +271,7 @@ fn compact_table(table: &Table, report: &mut MaintenanceReport) {
             if spent > 0 && spent + bytes > budget {
                 return;
             }
-            let merged = SealedSegment::merge(window, table.config());
+            let merged = SealedSegment::merge(window);
             if table.install(window, merged) {
                 // ordering: monotonic telemetry, guards no other memory.
                 table.stats().compactions.fetch_add(1, Ordering::Relaxed);

@@ -23,12 +23,9 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, CachelineSet, ColumnType, Value};
-use imprints::relation_index::{
-    self, AnyImprints, IndexedColumn, PlanColumn, SegQuery, ValueRange, ValueSet,
-};
-use imprints::simd::{self, Hits, RefineKernel};
+use imprints::relation_index::{self, AnyImprints, AnySet, IndexedColumn, PlanColumn, SegQuery};
+use imprints::simd::Hits;
 
-use crate::config::EngineConfig;
 use crate::persist;
 
 /// The data payload of one sealed segment column: memory-resident, or
@@ -167,11 +164,6 @@ pub struct ColumnObservations {
 pub struct SegCol {
     data: DataSlot,
     imprints: AnyImprints,
-    /// The refinement kernel this column's value checks run under —
-    /// [`EngineConfig::refine_kernel`] resolved against the env override
-    /// at seal time, so kernel choice scopes to the table that configured
-    /// it instead of leaking process-wide.
-    kernel: RefineKernel,
     obs: ColumnObservations,
 }
 
@@ -180,20 +172,15 @@ impl SegCol {
     /// `col`'s own values, the imprint built over them. Seal, compaction
     /// merge and recovery-rebuild all construct here, so a column's index
     /// depends on its rows alone. The heat counter starts from zero.
-    pub fn seal(col: AnyColumn, cfg: &EngineConfig) -> Self {
+    pub fn seal(col: AnyColumn) -> Self {
         let imprints = AnyImprints::build(&col);
-        SegCol::assemble(DataSlot::new(col), imprints, cfg)
+        SegCol::assemble(DataSlot::new(col), imprints)
     }
 
     /// Assembles a column from its parts: a new index (or a restart)
     /// starts the heat counter from zero.
-    fn assemble(data: DataSlot, imprints: AnyImprints, cfg: &EngineConfig) -> SegCol {
-        SegCol {
-            data,
-            imprints,
-            kernel: simd::effective_kernel(cfg.refine_kernel),
-            obs: ColumnObservations::default(),
-        }
+    fn assemble(data: DataSlot, imprints: AnyImprints) -> SegCol {
+        SegCol { data, imprints, obs: ColumnObservations::default() }
     }
 
     /// Recovers column `ci` of type `ty` from its persisted files in `dir`.
@@ -209,7 +196,6 @@ impl SegCol {
         dir: &Path,
         ci: usize,
         rows: usize,
-        cfg: &EngineConfig,
         load_indexes: bool,
     ) -> colstore::Result<(SegCol, bool)> {
         let data_file = dir.join(persist::column_file(ci));
@@ -218,7 +204,7 @@ impl SegCol {
             {
                 if imprints.rows() == rows {
                     let slot = DataSlot::evicted(ty, rows, data_file);
-                    return Ok((SegCol::assemble(slot, imprints, cfg), true));
+                    return Ok((SegCol::assemble(slot, imprints), true));
                 }
             }
         }
@@ -229,7 +215,7 @@ impl SegCol {
                 col.len()
             )));
         }
-        let col = SegCol::seal(col, cfg);
+        let col = SegCol::seal(col);
         col.data.mark_durable(data_file);
         Ok((col, false))
     }
@@ -238,14 +224,14 @@ impl SegCol {
     /// freshly indexed column: data concatenated (evicted parts fault in —
     /// a merge reads every value), bins re-sampled **once** over the
     /// combined values, the imprint rebuilt.
-    fn merged(parts: &[&SegCol], cfg: &EngineConfig) -> SegCol {
+    fn merged(parts: &[&SegCol]) -> SegCol {
         let ty = parts.first().expect("merge needs at least one segment").data.ty;
         let data: Vec<_> = parts.iter().map(|p| p.data.read()).collect();
         let refs: Vec<&AnyColumn> = data.iter().map(|d| d.as_ref().expect(RESIDENT)).collect();
         let col = AnyColumn::concat(ty, &refs).expect("merging segments with mismatched types");
         drop(refs);
         drop(data);
-        SegCol::seal(col, cfg)
+        SegCol::seal(col)
     }
 
     /// Runs `f` over the column's data, faulted back in if evicted.
@@ -302,7 +288,7 @@ impl SegCol {
     /// The column as the typed plan bodies see it: `data` (read-locked by
     /// the caller) plus the resident imprint.
     fn indexed<'a>(&'a self, data: &'a AnyColumn) -> IndexedColumn<'a> {
-        IndexedColumn { col: data, imprints: Some(&self.imprints), kernel: self.kernel }
+        IndexedColumn { col: data, imprints: Some(&self.imprints) }
     }
 }
 
@@ -311,27 +297,27 @@ impl SegCol {
 /// the work is [`IndexedColumn`]'s, the same typed bodies the write head
 /// and `RelationImprints` run.
 impl PlanColumn for SegCol {
-    fn run_range(&self, range: &ValueRange, count_only: bool) -> (Hits, AccessStats) {
+    fn run_range(&self, set: &AnySet, count_only: bool) -> (Hits, AccessStats) {
         self.note_query();
         if count_only && !self.data.is_resident() {
             // Evicted cold data: when every candidate cacheline is fully
             // covered by the predicate's inner mask the resident imprint
             // counts exactly, leaving the data pages on disk. Otherwise
             // fall through and fault them in.
-            if let Some((n, stats)) = self.imprints.count_covered(range) {
+            if let Some((n, stats)) = self.imprints.count_covered(set) {
                 return (Hits::Count(n), stats);
             }
         }
-        self.data.with(|col| self.indexed(col).run_range(range, count_only))
+        self.data.with(|col| self.indexed(col).run_range(set, count_only))
     }
 
-    fn candidates(&self, set: &ValueSet) -> (CachelineSet, AccessStats) {
+    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
         self.imprints.candidates(set)
     }
 
     fn check(
         &self,
-        set: &ValueSet,
+        set: &AnySet,
         ranges: &CachelineSet,
         hits: Hits,
         stats: &mut AccessStats,
@@ -339,7 +325,7 @@ impl PlanColumn for SegCol {
         self.data.with(|col| self.indexed(col).check(set, ranges, hits, stats))
     }
 
-    fn weed(&self, set: &ValueSet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
+    fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
         self.data.with(|col| self.indexed(col).weed(set, ids, stats));
     }
 
@@ -365,10 +351,10 @@ pub struct SealedSegment {
 impl SealedSegment {
     /// Seals one segment's column buffers, each column binned from its own
     /// rows (see [`SegCol::seal`]).
-    pub fn seal(base: u64, bufs: Vec<AnyColumn>, cfg: &EngineConfig) -> SealedSegment {
+    pub fn seal(base: u64, bufs: Vec<AnyColumn>) -> SealedSegment {
         let rows = bufs.first().map_or(0, AnyColumn::len);
         debug_assert!(bufs.iter().all(|b| b.len() == rows), "ragged segment buffers");
-        let cols = bufs.into_iter().map(|buf| SegCol::seal(buf, cfg)).collect();
+        let cols = bufs.into_iter().map(SegCol::seal).collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
     }
 
@@ -386,7 +372,7 @@ impl SealedSegment {
     ///
     /// # Panics
     /// Panics if `parts` is empty or (in debug builds) not contiguous.
-    pub fn merge(parts: &[Arc<SealedSegment>], cfg: &EngineConfig) -> SealedSegment {
+    pub fn merge(parts: &[Arc<SealedSegment>]) -> SealedSegment {
         let first = parts.first().expect("merge needs at least one segment");
         debug_assert!(
             parts.windows(2).all(|w| w[0].base + w[0].rows as u64 == w[1].base),
@@ -397,7 +383,7 @@ impl SealedSegment {
         let cols = (0..first.cols.len())
             .map(|ci| {
                 let col_parts: Vec<&SegCol> = parts.iter().map(|p| &p.cols[ci]).collect();
-                SegCol::merged(&col_parts, cfg)
+                SegCol::merged(&col_parts)
             })
             .collect();
         SealedSegment { base, rows, cols, durable: OnceLock::new() }
@@ -469,14 +455,13 @@ impl SealedSegment {
         types: &[ColumnType],
         name: &str,
         dir: &Path,
-        cfg: &EngineConfig,
         load_indexes: bool,
     ) -> colstore::Result<(SealedSegment, usize, usize)> {
         let mut recovered = 0;
         let mut rebuilt = 0;
         let mut cols = Vec::with_capacity(types.len());
         for (ci, &ty) in types.iter().enumerate() {
-            let (col, rec) = SegCol::recover(ty, dir, ci, rows, cfg, load_indexes)?;
+            let (col, rec) = SegCol::recover(ty, dir, ci, rows, load_indexes)?;
             if rec {
                 recovered += 1;
             } else {
@@ -503,11 +488,10 @@ impl SealedSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineConfig;
+    use colstore::relation::Field;
     use colstore::{Column, IdList};
-
-    fn cfg() -> EngineConfig {
-        EngineConfig { segment_rows: 1024, ..Default::default() }
-    }
+    use imprints::relation_index::{resolve_sets, ValueRange, ValueSet};
 
     /// One single-range predicate — the shape every pre-`ValueSet` test
     /// used.
@@ -515,13 +499,24 @@ mod tests {
         (col, ValueSet::range(range))
     }
 
+    /// Compiles `preds` (by column position) against `seg`'s columns and
+    /// runs them, the way a table resolves a query before its sweep.
     fn run(
         seg: &SealedSegment,
         preds: &[(usize, ValueSet)],
         any: bool,
         count_only: bool,
     ) -> (Hits, AccessStats) {
-        seg.run(&SegQuery { preds: preds.to_vec(), any, count_only })
+        let schema: Vec<Field> = seg
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(i, col)| Field { name: i.to_string(), ty: col.data.ty })
+            .collect();
+        let named: Vec<(String, ValueSet)> =
+            preds.iter().map(|(i, set)| (i.to_string(), set.clone())).collect();
+        let preds = resolve_sets(&schema, &named, imprints::simd::ambient_kernel()).unwrap();
+        seg.run(&SegQuery { preds, any, count_only })
     }
 
     /// The conjunction of `preds`, materialized.
@@ -544,7 +539,7 @@ mod tests {
 
     fn seal_i64(values: Vec<i64>) -> SealedSegment {
         let col: Column<i64> = Column::from(values);
-        SealedSegment::seal(0, vec![AnyColumn::I64(col)], &cfg())
+        SealedSegment::seal(0, vec![AnyColumn::I64(col)])
     }
 
     fn oracle(values: &[i64], lo: i64, hi: i64) -> Vec<u64> {
@@ -595,7 +590,6 @@ mod tests {
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::F64(Column::from(b.clone()))],
-            &cfg(),
         );
         let preds = [
             q(0, ValueRange::between(Value::I64(10), Value::I64(30))),
@@ -613,14 +607,13 @@ mod tests {
 
     #[test]
     fn merge_concatenates_rebins_once_and_resets_heat() {
-        let c = cfg();
         // Three adjacent segments, each from its own value domain.
         let sealed: Vec<Arc<SealedSegment>> = (0..3u64)
             .map(|s| {
                 let values: Vec<i64> =
                     (0..1024).map(|i| s as i64 * 500_000 + (i * 13) % 900).collect();
                 let bufs = vec![AnyColumn::I64(Column::from(values))];
-                Arc::new(SealedSegment::seal(s * 1024, bufs, &c))
+                Arc::new(SealedSegment::seal(s * 1024, bufs))
             })
             .collect();
         // Warm the parts' heat counters so the reset is observable.
@@ -630,7 +623,7 @@ mod tests {
                 let _ = eval_ids(seg, &[q(0, warm)]);
             }
         }
-        let merged = SealedSegment::merge(&sealed, &c);
+        let merged = SealedSegment::merge(&sealed);
         assert_eq!(merged.base(), 0);
         assert_eq!(merged.rows(), 3 * 1024);
         for seg in &sealed {
@@ -640,12 +633,13 @@ mod tests {
         // Answers equal the per-part answers shifted to global ids.
         let range = ValueRange::between(Value::I64(500_050), Value::I64(500_500));
         let (got, _) = eval_ids(&merged, &[q(0, range)]);
-        let mut expect = IdList::new();
-        for seg in &sealed {
-            let (ids, _) = eval_ids(seg, &[q(0, range)]);
-            expect.extend_offset(&ids, seg.base());
-        }
-        assert_eq!(got, expect);
+        let expect: Vec<u64> = sealed
+            .iter()
+            .flat_map(|seg| {
+                eval_ids(seg, &[q(0, range)]).0.into_vec().into_iter().map(|id| id + seg.base())
+            })
+            .collect();
+        assert_eq!(got.as_slice(), expect.as_slice());
         assert!(!got.is_empty());
     }
 
@@ -724,7 +718,7 @@ mod tests {
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
         for evicted in [false, true] {
             let cols = [&a, &b, &c].map(|v| AnyColumn::I64(Column::from(v.clone())));
-            let seg = SealedSegment::seal(0, cols.to_vec(), &cfg());
+            let seg = SealedSegment::seal(0, cols.to_vec());
             if evicted {
                 store.persist_segment(&seg).unwrap();
             }
@@ -792,13 +786,12 @@ mod tests {
 
     /// Builds the two-column segment every multi-predicate test below
     /// shares: `a = i % 100`, `b = i % 37` over 2048 rows.
-    fn two_col_seg(cfg: &EngineConfig) -> (SealedSegment, Vec<i64>, Vec<i64>) {
+    fn two_col_seg() -> (SealedSegment, Vec<i64>, Vec<i64>) {
         let a: Vec<i64> = (0..2048).map(|i| i % 100).collect();
         let b: Vec<i64> = (0..2048).map(|i| i % 37).collect();
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::I64(Column::from(b.clone()))],
-            cfg,
         );
         (seg, a, b)
     }
@@ -810,7 +803,7 @@ mod tests {
     /// the first column.
     #[test]
     fn conjunction_bills_every_touched_column() {
-        let (seg, a, b) = two_col_seg(&cfg());
+        let (seg, a, b) = two_col_seg();
         let preds = [
             q(0, ValueRange::between(Value::I64(10), Value::I64(40))),
             q(1, ValueRange::at_most(Value::I64(8))),
@@ -853,7 +846,7 @@ mod tests {
     /// brute-force oracle through the conjunction plan.
     #[test]
     fn in_list_matches_oracle() {
-        let (seg, a, b) = two_col_seg(&cfg());
+        let (seg, a, b) = two_col_seg();
         let preds = [
             (0usize, ValueSet::points([Value::I64(5), Value::I64(17), Value::I64(91)])),
             (1usize, ValueSet::range(ValueRange::at_most(Value::I64(20)))),
@@ -873,7 +866,7 @@ mod tests {
     /// everything).
     #[test]
     fn disjunction_matches_oracle() {
-        let (seg, a, b) = two_col_seg(&cfg());
+        let (seg, a, b) = two_col_seg();
         let preds = [
             q(0, ValueRange::between(Value::I64(95), Value::I64(99))),
             q(1, ValueRange::equals(Value::I64(3))),
@@ -903,7 +896,6 @@ mod tests {
         let seg = SealedSegment::seal(
             0,
             vec![AnyColumn::I64(Column::from(a.clone())), AnyColumn::I64(Column::from(b.clone()))],
-            &cfg(),
         );
         let narrow = q(0, ValueRange::between(Value::I64(1000), Value::I64(1100)));
         let wide = q(1, ValueRange::between(Value::I64(0), Value::I64(30)));

@@ -198,9 +198,10 @@ impl Table {
     /// Creates an empty table with `schema`. The configuration's
     /// [`refine_kernel`](EngineConfig::refine_kernel) scopes to this
     /// table: it is resolved against the `IMPRINTS_REFINE_KERNEL`
-    /// environment override (which wins when set) and threaded into every
-    /// sealed-segment, write-head and conjunction value check — creating
-    /// another table with a different selection does not affect this one.
+    /// environment override (which wins when set) and compiled into each
+    /// query when the query is resolved, so every sealed-segment and
+    /// write-head value check of that query runs it — creating another
+    /// table with a different selection does not affect this one.
     pub fn new(name: &str, schema: &[(&str, ColumnType)], cfg: EngineConfig) -> Result<Table> {
         cfg.validate();
         if schema.is_empty() {
@@ -403,7 +404,7 @@ impl Table {
             self.schema.iter().map(|d| AnyColumn::new_empty(d.ty)).collect(),
         );
         let rows = bufs.first().map_or(0, AnyColumn::len);
-        let seg = SealedSegment::seal(open.base, bufs, &self.cfg);
+        let seg = SealedSegment::seal(open.base, bufs);
         assert!(
             self.install(&[], seg),
             "a seal appends at the list's end under the open write lock: nothing can race it"
@@ -606,7 +607,7 @@ impl Table {
         // critical sections, so this value names exactly the pinned
         // (sealed list, open rows) pair.
         let epoch = self.epoch();
-        let head = head_columns(&open.bufs, open.tails.as_deref(), self.refine_kernel());
+        let head = head_columns(&open.bufs, open.tails.as_deref());
         let open_rows = open.len();
         let opens = work.iter().map(|q| relation_index::run(&head, open_rows as u64, q)).collect();
         let tail_indexed = open.tails.is_some();
@@ -642,13 +643,14 @@ impl Table {
         queries: &[BatchQuery],
         pool: Option<&WorkerPool>,
     ) -> Vec<Result<(BatchAnswer, QueryStats)>> {
-        // Resolve every query first; failures keep their slot and never
-        // reach the data pass.
+        // Resolve and compile every query first, once for all segments;
+        // failures keep their slot and never reach the data pass.
+        let kernel = self.refine_kernel();
         let mut work: Vec<SegQuery> = Vec::with_capacity(queries.len());
         let resolved: Vec<Result<()>> = queries
             .iter()
             .map(|q| {
-                let preds = resolve_sets(&self.schema, &q.preds)?;
+                let preds = resolve_sets(&self.schema, &q.preds, kernel)?;
                 work.push(SegQuery { preds, any: q.any, count_only: q.count_only });
                 Ok(())
             })
@@ -800,11 +802,10 @@ struct PinnedPrefix {
 fn head_columns<'a>(
     bufs: &'a [AnyColumn],
     tails: Option<&'a [AnyImprints]>,
-    kernel: RefineKernel,
 ) -> Vec<IndexedColumn<'a>> {
     bufs.iter()
         .enumerate()
-        .map(|(i, col)| IndexedColumn { col, imprints: tails.map(|t| &t[i]), kernel })
+        .map(|(i, col)| IndexedColumn { col, imprints: tails.map(|t| &t[i]) })
         .collect()
 }
 
@@ -878,9 +879,9 @@ impl TableSnapshot {
     pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
         let sets: Vec<(&str, ValueSet)> =
             preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        let q =
-            SegQuery { preds: resolve_sets(&self.schema, &sets)?, any: false, count_only: false };
-        let head = head_columns(&self.open_bufs, None, self.kernel);
+        let preds = resolve_sets(&self.schema, &sets, self.kernel)?;
+        let q = SegQuery { preds, any: false, count_only: false };
+        let head = head_columns(&self.open_bufs, None);
         let open_rows = self.row_count() - self.open_base;
         let (head_hits, _) = relation_index::run(&head, open_rows, &q);
         let sealed =
@@ -1039,7 +1040,7 @@ mod tests {
         assert_eq!(sealed.len(), 4);
         let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(700)))];
         let before = t.query(&pred).unwrap();
-        let merge = |w: std::ops::Range<usize>| SealedSegment::merge(&sealed[w], t.config());
+        let merge = |w: std::ops::Range<usize>| SealedSegment::merge(&sealed[w]);
         let bases = || t.sealed_snapshot().iter().map(|s| s.base()).collect::<Vec<u64>>();
 
         // Two windows planned from one snapshot both install, the second
@@ -1059,13 +1060,13 @@ mod tests {
         // One-for-one: a merge of one part is a re-seal of the same rows,
         // and keeps its place.
         let live = t.sealed_snapshot();
-        assert!(t.install(&live[1..2], SealedSegment::merge(&live[1..2], t.config())));
+        assert!(t.install(&live[1..2], SealedSegment::merge(&live[1..2])));
         assert_eq!(bases(), vec![0, 512]);
         assert!(!Arc::ptr_eq(&t.sealed_snapshot()[1], &live[1]));
         assert_eq!(t.query(&pred).unwrap(), before);
 
         // The empty window appends — only where the list ends.
-        let sealing = |base: u64| SealedSegment::seal(base, vec![ints(0..256)], t.config());
+        let sealing = |base: u64| SealedSegment::seal(base, vec![ints(0..256)]);
         assert!(!t.install(&[], sealing(512)), "an append cannot land inside the list");
         assert!(!t.install(&[], sealing(2048)), "an append cannot leave a gap");
         assert!(t.install(&[], sealing(1024)));
@@ -1222,6 +1223,51 @@ mod tests {
             "a narrow conjunct must bound the head's value work: {:?}",
             wn.tail_access
         );
+    }
+
+    /// What a query bills does not depend on which of its terms can match:
+    /// every term of a set is compiled and probed, an impossible one
+    /// included (each skips every line), and a set of one term takes the
+    /// single-range walk. Pinned on one sealed segment (128 lines) and a
+    /// 640-row indexed head (80 lines).
+    #[test]
+    fn impossible_terms_bill_exactly_as_written() {
+        let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
+        let vals: Vec<i64> = (0..1664).map(|i| (i * 37) % 1000).collect();
+        t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
+        let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
+        let stats = |index_probes, value_comparisons, lines_skipped| AccessStats {
+            index_probes,
+            value_comparisons,
+            lines_fetched: 0,
+            lines_skipped,
+        };
+        let cases = [
+            ("impossible range", vec![between(10, 5)], 0, stats(0, 0, 128), stats(0, 0, 80)),
+            (
+                "one impossible term, one live",
+                vec![between(10, 5), between(185, 190)],
+                7,
+                stats(128, 136, 239),
+                stats(80, 80, 150),
+            ),
+            (
+                "all impossible",
+                vec![between(10, 5), between(900, 100)],
+                0,
+                stats(0, 0, 256),
+                stats(0, 0, 160),
+            ),
+        ];
+        for (case, terms, hits, sealed, head) in cases {
+            let q = BatchQuery::ids_sets(vec![("v".into(), ValueSet { terms })]);
+            let (answer, st) = t.query_one(&q, None).unwrap();
+            let BatchAnswer::Ids(ids) = answer else { panic!("{case}: ids expected") };
+            assert_eq!(ids.len(), hits, "{case}");
+            assert!(st.tail_indexed && st.open_rows == 640, "{case}: {st:?}");
+            assert_eq!(st.access, sealed, "{case}: sealed segment");
+            assert_eq!(st.tail_access, head, "{case}: write head");
+        }
     }
 
     /// Disjoint candidate ranges answer before any value is fetched, on

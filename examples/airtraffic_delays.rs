@@ -1,16 +1,14 @@
 //! An ever-growing warehouse: the paper's Airtraffic scenario (§4) —
-//! monthly batch appends, occasional corrections through a delta
-//! structure, and index persistence across restarts.
+//! monthly batch appends, occasional in-place corrections, and index
+//! persistence across restarts.
 //!
 //! ```text
 //! cargo run --release --example airtraffic_delays
 //! ```
 
-use column_imprints::colstore::{
-    storage as colstorage, Column, DeltaStore, RangeIndex, RangePredicate,
-};
+use column_imprints::colstore::{storage as colstorage, Column, RangeIndex, RangePredicate};
 use column_imprints::datagen::distributions;
-use column_imprints::imprints::{storage as idxstorage, update, ColumnImprints};
+use column_imprints::imprints::{storage as idxstorage, ColumnImprints, OverlayImprints};
 
 fn main() {
     // Year one of departure delays: time-clustered minutes.
@@ -49,24 +47,32 @@ fn main() {
         idx = idx.rebuild(&col);
     }
 
-    // --- Point corrections through a delta structure (§4.2). -------------
-    let mut delta = DeltaStore::new(col.len());
-    delta.update(42, 999); // a corrected delay
-    delta.delete(17); // a cancelled record
-    delta.append(75); // one straggler row
-
+    // --- Point corrections in place (§4.2). ------------------------------
+    // Each corrected value sets its bin bit on its cacheline; the stale
+    // bits left behind only cost false positives.
+    let mut overlay = OverlayImprints::new(idx);
+    let corrections = [(42usize, 999i64), (17, 75)];
+    for (id, minutes) in corrections {
+        col.values_mut()[id] = minutes;
+        overlay.note_update(id as u64, minutes);
+    }
     let pred = RangePredicate::between(60, 120);
-    let merged = update::evaluate_with_delta(&idx, &col, &delta, &pred);
+    let (corrected, stats) = overlay.evaluate_with_imprint_stats(&col, &pred);
     println!(
-        "\ndelayed 60-120 minutes: {} rows (delta-merged: {} pending changes)",
-        merged.len(),
-        delta.pending()
+        "\ndelayed 60-120 minutes: {} rows after {} in-place corrections \
+         ({} overlaid lines, {} lines skipped)",
+        corrected.len(),
+        corrections.len(),
+        overlay.overlaid_lines(),
+        stats.access.lines_skipped
     );
-    // Verify against first-principles evaluation over the logical table.
-    let expected = (0..delta.logical_len())
-        .filter(|&id| delta.effective_value(id, col.values()).is_some_and(|v| pred.matches(&v)))
-        .count();
-    assert_eq!(merged.len(), expected);
+    // Verify against a brute-force scan of the corrected column.
+    let expected = col.values().iter().filter(|v| pred.matches(v)).count();
+    assert_eq!(corrected.len(), expected);
+    // Fold the corrections into a fresh build, so the persisted index
+    // matches its column exactly.
+    overlay.rebuild(&col);
+    let idx = overlay.base();
 
     // --- Persistence: column and index survive a restart. ----------------
     let dir = std::env::temp_dir().join("imprints_airtraffic_example");
@@ -74,7 +80,7 @@ fn main() {
     let col_path = dir.join("delays.col");
     let idx_path = dir.join("delays.imprints");
     colstorage::write_column(&col, &mut std::fs::File::create(&col_path).unwrap()).unwrap();
-    idxstorage::write_index(&idx, &mut std::fs::File::create(&idx_path).unwrap()).unwrap();
+    idxstorage::write_index(idx, &mut std::fs::File::create(&idx_path).unwrap()).unwrap();
 
     let col2: Column<i64> =
         colstorage::read_column(&mut std::fs::File::open(&col_path).unwrap()).unwrap();

@@ -1,86 +1,39 @@
-//! End-to-end update workflows (§4): randomized delta operations checked
-//! against a straightforward logical-table oracle, plus the saturation /
-//! rebuild lifecycle.
+//! End-to-end update workflows (§4): randomized in-place updates through
+//! the overlay checked against a brute-force oracle, plus the saturation /
+//! rebuild lifecycle of appends.
 
-use colstore::{Column, DeltaStore, RangeIndex, RangePredicate};
+use colstore::{Column, RangeIndex, RangePredicate};
 use datagen::distributions;
-use imprints::{update, ColumnImprints};
+use imprints::{ColumnImprints, OverlayImprints};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A logical-table oracle mirroring base + delta.
-fn oracle_ids(base: &Column<i64>, delta: &DeltaStore<i64>, pred: &RangePredicate<i64>) -> Vec<u64> {
-    (0..delta.logical_len())
-        .filter(|&id| delta.effective_value(id, base.values()).is_some_and(|v| pred.matches(&v)))
-        .collect()
+/// The brute-force answer over the column as it is now.
+fn oracle_ids(col: &Column<i64>, pred: &RangePredicate<i64>) -> Vec<u64> {
+    (0..col.len() as u64).filter(|&id| pred.matches(&col.values()[id as usize])).collect()
 }
 
 #[test]
-fn randomized_delta_workloads_match_oracle() {
+fn randomized_in_place_updates_match_oracle() {
     let mut rng = StdRng::seed_from_u64(77);
     for round in 0..20 {
         let n = rng.gen_range(100..5000);
-        let base: Column<i64> = Column::from(distributions::uniform_ints(n, 0, 500, round));
-        let idx = ColumnImprints::build(&base);
-        let mut delta = DeltaStore::new(base.len());
-        // Random mix of operations.
+        let mut col: Column<i64> = Column::from(distributions::uniform_ints(n, 0, 500, round));
+        let mut idx = OverlayImprints::new(ColumnImprints::build(&col));
+        // Updates inside the sampled domain and beyond both overflow bins.
         for _ in 0..rng.gen_range(0..200) {
-            match rng.gen_range(0..3) {
-                0 => {
-                    delta.append(rng.gen_range(0..500));
-                }
-                1 => {
-                    delta.delete(rng.gen_range(0..n as u64));
-                }
-                _ => {
-                    delta.update(rng.gen_range(0..n as u64), rng.gen_range(0..500));
-                }
-            }
+            let id = rng.gen_range(0..n);
+            let v = rng.gen_range(-100..600);
+            col.values_mut()[id] = v;
+            idx.note_update(id as u64, v);
         }
         for _ in 0..5 {
-            let a = rng.gen_range(0..500);
-            let b = rng.gen_range(0..500);
+            let a = rng.gen_range(-120..620);
+            let b = rng.gen_range(-120..620);
             let pred = RangePredicate::between(a.min(b), a.max(b));
-            let got = update::evaluate_with_delta(&idx, &base, &delta, &pred);
-            assert_eq!(
-                got.as_slice(),
-                oracle_ids(&base, &delta, &pred).as_slice(),
-                "round {round}, pred {pred}"
-            );
+            let got = idx.evaluate(&col, &pred);
+            assert_eq!(got.as_slice(), oracle_ids(&col, &pred).as_slice(), "round {round}, {pred}");
         }
-    }
-}
-
-#[test]
-fn consolidation_resets_the_world() {
-    let base: Column<i64> = Column::from(distributions::uniform_ints(10_000, 0, 100, 5));
-    let mut delta = DeltaStore::new(base.len());
-    for i in 0..1000u64 {
-        match i % 3 {
-            0 => {
-                delta.delete(i * 7 % 10_000);
-            }
-            1 => {
-                delta.update(i * 13 % 10_000, (i % 100) as i64);
-            }
-            _ => {
-                delta.append((i % 100) as i64);
-            }
-        }
-    }
-    // Consolidate and rebuild: the fresh index over the merged column must
-    // answer exactly what the delta-merged path answered (modulo the id
-    // renumbering deletions cause — compare multisets of values).
-    let merged: Column<i64> = Column::from(delta.consolidate(base.values()));
-    let fresh = ColumnImprints::build(&merged);
-    fresh.verify(&merged).unwrap();
-
-    let old_idx = ColumnImprints::build(&base);
-    for (lo, hi) in [(0, 10), (50, 99), (0, 99)] {
-        let pred = RangePredicate::between(lo, hi);
-        let via_delta = update::evaluate_with_delta(&old_idx, &base, &delta, &pred);
-        let via_fresh = fresh.evaluate(&merged, &pred);
-        assert_eq!(via_delta.len(), via_fresh.len(), "cardinalities must survive consolidation");
     }
 }
 
@@ -136,18 +89,27 @@ fn interleaved_appends_and_queries() {
 
 #[test]
 fn stale_imprints_only_widen_results_never_narrow() {
-    // In-place updates make imprints stale; §4.2 argues stale bits are safe
-    // because they only cause false positives. Verify: after updating the
-    // column in place, the *candidate* set still covers all fresh matches
-    // whose bins were already set. (Full correctness requires rebuild; the
-    // delta path is the supported route.)
-    let mut col: Column<i64> = (0..32_000).map(|i| i % 100).collect();
-    let idx = ColumnImprints::build(&col);
-    // Overwrite some values with other in-domain values.
-    for i in (0..32_000).step_by(97) {
-        let v = col.values()[i];
-        col.values_mut()[i] = (v + 50) % 100;
+    // In-place updates leave stale bits behind; §4.2 argues they are safe
+    // because they only cause false positives. A clustered column (80
+    // lines per value) has every row of line 200 moved off its value 2:
+    // the line keeps bin 2's bit, so a query for 2 still fetches it and
+    // finds nothing there — more work, the same answer.
+    let mut col: Column<i64> = (0..32_000).map(|i| i / 640).collect();
+    let mut idx = OverlayImprints::new(ColumnImprints::build(&col));
+    let pred = RangePredicate::equals(2);
+    let (_, before) = idx.evaluate_with_imprint_stats(&col, &pred);
+    for id in 1600..1608 {
+        col.values_mut()[id] = 50;
+        idx.note_update(id as u64, 50);
     }
-    let stale = update::stale_line_count(&idx, &col);
-    assert!(stale > 0, "updates must show up as stale lines");
+    let (ids, after) = idx.evaluate_with_imprint_stats(&col, &pred);
+    assert_eq!(ids.as_slice(), oracle_ids(&col, &pred).as_slice());
+    assert_eq!(ids.len(), 640 - 8);
+    let fetched = |s: imprints::ImprintStats| s.access.lines_fetched + s.lines_full;
+    assert_eq!(fetched(after), fetched(before), "the stale line is still a candidate");
+    // A fresh build over the updated column drops the stale line.
+    let fresh = ColumnImprints::build(&col);
+    let (fresh_ids, fresh_stats) = imprints::query::evaluate(&fresh, &col, &pred);
+    assert_eq!(fresh_ids, ids);
+    assert!(fetched(fresh_stats) < fetched(after), "{fresh_stats:?} vs {after:?}");
 }
