@@ -7,7 +7,7 @@
 //!
 //! The full-column value check routes through the shared refinement
 //! kernels of [`imprints::simd`]: [`SeqScan::run`] takes one compiled
-//! [`PredicateKernel`] (SWAR or the scalar oracle loop) and a [`Hits`]
+//! [`PredicateKernel`] (vector or the scalar oracle loop) and a [`Hits`]
 //! sink, so materializing and counting are the same pass. A predicate that
 //! can match nothing examines no data and reports zero
 //! comparisons/fetches.

@@ -10,7 +10,7 @@
 //!
 //! The zone walk is written once, in [`ZoneMap::run`]: it takes one
 //! compiled [`PredicateKernel`] (the shared refinement kernels of
-//! [`imprints::simd`], SWAR or scalar) for the overlapping-zone value
+//! [`imprints::simd`], vector or scalar) for the overlapping-zone value
 //! check and a [`Hits`] sink, so materializing and counting are the same
 //! walk. A predicate that can match nothing skips every zone without
 //! probing.

@@ -164,9 +164,10 @@ impl fmt::Display for ColumnType {
 pub trait Scalar: Copy + PartialOrd + Send + Sync + fmt::Debug + fmt::Display + 'static {
     /// The runtime tag for this type.
     const TYPE: ColumnType;
-    /// Width of one value in bits — the SWAR lane width. `64 / LANE_BITS`
-    /// values of this type fit one `u64` word of the vectorized refinement
-    /// kernel (`imprints::simd`).
+    /// Width of one value in bits — the lane width of the vectorized
+    /// refinement kernel (`imprints::simd`), which compares sort keys cut
+    /// to this many bits so that the compiler keeps them in lanes of this
+    /// width.
     const LANE_BITS: u32;
     /// Smallest value of the domain under the *total* order. For floats
     /// this is negative NaN (the IEEE-754 `totalOrder` minimum), so that
@@ -197,7 +198,7 @@ pub trait Scalar: Copy + PartialOrd + Send + Sync + fmt::Debug + fmt::Display + 
     /// successor/predecessor of its value. Unsigned integers map
     /// identically, signed integers flip their sign bit, floats use the
     /// IEEE-754 `totalOrder` rank (sign-magnitude unfolded), NaNs
-    /// included. This is what lets the SWAR refinement kernel reduce every
+    /// included. This is what lets the vector refinement kernel reduce every
     /// [`crate::RangePredicate`] to one inclusive unsigned key range.
     fn sort_key(self) -> u64;
 
@@ -506,7 +507,7 @@ mod tests {
     }
 
     /// `sort_key` must mirror `total_cmp` exactly and span the full
-    /// `0..2^LANE_BITS` key space — the contract the SWAR kernel's
+    /// `0..2^LANE_BITS` key space — the contract the vector kernel's
     /// key-range reduction rests on.
     #[test]
     fn sort_key_orders_like_total_cmp() {

@@ -30,12 +30,14 @@ pub fn column_entropy<T: Scalar>(idx: &ColumnImprints<T>) -> f64 {
     let mut bits_sum: u64 = 0;
     let mut prev: Option<u64> = None;
     for run in idx.runs() {
-        let v = run.imprint;
-        bits_sum += v.count_ones() as u64 * run.line_count;
-        if let Some(p) = prev {
-            edit_sum += (p ^ v).count_ones() as u64;
+        let (vectors, lines) = run.vectors();
+        for &v in vectors {
+            bits_sum += v.count_ones() as u64 * lines;
+            if let Some(p) = prev {
+                edit_sum += (p ^ v).count_ones() as u64;
+            }
+            prev = Some(v);
         }
-        prev = Some(v);
     }
     if bits_sum == 0 {
         return 0.0;

@@ -7,6 +7,8 @@
 //! that appends (§4.1) can keep filling it without rewriting compressed
 //! state.
 
+use std::ops::Range;
+
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
 use crate::binning::Binning;
@@ -48,17 +50,78 @@ pub struct ColumnImprints<T: Scalar> {
     pub(crate) appended_overflow: u64,
 }
 
-/// One run of the compressed index: `line_count` consecutive cachelines
-/// described by `imprint`. Produced by [`ColumnImprints::runs`].
+/// One run of the compressed index — a cacheline-dictionary entry, or what
+/// is left of one: consecutive cachelines from `first_line` on, described
+/// by one shared vector or by one vector each. Produced by
+/// [`ColumnImprints::runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// The shared imprint vector of the run (for a distinct-run entry each
-    /// line is its own `Run` of length 1).
-    pub imprint: u64,
-    /// First cacheline number covered.
-    pub first_line: u64,
-    /// Number of consecutive cachelines covered.
-    pub line_count: u64,
+pub enum Run<'a> {
+    /// `line_count` cachelines sharing `imprint`: a repeat entry, the
+    /// partial tail line, or a run a variant synthesizes.
+    Repeat {
+        /// The shared imprint vector.
+        imprint: u64,
+        /// First cacheline covered.
+        first_line: u64,
+        /// Number of cachelines covered.
+        line_count: u64,
+    },
+    /// A distinct entry: `imprints[i]` describes cacheline `first_line + i`.
+    Distinct {
+        /// One stored vector per cacheline, never empty.
+        imprints: &'a [u64],
+        /// First cacheline covered.
+        first_line: u64,
+    },
+}
+
+impl<'a> Run<'a> {
+    /// First cacheline covered.
+    pub fn first_line(&self) -> u64 {
+        match *self {
+            Run::Repeat { first_line, .. } | Run::Distinct { first_line, .. } => first_line,
+        }
+    }
+
+    /// Number of cachelines covered.
+    pub fn line_count(&self) -> u64 {
+        match *self {
+            Run::Repeat { line_count, .. } => line_count,
+            Run::Distinct { imprints, .. } => imprints.len() as u64,
+        }
+    }
+
+    /// The run's vectors and how many cachelines each describes: one
+    /// vector for all lines of a repeat run, one line per vector otherwise.
+    pub fn vectors(&self) -> (&[u64], u64) {
+        match self {
+            Run::Repeat { imprint, line_count, .. } => (std::slice::from_ref(imprint), *line_count),
+            Run::Distinct { imprints, .. } => (imprints, 1),
+        }
+    }
+
+    /// The imprint of the run's `i`-th cacheline.
+    pub(crate) fn line_imprint(&self, i: u64) -> u64 {
+        match *self {
+            Run::Repeat { imprint, .. } => imprint,
+            Run::Distinct { imprints, .. } => imprints[i as usize],
+        }
+    }
+
+    /// The run's cachelines `lines` (counted from its first line) as a run
+    /// of their own.
+    pub(crate) fn slice(self, lines: Range<u64>) -> Run<'a> {
+        let first_line = self.first_line() + lines.start;
+        match self {
+            Run::Repeat { imprint, .. } => {
+                Run::Repeat { imprint, first_line, line_count: lines.end - lines.start }
+            }
+            Run::Distinct { imprints, .. } => Run::Distinct {
+                imprints: &imprints[lines.start as usize..lines.end as usize],
+                first_line,
+            },
+        }
+    }
 }
 
 impl<T: Scalar> ColumnImprints<T> {
@@ -196,17 +259,18 @@ impl<T: Scalar> ColumnImprints<T> {
         (self.tail_len > 0).then_some((self.tail_imprint, self.tail_len))
     }
 
-    /// Iterates over the compressed index as [`Run`]s: repeat-runs come out
-    /// as one run of `cnt` lines; distinct runs come out as `cnt` runs of
-    /// one line each; the tail (if present) is the final 1-line run.
+    /// Iterates over the compressed index as [`Run`]s, one per dictionary
+    /// entry: a repeat entry comes out as one vector for its `cnt` lines, a
+    /// distinct entry as its `cnt` stored vectors; the tail (if present)
+    /// is a final 1-line repeat run.
     pub fn runs(&self) -> Runs<'_> {
         self.runs_at(RunCursor::default(), 0)
     }
 
     /// Resumes [`ColumnImprints::runs`] at cacheline `line`, from the
     /// `cursor` a walk of this index reported ([`Runs::cursor`]) when it
-    /// stood at that line. A cursor taken mid-way through a repeat run
-    /// resumes with the rest of that run. The line number travels beside
+    /// stood at that line. A cursor taken mid-way through an entry resumes
+    /// with the rest of that entry. The line number travels beside
     /// the cursor instead of inside it: whoever stores a cursor per block
     /// of lines (the level-2 index) can compute it, and stores 12 bytes.
     pub fn runs_at(&self, cursor: RunCursor, line: u64) -> Runs<'_> {
@@ -222,7 +286,7 @@ impl<T: Scalar> ColumnImprints<T> {
     /// Iterates over the *logical* (decompressed) per-cacheline imprint
     /// vectors — what Figure 3 prints and what the entropy metric reads.
     pub fn line_imprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.runs().flat_map(|r| std::iter::repeat_n(r.imprint, r.line_count as usize))
+        self.runs().flat_map(|run| (0..run.line_count()).map(move |i| run.line_imprint(i)))
     }
 
     /// Fully recomputes the imprint of every cacheline of `col` and checks
@@ -296,7 +360,7 @@ pub struct Runs<'a> {
     line: u64,
 }
 
-impl Runs<'_> {
+impl<'a> Runs<'a> {
     /// Where the walk stands: the position [`ColumnImprints::runs_at`]
     /// resumes from. It always names the entry the next run comes from —
     /// an exhausted entry is stepped over as soon as its last line is
@@ -306,46 +370,56 @@ impl Runs<'_> {
     }
 
     /// The next run, cut short at cacheline `end`; `None` once the walk
-    /// has reached `end` (or the end of the index). Only a repeat run spans
-    /// lines, so only a repeat run is ever cut: the walk then steps back
-    /// into it, and it — and its cursor — stand mid-run.
-    pub(crate) fn next_before(&mut self, end: u64) -> Option<Run> {
+    /// has reached `end` (or the end of the index). A cut run's entry is
+    /// stepped back into: the walk — and its cursor — stand mid-entry,
+    /// past the repeat lines or the distinct vectors already yielded.
+    pub(crate) fn next_before(&mut self, end: u64) -> Option<Run<'a>> {
         if self.line >= end {
             return None;
         }
         let before = self.at;
-        let mut run = self.next()?;
-        if self.line > end {
-            run.line_count -= self.line - end;
-            self.line = end;
-            self.at = RunCursor { within: before.within + run.line_count as u32, ..before };
+        let run = self.next()?;
+        if self.line <= end {
+            return Some(run);
         }
-        Some(run)
+        let kept = run.line_count() - (self.line - end);
+        self.line = end;
+        let within = before.within + kept as u32;
+        self.at = match run {
+            Run::Repeat { .. } => RunCursor { within, ..before },
+            Run::Distinct { .. } => {
+                RunCursor { within, imp_pos: before.imp_pos + kept as u32, ..before }
+            }
+        };
+        Some(run.slice(0..kept))
     }
 }
 
-impl Iterator for Runs<'_> {
-    type Item = Run;
+impl<'a> Iterator for Runs<'a> {
+    type Item = Run<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<Run> {
+    fn next(&mut self) -> Option<Run<'a>> {
         let Some(&e) = self.dict.get(self.at.entry as usize) else {
             let imprint = self.tail.take()?;
-            return Some(Run { imprint, first_line: self.line, line_count: 1 });
+            return Some(Run::Repeat { imprint, first_line: self.line, line_count: 1 });
         };
-        // A distinct run stores one vector per line; one vector describes
-        // a repeat run, or what a resumed cursor left of it. No entry has
-        // a zero count (`Compressor::verify`).
-        let imprint = self.imprints[self.at.imp_pos as usize];
-        let line_count = if e.repeat() { u64::from(e.cnt() - self.at.within) } else { 1 };
-        let run = Run { imprint, first_line: self.line, line_count };
-        self.line += line_count;
-        self.at.imp_pos += 1;
-        self.at.within += line_count as u32;
-        if self.at.within == e.cnt() {
-            self.at.entry += 1;
-            self.at.within = 0;
-        }
+        // A distinct entry stores one vector per line, a repeat entry one
+        // for all of them; a resumed cursor leaves the rest of either. No
+        // entry has a zero count (`Compressor::verify`).
+        let first_line = self.line;
+        let pos = self.at.imp_pos as usize;
+        let left = e.cnt() - self.at.within;
+        let run = if e.repeat() {
+            self.at.imp_pos += 1;
+            Run::Repeat { imprint: self.imprints[pos], first_line, line_count: u64::from(left) }
+        } else {
+            self.at.imp_pos += left;
+            Run::Distinct { imprints: &self.imprints[pos..pos + left as usize], first_line }
+        };
+        self.line += u64::from(left);
+        self.at.entry += 1;
+        self.at.within = 0;
         Some(run)
     }
 }
@@ -373,16 +447,16 @@ mod tests {
         let idx = ColumnImprints::build(&col);
         let mut expected_line = 0u64;
         for run in idx.runs() {
-            assert_eq!(run.first_line, expected_line);
-            assert!(run.line_count >= 1);
-            expected_line += run.line_count;
+            assert_eq!(run.first_line(), expected_line);
+            assert!(run.line_count() >= 1);
+            expected_line += run.line_count();
         }
         assert_eq!(expected_line, idx.line_count());
     }
 
     /// Resuming is invisible: for every line `L` — the middle of a repeat
-    /// run, the line after a distinct entry ran out, and the tail included
-    /// — `runs_at(cursor recorded at L, L)` yields exactly what is left of
+    /// run, the middle of a distinct entry, and the tail included —
+    /// `runs_at(cursor recorded at L, L)` yields exactly what is left of
     /// `runs()` from `L` on.
     #[test]
     fn runs_resume_at_every_line() {
@@ -401,17 +475,13 @@ mod tests {
                 let cursor = walk.cursor();
                 let expect: Vec<Run> = all
                     .iter()
-                    .filter(|r| r.first_line + r.line_count > line)
-                    .map(|r| {
-                        let first_line = r.first_line.max(line);
-                        let line_count = r.first_line + r.line_count - first_line;
-                        Run { imprint: r.imprint, first_line, line_count }
-                    })
+                    .filter(|r| r.first_line() + r.line_count() > line)
+                    .map(|r| r.slice(line.saturating_sub(r.first_line())..r.line_count()))
                     .collect();
                 let resumed: Vec<Run> = idx.runs_at(cursor, line).collect();
                 assert_eq!(resumed, expect, "resumed at line {line}");
                 let step = walk.next_before(line + 1).expect("a line is left");
-                assert_eq!((step.first_line, step.line_count), (line, 1));
+                assert_eq!((step.first_line(), step.line_count()), (line, 1));
             }
             assert_eq!(walk.next(), None);
         }

@@ -58,7 +58,7 @@
 //! | [`index`] | §2 | the [`ColumnImprints`] structure |
 //! | [`masks`] | §3 | query `mask` / `innermask` derivation |
 //! | [`query`] | §3, Alg. 3 | the one probe walk ([`query::probe`]) and its visitors: range evaluation, late materialization, covered counts, stats |
-//! | [`simd`] | §3 residual cost | SWAR false-positive refinement kernels |
+//! | [`simd`] | §3 residual cost | lane-width vector false-positive refinement kernels |
 //! | [`update`] | §4 | appends (§4.1), in-place updates as an overlay run source for the probe walk (§4.2), saturation & rebuild |
 //! | [`entropy`] | §6.1 | the column entropy metric `E` |
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |

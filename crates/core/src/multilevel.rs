@@ -77,7 +77,9 @@ impl<T: Scalar> MultiLevelImprints<T> {
             cursors.push(runs.cursor());
             let block_end = (b as u64 + 1) * fanout;
             while let Some(run) = runs.next_before(block_end) {
-                *vector |= run.imprint;
+                for v in run.vectors().0 {
+                    *vector |= v;
+                }
             }
         }
         MultiLevelImprints { base, fanout, level2, cursors }
@@ -106,12 +108,12 @@ impl<T: Scalar> MultiLevelImprints<T> {
     /// Block `b` as the probe sees it: descended into, its level-1 runs —
     /// resumed from the block's cursor, cut at the block's end; otherwise
     /// one run carrying its level-2 vector.
-    fn block_runs(&self, b: usize, descend: bool) -> impl Iterator<Item = Run> + '_ {
+    fn block_runs(&self, b: usize, descend: bool) -> impl Iterator<Item = Run<'_>> + '_ {
         let first_line = b as u64 * self.fanout;
         let end = (first_line + self.fanout).min(self.base.line_count());
         let mut level1 = self.base.runs_at(self.cursors[b], first_line);
         let mut whole =
-            Some(Run { imprint: self.level2[b], first_line, line_count: end - first_line });
+            Some(Run::Repeat { imprint: self.level2[b], first_line, line_count: end - first_line });
         std::iter::from_fn(move || if descend { level1.next_before(end) } else { whole.take() })
     }
 

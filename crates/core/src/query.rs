@@ -13,7 +13,7 @@
 //!    the predicate to weed out false positives.
 //!
 //! That decision is written once, in [`probe`], which bills the probe and
-//! the skipped lines and hands every other run to a *visitor*. The entry
+//! the skipped lines and hands every candidate to a *visitor*. The entry
 //! points are its visitors: [`run`] (and [`evaluate`], [`count`],
 //! [`evaluate_no_innermask`] over it) emits case 2 into a [`Hits`] sink
 //! and value-checks case 3; the late-materialization path of §3 —
@@ -28,13 +28,13 @@
 //! The false-positive check itself — case 3's per-value compare — routes
 //! through the [`crate::simd`] refinement kernels: the predicate is
 //! compiled once per evaluation into a [`PredicateKernel`] and each
-//! fetched cacheline is weeded either by the `u64`-word SWAR kernel or by
-//! the scalar oracle loop. [`run`] takes the compiled kernel and a
-//! [`Hits`] sink, so materializing ids ([`evaluate`]) and counting
-//! ([`count`]) are the same traversal with a different sink. The
-//! `value_comparisons` statistic counts values the kernel actually
-//! examined, identically under both kernels and on every variant — a
-//! predicate that can match nothing examines none.
+//! stretch of adjacent fetched cachelines is weeded in one call, either
+//! by the lane-width vector kernel or by the scalar oracle loop. [`run`]
+//! takes the compiled kernel and a [`Hits`] sink, so materializing ids
+//! ([`evaluate`]) and counting ([`count`]) are the same traversal with a
+//! different sink. The `value_comparisons` statistic counts values the
+//! kernel actually examined, identically under both kernels and on every
+//! variant — a predicate that can match nothing examines none.
 
 use std::ops::{ControlFlow, Range};
 
@@ -64,29 +64,34 @@ pub struct ImprintStats {
 }
 
 impl ImprintStats {
-    /// Bills `run` as emitted wholesale with the row ids `ids`.
-    fn note_full(&mut self, run: Run, ids: &Range<u64>) {
-        self.lines_full += run.line_count;
+    /// Bills the cachelines `lines` as emitted wholesale with the row ids
+    /// `ids`.
+    fn note_full(&mut self, lines: &Range<u64>, ids: &Range<u64>) {
+        self.lines_full += lines.end - lines.start;
         self.ids_via_full_lines += ids.end - ids.start;
     }
 }
 
 /// Algorithm 3's probe, the one place the three-case decision is made.
-/// Each run of `runs` — `idx.runs()`, or a variant's view of them — costs
-/// one index probe: a run the query `masks` rule out is billed as skipped;
-/// any other goes to `visit` with its row-id range (clamped to the column)
-/// and whether it is *full*, i.e. covered by the `innermask`, so that
-/// every one of its values qualifies unread. What happens to a candidate
-/// run — emit or value-check it, collect it, count it — and how that is
-/// billed is the visitor's business; it may stop the walk with
-/// [`ControlFlow::Break`], which `probe` hands back.
+/// Each stored vector of `runs` — `idx.runs()`, or a variant's view of
+/// them — costs one index probe: a distinct entry's slice is probed a
+/// vector (one cacheline) at a time in one loop, a repeat run's one
+/// vector decides all its cachelines at once. Lines the query `masks`
+/// rule out are billed as skipped. Candidate lines go to `visit` in
+/// *stretches*: adjacent candidates of one kind, across vectors and runs,
+/// are one call, with the stretch's cachelines, its row ids (clamped to
+/// the column) and whether it is *full*, i.e. covered by the
+/// `innermask`, so that every one of its values qualifies unread.
+/// What happens to a stretch — emit or value-check it, collect it, count
+/// it — and how that is billed is the visitor's business; it may stop the
+/// walk with [`ControlFlow::Break`], which `probe` hands back.
 #[inline]
-pub fn probe<T: Scalar, B>(
+pub fn probe<'a, T: Scalar, B>(
     idx: &ColumnImprints<T>,
-    runs: impl Iterator<Item = Run>,
+    runs: impl Iterator<Item = Run<'a>>,
     masks: QueryMasks,
     stats: &mut ImprintStats,
-    mut visit: impl FnMut(&mut ImprintStats, Run, Range<u64>, bool) -> ControlFlow<B>,
+    mut visit: impl FnMut(&mut ImprintStats, Range<u64>, Range<u64>, bool) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
     if masks.mask == 0 {
         stats.access.lines_skipped = idx.line_count();
@@ -94,25 +99,51 @@ pub fn probe<T: Scalar, B>(
     }
     let vpb = idx.values_per_block() as u64;
     let rows = idx.rows() as u64;
-    // A distinct run is one cacheline per probe; a repeat run (and the
-    // partial tail) lets one probe decide `line_count` cachelines at once.
-    for run in runs {
-        stats.access.index_probes += 1;
-        if !masks.may_match(run.imprint) {
-            stats.access.lines_skipped += run.line_count;
-            continue;
+    let mut visit_lines = |stats: &mut ImprintStats, lines: Range<u64>, full| {
+        if lines.is_empty() {
+            return ControlFlow::Continue(());
         }
-        let ids = run.first_line * vpb..((run.first_line + run.line_count) * vpb).min(rows);
-        visit(stats, run, ids, masks.fully_covered(run.imprint))?;
+        let ids = lines.start * vpb..(lines.end * vpb).min(rows);
+        visit(stats, lines, ids, full)
+    };
+    // The stretch of adjacent candidate lines of one kind not visited yet.
+    let (mut stretch, mut full) = (0..0, false);
+    {
+        // One probe: vector `v` describing the `span` lines from `line` on.
+        let mut probe_vector = |stats: &mut ImprintStats, v: u64, line: u64, span: u64| {
+            if !masks.may_match(v) {
+                stats.access.lines_skipped += span;
+            } else if stretch.end == line && masks.fully_covered(v) == full {
+                stretch.end += span;
+            } else {
+                visit_lines(stats, std::mem::replace(&mut stretch, line..line + span), full)?;
+                full = masks.fully_covered(v);
+            }
+            ControlFlow::Continue(())
+        };
+        for run in runs {
+            match run {
+                Run::Repeat { imprint, first_line, line_count } => {
+                    stats.access.index_probes += 1;
+                    probe_vector(stats, imprint, first_line, line_count)?;
+                }
+                Run::Distinct { imprints, first_line } => {
+                    stats.access.index_probes += imprints.len() as u64;
+                    for (line, &v) in (first_line..).zip(imprints) {
+                        probe_vector(stats, v, line, 1)?;
+                    }
+                }
+            }
+        }
     }
-    ControlFlow::Continue(())
+    visit_lines(stats, stretch, full)
 }
 
 /// Algorithm 3: evaluates the kernel's predicate over `col` through the
 /// index into `hits` — the one imprint walk every entry point reaches.
 /// The kernel carries both the predicate and the refinement flavour
 /// ([`PredicateKernel::with_kernel`] pins one; the differential harness
-/// races SWAR against the scalar oracle through here).
+/// races the vector kernel against the scalar oracle through here).
 ///
 /// # Panics
 /// Panics if `col` is not the column the index was built on (length
@@ -126,13 +157,14 @@ pub fn run<T: Scalar>(
     walk(idx, idx.runs(), col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
 }
 
-/// The evaluating visitor of [`probe`]: full runs are emitted into `hits`
-/// unread, the others fetched and value-checked by `kernel`. `runs` is
-/// the index's own ([`run`]) or a variant's view of them (the §4.2 overlay,
-/// the §7 second level).
-pub(crate) fn walk<T: Scalar>(
+/// The evaluating visitor of [`probe`]: full stretches are emitted into
+/// `hits` unread, the others fetched and value-checked by `kernel`, a
+/// stretch of adjacent lines in one call. `runs` is the index's own
+/// ([`run`]) or a variant's view of them (the §4.2 overlay, the §7 second
+/// level).
+pub(crate) fn walk<'a, T: Scalar>(
     idx: &ColumnImprints<T>,
-    runs: impl Iterator<Item = Run>,
+    runs: impl Iterator<Item = Run<'a>>,
     col: &Column<T>,
     kernel: &PredicateKernel<T>,
     masks: QueryMasks,
@@ -141,13 +173,13 @@ pub(crate) fn walk<T: Scalar>(
     assert_eq!(col.len(), idx.rows(), "index does not cover this column");
     let mut stats = ImprintStats::default();
     let values = col.values();
-    let _ = probe(idx, runs, masks, &mut stats, |stats, run, ids, full| {
+    let _ = probe(idx, runs, masks, &mut stats, |stats, lines, ids, full| {
         if full {
-            stats.note_full(run, &ids);
+            stats.note_full(&lines, &ids);
             hits.emit(ids);
         } else {
-            stats.lines_checked += run.line_count;
-            stats.access.lines_fetched += run.line_count;
+            stats.lines_checked += lines.end - lines.start;
+            stats.access.lines_fetched += lines.end - lines.start;
             kernel.check(values, ids, &mut hits, &mut stats.access.value_comparisons);
         }
         ControlFlow::<()>::Continue(())
@@ -206,8 +238,8 @@ fn collect_candidates<T: Scalar>(
     let mut stats = ImprintStats::default();
     let mut set = CachelineSet::new();
     let masks = masks::make_masks(idx.binning(), pred);
-    let _ = probe(idx, idx.runs(), masks, &mut stats, |_, run, ids, _| {
-        let r = if as_ids { ids } else { run.first_line..run.first_line + run.line_count };
+    let _ = probe(idx, idx.runs(), masks, &mut stats, |_, lines, ids, _| {
+        let r = if as_ids { ids } else { lines };
         set.push_run(r.start, r.end);
         ControlFlow::<()>::Continue(())
     });
@@ -247,11 +279,11 @@ pub fn count_covered<T: Scalar>(
     let mut stats = ImprintStats::default();
     let mut n = 0u64;
     let masks = masks::make_masks(idx.binning(), pred);
-    let walked = probe(idx, idx.runs(), masks, &mut stats, |stats, run, ids, full| {
+    let walked = probe(idx, idx.runs(), masks, &mut stats, |stats, lines, ids, full| {
         if !full {
             return ControlFlow::Break(());
         }
-        stats.note_full(run, &ids);
+        stats.note_full(&lines, &ids);
         n += ids.end - ids.start;
         ControlFlow::Continue(())
     });
@@ -619,5 +651,197 @@ mod tests {
         let (_, stats) = evaluate(&idx, &col, &RangePredicate::all());
         // One probe per stored imprint (plus tail if present).
         assert_eq!(stats.access.index_probes as usize, idx.imprint_count());
+    }
+
+    /// The statistics of one evaluation recomputed a cacheline at a time:
+    /// `lines[l]` is the imprint line `l` is probed with, `probes` the
+    /// vectors the index variant stores for them.
+    fn per_line_reference<T: Scalar>(
+        idx: &ColumnImprints<T>,
+        lines: &[u64],
+        pred: &RangePredicate<T>,
+        probes: u64,
+    ) -> ImprintStats {
+        let masks = masks::make_masks(idx.binning(), pred);
+        let mut s = ImprintStats::default();
+        if masks.mask == 0 {
+            s.access.lines_skipped = lines.len() as u64;
+            return s;
+        }
+        s.access.index_probes = probes;
+        let (vpb, n) = (idx.values_per_block() as u64, idx.rows() as u64);
+        let compares = !PredicateKernel::new(pred).is_empty();
+        for (l, &v) in (0u64..).zip(lines) {
+            let rows = ((l + 1) * vpb).min(n) - l * vpb;
+            if !masks.may_match(v) {
+                s.access.lines_skipped += 1;
+            } else if masks.fully_covered(v) {
+                s.lines_full += 1;
+                s.ids_via_full_lines += rows;
+            } else {
+                s.lines_checked += 1;
+                s.access.lines_fetched += 1;
+                s.access.value_comparisons += if compares { rows } else { 0 };
+            }
+        }
+        s
+    }
+
+    /// Runs `run` into both sinks and checks each against the oracle's
+    /// answer and the per-line reference's statistics.
+    fn assert_runs_like_reference<T: Scalar>(
+        name: &str,
+        col: &Column<T>,
+        pred: &RangePredicate<T>,
+        expect: &ImprintStats,
+        run: impl Fn(Hits) -> (Hits, ImprintStats),
+    ) {
+        let answer = oracle(col, pred);
+        let (ids, stats) = run(Hits::new(false));
+        assert_eq!(ids, Hits::Ids(answer.clone()), "{name}: {pred}");
+        assert_eq!(&stats, expect, "{name}: {pred}");
+        let (n, stats) = run(Hits::new(true));
+        assert_eq!(n, Hits::Count(answer.len() as u64), "{name}: {pred}");
+        assert_eq!(&stats, expect, "{name}: {pred} (counted)");
+    }
+
+    /// The probe walks dictionary entries, a distinct entry's vectors as one
+    /// slice, and the walk checks adjacent lines in stretches; none of that
+    /// may show in what a query answers or bills. Each index — the base, an
+    /// overlay with updates (§4.2) and the two-level index (§7) at fanouts
+    /// 1, 7 and 64 — is held to statistics recomputed line by line from
+    /// `line_imprints()`, in both sink modes, as is `candidate_id_ranges`.
+    fn check_probe_per_line<T: Scalar>(
+        col: &Column<T>,
+        preds: &[RangePredicate<T>],
+        updates: &[(u64, T)],
+    ) {
+        use crate::{MultiLevelImprints, OverlayImprints};
+        let idx = ColumnImprints::build(col);
+        let lines: Vec<u64> = idx.line_imprints().collect();
+        let runs: Vec<(u64, u64, u64)> = idx
+            .runs()
+            .map(|r| (r.first_line(), r.line_count(), r.vectors().0.len() as u64))
+            .collect();
+        let stored: u64 = runs.iter().map(|&(_, _, vectors)| vectors).sum();
+        let vpb = idx.values_per_block() as u64;
+
+        let mut updated = col.clone();
+        let mut overlay = OverlayImprints::new(idx.clone());
+        let mut dirty = lines.clone();
+        for &(id, v) in updates {
+            updated.values_mut()[id as usize] = v;
+            overlay.note_update(id, v);
+            dirty[(id / vpb) as usize] |= 1 << idx.binning().bin_of(v);
+        }
+        // The overlay probes each dirty line alone and splits a repeat run
+        // around them: one probe per clean stretch left of it.
+        let is_dirty = |l: u64| updates.iter().any(|&(id, _)| id / vpb == l);
+        let overlay_probes: u64 = runs
+            .iter()
+            .map(|&(first, count, vectors)| {
+                let range = first..first + count;
+                if vectors == count {
+                    return vectors;
+                }
+                let dirty = range.clone().filter(|&l| is_dirty(l)).count() as u64;
+                let stretches =
+                    range.filter(|&l| !is_dirty(l) && (l == first || is_dirty(l - 1))).count();
+                dirty + stretches as u64
+            })
+            .sum();
+
+        for pred in preds {
+            let kernel = PredicateKernel::new(pred);
+            let expect = per_line_reference(&idx, &lines, pred, stored);
+            assert_runs_like_reference("base", col, pred, &expect, |h| run(&idx, col, &kernel, h));
+
+            let (cands, stats) = candidate_id_ranges(&idx, pred);
+            let skipped = ImprintStats {
+                access: AccessStats {
+                    index_probes: expect.access.index_probes,
+                    lines_skipped: expect.access.lines_skipped,
+                    ..AccessStats::default()
+                },
+                ..ImprintStats::default()
+            };
+            assert_eq!(stats, skipped, "candidates: {pred}");
+            let masks = masks::make_masks(idx.binning(), pred);
+            let mut want = CachelineSet::new();
+            for (l, &v) in (0u64..).zip(&lines) {
+                if masks.may_match(v) {
+                    want.push_run(l * vpb, ((l + 1) * vpb).min(col.len() as u64));
+                }
+            }
+            assert_eq!(cands.runs().collect::<Vec<_>>(), want.runs().collect::<Vec<_>>());
+
+            let expect = per_line_reference(&idx, &dirty, pred, overlay_probes);
+            assert_runs_like_reference("overlay", &updated, pred, &expect, |h| {
+                overlay.run(&updated, &kernel, h)
+            });
+
+            for fanout in [1u64, 7, 64] {
+                let ml = MultiLevelImprints::from_base(idx.clone(), fanout);
+                // One probe per block, plus the level-1 vectors of every
+                // block whose level-2 vector may match.
+                let probes: u64 = (0..ml.block_count())
+                    .map(|b| {
+                        let block = b as u64 * fanout..(b as u64 + 1) * fanout;
+                        let descend = ml.block_vector(b) & masks.mask != 0;
+                        let level1 = runs.iter().map(|&(first, count, vectors)| {
+                            let lo = first.max(block.start);
+                            let hi = (first + count).min(block.end);
+                            if lo >= hi {
+                                0
+                            } else if vectors == count {
+                                hi - lo
+                            } else {
+                                1
+                            }
+                        });
+                        1 + if descend { level1.sum() } else { 0 }
+                    })
+                    .sum();
+                let expect = per_line_reference(&idx, &lines, pred, probes);
+                let name = format!("fanout {fanout}");
+                assert_runs_like_reference(&name, col, pred, &expect, |h| ml.run(col, &kernel, h));
+            }
+        }
+    }
+
+    #[test]
+    fn probe_matches_a_per_line_reference() {
+        use colstore::Bound::Exclusive;
+        // i32, 16 to a line, 203 lines and a 5-row tail: lines 2..=4 of
+        // every five hold a constant (repeat entries of three lines), the
+        // others distinct values.
+        let mixed: Column<i32> = (0..16 * 203 + 5)
+            .map(|i| if (i / 16) % 5 < 2 { (i * 37) % 3000 } else { 1500 })
+            .collect();
+        // Sorted runs of 200: long repeat entries and full lines.
+        let sorted: Column<i32> = (0..16 * 203 + 5).map(|i| i / 200).collect();
+        let preds = [
+            RangePredicate::between(10, 400),
+            RangePredicate::equals(1500),
+            RangePredicate::between(100, 2500),
+            RangePredicate::between(5, 9),
+            RangePredicate::at_least(2900),
+            RangePredicate::all(),
+            RangePredicate::between(5000, 6000),
+            RangePredicate::with_bounds(Exclusive(3), Exclusive(4)),
+        ];
+        let updates = [(5, 2999), (100, -5), (40, 1500), (1000, 7), (3251, 50), (3252, 12)];
+        check_probe_per_line(&mixed, &preds, &updates);
+        check_probe_per_line(&sorted, &preds, &updates);
+        // u8, 64 to a line, and a 13-row tail.
+        let bytes: Column<u8> =
+            (0..64 * 50 + 13).map(|i| if i / 64 % 4 == 0 { (i % 200) as u8 } else { 9 }).collect();
+        let preds = [
+            RangePredicate::between(0u8, 50),
+            RangePredicate::equals(9),
+            RangePredicate::at_least(190),
+            RangePredicate::with_bounds(Exclusive(9), Exclusive(10)),
+        ];
+        check_probe_per_line(&bytes, &preds, &[(3, 255), (700, 9), (3212, 0)]);
     }
 }

@@ -44,11 +44,12 @@
 
 use std::any::Any;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use colstore::relation::{AnyColumn, Field};
 use colstore::{
     dispatch, AccessStats, CachelineSet, ColumnType, Error, IdList, RangePredicate, Relation,
-    Result, Scalar, Value,
+    Result, Scalar, Value, CACHELINE_BYTES,
 };
 
 use crate::index::ColumnImprints;
@@ -328,7 +329,7 @@ fn run_conjunction<C: PlanColumn>(
 /// imprint candidate ranges intersected in id space, the most selective
 /// predicate value-checked with its compiled [`SetKernel`] over the
 /// surviving contiguous runs, every further predicate weeding the
-/// scattered survivors with the gather-style SWAR kernel
+/// scattered survivors with the gather-style vector kernel
 /// ([`SetKernel::filter_ids`]). Only a first predicate that is also the
 /// last checks straight into a counting sink; survivors that a later
 /// predicate still has to weed are ids either way.
@@ -395,7 +396,9 @@ fn set_candidates<T: Scalar>(
 /// [`PlanColumn::check`] over typed values: the compiled set over the
 /// contiguous runs of `ranges`, which is in row-id space already
 /// ([`query::candidate_id_ranges`] turns cacheline runs into id runs
-/// clamped to the column), so its runs feed the kernel directly.
+/// clamped to the column), so its runs feed the kernel directly. The
+/// cachelines those runs touch are billed as fetched, unless the set can
+/// match nothing and reads no value.
 ///
 /// # Panics
 /// Panics on `ranges` beyond `values`.
@@ -406,10 +409,45 @@ fn set_check<T: Scalar>(
     mut hits: Hits,
     stats: &mut AccessStats,
 ) -> Hits {
+    if !set.is_empty() {
+        stats.lines_fetched += lines_touched::<T>(ranges.runs());
+    }
     for ids in ranges.runs() {
         set.check(values, ids, &mut hits, &mut stats.value_comparisons);
     }
     hits
+}
+
+/// [`PlanColumn::weed`] over typed values: the gather kernel over the
+/// scattered `ids`, billing the cachelines they touch as fetched unless
+/// the set can match nothing.
+///
+/// # Panics
+/// Panics on an id beyond `values`.
+fn set_weed<T: Scalar>(
+    values: &[T],
+    set: &SetKernel<T>,
+    ids: &mut Vec<u64>,
+    stats: &mut AccessStats,
+) {
+    if !set.is_empty() {
+        stats.lines_fetched += lines_touched::<T>(ids.iter().map(|&id| id..id + 1));
+    }
+    set.filter_ids(values, ids, &mut stats.value_comparisons);
+}
+
+/// The distinct cachelines of a column of `T` that the ascending,
+/// non-overlapping row-id ranges `runs` touch; neighbouring runs may share
+/// a line, which counts once.
+fn lines_touched<T: Scalar>(runs: impl Iterator<Item = Range<u64>>) -> u64 {
+    let per_line = (CACHELINE_BYTES / std::mem::size_of::<T>()) as u64;
+    let (mut lines, mut counted_to) = (0, 0);
+    for ids in runs.filter(|ids| !ids.is_empty()) {
+        let end = (ids.end - 1) / per_line + 1;
+        lines += end - (ids.start / per_line).max(counted_to);
+        counted_to = end;
+    }
+    lines
 }
 
 /// A column imprints index of whichever scalar type its column holds.
@@ -570,9 +608,7 @@ impl PlanColumn for IndexedColumn<'_> {
     }
 
     fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
-        dispatch!(AnyColumn(c) = self.col => {
-            set.typed().filter_ids(c.values(), ids, &mut stats.value_comparisons);
-        });
+        dispatch!(AnyColumn(c) = self.col => set_weed(c.values(), set.typed(), ids, stats));
     }
 }
 

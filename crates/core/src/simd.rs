@@ -1,16 +1,16 @@
-//! Vectorized false-positive refinement: SWAR predicate kernels.
+//! Vectorized false-positive refinement: lane-width predicate kernels.
 //!
 //! Algorithm 3 spends its residual cost weeding false positives out of
 //! candidate cachelines — the value-check step of [`crate::query`], and
 //! its siblings in the zonemap/scan baselines and the engine's write-head
 //! path. Once imprint pruning is cheap, that refinement loop is where a
 //! secondary index wins or loses (the BitWeaving/Hermit/LSI observation),
-//! so this module evaluates a [`RangePredicate`] over a whole cacheline of
-//! values at once with **portable `u64`-word SWAR** — no nightly features,
-//! no target intrinsics — and keeps the classic one-value-at-a-time loop
-//! as a selectable oracle.
+//! so this module evaluates a [`RangePredicate`] over 64 values at once
+//! with a **portable, safe loop the compiler vectorizes** — no `unsafe`,
+//! no target intrinsics, no runtime detection — and keeps the classic
+//! one-value-at-a-time loop as a selectable oracle.
 //!
-//! ## How the SWAR kernel works
+//! ## How the vector kernel works
 //!
 //! 1. **Key reduction.** Every value maps to an order-preserving unsigned
 //!    key of its own width ([`Scalar::sort_key`]): identity for unsigned
@@ -21,26 +21,27 @@
 //!    (exclusive bounds step to the key-space neighbour; an impossible
 //!    step means the predicate matches nothing and the kernel answers
 //!    without touching data).
-//! 2. **Word layout.** `64 / w` keys pack into one `u64` word, in lane
-//!    order (value *i* of a chunk sits in lane *i*, lowest bits first):
-//!    8 × `u8`/`i8`, 4 × 16-bit, 2 × 32-bit, 1 × 64-bit lanes.
-//! 3. **Lane-parallel compare.** A carry-isolated subtraction computes
-//!    per-lane unsigned `<` in one pass over the word (the Hacker's
-//!    Delight borrow reconstruction): `matches = !(k < lo) & !(hi < k)`,
-//!    evaluated for all lanes of a word simultaneously and entirely
-//!    branch-free.
-//! 4. **Bitmask results.** Per 64-value chunk the kernel produces a `u64`
-//!    bitmask (bit *i* = value *i* matches). Materialization iterates set
-//!    bits (cheap when matches are sparse — exactly the false-positive-
-//!    heavy regime); counting popcounts the mask and never branches.
+//! 2. **Lane-width compare.** In the key's own width `w`, `k` lies in
+//!    `[lo, hi]` exactly when `(k − lo) mod 2^w ≤ hi − lo`: one wrapping
+//!    subtraction and one unsigned compare per value, no branch. Both
+//!    sides are cut to `w` bits, which is what lets the compiler keep
+//!    `w`-bit lanes (four `i32` per 128-bit register) instead of widening
+//!    every key to 64 bits.
+//! 3. **Bitmask results.** Per 64-value chunk the compares land in 64
+//!    bytes, packed eight at a time into a `u64` bitmask (bit *i* = value
+//!    *i* matches) by one multiply each. Materialization iterates set bits
+//!    (cheap when matches are sparse — exactly the false-positive-heavy
+//!    regime). Counting one range needs no mask: the compares are summed
+//!    as they come; a set of ranges popcounts the union of its masks.
 //!
 //! ## Kernel selection
 //!
-//! [`RefineKernel`] picks the kernel: `Auto` (currently the SWAR kernel),
+//! [`RefineKernel`] picks the kernel: `Auto` (currently the vector kernel),
 //! `Scalar` (the original loop, kept as the **differential oracle** — the
 //! two kernels must return byte-identical ids and identical statistics,
 //! which `tests/kernel_differential.rs` proptests across all scalar
-//! types, partial-tail geometries and all four access paths), or `Swar`.
+//! types, partial-tail geometries and all four access paths), or `Swar`
+//! (the vector kernel, under its historical name).
 //! There is one configured selection, the engine's per-table
 //! `EngineConfig::refine_kernel`; it resolves through
 //! [`effective_kernel`] and is compiled into each query when the query is
@@ -65,7 +66,8 @@
 //! ([`PredicateKernel`]) and a set of ranges ([`SetKernel`]) differ only
 //! in how the match bitmask of one ≤64-value chunk is computed; the walk
 //! over contiguous rows into the sink (`check_chunks`) and the gather walk
-//! over scattered ids (`gather_chunks`) take that as a closure. The scalar
+//! over scattered ids (`gather_chunks`) take that as a closure; only a
+//! single range counting into a [`Hits::Count`] skips the mask. The scalar
 //! flavour stays outside them: it is the oracle, and keeps its straight
 //! `for v in values` loops.
 
@@ -78,23 +80,26 @@ use colstore::{Bound, IdList, RangePredicate, Scalar};
 /// Which kernel weeds false positives out of fetched cachelines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefineKernel {
-    /// Resolve automatically. Currently the SWAR kernel, for every type:
-    /// it is portable `u64` arithmetic. The benchmark measures both
-    /// kernels on every workload (`core.refine_gbps` beside
-    /// `core.refine_scalar_gbps`); the variant exists so the resolution
-    /// policy can follow those rows (e.g. per-type choices) without an
-    /// API change.
+    /// Resolve automatically. Currently the vector kernel, for every type:
+    /// the benchmark measures both kernels on every workload
+    /// (`core.refine_gbps` beside `core.refine_scalar_gbps`) and the
+    /// vector kernel reads at least as fast on each. The variant exists so
+    /// the resolution policy can follow those rows (e.g. per-type choices)
+    /// without an API change.
     #[default]
     Auto,
     /// The branchy one-value-at-a-time loop — the differential oracle.
     Scalar,
-    /// The `u64`-word SWAR kernel.
+    /// The vector kernel: a lane-width compare of 64 values at a time
+    /// into a bitmask. The name is historical (it was a `u64`-word SWAR
+    /// kernel once) and stays, with its `swar` spelling, for the callers
+    /// and environments that select it.
     Swar,
 }
 
 impl RefineKernel {
-    /// Whether this selection resolves to the SWAR kernel.
-    fn use_swar(self) -> bool {
+    /// Whether this selection resolves to the vector kernel.
+    fn use_vector(self) -> bool {
         !matches!(self, RefineKernel::Scalar)
     }
 
@@ -266,9 +271,10 @@ impl Hits {
 #[derive(Debug, Clone, Copy)]
 pub struct PredicateKernel<T: Scalar> {
     pred: RangePredicate<T>,
-    /// The inclusive sort-key interval; `None` = matches nothing.
+    /// The inclusive sort-key interval `[lo, hi]` as `(lo, hi - lo)`;
+    /// `None` = matches nothing.
     keys: Option<(u64, u64)>,
-    swar: bool,
+    vector: bool,
 }
 
 impl<T: Scalar> PredicateKernel<T> {
@@ -279,7 +285,8 @@ impl<T: Scalar> PredicateKernel<T> {
 
     /// Compiles `pred` under an explicit kernel (differential testing).
     pub fn with_kernel(pred: &RangePredicate<T>, kernel: RefineKernel) -> Self {
-        PredicateKernel { pred: *pred, keys: key_bounds(pred), swar: kernel.use_swar() }
+        let keys = key_bounds(pred).map(|(lo, hi)| (lo, hi - lo));
+        PredicateKernel { pred: *pred, keys, vector: kernel.use_vector() }
     }
 
     /// The predicate this kernel was compiled from.
@@ -296,19 +303,24 @@ impl<T: Scalar> PredicateKernel<T> {
     /// step of every access path — bumping `comparisons` by the values
     /// actually examined (zero when the predicate can match nothing). The
     /// scalar flavour is the oracle and keeps its straight
-    /// one-value-at-a-time loops; the SWAR flavour is `check_chunks`.
+    /// one-value-at-a-time loops; the vector flavour sums its lane compare
+    /// straight into a counting sink, and walks `check_chunks` for ids.
     ///
     /// # Panics
     /// Panics if `ids` is out of bounds for `values`.
     #[inline]
     pub fn check(&self, values: &[T], ids: Range<u64>, hits: &mut Hits, comparisons: &mut u64) {
-        let Some((lo, hi)) = self.keys else { return };
+        let Some((lo, span)) = self.keys else { return };
         let slice = &values[ids.start as usize..ids.end as usize];
         *comparisons += slice.len() as u64;
-        if self.swar {
-            check_chunks(slice, ids.start, hits, |chunk| swar_match_mask(chunk, lo, hi));
-        } else {
-            check_scalar(&self.pred, slice, ids.start, hits);
+        match (self.vector, hits) {
+            (true, Hits::Count(n)) => {
+                *n += slice.iter().filter(|v| in_span::<T>(v.sort_key(), lo, span)).count() as u64;
+            }
+            (true, hits) => {
+                check_chunks(slice, ids.start, hits, |chunk| lane_mask(chunk, lo, span))
+            }
+            (false, hits) => check_scalar(&self.pred, slice, ids.start, hits),
         }
     }
 
@@ -325,14 +337,13 @@ impl<T: Scalar> PredicateKernel<T> {
 
     /// Whether one value matches — the single-survivor check used by
     /// conjunction refinement, WAH edge bins and the open write head. The
-    /// SWAR flavour compares sort keys (two branchless unsigned compares);
-    /// the scalar flavour is the original short-circuit `matches`.
+    /// vector flavour is its lane compare on one sort key; the scalar
+    /// flavour is the original short-circuit `matches`.
     #[inline]
     pub fn matches(&self, v: &T) -> bool {
-        let Some((lo, hi)) = self.keys else { return false };
-        if self.swar {
-            let k = v.sort_key();
-            lo <= k && k <= hi
+        let Some((lo, span)) = self.keys else { return false };
+        if self.vector {
+            in_span::<T>(v.sort_key(), lo, span)
         } else {
             self.pred.matches(v)
         }
@@ -345,9 +356,9 @@ impl<T: Scalar> PredicateKernel<T> {
     /// Panics if `chunk.len() > 64`.
     pub fn match_mask(&self, chunk: &[T]) -> u64 {
         assert!(chunk.len() <= 64, "a chunk is at most 64 values");
-        let Some((lo, hi)) = self.keys else { return 0 };
-        if self.swar {
-            swar_match_mask(chunk, lo, hi)
+        let Some((lo, span)) = self.keys else { return 0 };
+        if self.vector {
+            lane_mask(chunk, lo, span)
         } else {
             let mut mask = 0u64;
             for (i, v) in chunk.iter().enumerate() {
@@ -359,7 +370,7 @@ impl<T: Scalar> PredicateKernel<T> {
 
     /// Keeps only the ids whose value matches — the **gather-style kernel
     /// over scattered ids** used when a conjunction weeds survivors that no
-    /// longer form contiguous runs. The SWAR flavour gathers up to 64
+    /// longer form contiguous runs. The vector flavour gathers up to 64
     /// values into one stack chunk, evaluates the whole chunk branch-free,
     /// and compacts survivors in place; the scalar flavour is the oracle
     /// loop. An empty predicate clears the list and bills zero comparisons.
@@ -367,13 +378,13 @@ impl<T: Scalar> PredicateKernel<T> {
     /// # Panics
     /// Panics if any id is out of bounds for `values`.
     pub fn filter_ids(&self, values: &[T], ids: &mut Vec<u64>, comparisons: &mut u64) {
-        let Some((lo, hi)) = self.keys else {
+        let Some((lo, span)) = self.keys else {
             ids.clear();
             return;
         };
         *comparisons += ids.len() as u64;
-        if self.swar {
-            gather_chunks(values, ids, |chunk| swar_match_mask(chunk, lo, hi));
+        if self.vector {
+            gather_chunks(values, ids, |chunk| lane_mask(chunk, lo, span));
         } else {
             ids.retain(|&id| self.pred.matches(&values[id as usize]));
         }
@@ -383,7 +394,7 @@ impl<T: Scalar> PredicateKernel<T> {
 /// The oracle's walk: `slice`, whose first value is row `base`, one value
 /// at a time through [`RangePredicate::matches`]. Deliberately not built
 /// on a per-chunk mask like [`check_chunks`]: these straight loops are
-/// what the SWAR kernel is checked against, and `core.refine_scalar_gbps`
+/// what the vector kernel is checked against, and `core.refine_scalar_gbps`
 /// is a ledger row that the detour through a mask costs a third of.
 fn check_scalar<T: Scalar>(pred: &RangePredicate<T>, slice: &[T], base: u64, hits: &mut Hits) {
     match hits {
@@ -415,12 +426,13 @@ fn check_chunks<T>(slice: &[T], base: u64, hits: &mut Hits, mask_of: impl Fn(&[T
 fn gather_chunks<T: Scalar>(values: &[T], ids: &mut Vec<u64>, mask_of: impl Fn(&[T]) -> u64) {
     let n = ids.len();
     let (mut read, mut write) = (0usize, 0usize);
-    let mut buf: Vec<T> = Vec::with_capacity(64);
+    let mut buf = [T::MIN_VALUE; 64];
     while read < n {
         let k = (n - read).min(64);
-        buf.clear();
-        buf.extend(ids[read..read + k].iter().map(|&id| values[id as usize]));
-        let mut mask = mask_of(&buf);
+        for (slot, &id) in buf.iter_mut().zip(&ids[read..read + k]) {
+            *slot = values[id as usize];
+        }
+        let mut mask = mask_of(&buf[..k]);
         while mask != 0 {
             ids[write] = ids[read + mask.trailing_zeros() as usize];
             write += 1;
@@ -557,102 +569,39 @@ fn max_key<T: Scalar>() -> u64 {
     }
 }
 
-/// The per-lane most-significant-bit mask for a lane width.
-#[inline]
-fn msb_mask(lane_bits: u32) -> u64 {
-    match lane_bits {
-        8 => 0x8080_8080_8080_8080,
-        16 => 0x8000_8000_8000_8000,
-        32 => 0x8000_0000_8000_0000,
-        64 => 1 << 63,
-        _ => unreachable!("scalar widths are 8/16/32/64 bits"),
+/// Whether key `k` of a `T` lies in the `span + 1` keys from `lo` on: one
+/// wrapping subtraction and one unsigned compare, in `T`'s own key width.
+/// Both sides are cut to that width (the `match` folds away per type), so
+/// the compiler keeps a 32-bit key in a 32-bit lane; compared as `u64` —
+/// even masked to [`max_key`] — every lane is widened to 64 bits.
+#[inline(always)]
+fn in_span<T: Scalar>(k: u64, lo: u64, span: u64) -> bool {
+    let d = k.wrapping_sub(lo);
+    match T::LANE_BITS {
+        8 => d as u8 <= span as u8,
+        16 => d as u16 <= span as u16,
+        32 => d as u32 <= span as u32,
+        _ => d <= span,
     }
 }
 
-/// The per-lane least-significant-bit mask (the broadcast multiplier).
+/// The vector chunk kernel: the match bitmask of up to 64 values against
+/// the key interval of `span + 1` keys from `lo`. Each value's compare
+/// lands in one byte; each 8 bytes pack into 8 mask bits with one multiply
+/// (byte `j`'s low bit is routed to bit `56 + j`, no partial products
+/// collide). A short chunk packs only the words it reached; their unused
+/// bytes stay 0.
 #[inline]
-fn lsb_mask(lane_bits: u32) -> u64 {
-    match lane_bits {
-        8 => 0x0101_0101_0101_0101,
-        16 => 0x0001_0001_0001_0001,
-        32 => 0x0000_0001_0000_0001,
-        64 => 1,
-        _ => unreachable!("scalar widths are 8/16/32/64 bits"),
+fn lane_mask<T: Scalar>(chunk: &[T], lo: u64, span: u64) -> u64 {
+    let mut hit = [0u8; 64];
+    for (h, v) in hit.iter_mut().zip(chunk) {
+        *h = u8::from(in_span::<T>(v.sort_key(), lo, span));
     }
-}
-
-/// Replicates a `lane_bits`-wide key into every lane of a word.
-#[inline]
-fn broadcast(key: u64, lane_bits: u32) -> u64 {
-    key.wrapping_mul(lsb_mask(lane_bits))
-}
-
-/// Per-lane unsigned `x < y`, reported in each lane's MSB position.
-///
-/// `d` computes `(x_low | lane_msb) - y_low` per lane; setting the minuend
-/// MSB and clearing the subtrahend MSB keeps every lane's difference in
-/// `1..2^w`, so no borrow ever crosses a lane boundary. Its lane MSB is
-/// then exactly `x_low >= y_low`, and the full comparison recombines the
-/// real MSBs: `x < y ⟺ (¬xh ∧ yh) ∨ ((xh ≡ yh) ∧ ¬(x_low ≥ y_low))`.
-#[inline]
-fn swar_lt(x: u64, y: u64, h: u64) -> u64 {
-    let d = ((x & !h) | h).wrapping_sub(y & !h);
-    ((!x & y) | (!(x ^ y) & !d)) & h
-}
-
-/// Compacts per-lane MSB flags into the low `64 / lane_bits` bits. The
-/// multipliers route each lane's flag to a distinct high bit (no two
-/// partial products collide, so no carries corrupt the gather).
-#[inline]
-fn movemask(m: u64, lane_bits: u32) -> u64 {
-    match lane_bits {
-        8 => ((m >> 7).wrapping_mul(0x0102_0408_1020_4080)) >> 56,
-        16 => ((m >> 15).wrapping_mul(0x1000_2000_4000_8000)) >> 60,
-        32 => ((m >> 31) & 1) | ((m >> 62) & 2),
-        64 => m >> 63,
-        _ => unreachable!("scalar widths are 8/16/32/64 bits"),
-    }
-}
-
-/// Packs up to `64 / LANE_BITS` sort keys into one word, value `i` in
-/// lane `i` (lowest bits first).
-#[inline]
-fn pack_word<T: Scalar>(values: &[T]) -> u64 {
-    let mut word = 0u64;
-    for (i, v) in values.iter().enumerate() {
-        word |= v.sort_key() << (i as u32 * T::LANE_BITS % 64);
-    }
-    word
-}
-
-/// The SWAR chunk kernel: the match bitmask of up to 64 values against an
-/// inclusive key interval.
-fn swar_match_mask<T: Scalar>(chunk: &[T], lo: u64, hi: u64) -> u64 {
-    let bits = T::LANE_BITS;
-    let lanes = (64 / bits) as usize;
-    let h = msb_mask(bits);
-    let lo_b = broadcast(lo, bits);
-    let hi_b = broadcast(hi, bits);
-    let mut mask = 0u64;
-    let mut lane_base = 0u32;
-    let mut words = chunk.chunks_exact(lanes);
-    for word_values in &mut words {
-        let k = pack_word(word_values);
-        // A lane misses iff k < lo or hi < k; flipping the miss MSBs under
-        // `h` yields the hit MSBs.
-        let hits = (swar_lt(k, lo_b, h) | swar_lt(hi_b, k, h)) ^ h;
-        mask |= movemask(hits, bits) << lane_base;
-        lane_base += lanes as u32;
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        // Unused high lanes hold key 0; masking to `tail.len()` bits
-        // discards whatever they matched.
-        let k = pack_word(tail);
-        let hits = (swar_lt(k, lo_b, h) | swar_lt(hi_b, k, h)) ^ h;
-        mask |= (movemask(hits, bits) & ((1u64 << tail.len()) - 1)) << lane_base;
-    }
-    mask
+    let used = &hit[..chunk.len().div_ceil(8) * 8];
+    used.chunks_exact(8).enumerate().fold(0, |mask, (i, bytes)| {
+        let word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+        mask | (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i)
+    })
 }
 
 #[cfg(test)]
@@ -756,7 +705,8 @@ mod tests {
             assert_lane_exact(&RangePredicate::at_least(-2.0), probe, f64::NEG_INFINITY);
             assert_lane_exact(&RangePredicate::at_most(2.0), probe, f64::INFINITY);
         }
-        // NaNs follow the documented totalOrder semantics under SWAR too.
+        // NaNs follow the documented totalOrder semantics under the vector
+        // kernel too.
         let up = RangePredicate::at_least(0.0f64);
         let capped = RangePredicate::at_most(f64::INFINITY);
         for k in both(&up) {
@@ -862,9 +812,10 @@ mod tests {
         assert!("mmx".parse::<RefineKernel>().is_err());
         assert_eq!(RefineKernel::Swar.to_string(), "swar");
         assert_eq!(KERNEL_ENV_VAR, "IMPRINTS_REFINE_KERNEL");
-        // Auto resolves to SWAR; Scalar is the only scalar-loop selection.
-        assert!(RefineKernel::Auto.use_swar());
-        assert!(!RefineKernel::Scalar.use_swar());
+        // Auto resolves to the vector kernel; Scalar is the only
+        // scalar-loop selection.
+        assert!(RefineKernel::Auto.use_vector());
+        assert!(!RefineKernel::Scalar.use_vector());
     }
 
     #[test]
@@ -960,25 +911,30 @@ mod tests {
         );
     }
 
-    /// Exhaustive 8-bit cross-check of the SWAR compare primitives: every
-    /// (x, y) byte pair in one packed word against the scalar oracle.
+    /// Exhaustive 8-bit cross-check of the vector kernel: every `lo ≤ hi`
+    /// pair of bounds against all 256 values, for `u8` and `i8`, mask for
+    /// mask and value for value against the scalar oracle.
     #[test]
-    fn swar_lt_exhaustive_u8() {
-        let h = msb_mask(8);
-        for x in 0u64..=255 {
-            for y_base in (0u64..=255).step_by(8) {
-                // One word holding x in every lane vs eight consecutive y.
-                let xs = broadcast(x, 8);
-                let mut ys = 0u64;
-                for lane in 0..8 {
-                    ys |= (y_base + lane as u64).min(255) << (8 * lane);
-                }
-                let lt = movemask(swar_lt(xs, ys, h), 8);
-                for lane in 0..8 {
-                    let y = (y_base + lane as u64).min(255);
-                    assert_eq!(lt >> lane & 1 == 1, x < y, "x={x} y={y}");
+    fn vector_kernel_exhaustive_8_bit() {
+        fn sweep<T: Scalar>(ascending: &[T]) {
+            for (i, &lo) in ascending.iter().enumerate() {
+                for &hi in &ascending[i..] {
+                    let [scalar, vector] = both(&RangePredicate::between(lo, hi));
+                    for chunk in ascending.chunks(64) {
+                        let mask = vector.match_mask(chunk);
+                        assert_eq!(mask, scalar.match_mask(chunk), "[{lo}, {hi}]");
+                        for (bit, v) in chunk.iter().enumerate() {
+                            assert_eq!(
+                                vector.matches(v),
+                                mask >> bit & 1 == 1,
+                                "{v} in [{lo}, {hi}]"
+                            );
+                        }
+                    }
                 }
             }
         }
+        sweep(&(0..=255u8).collect::<Vec<_>>());
+        sweep(&(-128..=127i8).collect::<Vec<_>>());
     }
 }

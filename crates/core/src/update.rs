@@ -192,26 +192,27 @@ impl<T: Scalar> OverlayImprints<T> {
     /// The base index's runs as the updated column sees them: a run holding
     /// overlaid lines is split around them — each overlaid line a run of its
     /// own with the extra bits ORed in — so clean stretches keep their
-    /// single probe.
-    fn runs(&self) -> impl Iterator<Item = Run> + '_ {
+    /// single probe (a repeat run) or their stored vectors (a distinct one).
+    fn runs(&self) -> impl Iterator<Item = Run<'_>> + '_ {
         self.base.runs().flat_map(move |run| {
-            let end = run.first_line + run.line_count;
-            let mut dirty = self.overlay.range(run.first_line..end).peekable();
-            let mut next = run.first_line;
+            let (first, count) = (run.first_line(), run.line_count());
+            let mut dirty = self.overlay.range(first..first + count).peekable();
+            // The next line of `run` to yield, counted from its first.
+            let mut next = 0;
             std::iter::from_fn(move || {
-                if next == end {
+                if next == count {
                     return None;
                 }
-                let (line_count, extra) = match dirty.peek() {
-                    Some(&(&line, &extra)) if line == next => {
+                let piece = match dirty.peek() {
+                    Some(&(&line, &extra)) if line - first == next => {
                         dirty.next();
-                        (1, extra)
+                        let imprint = run.line_imprint(next) | extra;
+                        Run::Repeat { imprint, first_line: line, line_count: 1 }
                     }
-                    Some(&(&line, _)) => (line - next, 0),
-                    None => (end - next, 0),
+                    Some(&(&line, _)) => run.slice(next..line - first),
+                    None => run.slice(next..count),
                 };
-                let piece = Run { imprint: run.imprint | extra, first_line: next, line_count };
-                next += line_count;
+                next += piece.line_count();
                 Some(piece)
             })
         })

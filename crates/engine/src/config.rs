@@ -22,8 +22,9 @@ pub struct EngineConfig {
     /// Which false-positive refinement kernel weeds fetched cachelines
     /// everywhere a value is checked (sealed imprint check lines,
     /// tail-imprint head lines, conjunction survivors): `Auto`
-    /// (currently SWAR), `Scalar` (the classic loop, kept as the
-    /// differential oracle), or `Swar`. This is the only configured
+    /// (currently the vector kernel), `Scalar` (the classic loop, kept as
+    /// the differential oracle), or `Swar` (the vector kernel, under its
+    /// historical name). This is the only configured
     /// selection there is — no process-wide setter exists — and it scopes
     /// to the tables created with this configuration: it is resolved via
     /// [`imprints::simd::effective_kernel`] and threaded into every value

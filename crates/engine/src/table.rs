@@ -1236,27 +1236,29 @@ mod tests {
         let vals: Vec<i64> = (0..1664).map(|i| (i * 37) % 1000).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
         let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
-        let stats = |index_probes, value_comparisons, lines_skipped| AccessStats {
+        let stats = |index_probes, value_comparisons, lines_fetched, lines_skipped| AccessStats {
             index_probes,
             value_comparisons,
-            lines_fetched: 0,
+            lines_fetched,
             lines_skipped,
         };
+        // The live term's candidates are value-checked: 136 and 80 values,
+        // 8 to a cacheline, are 17 and 10 lines fetched.
         let cases = [
-            ("impossible range", vec![between(10, 5)], 0, stats(0, 0, 128), stats(0, 0, 80)),
+            ("impossible range", vec![between(10, 5)], 0, stats(0, 0, 0, 128), stats(0, 0, 0, 80)),
             (
                 "one impossible term, one live",
                 vec![between(10, 5), between(185, 190)],
                 7,
-                stats(128, 136, 239),
-                stats(80, 80, 150),
+                stats(128, 136, 17, 239),
+                stats(80, 80, 10, 150),
             ),
             (
                 "all impossible",
                 vec![between(10, 5), between(900, 100)],
                 0,
-                stats(0, 0, 256),
-                stats(0, 0, 160),
+                stats(0, 0, 0, 256),
+                stats(0, 0, 0, 160),
             ),
         ];
         for (case, terms, hits, sealed, head) in cases {
@@ -1268,6 +1270,37 @@ mod tests {
             assert_eq!(st.access, sealed, "{case}: sealed segment");
             assert_eq!(st.tail_access, head, "{case}: write head");
         }
+    }
+
+    /// A two-column conjunction bills the cachelines it reads: the runs the
+    /// first conjunct value-checks, then the lines of the second column its
+    /// survivors are gathered from. Pinned on one sealed segment (128 lines
+    /// a column) and a 640-row indexed head (80 lines a column).
+    #[test]
+    fn conjunction_bills_the_lines_it_reads() {
+        let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
+        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let column = |f: fn(i64) -> i64| AnyColumn::I64((0..1664).map(f).collect());
+        t.append_batch(vec![column(|i| i % 1024), column(|i| i % 3)]).unwrap();
+        let preds = [
+            ("a", ValueRange::between(Value::I64(100), Value::I64(299))),
+            ("b", ValueRange::equals(Value::I64(1))),
+        ];
+        let (ids, st) = ids_with_stats(&t, &preds);
+        let expect: Vec<u64> = (100..=299).chain(1124..=1323).filter(|i| i % 3 == 1).collect();
+        assert_eq!(ids.as_slice(), expect.as_slice());
+        assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
+        // On both parts `a` holds the fewer candidates: its 28 candidate
+        // lines (224 values) are checked, and the 200 rows with `a` in
+        // range are gathered from `b`'s lines 12..=37 (26 lines).
+        let stats = |index_probes, lines_skipped| AccessStats {
+            index_probes,
+            value_comparisons: 224 + 200,
+            lines_fetched: 28 + 26,
+            lines_skipped,
+        };
+        assert_eq!(st.access, stats(119, 100), "sealed segment");
+        assert_eq!(st.tail_access, stats(81, 52), "write head");
     }
 
     /// Disjoint candidate ranges answer before any value is fetched, on

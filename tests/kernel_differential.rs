@@ -1,6 +1,6 @@
 //! Differential harness for the false-positive refinement kernels.
 //!
-//! The SWAR kernel (`imprints::simd`) and the scalar oracle loop must be
+//! The vector kernel (`imprints::simd`) and the scalar oracle loop must be
 //! observationally identical: byte-identical id lists, identical counts
 //! and identical access statistics, on every access path that weeds
 //! candidates — imprints (evaluate, count, and the late-materialization
@@ -139,8 +139,8 @@ arb_pred!(arb_pred_i64, i64, -2_000_000i64..2_000_000);
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// u8: 64 values per cacheline, 8 SWAR lanes per word — the densest
-    /// lane packing, over a domain the predicate bounds cover entirely
+    /// u8: 64 values per cacheline in 8-bit lanes — the densest lane
+    /// packing, over a domain the predicate bounds cover entirely
     /// (so `T::MIN`/`T::MAX` edges occur naturally).
     #[test]
     fn u8_paths_agree(
@@ -151,7 +151,7 @@ proptest! {
         assert_kernels_identical(force_partial_tail(values, extra), &pred);
     }
 
-    /// i32: 16 values per line, 2 lanes per word, signed key flip.
+    /// i32: 16 values per line in 32-bit lanes, signed key flip.
     #[test]
     fn i32_paths_agree(
         values in prop::collection::vec(-1500i32..1500, 0..2000),
@@ -161,7 +161,7 @@ proptest! {
         assert_kernels_identical(force_partial_tail(values, extra), &pred);
     }
 
-    /// i64: one lane per word — the SWAR degenerate case must still be
+    /// i64: full-width 64-bit lanes, where no key is cut, must still be
     /// byte-identical.
     #[test]
     fn i64_paths_agree(
