@@ -47,13 +47,6 @@ impl IdList {
         self.ids.push(id);
     }
 
-    /// Appends every id in `range` (end exclusive).
-    #[inline]
-    pub fn push_range(&mut self, range: Range<u64>) {
-        debug_assert!(self.ids.last().is_none_or(|&last| last < range.start) || range.is_empty());
-        self.ids.extend(range);
-    }
-
     /// Number of ids.
     pub fn len(&self) -> usize {
         self.ids.len()
@@ -276,18 +269,6 @@ impl CachelineSet {
         }
         out
     }
-
-    /// Expands the candidate cachelines into the row-id ranges they cover,
-    /// clamped to `column_len` rows, with `vpc` values per cacheline.
-    pub fn to_id_ranges(&self, vpc: usize, column_len: usize) -> Vec<Range<u64>> {
-        let vpc = vpc as u64;
-        let n = column_len as u64;
-        self.ranges
-            .iter()
-            .map(|r| (r.start * vpc).min(n)..(r.end * vpc).min(n))
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -295,13 +276,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idlist_push_and_ranges() {
+    fn idlist_push_and_contains() {
         let mut l = IdList::new();
         l.push(3);
-        l.push_range(5..8);
-        assert_eq!(l.as_slice(), &[3, 5, 6, 7]);
-        assert_eq!(l.len(), 4);
-        assert!(l.contains(6));
+        l.push(5);
+        assert_eq!(l.as_slice(), &[3, 5]);
+        assert_eq!(l.len(), 2);
+        assert!(l.contains(5));
         assert!(!l.contains(4));
     }
 
@@ -365,16 +346,6 @@ mod tests {
         b.push_run(10, 12);
         let u = a.union(&b);
         assert_eq!(u.runs().collect::<Vec<_>>(), vec![0..5, 8..12]);
-    }
-
-    #[test]
-    fn cachelineset_to_id_ranges_clamps_tail() {
-        let mut s = CachelineSet::new();
-        s.push_run(0, 1);
-        s.push_run(2, 4);
-        // vpc 16, column of 40 rows: line 2 covers ids 32..40 (clamped).
-        let ranges = s.to_id_ranges(16, 40);
-        assert_eq!(ranges, vec![0..16, 32..40]);
     }
 
     #[test]

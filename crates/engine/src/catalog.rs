@@ -135,11 +135,11 @@ impl Catalog {
             report.segments += segments.len();
             report.orphans_removed += store.gc(&manifest)?;
             report.tables += 1;
-            let table = Arc::new(Table::recover(
+            let table = Arc::new(Table::assemble(
                 &name,
                 manifest.schema,
                 cfg.clone(),
-                store,
+                Some(store),
                 segments,
                 manifest.epoch,
             ));

@@ -17,7 +17,7 @@ pub struct EngineConfig {
     /// cheaper to scan than to index, and the bin sample would be too
     /// thin; at the threshold the tail index is built from the rows
     /// accumulated so far and every later append extends it under the
-    /// open write lock. `usize::MAX` disables tail indexing entirely.
+    /// table write lock. `usize::MAX` disables tail indexing entirely.
     pub tail_index_min_rows: usize,
     /// Which false-positive refinement kernel weeds fetched cachelines
     /// everywhere a value is checked (sealed imprint check lines,

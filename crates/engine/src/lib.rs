@@ -10,10 +10,10 @@
 //!   [`AnyImprints`](imprints::relation_index::AnyImprints): the typed
 //!   work is the `imprints` crate's, reached through `colstore::dispatch!`,
 //!   so this crate holds no per-type code.
-//! * **Epoch-guarded catalog** ([`catalog`], [`table`]): relations hold
-//!   their sealed segments behind an `Arc`-swap scheme; readers pin a
-//!   consistent prefix in O(1) and never block while an appender seals new
-//!   segments.
+//! * **Epoch-guarded catalog** ([`catalog`], [`table`]): a relation's
+//!   write head, sealed segment list (`Arc`-swapped) and epoch sit behind
+//!   one lock; readers pin a consistent prefix in O(1) under it and sweep
+//!   the sealed segments after releasing it.
 //! * **Morsel-driven executor** ([`executor`]): a persistent worker pool
 //!   fans multi-predicate queries (late materialization: per-column
 //!   imprint candidates → id-space merge-join → refinement — the §3 plan
@@ -25,7 +25,7 @@
 //!   imprint — an [`imprints::relation_index::AnyImprints`] extended on
 //!   every append (§4.1: appends never readjust borders) — so queries
 //!   skip cachelines of the hot head instead of scanning it linearly
-//!   under the open read lock, through the same plan the sealed segments
+//!   under the table read lock, through the same plan the sealed segments
 //!   run.
 //! * **Maintenance planner** ([`planner`]): LSM-style **tiered
 //!   compaction** in the background — runs of adjacent same-tier sealed

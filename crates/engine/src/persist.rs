@@ -29,7 +29,6 @@ use std::fs;
 use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 use colstore::relation::AnyColumn;
 use colstore::storage::{Reader, Writer};
@@ -85,8 +84,7 @@ pub(crate) struct SegmentEntry {
 /// The committed durable state of one table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Manifest {
-    /// Table epoch at commit time; a manifest write with a lower or equal
-    /// epoch than the committed one is a stale racer and is skipped.
+    /// The table epoch of the segment list committed.
     pub epoch: u64,
     /// Column definitions, in column-index order.
     pub schema: Vec<ColumnDef>,
@@ -117,16 +115,14 @@ pub struct RecoveryReport {
     pub orphans_removed: usize,
 }
 
-/// The durable side of one table: its directory, the committed manifest
-/// epoch, and a uid counter making segment-directory names unique across
-/// replacements of the same base row.
+/// The durable side of one table: its directory and a uid counter making
+/// segment-directory names unique across replacements of the same base
+/// row. It holds no lock: the owning table commits manifests only under
+/// its own write lock (see [`TableStore::commit_manifest`]).
 #[derive(Debug)]
 pub(crate) struct TableStore {
     /// `<storage root>/<table>`.
     root: PathBuf,
-    /// Epoch of the last committed manifest (lock class `table.store`).
-    /// The lock also serializes the write-tmp/rename pair itself.
-    manifest: Mutex<u64>,
     uid: AtomicU64,
 }
 
@@ -136,7 +132,7 @@ impl TableStore {
     pub(crate) fn create(root: &Path, name: &str, schema: &[ColumnDef]) -> Result<TableStore> {
         let dir = root.join(name);
         fs::create_dir_all(&dir)?;
-        let store = TableStore { root: dir, manifest: Mutex::new(0), uid: AtomicU64::new(0) };
+        let store = TableStore { root: dir, uid: AtomicU64::new(0) };
         store.commit_manifest(0, schema, &[])?;
         Ok(store)
     }
@@ -153,12 +149,7 @@ impl TableStore {
                 max_uid = max_uid.max(uid + 1);
             }
         }
-        let store = TableStore {
-            root: dir,
-            manifest: Mutex::new(manifest.epoch),
-            uid: AtomicU64::new(max_uid),
-        };
-        Ok((store, manifest))
+        Ok((TableStore { root: dir, uid: AtomicU64::new(max_uid) }, manifest))
     }
 
     /// The directory of segment `name`.
@@ -200,20 +191,17 @@ impl TableStore {
         Ok(())
     }
 
-    /// Commits a manifest at `epoch` covering `segments`, unless a later
-    /// (or equal) epoch was already committed — the swap that produced a
-    /// stale list lost its race, and the winner's manifest stands. The
-    /// rename of `MANIFEST.tmp` over `MANIFEST` is the commit point.
+    /// Commits a manifest at `epoch` covering `segments`. The rename of
+    /// `MANIFEST.tmp` over `MANIFEST` is the commit point. Commits are not
+    /// serialized here: the table calls this only inside its write critical
+    /// section (`Table::install_locked`), which orders the commits by epoch
+    /// and gives `MANIFEST.tmp` one writer at a time.
     pub(crate) fn commit_manifest(
         &self,
         epoch: u64,
         schema: &[ColumnDef],
         segments: &[SegmentEntry],
     ) -> Result<()> {
-        let mut last = self.manifest.lock().unwrap_or_else(PoisonError::into_inner);
-        if epoch > 0 && epoch <= *last {
-            return Ok(());
-        }
         let mut w = Writer::new();
         w.put_u16(MANIFEST_VERSION);
         w.put_u16(0);
@@ -234,17 +222,16 @@ impl TableStore {
         let tmp = self.root.join(format!("{MANIFEST_FILE}.tmp"));
         write_file(&tmp, |mut out| w.finish(&MANIFEST_MAGIC, &mut out))?;
         fs::rename(&tmp, self.root.join(MANIFEST_FILE))?;
-        sync_dir(&self.root)?;
-        *last = epoch;
-        Ok(())
+        sync_dir(&self.root)
     }
 
     /// Removes everything in the table directory that the committed
-    /// manifest does not reference: orphaned segment directories (their
-    /// manifest write lost a race or crashed) and stale `.tmp` files.
-    /// Only called from [`Catalog::open`](crate::Catalog::open), before
-    /// any query runs — at runtime, pinned readers may still hold
-    /// segments whose directories a racing manifest orphaned.
+    /// manifest does not reference: segment directories a merge superseded,
+    /// whose install lost its race, or whose commit a crash cut off, and
+    /// stale `.tmp` files. Only called from
+    /// [`Catalog::open`](crate::Catalog::open), before any query runs — at
+    /// runtime, pinned readers may still hold segments whose directories a
+    /// later manifest dropped.
     pub(crate) fn gc(&self, manifest: &Manifest) -> Result<usize> {
         let mut removed = 0;
         for entry in fs::read_dir(&self.root)? {
@@ -375,22 +362,22 @@ mod tests {
         dir
     }
 
+    /// Every commit replaces the manifest: ordering the commits is the
+    /// table's job, and
+    /// `planner::tests::durable_epoch_is_the_table_epoch_after_every_install`
+    /// shows it does it.
     #[test]
-    fn manifest_roundtrip_and_epoch_ordering() {
+    fn manifest_roundtrip_and_every_commit_stands() {
         let root = temp_root("manifest");
         let store = TableStore::create(&root, "t", &defs()).unwrap();
         let segs = vec![
             SegmentEntry { base: 0, rows: 64, dir: "seg-000000000000-0".into() },
             SegmentEntry { base: 64, rows: 128, dir: "seg-000000000064-1".into() },
         ];
-        store.commit_manifest(3, &defs(), &segs).unwrap();
-        // A stale racer (equal or lower epoch) is skipped, not committed.
         store.commit_manifest(3, &defs(), &segs[..1]).unwrap();
-        store.commit_manifest(2, &defs(), &[]).unwrap();
+        store.commit_manifest(4, &defs(), &segs).unwrap();
         let (_, m) = TableStore::open(&root, "t").unwrap();
-        assert_eq!(m.epoch, 3);
-        assert_eq!(m.schema, defs());
-        assert_eq!(m.segments, segs);
+        assert_eq!((m.epoch, m.schema, m.segments), (4, defs(), segs));
         fs::remove_dir_all(&root).unwrap();
     }
 

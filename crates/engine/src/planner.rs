@@ -19,11 +19,12 @@
 //! persisted segments when a table is over its resident-data budget.
 //!
 //! This is the automated-index-management loop (AIM-style): observe →
-//! decide → merge/evict → swap, with the epoch scheme making each swap
-//! atomic to readers.
+//! decide → merge/evict → swap, with the table's one lock making each swap
+//! (and its manifest commit) atomic to readers.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -290,31 +291,25 @@ fn compact_table(table: &Table, report: &mut MaintenanceReport) {
 
 /// A background thread running [`maintenance_tick`] on an interval.
 pub struct MaintenanceDaemon {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    /// Never sent on: dropping it is the stop signal.
+    stop: Option<Sender<()>>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl MaintenanceDaemon {
     /// Starts the daemon over `catalog`, ticking every `interval`.
     pub fn start(catalog: Arc<Catalog>, interval: Duration) -> MaintenanceDaemon {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("imprints-maintenance".into())
-            .spawn(move || {
-                let (lock, cv) = &*stop2;
-                loop {
-                    let _ = maintenance_tick(&catalog);
-                    let guard = lock.lock().expect("daemon lock");
-                    let (guard, _) =
-                        cv.wait_timeout_while(guard, interval, |stopped| !*stopped).expect("wait");
-                    if *guard {
-                        break;
-                    }
+            .spawn(move || loop {
+                let _ = maintenance_tick(&catalog);
+                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             })
             .expect("spawn maintenance thread");
-        MaintenanceDaemon { stop, handle: Some(handle) }
+        MaintenanceDaemon { stop: Some(stop), handle: Some(handle) }
     }
 
     /// Whether the daemon thread is still alive — `false` once stopped, and
@@ -325,11 +320,7 @@ impl MaintenanceDaemon {
 
     /// Stops the daemon and joins its thread.
     pub fn stop(&mut self) {
-        {
-            let (lock, cv) = &*self.stop;
-            *lock.lock().expect("daemon lock") = true;
-            cv.notify_all();
-        }
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -478,6 +469,72 @@ mod tests {
         let report = maintenance_tick(&cat);
         assert!(report.compacted.is_empty());
         assert_eq!(t.sealed_segment_count(), 8);
+    }
+
+    /// Seals on the appending thread and compactions on a ticking one race
+    /// to install. Each commits its manifest inside the table's write
+    /// critical section, so the committed epoch never goes back, and after
+    /// every round the committed manifest is the table's list at the
+    /// table's epoch and a reopen answers like the oracle.
+    #[test]
+    fn durable_epoch_is_the_table_epoch_after_every_install() {
+        let root = std::env::temp_dir().join(format!("imprints-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = EngineConfig {
+            segment_rows: 128,
+            maintenance: crate::config::MaintenanceConfig {
+                tier_fanin: 2,
+                compaction_budget_bytes: 0,
+                ..Default::default()
+            },
+            storage: crate::config::StorageOptions {
+                root: Some(root.clone()),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cat = Catalog::new();
+        let t = cat.create_table("t", &[("v", ColumnType::I64)], cfg.clone()).unwrap();
+        let value = |row: u64| (row * 37 % 1000) as i64;
+        let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(300)))];
+        let manifest_path = root.join("t").join(crate::persist::MANIFEST_FILE);
+        let committed = || crate::persist::read_manifest(&manifest_path).unwrap();
+        let (mut rows, mut epoch) = (0u64, 0u64);
+        for _round in 0..4 {
+            let ticking = std::sync::atomic::AtomicBool::new(true);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while ticking.load(Ordering::Relaxed) {
+                        maintenance_tick(&cat);
+                    }
+                });
+                // Eight seals, four 32-row appends each, so the head ends
+                // the round empty and every row is durable.
+                for _ in 0..32 {
+                    let batch = AnyColumn::I64((rows..rows + 32).map(value).collect());
+                    t.append_batch(vec![batch]).unwrap();
+                    rows += 32;
+                    let now = committed().epoch;
+                    assert!(now >= epoch, "the committed epoch went back from {epoch} to {now}");
+                    epoch = now;
+                }
+                ticking.store(false, Ordering::Relaxed);
+            });
+            let manifest = committed();
+            assert_eq!(manifest.epoch, t.epoch());
+            let dirs: Vec<&str> = manifest.segments.iter().map(|e| e.dir.as_str()).collect();
+            let sealed = t.sealed_snapshot();
+            let live: Vec<&str> = sealed.iter().map(|s| s.durable_name().unwrap()).collect();
+            assert_eq!(dirs, live);
+            let (reopened, _) = Catalog::open(&cfg).unwrap();
+            let expect: Vec<u64> =
+                (0..rows).filter(|&row| (100..=300).contains(&value(row))).collect();
+            let ids = reopened.table("t").unwrap().query(&pred).unwrap();
+            assert_eq!(ids.as_slice(), expect.as_slice());
+        }
+        assert!(t.stats().compactions.load(Ordering::Relaxed) > 0, "no install raced a seal");
+        assert_eq!(t.persist_errors(), 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Four full tier-0 segments: one default-fan-in merge away from idle.

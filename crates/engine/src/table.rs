@@ -2,19 +2,19 @@
 //!
 //! ## Concurrency scheme
 //!
-//! A table's sealed segments live behind `RwLock<Arc<Vec<Arc<SealedSegment>>>>`
-//! — an epoch-style snapshot: readers clone the outer `Arc` (O(1)) and work
-//! on a frozen segment list while writers install a new list by swapping
-//! the `Arc` (copy-on-write of the *pointer vector*, never of data). The
-//! open segment — the write head — sits behind its own `RwLock`; queries
-//! take it for read just long enough to scan its (bounded, ≤ one segment)
-//! rows, appenders take it for write.
+//! A table's open write head, sealed segment list and epoch sit behind one
+//! `RwLock<TableState>` (lock class `table.segments`). Every change of them
+//! — an append, a seal, a compaction's swap — is one write critical
+//! section, and an install commits its manifest inside it, so the table
+//! changes, and commits each change durably, once and in epoch order.
 //!
-//! Lock order is `open` before `sealed` everywhere. Sealing happens while
-//! holding the open write lock, so a reader holding the open read lock
-//! observes a consistent pair: the sealed list cannot advance under it.
-//! Every query therefore sees an exact *prefix* of the table's rows —
-//! never a gap, never a duplicate — identified by `(epoch, visible rows)`.
+//! The sealed list is copy-on-write (`Arc<Vec<Arc<SealedSegment>>>`): an
+//! install swaps the *pointer vector*, never data. A query holds the read
+//! lock to clone the list's `Arc`, read the epoch and evaluate the head's
+//! (≤ one segment of) rows, and sweeps the frozen list after release: it
+//! sees an exact *prefix* of the table — never a gap, never a duplicate —
+//! identified by `(epoch, visible rows)`. Column data is never faulted in,
+//! and a merged segment never written, under the lock.
 //!
 //! The write head is not a blind buffer: once it holds
 //! [`EngineConfig::tail_index_min_rows`] rows, each open column buffer
@@ -31,7 +31,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, ColumnType, Error, IdList, Result, Scalar, Value};
@@ -59,7 +59,7 @@ struct OpenSegment {
     bufs: Vec<AnyColumn>,
     /// Per-column incremental tail imprints over `bufs`, present once the
     /// head crossed [`EngineConfig::tail_index_min_rows`]; maintained
-    /// under the open write lock and discarded at seal.
+    /// under the table write lock and discarded at seal.
     tails: Option<Vec<AnyImprints>>,
 }
 
@@ -67,6 +67,14 @@ impl OpenSegment {
     fn len(&self) -> usize {
         self.bufs.first().map_or(0, AnyColumn::len)
     }
+}
+
+/// Everything of a table that changes, behind its one lock. `epoch` counts
+/// the installs; the durable manifest names the list at that epoch.
+struct TableState {
+    head: OpenSegment,
+    sealed: SegmentList,
+    epoch: u64,
 }
 
 /// Cumulative table counters.
@@ -180,9 +188,7 @@ pub struct Table {
     name: String,
     schema: Vec<ColumnDef>,
     cfg: EngineConfig,
-    sealed: RwLock<SegmentList>,
-    open: RwLock<OpenSegment>,
-    epoch: AtomicU64,
+    segments: RwLock<TableState>,
     stats: TableStats,
     /// The durable side of the table when
     /// [`StorageOptions::root`](crate::StorageOptions::root) is set;
@@ -214,32 +220,22 @@ impl Table {
             }
             defs.push(ColumnDef { name: (*cname).to_string(), ty: *ty });
         }
-        let bufs = defs.iter().map(|d| AnyColumn::new_empty(d.ty)).collect();
         let store = match &cfg.storage.root {
             Some(root) => Some(TableStore::create(root, name, &defs)?),
             None => None,
         };
-        Ok(Table {
-            name: name.to_string(),
-            schema: defs,
-            cfg,
-            sealed: RwLock::new(Arc::new(Vec::new())),
-            open: RwLock::new(OpenSegment { base: 0, bufs, tails: None }),
-            epoch: AtomicU64::new(0),
-            stats: TableStats::default(),
-            store,
-            persist_errors: AtomicU64::new(0),
-        })
+        Ok(Table::assemble(name, defs, cfg, store, Vec::new(), 0))
     }
 
-    /// Reassembles a table from its recovered durable state — sealed
-    /// segments as listed in the committed manifest, the open write head
-    /// empty and starting right after the last sealed row.
-    pub(crate) fn recover(
+    /// Assembles a table from sealed `segments` at `epoch` — none for a new
+    /// table, those the committed manifest lists for a recovered one — with
+    /// the open write head empty and starting right after the last sealed
+    /// row.
+    pub(crate) fn assemble(
         name: &str,
         schema: Vec<ColumnDef>,
         cfg: EngineConfig,
-        store: TableStore,
+        store: Option<TableStore>,
         segments: Vec<Arc<SealedSegment>>,
         epoch: u64,
     ) -> Table {
@@ -249,11 +245,13 @@ impl Table {
             name: name.to_string(),
             schema,
             cfg,
-            sealed: RwLock::new(Arc::new(segments)),
-            open: RwLock::new(OpenSegment { base, bufs, tails: None }),
-            epoch: AtomicU64::new(epoch),
+            segments: RwLock::new(TableState {
+                head: OpenSegment { base, bufs, tails: None },
+                sealed: Arc::new(segments),
+                epoch,
+            }),
             stats: TableStats::default(),
-            store: Some(store),
+            store,
             persist_errors: AtomicU64::new(0),
         }
     }
@@ -276,7 +274,7 @@ impl Table {
     /// Monotonic structure-change counter (bumped per seal and per
     /// maintenance swap).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.peek().epoch
     }
 
     /// Cumulative counters.
@@ -295,28 +293,28 @@ impl Table {
     /// panic the count may include a half-applied batch; queries, appends
     /// and seals on that table keep failing loudly.
     pub fn row_count(&self) -> u64 {
-        let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
-        open.base + open.len() as u64
+        let state = self.peek();
+        state.head.base + state.head.len() as u64
     }
 
     /// Number of sealed segments at this instant.
     pub fn sealed_segment_count(&self) -> usize {
-        self.sealed.read().unwrap_or_else(PoisonError::into_inner).len()
+        self.peek().sealed.len()
     }
 
     /// Bytes of secondary-index structures: every sealed segment's
     /// imprints, plus the open head's tail imprints once built.
     pub fn index_bytes(&self) -> usize {
-        let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
-        let sealed = self.sealed_snapshot();
-        let tail_bytes: usize =
-            open.tails.as_ref().map_or(0, |tails| tails.iter().map(AnyImprints::size_bytes).sum());
-        drop(open);
-        sealed
-            .iter()
-            .map(|s| s.columns().iter().map(|c| c.index_bytes()).sum::<usize>())
-            .sum::<usize>()
-            + tail_bytes
+        let state = self.peek();
+        let tails = state.head.tails.iter().flatten().map(AnyImprints::size_bytes);
+        let sealed = state.sealed.iter().flat_map(|s| s.columns()).map(|c| c.index_bytes());
+        tails.chain(sealed).sum()
+    }
+
+    /// The table state for the read-only counters, which keep answering on
+    /// a poisoned lock (see [`Table::row_count`]).
+    fn peek(&self) -> RwLockReadGuard<'_, TableState> {
+        self.segments.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     // ------------------------------------------------------------------
@@ -369,47 +367,47 @@ impl Table {
             return Ok(());
         }
 
-        let mut open = self.open.write().expect("open lock");
+        let mut state = self.segments.write().expect("table lock");
         let mut taken = 0usize;
         while taken < rows {
-            let room = self.cfg.segment_rows - open.len();
-            let take = room.min(rows - taken);
-            let from = open.len();
-            for (buf, src) in open.bufs.iter_mut().zip(&batch) {
+            let from = state.head.len();
+            let take = (self.cfg.segment_rows - from).min(rows - taken);
+            for (buf, src) in state.head.bufs.iter_mut().zip(&batch) {
                 buf.extend_from_range(src, taken..taken + take)?;
             }
             taken += take;
-            if open.len() == self.cfg.segment_rows {
+            if state.head.len() == self.cfg.segment_rows {
                 // The chunk filled the segment: sealing builds the real
                 // per-segment imprint and discards the tail, so extending
                 // (or building) the tail for these rows would be pure
                 // throwaway work — skip straight to the seal.
-                self.seal_open(&mut open);
+                self.seal_open(&mut state);
             } else {
-                index_open_tail(&mut open, from, self.cfg.tail_index_min_rows);
+                index_open_tail(&mut state.head, from, self.cfg.tail_index_min_rows);
             }
         }
         self.stats.rows_appended.fetch_add(rows as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Seals the (full) open segment into the sealed list. Caller holds the
-    /// open write lock, which is what makes the seal atomic to readers. The
-    /// tail imprint is discarded here: the sealed segment builds its real
-    /// per-segment imprint, binned from its own rows, below.
-    fn seal_open(&self, open: &mut OpenSegment) {
-        open.tails = None;
+    /// Seals the open head into the sealed list under the table write lock
+    /// the caller holds, persisting and installing it there. The tail
+    /// imprint is discarded: the sealed segment builds its real imprint,
+    /// binned from its own rows.
+    fn seal_open(&self, state: &mut TableState) {
+        let head = &mut state.head;
+        head.tails = None;
         let bufs = std::mem::replace(
-            &mut open.bufs,
+            &mut head.bufs,
             self.schema.iter().map(|d| AnyColumn::new_empty(d.ty)).collect(),
         );
-        let rows = bufs.first().map_or(0, AnyColumn::len);
-        let seg = SealedSegment::seal(open.base, bufs);
+        let seg = Arc::new(SealedSegment::seal(head.base, bufs));
+        head.base += seg.rows() as u64;
+        self.persist_segment(&seg);
         assert!(
-            self.install(&[], seg),
-            "a seal appends at the list's end under the open write lock: nothing can race it"
+            self.install_locked(state, &[], seg),
+            "a seal appends at the list's end under the table write lock: nothing can race it"
         );
-        open.base += rows as u64;
         self.stats.segments_sealed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -419,11 +417,11 @@ impl Table {
     /// queries are unaffected (a sealed partial segment answers exactly
     /// like the open rows did). Returns whether anything was sealed.
     pub fn flush_open(&self) -> bool {
-        let mut open = self.open.write().expect("open lock");
-        if open.len() == 0 {
+        let mut state = self.segments.write().expect("table lock");
+        if state.head.len() == 0 {
             return false;
         }
-        self.seal_open(&mut open);
+        self.seal_open(&mut state);
         true
     }
 
@@ -464,8 +462,8 @@ impl Table {
         }
     }
 
-    /// Failed persistence attempts so far (see [`Table::recover`] docs on
-    /// the availability-over-durability policy).
+    /// Failed persistence attempts so far (segment writes and manifest
+    /// commits; availability beats durability, see the field's docs).
     pub fn persist_errors(&self) -> u64 {
         self.persist_errors.load(Ordering::Relaxed)
     }
@@ -480,23 +478,8 @@ impl Table {
         self.store.as_ref()
     }
 
-    /// Installs `new` in place of the sealed segments `old` — the only code
-    /// that changes the sealed list. A seal passes no `old` and appends at
-    /// the end; a compaction replaces a run of adjacent ones. The window is
-    /// located by `new`'s base row id, and the install happens only if it
-    /// still holds exactly the `Arc`s of `old` (an empty window: only if
-    /// `new` continues the list's end). A seal appending behind a window
-    /// does not invalidate it; a compaction inside it does. Returns whether
-    /// the list changed; a lost race leaves an orphan directory for the
-    /// next startup's `gc`.
-    ///
-    /// The order is the durability argument: the segment directory is
-    /// persisted before it is published, so a manifest can never name a
-    /// directory that is not fully on disk; the epoch is bumped under the
-    /// sealed write lock, so a reader holding the read lock always sees an
-    /// epoch that matches the list it pinned; the manifest is committed
-    /// after the lock is released. Readers pinned to the old list keep a
-    /// fully consistent view.
+    /// A compaction's [`Table::install_locked`]: `new` is persisted with no
+    /// lock held, then installed under one write-lock acquisition.
     pub(crate) fn install(&self, old: &[Arc<SealedSegment>], new: SealedSegment) -> bool {
         assert!(
             old.is_empty()
@@ -506,7 +489,35 @@ impl Table {
         );
         let new = Arc::new(new);
         self.persist_segment(&new);
-        let mut sealed = self.sealed.write().expect("sealed lock");
+        let mut state = self.segments.write().expect("table lock");
+        self.install_locked(&mut state, old, new)
+    }
+
+    /// Installs `new` in place of the sealed segments `old` — the only code
+    /// that changes the sealed list — under the table write lock the caller
+    /// holds. A seal passes no `old` and appends at the end; a compaction
+    /// replaces a run of adjacent segments. The window is located by
+    /// `new`'s base row id, and the install happens only if it still holds
+    /// exactly the `Arc`s of `old` (an empty window: only if `new`
+    /// continues the list's end). A seal appending behind a window does not
+    /// invalidate it; a compaction inside it does. Returns whether the list
+    /// changed; a lost race leaves an orphan directory for the next
+    /// startup's `gc`.
+    ///
+    /// The order is the durability argument: `new`'s directory was
+    /// persisted before it is published, so a manifest can never name a
+    /// directory that is not fully on disk; the swap, the epoch bump and
+    /// the manifest commit share one critical section, so the manifests
+    /// land in epoch order and the committed epoch is [`Table::epoch`]
+    /// whenever the lock is free. Readers pinned to the old list keep a
+    /// fully consistent view.
+    fn install_locked(
+        &self,
+        state: &mut TableState,
+        old: &[Arc<SealedSegment>],
+        new: Arc<SealedSegment>,
+    ) -> bool {
+        let sealed = &state.sealed;
         let start = sealed.partition_point(|s| s.base() < new.base());
         let end = start + old.len();
         let current = if old.is_empty() {
@@ -524,17 +535,15 @@ impl Table {
         list.extend_from_slice(&sealed[..start]);
         list.push(new);
         list.extend_from_slice(&sealed[end..]);
-        *sealed = Arc::new(list);
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let snapshot = sealed.clone();
-        drop(sealed);
-        self.commit_manifest_for(epoch, &snapshot);
+        state.sealed = Arc::new(list);
+        state.epoch += 1;
+        self.commit_manifest_for(state.epoch, &state.sealed);
         true
     }
 
     /// The current sealed segment list (a frozen snapshot).
     pub(crate) fn sealed_snapshot(&self) -> SegmentList {
-        self.sealed.read().unwrap_or_else(PoisonError::into_inner).clone()
+        self.peek().sealed.clone()
     }
 
     // ------------------------------------------------------------------
@@ -587,26 +596,21 @@ impl Table {
     }
 
     /// Pins the consistent prefix a batch observes and evaluates every
-    /// query's share of the open write head under it: the open read lock
-    /// excludes sealing, so the sealed list and the open rows agree. Open
-    /// rows are evaluated under the lock (bounded by one segment, and
-    /// through the tail imprint once the head is large enough); the frozen
-    /// sealed list is swept by the caller after release.
+    /// query's share of the open write head under it: one read lock covers
+    /// the head, the sealed list and the epoch, so they agree. Open rows
+    /// are evaluated under the lock (bounded by one segment, and through
+    /// the tail imprint once the head is large enough); the frozen sealed
+    /// list is swept by the caller after release.
     ///
     /// A lock poisoned by a writer that panicked is an error, not a panic:
     /// a half-applied append may have left the head's buffers ragged, so
     /// the poisoned data is not read, and the caller — in the server, the
     /// one dispatcher thread every client depends on — lives on.
     fn pin_prefix(&self, work: &[SegQuery]) -> std::result::Result<PinnedPrefix, String> {
-        let poisoned = |lock: &str| {
-            format!("table {:?}: the {lock} lock was poisoned by a writer that panicked", self.name)
-        };
-        let open = self.open.read().map_err(|_| poisoned("open"))?;
-        let sealed = self.sealed.read().map_err(|_| poisoned("sealed"))?.clone();
-        // Read under the open lock: epoch bumps happen inside the write
-        // critical sections, so this value names exactly the pinned
-        // (sealed list, open rows) pair.
-        let epoch = self.epoch();
+        let state = self.segments.read().map_err(|_| {
+            format!("table {:?}: its lock was poisoned by a writer that panicked", self.name)
+        })?;
+        let (open, sealed, epoch) = (&state.head, state.sealed.clone(), state.epoch);
         let head = head_columns(&open.bufs, open.tails.as_deref());
         let open_rows = open.len();
         let opens = work.iter().map(|q| relation_index::run(&head, open_rows as u64, q)).collect();
@@ -689,14 +693,15 @@ impl Table {
 
     /// Reconstructs the tuple at global row `id` (late materialization).
     pub fn tuple(&self, id: u64) -> Option<Vec<Value>> {
-        let open = self.open.read().expect("open lock");
+        let state = self.segments.read().expect("table lock");
+        let open = &state.head;
         if id >= open.base {
             let local = (id - open.base) as usize;
             return (local < open.len())
                 .then(|| open.bufs.iter().map(|b| b.value(local).expect("in range")).collect());
         }
-        let sealed = self.sealed.read().expect("sealed lock").clone();
-        drop(open);
+        let sealed = state.sealed.clone();
+        drop(state);
         let idx = sealed.partition_point(|s| s.base() + s.rows() as u64 <= id);
         let seg = sealed.get(idx)?;
         let local = (id - seg.base()) as usize;
@@ -706,20 +711,13 @@ impl Table {
     /// A consistent point-in-time copy of the table's visible rows — meant
     /// for validation and tests, not the hot path (it copies the data).
     pub fn snapshot(&self) -> TableSnapshot {
-        let open = self.open.read().expect("open lock");
-        let sealed_guard = self.sealed.read().expect("sealed lock");
-        let sealed = sealed_guard.clone();
-        let epoch = self.epoch();
-        drop(sealed_guard);
-        let open_bufs = open.bufs.clone();
-        let open_base = open.base;
-        drop(open);
+        let state = self.segments.read().expect("table lock");
         TableSnapshot {
             schema: self.schema.clone(),
-            sealed,
-            open_base,
-            open_bufs,
-            epoch,
+            sealed: state.sealed.clone(),
+            open_base: state.head.base,
+            open_bufs: state.head.bufs.clone(),
+            epoch: state.epoch,
             kernel: self.refine_kernel(),
         }
     }
@@ -810,7 +808,7 @@ fn head_columns<'a>(
 }
 
 /// Maintains the open segment's tail imprints after an append landed rows
-/// `from..open.len()`, under the open write lock the caller already holds
+/// `from..open.len()`, under the table write lock the caller already holds
 /// — so readers never observe imprint and buffer out of sync, and all of
 /// it is bounded by one segment of rows. The lifecycle:
 ///
@@ -828,7 +826,7 @@ fn head_columns<'a>(
 ///    over the current buffer. The saturation sweep of
 ///    [`ColumnImprints::needs_rebuild`](imprints::ColumnImprints::needs_rebuild)
 ///    is deliberately *not* consulted: this check runs once per append
-///    batch under the open write lock, where an O(stored vectors) popcount
+///    batch under the table write lock, where an O(stored vectors) popcount
 ///    per chunk would make trickle appends quadratic in head size and
 ///    stall concurrent readers.
 /// 4. At seal the tail imprint is discarded: the sealed segment builds its
@@ -1402,23 +1400,23 @@ mod tests {
         }
     }
 
-    fn poison_open(t: &Table) {
+    fn poison(t: &Table) {
         let writer = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = t.open.write().unwrap();
+            let _guard = t.segments.write().unwrap();
             panic!("writer dies mid-append");
         }));
-        assert!(writer.is_err() && t.open.is_poisoned());
+        assert!(writer.is_err() && t.segments.is_poisoned());
     }
 
-    /// A writer that panicked while holding the open lock poisons it. The
+    /// A writer that panicked while holding the table lock poisons it. The
     /// read path must report that as an error in every query's slot — not
     /// unwind into its caller, which in the server is the one dispatcher
     /// thread — and must not read the possibly half-appended head.
     #[test]
-    fn poisoned_open_lock_is_a_query_error_not_a_panic() {
+    fn poisoned_table_lock_is_a_query_error_not_a_panic() {
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
         t.append_batch(vec![ints(0..600)]).unwrap();
-        poison_open(&t);
+        poison(&t);
         let batch = vec![
             BatchQuery::ids(vec![("v".into(), ValueRange::at_least(Value::I64(590)))]),
             BatchQuery::count(vec![]),
@@ -1508,13 +1506,13 @@ mod tests {
     /// is how they find out what is wrong — while queries on it still
     /// error.
     #[test]
-    fn poisoned_open_lock_still_answers_storage_stats_and_path_report() {
+    fn poisoned_table_lock_still_answers_storage_stats_and_path_report() {
         let cat = crate::Catalog::new();
         let t = cat.create_table("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
         t.append_batch(vec![ints(0..600)]).unwrap();
         let sealed = t.sealed_segment_count();
         assert!(sealed > 0);
-        poison_open(&t);
+        poison(&t);
         let stats = cat.storage_stats();
         assert_eq!((stats.rows, stats.sealed_segments), (600, sealed));
         assert!(stats.index_bytes > 0 && t.index_bytes() >= stats.index_bytes);
