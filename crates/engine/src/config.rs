@@ -159,11 +159,9 @@ pub struct MaintenanceConfig {
     /// sealed segments of the same size tier is merged into one segment
     /// (data concatenated, bins re-sampled once, the imprint rebuilt).
     /// Also the size ratio between tiers. Values below 2 disable
-    /// compaction.
+    /// compaction. No merge grows a segment past
+    /// [`MAX_SEGMENT_ROWS`](crate::planner::MAX_SEGMENT_ROWS) rows.
     pub tier_fanin: usize,
-    /// Never merge segments into one larger than this many rows — the top
-    /// tier, after which a segment is never rewritten.
-    pub max_segment_rows: usize,
     /// Input-data budget of one maintenance tick's compaction work, in
     /// bytes. Each tick merges at least one planned run (so tiering never
     /// stalls) but stops starting new merges once this many input bytes
@@ -173,10 +171,6 @@ pub struct MaintenanceConfig {
 
 impl Default for MaintenanceConfig {
     fn default() -> Self {
-        MaintenanceConfig {
-            tier_fanin: 4,
-            max_segment_rows: 1 << 22,
-            compaction_budget_bytes: 64 << 20,
-        }
+        MaintenanceConfig { tier_fanin: 4, compaction_budget_bytes: 64 << 20 }
     }
 }

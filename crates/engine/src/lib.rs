@@ -82,7 +82,7 @@ pub use planner::{
     MaintenanceDaemon, MaintenanceReport, PathKind,
 };
 pub use segment::SealedSegment;
-pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table, TableSnapshot};
+pub use table::{BatchAnswer, BatchQuery, ColumnDef, QueryStats, Table};
 
 /// The assembled engine: catalog + worker pool + optional maintenance
 /// daemon, under one configuration.

@@ -70,6 +70,10 @@ impl MaintenanceReport {
     }
 }
 
+/// The top tier: no merge produces a segment of more rows than this (4 Mi),
+/// and a segment there is never rewritten.
+pub const MAX_SEGMENT_ROWS: usize = 1 << 22;
+
 /// Size tier of a segment of `rows` rows: tier `t` spans
 /// `unit·fanin^t ..< unit·fanin^(t+1)` rows (everything below `unit·fanin`
 /// is tier 0).
@@ -89,13 +93,15 @@ fn tier_of(rows: usize, unit: usize, fanin: usize) -> u32 {
 
 /// The tier policy over one frozen sealed list: walks runs of adjacent
 /// same-tier segments and emits one `Compact` window per `fanin` of them,
-/// skipping windows whose merged size would cross
-/// [`max_segment_rows`](crate::MaintenanceConfig::max_segment_rows).
-/// Windows never overlap, so any prefix of the plan can be applied against
-/// the same snapshot.
-fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<CompactionAction> {
-    let cfg = &table.config().maintenance;
-    let fanin = cfg.tier_fanin;
+/// skipping windows whose merged size would cross `max_rows`
+/// ([`MAX_SEGMENT_ROWS`] outside the tests). Windows never overlap, so any
+/// prefix of the plan can be applied against the same snapshot.
+fn plan_compactions_for(
+    table: &Table,
+    sealed: &[Arc<SealedSegment>],
+    max_rows: usize,
+) -> Vec<CompactionAction> {
+    let fanin = table.config().maintenance.tier_fanin;
     if fanin < 2 {
         return Vec::new();
     }
@@ -112,7 +118,7 @@ fn plan_compactions_for(table: &Table, sealed: &[Arc<SealedSegment>]) -> Vec<Com
         let mut start = i;
         while start + fanin <= run_end {
             let rows: usize = sealed[start..start + fanin].iter().map(|s| s.rows()).sum();
-            if rows <= cfg.max_segment_rows {
+            if rows <= max_rows {
                 actions.push(CompactionAction {
                     table: table.name().to_string(),
                     start,
@@ -257,7 +263,7 @@ fn compact_table(table: &Table, report: &mut MaintenanceReport) {
     let mut spent = 0usize;
     loop {
         let sealed = table.sealed_snapshot();
-        let plan = plan_compactions_for(table, &sealed);
+        let plan = plan_compactions_for(table, &sealed, MAX_SEGMENT_ROWS);
         if plan.is_empty() {
             return;
         }
@@ -364,7 +370,7 @@ mod tests {
         let vals: Vec<i64> = (0..128 * 6).map(|i| i % 97).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
         assert_eq!(t.sealed_segment_count(), 6);
-        let planned = plan_compactions_for(&t, &t.sealed_snapshot());
+        let planned = plan_compactions_for(&t, &t.sealed_snapshot(), MAX_SEGMENT_ROWS);
         // Six tier-0 segments, fan-in 2 → three non-overlapping windows.
         assert_eq!(planned.len(), 3);
         assert!(planned.iter().all(|a| a.len == 2 && a.tier == 0 && a.rows == 256));
@@ -379,7 +385,6 @@ mod tests {
             maintenance: crate::config::MaintenanceConfig {
                 tier_fanin: 2,
                 compaction_budget_bytes: 0, // unlimited
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -409,7 +414,6 @@ mod tests {
                 // Budget below even one merge's input: each tick still does
                 // exactly its one guaranteed merge.
                 compaction_budget_bytes: seg_bytes,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -436,7 +440,6 @@ mod tests {
             segment_rows: 128,
             maintenance: crate::config::MaintenanceConfig {
                 tier_fanin: 2,
-                max_segment_rows: 256,
                 compaction_budget_bytes: 0,
             },
             ..Default::default()
@@ -444,15 +447,20 @@ mod tests {
         let t = cat.create_table("capped", &[("v", ColumnType::I64)], cfg).unwrap();
         let vals: Vec<i64> = (0..128 * 8).map(|i| i % 10).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        let mut guard = 0;
-        while !maintenance_tick(&cat).is_idle() {
-            guard += 1;
-            assert!(guard < 16);
-        }
-        // 8×128 rows can only reach 256-row segments, never 512.
-        assert_eq!(t.sealed_segment_count(), 4);
         let sealed = t.sealed_snapshot();
-        assert!(sealed.iter().all(|s| s.rows() == 256));
+        // Eight 128-row segments pair into 256-row ones, never larger.
+        let plan = plan_compactions_for(&t, &sealed, 256);
+        assert_eq!(plan.len(), 4);
+        assert!(plan.iter().all(|a| a.rows == 256));
+        assert!(plan_compactions_for(&t, &sealed, 255).is_empty());
+        // Applied, the 256-row tier cannot merge again under that cap.
+        for a in &plan {
+            let window = &sealed[a.start..a.start + a.len];
+            assert!(t.install(window, SealedSegment::merge(window)));
+        }
+        assert_eq!(t.sealed_segment_count(), 4);
+        assert!(plan_compactions_for(&t, &t.sealed_snapshot(), 256).is_empty());
+        assert_eq!(plan_compactions_for(&t, &t.sealed_snapshot(), 512).len(), 2);
     }
 
     #[test]
@@ -485,7 +493,6 @@ mod tests {
             maintenance: crate::config::MaintenanceConfig {
                 tier_fanin: 2,
                 compaction_budget_bytes: 0,
-                ..Default::default()
             },
             storage: crate::config::StorageOptions {
                 root: Some(root.clone()),

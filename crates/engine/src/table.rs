@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, ColumnType, Error, IdList, Result, Scalar, Value};
+use colstore::{AccessStats, ColumnType, Error, IdList, Result, Value};
 use imprints::relation_index::{
     self, resolve_sets, AnyImprints, IndexedColumn, SegQuery, ValueRange, ValueSet,
 };
@@ -367,7 +367,7 @@ impl Table {
             return Ok(());
         }
 
-        let mut state = self.segments.write().expect("table lock");
+        let mut state = self.segments.write().map_err(|_| Error::Mismatch(self.poisoned()))?;
         let mut taken = 0usize;
         while taken < rows {
             let from = state.head.len();
@@ -415,9 +415,10 @@ impl Table {
     /// clean-shutdown hook making every appended row durable before the
     /// process exits. A later append simply starts a fresh segment, and
     /// queries are unaffected (a sealed partial segment answers exactly
-    /// like the open rows did). Returns whether anything was sealed.
+    /// like the open rows did). Returns whether anything was sealed; a
+    /// table whose lock a panicked writer poisoned seals nothing.
     pub fn flush_open(&self) -> bool {
-        let mut state = self.segments.write().expect("table lock");
+        let Ok(mut state) = self.segments.write() else { return false };
         if state.head.len() == 0 {
             return false;
         }
@@ -479,17 +480,19 @@ impl Table {
     }
 
     /// A compaction's [`Table::install_locked`]: `new` is persisted with no
-    /// lock held, then installed under one write-lock acquisition.
+    /// lock held, then installed under one write-lock acquisition. A
+    /// poisoned table lock refuses the install like a lost race.
     pub(crate) fn install(&self, old: &[Arc<SealedSegment>], new: SealedSegment) -> bool {
         assert!(
-            old.is_empty()
-                || (new.base() == old[0].base()
-                    && new.rows() == old.iter().map(|s| s.rows()).sum::<usize>()),
+            old.first().is_none_or(|first| {
+                new.base() == first.base()
+                    && new.rows() == old.iter().map(|s| s.rows()).sum::<usize>()
+            }),
             "a replacement must cover exactly the rows of its window"
         );
         let new = Arc::new(new);
         self.persist_segment(&new);
-        let mut state = self.segments.write().expect("table lock");
+        let Ok(mut state) = self.segments.write() else { return false };
         self.install_locked(&mut state, old, new)
     }
 
@@ -532,9 +535,9 @@ impl Table {
             return false;
         }
         let mut list: Vec<Arc<SealedSegment>> = Vec::with_capacity(sealed.len() + 1 - old.len());
-        list.extend_from_slice(&sealed[..start]);
+        list.extend(sealed.iter().take(start).cloned());
         list.push(new);
-        list.extend_from_slice(&sealed[end..]);
+        list.extend(sealed.iter().skip(end).cloned());
         state.sealed = Arc::new(list);
         state.epoch += 1;
         self.commit_manifest_for(state.epoch, &state.sealed);
@@ -566,6 +569,7 @@ impl Table {
         let q = BatchQuery::ids(preds.iter().map(|(n, r)| (n.to_string(), *r)).collect());
         match self.query_one(&q, pool)?.0 {
             BatchAnswer::Ids(ids) => Ok(ids),
+            // panic-ok: `BatchQuery::ids` builds a query with `count_only` false.
             BatchAnswer::Count(_) => unreachable!("a materializing query answers with ids"),
         }
     }
@@ -576,6 +580,7 @@ impl Table {
         let q = BatchQuery::count(preds.iter().map(|(n, r)| (n.to_string(), *r)).collect());
         match self.query_one(&q, pool)?.0 {
             BatchAnswer::Count(n) => Ok(n),
+            // panic-ok: `BatchQuery::count` builds a query with `count_only` true.
             BatchAnswer::Ids(_) => unreachable!("a count-only query answers with a count"),
         }
     }
@@ -586,6 +591,7 @@ impl Table {
         query: &BatchQuery,
         pool: Option<&WorkerPool>,
     ) -> Result<(BatchAnswer, QueryStats)> {
+        // panic-ok: `query_batch` answers one slot per query, and this batch holds one.
         self.query_batch(std::slice::from_ref(query), pool).pop().expect("one answer per query")
     }
 
@@ -607,9 +613,7 @@ impl Table {
     /// the poisoned data is not read, and the caller — in the server, the
     /// one dispatcher thread every client depends on — lives on.
     fn pin_prefix(&self, work: &[SegQuery]) -> std::result::Result<PinnedPrefix, String> {
-        let state = self.segments.read().map_err(|_| {
-            format!("table {:?}: its lock was poisoned by a writer that panicked", self.name)
-        })?;
+        let state = self.segments.read().map_err(|_| self.poisoned())?;
         let (open, sealed, epoch) = (&state.head, state.sealed.clone(), state.epoch);
         let head = head_columns(&open.bufs, open.tails.as_deref());
         let open_rows = open.len();
@@ -687,39 +691,34 @@ impl Table {
         );
         resolved
             .into_iter()
+            // panic-ok: `answers` zips `work`, which holds one query per `Ok` slot.
             .map(|r| r.map(|()| answers.next().expect("one per valid query")))
             .collect()
     }
 
-    /// Reconstructs the tuple at global row `id` (late materialization).
-    pub fn tuple(&self, id: u64) -> Option<Vec<Value>> {
-        let state = self.segments.read().expect("table lock");
+    /// Reconstructs the tuple at global row `id` (late materialization):
+    /// `None` past the visible rows, `Err` on a poisoned table lock, as
+    /// every slot of a [`Table::query_batch`] is.
+    pub fn tuple(&self, id: u64) -> Result<Option<Vec<Value>>> {
+        let state = self.segments.read().map_err(|_| Error::Mismatch(self.poisoned()))?;
         let open = &state.head;
         if id >= open.base {
             let local = (id - open.base) as usize;
-            return (local < open.len())
-                .then(|| open.bufs.iter().map(|b| b.value(local).expect("in range")).collect());
+            return Ok(open.bufs.iter().map(|b| b.value(local)).collect());
         }
         let sealed = state.sealed.clone();
         drop(state);
         let idx = sealed.partition_point(|s| s.base() + s.rows() as u64 <= id);
-        let seg = sealed.get(idx)?;
-        let local = (id - seg.base()) as usize;
-        Some(seg.columns().iter().map(|c| c.value(local).expect("in range")).collect())
+        Ok(sealed.get(idx).and_then(|seg| {
+            let local = (id - seg.base()) as usize;
+            seg.columns().iter().map(|c| c.value(local)).collect()
+        }))
     }
 
-    /// A consistent point-in-time copy of the table's visible rows — meant
-    /// for validation and tests, not the hot path (it copies the data).
-    pub fn snapshot(&self) -> TableSnapshot {
-        let state = self.segments.read().expect("table lock");
-        TableSnapshot {
-            schema: self.schema.clone(),
-            sealed: state.sealed.clone(),
-            open_base: state.head.base,
-            open_bufs: state.head.bufs.clone(),
-            epoch: state.epoch,
-            kernel: self.refine_kernel(),
-        }
+    /// Why every data access fails on a table whose lock a writer poisoned
+    /// by panicking.
+    fn poisoned(&self) -> String {
+        format!("table {:?}: its lock was poisoned by a writer that panicked", self.name)
     }
 }
 
@@ -803,7 +802,7 @@ fn head_columns<'a>(
 ) -> Vec<IndexedColumn<'a>> {
     bufs.iter()
         .enumerate()
-        .map(|(i, col)| IndexedColumn { col, imprints: tails.map(|t| &t[i]) })
+        .map(|(i, col)| IndexedColumn { col, imprints: tails.and_then(|t| t.get(i)) })
         .collect()
 }
 
@@ -846,70 +845,6 @@ fn index_open_tail(open: &mut OpenSegment, from: usize, min_rows: usize) {
             }
         }
         None => open.tails = Some(open.bufs.iter().map(AnyImprints::build).collect()),
-    }
-}
-
-/// A frozen, fully materialized view of a table prefix (see
-/// [`Table::snapshot`]).
-pub struct TableSnapshot {
-    schema: Vec<ColumnDef>,
-    sealed: SegmentList,
-    open_base: u64,
-    open_bufs: Vec<AnyColumn>,
-    epoch: u64,
-    kernel: RefineKernel,
-}
-
-impl TableSnapshot {
-    /// The epoch the snapshot was taken at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Rows visible in the snapshot.
-    pub fn row_count(&self) -> u64 {
-        self.open_base + self.open_bufs.first().map_or(0, AnyColumn::len) as u64
-    }
-
-    /// Evaluates predicates against the frozen view (serial), through the
-    /// same sealed sweep and head plan as [`Table::query_batch`] — so a
-    /// segment whose evaluation fails is an `Err` here too.
-    pub fn query(&self, preds: &[(&str, ValueRange)]) -> Result<IdList> {
-        let sets: Vec<(&str, ValueSet)> =
-            preds.iter().map(|(n, r)| (*n, ValueSet::range(*r))).collect();
-        let preds = resolve_sets(&self.schema, &sets, self.kernel)?;
-        let q = SegQuery { preds, any: false, count_only: false };
-        let head = head_columns(&self.open_bufs, None);
-        let open_rows = self.row_count() - self.open_base;
-        let (head_hits, _) = relation_index::run(&head, open_rows, &q);
-        let sealed =
-            sweep_sealed(&self.sealed, &Arc::new(vec![q]), None).map_err(Error::Mismatch)?;
-        let (mut hits, _) = sealed.into_iter().next().expect("one answer per query");
-        hits.absorb(head_hits, self.open_base);
-        Ok(hits.into_ids())
-    }
-
-    /// The full contents of column `name` as typed values — the oracle
-    /// input for validation tests.
-    pub fn column_values<T: Scalar>(&self, name: &str) -> Result<Vec<T>> {
-        let pos = self
-            .schema
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| Error::NotFound(format!("column {name:?}")))?;
-        let mut out: Vec<T> = Vec::with_capacity(self.row_count() as usize);
-        let mut extend = |col: &AnyColumn| -> Result<()> {
-            let col = col
-                .downcast::<T>()
-                .ok_or_else(|| Error::Mismatch(format!("column {name:?} type mismatch")))?;
-            out.extend_from_slice(col.values());
-            Ok(())
-        };
-        for seg in self.sealed.iter() {
-            seg.columns()[pos].with_data(&mut extend)?;
-        }
-        extend(&self.open_bufs[pos])?;
-        Ok(out)
     }
 }
 
@@ -991,7 +926,8 @@ mod tests {
         assert_eq!(t.sealed_segment_count(), 0);
         let ids = t.query(&[("v", ValueRange::at_least(Value::I32(5)))]).unwrap();
         assert_eq!(ids.as_slice(), &[5, 6, 7, 8, 9]);
-        assert_eq!(t.tuple(7), Some(vec![Value::I32(7)]));
+        assert_eq!(t.tuple(7).unwrap(), Some(vec![Value::I32(7)]));
+        assert_eq!(t.tuple(10).unwrap(), None);
     }
 
     #[test]
@@ -1005,29 +941,6 @@ mod tests {
         assert!(
             Table::new("t", &[("a", ColumnType::I8), ("a", ColumnType::I8)], small_cfg()).is_err()
         );
-    }
-
-    #[test]
-    fn snapshot_rejects_bad_predicates_like_the_table() {
-        let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
-        t.append_batch(vec![ints(0..600)]).unwrap();
-        let snap = t.snapshot();
-        assert!(snap.query(&[("v", ValueRange::equals(Value::I32(1)))]).is_err());
-        assert!(snap.query(&[("nope", ValueRange::equals(Value::I64(1)))]).is_err());
-    }
-
-    #[test]
-    fn snapshot_is_stable_under_later_appends() {
-        let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
-        t.append_batch(vec![ints(0..600)]).unwrap();
-        let snap = t.snapshot();
-        t.append_batch(vec![ints(600..1200)]).unwrap();
-        assert_eq!(snap.row_count(), 600);
-        let ids = snap.query(&[("v", ValueRange::at_least(Value::I64(0)))]).unwrap();
-        assert_eq!(ids.len(), 600);
-        let vals: Vec<i64> = snap.column_values("v").unwrap();
-        assert_eq!(vals, (0..600).collect::<Vec<i64>>());
-        assert_eq!(t.row_count(), 1200);
     }
 
     #[test]
@@ -1049,7 +962,7 @@ mod tests {
         assert_eq!(bases(), vec![0, 512]);
         assert_eq!(t.epoch(), epoch + 2, "every install bumps the epoch once");
         assert_eq!(t.query(&pred).unwrap(), before, "row ids must survive the merges");
-        assert_eq!(t.tuple(300), Some(vec![Value::I64(300)]));
+        assert_eq!(t.tuple(300).unwrap(), Some(vec![Value::I64(300)]));
 
         // Refused: a window holding a stale `Arc`, and one past the end.
         assert!(!t.install(&sealed[0..2], merge(0..2)));
@@ -1411,7 +1324,8 @@ mod tests {
     /// A writer that panicked while holding the table lock poisons it. The
     /// read path must report that as an error in every query's slot — not
     /// unwind into its caller, which in the server is the one dispatcher
-    /// thread — and must not read the possibly half-appended head.
+    /// thread — and must not read the possibly half-appended head; a tuple
+    /// lookup and an append fail the same way.
     #[test]
     fn poisoned_table_lock_is_a_query_error_not_a_panic() {
         let t = Table::new("t", &[("v", ColumnType::I64)], small_cfg()).unwrap();
@@ -1435,6 +1349,17 @@ mod tests {
         }
         assert!(t.query(&[]).is_err());
         assert!(t.count(&[], None).is_err());
+        let untouched = |f: &dyn Fn() -> Result<()>| {
+            let res = catch_unwind(AssertUnwindSafe(f)).expect("a poisoned lock must not unwind");
+            assert!(res
+                .expect_err("no access to a poisoned table")
+                .to_string()
+                .contains("poisoned"));
+        };
+        untouched(&|| t.tuple(0).map(drop));
+        untouched(&|| t.tuple(595).map(drop));
+        untouched(&|| t.append_batch(vec![ints(0..10)]));
+        assert!(!t.flush_open(), "a poisoned table seals nothing");
     }
 
     /// A segment evaluation that panics — `DataSlot::read` on an evicted
@@ -1473,32 +1398,6 @@ mod tests {
                 assert_eq!(t.query_on(&healthy, pool).unwrap().len(), 7);
             }
         }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// A snapshot query runs the same sealed sweep, so the same failed
-    /// fault-in is an `Err` from it too, not a panic in its caller.
-    #[test]
-    fn fault_in_failure_is_a_snapshot_query_error() {
-        let root = std::env::temp_dir().join(format!("imprints-snap-lost-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let mut cfg = small_cfg();
-        cfg.storage.root = Some(root.clone());
-        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg).unwrap();
-        t.append_batch(vec![ints(0..600), ints(0..600)]).unwrap();
-        let snap = t.snapshot();
-        for seg in t.sealed_snapshot().iter() {
-            assert!(seg.evict() > 0);
-            let dir = root.join("t").join(seg.durable_name().unwrap());
-            std::fs::remove_file(dir.join(crate::persist::column_file(0))).unwrap();
-        }
-        let lost = [("a", ValueRange::between(Value::I64(3), Value::I64(9)))];
-        let res = catch_unwind(AssertUnwindSafe(|| snap.query(&lost)))
-            .expect("a failed fault-in must not unwind out of a snapshot query");
-        let err = res.expect_err("no answer without the column's data");
-        assert!(err.to_string().contains("panicked"), "{err}");
-        let healthy = [("b", ValueRange::between(Value::I64(3), Value::I64(590)))];
-        assert_eq!(snap.query(&healthy).unwrap().len(), 588);
         let _ = std::fs::remove_dir_all(&root);
     }
 

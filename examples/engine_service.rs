@@ -167,7 +167,7 @@ fn main() {
         report.evicted_segments
     );
     // Late materialization: reconstruct a matching tuple in-process.
-    if let Some(t) = table.tuple(0) {
+    if let Ok(Some(t)) = table.tuple(0) {
         println!("tuple(0)           : {t:?}");
     }
     println!("wall time          : {secs:.2}s");

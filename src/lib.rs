@@ -1,18 +1,20 @@
 //! # column-imprints — facade crate
 //!
 //! One-stop import for the Column Imprints reproduction (SIGMOD 2013,
-//! Sidirourgos & Kersten). Re-exports the four workspace crates:
+//! Sidirourgos & Kersten). Re-exports the six library crates of the
+//! workspace:
 //!
 //! * [`imprints`] — the column imprints index itself;
 //! * [`colstore`] — the columnar storage substrate (columns, relations,
-//!   id lists, delta structures, predicates, persistence);
+//!   id lists, predicates, persistence);
 //! * [`baselines`] — zonemap, WAH-compressed bitmap and sequential-scan
 //!   comparators;
 //! * [`datagen`] — synthetic dataset and workload generators emulating the
 //!   paper's evaluation datasets;
 //! * [`engine`] — the sharded, concurrent query-serving engine layering
-//!   segments, an epoch-guarded catalog, a morsel-driven executor, adaptive
-//!   access paths and background index maintenance on top of the above;
+//!   segments, an epoch-guarded catalog, a morsel-driven executor,
+//!   durable storage and background compaction and eviction on top of the
+//!   above;
 //! * [`server`] — the TCP line-protocol front-end with admission control
 //!   (bounded queue, shed-on-overload, per-client fairness) and batched
 //!   shared-morsel dispatch into the engine's worker pool.
