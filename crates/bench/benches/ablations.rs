@@ -5,15 +5,19 @@
 //! 3. Row-wise RLE compression: `Compressor` vs storing raw vectors.
 //! 4. The §7 two-level organization vs the flat index.
 //! 5. Equi-height vs equi-width binning.
+//! 6. The §3 conjunction plan on the benchmark's ingest shape, where it
+//!    stops probing once the candidates are fewer than the next imprint's
+//!    stored vectors (DESIGN.md, "Why the plan stops probing").
 //!
 //! §2.5's unrolled `get_bin` search is not an ablation here: measured
 //! against it, `slice::partition_point` (what `Binning::bin_of` uses) was
 //! ~1.35× faster, so the unrolled form was deleted (DESIGN.md, "One bin
 //! search").
 
-use colstore::{Column, RangeIndex, RangePredicate};
+use colstore::{Column, RangeIndex, RangePredicate, Relation, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imprints::builder::{BuildOptions, Compressor};
+use imprints::relation_index::{RelationImprints, ValueRange};
 use imprints::{query, ColumnImprints};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,12 +145,44 @@ fn bench_binning_strategy(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_conjunction_plan(c: &mut Criterion) {
+    // `ts` counts the rows; `sensor` is zipf over 16 categories, which
+    // leaves about one stored imprint vector per cacheline. The query is
+    // the benchmark's cold read, `ts=lo..lo+1000 sensor=k`, at 256
+    // positions in turn.
+    let rows = 1 << 20;
+    let sensor = datagen::distributions::zipf(rows, 16, 1.0, 2013);
+    let mut rel = Relation::new("ingest");
+    rel.add_column("ts", (0..rows as i64).collect::<Column<i64>>()).unwrap();
+    rel.add_column("sensor", sensor.iter().map(|&k| k as u16).collect::<Column<u16>>()).unwrap();
+    let idx = RelationImprints::build(&rel);
+    let mut rng = StdRng::seed_from_u64(33);
+    let queries: Vec<[(&str, ValueRange); 2]> = (0..256)
+        .map(|_| {
+            let lo = rng.gen_range(0..rows as i64 - 1000);
+            let k = rng.gen_range(0..16u16);
+            [
+                ("ts", ValueRange::between(Value::I64(lo), Value::I64(lo + 1000))),
+                ("sensor", ValueRange::equals(Value::U16(k))),
+            ]
+        })
+        .collect();
+    let mut g = c.benchmark_group("conjunction_plan");
+    g.sample_size(20);
+    g.bench_function("ts_range_and_sensor", |b| {
+        let mut next = queries.iter().cycle();
+        b.iter(|| idx.query(&rel, next.next().expect("cycles")).expect("resolves").len())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_block_granularity,
     bench_innermask,
     bench_compression,
     bench_multilevel,
-    bench_binning_strategy
+    bench_binning_strategy,
+    bench_conjunction_plan
 );
 criterion_main!(benches);

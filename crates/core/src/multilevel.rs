@@ -17,7 +17,9 @@
 //!
 //! For selective queries over large columns this cuts level-1 probes by up
 //! to `fanout×`, at a storage cost of `8 + 12` bytes per block (vector +
-//! cursor) — under 0.4% extra for the default fanout of 64.
+//! cursor). At the default fanout of 64 a block spans 64 cachelines, 4,096
+//! bytes of column data, so the second level adds 20 / 4,096 ≈ 0.49% of
+//! the column's data size.
 
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 

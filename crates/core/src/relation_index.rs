@@ -252,6 +252,11 @@ pub trait PlanColumn {
     /// is read.
     fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats);
 
+    /// The stored imprint vectors one term's probe of this column walks
+    /// ([`AnyImprints::imprint_count`]); 0 without an imprint, whose
+    /// "probe" reads nothing.
+    fn imprint_count(&self) -> u64;
+
     /// Value-checks the rows of `ranges` against `set` into `hits`,
     /// billing `stats`.
     fn check(
@@ -333,18 +338,35 @@ fn run_conjunction<C: PlanColumn>(
 /// ([`SetKernel::filter_ids`]). Only a first predicate that is also the
 /// last checks straight into a counting sink; survivors that a later
 /// predicate still has to weed are ids either way.
+///
+/// Imprints are probed cheapest first — by stored vectors × terms, then
+/// column position — and only while a probe can pay: once the joint
+/// candidates hold no more rows than the next conjunct's probe would walk
+/// vectors, that conjunct and every later one are left to the value
+/// checks (DESIGN.md, "Why the plan stops probing").
 fn late_materialize<C: PlanColumn>(
     cols: &[C],
     preds: &[(usize, AnySet)],
     count_only: bool,
 ) -> (Hits, AccessStats) {
     let mut stats = AccessStats::default();
+    let mut by_cost: Vec<(u64, usize)> = preds
+        .iter()
+        .enumerate()
+        .map(|(i, (col, set))| (cols[*col].imprint_count() * set.term_count() as u64, i))
+        .collect();
+    // Stable: the same column named twice keeps query order.
+    by_cost.sort_by_key(|&(cost, i)| (cost, preds[i].0));
     let mut joint: Option<CachelineSet> = None;
-    let mut order: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
-    for (i, (col, set)) in preds.iter().enumerate() {
+    let mut probed: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
+    for &(cost, i) in &by_cost {
+        if joint.as_ref().is_some_and(|j| j.line_count() <= cost) {
+            break;
+        }
+        let (col, set) = &preds[i];
         let (cands, s) = cols[*col].candidates(set);
         stats.merge(&s);
-        order.push((cands.line_count(), i));
+        probed.push((cands.line_count(), i));
         joint = Some(match joint {
             Some(j) => j.intersect(&cands),
             None => cands,
@@ -355,10 +377,11 @@ fn late_materialize<C: PlanColumn>(
     }
     let joint = joint.expect("at least one predicate");
     // Fewest candidate rows first: that predicate's value check leaves
-    // the fewest survivors for the others to gather. The sort is
-    // stable, so equal counts keep query order.
-    order.sort_by_key(|&(rows, _)| rows);
-    let mut ordered = order.iter().map(|&(_, i)| &preds[i]);
+    // the fewest survivors for the others to gather; equal counts keep
+    // query order. The unprobed conjuncts weed last, in cost order.
+    probed.sort_by_key(|&(rows, i)| (rows, i));
+    let unprobed = by_cost[probed.len()..].iter().map(|&(_, i)| i);
+    let mut ordered = probed.iter().map(|&(_, i)| i).chain(unprobed).map(|i| &preds[i]);
     let (col, set) = ordered.next().expect("at least one predicate");
     let first = Hits::new(count_only && preds.len() == 1);
     let mut hits = cols[*col].check(set, &joint, first, &mut stats);
@@ -492,6 +515,12 @@ impl AnyImprints {
         dispatch!(AnyImprints(i) = self => i.rows())
     }
 
+    /// Stored imprint vectors, the tail's included
+    /// ([`ColumnImprints::imprint_count`]) — what one probe walks.
+    pub fn imprint_count(&self) -> usize {
+        dispatch!(AnyImprints(i) = self => i.imprint_count())
+    }
+
     /// Extends the index for the rows `from..col.len()` the caller just
     /// appended to `col` (§4.1: existing vectors are never touched, bin
     /// borders never readjusted).
@@ -595,6 +624,10 @@ impl PlanColumn for IndexedColumn<'_> {
         let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
         debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
         idx.candidates(set)
+    }
+
+    fn imprint_count(&self) -> u64 {
+        self.imprints.map_or(0, |idx| idx.imprint_count() as u64)
     }
 
     fn check(

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use colstore::{ColumnType, Error, Result};
@@ -24,6 +24,20 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// The registry under its read lock. A poisoned lock is recovered,
+    /// not propagated: the registry is a map of `Arc`s, with no invariant
+    /// between entries that a panicked writer could have left half-made,
+    /// and every server request looks its table up here.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<Table>>> {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registry under its write lock, recovered from poison as in
+    /// [`Catalog::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<Table>>> {
+        self.tables.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates and registers a table.
     pub fn create_table(
         &self,
@@ -32,7 +46,7 @@ impl Catalog {
         cfg: EngineConfig,
     ) -> Result<Arc<Table>> {
         let table = Arc::new(Table::new(name, schema, cfg)?);
-        let mut tables = self.tables.write().expect("catalog lock");
+        let mut tables = self.write();
         if tables.contains_key(name) {
             return Err(Error::Mismatch(format!("table {name:?} already exists")));
         }
@@ -42,12 +56,7 @@ impl Catalog {
 
     /// Looks up a table by name.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        self.tables
-            .read()
-            .expect("catalog lock")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("table {name:?}")))
+        self.read().get(name).cloned().ok_or_else(|| Error::NotFound(format!("table {name:?}")))
     }
 
     /// Unregisters a table, returning whether it existed. Queries holding
@@ -56,7 +65,7 @@ impl Catalog {
     /// query refining into an *evicted* segment of the dropped table may
     /// therefore fail, which matches dropping semantics elsewhere.
     pub fn drop_table(&self, name: &str) -> bool {
-        let removed = self.tables.write().expect("catalog lock").remove(name);
+        let removed = self.write().remove(name);
         match removed {
             Some(table) => {
                 if let Some(store) = table.store() {
@@ -143,7 +152,7 @@ impl Catalog {
                 segments,
                 manifest.epoch,
             ));
-            catalog.tables.write().expect("catalog lock").insert(name, table);
+            catalog.write().insert(name, table);
         }
         // Table directories without a manifest are left untouched: with no
         // manifest there is no way to tell a half-created table from
@@ -154,15 +163,14 @@ impl Catalog {
 
     /// Registered table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.tables.read().expect("catalog lock").keys().cloned().collect();
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Snapshot of all tables (for the maintenance planner).
     pub fn tables(&self) -> Vec<Arc<Table>> {
-        self.tables.read().expect("catalog lock").values().cloned().collect()
+        self.read().values().cloned().collect()
     }
 
     /// Aggregate storage statistics across all tables — what the benchmark
@@ -254,5 +262,29 @@ mod tests {
         assert_eq!(stats.sealed_segments, 2);
         assert_eq!(stats.rows, 300);
         assert!(stats.index_bytes > 0);
+    }
+
+    /// A thread that panics holding the registry's lock poisons it; every
+    /// later lookup still answers, since a map of `Arc`s has nothing a
+    /// panic could leave half-written.
+    #[test]
+    fn poisoned_catalog_lock_still_answers() {
+        let cat = Arc::new(Catalog::new());
+        cat.create_table("a", &[("x", ColumnType::I32)], EngineConfig::default()).unwrap();
+        let poisoner = Arc::clone(&cat);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.tables.write().unwrap();
+            panic!("poison the catalog lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(cat.tables.is_poisoned());
+        assert!(cat.table("a").is_ok());
+        assert!(matches!(cat.table("zz"), Err(Error::NotFound(_))));
+        assert_eq!(cat.table_names(), vec!["a".to_string()]);
+        cat.create_table("b", &[("y", ColumnType::F64)], EngineConfig::default()).unwrap();
+        assert_eq!(cat.tables().len(), 2);
+        assert!(cat.drop_table("a"));
+        assert_eq!(cat.table_names(), vec!["b".to_string()]);
     }
 }

@@ -315,6 +315,10 @@ impl PlanColumn for SegCol {
         self.imprints.candidates(set)
     }
 
+    fn imprint_count(&self) -> u64 {
+        self.imprints.imprint_count() as u64
+    }
+
     fn check(
         &self,
         set: &AnySet,

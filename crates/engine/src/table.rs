@@ -1214,6 +1214,89 @@ mod tests {
         assert_eq!(st.tail_access, stats(81, 52), "write head");
     }
 
+    /// `ts` (i64, the row index) and `sensor` (u16, one value per cacheline
+    /// and a different one on the next, so one stored imprint vector per
+    /// line) over one 8,192-row sealed segment and a 4,096-row indexed
+    /// head: `sensor` stores 256 and 128 vectors, `ts` fewer.
+    fn ts_sensor_table() -> Table {
+        let cfg = EngineConfig { segment_rows: 8192, ..tail_cfg(64) };
+        let schema = [("ts", ColumnType::I64), ("sensor", ColumnType::U16)];
+        let t = Table::new("t", &schema, cfg).unwrap();
+        let sensor = (0..12_288u64).map(|i| sensor_at(i) as u16).collect();
+        t.append_batch(vec![ints(0..12_288), AnyColumn::U16(sensor)]).unwrap();
+        assert_eq!((t.sealed_segment_count(), t.row_count()), (1, 12_288));
+        t
+    }
+
+    fn sensor_at(row: u64) -> u64 {
+        (row / 32 + 3) % 32
+    }
+
+    /// The plan probes `ts` (its imprint is the cheaper) and stops: the
+    /// candidate rows `ts` leaves on each part, a bin or two of it, are no
+    /// more than `sensor`'s stored vectors, so `sensor` weeds them by value
+    /// instead of walking its imprint. The conjunction bills exactly the
+    /// probes of `ts` alone, whichever order the query names the two in.
+    #[test]
+    fn conjunction_stops_probing_once_the_joint_is_smaller_than_the_next_imprint() {
+        let t = ts_sensor_table();
+        // Straddles the seal: rows 8142..=8191 are sealed, 8192..=8242 open.
+        let (lo, hi) = (8142, 8242);
+        let ts = ("ts", ValueRange::between(Value::I64(lo), Value::I64(hi)));
+        let sensor = ("sensor", ValueRange::equals(Value::U16(3)));
+        let (ids, st) = ids_with_stats(&t, &[ts, sensor]);
+        let expect: Vec<u64> = (lo as u64..=hi as u64).filter(|&i| sensor_at(i) == 3).collect();
+        assert_eq!(ids.as_slice(), expect.as_slice());
+        assert_eq!(expect.len(), 32);
+        assert!(st.tail_indexed && st.open_rows == 4096, "{st:?}");
+        let probes = |st: &QueryStats| (st.access.index_probes, st.tail_access.index_probes);
+        let (_, alone) = ids_with_stats(&t, &[sensor]);
+        assert_eq!(probes(&alone), (256, 128), "one stored `sensor` vector per line");
+        let (_, alone) = ids_with_stats(&t, &[ts]);
+        assert_eq!(probes(&st), probes(&alone), "`sensor`'s imprint was probed");
+        assert_eq!(probes(&st), (117, 113));
+        let (ids_sw, sw) = ids_with_stats(&t, &[sensor, ts]);
+        assert_eq!(ids_sw, ids);
+        assert_eq!((sw.access, sw.tail_access), (st.access, st.tail_access));
+    }
+
+    /// The converse: on two uniform columns a 10 % range leaves most rows
+    /// a candidate, far more than the other column stores vectors, so the
+    /// plan probes both imprints — the sum of each alone — in either order.
+    #[test]
+    fn conjunction_probes_every_imprint_while_the_joint_stays_large() {
+        let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
+        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let uniform = |salt: u64| {
+            let mix = move |i: u64| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
+            (0..1664).map(move |i| mix(i) as i64)
+        };
+        let (a, b): (Vec<i64>, Vec<i64>) = uniform(1).zip(uniform(2)).unzip();
+        t.append_batch(vec![
+            AnyColumn::I64(a.iter().copied().collect()),
+            AnyColumn::I64(b.iter().copied().collect()),
+        ])
+        .unwrap();
+        let pa = ("a", ValueRange::between(Value::I64(100), Value::I64(201)));
+        let pb = ("b", ValueRange::between(Value::I64(500), Value::I64(601)));
+        let expect: Vec<u64> = (0..1664u64)
+            .filter(|&i| {
+                (100..=201).contains(&a[i as usize]) && (500..=601).contains(&b[i as usize])
+            })
+            .collect();
+        assert!(!expect.is_empty());
+        let probes = |st: &QueryStats| (st.access.index_probes, st.tail_access.index_probes);
+        let (_, sa) = ids_with_stats(&t, &[pa]);
+        let (_, sb) = ids_with_stats(&t, &[pb]);
+        let both = (probes(&sa).0 + probes(&sb).0, probes(&sa).1 + probes(&sb).1);
+        for preds in [[pa, pb], [pb, pa]] {
+            let (ids, st) = ids_with_stats(&t, &preds);
+            assert_eq!(ids.as_slice(), expect.as_slice());
+            assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
+            assert_eq!(probes(&st), both, "{preds:?}");
+        }
+    }
+
     /// Disjoint candidate ranges answer before any value is fetched, on
     /// the head as on a sealed segment.
     #[test]

@@ -8,6 +8,9 @@
 //!   batched and alone, serially and on the pool, with predicate order
 //!   permuted on repeat — one batch of N answers slot for slot like N
 //!   batches of one, with identical `QueryStats::access`;
+//! * a conjunction bills no more imprint probes than its conjuncts alone,
+//!   and [`Harness::fewer_probes`] counts those where the plan stopped
+//!   probing (fewer probes on a part that still compared values);
 //! * the pinned prefix: visible rows, open rows, sealed segments and
 //!   whether the head rode its tail imprint;
 //! * a count over a column's whole domain faults no evicted data in, and a
@@ -123,14 +126,26 @@ pub struct Gen {
 }
 
 impl Gen {
-    /// `n` rows continuing from row `first`: a per-column walk (so the
-    /// imprints skip lines) with a quarter of the cells uniform noise.
+    /// `n` rows continuing from row `first`. Even columns are a walk (so
+    /// the imprints skip lines) with a quarter of the cells uniform noise,
+    /// which leaves about one stored imprint vector per cacheline. Odd
+    /// columns are clustered, without noise: runs of one value over two
+    /// of the column's cachelines, so their imprints compress to about one
+    /// vector per run and a narrow predicate on one leaves fewer candidate
+    /// rows than a noisy column stores vectors — the case where the
+    /// conjunction plan stops probing.
     pub fn rows(&mut self, first: usize, n: usize) -> Vec<Vec<i64>> {
         let walk = |i: usize, c: usize| ((i / 8) * (c + 1) + 13 * c) as i64 % (X_MAX + 1);
+        let runs: Vec<usize> = self.types.iter().map(|ty| 2 * 64 / ty.width()).collect();
         (first..first + n)
             .map(|i| {
                 let cols = 0..self.types.len();
-                cols.map(|c| if self.rng.gen_bool(0.25) { self.x() } else { walk(i, c) }).collect()
+                cols.map(|c| match c % 2 {
+                    1 => ((i / runs[c] + 7 * c) as i64) % (X_MAX + 1),
+                    _ if self.rng.gen_bool(0.25) => self.x(),
+                    _ => walk(i, c),
+                })
+                .collect()
             })
             .collect()
     }
@@ -264,6 +279,10 @@ pub struct Harness {
     pub model: Model,
     pub gen: Gen,
     trace: String,
+    /// Checked conjunctions that billed fewer imprint probes than their
+    /// conjuncts do alone on a part where no early exit can explain it:
+    /// the plan stopped probing there.
+    pub fewer_probes: usize,
 }
 
 impl Harness {
@@ -279,7 +298,7 @@ impl Harness {
         engine.create_table("t", &schema).unwrap();
         let trace = format!("seed {seed}, {types:?}, {cfg:?}; steps:");
         let gen = Gen { rng: StdRng::seed_from_u64(seed), types };
-        Harness { cfg, engine: Some(engine), model: Model::default(), gen, trace }
+        Harness { cfg, engine: Some(engine), model: Model::default(), gen, trace, fewer_probes: 0 }
     }
 
     pub fn engine(&self) -> &Engine {
@@ -425,6 +444,7 @@ impl Harness {
         let open = m.open_rows();
         let head_indexed = open > 0 && open >= self.cfg.tail_index_min_rows;
         let mut value_checked = false;
+        let mut fewer_probes = 0;
         let slots = queries.iter().flat_map(|q| [q, q]).zip(&batch).zip(&answers);
         for (((q, permuted), bq), (answer, stats)) in slots {
             let want = q.ids(&m.rows);
@@ -449,6 +469,26 @@ impl Harness {
             // The plan picks its own predicate order.
             let permuted = permuted.batch(types, bq.count_only);
             assert_eq!(&t.query_one(&permuted, pool).unwrap().0, answer, "{q:?}: {trace}");
+            // A conjunction probes a subset of the imprints its conjuncts
+            // probe alone.
+            if !q.any && q.preds.len() > 1 && !bq.count_only {
+                let probes = |st: &QueryStats| [st.access, st.tail_access].map(|a| a.index_probes);
+                let alone = q.preds.iter().fold([0, 0], |sum, p| {
+                    let one = Query { preds: vec![p.clone()], any: false };
+                    let st = probes(&t.query_one(&one.batch(types, false), None).unwrap().1);
+                    [sum[0] + st[0], sum[1] + st[1]]
+                });
+                let billed = probes(stats);
+                assert!(billed[0] <= alone[0] && billed[1] <= alone[1], "{q:?}: {trace}");
+                // A part that compared values did not exit on an empty
+                // candidate intersection, so fewer probes there mean the
+                // plan stopped probing. The head is one part; the sealed
+                // side is one when it holds one segment.
+                let compared = [stats.access, stats.tail_access].map(|a| a.value_comparisons > 0);
+                let one_part = [m.sealed_segments == 1, true];
+                let stopped = |s: usize| one_part[s] && compared[s] && billed[s] < alone[s];
+                fewer_probes += usize::from(stopped(0) || stopped(1));
+            }
             // Late materialization returns the model's tuples.
             for &id in [want.first(), want.last()].into_iter().flatten() {
                 let row = tuple(types, &m.rows[id as usize]);
@@ -459,6 +499,7 @@ impl Harness {
             assert!(storage().faulted_bytes > faulted, "no fault-in after eviction: {trace}");
         }
         assert_eq!(t.tuple(m.rows.len() as u64).unwrap(), None, "{trace}");
+        self.fewer_probes += fewer_probes;
     }
 }
 
