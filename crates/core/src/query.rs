@@ -844,4 +844,214 @@ mod tests {
         ];
         check_probe_per_line(&bytes, &preds, &[(3, 255), (700, 9), (3212, 0)]);
     }
+
+    /// The per-run probe loop the chunked walk replaced, kept as the
+    /// reference it is held to: one run at a time, a distinct run's vectors
+    /// billed as the run is entered, each vector extending the pending
+    /// stretch or closing it.
+    fn per_run_reference<'a, T: Scalar, B>(
+        idx: &ColumnImprints<T>,
+        runs: impl Iterator<Item = Run<'a>>,
+        masks: QueryMasks,
+        stats: &mut ImprintStats,
+        mut visit: impl FnMut(&mut ImprintStats, Range<u64>, Range<u64>, bool) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        if masks.mask == 0 {
+            stats.access.lines_skipped = idx.line_count();
+            return ControlFlow::Continue(());
+        }
+        let vpb = idx.values_per_block() as u64;
+        let rows = idx.rows() as u64;
+        let mut visit_lines = |stats: &mut ImprintStats, lines: Range<u64>, full| {
+            if lines.is_empty() {
+                return ControlFlow::Continue(());
+            }
+            let ids = lines.start * vpb..(lines.end * vpb).min(rows);
+            visit(stats, lines, ids, full)
+        };
+        let (mut stretch, mut full) = (0..0, false);
+        {
+            let mut probe_vector = |stats: &mut ImprintStats, v: u64, line: u64, span: u64| {
+                if !masks.may_match(v) {
+                    stats.access.lines_skipped += span;
+                } else if stretch.end == line && masks.fully_covered(v) == full {
+                    stretch.end += span;
+                } else {
+                    visit_lines(stats, std::mem::replace(&mut stretch, line..line + span), full)?;
+                    full = masks.fully_covered(v);
+                }
+                ControlFlow::Continue(())
+            };
+            for run in runs {
+                match run {
+                    Run::Repeat { imprint, first_line, line_count } => {
+                        stats.access.index_probes += 1;
+                        probe_vector(stats, imprint, first_line, line_count)?;
+                    }
+                    Run::Distinct { imprints, first_line } => {
+                        stats.access.index_probes += imprints.len() as u64;
+                        for (line, &v) in (first_line..).zip(imprints) {
+                            probe_vector(stats, v, line, 1)?;
+                        }
+                    }
+                }
+            }
+        }
+        visit_lines(stats, stretch, full)
+    }
+
+    /// One probe's visits — `(lines, ids, full)` per stretch — with the
+    /// walk stopped at visit `stop` (never, if there are fewer), and the
+    /// statistics it billed up to there.
+    type Visits = (bool, Vec<(Range<u64>, Range<u64>, bool)>, ImprintStats);
+
+    fn visits_until(
+        stop: usize,
+        walk: impl FnOnce(
+            &mut ImprintStats,
+            &mut dyn FnMut(&mut ImprintStats, Range<u64>, Range<u64>, bool) -> ControlFlow<()>,
+        ) -> ControlFlow<()>,
+    ) -> Visits {
+        let mut seen = Vec::new();
+        let mut stats = ImprintStats::default();
+        let walked = walk(&mut stats, &mut |_, lines, ids, full| {
+            if seen.len() == stop {
+                return ControlFlow::Break(());
+            }
+            seen.push((lines, ids, full));
+            ControlFlow::Continue(())
+        });
+        (walked.is_break(), seen, stats)
+    }
+
+    /// A column laid out piece by piece in cachelines: a `(repeat, lines,
+    /// level, wide)` piece is `lines` lines that all hold one value
+    /// pattern (one repeat entry) or change pattern every line (distinct
+    /// vectors), then `tail` rows of a partial line. A pattern is one of 48
+    /// levels, or two levels apart when `wide`, so that a query can cover
+    /// a line in part; `level` maps a level to a value of `T`.
+    fn shaped_column<T: Scalar>(
+        pieces: &[(bool, usize, u32, bool)],
+        tail: usize,
+        level: fn(u32) -> T,
+    ) -> Column<T> {
+        let vpb = BuildOptions::default().values_per_block::<T>();
+        let line = |l: u32, wide: bool| {
+            (0..vpb).map(move |i| level(if wide && i % 2 == 1 { (l + 17) % 48 } else { l }))
+        };
+        let mut values = Vec::new();
+        for &(repeat, lines, l, wide) in pieces {
+            for i in 0..lines as u32 {
+                let l = if repeat { l } else { (l + 5 * i) % 48 };
+                values.extend(line(l, wide));
+            }
+        }
+        values.extend(line(pieces[0].2, false).take(tail % vpb));
+        Column::from(values)
+    }
+
+    /// Everything a probe answers or bills on one shaped column, against
+    /// the per-line reference and the per-run reference loop: `run` into
+    /// both sinks, `candidate_id_ranges`, `count_covered`, and the probe's
+    /// own visits and statistics when its visitor stops it at every visit
+    /// in turn (a sample of them on long walks) — including a stop whose
+    /// trigger sits in the middle of a distinct entry, which bills that
+    /// whole entry's probes.
+    fn check_shaped<T: Scalar>(col: &Column<T>, level: fn(u32) -> T, a: u32, b: u32) {
+        let idx = ColumnImprints::build(col);
+        let lines: Vec<u64> = idx.line_imprints().collect();
+        let vpb = idx.values_per_block() as u64;
+        let (a, b) = (a.min(b), a.max(b));
+        let preds = [
+            RangePredicate::between(level(30), level(10)),
+            RangePredicate::all(),
+            RangePredicate::equals(level(a)),
+            RangePredicate::between(level(a), level(b)),
+            RangePredicate::half_open(level(a), level(b)),
+            RangePredicate::at_least(level(b)),
+        ];
+        for pred in &preds {
+            let kernel = PredicateKernel::new(pred);
+            let expect = per_line_reference(&idx, &lines, pred, idx.imprint_count() as u64);
+            assert_runs_like_reference("base", col, pred, &expect, |h| run(&idx, col, &kernel, h));
+
+            let (cands, stats) = candidate_id_ranges(&idx, pred);
+            assert_eq!(stats.access.index_probes, expect.access.index_probes, "{pred}");
+            assert_eq!(stats.access.lines_skipped, expect.access.lines_skipped, "{pred}");
+            let masks = masks::make_masks(idx.binning(), pred);
+            let mut want = CachelineSet::new();
+            for (l, &v) in (0u64..).zip(&lines) {
+                if masks.may_match(v) {
+                    want.push_run(l * vpb, ((l + 1) * vpb).min(col.len() as u64));
+                }
+            }
+            assert_eq!(cands.runs().collect::<Vec<_>>(), want.runs().collect::<Vec<_>>());
+
+            let covered = count_covered(&idx, pred);
+            if expect.lines_checked == 0 {
+                let n = oracle(col, pred).len() as u64;
+                assert_eq!(covered, Some((n, expect)), "covered: {pred}");
+            } else {
+                assert_eq!(covered, None, "straddled: {pred}");
+            }
+
+            let all = visits_until(usize::MAX, |stats, visit| {
+                probe(&idx, idx.runs(), masks, stats, visit)
+            });
+            let step = (all.1.len() / 12).max(1);
+            for stop in (0..=all.1.len()).step_by(step).chain([all.1.len()]) {
+                let got =
+                    visits_until(stop, |stats, visit| probe(&idx, idx.runs(), masks, stats, visit));
+                let want = visits_until(stop, |stats, visit| {
+                    per_run_reference(&idx, idx.runs(), masks, stats, visit)
+                });
+                assert_eq!(got, want, "{pred}, stopped at visit {stop}");
+            }
+        }
+    }
+
+    /// Piece lengths shorter than, straddling and longer than the walk's
+    /// 64-vector chunk.
+    fn arb_pieces() -> impl Strategy<Value = Vec<(bool, usize, u32, bool)>> {
+        let lines = prop_oneof![6 => 1usize..5, 1 => 60usize..70, 1 => 120usize..140];
+        proptest::collection::vec((any::<bool>(), lines, 0u32..48, any::<bool>()), 1..40)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        #[test]
+        fn probe_walk_matches_the_references_u8(
+            pieces in arb_pieces(), tail in 0usize..64, a in 0u32..48, b in 0u32..48,
+        ) {
+            let level = |l: u32| (l * 5) as u8;
+            check_shaped(&shaped_column(&pieces, tail, level), level, a, b);
+        }
+
+        #[test]
+        fn probe_walk_matches_the_references_i32(
+            pieces in arb_pieces(), tail in 0usize..64, a in 0u32..48, b in 0u32..48,
+        ) {
+            let level = |l: u32| (l as i32 - 24) * 1000;
+            check_shaped(&shaped_column(&pieces, tail, level), level, a, b);
+        }
+
+        #[test]
+        fn probe_walk_matches_the_references_i64(
+            pieces in arb_pieces(), tail in 0usize..64, a in 0u32..48, b in 0u32..48,
+        ) {
+            let level = |l: u32| (i64::from(l) - 24) * 1_000_000_007;
+            check_shaped(&shaped_column(&pieces, tail, level), level, a, b);
+        }
+
+        #[test]
+        fn probe_walk_matches_the_references_f64(
+            pieces in arb_pieces(), tail in 0usize..64, a in 0u32..48, b in 0u32..48,
+        ) {
+            let level = |l: u32| f64::from(l) * 0.25 - 6.0;
+            check_shaped(&shaped_column(&pieces, tail, level), level, a, b);
+        }
+    }
 }
