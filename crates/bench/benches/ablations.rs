@@ -8,6 +8,8 @@
 //! 6. The §3 conjunction plan on the benchmark's ingest shape, where it
 //!    stops probing once the candidates are fewer than the next imprint's
 //!    stored vectors (DESIGN.md, "Why the plan stops probing").
+//! 7. Algorithm 3's probe alone, in ns per stored imprint vector, beside a
+//!    plain `v & mask` pass over the same vectors (`probe_walk`).
 //!
 //! §2.5's unrolled `get_bin` search is not an ablation here: measured
 //! against it, `slice::partition_point` (what `Binning::bin_of` uses) was
@@ -18,7 +20,7 @@ use colstore::{Column, RangeIndex, RangePredicate, Relation, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imprints::builder::{BuildOptions, Compressor};
 use imprints::relation_index::{RelationImprints, ValueRange};
-use imprints::{query, ColumnImprints};
+use imprints::{masks, query, ColumnImprints, ImprintStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,6 +178,74 @@ fn bench_conjunction_plan(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_probe_walk(c: &mut Criterion) {
+    use std::ops::ControlFlow;
+    // The benchmark's clustered `v` (drift plus 5 % uniform noise) with its
+    // 16- and 209-wide ranges, and a uniform `i32` with 10 % ranges, at 1 Mi
+    // rows each. Each iteration probes one of 64 ranges in turn; the
+    // visitor only adds up the candidate lines, so what is timed is the
+    // walk over the stored vectors and the cacheline dictionary.
+    let rows = 1 << 20;
+    let domain = 1i64 << 20;
+    let clustered: Column<i64> =
+        datagen::entropy_sweep::entropy_dial(rows, domain, 0.05, 2013).into_iter().collect();
+    let uniform: Column<i32> = datagen::distributions::uniform_ints(rows, 0, domain, 2014)
+        .into_iter()
+        .map(|v| v as i32)
+        .collect();
+    fn ranges<T: colstore::Scalar>(width: i64, to: impl Fn(i64) -> T) -> Vec<RangePredicate<T>> {
+        let mut rng = StdRng::seed_from_u64(38 + width as u64);
+        (0..64)
+            .map(|_| {
+                let lo = rng.gen_range(0..(1i64 << 20) - width);
+                RangePredicate::between(to(lo), to(lo + width))
+            })
+            .collect()
+    }
+    fn shape<T: colstore::Scalar>(
+        g: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        col: &Column<T>,
+        preds: &[RangePredicate<T>],
+    ) {
+        let idx = ColumnImprints::build(col);
+        let all: Vec<_> = preds.iter().map(|p| masks::make_masks(idx.binning(), p)).collect();
+        let stored: Vec<u64> = idx.runs().flat_map(|r| r.vectors().to_vec()).collect();
+        g.throughput(Throughput::Elements(stored.len() as u64));
+        g.bench_function(BenchmarkId::new("probe", name), |b| {
+            let mut next = all.iter().cycle();
+            b.iter(|| {
+                let mut stats = ImprintStats::default();
+                let mut lines = 0;
+                let _ = query::probe(
+                    &idx,
+                    idx.runs(),
+                    *next.next().expect("cycles"),
+                    &mut stats,
+                    |_, l, _, _| {
+                        lines += l.end - l.start;
+                        ControlFlow::<()>::Continue(())
+                    },
+                );
+                lines + stats.access.lines_skipped
+            })
+        });
+        g.bench_function(BenchmarkId::new("mask_scan_floor", name), |b| {
+            let mut next = all.iter().cycle();
+            b.iter(|| {
+                let mask = next.next().expect("cycles").mask;
+                stored.iter().filter(|&&v| v & mask != 0).count()
+            })
+        });
+    }
+    let mut g = c.benchmark_group("probe_walk");
+    g.sample_size(20);
+    shape(&mut g, "clustered_16", &clustered, &ranges(16, |v| v));
+    shape(&mut g, "clustered_209", &clustered, &ranges(209, |v| v));
+    shape(&mut g, "uniform_10pct", &uniform, &ranges(domain / 10, |v| v as i32));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_block_granularity,
@@ -183,6 +253,7 @@ criterion_group!(
     bench_compression,
     bench_multilevel,
     bench_binning_strategy,
-    bench_conjunction_plan
+    bench_conjunction_plan,
+    bench_probe_walk
 );
 criterion_main!(benches);

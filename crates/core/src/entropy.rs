@@ -17,7 +17,7 @@
 
 use colstore::Scalar;
 
-use crate::index::ColumnImprints;
+use crate::index::{ColumnImprints, Run};
 
 /// Computes the column entropy `E` of an index (over the *logical*,
 /// decompressed per-cacheline imprint sequence).
@@ -29,8 +29,11 @@ pub fn column_entropy<T: Scalar>(idx: &ColumnImprints<T>) -> f64 {
     let mut edit_sum: u64 = 0;
     let mut bits_sum: u64 = 0;
     let mut prev: Option<u64> = None;
-    for run in idx.runs() {
-        let (vectors, lines) = run.vectors();
+    for run in idx.runs().flat_map(Run::entries) {
+        // One entry's run: a repeat entry's one vector describes all its
+        // lines, a distinct entry's vectors one line each.
+        let vectors = run.vectors();
+        let lines = run.line_count() / vectors.len() as u64;
         for &v in vectors {
             bits_sum += v.count_ones() as u64 * lines;
             if let Some(p) = prev {

@@ -7,8 +7,6 @@
 //! that appends (§4.1) can keep filling it without rewriting compressed
 //! state.
 
-use std::ops::Range;
-
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
 use crate::binning::Binning;
@@ -50,14 +48,14 @@ pub struct ColumnImprints<T: Scalar> {
     pub(crate) appended_overflow: u64,
 }
 
-/// One run of the compressed index — a cacheline-dictionary entry, or what
-/// is left of one: consecutive cachelines from `first_line` on, described
-/// by one shared vector or by one vector each. Produced by
+/// One run of the compressed index: consecutive cachelines from
+/// `first_line` on, described by one shared vector, by one vector each, or
+/// by a stretch of whole cacheline-dictionary entries. Produced by
 /// [`ColumnImprints::runs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Run<'a> {
-    /// `line_count` cachelines sharing `imprint`: a repeat entry, the
-    /// partial tail line, or a run a variant synthesizes.
+    /// `line_count` cachelines sharing `imprint`: a repeat entry or what is
+    /// left of one, the partial tail line, or a run a variant synthesizes.
     Repeat {
         /// The shared imprint vector.
         imprint: u64,
@@ -66,10 +64,22 @@ pub enum Run<'a> {
         /// Number of cachelines covered.
         line_count: u64,
     },
-    /// A distinct entry: `imprints[i]` describes cacheline `first_line + i`.
+    /// A distinct entry or part of one: `imprints[i]` describes cacheline
+    /// `first_line + i`.
     Distinct {
         /// One stored vector per cacheline, never empty.
         imprints: &'a [u64],
+        /// First cacheline covered.
+        first_line: u64,
+    },
+    /// Whole dictionary entries, in order: each repeat entry's one vector
+    /// describes its `cnt` lines, each distinct entry's `cnt` vectors one
+    /// line each. The probe walks such a run a chunk of vectors at a time.
+    Entries {
+        /// The entries' stored vectors, `Σ imprint_count` of them.
+        imprints: &'a [u64],
+        /// The entries, never empty.
+        dict: &'a [DictEntry],
         /// First cacheline covered.
         first_line: u64,
     },
@@ -79,7 +89,9 @@ impl<'a> Run<'a> {
     /// First cacheline covered.
     pub fn first_line(&self) -> u64 {
         match *self {
-            Run::Repeat { first_line, .. } | Run::Distinct { first_line, .. } => first_line,
+            Run::Repeat { first_line, .. }
+            | Run::Distinct { first_line, .. }
+            | Run::Entries { first_line, .. } => first_line,
         }
     }
 
@@ -88,16 +100,30 @@ impl<'a> Run<'a> {
         match *self {
             Run::Repeat { line_count, .. } => line_count,
             Run::Distinct { imprints, .. } => imprints.len() as u64,
+            Run::Entries { dict, .. } => dict.iter().map(|e| u64::from(e.cnt())).sum(),
         }
     }
 
-    /// The run's vectors and how many cachelines each describes: one
-    /// vector for all lines of a repeat run, one line per vector otherwise.
-    pub fn vectors(&self) -> (&[u64], u64) {
+    /// The run's stored vectors, in line order: what a probe of it reads.
+    pub fn vectors(&self) -> &[u64] {
         match self {
-            Run::Repeat { imprint, line_count, .. } => (std::slice::from_ref(imprint), *line_count),
-            Run::Distinct { imprints, .. } => (imprints, 1),
+            Run::Repeat { imprint, .. } => std::slice::from_ref(imprint),
+            Run::Distinct { imprints, .. } | Run::Entries { imprints, .. } => imprints,
         }
+    }
+
+    /// The run one dictionary entry at a time: an [`Run::Entries`] run as
+    /// a repeat or distinct run per entry, any other run as itself.
+    pub fn entries(self) -> impl Iterator<Item = Run<'a>> {
+        let (one, mut entries) = match self {
+            Run::Entries { imprints, dict, first_line } => {
+                let lines = first_line + self.line_count();
+                let at = RunCursor::default();
+                (None, Some(Runs { imprints, dict, tail: None, at, line: first_line, lines }))
+            }
+            run => (Some(run), None),
+        };
+        one.into_iter().chain(std::iter::from_fn(move || entries.as_mut()?.next_entry(u64::MAX)))
     }
 
     /// The imprint of the run's `i`-th cacheline.
@@ -105,21 +131,13 @@ impl<'a> Run<'a> {
         match *self {
             Run::Repeat { imprint, .. } => imprint,
             Run::Distinct { imprints, .. } => imprints[i as usize],
-        }
-    }
-
-    /// The run's cachelines `lines` (counted from its first line) as a run
-    /// of their own.
-    pub(crate) fn slice(self, lines: Range<u64>) -> Run<'a> {
-        let first_line = self.first_line() + lines.start;
-        match self {
-            Run::Repeat { imprint, .. } => {
-                Run::Repeat { imprint, first_line, line_count: lines.end - lines.start }
+            Run::Entries { first_line, .. } => {
+                let line = first_line + i;
+                let mut entries = self.entries();
+                let e = entries.find(|e| e.first_line() + e.line_count() > line);
+                let e = e.expect("line inside the run");
+                e.line_imprint(line - e.first_line())
             }
-            Run::Distinct { imprints, .. } => Run::Distinct {
-                imprints: &imprints[lines.start as usize..lines.end as usize],
-                first_line,
-            },
         }
     }
 }
@@ -259,10 +277,10 @@ impl<T: Scalar> ColumnImprints<T> {
         (self.tail_len > 0).then_some((self.tail_imprint, self.tail_len))
     }
 
-    /// Iterates over the compressed index as [`Run`]s, one per dictionary
-    /// entry: a repeat entry comes out as one vector for its `cnt` lines, a
-    /// distinct entry as its `cnt` stored vectors; the tail (if present)
-    /// is a final 1-line repeat run.
+    /// Iterates over the compressed index as [`Run`]s: all of its
+    /// dictionary entries as one [`Run::Entries`] run, then the tail (if
+    /// present) as a final 1-line repeat run. [`Run::entries`] splits the
+    /// first into one run per entry.
     pub fn runs(&self) -> Runs<'_> {
         self.runs_at(RunCursor::default(), 0)
     }
@@ -270,7 +288,8 @@ impl<T: Scalar> ColumnImprints<T> {
     /// Resumes [`ColumnImprints::runs`] at cacheline `line`, from the
     /// `cursor` a walk of this index reported ([`Runs::cursor`]) when it
     /// stood at that line. A cursor taken mid-way through an entry resumes
-    /// with the rest of that entry. The line number travels beside
+    /// with the rest of that entry, as a run of its own, before the whole
+    /// entries that follow it. The line number travels beside
     /// the cursor instead of inside it: whoever stores a cursor per block
     /// of lines (the level-2 index) can compute it, and stores 12 bytes.
     pub fn runs_at(&self, cursor: RunCursor, line: u64) -> Runs<'_> {
@@ -280,13 +299,16 @@ impl<T: Scalar> ColumnImprints<T> {
             tail: self.tail().map(|(imprint, _)| imprint),
             at: cursor,
             line,
+            lines: self.comp.lines(),
         }
     }
 
     /// Iterates over the *logical* (decompressed) per-cacheline imprint
     /// vectors — what Figure 3 prints and what the entropy metric reads.
     pub fn line_imprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.runs().flat_map(|run| (0..run.line_count()).map(move |i| run.line_imprint(i)))
+        self.runs()
+            .flat_map(Run::entries)
+            .flat_map(|run| (0..run.line_count()).map(move |i| run.line_imprint(i)))
     }
 
     /// Fully recomputes the imprint of every cacheline of `col` and checks
@@ -358,6 +380,8 @@ pub struct Runs<'a> {
     tail: Option<u64>,
     at: RunCursor,
     line: u64,
+    /// Cachelines the dictionary covers: where the tail line sits.
+    lines: u64,
 }
 
 impl<'a> Runs<'a> {
@@ -370,36 +394,49 @@ impl<'a> Runs<'a> {
     }
 
     /// The next run, cut short at cacheline `end`; `None` once the walk
-    /// has reached `end` (or the end of the index). A cut run's entry is
+    /// has reached `end` (or the end of the index). From an entry boundary
+    /// that is every whole entry ending by `end`, as one [`Run::Entries`];
+    /// otherwise the rest of the current entry, or the tail. A cut entry is
     /// stepped back into: the walk — and its cursor — stand mid-entry,
     /// past the repeat lines or the distinct vectors already yielded.
     pub(crate) fn next_before(&mut self, end: u64) -> Option<Run<'a>> {
         if self.line >= end {
             return None;
         }
-        let before = self.at;
-        let run = self.next()?;
-        if self.line <= end {
-            return Some(run);
-        }
-        let kept = run.line_count() - (self.line - end);
-        self.line = end;
-        let within = before.within + kept as u32;
-        self.at = match run {
-            Run::Repeat { .. } => RunCursor { within, ..before },
-            Run::Distinct { .. } => {
-                RunCursor { within, imp_pos: before.imp_pos + kept as u32, ..before }
+        let (from, first_line) = (self.at, self.line);
+        if from.within == 0 {
+            if end >= self.lines {
+                // Nothing is cut: all that is left of the dictionary.
+                self.at.entry = self.dict.len() as u32;
+                self.at.imp_pos = self.imprints.len() as u32;
+                self.line = self.lines;
+            } else {
+                while let Some(&e) = self.dict.get(self.at.entry as usize) {
+                    if self.line + u64::from(e.cnt()) > end {
+                        break;
+                    }
+                    self.line += u64::from(e.cnt());
+                    self.at.imp_pos += e.imprint_count();
+                    self.at.entry += 1;
+                }
             }
-        };
-        Some(run.slice(0..kept))
+            if self.at.entry > from.entry {
+                return Some(Run::Entries {
+                    imprints: &self.imprints[from.imp_pos as usize..self.at.imp_pos as usize],
+                    dict: &self.dict[from.entry as usize..self.at.entry as usize],
+                    first_line,
+                });
+            }
+        }
+        self.next_entry(end)
     }
-}
 
-impl<'a> Iterator for Runs<'a> {
-    type Item = Run<'a>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Run<'a>> {
+    /// The next run of at most one dictionary entry — the rest of the
+    /// current one, or the tail — cut short at cacheline `end`.
+    fn next_entry(&mut self, end: u64) -> Option<Run<'a>> {
+        if self.line >= end {
+            return None;
+        }
         let Some(&e) = self.dict.get(self.at.entry as usize) else {
             let imprint = self.tail.take()?;
             return Some(Run::Repeat { imprint, first_line: self.line, line_count: 1 });
@@ -410,17 +447,122 @@ impl<'a> Iterator for Runs<'a> {
         let first_line = self.line;
         let pos = self.at.imp_pos as usize;
         let left = e.cnt() - self.at.within;
+        let kept = u64::from(left).min(end - first_line) as u32;
         let run = if e.repeat() {
-            self.at.imp_pos += 1;
-            Run::Repeat { imprint: self.imprints[pos], first_line, line_count: u64::from(left) }
+            let imprint = self.imprints[pos];
+            Run::Repeat { imprint, first_line, line_count: u64::from(kept) }
         } else {
-            self.at.imp_pos += left;
-            Run::Distinct { imprints: &self.imprints[pos..pos + left as usize], first_line }
+            self.at.imp_pos += kept;
+            Run::Distinct { imprints: &self.imprints[pos..pos + kept as usize], first_line }
         };
-        self.line += u64::from(left);
-        self.at.entry += 1;
-        self.at.within = 0;
+        self.line += u64::from(kept);
+        if kept == left {
+            self.at.imp_pos += u32::from(e.repeat());
+            self.at.entry += 1;
+            self.at.within = 0;
+        } else {
+            self.at.within += kept;
+        }
         Some(run)
+    }
+}
+
+impl<'a> Iterator for Runs<'a> {
+    type Item = Run<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Run<'a>> {
+        self.next_before(u64::MAX)
+    }
+}
+
+/// How the stored vectors of a run map to cachelines, for a walk that
+/// reads them in order (every `q` at least the last one asked about).
+pub(crate) trait VectorLines {
+    /// The first cacheline vector `q` describes; for `q` one past the
+    /// run's last vector, the line after the run.
+    fn line_of(&mut self, q: u64) -> u64;
+
+    /// One past the last vector of the dictionary entry holding the vector
+    /// last asked about: what Algorithm 3 has billed once it probed it.
+    fn entry_end(&self) -> u64;
+}
+
+/// A distinct run's vectors: one cacheline each, from `first_line` on.
+pub(crate) struct Consecutive {
+    pub(crate) first_line: u64,
+    pub(crate) vectors: u64,
+}
+
+impl VectorLines for Consecutive {
+    #[inline]
+    fn line_of(&mut self, q: u64) -> u64 {
+        self.first_line + q
+    }
+
+    fn entry_end(&self) -> u64 {
+        self.vectors
+    }
+}
+
+/// Entries advanced in bulk by the dictionary cursor.
+const DICT_STRIDE: usize = 8;
+
+/// A [`Run::Entries`] run's dictionary, walked forward only: the entry
+/// holding the vector last asked about, with its first vector and line.
+pub(crate) struct DictCursor<'a> {
+    dict: &'a [DictEntry],
+    entry: usize,
+    vector: u64,
+    line: u64,
+}
+
+impl<'a> DictCursor<'a> {
+    pub(crate) fn new(dict: &'a [DictEntry], first_line: u64) -> Self {
+        DictCursor { dict, entry: 0, vector: 0, line: first_line }
+    }
+
+    /// Whether vector `q` lies in the current entry (or past the last).
+    #[inline]
+    fn holds(&self, q: u64) -> bool {
+        self.dict.get(self.entry).is_none_or(|e| self.vector + u64::from(e.imprint_count()) > q)
+    }
+}
+
+impl VectorLines for DictCursor<'_> {
+    /// Stays in the current entry when `q` is in it. Otherwise it steps
+    /// over [`DICT_STRIDE`] entries at a time while all of them end at or
+    /// before `q` — their vector and line counts summed without a branch
+    /// per entry — then one entry at a time.
+    #[inline]
+    fn line_of(&mut self, q: u64) -> u64 {
+        if !self.holds(q) {
+            while let Some(block) = self.dict.get(self.entry..self.entry + DICT_STRIDE) {
+                let vectors: u32 = block.iter().map(|e| e.imprint_count()).sum();
+                if self.vector + u64::from(vectors) > q {
+                    break;
+                }
+                self.vector += u64::from(vectors);
+                self.line += u64::from(block.iter().map(|e| e.cnt()).sum::<u32>());
+                self.entry += DICT_STRIDE;
+            }
+            while !self.holds(q) {
+                let e = self.dict[self.entry];
+                self.vector += u64::from(e.imprint_count());
+                self.line += u64::from(e.cnt());
+                self.entry += 1;
+            }
+        }
+        // A repeat entry's one vector starts at the entry's first line, a
+        // distinct entry's `k`-th vector `k` lines further.
+        match self.dict.get(self.entry) {
+            Some(e) if !e.repeat() => self.line + (q - self.vector),
+            _ => self.line,
+        }
+    }
+
+    fn entry_end(&self) -> u64 {
+        self.vector + self.dict.get(self.entry).map_or(0, |e| u64::from(e.imprint_count()))
     }
 }
 
@@ -467,18 +609,34 @@ mod tests {
             (0..n).map(|i| if (i / 16) % 5 < 2 { i % 3000 } else { 0 }).collect(),
             (0..n).map(|i| (i.wrapping_mul(2_654_435_761u32 as i32) >> 8) % 4000).collect(),
         ];
+        /// What is left of a one-entry run from cacheline `line` on.
+        fn rest<'a>(run: &Run<'a>, line: u64) -> Run<'a> {
+            let skip = line.saturating_sub(run.first_line());
+            match *run {
+                Run::Repeat { imprint, first_line, line_count } => Run::Repeat {
+                    imprint,
+                    first_line: first_line + skip,
+                    line_count: line_count - skip,
+                },
+                Run::Distinct { imprints, first_line } => Run::Distinct {
+                    imprints: &imprints[skip as usize..],
+                    first_line: first_line + skip,
+                },
+                Run::Entries { .. } => unreachable!("one entry at a time"),
+            }
+        }
         for col in &columns {
             let idx = ColumnImprints::build(col);
-            let all: Vec<Run> = idx.runs().collect();
+            let all: Vec<Run> = idx.runs().flat_map(Run::entries).collect();
             let mut walk = idx.runs();
             for line in 0..idx.line_count() {
                 let cursor = walk.cursor();
                 let expect: Vec<Run> = all
                     .iter()
                     .filter(|r| r.first_line() + r.line_count() > line)
-                    .map(|r| r.slice(line.saturating_sub(r.first_line())..r.line_count()))
+                    .map(|r| rest(r, line))
                     .collect();
-                let resumed: Vec<Run> = idx.runs_at(cursor, line).collect();
+                let resumed: Vec<Run> = idx.runs_at(cursor, line).flat_map(Run::entries).collect();
                 assert_eq!(resumed, expect, "resumed at line {line}");
                 let step = walk.next_before(line + 1).expect("a line is left");
                 assert_eq!((step.first_line(), step.line_count()), (line, 1));

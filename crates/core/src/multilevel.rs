@@ -79,7 +79,7 @@ impl<T: Scalar> MultiLevelImprints<T> {
             cursors.push(runs.cursor());
             let block_end = (b as u64 + 1) * fanout;
             while let Some(run) = runs.next_before(block_end) {
-                for v in run.vectors().0 {
+                for v in run.vectors() {
                     *vector |= v;
                 }
             }

@@ -40,7 +40,7 @@ use std::ops::{ControlFlow, Range};
 
 use colstore::{AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar};
 
-use crate::index::{ColumnImprints, Run};
+use crate::index::{ColumnImprints, Consecutive, DictCursor, Run, VectorLines};
 use crate::masks::{self, QueryMasks};
 use crate::simd::{Hits, PredicateKernel};
 
@@ -74,17 +74,24 @@ impl ImprintStats {
 
 /// Algorithm 3's probe, the one place the three-case decision is made.
 /// Each stored vector of `runs` — `idx.runs()`, or a variant's view of
-/// them — costs one index probe: a distinct entry's slice is probed a
-/// vector (one cacheline) at a time in one loop, a repeat run's one
-/// vector decides all its cachelines at once. Lines the query `masks`
-/// rule out are billed as skipped. Candidate lines go to `visit` in
-/// *stretches*: adjacent candidates of one kind, across vectors and runs,
-/// are one call, with the stretch's cachelines, its row ids (clamped to
-/// the column) and whether it is *full*, i.e. covered by the
-/// `innermask`, so that every one of its values qualifies unread.
-/// What happens to a stretch — emit or value-check it, collect it, count
-/// it — and how that is billed is the visitor's business; it may stop the
-/// walk with [`ControlFlow::Break`], which `probe` hands back.
+/// them — costs one index probe; a repeat run's one vector decides all its
+/// cachelines at once. Lines the query `masks` rule out are billed as
+/// skipped. Candidate lines go to `visit` in *stretches*: adjacent
+/// candidates of one kind, across vectors and runs, are one call, with the
+/// stretch's cachelines, its row ids (clamped to the column) and whether
+/// it is *full*, i.e. covered by the `innermask`, so that every one of its
+/// values qualifies unread. What happens to a stretch — emit or
+/// value-check it, collect it, count it — and how that is billed is the
+/// visitor's business; it may stop the walk with [`ControlFlow::Break`],
+/// which `probe` hands back. A stop bills the probes of every dictionary
+/// entry up to the one whose vector opened the next stretch, as a walk
+/// one entry at a time would have.
+///
+/// A run of vectors is read [`CHUNK`] at a time: a chunk none of whose
+/// vectors meets the `mask` is passed over with one OR and one AND; a chunk with candidates becomes two bitmasks, and its
+/// stretches come out of them by counting trailing zeros. Only where a
+/// stretch starts or ends is the cacheline dictionary consulted, and it
+/// advances to there in bulk.
 #[inline]
 pub fn probe<'a, T: Scalar, B>(
     idx: &ColumnImprints<T>,
@@ -99,44 +106,143 @@ pub fn probe<'a, T: Scalar, B>(
     }
     let vpb = idx.values_per_block() as u64;
     let rows = idx.rows() as u64;
-    let mut visit_lines = |stats: &mut ImprintStats, lines: Range<u64>, full| {
-        if lines.is_empty() {
-            return ControlFlow::Continue(());
-        }
-        let ids = lines.start * vpb..(lines.end * vpb).min(rows);
-        visit(stats, lines, ids, full)
+    let mut stretches = Stretches {
+        pending: 0..0,
+        full: false,
+        visit: |stats: &mut ImprintStats, lines: Range<u64>, full| {
+            let ids = lines.start * vpb..(lines.end * vpb).min(rows);
+            visit(stats, lines, ids, full)
+        },
     };
-    // The stretch of adjacent candidate lines of one kind not visited yet.
-    let (mut stretch, mut full) = (0..0, false);
-    {
-        // One probe: vector `v` describing the `span` lines from `line` on.
-        let mut probe_vector = |stats: &mut ImprintStats, v: u64, line: u64, span: u64| {
-            if !masks.may_match(v) {
-                stats.access.lines_skipped += span;
-            } else if stretch.end == line && masks.fully_covered(v) == full {
-                stretch.end += span;
-            } else {
-                visit_lines(stats, std::mem::replace(&mut stretch, line..line + span), full)?;
-                full = masks.fully_covered(v);
+    for run in runs {
+        match run {
+            Run::Repeat { imprint, first_line, line_count } => {
+                stats.access.index_probes += 1;
+                if masks.may_match(imprint) {
+                    stretches.open(stats, first_line, masks.fully_covered(imprint))?;
+                    stretches.pending.end = first_line + line_count;
+                } else {
+                    stats.access.lines_skipped += line_count;
+                }
             }
-            ControlFlow::Continue(())
-        };
-        for run in runs {
-            match run {
-                Run::Repeat { imprint, first_line, line_count } => {
-                    stats.access.index_probes += 1;
-                    probe_vector(stats, imprint, first_line, line_count)?;
-                }
-                Run::Distinct { imprints, first_line } => {
-                    stats.access.index_probes += imprints.len() as u64;
-                    for (line, &v) in (first_line..).zip(imprints) {
-                        probe_vector(stats, v, line, 1)?;
-                    }
-                }
+            Run::Distinct { imprints, first_line } => {
+                let mut lines = Consecutive { first_line, vectors: imprints.len() as u64 };
+                probe_vectors(imprints, &mut lines, masks, stats, &mut stretches)?;
+            }
+            Run::Entries { imprints, dict, first_line } => {
+                let mut lines = DictCursor::new(dict, first_line);
+                probe_vectors(imprints, &mut lines, masks, stats, &mut stretches)?;
             }
         }
     }
-    visit_lines(stats, stretch, full)
+    let Stretches { pending, full, mut visit } = stretches;
+    if pending.is_empty() {
+        return ControlFlow::Continue(());
+    }
+    visit(stats, pending, full)
+}
+
+/// Stored vectors [`probe_vectors`] tests at once, one bit each of a `u64`.
+pub const CHUNK: usize = 64;
+
+/// The stretch of adjacent candidate lines of one kind the probe has not
+/// visited yet, and the visitor it goes to.
+struct Stretches<V> {
+    pending: Range<u64>,
+    full: bool,
+    visit: V,
+}
+
+impl<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow<B>> Stretches<V> {
+    /// Opens a stretch at cacheline `line` — or goes on with the pending
+    /// one, if it ends there and is of the same kind — visiting the one it
+    /// closes. The caller then sets where the stretch ends.
+    #[inline]
+    fn open(&mut self, stats: &mut ImprintStats, line: u64, full: bool) -> ControlFlow<B> {
+        if self.pending.end == line && self.full == full {
+            return ControlFlow::Continue(());
+        }
+        let done = std::mem::replace(&mut self.pending, line..line);
+        let done_full = std::mem::replace(&mut self.full, full);
+        if done.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        (self.visit)(stats, done, done_full)
+    }
+}
+
+/// Probes one run's stored `imprints`, whose cachelines `lines` maps, a
+/// [`CHUNK`] of vectors at a time. Every vector is billed up front; a stop
+/// takes back the ones past the dictionary entry it happened in.
+#[inline]
+fn probe_vectors<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow<B>>(
+    imprints: &[u64],
+    lines: &mut impl VectorLines,
+    masks: QueryMasks,
+    stats: &mut ImprintStats,
+    stretches: &mut Stretches<V>,
+) -> ControlFlow<B> {
+    let n = imprints.len() as u64;
+    stats.access.index_probes += n;
+    // The first line not yet billed as skipped or handed to a stretch.
+    let mut at = lines.line_of(0);
+    for (c, chunk) in imprints.chunks(CHUNK).enumerate() {
+        if chunk.iter().fold(0, |any, &v| any | v) & masks.mask == 0 {
+            continue;
+        }
+        let base = (c * CHUNK) as u64;
+        let (mut live, full) = chunk_kinds(chunk, masks);
+        while live != 0 {
+            // The run of same-kind candidates from the lowest one on.
+            let i = live.trailing_zeros();
+            let is_full = full >> i & 1 == 1;
+            let kind = if is_full { full } else { live & !full };
+            let end = i + (!(kind >> i)).trailing_zeros();
+            let start = lines.line_of(base + u64::from(i));
+            stats.access.lines_skipped += start - at;
+            if let ControlFlow::Break(b) = stretches.open(stats, start, is_full) {
+                stats.access.index_probes -= n - lines.entry_end();
+                return ControlFlow::Break(b);
+            }
+            at = lines.line_of(base + u64::from(end));
+            stretches.pending.end = at;
+            live &= u64::MAX.checked_shl(end).unwrap_or(0);
+        }
+    }
+    stats.access.lines_skipped += lines.line_of(n) - at;
+    ControlFlow::Continue(())
+}
+
+/// A chunk's candidates as two bitmasks, bit `i` for vector `i`: those that
+/// meet the `mask`, and those of them the `innermask` covers. Eight vectors
+/// at a time, so that the compiler keeps a group's bits in registers, and
+/// only the groups with a candidate.
+#[inline]
+fn chunk_kinds(chunk: &[u64], masks: QueryMasks) -> (u64, u64) {
+    let kinds = |group: &[u64]| {
+        let (mut live, mut full) = (0u64, 0u64);
+        for (i, &v) in group.iter().enumerate() {
+            live |= u64::from(masks.may_match(v)) << i;
+            full |= u64::from(masks.fully_covered(v)) << i;
+        }
+        (live, full)
+    };
+    let (groups, rest) = chunk.as_chunks::<8>();
+    let mut todo = groups.iter().enumerate().fold(0u8, |todo, (g, group)| {
+        todo | u8::from(group.iter().fold(0, |any, &v| any | v) & masks.mask != 0) << g
+    });
+    // A short last chunk's vectors past its last whole group.
+    let (rest_live, rest_full) = kinds(rest);
+    let at = 8 * groups.len() as u32;
+    let (mut live, mut full) = (rest_live.unbounded_shl(at), rest_full.unbounded_shl(at));
+    while todo != 0 {
+        let g = todo.trailing_zeros() as usize;
+        todo &= todo - 1;
+        let (l, f) = kinds(&groups[g]);
+        live |= l << (8 * g);
+        full |= f << (8 * g);
+    }
+    (live, full & live)
 }
 
 /// Algorithm 3: evaluates the kernel's predicate over `col` through the
@@ -721,7 +827,8 @@ mod tests {
         let lines: Vec<u64> = idx.line_imprints().collect();
         let runs: Vec<(u64, u64, u64)> = idx
             .runs()
-            .map(|r| (r.first_line(), r.line_count(), r.vectors().0.len() as u64))
+            .flat_map(Run::entries)
+            .map(|r| (r.first_line(), r.line_count(), r.vectors().len() as u64))
             .collect();
         let stored: u64 = runs.iter().map(|&(_, _, vectors)| vectors).sum();
         let vpb = idx.values_per_block() as u64;
@@ -894,6 +1001,7 @@ mod tests {
                             probe_vector(stats, v, line, 1)?;
                         }
                     }
+                    Run::Entries { .. } => unreachable!("the reference walks one entry at a time"),
                 }
             }
         }
@@ -1003,7 +1111,7 @@ mod tests {
                 let got =
                     visits_until(stop, |stats, visit| probe(&idx, idx.runs(), masks, stats, visit));
                 let want = visits_until(stop, |stats, visit| {
-                    per_run_reference(&idx, idx.runs(), masks, stats, visit)
+                    per_run_reference(&idx, idx.runs().flat_map(Run::entries), masks, stats, visit)
                 });
                 assert_eq!(got, want, "{pred}, stopped at visit {stop}");
             }

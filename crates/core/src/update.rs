@@ -189,32 +189,21 @@ impl<T: Scalar> OverlayImprints<T> {
         self.updates = 0;
     }
 
-    /// The base index's runs as the updated column sees them: a run holding
-    /// overlaid lines is split around them — each overlaid line a run of its
-    /// own with the extra bits ORed in — so clean stretches keep their
-    /// single probe (a repeat run) or their stored vectors (a distinct one).
+    /// The base index's runs as the updated column sees them: cut at every
+    /// overlaid line, which is a run of its own with the extra bits ORed in,
+    /// so clean stretches keep their single probe (a repeat entry) or their
+    /// stored vectors (the rest).
     fn runs(&self) -> impl Iterator<Item = Run<'_>> + '_ {
-        self.base.runs().flat_map(move |run| {
-            let (first, count) = (run.first_line(), run.line_count());
-            let mut dirty = self.overlay.range(first..first + count).peekable();
-            // The next line of `run` to yield, counted from its first.
-            let mut next = 0;
-            std::iter::from_fn(move || {
-                if next == count {
-                    return None;
-                }
-                let piece = match dirty.peek() {
-                    Some(&(&line, &extra)) if line - first == next => {
-                        dirty.next();
-                        let imprint = run.line_imprint(next) | extra;
-                        Run::Repeat { imprint, first_line: line, line_count: 1 }
-                    }
-                    Some(&(&line, _)) => run.slice(next..line - first),
-                    None => run.slice(next..count),
-                };
-                next += piece.line_count();
-                Some(piece)
-            })
+        let mut clean = self.base.runs();
+        let mut dirty = self.overlay.iter().peekable();
+        std::iter::from_fn(move || {
+            let until = dirty.peek().map_or(u64::MAX, |(&line, _)| line);
+            if let Some(run) = clean.next_before(until) {
+                return Some(run);
+            }
+            let (&line, &extra) = dirty.next()?;
+            let imprint = clean.next_before(line + 1)?.vectors()[0] | extra;
+            Some(Run::Repeat { imprint, first_line: line, line_count: 1 })
         })
     }
 

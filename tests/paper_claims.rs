@@ -194,5 +194,5 @@ fn appends_are_strictly_additive() {
 }
 
 fn imprints_vectors<T: colstore::Scalar>(idx: &ColumnImprints<T>) -> Vec<u64> {
-    idx.runs().flat_map(|r| r.vectors().0.to_vec()).collect()
+    idx.runs().flat_map(|r| r.vectors().to_vec()).collect()
 }
