@@ -44,6 +44,8 @@ struct Inner<T> {
     closed: bool,
     /// Clients in service, each mapped to the [`Drainer`] holding it.
     in_service: HashMap<u64, u64>,
+    /// Drainers parked on the condition variable right now.
+    waiting: usize,
 }
 
 impl<T> Inner<T> {
@@ -89,7 +91,9 @@ impl<T> Drainer<'_, T> {
             if !batch.is_empty() || inner.closed {
                 break batch;
             }
+            inner.waiting += 1;
             inner = self.admission.cv.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.waiting -= 1;
         };
         self.admission.pass_wake_on(&inner);
         batch
@@ -133,6 +137,7 @@ impl<T> Admission<T> {
                 len: 0,
                 closed: false,
                 in_service: HashMap::new(),
+                waiting: 0,
             }),
             cv: Condvar::new(),
             admitted: AtomicU64::new(0),
@@ -215,6 +220,12 @@ impl<T> Admission<T> {
     /// come back for its next batch.
     pub fn in_service(&self) -> usize {
         self.state().in_service.len()
+    }
+
+    /// Drainers blocked in [`Drainer::drain`], waiting for a request.
+    #[cfg(test)]
+    fn waiting(&self) -> usize {
+        self.state().waiting
     }
 
     /// Items admitted over the queue's lifetime.
@@ -477,6 +488,16 @@ mod tests {
         assert_eq!(q.queued(), 0);
     }
 
+    /// Spins until `done` holds — a state other threads reach — and fails
+    /// the test, naming `what`, if that takes a minute.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
+    }
+
     /// Spurious-wakeup shape: two drainers race for one item. The loser's
     /// wake finds the queue empty and must go back to waiting — not return
     /// a phantom empty batch, which the dispatcher would misread as
@@ -491,9 +512,11 @@ mod tests {
                     thread::spawn(move || q.drainer().drain(4))
                 })
                 .collect();
-            thread::sleep(Duration::from_millis(2));
+            wait_until("both drainers park", || q.waiting() == 2);
             assert!(q.offer(1, 42));
-            thread::sleep(Duration::from_millis(10));
+            wait_until("one drainer takes the item, the other parks again", || {
+                q.queued() == 0 && q.waiting() == 1
+            });
             // Exactly one drainer owns the item; the other must still be
             // blocked. Closing releases it with the empty "exit" batch.
             let leftover = q.close();
