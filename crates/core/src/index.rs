@@ -7,6 +7,8 @@
 //! that appends (§4.1) can keep filling it without rewriting compressed
 //! state.
 
+use std::ops::Range;
+
 use colstore::{AccessStats, Column, IdList, RangeIndex, RangePredicate, Scalar};
 
 use crate::binning::Binning;
@@ -479,13 +481,16 @@ impl<'a> Iterator for Runs<'a> {
 /// How the stored vectors of a run map to cachelines, for a walk that
 /// reads them in order (every `q` at least the last one asked about).
 pub(crate) trait VectorLines {
-    /// The first cacheline vector `q` describes; for `q` one past the
-    /// run's last vector, the line after the run.
-    fn line_of(&mut self, q: u64) -> u64;
+    /// The cachelines stored vector `q` describes.
+    fn lines_of(&mut self, q: u64) -> Range<u64>;
 
     /// One past the last vector of the dictionary entry holding the vector
     /// last asked about: what Algorithm 3 has billed once it probed it.
     fn entry_end(&self) -> u64;
+
+    /// The first cacheline of vector `q`, if vectors `q..q + n` all lie in
+    /// one distinct entry, so that vector `q + k` describes line `q`'s + `k`.
+    fn one_line_each(&mut self, q: u64, n: u64) -> Option<u64>;
 }
 
 /// A distinct run's vectors: one cacheline each, from `first_line` on.
@@ -496,12 +501,16 @@ pub(crate) struct Consecutive {
 
 impl VectorLines for Consecutive {
     #[inline]
-    fn line_of(&mut self, q: u64) -> u64 {
-        self.first_line + q
+    fn lines_of(&mut self, q: u64) -> Range<u64> {
+        self.first_line + q..self.first_line + q + 1
     }
 
     fn entry_end(&self) -> u64 {
         self.vectors
+    }
+
+    fn one_line_each(&mut self, q: u64, _: u64) -> Option<u64> {
+        Some(self.first_line + q)
     }
 }
 
@@ -522,20 +531,21 @@ impl<'a> DictCursor<'a> {
         DictCursor { dict, entry: 0, vector: 0, line: first_line }
     }
 
-    /// Whether vector `q` lies in the current entry (or past the last).
+    /// Whether vector `q` lies in the current entry. `q` is always a
+    /// vector of the run, so the walk never steps past its last entry.
     #[inline]
     fn holds(&self, q: u64) -> bool {
-        self.dict.get(self.entry).is_none_or(|e| self.vector + u64::from(e.imprint_count()) > q)
+        self.vector + u64::from(self.dict[self.entry].imprint_count()) > q
     }
 }
 
 impl VectorLines for DictCursor<'_> {
     /// Stays in the current entry when `q` is in it. Otherwise it steps
     /// over [`DICT_STRIDE`] entries at a time while all of them end at or
-    /// before `q` — their vector and line counts summed without a branch
-    /// per entry — then one entry at a time.
+    /// before `q`, and then over the few that are left, summing vector and
+    /// line counts without a branch per entry.
     #[inline]
-    fn line_of(&mut self, q: u64) -> u64 {
+    fn lines_of(&mut self, q: u64) -> Range<u64> {
         if !self.holds(q) {
             while let Some(block) = self.dict.get(self.entry..self.entry + DICT_STRIDE) {
                 let vectors: u32 = block.iter().map(|e| e.imprint_count()).sum();
@@ -546,23 +556,40 @@ impl VectorLines for DictCursor<'_> {
                 self.line += u64::from(block.iter().map(|e| e.cnt()).sum::<u32>());
                 self.entry += DICT_STRIDE;
             }
-            while !self.holds(q) {
-                let e = self.dict[self.entry];
-                self.vector += u64::from(e.imprint_count());
-                self.line += u64::from(e.cnt());
-                self.entry += 1;
+            // Fewer than a stride of entries end before `q`: count them
+            // with running sums instead of a branch per entry.
+            let end = self.dict.len().min(self.entry + DICT_STRIDE);
+            let rel = q - self.vector;
+            let (mut vectors, mut lines) = (0u64, 0u64);
+            let (mut k, mut skip_vectors, mut skip_lines) = (0, 0, 0);
+            for e in &self.dict[self.entry..end] {
+                vectors += u64::from(e.imprint_count());
+                lines += u64::from(e.cnt());
+                let before = vectors <= rel;
+                k += usize::from(before);
+                skip_vectors = if before { vectors } else { skip_vectors };
+                skip_lines = if before { lines } else { skip_lines };
             }
+            self.entry += k;
+            self.vector += skip_vectors;
+            self.line += skip_lines;
         }
-        // A repeat entry's one vector starts at the entry's first line, a
-        // distinct entry's `k`-th vector `k` lines further.
-        match self.dict.get(self.entry) {
-            Some(e) if !e.repeat() => self.line + (q - self.vector),
-            _ => self.line,
-        }
+        // A repeat entry's one vector describes all its lines, a distinct
+        // entry's `k`-th vector the `k`-th line.
+        let e = self.dict[self.entry];
+        let (offset, count) =
+            if e.repeat() { (0, u64::from(e.cnt())) } else { (q - self.vector, 1) };
+        self.line + offset..self.line + offset + count
     }
 
     fn entry_end(&self) -> u64 {
-        self.vector + self.dict.get(self.entry).map_or(0, |e| u64::from(e.imprint_count()))
+        self.vector + u64::from(self.dict[self.entry].imprint_count())
+    }
+
+    fn one_line_each(&mut self, q: u64, n: u64) -> Option<u64> {
+        let start = self.lines_of(q).start;
+        let e = self.dict[self.entry];
+        (!e.repeat() && self.vector + u64::from(e.cnt()) >= q + n).then_some(start)
     }
 }
 

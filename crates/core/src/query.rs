@@ -1,7 +1,7 @@
 //! Range-query evaluation over the imprints index (Algorithm 3).
 //!
-//! The evaluator walks the cacheline dictionary. For a *distinct* run it
-//! probes `cnt` imprint vectors, one cacheline each; for a *repeat* run one
+//! The evaluator walks the cacheline dictionary. A *distinct* entry's `cnt`
+//! imprint vectors are probed one cacheline each; a *repeat* entry's one
 //! probe decides the fate of all `cnt` cachelines at once. Each probed
 //! vector falls into one of three cases:
 //!
@@ -13,7 +13,16 @@
 //!    the predicate to weed out false positives.
 //!
 //! That decision is written once, in [`probe`], which bills the probe and
-//! the skipped lines and hands every candidate to a *visitor*. The entry
+//! the skipped lines and hands every candidate to a *visitor*. It is made
+//! at lane width: the stored vectors are read 64 at a time, a chunk
+//! in which no vector meets the `mask` costs an OR and an AND per eight
+//! vectors, a chunk with candidates becomes a bitmask of them and one of
+//! those the `innermask` covers, and the stretches of adjacent candidates
+//! of one kind come out of the two masks by counting trailing zeros. The
+//! dictionary is read only where a stretch starts or ends: a forward-only
+//! cursor jumps to the entry holding that vector, summing the vector and
+//! line counts of eight entries at a time, and inside one distinct entry
+//! a vector's line is plain arithmetic. The entry
 //! points are its visitors: [`run`] (and [`evaluate`], [`count`],
 //! [`evaluate_no_innermask`] over it) emits case 2 into a [`Hits`] sink
 //! and value-checks case 3; the late-materialization path of §3 —
@@ -87,8 +96,9 @@ impl ImprintStats {
 /// entry up to the one whose vector opened the next stretch, as a walk
 /// one entry at a time would have.
 ///
-/// A run of vectors is read [`CHUNK`] at a time: a chunk none of whose
-/// vectors meets the `mask` is passed over with one OR and one AND; a chunk with candidates becomes two bitmasks, and its
+/// A run of vectors is read 64 at a time: a chunk none of whose vectors
+/// meets the `mask` is passed over with an OR and an AND per eight
+/// vectors; a chunk with candidates becomes two bitmasks, and its
 /// stretches come out of them by counting trailing zeros. Only where a
 /// stretch starts or ends is the cacheline dictionary consulted, and it
 /// advances to there in bulk.
@@ -142,8 +152,8 @@ pub fn probe<'a, T: Scalar, B>(
     visit(stats, pending, full)
 }
 
-/// Stored vectors [`probe_vectors`] tests at once, one bit each of a `u64`.
-pub const CHUNK: usize = 64;
+/// Stored vectors the probe tests at once, one bit each of a `u64`.
+const CHUNK: usize = 64;
 
 /// The stretch of adjacent candidate lines of one kind the probe has not
 /// visited yet, and the visitor it goes to.
@@ -171,8 +181,8 @@ impl<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow<B>> Stretch
     }
 }
 
-/// Probes one run's stored `imprints`, whose cachelines `lines` maps, a
-/// [`CHUNK`] of vectors at a time. Every vector is billed up front; a stop
+/// Probes one run's stored `imprints`, whose cachelines `lines` maps,
+/// [`CHUNK`] vectors at a time. Every vector is billed up front; a stop
 /// takes back the ones past the dictionary entry it happened in.
 #[inline]
 fn probe_vectors<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow<B>>(
@@ -183,47 +193,56 @@ fn probe_vectors<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow
     stretches: &mut Stretches<V>,
 ) -> ControlFlow<B> {
     let n = imprints.len() as u64;
+    if n == 0 {
+        return ControlFlow::Continue(());
+    }
     stats.access.index_probes += n;
     // The first line not yet billed as skipped or handed to a stretch.
-    let mut at = lines.line_of(0);
+    let mut at = lines.lines_of(0).start;
     for (c, chunk) in imprints.chunks(CHUNK).enumerate() {
-        if chunk.iter().fold(0, |any, &v| any | v) & masks.mask == 0 {
+        let (mut live, full) = chunk_kinds(chunk, masks);
+        if live == 0 {
             continue;
         }
         let base = (c * CHUNK) as u64;
-        let (mut live, full) = chunk_kinds(chunk, masks);
+        // Inside one distinct entry, a vector's line is arithmetic.
+        let flat = lines.one_line_each(base, chunk.len() as u64);
         while live != 0 {
             // The run of same-kind candidates from the lowest one on.
             let i = live.trailing_zeros();
             let is_full = full >> i & 1 == 1;
             let kind = if is_full { full } else { live & !full };
             let end = i + (!(kind >> i)).trailing_zeros();
-            let start = lines.line_of(base + u64::from(i));
+            let (first, last) = (base + u64::from(i), base + u64::from(end) - 1);
+            let start =
+                flat.map_or_else(|| lines.lines_of(first).start, |line| line + first - base);
             stats.access.lines_skipped += start - at;
             if let ControlFlow::Break(b) = stretches.open(stats, start, is_full) {
                 stats.access.index_probes -= n - lines.entry_end();
                 return ControlFlow::Break(b);
             }
-            at = lines.line_of(base + u64::from(end));
+            at = flat.map_or_else(|| lines.lines_of(last).end, |line| line + last - base + 1);
             stretches.pending.end = at;
             live &= u64::MAX.checked_shl(end).unwrap_or(0);
         }
     }
-    stats.access.lines_skipped += lines.line_of(n) - at;
+    stats.access.lines_skipped += lines.lines_of(n - 1).end - at;
     ControlFlow::Continue(())
 }
 
 /// A chunk's candidates as two bitmasks, bit `i` for vector `i`: those that
-/// meet the `mask`, and those of them the `innermask` covers. Eight vectors
-/// at a time, so that the compiler keeps a group's bits in registers, and
-/// only the groups with a candidate.
+/// meet the `mask`, and those of them the `innermask` covers (none, when it
+/// is empty: every stored vector has a bit). Eight vectors at a time, so
+/// that the compiler keeps a group's bits in registers, and only the
+/// groups with a candidate.
 #[inline]
 fn chunk_kinds(chunk: &[u64], masks: QueryMasks) -> (u64, u64) {
+    let inner = masks.innermask != 0;
     let kinds = |group: &[u64]| {
         let (mut live, mut full) = (0u64, 0u64);
         for (i, &v) in group.iter().enumerate() {
             live |= u64::from(masks.may_match(v)) << i;
-            full |= u64::from(masks.fully_covered(v)) << i;
+            full |= u64::from(inner && masks.fully_covered(v)) << i;
         }
         (live, full)
     };
@@ -231,6 +250,9 @@ fn chunk_kinds(chunk: &[u64], masks: QueryMasks) -> (u64, u64) {
     let mut todo = groups.iter().enumerate().fold(0u8, |todo, (g, group)| {
         todo | u8::from(group.iter().fold(0, |any, &v| any | v) & masks.mask != 0) << g
     });
+    if todo == 0 && rest.is_empty() {
+        return (0, 0);
+    }
     // A short last chunk's vectors past its last whole group.
     let (rest_live, rest_full) = kinds(rest);
     let at = 8 * groups.len() as u32;
