@@ -285,11 +285,19 @@ pub fn run<T: Scalar>(
     walk(idx, idx.runs(), col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
 }
 
+/// Stretches [`walk`] holds back before emitting or checking them.
+const CHECK_BATCH: usize = 64;
+
 /// The evaluating visitor of [`probe`]: full stretches are emitted into
 /// `hits` unread, the others fetched and value-checked by `kernel`, a
 /// stretch of adjacent lines in one call. `runs` is the index's own
 /// ([`run`]) or a variant's view of them (the §4.2 overlay, the §7 second
 /// level).
+///
+/// Stretches are taken [`CHECK_BATCH`] at a time, in order, and the first
+/// value of every one to be checked is read before any is checked. Read
+/// one at a time between the probe's branches, scattered candidate lines
+/// each cost a full cache miss; read together, their misses overlap.
 pub(crate) fn walk<'a, T: Scalar>(
     idx: &ColumnImprints<T>,
     runs: impl Iterator<Item = Run<'a>>,
@@ -301,17 +309,34 @@ pub(crate) fn walk<'a, T: Scalar>(
     assert_eq!(col.len(), idx.rows(), "index does not cover this column");
     let mut stats = ImprintStats::default();
     let values = col.values();
+    // Each held stretch: its cacheline count, its row ids, whether full.
+    let mut batch = [(0, 0, 0, false); CHECK_BATCH];
+    let mut held = 0;
+    let settle = |stats: &mut ImprintStats, hits: &mut Hits, batch: &[(u64, u64, u64, bool)]| {
+        let first_values = batch.iter().filter(|s| !s.3).map(|s| values[s.1 as usize].sort_key());
+        std::hint::black_box(first_values.fold(0, |acc, key| acc ^ key));
+        for &(lines, start, end, full) in batch {
+            if full {
+                stats.lines_full += lines;
+                stats.ids_via_full_lines += end - start;
+                hits.emit(start..end);
+            } else {
+                stats.lines_checked += lines;
+                stats.access.lines_fetched += lines;
+                kernel.check(values, start..end, hits, &mut stats.access.value_comparisons);
+            }
+        }
+    };
     let _ = probe(idx, runs, masks, &mut stats, |stats, lines, ids, full| {
-        if full {
-            stats.note_full(&lines, &ids);
-            hits.emit(ids);
-        } else {
-            stats.lines_checked += lines.end - lines.start;
-            stats.access.lines_fetched += lines.end - lines.start;
-            kernel.check(values, ids, &mut hits, &mut stats.access.value_comparisons);
+        batch[held] = (lines.end - lines.start, ids.start, ids.end, full);
+        held += 1;
+        if held == CHECK_BATCH {
+            settle(stats, &mut hits, &batch);
+            held = 0;
         }
         ControlFlow::<()>::Continue(())
     });
+    settle(&mut stats, &mut hits, &batch[..held]);
     (hits, stats)
 }
 
