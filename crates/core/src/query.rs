@@ -200,30 +200,37 @@ fn probe_vectors<B, V: FnMut(&mut ImprintStats, Range<u64>, bool) -> ControlFlow
     // The first line not yet billed as skipped or handed to a stretch.
     let mut at = lines.lines_of(0).start;
     for (c, chunk) in imprints.chunks(CHUNK).enumerate() {
-        let (mut live, full) = chunk_kinds(chunk, masks);
+        let (live, full) = chunk_kinds(chunk, masks);
         if live == 0 {
             continue;
         }
         let base = (c * CHUNK) as u64;
-        // Inside one distinct entry, a vector's line is arithmetic.
-        let flat = lines.one_line_each(base, chunk.len() as u64);
-        while live != 0 {
-            // The run of same-kind candidates from the lowest one on.
-            let i = live.trailing_zeros();
-            let is_full = full >> i & 1 == 1;
-            let kind = if is_full { full } else { live & !full };
-            let end = i + (!(kind >> i)).trailing_zeros();
-            let (first, last) = (base + u64::from(i), base + u64::from(end) - 1);
+        // From the first candidate to the chunk's end inside one distinct
+        // entry, a vector's line is arithmetic.
+        let lowest = base + u64::from(live.trailing_zeros());
+        let flat = lines.one_line_each(lowest, base + chunk.len() as u64 - lowest);
+        // The candidates of each kind not yet handed on. Adding a run's
+        // lowest bit to its mask carries through the run: the sum's new
+        // bit ends it, and ANDing the sum in clears it.
+        let (mut part, mut covered) = (live & !full, full);
+        while part | covered != 0 {
+            let low = (part | covered) & (part | covered).wrapping_neg();
+            let is_full = covered & low != 0;
+            let kind = if is_full { &mut covered } else { &mut part };
+            let carried = kind.wrapping_add(low);
+            let end = (carried & !*kind).trailing_zeros();
+            *kind &= carried;
+            let first = base + u64::from(low.trailing_zeros());
+            let last = base + u64::from(end) - 1;
             let start =
-                flat.map_or_else(|| lines.lines_of(first).start, |line| line + first - base);
+                flat.map_or_else(|| lines.lines_of(first).start, |line| line + first - lowest);
             stats.access.lines_skipped += start - at;
             if let ControlFlow::Break(b) = stretches.open(stats, start, is_full) {
                 stats.access.index_probes -= n - lines.entry_end();
                 return ControlFlow::Break(b);
             }
-            at = flat.map_or_else(|| lines.lines_of(last).end, |line| line + last - base + 1);
+            at = flat.map_or_else(|| lines.lines_of(last).end, |line| line + last - lowest + 1);
             stretches.pending.end = at;
-            live &= u64::MAX.checked_shl(end).unwrap_or(0);
         }
     }
     stats.access.lines_skipped += lines.lines_of(n - 1).end - at;
