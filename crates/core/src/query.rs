@@ -18,7 +18,7 @@
 //! in which no vector meets the `mask` costs an OR and an AND per eight
 //! vectors, a chunk with candidates becomes a bitmask of them and one of
 //! those the `innermask` covers, and the stretches of adjacent candidates
-//! of one kind come out of the two masks by counting trailing zeros. The
+//! of one kind come out of the two masks by bit arithmetic. The
 //! dictionary is read only where a stretch starts or ends: a forward-only
 //! cursor jumps to the entry holding that vector, summing the vector and
 //! line counts of eight entries at a time, and inside one distinct entry
@@ -99,7 +99,7 @@ impl ImprintStats {
 /// A run of vectors is read 64 at a time: a chunk none of whose vectors
 /// meets the `mask` is passed over with an OR and an AND per eight
 /// vectors; a chunk with candidates becomes two bitmasks, and its
-/// stretches come out of them by counting trailing zeros. Only where a
+/// stretches come out of them by bit arithmetic. Only where a
 /// stretch starts or ends is the cacheline dictionary consulted, and it
 /// advances to there in bulk.
 #[inline]
@@ -257,9 +257,6 @@ fn chunk_kinds(chunk: &[u64], masks: QueryMasks) -> (u64, u64) {
     let mut todo = groups.iter().enumerate().fold(0u8, |todo, (g, group)| {
         todo | u8::from(group.iter().fold(0, |any, &v| any | v) & masks.mask != 0) << g
     });
-    if todo == 0 && rest.is_empty() {
-        return (0, 0);
-    }
     // A short last chunk's vectors past its last whole group.
     let (rest_live, rest_full) = kinds(rest);
     let at = 8 * groups.len() as u32;
