@@ -489,7 +489,8 @@ pub(crate) trait VectorLines {
     fn entry_end(&self) -> u64;
 
     /// The first cacheline of vector `q`, if vectors `q..q + n` all lie in
-    /// one distinct entry, so that vector `q + k` describes line `q`'s + `k`.
+    /// one distinct entry, so that vector `q + k` describes the `k`-th line
+    /// after it.
     fn one_line_each(&mut self, q: u64, n: u64) -> Option<u64>;
 }
 
