@@ -3,12 +3,11 @@
 //! 1. Imprint block granularity: 64 B cachelines vs 128/256/512 B blocks.
 //! 2. The `innermask` fast path on vs off.
 //! 3. Row-wise RLE compression: `Compressor` vs storing raw vectors.
-//! 4. The §7 two-level organization vs the flat index.
-//! 5. Equi-height vs equi-width binning.
-//! 6. The §3 conjunction plan on the benchmark's ingest shape, where it
+//! 4. Equi-height vs equi-width binning.
+//! 5. The §3 conjunction plan on the benchmark's ingest shape, where it
 //!    stops probing once the candidates are fewer than the next imprint's
 //!    stored vectors (DESIGN.md, "Why the plan stops probing").
-//! 7. Algorithm 3's probe alone, in ns per stored imprint vector, beside a
+//! 6. Algorithm 3's probe alone, in ns per stored imprint vector, beside a
 //!    plain `v & mask` pass over the same vectors (`probe_walk`).
 //!
 //! §2.5's unrolled `get_bin` search is not an ablation here: measured
@@ -101,24 +100,6 @@ fn bench_compression(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-fn bench_multilevel(c: &mut Criterion) {
-    use imprints::multilevel::MultiLevelImprints;
-    // Drift + noise data whose per-line imprints defeat the RLE: the case
-    // the §7 multi-level organization targets.
-    let n: u64 = 1 << 20;
-    let col: Column<i64> =
-        (0..n).map(|i| ((i * 59_500 / n) + i.wrapping_mul(2_654_435_761) % 2_500) as i64).collect();
-    let base = ColumnImprints::build(&col);
-    let ml = MultiLevelImprints::from_base(base.clone(), 64);
-    let pred = RangePredicate::between(0, 3000);
-    let mut g = c.benchmark_group("multilevel");
-    g.throughput(Throughput::Elements(n));
-    g.sample_size(20);
-    g.bench_function("flat", |b| b.iter(|| base.evaluate(&col, &pred)));
-    g.bench_function("two_level", |b| b.iter(|| ml.evaluate(&col, &pred)));
     g.finish();
 }
 
@@ -251,7 +232,6 @@ criterion_group!(
     bench_block_granularity,
     bench_innermask,
     bench_compression,
-    bench_multilevel,
     bench_binning_strategy,
     bench_conjunction_plan,
     bench_probe_walk

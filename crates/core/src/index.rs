@@ -120,27 +120,11 @@ impl<'a> Run<'a> {
         let (one, mut entries) = match self {
             Run::Entries { imprints, dict, first_line } => {
                 let lines = first_line + self.line_count();
-                let at = RunCursor::default();
-                (None, Some(Runs { imprints, dict, tail: None, at, line: first_line, lines }))
+                (None, Some(Runs::new(imprints, dict, None, first_line, lines)))
             }
             run => (Some(run), None),
         };
         one.into_iter().chain(std::iter::from_fn(move || entries.as_mut()?.next_entry(u64::MAX)))
-    }
-
-    /// The imprint of the run's `i`-th cacheline.
-    pub(crate) fn line_imprint(&self, i: u64) -> u64 {
-        match *self {
-            Run::Repeat { imprint, .. } => imprint,
-            Run::Distinct { imprints, .. } => imprints[i as usize],
-            Run::Entries { first_line, .. } => {
-                let line = first_line + i;
-                let mut entries = self.entries();
-                let e = entries.find(|e| e.first_line() + e.line_count() > line);
-                let e = e.expect("line inside the run");
-                e.line_imprint(line - e.first_line())
-            }
-        }
     }
 }
 
@@ -284,33 +268,27 @@ impl<T: Scalar> ColumnImprints<T> {
     /// present) as a final 1-line repeat run. [`Run::entries`] splits the
     /// first into one run per entry.
     pub fn runs(&self) -> Runs<'_> {
-        self.runs_at(RunCursor::default(), 0)
-    }
-
-    /// Resumes [`ColumnImprints::runs`] at cacheline `line`, from the
-    /// `cursor` a walk of this index reported ([`Runs::cursor`]) when it
-    /// stood at that line. A cursor taken mid-way through an entry resumes
-    /// with the rest of that entry, as a run of its own, before the whole
-    /// entries that follow it. The line number travels beside
-    /// the cursor instead of inside it: whoever stores a cursor per block
-    /// of lines (the level-2 index) can compute it, and stores 12 bytes.
-    pub fn runs_at(&self, cursor: RunCursor, line: u64) -> Runs<'_> {
-        Runs {
-            imprints: self.comp.imprints(),
-            dict: self.comp.dict(),
-            tail: self.tail().map(|(imprint, _)| imprint),
-            at: cursor,
-            line,
-            lines: self.comp.lines(),
-        }
+        let tail = self.tail().map(|(imprint, _)| imprint);
+        Runs::new(self.comp.imprints(), self.comp.dict(), tail, 0, self.comp.lines())
     }
 
     /// Iterates over the *logical* (decompressed) per-cacheline imprint
-    /// vectors — what Figure 3 prints and what the entropy metric reads.
+    /// vectors — what Figure 3 prints and what the entropy metric reads:
+    /// a repeat entry's one vector once per line, a distinct entry's
+    /// vectors as stored.
     pub fn line_imprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.runs()
-            .flat_map(Run::entries)
-            .flat_map(|run| (0..run.line_count()).map(move |i| run.line_imprint(i)))
+        self.runs().flat_map(Run::entries).flat_map(|run| {
+            // `Run::entries` yields no `Entries` run.
+            let (repeated, stored) = match run {
+                Run::Repeat { imprint, line_count, .. } => {
+                    (std::iter::repeat_n(imprint, line_count as usize), &[][..])
+                }
+                Run::Distinct { imprints, .. } | Run::Entries { imprints, .. } => {
+                    (std::iter::repeat_n(0, 0), imprints)
+                }
+            };
+            repeated.chain(stored.iter().copied())
+        })
     }
 
     /// Fully recomputes the imprint of every cacheline of `col` and checks
@@ -361,17 +339,6 @@ impl<T: Scalar> RangeIndex<T> for ColumnImprints<T> {
     }
 }
 
-/// A position in the compressed structure: which dictionary entry the
-/// next run comes from, how many of its lines are already consumed, and
-/// where its imprint vector sits. 12 bytes; see
-/// [`ColumnImprints::runs_at`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunCursor {
-    entry: u32,
-    within: u32,
-    imp_pos: u32,
-}
-
 /// Iterator over the [`Run`]s of a [`ColumnImprints`]; see
 /// [`ColumnImprints::runs`].
 #[derive(Debug, Clone)]
@@ -380,52 +347,61 @@ pub struct Runs<'a> {
     dict: &'a [DictEntry],
     /// The un-finalized tail line's imprint, until it has been yielded.
     tail: Option<u64>,
-    at: RunCursor,
+    /// The dictionary entry the next run comes from. An exhausted entry is
+    /// stepped over as soon as its last line is yielded.
+    entry: usize,
+    /// Lines of that entry already yielded: nonzero only after a cut.
+    within: u32,
+    /// Where that entry's first vector not yet yielded sits.
+    imp_pos: usize,
     line: u64,
     /// Cachelines the dictionary covers: where the tail line sits.
     lines: u64,
 }
 
 impl<'a> Runs<'a> {
-    /// Where the walk stands: the position [`ColumnImprints::runs_at`]
-    /// resumes from. It always names the entry the next run comes from —
-    /// an exhausted entry is stepped over as soon as its last line is
-    /// yielded, never left for the following call to find.
-    pub fn cursor(&self) -> RunCursor {
-        self.at
+    fn new(
+        imprints: &'a [u64],
+        dict: &'a [DictEntry],
+        tail: Option<u64>,
+        line: u64,
+        lines: u64,
+    ) -> Self {
+        Runs { imprints, dict, tail, entry: 0, within: 0, imp_pos: 0, line, lines }
     }
 
     /// The next run, cut short at cacheline `end`; `None` once the walk
     /// has reached `end` (or the end of the index). From an entry boundary
     /// that is every whole entry ending by `end`, as one [`Run::Entries`];
     /// otherwise the rest of the current entry, or the tail. A cut entry is
-    /// stepped back into: the walk — and its cursor — stand mid-entry,
-    /// past the repeat lines or the distinct vectors already yielded.
+    /// stepped back into: the walk stands mid-entry, past the repeat lines
+    /// or the distinct vectors already yielded — which is how the §4.2
+    /// overlay takes a dirty line out of the entry holding it.
     pub(crate) fn next_before(&mut self, end: u64) -> Option<Run<'a>> {
         if self.line >= end {
             return None;
         }
-        let (from, first_line) = (self.at, self.line);
-        if from.within == 0 {
+        let (entry, imp_pos, first_line) = (self.entry, self.imp_pos, self.line);
+        if self.within == 0 {
             if end >= self.lines {
                 // Nothing is cut: all that is left of the dictionary.
-                self.at.entry = self.dict.len() as u32;
-                self.at.imp_pos = self.imprints.len() as u32;
+                self.entry = self.dict.len();
+                self.imp_pos = self.imprints.len();
                 self.line = self.lines;
             } else {
-                while let Some(&e) = self.dict.get(self.at.entry as usize) {
+                while let Some(&e) = self.dict.get(self.entry) {
                     if self.line + u64::from(e.cnt()) > end {
                         break;
                     }
                     self.line += u64::from(e.cnt());
-                    self.at.imp_pos += e.imprint_count();
-                    self.at.entry += 1;
+                    self.imp_pos += e.imprint_count() as usize;
+                    self.entry += 1;
                 }
             }
-            if self.at.entry > from.entry {
+            if self.entry > entry {
                 return Some(Run::Entries {
-                    imprints: &self.imprints[from.imp_pos as usize..self.at.imp_pos as usize],
-                    dict: &self.dict[from.entry as usize..self.at.entry as usize],
+                    imprints: &self.imprints[imp_pos..self.imp_pos],
+                    dict: &self.dict[entry..self.entry],
                     first_line,
                 });
             }
@@ -439,31 +415,31 @@ impl<'a> Runs<'a> {
         if self.line >= end {
             return None;
         }
-        let Some(&e) = self.dict.get(self.at.entry as usize) else {
+        let Some(&e) = self.dict.get(self.entry) else {
             let imprint = self.tail.take()?;
             return Some(Run::Repeat { imprint, first_line: self.line, line_count: 1 });
         };
         // A distinct entry stores one vector per line, a repeat entry one
-        // for all of them; a resumed cursor leaves the rest of either. No
-        // entry has a zero count (`Compressor::verify`).
+        // for all of them; a cut leaves the rest of either. No entry has a
+        // zero count (`Compressor::verify`).
         let first_line = self.line;
-        let pos = self.at.imp_pos as usize;
-        let left = e.cnt() - self.at.within;
+        let pos = self.imp_pos;
+        let left = e.cnt() - self.within;
         let kept = u64::from(left).min(end - first_line) as u32;
         let run = if e.repeat() {
             let imprint = self.imprints[pos];
             Run::Repeat { imprint, first_line, line_count: u64::from(kept) }
         } else {
-            self.at.imp_pos += kept;
+            self.imp_pos += kept as usize;
             Run::Distinct { imprints: &self.imprints[pos..pos + kept as usize], first_line }
         };
         self.line += u64::from(kept);
         if kept == left {
-            self.at.imp_pos += u32::from(e.repeat());
-            self.at.entry += 1;
-            self.at.within = 0;
+            self.imp_pos += usize::from(e.repeat());
+            self.entry += 1;
+            self.within = 0;
         } else {
-            self.at.within += kept;
+            self.within += kept;
         }
         Some(run)
     }
@@ -624,12 +600,12 @@ mod tests {
         assert_eq!(expected_line, idx.line_count());
     }
 
-    /// Resuming is invisible: for every line `L` — the middle of a repeat
-    /// run, the middle of a distinct entry, and the tail included —
-    /// `runs_at(cursor recorded at L, L)` yields exactly what is left of
-    /// `runs()` from `L` on.
+    /// Cutting is invisible: one walk cut with `next_before(line + 1)` at
+    /// every line — the middle of a repeat run, the middle of a distinct
+    /// entry, and the tail included — yields each line alone, carrying the
+    /// vector the uncut walk gives it, and nothing after the last.
     #[test]
-    fn runs_resume_at_every_line() {
+    fn runs_cut_at_every_line() {
         let n = 16 * 203 + 5; // i32: 16 values per line, and a partial tail
         let columns: [Column<i32>; 4] = [
             (0..n).collect(),
@@ -637,37 +613,23 @@ mod tests {
             (0..n).map(|i| if (i / 16) % 5 < 2 { i % 3000 } else { 0 }).collect(),
             (0..n).map(|i| (i.wrapping_mul(2_654_435_761u32 as i32) >> 8) % 4000).collect(),
         ];
-        /// What is left of a one-entry run from cacheline `line` on.
-        fn rest<'a>(run: &Run<'a>, line: u64) -> Run<'a> {
-            let skip = line.saturating_sub(run.first_line());
-            match *run {
-                Run::Repeat { imprint, first_line, line_count } => Run::Repeat {
-                    imprint,
-                    first_line: first_line + skip,
-                    line_count: line_count - skip,
-                },
-                Run::Distinct { imprints, first_line } => Run::Distinct {
-                    imprints: &imprints[skip as usize..],
-                    first_line: first_line + skip,
-                },
-                Run::Entries { .. } => unreachable!("one entry at a time"),
-            }
-        }
         for col in &columns {
             let idx = ColumnImprints::build(col);
             let all: Vec<Run> = idx.runs().flat_map(Run::entries).collect();
+            let vector_at = |line: u64| {
+                let run = all.iter().find(|r| r.first_line() + r.line_count() > line).unwrap();
+                match *run {
+                    Run::Distinct { imprints, first_line } => {
+                        imprints[(line - first_line) as usize]
+                    }
+                    _ => run.vectors()[0],
+                }
+            };
             let mut walk = idx.runs();
             for line in 0..idx.line_count() {
-                let cursor = walk.cursor();
-                let expect: Vec<Run> = all
-                    .iter()
-                    .filter(|r| r.first_line() + r.line_count() > line)
-                    .map(|r| rest(r, line))
-                    .collect();
-                let resumed: Vec<Run> = idx.runs_at(cursor, line).flat_map(Run::entries).collect();
-                assert_eq!(resumed, expect, "resumed at line {line}");
                 let step = walk.next_before(line + 1).expect("a line is left");
-                assert_eq!((step.first_line(), step.line_count()), (line, 1));
+                assert_eq!((step.first_line(), step.line_count()), (line, 1), "line {line}");
+                assert_eq!(step.vectors(), [vector_at(line)], "line {line}");
             }
             assert_eq!(walk.next(), None);
         }

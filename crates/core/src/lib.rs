@@ -63,7 +63,6 @@
 //! | [`entropy`] | §6.1 | the column entropy metric `E` |
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |
 //! | [`parallel`] | §7 | multi-core construction (future-work extension) |
-//! | [`multilevel`] | §7 | two-level imprint organization (future-work extension), a run source for the probe walk |
 //! | [`relation_index`] | §3 | the multi-attribute plan, written once ([`relation_index::run`]): relation-level indexes run it, and so do the engine's sealed segments and write head |
 //! | [`storage`] | — | checksummed binary persistence of an index |
 
@@ -75,7 +74,6 @@ pub mod dict;
 pub mod entropy;
 pub mod index;
 pub mod masks;
-pub mod multilevel;
 pub mod parallel;
 pub mod print;
 pub mod query;
@@ -91,7 +89,6 @@ pub use dict::DictEntry;
 pub use entropy::column_entropy;
 pub use index::ColumnImprints;
 pub use masks::QueryMasks;
-pub use multilevel::MultiLevelImprints;
 pub use query::ImprintStats;
 pub use simd::{Hits, PredicateKernel, RefineKernel};
 pub use update::OverlayImprints;

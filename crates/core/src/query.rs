@@ -29,10 +29,9 @@
 //! [`candidates`] / [`candidate_id_ranges`] — collects both cases as a
 //! [`CachelineSet`] (to be merge-joined across attributes, [`refine`]
 //! applying the false-positive check afterwards); [`count_covered`] adds
-//! up case 2 and stops at the first case 3. The index variants —
-//! [`crate::OverlayImprints`] (§4.2), [`crate::MultiLevelImprints`] (§7) —
-//! are *run sources*: they change which runs the probe sees, not what it
-//! does with them.
+//! up case 2 and stops at the first case 3. The one index variant,
+//! [`crate::OverlayImprints`] (§4.2), is a *run source*: it changes which
+//! runs the probe sees, not what it does with them.
 //!
 //! The false-positive check itself — case 3's per-value compare — routes
 //! through the [`crate::simd`] refinement kernels: the predicate is
@@ -295,8 +294,7 @@ const CHECK_BATCH: usize = 64;
 /// The evaluating visitor of [`probe`]: full stretches are emitted into
 /// `hits` unread, the others fetched and value-checked by `kernel`, a
 /// stretch of adjacent lines in one call. `runs` is the index's own
-/// ([`run`]) or a variant's view of them (the §4.2 overlay, the §7 second
-/// level).
+/// ([`run`]) or the §4.2 overlay's view of them.
 ///
 /// Stretches are taken [`CHECK_BATCH`] at a time, in order, and the first
 /// value of every one to be checked is read before any is checked. Read
@@ -711,11 +709,11 @@ mod tests {
     /// "A predicate that can match nothing examines no data" holds on
     /// every imprint variant, also for predicates whose bounds are in order
     /// — so the masks are not empty and lines are fetched — but whose key
-    /// interval is empty: the variants feed the same walk, kernel and
+    /// interval is empty: the overlay feeds the same walk, kernel and
     /// accounting as the base index.
     #[test]
     fn impossible_predicates_bill_nothing_on_every_variant() {
-        use crate::{MultiLevelImprints, OverlayImprints};
+        use crate::OverlayImprints;
         use colstore::Bound::{Exclusive, Unbounded};
         // Eight values, one bin each, all eight in every cacheline.
         let col: Column<i64> = (0..4096).map(|i| i % 8).collect();
@@ -725,7 +723,6 @@ mod tests {
         for id in [8u64, 1001, 4095] {
             updated.note_update(id, col.values()[id as usize]);
         }
-        let levels = [1, 7, 64].map(|fanout| MultiLevelImprints::from_base(idx.clone(), fanout));
         for pred in [
             RangePredicate::with_bounds(Exclusive(3), Exclusive(4)),
             RangePredicate::with_bounds(Exclusive(i64::MAX), Unbounded),
@@ -737,9 +734,6 @@ mod tests {
             let variants = [
                 ("overlay", clean.evaluate_with_imprint_stats(&col, &pred)),
                 ("overlay with updates", updated.evaluate_with_imprint_stats(&col, &pred)),
-                ("fanout 1", levels[0].evaluate_with_imprint_stats(&col, &pred)),
-                ("fanout 7", levels[1].evaluate_with_imprint_stats(&col, &pred)),
-                ("fanout 64", levels[2].evaluate_with_imprint_stats(&col, &pred)),
             ];
             for (name, (ids, stats)) in variants {
                 assert_eq!(ids, base_ids, "{name}: {pred}");
@@ -864,16 +858,16 @@ mod tests {
 
     /// The probe walks dictionary entries, a distinct entry's vectors as one
     /// slice, and the walk checks adjacent lines in stretches; none of that
-    /// may show in what a query answers or bills. Each index — the base, an
-    /// overlay with updates (§4.2) and the two-level index (§7) at fanouts
-    /// 1, 7 and 64 — is held to statistics recomputed line by line from
-    /// `line_imprints()`, in both sink modes, as is `candidate_id_ranges`.
+    /// may show in what a query answers or bills. The base index and an
+    /// overlay with updates (§4.2) are held to statistics recomputed line
+    /// by line from `line_imprints()`, in both sink modes, as is
+    /// `candidate_id_ranges`.
     fn check_probe_per_line<T: Scalar>(
         col: &Column<T>,
         preds: &[RangePredicate<T>],
         updates: &[(u64, T)],
     ) {
-        use crate::{MultiLevelImprints, OverlayImprints};
+        use crate::OverlayImprints;
         let idx = ColumnImprints::build(col);
         let lines: Vec<u64> = idx.line_imprints().collect();
         let runs: Vec<(u64, u64, u64)> = idx
@@ -937,33 +931,6 @@ mod tests {
             assert_runs_like_reference("overlay", &updated, pred, &expect, |h| {
                 overlay.run(&updated, &kernel, h)
             });
-
-            for fanout in [1u64, 7, 64] {
-                let ml = MultiLevelImprints::from_base(idx.clone(), fanout);
-                // One probe per block, plus the level-1 vectors of every
-                // block whose level-2 vector may match.
-                let probes: u64 = (0..ml.block_count())
-                    .map(|b| {
-                        let block = b as u64 * fanout..(b as u64 + 1) * fanout;
-                        let descend = ml.block_vector(b) & masks.mask != 0;
-                        let level1 = runs.iter().map(|&(first, count, vectors)| {
-                            let lo = first.max(block.start);
-                            let hi = (first + count).min(block.end);
-                            if lo >= hi {
-                                0
-                            } else if vectors == count {
-                                hi - lo
-                            } else {
-                                1
-                            }
-                        });
-                        1 + if descend { level1.sum() } else { 0 }
-                    })
-                    .sum();
-                let expect = per_line_reference(&idx, &lines, pred, probes);
-                let name = format!("fanout {fanout}");
-                assert_runs_like_reference(&name, col, pred, &expect, |h| ml.run(col, &kernel, h));
-            }
         }
     }
 

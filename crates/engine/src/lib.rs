@@ -153,10 +153,13 @@ impl Engine {
         self.catalog.table(table)?.count(preds, Some(&self.pool))
     }
 
-    /// Starts (or restarts) the background maintenance daemon.
-    pub fn start_maintenance(&self, interval: Duration) {
+    /// Starts (or restarts) the background maintenance daemon. Fails,
+    /// leaving any running daemon in place, if its thread cannot be
+    /// spawned.
+    pub fn start_maintenance(&self, interval: Duration) -> Result<()> {
         let mut daemon = self.daemon.lock().expect("daemon slot");
-        *daemon = Some(MaintenanceDaemon::start(Arc::clone(&self.catalog), interval));
+        *daemon = Some(MaintenanceDaemon::start(Arc::clone(&self.catalog), interval)?);
+        Ok(())
     }
 
     /// Stops the maintenance daemon, if running.
@@ -219,7 +222,7 @@ mod tests {
             engine.count("m", &[("k", ValueRange::equals(Value::I64(5)))]).unwrap(),
             k.iter().filter(|&&x| x == 5).count() as u64
         );
-        engine.start_maintenance(Duration::from_millis(10));
+        engine.start_maintenance(Duration::from_millis(10)).unwrap();
         engine.stop_maintenance();
     }
 }

@@ -107,32 +107,30 @@ fn plan_compactions_for(
     }
     // A tier-0 segment is what every fresh seal holds.
     let unit = table.config().segment_rows;
+    let tier = |s: &Arc<SealedSegment>| tier_of(s.rows(), unit, fanin);
     let mut actions = Vec::new();
-    let mut i = 0;
-    while i < sealed.len() {
-        let tier = tier_of(sealed[i].rows(), unit, fanin);
-        let mut run_end = i + 1;
-        while run_end < sealed.len() && tier_of(sealed[run_end].rows(), unit, fanin) == tier {
-            run_end += 1;
-        }
-        let mut start = i;
-        while start + fanin <= run_end {
-            let rows: usize = sealed[start..start + fanin].iter().map(|s| s.rows()).sum();
-            if rows <= max_rows {
+    let mut start = 0;
+    for run in sealed.chunk_by(|a, b| tier(a) == tier(b)) {
+        let mut at = start;
+        let mut rest = run;
+        while let Some(window @ [head, ..]) = rest.get(..fanin) {
+            let rows: usize = window.iter().map(|s| s.rows()).sum();
+            let fits = rows <= max_rows;
+            if fits {
                 actions.push(CompactionAction {
                     table: table.name().to_string(),
-                    start,
+                    start: at,
                     len: fanin,
                     rows,
-                    tier,
+                    tier: tier(head),
                 });
-                start += fanin;
-            } else {
-                // Window too large for the top tier: slide past its head.
-                start += 1;
             }
+            // A window too large for the top tier: slide past its head.
+            let step = if fits { fanin } else { 1 };
+            rest = rest.get(step..).unwrap_or_default();
+            at += step;
         }
-        i = run_end;
+        start += run.len();
     }
     actions
 }
@@ -230,13 +228,13 @@ fn evict_cold(table: &Table, report: &mut MaintenanceReport) {
             .map(|c| c.observations().queries.load(std::sync::atomic::Ordering::Relaxed))
             .sum()
     };
-    let mut order: Vec<usize> = (0..sealed.len()).collect();
-    order.sort_by_key(|&i| heat(&sealed[i]));
-    for i in order {
+    let mut coldest_first: Vec<&Arc<SealedSegment>> = sealed.iter().collect();
+    coldest_first.sort_by_key(|seg| heat(seg));
+    for seg in coldest_first {
         if resident <= budget {
             break;
         }
-        let freed = sealed[i].evict();
+        let freed = seg.evict();
         if freed > 0 {
             resident = resident.saturating_sub(freed);
             report.evicted_segments += 1;
@@ -268,7 +266,10 @@ fn compact_table(table: &Table, report: &mut MaintenanceReport) {
             return;
         }
         for action in plan {
-            let window = &sealed[action.start..action.start + action.len];
+            // The plan is over this snapshot, so every window lies in it.
+            let Some(window) = sealed.get(action.start..action.start + action.len) else {
+                return;
+            };
             let bytes: usize = window
                 .iter()
                 .map(|s| s.columns().iter().map(|c| c.data_bytes()).sum::<usize>())
@@ -303,19 +304,19 @@ pub struct MaintenanceDaemon {
 }
 
 impl MaintenanceDaemon {
-    /// Starts the daemon over `catalog`, ticking every `interval`.
-    pub fn start(catalog: Arc<Catalog>, interval: Duration) -> MaintenanceDaemon {
+    /// Starts the daemon over `catalog`, ticking every `interval`. Fails
+    /// only if the thread cannot be spawned.
+    pub fn start(catalog: Arc<Catalog>, interval: Duration) -> std::io::Result<MaintenanceDaemon> {
         let (stop, stopped) = mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name("imprints-maintenance".into())
-            .spawn(move || loop {
-                let _ = maintenance_tick(&catalog);
-                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
-                    break;
-                }
-            })
-            .expect("spawn maintenance thread");
-        MaintenanceDaemon { stop: Some(stop), handle: Some(handle) }
+        let ticks = move || loop {
+            let _ = maintenance_tick(&catalog);
+            if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                break;
+            }
+        };
+        let handle =
+            std::thread::Builder::new().name("imprints-maintenance".into()).spawn(ticks)?;
+        Ok(MaintenanceDaemon { stop: Some(stop), handle: Some(handle) })
     }
 
     /// Whether the daemon thread is still alive — `false` once stopped, and
@@ -568,7 +569,7 @@ mod tests {
     fn daemon_runs_and_stops() {
         let cat = Arc::new(Catalog::new());
         let t = four_segments(&cat, EngineConfig::default());
-        let mut d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
+        let mut d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5)).unwrap();
         let compactions = || t.stats().compactions.load(Ordering::Relaxed);
         assert!(wait_for(|| compactions() > 0), "daemon should have merged the four segments");
         assert!(d.is_running());
@@ -592,7 +593,7 @@ mod tests {
         assert!(sealed.iter().all(|s| s.evict() > 0), "persisted segments must evict");
         let dir = root.join("four").join(sealed[0].durable_name().unwrap());
         std::fs::remove_file(dir.join(crate::persist::column_file(0))).unwrap();
-        let d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5));
+        let d = MaintenanceDaemon::start(Arc::clone(&cat), Duration::from_millis(5)).unwrap();
         assert!(wait_for(|| !d.is_running()), "a dead daemon thread must not report running");
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -39,7 +39,7 @@ fn main() {
             &[("ts", ColumnType::I64), ("sensor", ColumnType::U16), ("value", ColumnType::F64)],
         )
         .unwrap();
-    engine.start_maintenance(Duration::from_millis(20));
+    engine.start_maintenance(Duration::from_millis(20)).unwrap();
 
     let mut server = Server::start(Arc::clone(&engine), ServerConfig::from_engine(engine.config()))
         .expect("bind loopback server");

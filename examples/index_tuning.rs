@@ -1,6 +1,6 @@
 //! Index tuning tour: the knobs beyond the paper's defaults — block
-//! granularity, binning strategy, the two-level organization and the
-//! multi-core build (§2.3 and §7) — measured side by side on one column.
+//! granularity, binning strategy and the multi-core build (§2.3 and §7) —
+//! measured side by side on one column.
 //!
 //! ```text
 //! cargo run --release --example index_tuning
@@ -9,7 +9,6 @@
 use std::time::Instant;
 
 use column_imprints::colstore::{Column, RangeIndex, RangePredicate};
-use column_imprints::imprints::multilevel::MultiLevelImprints;
 use column_imprints::imprints::{
     column_entropy, parallel, BinningStrategy, BuildOptions, ColumnImprints,
 };
@@ -57,23 +56,6 @@ fn main() {
         assert_eq!(ids.len(), brute);
         println!("  {name}: query {:>9.1}µs, saturation {:.3}", dt * 1e6, idx.saturation());
     }
-
-    // --- two-level organization (§7) ------------------------------------
-    println!("\ntwo-level imprints:");
-    let (flat_ids, flat_dt) = timed(|| baseline.evaluate(&col, &pred));
-    let ml = MultiLevelImprints::from_base(baseline.clone(), 64);
-    let (ml_ids, ml_dt) = timed(|| ml.evaluate(&col, &pred));
-    assert_eq!(flat_ids, ml_ids);
-    let (_, flat_stats) = baseline.evaluate_with_stats(&col, &pred);
-    let (_, ml_stats) = ml.evaluate_with_stats(&col, &pred);
-    println!("  flat:      {:>9.1}µs, {} probes", flat_dt * 1e6, flat_stats.index_probes);
-    println!(
-        "  two-level: {:>9.1}µs, {} probes ({} blocks, +{} bytes)",
-        ml_dt * 1e6,
-        ml_stats.index_probes,
-        ml.block_count(),
-        ml.size_bytes() - RangeIndex::<i64>::size_bytes(&baseline),
-    );
 
     // --- parallel construction (§7) --------------------------------------
     println!("\nparallel construction:");

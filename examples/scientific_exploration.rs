@@ -47,6 +47,7 @@ fn main() {
     for (lo, hi) in [(14.0, 16.0), (14.9, 15.1), (14.99, 15.01)] {
         let pred = RangePredicate::between(lo, hi);
         let mut line = format!("profmean in [{lo}, {hi}]:");
+        let mut answers = Vec::new();
         for (name, result) in [
             ("scan", timed(|| scan.evaluate(&col, &pred))),
             ("imprints", timed(|| imprints.evaluate(&col, &pred))),
@@ -55,8 +56,10 @@ fn main() {
         ] {
             let (ids, dt) = result;
             line.push_str(&format!("  {name} {:>8.1}µs ({} rows)", dt * 1e6, ids.len()));
+            answers.push(ids);
         }
         println!("{line}");
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "access paths disagree on {pred}");
     }
 }
 

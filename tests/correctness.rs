@@ -193,23 +193,6 @@ fn equi_width_strategy_cross_validates() {
 }
 
 #[test]
-fn multilevel_cross_validates() {
-    use imprints::multilevel::MultiLevelImprints;
-    let col: Column<i64> = Column::from(distributions::uniform_ints(70_000, -900, 900, 4));
-    let scan = SeqScan::new(&col);
-    for fanout in [3u64, 64, 500] {
-        let ml = MultiLevelImprints::from_base(ColumnImprints::build(&col), fanout);
-        for pred in int_preds(-100, 250) {
-            assert_eq!(
-                ml.evaluate(&col, &pred),
-                scan.evaluate(&col, &pred),
-                "fanout {fanout} {pred}"
-            );
-        }
-    }
-}
-
-#[test]
 fn parallel_build_cross_validates() {
     let col: Column<i64> = Column::from(distributions::uniform_ints(80_000, 0, 10_000, 13));
     let idx = imprints::parallel::build_parallel(&col, Default::default(), 4);

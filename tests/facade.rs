@@ -24,12 +24,10 @@ fn facade_paths_cover_the_basic_workflow() {
 #[test]
 fn facade_extension_types_reachable() {
     use column_imprints::imprints::{
-        multilevel::MultiLevelImprints, relation_index::RelationImprints, BinningStrategy,
-        MultiLevelImprints as Ml2, OverlayImprints,
+        relation_index::RelationImprints, BinningStrategy, OverlayImprints,
     };
     let col: Column<i64> = (0..1000).collect();
     let base = ColumnImprints::build(&col);
-    let _ml: MultiLevelImprints<i64> = Ml2::from_base(base.clone(), 8);
     let _ov = OverlayImprints::new(base);
     assert_eq!(BinningStrategy::default(), BinningStrategy::EquiHeight);
 

@@ -4,18 +4,19 @@
 //! observationally identical: byte-identical id lists, identical counts
 //! and identical access statistics, on every access path that weeds
 //! candidates — imprints (evaluate, count, and the late-materialization
-//! `candidates` + `refine` pair), its two-level and overlay variants,
-//! zonemap, sequential scan, and the WAH bitmap's edge bins — across all scalar widths (8/32/64-bit lanes,
-//! floats included), arbitrary bound shapes (unbounded / inclusive /
-//! exclusive / point / impossible) and partial-tail geometries (column
-//! lengths that are not a multiple of `values_per_block`). Everything is
+//! `candidates` + `refine` pair), its overlay variant, zonemap,
+//! sequential scan, and the WAH bitmap's edge bins — across all scalar
+//! widths (8/32/64-bit lanes, floats included), arbitrary bound shapes
+//! (unbounded / inclusive / exclusive / point / impossible) and
+//! partial-tail geometries (column lengths that are not a multiple of
+//! `values_per_block`). Everything is
 //! additionally pinned to the brute-force scalar oracle, so a bug shared
 //! by both kernels cannot hide either.
 
 use baselines::{SeqScan, WahBitmap, ZoneMap};
 use colstore::{Bound, Column, RangePredicate, Scalar};
 use imprints::simd::{Hits, PredicateKernel, RefineKernel};
-use imprints::{query, ColumnImprints, ImprintStats, MultiLevelImprints, OverlayImprints};
+use imprints::{query, ColumnImprints, ImprintStats, OverlayImprints};
 use proptest::prelude::*;
 
 /// Brute-force oracle: the definition of a correct answer.
@@ -41,10 +42,9 @@ fn assert_kernels_identical<T: Scalar>(values: Vec<T>, pred: &RangePredicate<T>)
     let scan = SeqScan::new(&col);
     // WAH shares the imprint's binning, as the engine does.
     let wah = WahBitmap::build_with_binning(&col, idx.binning().clone());
-    // The §7 second level over the same index, and the §4.2 overlay over
-    // a copy of the column with a few rows rewritten in place (column and
-    // overlay updated alike) — both feed the one imprint walk.
-    let ml = MultiLevelImprints::from_base(idx.clone(), 7);
+    // The §4.2 overlay over a copy of the column with a few rows
+    // rewritten in place (column and overlay updated alike): it feeds the
+    // one imprint walk.
     let mut ocol = col.clone();
     let mut overlay = OverlayImprints::new(idx.clone());
     let n = col.len();
@@ -66,12 +66,6 @@ fn assert_kernels_identical<T: Scalar>(values: Vec<T>, pred: &RangePredicate<T>)
             ("zonemap", zm.run(&col, &scalar, sink()), zm.run(&col, &swar, sink()), &expect),
             ("scan", scan.run(&col, &scalar, sink()), scan.run(&col, &swar, sink()), &expect),
             ("wah", wah.run(&col, &scalar, sink()), wah.run(&col, &swar, sink()), &expect),
-            (
-                "multilevel",
-                access(ml.run(&col, &scalar, sink())),
-                access(ml.run(&col, &swar, sink())),
-                &expect,
-            ),
             (
                 "overlay",
                 access(overlay.run(&ocol, &scalar, sink())),

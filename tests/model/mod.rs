@@ -523,7 +523,7 @@ pub fn concurrent(cfg: EngineConfig, types: Vec<ColumnType>, rows: usize, reader
     let (engine, table) = (h.engine(), h.table());
     let model: RwLock<Vec<Vec<i64>>> = RwLock::new(Vec::new());
     let done = AtomicBool::new(false);
-    engine.start_maintenance(Duration::from_millis(1));
+    engine.start_maintenance(Duration::from_millis(1)).unwrap();
     std::thread::scope(|s| {
         let mut gen = Gen { rng: StdRng::seed_from_u64(42), types: types.clone() };
         let (table, model, done) = (&table, &model, &done);

@@ -292,23 +292,6 @@ proptest! {
     }
 
     #[test]
-    fn multilevel_equals_flat_any_fanout(
-        values in prop::collection::vec(0i32..800, 0..2500),
-        fanout in 1u64..200,
-        lo in 0i32..800,
-        width in 0i32..400,
-    ) {
-        use imprints::multilevel::MultiLevelImprints;
-        let col: Column<i32> = Column::from(values);
-        let base = ColumnImprints::build(&col);
-        let ml = MultiLevelImprints::from_base(base.clone(), fanout);
-        let pred = RangePredicate::between(lo, lo + width);
-        let flat = base.evaluate(&col, &pred);
-        let two = ml.evaluate(&col, &pred);
-        prop_assert_eq!(flat, two);
-    }
-
-    #[test]
     fn equi_width_matches_oracle(
         values in prop::collection::vec(-4000i64..4000, 0..2000),
         pred_lo in -4500i64..4500,
