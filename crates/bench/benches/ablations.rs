@@ -9,16 +9,23 @@
 //!    stored vectors (DESIGN.md, "Why the plan stops probing").
 //! 6. Algorithm 3's probe alone, in ns per stored imprint vector, beside a
 //!    plain `v & mask` pass over the same vectors (`probe_walk`).
+//! 7. The §3 plan's two sides for one conjunct, probe then check versus
+//!    one streamed check, on seven column shapes (`probe_or_scan`): the
+//!    three unit costs the plan's probe rule is priced with.
 //!
 //! §2.5's unrolled `get_bin` search is not an ablation here: measured
 //! against it, `slice::partition_point` (what `Binning::bin_of` uses) was
 //! ~1.35× faster, so the unrolled form was deleted (DESIGN.md, "One bin
 //! search").
 
-use colstore::{Column, RangeIndex, RangePredicate, Relation, Value};
+use colstore::relation::{AnyColumn, Field};
+use colstore::{CachelineSet, Column, RangeIndex, RangePredicate, Relation, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imprints::builder::{BuildOptions, Compressor};
-use imprints::relation_index::{RelationImprints, ValueRange};
+use imprints::relation_index::{
+    resolve_sets, AnyImprints, IndexedColumn, PlanColumn, RelationImprints, ValueRange, ValueSet,
+};
+use imprints::simd::Hits;
 use imprints::{masks, query, ColumnImprints, ImprintStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,6 +234,83 @@ fn bench_probe_walk(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_probe_or_scan(c: &mut Criterion) {
+    // ROADMAP item 12's seven shapes at 1 Mi rows over a 2^20 domain:
+    // uniform columns, and a drift through the domain with 30 % or 5 % of
+    // the values uniform noise (`entropy_dial`), each with 64 ranges of one
+    // width. Per shape, three rows, each cycling through the ranges:
+    // * `probe`: the plan's probe, the candidate row ranges of one range
+    //   (`PlanColumn::candidates`), in ns per stored vector;
+    // * `check`: the plan's value check over those candidates, computed
+    //   beforehand, in ns per candidate line;
+    // * `scan`: the same check over every row, in ns per line.
+    // `probe` + `check` is the probed side, `scan` the unprobed one.
+    let rows = 1 << 20;
+    let domain = 1i64 << 20;
+    let uniform = |seed| datagen::distributions::uniform_ints(rows, 0, domain, seed);
+    let drift = |noise, seed| datagen::entropy_sweep::entropy_dial(rows, domain, noise, seed);
+    let as_i32 = |v: Vec<i64>| AnyColumn::I32(v.into_iter().map(|x| x as i32).collect());
+    let as_i64 = |v: Vec<i64>| AnyColumn::I64(v.into_iter().collect());
+    let shapes = [
+        ("uniform_i32_10pct", as_i32(uniform(2014)), domain / 10),
+        ("uniform_i64_10pct", as_i64(uniform(2015)), domain / 10),
+        ("drift30_i64_10pct", as_i64(drift(0.30, 2016)), domain / 10),
+        ("drift5_i64_10pct", as_i64(drift(0.05, 2017)), domain / 10),
+        ("uniform_i64_0.5pct", as_i64(uniform(2018)), domain / 200),
+        ("drift5_i64_0.5pct", as_i64(drift(0.05, 2019)), domain / 200),
+        ("drift5_i64_50pct", as_i64(drift(0.05, 2020)), domain / 2),
+    ];
+    let mut g = c.benchmark_group("probe_or_scan");
+    g.sample_size(20);
+    for (name, col, width) in &shapes {
+        let imprints = AnyImprints::build(col);
+        let view = IndexedColumn { col, imprints: Some(&imprints) };
+        let schema = [Field { name: "v".into(), ty: col.column_type() }];
+        let mut rng = StdRng::seed_from_u64(12 + *width as u64);
+        let sets: Vec<_> = (0..64)
+            .map(|_| {
+                let lo = rng.gen_range(0..domain - width);
+                let (lo, hi) = match col {
+                    AnyColumn::I32(_) => (Value::I32(lo as i32), Value::I32((lo + width) as i32)),
+                    _ => (Value::I64(lo), Value::I64(lo + width)),
+                };
+                let set = ValueSet::range(ValueRange::between(lo, hi));
+                let kernel = imprints::simd::ambient_kernel();
+                resolve_sets(&schema, &[("v", set)], kernel).expect("typed").remove(0).1
+            })
+            .collect();
+        let cands: Vec<CachelineSet> = sets.iter().map(|set| view.candidates(set).0).collect();
+        let per_line = (colstore::CACHELINE_BYTES / col.column_type().width()) as u64;
+        let lines = (rows as u64).div_ceil(per_line);
+        let candidate_lines = cands.iter().map(|c| c.line_count() / per_line).sum::<u64>() / 64;
+        let mut all = CachelineSet::new();
+        all.push_run(0, rows as u64);
+        g.throughput(Throughput::Elements(imprints.imprint_count() as u64));
+        g.bench_function(BenchmarkId::new("probe", name), |b| {
+            let mut next = sets.iter().cycle();
+            b.iter(|| view.candidates(next.next().expect("cycles")).0.line_count())
+        });
+        let check = |ranges: &CachelineSet, set| {
+            let mut stats = colstore::AccessStats::default();
+            view.check(set, ranges, Hits::new(true), &mut stats).len()
+        };
+        g.throughput(Throughput::Elements(candidate_lines.max(1)));
+        g.bench_function(BenchmarkId::new("check", name), |b| {
+            let mut next = sets.iter().zip(&cands).cycle();
+            b.iter(|| {
+                let (set, ranges) = next.next().expect("cycles");
+                check(ranges, set)
+            })
+        });
+        g.throughput(Throughput::Elements(lines));
+        g.bench_function(BenchmarkId::new("scan", name), |b| {
+            let mut next = sets.iter().cycle();
+            b.iter(|| check(&all, next.next().expect("cycles")))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_block_granularity,
@@ -234,6 +318,7 @@ criterion_group!(
     bench_compression,
     bench_binning_strategy,
     bench_conjunction_plan,
-    bench_probe_walk
+    bench_probe_walk,
+    bench_probe_or_scan
 );
 criterion_main!(benches);

@@ -5,7 +5,8 @@
 //! cacheline dictionary ([`Compressor`]), and — a deliberate refinement —
 //! the imprint of the trailing *partial* cacheline kept un-finalized, so
 //! that appends (§4.1) can keep filling it without rewriting compressed
-//! state.
+//! state — and one piece of derived planner metadata, the [`Census`] of
+//! lines per bin, from which the §3 plan predicts what a probe will skip.
 
 use std::ops::Range;
 
@@ -15,6 +16,7 @@ use crate::binning::Binning;
 use crate::builder::{self, BuildOptions, Compressor};
 use crate::dict::DictEntry;
 use crate::query;
+use crate::MAX_BINS;
 
 /// A column imprints secondary index over a [`Column<T>`].
 ///
@@ -43,6 +45,9 @@ pub struct ColumnImprints<T: Scalar> {
     tail_len: usize,
     rows: usize,
     opts: BuildOptions,
+    /// Lines per bin, derived from the vectors above: never stored, never
+    /// counted in [`ColumnImprints::size_bytes`].
+    census: Census,
     /// Rows appended since the initial build (update saturation tracking).
     pub(crate) appended_rows: u64,
     /// Appended rows that landed in the overflow bins (0 or bins−1):
@@ -146,21 +151,12 @@ impl<T: Scalar> ColumnImprints<T> {
     /// §4.2 and the parallel builder both use this).
     pub fn build_with_binning(col: &Column<T>, binning: Binning<T>, opts: BuildOptions) -> Self {
         let (comp, tail_imprint, tail_len) = builder::build_compressed(col, &binning, &opts);
-        ColumnImprints {
-            binning,
-            comp,
-            tail_imprint,
-            tail_len,
-            rows: col.len(),
-            opts,
-            appended_rows: 0,
-            appended_overflow: 0,
-        }
+        Self::from_raw_parts(binning, comp, tail_imprint, tail_len, col.len(), opts)
     }
 
-    /// (crate) Assembles an index from raw parts; used by the parallel
-    /// builder and the storage layer. Invariants are the caller's burden
-    /// (checked in debug builds).
+    /// (crate) Assembles an index from raw parts and takes its census;
+    /// every build, the parallel builder and the storage layer end here.
+    /// Invariants are the caller's burden (checked in debug builds).
     pub(crate) fn from_raw_parts(
         binning: Binning<T>,
         comp: Compressor,
@@ -169,6 +165,7 @@ impl<T: Scalar> ColumnImprints<T> {
         rows: usize,
         opts: BuildOptions,
     ) -> Self {
+        let census = Census::of(&comp, (tail_len > 0).then_some(tail_imprint));
         let idx = ColumnImprints {
             binning,
             comp,
@@ -176,6 +173,7 @@ impl<T: Scalar> ColumnImprints<T> {
             tail_len,
             rows,
             opts,
+            census,
             appended_rows: 0,
             appended_overflow: 0,
         };
@@ -253,9 +251,23 @@ impl<T: Scalar> ColumnImprints<T> {
         (self.comp.imprints(), self.comp.dict())
     }
 
-    /// (crate) Mutable access for the append path.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Compressor, &mut u64, &mut usize, &mut usize) {
-        (&mut self.comp, &mut self.tail_imprint, &mut self.tail_len, &mut self.rows)
+    /// (crate) Mutable access for the append path, which keeps the census.
+    pub(crate) fn parts_mut(
+        &mut self,
+    ) -> (&mut Compressor, &mut u64, &mut usize, &mut usize, &mut Census) {
+        (
+            &mut self.comp,
+            &mut self.tail_imprint,
+            &mut self.tail_len,
+            &mut self.rows,
+            &mut self.census,
+        )
+    }
+
+    /// How many lines set each bin ([`Census`]), the partial tail line
+    /// included.
+    pub fn census(&self) -> &Census {
+        &self.census
     }
 
     /// The un-finalized imprint of the trailing partial cacheline, if any.
@@ -317,6 +329,126 @@ impl<T: Scalar> ColumnImprints<T> {
             return Err("index has more imprints than the column has cachelines".into());
         }
         Ok(())
+    }
+}
+
+/// The census of an imprint index: for every bin, how many of its
+/// cachelines (the partial tail line included) have that bin's bit set in
+/// their vector. It is a function of the vectors, so a load recomputes it
+/// and the file format does not carry it; a §4.1 append keeps it current.
+///
+/// It costs 256 bytes per index and is planner metadata, not index size:
+/// the §3 plan reads it to predict, before probing, what fraction of the
+/// lines a mask skips ([`Census::untouched`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Census([u32; MAX_BINS]);
+
+impl Default for Census {
+    fn default() -> Self {
+        Census([0; MAX_BINS])
+    }
+}
+
+impl Census {
+    /// The census of the lines `comp` holds and the partial tail line
+    /// with vector `tail`, if any.
+    fn of(comp: &Compressor, tail: Option<u64>) -> Census {
+        let mut census = Census::default();
+        // Every stored vector describes one line, except that a repeat
+        // entry's describes `cnt`: count each once, then the rest.
+        let imprints = comp.imprints();
+        census.add_lines(imprints);
+        let mut at = 0;
+        for e in comp.dict() {
+            if e.repeat() {
+                census.add(imprints[at], e.cnt() - 1);
+            }
+            at += e.imprint_count() as usize;
+        }
+        if let Some(v) = tail {
+            census.add(v, 1);
+        }
+        census
+    }
+
+    /// Counts one line for each of `vectors` without a step per set bit:
+    /// up to 248 at a time as eight bit planes, plane `k` holding bit `k`
+    /// of every bin's count, which carry-save adders fill eight vectors at
+    /// a time (Harley and Seal's positional population count).
+    fn add_lines(&mut self, vectors: &[u64]) {
+        /// Adds three planes of one weight: the plane of twice that weight
+        /// and the plane of that weight.
+        fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+            let u = a ^ b;
+            ((a & b) | (u & c), u ^ c)
+        }
+        /// Adds `carry` to `planes[0]`, rippling into the planes above.
+        fn ripple(planes: &mut [u64], mut carry: u64) {
+            for plane in planes {
+                let next = *plane & carry;
+                *plane ^= carry;
+                carry = next;
+            }
+        }
+        for batch in vectors.chunks(248) {
+            let mut planes = [0u64; 8];
+            let mut groups = batch.chunks_exact(8);
+            for v in &mut groups {
+                let (twos_a, ones) = csa(planes[0], v[0], v[1]);
+                let (twos_b, ones) = csa(ones, v[2], v[3]);
+                let (fours_a, twos) = csa(planes[1], twos_a, twos_b);
+                let (twos_a, ones) = csa(ones, v[4], v[5]);
+                let (twos_b, ones) = csa(ones, v[6], v[7]);
+                let (fours_b, twos) = csa(twos, twos_a, twos_b);
+                let (eights, fours) = csa(planes[2], fours_a, fours_b);
+                planes[..3].copy_from_slice(&[ones, twos, fours]);
+                ripple(&mut planes[3..], eights);
+            }
+            for &v in groups.remainder() {
+                ripple(&mut planes, v);
+            }
+            for (k, plane) in planes.into_iter().enumerate() {
+                self.add(plane, 1 << k);
+            }
+        }
+    }
+
+    /// Counts `lines` more lines with vector `imprint`.
+    fn add(&mut self, mut imprint: u64, lines: u32) {
+        while imprint != 0 {
+            self.0[imprint.trailing_zeros() as usize] += lines;
+            imprint &= imprint - 1;
+        }
+    }
+
+    /// Counts one more line with `bin` set: the tail line's vector gained
+    /// that bit.
+    pub(crate) fn add_bin(&mut self, bin: usize) {
+        self.0[bin] += 1;
+    }
+
+    /// The lines whose vector has bin `bin` set.
+    pub fn lines_with(&self, bin: usize) -> u64 {
+        u64::from(self.0[bin])
+    }
+
+    /// The predicted fraction of `lines` lines whose vector has none of
+    /// the bits of `bins`, were the bins set independently: Π over those
+    /// bins of (1 − lines with the bin ÷ lines). With a query's mask that
+    /// is the share of lines its probe skips; with the complement of its
+    /// innermask, the share it emits without a value check. 1 for no
+    /// lines.
+    pub fn untouched(&self, bins: u64, lines: u64) -> f64 {
+        if lines == 0 {
+            return 1.0;
+        }
+        let (mut left, mut fraction) = (bins, 1.0);
+        while left != 0 {
+            let bin = left.trailing_zeros() as usize;
+            fraction *= 1.0 - self.lines_with(bin) as f64 / lines as f64;
+            left &= left - 1;
+        }
+        fraction
     }
 }
 
@@ -739,6 +871,127 @@ mod tests {
             assert_eq!(idx.values_per_block(), block / 4);
             assert_eq!(idx.line_count() as usize, 4096 / (block / 4));
             idx.verify(&col).unwrap();
+        }
+    }
+
+    /// The census counted the slow way: every logical line's vector, bit
+    /// by bit.
+    fn brute_census<T: Scalar>(idx: &ColumnImprints<T>) -> [u64; MAX_BINS] {
+        let mut counts = [0; MAX_BINS];
+        for v in idx.line_imprints() {
+            for (bin, count) in counts.iter_mut().enumerate() {
+                *count += v >> bin & 1;
+            }
+        }
+        counts
+    }
+
+    fn assert_census<T: Scalar>(idx: &ColumnImprints<T>, stage: &str) {
+        let census: Vec<u64> = (0..MAX_BINS).map(|b| idx.census().lines_with(b)).collect();
+        assert_eq!(census, brute_census(idx), "{stage}");
+    }
+
+    /// Every way an index comes to be keeps its census equal to a count
+    /// over its line vectors: a build, §4.1 appends in odd batches (a
+    /// partial tail line growing, finalized, and started again), the
+    /// parallel build that stitches per-chunk runs, and a load.
+    fn check_census<T: Scalar>(values: Vec<T>, split: usize) {
+        let col = Column::from(values);
+        let idx = ColumnImprints::build(&col);
+        assert_census(&idx, "build");
+        let split = split.min(col.len());
+        let mut grown = ColumnImprints::build(&Column::from(col.values()[..split].to_vec()));
+        for batch in col.values()[split..].chunks(7) {
+            grown.append(batch);
+            assert_census(&grown, "append");
+        }
+        assert_eq!(grown.rows(), col.len());
+        let stitched = crate::parallel::build_parallel(&col, BuildOptions::default(), 3);
+        assert_census(&stitched, "parallel build");
+        for (stage, idx) in [("load of a build", &idx), ("load of appends", &grown)] {
+            let mut file = Vec::new();
+            crate::storage::write_index(idx, &mut file).unwrap();
+            let back = crate::storage::read_index::<T, _>(&mut file.as_slice()).unwrap();
+            assert_eq!(back.census(), idx.census(), "{stage}");
+            assert_census(&back, stage);
+        }
+    }
+
+    /// Runs of `level`s with a little noise: repeat and distinct entries
+    /// alike.
+    fn shaped(pieces: &[(u32, usize)], noise: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        for (k, &(level, run)) in pieces.iter().enumerate() {
+            for i in 0..run {
+                let jitter = (k * 131 + i * 7919) as u64 % 100 < noise;
+                out.push(if jitter { (i as u32 * 37) % 48 } else { level });
+            }
+        }
+        out
+    }
+
+    /// The bit-plane count equals one step per set bit, across its
+    /// eight-vector groups, their remainder and its 248-vector batches.
+    #[test]
+    fn add_lines_counts_every_set_bit() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let vectors: Vec<u64> = (0..1000)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 5 == 0 {
+                    u64::MAX
+                } else {
+                    x & x.rotate_left(i % 64)
+                }
+            })
+            .collect();
+        for n in [0, 1, 7, 8, 9, 247, 248, 249, 496, 1000] {
+            let (mut fast, mut slow) = (Census::default(), Census::default());
+            fast.add_lines(&vectors[..n]);
+            vectors[..n].iter().for_each(|&v| slow.add(v, 1));
+            assert_eq!(fast, slow, "{n} vectors");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn arb_pieces() -> impl Strategy<Value = Vec<(u32, usize)>> {
+        prop::collection::vec((0u32..48, 1usize..300), 0..24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        #[test]
+        fn census_counts_the_lines_of_every_bin_u8(
+            pieces in arb_pieces(), noise in 0u64..30, split in 0usize..4000,
+        ) {
+            check_census(shaped(&pieces, noise).into_iter().map(|l| l as u8 * 5).collect(), split);
+        }
+
+        #[test]
+        fn census_counts_the_lines_of_every_bin_i32(
+            pieces in arb_pieces(), noise in 0u64..30, split in 0usize..4000,
+        ) {
+            let values = shaped(&pieces, noise).into_iter().map(|l| (l as i32 - 24) * 1000);
+            check_census(values.collect(), split);
+        }
+
+        #[test]
+        fn census_counts_the_lines_of_every_bin_i64(
+            pieces in arb_pieces(), noise in 0u64..30, split in 0usize..4000,
+        ) {
+            let values = shaped(&pieces, noise).into_iter().map(|l| i64::from(l) << 40);
+            check_census(values.collect(), split);
+        }
+
+        #[test]
+        fn census_counts_the_lines_of_every_bin_f64(
+            pieces in arb_pieces(), noise in 0u64..30, split in 0usize..4000,
+        ) {
+            check_census(shaped(&pieces, noise).into_iter().map(|l| l as f64 / 3.0).collect(), split);
         }
     }
 }

@@ -53,8 +53,8 @@ use colstore::{
 };
 
 use crate::index::ColumnImprints;
-use crate::query;
 use crate::simd::{self, Hits, RefineKernel, SetKernel};
+use crate::{masks, query};
 
 /// A dynamically-typed closed range: `low ≤ v ≤ high`, either side
 /// optional. The variants must match the target column's scalar type.
@@ -257,6 +257,14 @@ pub trait PlanColumn {
     /// "probe" reads nothing.
     fn imprint_count(&self) -> u64;
 
+    /// What the column's imprint predicts a probe of `set` would skip
+    /// ([`AnyImprints::forecast`]), for the §3 plan to weigh against a
+    /// value check of every row. `None` when the plan probes whatever the
+    /// prediction: a column without an imprint, whose "probe" is free, and
+    /// one whose data can be evicted, where a probe can skip or count lines
+    /// without fetching any and a value check cannot.
+    fn forecast(&self, set: &AnySet) -> Option<Forecast>;
+
     /// Value-checks the rows of `ranges` against `set` into `hits`,
     /// billing `stats`.
     fn check(
@@ -325,9 +333,40 @@ fn run_conjunction<C: PlanColumn>(
             for (col, _) in preds {
                 cols[*col].note_query();
             }
-            late_materialize(cols, preds, count_only)
+            late_materialize(cols, rows, preds, count_only)
         }
     }
+}
+
+/// Every row of a part of `rows` rows, as one candidate run.
+fn every_row(rows: u64) -> CachelineSet {
+    let mut all = CachelineSet::new();
+    all.push_run(0, rows);
+    all
+}
+
+/// What one stored vector costs a probe, in ns: the `probe` rows of the
+/// `probe_or_scan` criterion group (`crates/bench/benches/ablations.rs`).
+/// This and the two below are the only constants of the plan (DESIGN.md,
+/// "Why the plan stops probing").
+const PROBE_NS_PER_VECTOR: f64 = 2.7;
+/// What a value check costs per candidate line it reads between the lines
+/// a probe skipped (the group's `check` rows).
+const CHECK_NS_PER_CANDIDATE_LINE: f64 = 10.0;
+/// What a value check costs per line in one streamed pass over a column
+/// (the group's `scan` rows).
+const STREAM_NS_PER_LINE: f64 = 5.5;
+
+/// Whether probing `vectors` stored vectors beats value-checking all of a
+/// column's `lines` lines in one streamed pass, when the probe is predicted
+/// to skip the share `skipped` of them: the skipped lines, priced as
+/// candidate lines, must outweigh the probe plus the premium a candidate
+/// line costs over a streamed one on every line the check still reads.
+fn probe_pays(skipped: f64, lines: u64, vectors: u64) -> bool {
+    let lines = lines as f64;
+    skipped * lines * CHECK_NS_PER_CANDIDATE_LINE
+        > vectors as f64 * PROBE_NS_PER_VECTOR
+            + lines * (CHECK_NS_PER_CANDIDATE_LINE - STREAM_NS_PER_LINE)
 }
 
 /// The conjunction plan, the paper's §3 late materialization: per-column
@@ -339,13 +378,19 @@ fn run_conjunction<C: PlanColumn>(
 /// last checks straight into a counting sink; survivors that a later
 /// predicate still has to weed are ids either way.
 ///
-/// Imprints are probed cheapest first — by stored vectors × terms, then
-/// column position — and only while a probe can pay: once the joint
-/// candidates hold no more rows than the next conjunct's probe would walk
-/// vectors, that conjunct and every later one are left to the value
-/// checks (DESIGN.md, "Why the plan stops probing").
+/// Imprints are considered cheapest first — by stored vectors × terms,
+/// then column position — and probed only where a probe can pay. Until a
+/// probe has run, a conjunct of two or more is probed when its census
+/// predicts it skips enough lines to beat one streamed check of the column
+/// ([`probe_pays`]); a lone set is probed, like a lone range. Once a probe
+/// has run, a conjunct is probed while the joint candidates hold more rows
+/// than its probe would walk vectors. The others are left to the value
+/// checks. When nothing is probed the joint is every row, and the first
+/// conjunct in cost order is value-checked over it (DESIGN.md, "Why the
+/// plan stops probing").
 fn late_materialize<C: PlanColumn>(
     cols: &[C],
+    rows: u64,
     preds: &[(usize, AnySet)],
     count_only: bool,
 ) -> (Hits, AccessStats) {
@@ -359,11 +404,18 @@ fn late_materialize<C: PlanColumn>(
     by_cost.sort_by_key(|&(cost, i)| (cost, preds[i].0));
     let mut joint: Option<CachelineSet> = None;
     let mut probed: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
+    let mut unprobed: Vec<usize> = Vec::new();
     for &(cost, i) in &by_cost {
-        if joint.as_ref().is_some_and(|j| j.line_count() <= cost) {
-            break;
-        }
         let (col, set) = &preds[i];
+        let pays = match &joint {
+            Some(j) => j.line_count() > cost,
+            None if preds.len() == 1 => true,
+            None => cols[*col].forecast(set).is_none_or(|f| probe_pays(f.skipped, f.lines, cost)),
+        };
+        if !pays {
+            unprobed.push(i);
+            continue;
+        }
         let (cands, s) = cols[*col].candidates(set);
         stats.merge(&s);
         probed.push((cands.line_count(), i));
@@ -375,12 +427,11 @@ fn late_materialize<C: PlanColumn>(
             return (Hits::new(count_only), stats);
         }
     }
-    let joint = joint.expect("at least one predicate");
+    let joint = joint.unwrap_or_else(|| every_row(rows));
     // Fewest candidate rows first: that predicate's value check leaves
     // the fewest survivors for the others to gather; equal counts keep
     // query order. The unprobed conjuncts weed last, in cost order.
     probed.sort_by_key(|&(rows, i)| (rows, i));
-    let unprobed = by_cost[probed.len()..].iter().map(|&(_, i)| i);
     let mut ordered = probed.iter().map(|&(_, i)| i).chain(unprobed).map(|i| &preds[i]);
     let (col, set) = ordered.next().expect("at least one predicate");
     let first = Hits::new(count_only && preds.len() == 1);
@@ -416,6 +467,26 @@ fn set_candidates<T: Scalar>(
     (per_term.reduce(|a, b| a.union(&b)).unwrap_or_default(), stats)
 }
 
+/// [`AnyImprints::forecast`] over a typed imprint: the census's prediction
+/// for the union of the terms' masks.
+fn set_forecast<T: Scalar>(idx: &ColumnImprints<T>, set: &SetKernel<T>) -> Forecast {
+    let masks = set.terms().iter().map(|term| masks::make_masks(idx.binning(), term.predicate()));
+    let mask = masks.fold(0, |mask, m| mask | m.mask);
+    let lines = idx.line_count();
+    Forecast { lines, skipped: idx.census().untouched(mask, lines) }
+}
+
+/// What an imprint's census predicts one probe of a set would do
+/// ([`AnyImprints::forecast`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Forecast {
+    /// Lines the imprint covers, the partial tail line included.
+    pub lines: u64,
+    /// Predicted share of those lines that no term's mask meets: what the
+    /// probe skips.
+    pub skipped: f64,
+}
+
 /// [`PlanColumn::check`] over typed values: the compiled set over the
 /// contiguous runs of `ranges`, which is in row-id space already
 /// ([`query::candidate_id_ranges`] turns cacheline runs into id runs
@@ -435,11 +506,27 @@ fn set_check<T: Scalar>(
     if !set.is_empty() {
         stats.lines_fetched += lines_touched::<T>(ranges.runs());
     }
-    for ids in ranges.runs() {
-        set.check(values, ids, &mut hits, &mut stats.value_comparisons);
+    let mut runs = ranges.runs();
+    let mut batch = [(0, 0); CHECK_BATCH];
+    loop {
+        let held = batch.iter_mut().zip(runs.by_ref()).map(|(b, r)| *b = (r.start, r.end)).count();
+        if held == 0 {
+            return hits;
+        }
+        let first_values =
+            batch[..held].iter().map(|&(start, _)| values[start as usize].sort_key());
+        std::hint::black_box(first_values.fold(0, |acc, key| acc ^ key));
+        for &(start, end) in &batch[..held] {
+            set.check(values, start..end, &mut hits, &mut stats.value_comparisons);
+        }
     }
-    hits
 }
+
+/// Candidate runs [`set_check`] holds back before checking them. It reads
+/// the first value of every one first: read one at a time between the
+/// checks, scattered candidate lines each cost a full cache miss; read
+/// together, their misses overlap (the walk's batch, `query::walk`).
+const CHECK_BATCH: usize = 64;
 
 /// [`PlanColumn::weed`] over typed values: the gather kernel over the
 /// scattered `ids`, billing the cachelines they touch as fetched unless
@@ -521,6 +608,16 @@ impl AnyImprints {
         dispatch!(AnyImprints(i) = self => i.imprint_count())
     }
 
+    /// What the census predicts a probe of `set` would skip
+    /// ([`Census::untouched`](crate::index::Census::untouched)), read from
+    /// the index alone.
+    ///
+    /// # Panics
+    /// Panics on a set compiled for another column type.
+    pub fn forecast(&self, set: &AnySet) -> Forecast {
+        dispatch!(AnyImprints(i) = self => set_forecast(i, set.typed()))
+    }
+
     /// Extends the index for the rows `from..col.len()` the caller just
     /// appended to `col` (§4.1: existing vectors are never touched, bin
     /// borders never readjusted).
@@ -600,9 +697,7 @@ pub struct IndexedColumn<'a> {
 impl IndexedColumn<'_> {
     /// Every row of the column as one candidate run.
     fn all_rows(&self) -> CachelineSet {
-        let mut all = CachelineSet::new();
-        all.push_run(0, self.col.len() as u64);
-        all
+        every_row(self.col.len() as u64)
     }
 }
 
@@ -628,6 +723,10 @@ impl PlanColumn for IndexedColumn<'_> {
 
     fn imprint_count(&self) -> u64 {
         self.imprints.map_or(0, |idx| idx.imprint_count() as u64)
+    }
+
+    fn forecast(&self, set: &AnySet) -> Option<Forecast> {
+        self.imprints.map(|idx| idx.forecast(set))
     }
 
     fn check(
@@ -971,6 +1070,65 @@ mod tests {
             indexed.value_comparisons
         );
         assert_eq!(scanned.value_comparisons, values.len() as u64, "no imprint: every row");
+    }
+
+    /// ROADMAP item 12's seven shapes (the `probe_or_scan` criterion
+    /// group's), at 256 Ki rows over a 2^20 domain: uniform, and a drift
+    /// through the domain with 30 % or 5 % uniform noise. Over 32 ranges
+    /// each, the census's predicted skip stays within 0.06 of the lines
+    /// the probe skips, and the plan's rule, read at that prediction,
+    /// picks the side the group measured faster: probe then check, or one
+    /// streamed check.
+    #[test]
+    fn the_census_predicts_the_skip_and_the_rule_picks_the_faster_side() {
+        use rand::{Rng, SeedableRng};
+        let (rows, domain) = (1usize << 18, 1i64 << 20);
+        let column = |noise: Option<f64>, seed: u64| -> Vec<i64> {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (0..rows)
+                .map(|i| match noise {
+                    Some(p) if !rng.gen_bool(p) => {
+                        let drift = i as i64 * domain / rows as i64;
+                        (drift + rng.gen_range(0..domain / 64)).min(domain - 1)
+                    }
+                    _ => rng.gen_range(0..domain),
+                })
+                .collect()
+        };
+        let i32s = |v: Vec<i64>| AnyColumn::I32(v.into_iter().map(|x| x as i32).collect());
+        let i64s = |v: Vec<i64>| AnyColumn::I64(v.into_iter().collect());
+        let shapes = [
+            ("uniform i32, 10 %", i32s(column(None, 1)), domain / 10, false),
+            ("uniform i64, 10 %", i64s(column(None, 2)), domain / 10, false),
+            ("drift + 30 % i64, 10 %", i64s(column(Some(0.30), 3)), domain / 10, false),
+            ("drift + 5 % i64, 10 %", i64s(column(Some(0.05), 4)), domain / 10, true),
+            ("uniform i64, 0.5 %", i64s(column(None, 5)), domain / 200, true),
+            ("drift + 5 % i64, 0.5 %", i64s(column(Some(0.05), 6)), domain / 200, true),
+            ("drift + 5 % i64, 50 %", i64s(column(Some(0.05), 7)), domain / 2, false),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        for (shape, col, width, faster_probed) in shapes {
+            let idx = AnyImprints::build(&col);
+            let schema = [Field { name: "v".into(), ty: col.column_type() }];
+            let (mut predicted, mut observed, mut lines) = (0.0, 0.0, 0);
+            for _ in 0..32 {
+                let lo = rng.gen_range(0..domain - width);
+                let bound = |x: i64| match col {
+                    AnyColumn::I32(_) => Value::I32(x as i32),
+                    _ => Value::I64(x),
+                };
+                let set = ValueSet::range(ValueRange::between(bound(lo), bound(lo + width)));
+                let set = resolve_sets(&schema, &[("v", set)], RefineKernel::Auto).unwrap();
+                let forecast = idx.forecast(&set[0].1);
+                let (_, stats) = idx.candidates(&set[0].1);
+                lines = forecast.lines;
+                predicted += forecast.skipped / 32.0;
+                observed += stats.lines_skipped as f64 / lines as f64 / 32.0;
+            }
+            assert!((predicted - observed).abs() <= 0.06, "{shape}: {predicted} vs {observed}");
+            let probed = probe_pays(predicted, lines, idx.imprint_count() as u64);
+            assert_eq!(probed, faster_probed, "{shape}: predicted skip {predicted}");
+        }
     }
 
     #[test]

@@ -50,13 +50,18 @@ impl<T: Scalar> ColumnImprints<T> {
         let binning = self.binning().clone();
         let mut stats = AppendStats { appended: new_values.len() as u64, ..Default::default() };
 
-        let (comp, tail_imprint, tail_len, rows) = self.parts_mut();
+        let (comp, tail_imprint, tail_len, rows, census) = self.parts_mut();
         for &v in new_values {
             let bin = binning.bin_of(v);
             if bin == 0 {
                 stats.overflow_low += 1;
             } else if bin == bins - 1 {
                 stats.overflow_high += 1;
+            }
+            // The tail line is a line of the census from its first value:
+            // a bit it gains is one more line with that bin.
+            if *tail_imprint & 1u64 << bin == 0 {
+                census.add_bin(bin);
             }
             *tail_imprint |= 1u64 << bin;
             *tail_len += 1;

@@ -23,7 +23,9 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
 use colstore::{AccessStats, CachelineSet, ColumnType, Value};
-use imprints::relation_index::{self, AnyImprints, AnySet, IndexedColumn, PlanColumn, SegQuery};
+use imprints::relation_index::{
+    self, AnyImprints, AnySet, Forecast, IndexedColumn, PlanColumn, SegQuery,
+};
 use imprints::simd::Hits;
 
 use crate::persist;
@@ -319,6 +321,15 @@ impl PlanColumn for SegCol {
         self.imprints.imprint_count() as u64
     }
 
+    /// Only for a column without a durable file. One with a file can be
+    /// evicted, and then a probe can skip or count lines without a
+    /// fault-in where a value check cannot; so it always probes, resident
+    /// or not, and the plan, with what it bills, does not follow eviction
+    /// timing.
+    fn forecast(&self, set: &AnySet) -> Option<Forecast> {
+        self.data.file.get().is_none().then(|| self.imprints.forecast(set))
+    }
+
     fn check(
         &self,
         set: &AnySet,
@@ -587,9 +598,11 @@ mod tests {
         }
     }
 
+    /// `a` is clustered, runs of 21 rows, so its imprint skips most lines
+    /// for `10..=30` and the plan probes it.
     #[test]
     fn conjunction_matches_oracle() {
-        let a: Vec<i64> = (0..2048).map(|i| i % 100).collect();
+        let a: Vec<i64> = (0..2048).map(|i| i / 21).collect();
         let b: Vec<f64> = (0..2048).map(|i| (i % 37) as f64).collect();
         let seg = SealedSegment::seal(
             0,
@@ -760,6 +773,67 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// On two uniform columns a memory-only segment value-checks a 10 % ×
+    /// 10 % conjunction without a probe (the census says a probe cannot
+    /// pay), while the same segment persisted and evicted probes both
+    /// imprints: a value check would fault its data in, and its probes
+    /// bill the same whether the data is resident or not. A count the
+    /// resident imprint covers faults nothing in.
+    #[test]
+    fn an_evicted_uniform_segment_still_probes() {
+        let uniform = |salt: u64| -> Vec<i64> {
+            (0..4096u64)
+                .map(|i| ((i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as i64)
+                .collect()
+        };
+        let (a, b) = (uniform(1), uniform(2));
+        let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
+        let preds = [q(0, between(100_000, 204_857)), q(1, between(500_000, 604_857))];
+        let expect: Vec<u64> = (0..4096u64)
+            .filter(|&i| {
+                (100_000..=204_857).contains(&a[i as usize])
+                    && (500_000..=604_857).contains(&b[i as usize])
+            })
+            .collect();
+        assert!(!expect.is_empty());
+        let seal = || {
+            let cols = [&a, &b].map(|v| AnyColumn::I64(Column::from(v.clone())));
+            SealedSegment::seal(0, cols.to_vec())
+        };
+        let memory = seal();
+        let (ids, st) = eval_ids(&memory, &preds);
+        assert_eq!(ids.as_slice(), expect.as_slice());
+        assert_eq!(st.index_probes, 0, "a probe of a uniform column cannot pay: {st:?}");
+
+        let root =
+            std::env::temp_dir().join(format!("imprints-evicted-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let defs: Vec<crate::table::ColumnDef> = ["a", "b"]
+            .iter()
+            .map(|n| crate::table::ColumnDef { name: n.to_string(), ty: colstore::ColumnType::I64 })
+            .collect();
+        let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
+        let durable = seal();
+        store.persist_segment(&durable).unwrap();
+        let imprints: u64 = durable.columns().iter().map(|c| c.imprint_count()).sum();
+        for evicted in [true, false] {
+            if evicted {
+                assert!(durable.evict() > 0);
+            }
+            let (ids, st) = eval_ids(&durable, &preds);
+            assert_eq!(ids.as_slice(), expect.as_slice(), "evicted {evicted}");
+            assert_eq!(st.index_probes, imprints, "evicted {evicted}: both imprints, {st:?}");
+        }
+        durable.evict();
+        let faulted = durable.faulted_bytes();
+        let (n, st) = eval_count(&durable, &[q(0, between(i64::MIN, i64::MAX))]);
+        assert_eq!(n, 4096);
+        assert_eq!(st.value_comparisons, 0);
+        assert!(!durable.columns()[0].data_resident(), "the covered count faulted data in");
+        assert_eq!(durable.faulted_bytes(), faulted);
         let _ = std::fs::remove_dir_all(&root);
     }
 

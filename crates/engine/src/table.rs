@@ -1073,25 +1073,29 @@ mod tests {
     fn every_conjunct_rides_its_tail_imprint_and_seal_discards_them() {
         let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(128))
             .unwrap();
-        let a: Vec<i64> = (0..1500).collect();
-        let b: Vec<i64> = (0..1500).map(|i| i % 7).collect();
+        // Runs of 64 and 32 rows: each imprint skips most lines for one
+        // value, and stores a few vectors per run.
+        let a: Vec<i64> = (0..1500).map(|i| i / 64).collect();
+        let b: Vec<i64> = (0..1500).map(|i| (i / 32) % 7).collect();
         t.append_batch(vec![
             AnyColumn::I64(a.iter().copied().collect()),
             AnyColumn::I64(b.iter().copied().collect()),
         ])
         .unwrap();
-        let pred = [
-            ("a", ValueRange::at_least(Value::I64(1200))),
-            ("b", ValueRange::equals(Value::I64(3))),
-        ];
+        let pred =
+            [("a", ValueRange::at_least(Value::I64(22))), ("b", ValueRange::equals(Value::I64(3)))];
         let (ids, st) = ids_with_stats(&t, &pred);
         let expect: Vec<u64> =
-            (0..1500u64).filter(|&i| a[i as usize] >= 1200 && b[i as usize] == 3).collect();
+            (0..1500u64).filter(|&i| a[i as usize] >= 22 && b[i as usize] == 3).collect();
         assert_eq!(ids.as_slice(), expect.as_slice());
+        assert!(!expect.is_empty());
         assert!(st.tail_indexed, "a conjunction over an indexed head must ride the tails");
-        // Both columns' imprints were probed: `a`'s alone holds 60 lines in
-        // the 476-row head.
-        assert!(st.tail_access.index_probes > 60, "{:?}", st.tail_access);
+        // Both columns' imprints were probed on the 476-row head: the
+        // conjunction bills what each bills alone.
+        let alone = |p| ids_with_stats(&t, &[p]).1.tail_access.index_probes;
+        let (pa, pb) = (alone(pred[0]), alone(pred[1]));
+        assert!(pa > 0 && pb > 0);
+        assert_eq!(st.tail_access.index_probes, pa + pb, "{:?}", st.tail_access);
 
         // Fill the head to exactly the seal boundary: the new head is empty
         // and below threshold, so the next query takes the scalar path.
@@ -1144,7 +1148,9 @@ mod tests {
     #[test]
     fn impossible_terms_bill_exactly_as_written() {
         let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
-        let vals: Vec<i64> = (0..1664).map(|i| (i * 37) % 1000).collect();
+        // Runs of 32 rows, four cachelines: 32 values sealed, 20 open, and
+        // a stored vector per run, so that a probe of one value pays.
+        let vals: Vec<i64> = (0..1664).map(|i| (i % 1024) / 32).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
         let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
         let stats = |index_probes, value_comparisons, lines_fetched, lines_skipped| AccessStats {
@@ -1153,16 +1159,17 @@ mod tests {
             lines_fetched,
             lines_skipped,
         };
-        // The live term's candidates are value-checked: 136 and 80 values,
-        // 8 to a cacheline, are 17 and 10 lines fetched.
+        // The live term's probe walks the 32 and 20 stored vectors; its
+        // two values fill 8 lines on each part, 64 values checked. The
+        // impossible term's probe walks none and skips every line.
         let cases = [
             ("impossible range", vec![between(10, 5)], 0, stats(0, 0, 0, 128), stats(0, 0, 0, 80)),
             (
                 "one impossible term, one live",
-                vec![between(10, 5), between(185, 190)],
-                7,
-                stats(128, 136, 17, 239),
-                stats(80, 80, 10, 150),
+                vec![between(10, 5), between(5, 6)],
+                128,
+                stats(32, 64, 8, 248),
+                stats(20, 64, 8, 152),
             ),
             (
                 "all impossible",
@@ -1201,17 +1208,29 @@ mod tests {
         let expect: Vec<u64> = (100..=299).chain(1124..=1323).filter(|i| i % 3 == 1).collect();
         assert_eq!(ids.as_slice(), expect.as_slice());
         assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
-        // On both parts `a` holds the fewer candidates: its 28 candidate
-        // lines (224 values) are checked, and the 200 rows with `a` in
-        // range are gathered from `b`'s lines 12..=37 (26 lines).
-        let stats = |index_probes, lines_skipped| AccessStats {
-            index_probes,
+        // Every line of `b` holds 0, 1 and 2, so its census predicts its
+        // probe skips nothing, and `b` is never probed. On the sealed part
+        // `a`'s probe pays: its 28 candidate lines (224 values) are
+        // checked, and the 200 rows with `a` in range are gathered from
+        // `b`'s lines 12..=37 (26 lines).
+        let sealed = AccessStats {
+            index_probes: 118,
             value_comparisons: 224 + 200,
             lines_fetched: 28 + 26,
-            lines_skipped,
+            lines_skipped: 100,
         };
-        assert_eq!(st.access, stats(119, 100), "sealed segment");
-        assert_eq!(st.tail_access, stats(81, 52), "write head");
+        assert_eq!(st.access, sealed, "sealed segment");
+        // On the head `a` stores a vector per line and its range skips
+        // under 70 % of them, so nothing is probed: `b`, first in cost
+        // order (one stored vector), is checked over all 640 rows, and its
+        // 214 survivors are gathered from every one of `a`'s 80 lines.
+        let head = AccessStats {
+            index_probes: 0,
+            value_comparisons: 640 + 214,
+            lines_fetched: 80 + 80,
+            lines_skipped: 0,
+        };
+        assert_eq!(st.tail_access, head, "write head");
     }
 
     /// `ts` (i64, the row index) and `sensor` (u16, one value per cacheline
@@ -1255,16 +1274,62 @@ mod tests {
         let (_, alone) = ids_with_stats(&t, &[ts]);
         assert_eq!(probes(&st), probes(&alone), "`sensor`'s imprint was probed");
         assert_eq!(probes(&st), (117, 113));
+        // `ts`'s census predicts its probe pays, so the plan is the one it
+        // was before the census, to the last counter.
+        let stats = |index_probes, value_comparisons, lines_fetched, lines_skipped| AccessStats {
+            index_probes,
+            value_comparisons,
+            lines_fetched,
+            lines_skipped,
+        };
+        let (sealed, head) = (stats(117, 202, 21, 1005), stats(113, 115, 10, 504));
+        assert_eq!((st.access, st.tail_access), (sealed, head));
         let (ids_sw, sw) = ids_with_stats(&t, &[sensor, ts]);
         assert_eq!(ids_sw, ids);
         assert_eq!((sw.access, sw.tail_access), (st.access, st.tail_access));
     }
 
-    /// The converse: on two uniform columns a 10 % range leaves most rows
-    /// a candidate, far more than the other column stores vectors, so the
-    /// plan probes both imprints — the sum of each alone — in either order.
+    /// The converse: on two clustered columns — runs of 64 and of 128
+    /// rows, so each imprint stores about one vector per run — each range
+    /// skips most lines but leaves a quarter of the rows, far more than
+    /// the other column stores vectors, so the plan probes both imprints —
+    /// the sum of each alone — in either order.
     #[test]
     fn conjunction_probes_every_imprint_while_the_joint_stays_large() {
+        let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
+        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let a: Vec<i64> = (0..1664).map(|i| (i / 64) % 16).collect();
+        let b: Vec<i64> = (0..1664).map(|i| (i / 128) % 8).collect();
+        t.append_batch(vec![
+            AnyColumn::I64(a.iter().copied().collect()),
+            AnyColumn::I64(b.iter().copied().collect()),
+        ])
+        .unwrap();
+        let pa = ("a", ValueRange::between(Value::I64(2), Value::I64(5)));
+        let pb = ("b", ValueRange::between(Value::I64(1), Value::I64(2)));
+        let expect: Vec<u64> = (0..1664u64)
+            .filter(|&i| (2..=5).contains(&a[i as usize]) && (1..=2).contains(&b[i as usize]))
+            .collect();
+        assert!(!expect.is_empty());
+        let probes = |st: &QueryStats| (st.access.index_probes, st.tail_access.index_probes);
+        let (_, sa) = ids_with_stats(&t, &[pa]);
+        let (_, sb) = ids_with_stats(&t, &[pb]);
+        let both = (probes(&sa).0 + probes(&sb).0, probes(&sa).1 + probes(&sb).1);
+        for preds in [[pa, pb], [pb, pa]] {
+            let (ids, st) = ids_with_stats(&t, &preds);
+            assert_eq!(ids.as_slice(), expect.as_slice());
+            assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
+            assert_eq!(probes(&st), both, "{preds:?}");
+        }
+    }
+
+    /// On two uniform columns a 10 % range skips too few lines for a probe
+    /// to pay (the census predicts it), so the plan probes neither imprint:
+    /// the joint is every row, the first conjunct in cost order is
+    /// value-checked over it, and the other weeds its survivors — rows
+    /// plus survivors compared on each part.
+    #[test]
+    fn uniform_conjunction_probes_nothing_and_checks_every_row_once() {
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
         let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
         let uniform = |salt: u64| {
@@ -1277,23 +1342,23 @@ mod tests {
             AnyColumn::I64(b.iter().copied().collect()),
         ])
         .unwrap();
+        let in_a = |i: usize| (100..=201).contains(&a[i]);
+        let in_b = |i: usize| (500..=601).contains(&b[i]);
         let pa = ("a", ValueRange::between(Value::I64(100), Value::I64(201)));
         let pb = ("b", ValueRange::between(Value::I64(500), Value::I64(601)));
-        let expect: Vec<u64> = (0..1664u64)
-            .filter(|&i| {
-                (100..=201).contains(&a[i as usize]) && (500..=601).contains(&b[i as usize])
-            })
-            .collect();
+        let expect: Vec<u64> =
+            (0..1664u64).filter(|&i| in_a(i as usize) && in_b(i as usize)).collect();
         assert!(!expect.is_empty());
-        let probes = |st: &QueryStats| (st.access.index_probes, st.tail_access.index_probes);
-        let (_, sa) = ids_with_stats(&t, &[pa]);
-        let (_, sb) = ids_with_stats(&t, &[pb]);
-        let both = (probes(&sa).0 + probes(&sb).0, probes(&sa).1 + probes(&sb).1);
-        for preds in [[pa, pb], [pb, pa]] {
+        for (preds, first) in [([pa, pb], &in_a as &dyn Fn(usize) -> bool), ([pb, pa], &in_a)] {
             let (ids, st) = ids_with_stats(&t, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice());
             assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
-            assert_eq!(probes(&st), both, "{preds:?}");
+            for (part, access, rows) in [(0, st.access, 0..1024), (1, st.tail_access, 1024..1664)] {
+                let survivors = rows.clone().filter(|&i| first(i)).count() as u64;
+                assert_eq!(access.index_probes, 0, "part {part}: {preds:?}");
+                assert_eq!(access.lines_skipped, 0, "part {part}");
+                assert_eq!(access.value_comparisons, rows.len() as u64 + survivors, "part {part}");
+            }
         }
     }
 

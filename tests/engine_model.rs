@@ -16,12 +16,13 @@ use rand::{Rng, SeedableRng};
 const DEPTH: usize = 3;
 
 /// Random configurations and random schedules; over the cases, every one
-/// of the ten column types leads a schema, and some conjunction stops
-/// probing once its candidates are fewer than the next imprint's vectors.
+/// of the ten column types leads a schema, some conjunction stops probing
+/// once its candidates are fewer than the next imprint's vectors, and some
+/// probes nothing on a part whose imprints cannot pay.
 #[test]
 fn generated_schedules_match_the_model() {
     let mut rng = StdRng::seed_from_u64(32);
-    let mut fewer_probes = 0;
+    let (mut fewer_probes, mut zero_probes) = (0, 0);
     for case in 0..40u64 {
         let durable = rng.gen_bool(0.75);
         let cfg = EngineConfig {
@@ -54,17 +55,20 @@ fn generated_schedules_match_the_model() {
             h.step(op);
         }
         fewer_probes += h.fewer_probes;
+        zero_probes += h.zero_probes;
     }
     assert!(fewer_probes > 0, "no generated conjunction stopped probing");
+    assert!(zero_probes > 0, "no generated conjunction left every imprint unprobed");
 }
 
 /// Every schedule of up to [`DEPTH`] steps over [`OPS`], on a durable
 /// table with a zero resident budget and fan-in 2, so that every tick
-/// compacts and evicts what it can; some conjunction stops probing.
+/// compacts and evicts what it can; some conjunction stops probing, and
+/// some probes nothing on the write head.
 #[test]
 fn every_short_schedule_matches_the_model() {
     let mut schedule = vec![0usize; DEPTH];
-    let mut fewer_probes = 0;
+    let (mut fewer_probes, mut zero_probes) = (0, 0);
     for n in 0..OPS.len().pow(DEPTH as u32) {
         let mut k = n;
         for slot in schedule.iter_mut() {
@@ -76,8 +80,10 @@ fn every_short_schedule_matches_the_model() {
             h.step(OPS[op]);
         }
         fewer_probes += h.fewer_probes;
+        zero_probes += h.zero_probes;
     }
     assert!(fewer_probes > 0, "no short schedule's conjunction stopped probing");
+    assert!(zero_probes > 0, "no short schedule's conjunction left every imprint unprobed");
 }
 
 /// One appender, two readers on the engine's pool and the maintenance

@@ -10,7 +10,8 @@
 //!   batches of one, with identical `QueryStats::access`;
 //! * a conjunction bills no more imprint probes than its conjuncts alone,
 //!   and [`Harness::fewer_probes`] counts those where the plan stopped
-//!   probing (fewer probes on a part that still compared values);
+//!   probing (fewer probes on a part that still compared values),
+//!   [`Harness::zero_probes`] those where it probed nothing there;
 //! * the pinned prefix: visible rows, open rows, sealed segments and
 //!   whether the head rode its tail imprint;
 //! * a count over a column's whole domain faults no evicted data in, and a
@@ -119,6 +120,10 @@ impl Query {
     }
 }
 
+/// The stretch of rows over which an even column stays a noisy walk, or
+/// uniform noise, before it turns to the other ([`Gen::rows`]).
+const UNIFORM_EVERY: usize = 128;
+
 /// The rows and the queries of a schedule, over columns of `types`.
 pub struct Gen {
     pub rng: StdRng,
@@ -126,9 +131,12 @@ pub struct Gen {
 }
 
 impl Gen {
-    /// `n` rows continuing from row `first`. Even columns are a walk (so
-    /// the imprints skip lines) with a quarter of the cells uniform noise,
-    /// which leaves about one stored imprint vector per cacheline. Odd
+    /// `n` rows continuing from row `first`. Even columns alternate every
+    /// [`UNIFORM_EVERY`] rows between a walk (so the imprints skip lines)
+    /// with a quarter of the cells uniform noise, which leaves about one
+    /// stored imprint vector per cacheline, and uniform noise alone, where
+    /// an imprint skips too little for a probe to pay and a conjunction
+    /// value-checks every row of the part unprobed. Odd
     /// columns are clustered, without noise: runs of one value over two
     /// of the column's cachelines, so their imprints compress to about one
     /// vector per run and a narrow predicate on one leaves fewer candidate
@@ -142,7 +150,7 @@ impl Gen {
                 let cols = 0..self.types.len();
                 cols.map(|c| match c % 2 {
                     1 => ((i / runs[c] + 7 * c) as i64) % (X_MAX + 1),
-                    _ if self.rng.gen_bool(0.25) => self.x(),
+                    _ if (i / UNIFORM_EVERY) % 2 == 1 || self.rng.gen_bool(0.25) => self.x(),
                     _ => walk(i, c),
                 })
                 .collect()
@@ -283,6 +291,10 @@ pub struct Harness {
     /// conjuncts do alone on a part where no early exit can explain it:
     /// the plan stopped probing there.
     pub fewer_probes: usize,
+    /// Checked conjunctions that billed no probe at all on a part that
+    /// compared values, where their conjuncts alone probe: the census said
+    /// no probe could pay there.
+    pub zero_probes: usize,
 }
 
 impl Harness {
@@ -298,7 +310,8 @@ impl Harness {
         engine.create_table("t", &schema).unwrap();
         let trace = format!("seed {seed}, {types:?}, {cfg:?}; steps:");
         let gen = Gen { rng: StdRng::seed_from_u64(seed), types };
-        Harness { cfg, engine: Some(engine), model: Model::default(), gen, trace, fewer_probes: 0 }
+        let model = Model::default();
+        Harness { cfg, engine: Some(engine), model, gen, trace, fewer_probes: 0, zero_probes: 0 }
     }
 
     pub fn engine(&self) -> &Engine {
@@ -444,7 +457,7 @@ impl Harness {
         let open = m.open_rows();
         let head_indexed = open > 0 && open >= self.cfg.tail_index_min_rows;
         let mut value_checked = false;
-        let mut fewer_probes = 0;
+        let (mut fewer_probes, mut zero_probes) = (0, 0);
         let slots = queries.iter().flat_map(|q| [q, q]).zip(&batch).zip(&answers);
         for (((q, permuted), bq), (answer, stats)) in slots {
             let want = q.ids(&m.rows);
@@ -488,6 +501,8 @@ impl Harness {
                 let one_part = [m.sealed_segments == 1, true];
                 let stopped = |s: usize| one_part[s] && compared[s] && billed[s] < alone[s];
                 fewer_probes += usize::from(stopped(0) || stopped(1));
+                let unprobed = |s: usize| compared[s] && billed[s] == 0 && alone[s] > 0;
+                zero_probes += usize::from(unprobed(0) || unprobed(1));
             }
             // Late materialization returns the model's tuples.
             for &id in [want.first(), want.last()].into_iter().flatten() {
@@ -500,6 +515,7 @@ impl Harness {
         }
         assert_eq!(t.tuple(m.rows.len() as u64).unwrap(), None, "{trace}");
         self.fewer_probes += fewer_probes;
+        self.zero_probes += zero_probes;
     }
 }
 
