@@ -4,9 +4,10 @@
 //! 2. The `innermask` fast path on vs off.
 //! 3. Row-wise RLE compression: `Compressor` vs storing raw vectors.
 //! 4. Equi-height vs equi-width binning.
-//! 5. The §3 conjunction plan on the benchmark's ingest shape, where it
-//!    stops probing once the candidates are fewer than the next imprint's
-//!    stored vectors (DESIGN.md, "Why the plan stops probing").
+//! 5. The §3 conjunction plan on the benchmark's ingest shape, where its
+//!    probe rule leaves the second imprint unprobed once the candidates
+//!    the first left are too few for its probe to pay (DESIGN.md, "Why the
+//!    plan stops probing").
 //! 6. Algorithm 3's probe alone, in ns per stored imprint vector, beside a
 //!    plain `v & mask` pass over the same vectors (`probe_walk`).
 //! 7. The §3 plan's two sides for one conjunct, probe then check versus

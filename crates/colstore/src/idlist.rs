@@ -136,12 +136,17 @@ impl FromIterator<u64> for IdList {
     }
 }
 
-/// The set of cachelines an index deems *possibly* relevant to a query —
-/// the late-materialization intermediate of paper §3.
+/// The cachelines, or the rows, an index deems *possibly* relevant to a
+/// query — the late-materialization intermediate of paper §3.
 ///
-/// Stored as sorted, coalesced `[start, end)` ranges of cacheline numbers,
-/// which is compact when data is clustered (long qualifying runs) and still
-/// cheap when it is not.
+/// Stored as sorted, coalesced `[start, end)` ranges, which is compact when
+/// data is clustered (long qualifying runs) and still cheap when it is not.
+/// The numbers are in one of two spaces, whichever the producer chose:
+/// cacheline numbers of one column (`imprints::query::candidates`), or
+/// row ids (`imprints::query::candidate_id_ranges`). The §3 plan works in
+/// row ids, so that the sets of columns of different widths merge-join;
+/// there every count below is of rows, and a column's lines are rows ÷
+/// the values a line holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CachelineSet {
     ranges: Vec<Range<u64>>,
@@ -175,7 +180,8 @@ impl CachelineSet {
         self.ranges.push(start..end);
     }
 
-    /// Number of distinct cachelines in the set.
+    /// Number of distinct elements in the set: cachelines in cacheline
+    /// space, rows in row-id space.
     pub fn line_count(&self) -> u64 {
         self.ranges.iter().map(|r| r.end - r.start).sum()
     }
@@ -185,7 +191,7 @@ impl CachelineSet {
         self.ranges.len()
     }
 
-    /// Whether no cacheline qualifies.
+    /// Whether no cacheline (or row) qualifies.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }

@@ -252,18 +252,11 @@ pub trait PlanColumn {
     /// is read.
     fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats);
 
-    /// The stored imprint vectors one term's probe of this column walks
-    /// ([`AnyImprints::imprint_count`]); 0 without an imprint, whose
-    /// "probe" reads nothing.
-    fn imprint_count(&self) -> u64;
-
-    /// What the column's imprint predicts a probe of `set` would skip
-    /// ([`AnyImprints::forecast`]), for the §3 plan to weigh against a
-    /// value check of every row. `None` when the plan probes whatever the
-    /// prediction: a column without an imprint, whose "probe" is free, and
-    /// one whose data can be evicted, where a probe can skip or count lines
-    /// without fetching any and a value check cannot.
-    fn forecast(&self, set: &AnySet) -> Option<Forecast>;
+    /// What a probe of `set` would cost and skip, and whether a value check
+    /// may fault the column in ([`AnyImprints::forecast`]): the inputs of
+    /// the §3 plan's one probe rule. A column without an imprint forecasts
+    /// a probe that walks nothing and skips nothing.
+    fn forecast(&self, set: &AnySet) -> Forecast;
 
     /// Value-checks the rows of `ranges` against `set` into `hits`,
     /// billing `stats`.
@@ -292,9 +285,11 @@ pub trait PlanColumn {
 /// [`RelationImprints`].
 ///
 /// Conjunctions: a single one-range predicate takes the column's own
-/// single-range path ([`PlanColumn::run_range`]); everything else —
-/// multi-term sets and multi-predicate conjunctions — takes the paper's §3
-/// late materialization plan (`late_materialize`). The empty conjunction
+/// single-range path ([`PlanColumn::run_range`], Algorithm 3's walk, which
+/// emits the lines its inner mask covers without a value check — a saving
+/// the plan's probe rule does not price); everything else — multi-term
+/// sets and multi-predicate conjunctions — takes the paper's §3 late
+/// materialization plan (`late_materialize`). The empty conjunction
 /// selects every row.
 ///
 /// Disjunctions (`q.any`): the union of each predicate's own result. Each
@@ -357,16 +352,27 @@ const CHECK_NS_PER_CANDIDATE_LINE: f64 = 10.0;
 /// (the group's `scan` rows).
 const STREAM_NS_PER_LINE: f64 = 5.5;
 
-/// Whether probing `vectors` stored vectors beats value-checking all of a
-/// column's `lines` lines in one streamed pass, when the probe is predicted
-/// to skip the share `skipped` of them: the skipped lines, priced as
-/// candidate lines, must outweigh the probe plus the premium a candidate
-/// line costs over a streamed one on every line the check still reads.
-fn probe_pays(skipped: f64, lines: u64, vectors: u64) -> bool {
-    let lines = lines as f64;
-    skipped * lines * CHECK_NS_PER_CANDIDATE_LINE
-        > vectors as f64 * PROBE_NS_PER_VECTOR
-            + lines * (CHECK_NS_PER_CANDIDATE_LINE - STREAM_NS_PER_LINE)
+/// Whether probing a column for a set of `terms` terms pays, by the
+/// column's `forecast`, when the joint candidates hold `joint_rows` of the
+/// part's `rows` rows: the lines the probe is predicted to skip, out of
+/// those the value checks would otherwise read in that column, priced as
+/// candidate lines, must outweigh the probe's stored vectors. While the
+/// joint is every row those lines are the whole column, read in one
+/// streamed pass that the probe would turn into candidate runs, so the
+/// probe also pays that premium on every line; and a column whose value
+/// check may fault it in is probed outright. After a probe, the lines are
+/// the joint's rows converted to the column's lines. The one rule of the
+/// §3 plan (DESIGN.md, "Why the plan stops probing").
+fn probe_pays(forecast: &Forecast, terms: usize, joint_rows: u64, rows: u64) -> bool {
+    let every_row = joint_rows == rows;
+    if every_row && forecast.may_fault {
+        return true;
+    }
+    let read = joint_rows as f64 * forecast.lines as f64 / rows as f64;
+    let premium =
+        if every_row { read * (CHECK_NS_PER_CANDIDATE_LINE - STREAM_NS_PER_LINE) } else { 0.0 };
+    forecast.skipped * read * CHECK_NS_PER_CANDIDATE_LINE
+        > (forecast.vectors * terms as u64) as f64 * PROBE_NS_PER_VECTOR + premium
 }
 
 /// The conjunction plan, the paper's §3 late materialization: per-column
@@ -378,15 +384,12 @@ fn probe_pays(skipped: f64, lines: u64, vectors: u64) -> bool {
 /// last checks straight into a counting sink; survivors that a later
 /// predicate still has to weed are ids either way.
 ///
-/// Imprints are considered cheapest first — by stored vectors × terms,
-/// then column position — and probed only where a probe can pay. Until a
-/// probe has run, a conjunct of two or more is probed when its census
-/// predicts it skips enough lines to beat one streamed check of the column
-/// ([`probe_pays`]); a lone set is probed, like a lone range. Once a probe
-/// has run, a conjunct is probed while the joint candidates hold more rows
-/// than its probe would walk vectors. The others are left to the value
-/// checks. When nothing is probed the joint is every row, and the first
-/// conjunct in cost order is value-checked over it (DESIGN.md, "Why the
+/// Imprints are weighed cheapest first — by stored vectors × terms, then
+/// column position — and each is probed only where [`probe_pays`] says so
+/// against the joint the probes before it left; the joint starts as every
+/// row. The value checks then run in ascending order of predicted
+/// survivors: a probed conjunct's candidate rows, an unprobed one's
+/// forecast candidate rows; ties keep query order (DESIGN.md, "Why the
 /// plan stops probing").
 fn late_materialize<C: PlanColumn>(
     cols: &[C],
@@ -395,44 +398,31 @@ fn late_materialize<C: PlanColumn>(
     count_only: bool,
 ) -> (Hits, AccessStats) {
     let mut stats = AccessStats::default();
-    let mut by_cost: Vec<(u64, usize)> = preds
-        .iter()
-        .enumerate()
-        .map(|(i, (col, set))| (cols[*col].imprint_count() * set.term_count() as u64, i))
-        .collect();
+    let forecasts: Vec<Forecast> =
+        preds.iter().map(|(col, set)| cols[*col].forecast(set)).collect();
+    let mut survivors: Vec<f64> =
+        forecasts.iter().map(|f| (1.0 - f.skipped) * rows as f64).collect();
+    let mut by_cost: Vec<usize> = (0..preds.len()).collect();
     // Stable: the same column named twice keeps query order.
-    by_cost.sort_by_key(|&(cost, i)| (cost, preds[i].0));
-    let mut joint: Option<CachelineSet> = None;
-    let mut probed: Vec<(u64, usize)> = Vec::with_capacity(preds.len());
-    let mut unprobed: Vec<usize> = Vec::new();
-    for &(cost, i) in &by_cost {
+    by_cost.sort_by_key(|&i| (forecasts[i].vectors * preds[i].1.term_count() as u64, preds[i].0));
+    let mut joint = every_row(rows);
+    for i in by_cost {
         let (col, set) = &preds[i];
-        let pays = match &joint {
-            Some(j) => j.line_count() > cost,
-            None if preds.len() == 1 => true,
-            None => cols[*col].forecast(set).is_none_or(|f| probe_pays(f.skipped, f.lines, cost)),
-        };
-        if !pays {
-            unprobed.push(i);
+        if !probe_pays(&forecasts[i], set.term_count(), joint.line_count(), rows) {
             continue;
         }
         let (cands, s) = cols[*col].candidates(set);
         stats.merge(&s);
-        probed.push((cands.line_count(), i));
-        joint = Some(match joint {
-            Some(j) => j.intersect(&cands),
-            None => cands,
-        });
-        if joint.as_ref().is_some_and(CachelineSet::is_empty) {
+        survivors[i] = cands.line_count() as f64;
+        joint = joint.intersect(&cands);
+        if joint.is_empty() {
             return (Hits::new(count_only), stats);
         }
     }
-    let joint = joint.unwrap_or_else(|| every_row(rows));
-    // Fewest candidate rows first: that predicate's value check leaves
-    // the fewest survivors for the others to gather; equal counts keep
-    // query order. The unprobed conjuncts weed last, in cost order.
-    probed.sort_by_key(|&(rows, i)| (rows, i));
-    let mut ordered = probed.iter().map(|&(_, i)| i).chain(unprobed).map(|i| &preds[i]);
+    // Stable: equal predictions keep query order.
+    let mut order: Vec<usize> = (0..preds.len()).collect();
+    order.sort_by(|&a, &b| survivors[a].total_cmp(&survivors[b]));
+    let mut ordered = order.into_iter().map(|i| &preds[i]);
     let (col, set) = ordered.next().expect("at least one predicate");
     let first = Hits::new(count_only && preds.len() == 1);
     let mut hits = cols[*col].check(set, &joint, first, &mut stats);
@@ -473,18 +463,25 @@ fn set_forecast<T: Scalar>(idx: &ColumnImprints<T>, set: &SetKernel<T>) -> Forec
     let masks = set.terms().iter().map(|term| masks::make_masks(idx.binning(), term.predicate()));
     let mask = masks.fold(0, |mask, m| mask | m.mask);
     let lines = idx.line_count();
-    Forecast { lines, skipped: idx.census().untouched(mask, lines) }
+    let skipped = idx.census().untouched(mask, lines);
+    Forecast { lines, skipped, vectors: idx.imprint_count() as u64, may_fault: false }
 }
 
-/// What an imprint's census predicts one probe of a set would do
-/// ([`AnyImprints::forecast`]).
+/// What one probe of a set would walk and skip, as a column's imprint and
+/// census predict it, and whether a value check may fault the column in
+/// ([`PlanColumn::forecast`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Forecast {
-    /// Lines the imprint covers, the partial tail line included.
+    /// The column's lines, the partial tail line included.
     pub lines: u64,
     /// Predicted share of those lines that no term's mask meets: what the
     /// probe skips.
     pub skipped: f64,
+    /// Stored vectors one term's probe walks; 0 without an imprint.
+    pub vectors: u64,
+    /// Whether a value check may have to fault the column's data in, where
+    /// a probe reads the resident imprint alone.
+    pub may_fault: bool,
 }
 
 /// [`PlanColumn::check`] over typed values: the compiled set over the
@@ -609,8 +606,8 @@ impl AnyImprints {
     }
 
     /// What the census predicts a probe of `set` would skip
-    /// ([`Census::untouched`](crate::index::Census::untouched)), read from
-    /// the index alone.
+    /// ([`Census::untouched`](crate::index::Census::untouched)), and the
+    /// stored vectors it walks, read from the index alone.
     ///
     /// # Panics
     /// Panics on a set compiled for another column type.
@@ -721,12 +718,14 @@ impl PlanColumn for IndexedColumn<'_> {
         idx.candidates(set)
     }
 
-    fn imprint_count(&self) -> u64 {
-        self.imprints.map_or(0, |idx| idx.imprint_count() as u64)
-    }
-
-    fn forecast(&self, set: &AnySet) -> Option<Forecast> {
-        self.imprints.map(|idx| idx.forecast(set))
+    fn forecast(&self, set: &AnySet) -> Forecast {
+        self.imprints.map_or_else(
+            || {
+                let lines = self.col.data_bytes().div_ceil(CACHELINE_BYTES) as u64;
+                Forecast { lines, skipped: 0.0, vectors: 0, may_fault: false }
+            },
+            |idx| idx.forecast(set),
+        )
     }
 
     fn check(
@@ -1126,9 +1125,42 @@ mod tests {
                 observed += stats.lines_skipped as f64 / lines as f64 / 32.0;
             }
             assert!((predicted - observed).abs() <= 0.06, "{shape}: {predicted} vs {observed}");
-            let probed = probe_pays(predicted, lines, idx.imprint_count() as u64);
+            let vectors = idx.imprint_count() as u64;
+            let forecast = Forecast { lines, skipped: predicted, vectors, may_fault: false };
+            let probed = probe_pays(&forecast, 1, rows as u64, rows as u64);
             assert_eq!(probed, faster_probed, "{shape}: predicted skip {predicted}");
         }
+    }
+
+    /// The plan's one probe rule at its boundary, on 8,192 rows in 1,024
+    /// lines with half the lines predicted skipped. Before a probe the
+    /// check streams every line, and a probe saves 0.5 × 1,024 × 10 ns
+    /// less the 1,024 × 4.5 ns premium, 512 ns: 189.6 vectors at 2.7 ns.
+    /// After a probe that left half the rows, the checks read 512 lines
+    /// and a probe saves 0.5 × 512 × 10 ns, no premium, 2,560 ns: 948.1
+    /// vectors, which a set's terms share.
+    #[test]
+    fn the_probe_rule_prices_a_probe_at_its_boundary() {
+        let rows = 8192;
+        let forecast =
+            |skipped, vectors, may_fault| Forecast { lines: 1024, skipped, vectors, may_fault };
+        for may_fault in [false, true] {
+            let pays = |vectors, terms, joint| {
+                probe_pays(&forecast(0.5, vectors, may_fault), terms, joint, rows)
+            };
+            // A value check that may fault the column in forces the probe
+            // while the joint is every row; after a probe it is priced.
+            assert!(pays(189, 1, rows), "may fault {may_fault}");
+            assert_eq!(pays(190, 1, rows), may_fault, "may fault {may_fault}");
+            assert!(pays(948, 1, rows / 2) && !pays(949, 1, rows / 2), "may fault {may_fault}");
+            assert!(pays(474, 2, rows / 2) && !pays(475, 2, rows / 2), "may fault {may_fault}");
+        }
+        // No imprint: a probe that walks nothing and skips nothing never
+        // pays, before or after a probe.
+        for joint in [rows, rows / 2] {
+            assert!(!probe_pays(&forecast(0.0, 0, false), 1, joint, rows), "joint {joint}");
+        }
+        assert!(probe_pays(&forecast(0.0, 1 << 20, true), 1, rows, rows));
     }
 
     #[test]

@@ -317,17 +317,12 @@ impl PlanColumn for SegCol {
         self.imprints.candidates(set)
     }
 
-    fn imprint_count(&self) -> u64 {
-        self.imprints.imprint_count() as u64
-    }
-
-    /// Only for a column without a durable file. One with a file can be
-    /// evicted, and then a probe can skip or count lines without a
-    /// fault-in where a value check cannot; so it always probes, resident
-    /// or not, and the plan, with what it bills, does not follow eviction
-    /// timing.
-    fn forecast(&self, set: &AnySet) -> Option<Forecast> {
-        self.data.file.get().is_none().then(|| self.imprints.forecast(set))
+    /// A column with a durable file can be evicted, and then a value check
+    /// faults it in where a probe reads the resident imprint alone. It may
+    /// fault whether resident at the moment or not, so the plan, with what
+    /// it bills, does not follow eviction timing.
+    fn forecast(&self, set: &AnySet) -> Forecast {
+        Forecast { may_fault: self.data.file.get().is_some(), ..self.imprints.forecast(set) }
     }
 
     fn check(
@@ -777,11 +772,13 @@ mod tests {
     }
 
     /// On two uniform columns a memory-only segment value-checks a 10 % ×
-    /// 10 % conjunction without a probe (the census says a probe cannot
-    /// pay), while the same segment persisted and evicted probes both
-    /// imprints: a value check would fault its data in, and its probes
-    /// bill the same whether the data is resident or not. A count the
-    /// resident imprint covers faults nothing in.
+    /// 20 % conjunction without a probe (the census says a probe cannot
+    /// pay), while the same segment persisted probes its cheapest imprint,
+    /// evicted or resident, with identical billing: a value check may
+    /// fault its data in. That forces only the probe made while the joint
+    /// is every row. The census prices the other conjunct against the
+    /// joint that probe left, finds its probe cannot pay, and it weeds. A
+    /// count the resident imprint covers faults nothing in.
     #[test]
     fn an_evicted_uniform_segment_still_probes() {
         let uniform = |salt: u64| -> Vec<i64> {
@@ -791,11 +788,11 @@ mod tests {
         };
         let (a, b) = (uniform(1), uniform(2));
         let between = |lo, hi| ValueRange::between(Value::I64(lo), Value::I64(hi));
-        let preds = [q(0, between(100_000, 204_857)), q(1, between(500_000, 604_857))];
+        let preds = [q(0, between(100_000, 204_857)), q(1, between(500_000, 709_714))];
         let expect: Vec<u64> = (0..4096u64)
             .filter(|&i| {
                 (100_000..=204_857).contains(&a[i as usize])
-                    && (500_000..=604_857).contains(&b[i as usize])
+                    && (500_000..=709_714).contains(&b[i as usize])
             })
             .collect();
         assert!(!expect.is_empty());
@@ -818,15 +815,18 @@ mod tests {
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
         let durable = seal();
         store.persist_segment(&durable).unwrap();
-        let imprints: u64 = durable.columns().iter().map(|c| c.imprint_count()).sum();
+        let cheapest = durable.columns().iter().map(|c| c.imprints.imprint_count()).min();
+        let mut billed = Vec::new();
         for evicted in [true, false] {
             if evicted {
                 assert!(durable.evict() > 0);
             }
             let (ids, st) = eval_ids(&durable, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice(), "evicted {evicted}");
-            assert_eq!(st.index_probes, imprints, "evicted {evicted}: both imprints, {st:?}");
+            assert_eq!(Some(st.index_probes as usize), cheapest, "evicted {evicted}: {st:?}");
+            billed.push(st);
         }
+        assert_eq!(billed[0], billed[1], "resident or evicted, the same work");
         durable.evict();
         let faulted = durable.faulted_bytes();
         let (n, st) = eval_count(&durable, &[q(0, between(i64::MIN, i64::MAX))]);
@@ -921,7 +921,10 @@ mod tests {
     }
 
     /// IN-lists (multi-interval `ValueSet`s) must answer exactly like the
-    /// brute-force oracle through the conjunction plan.
+    /// brute-force oracle through the conjunction plan — alone too, where
+    /// the census prices the probe like any conjunct's: on a uniform column
+    /// it cannot pay, so nothing is probed and every row is checked once;
+    /// on a clustered column (runs of 64 rows) it pays.
     #[test]
     fn in_list_matches_oracle() {
         let (seg, a, b) = two_col_seg();
@@ -937,6 +940,27 @@ mod tests {
         assert_eq!(ids.as_slice(), expect.as_slice());
         let (n, _) = eval_count(&seg, &preds);
         assert_eq!(n as usize, expect.len());
+
+        let uniform: Vec<i64> =
+            (0..2048u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as i64).collect();
+        let clustered: Vec<i64> = (0..2048).map(|i| i / 64).collect();
+        let cols = [&uniform, &clustered].map(|v| AnyColumn::I64(Column::from(v.clone())));
+        let seg = SealedSegment::seal(0, cols.to_vec());
+        for (col, values) in [(0, &uniform), (1, &clustered)] {
+            let points = [values[7], values[700], values[1500]];
+            let preds = [(col, ValueSet::points(points.map(Value::I64)))];
+            let expect: Vec<u64> =
+                (0..2048u64).filter(|&i| points.contains(&values[i as usize])).collect();
+            let (ids, st) = eval_ids(&seg, &preds);
+            assert_eq!(ids.as_slice(), expect.as_slice(), "column {col}");
+            let (n, _) = eval_count(&seg, &preds);
+            assert_eq!(n as usize, expect.len(), "column {col}");
+            if col == 0 {
+                assert_eq!((st.index_probes, st.value_comparisons), (0, 2048), "{st:?}");
+            } else {
+                assert!(st.index_probes > 0 && st.value_comparisons < 2048 / 8, "{st:?}");
+            }
+        }
     }
 
     /// OR groups union their arms; the empty group is the identity of OR

@@ -1221,13 +1221,13 @@ mod tests {
         };
         assert_eq!(st.access, sealed, "sealed segment");
         // On the head `a` stores a vector per line and its range skips
-        // under 70 % of them, so nothing is probed: `b`, first in cost
-        // order (one stored vector), is checked over all 640 rows, and its
-        // 214 survivors are gathered from every one of `a`'s 80 lines.
+        // under 70 % of them, so nothing is probed. `a`'s census predicts
+        // the fewer survivors, so `a` is checked over all 640 rows first,
+        // and its 200 survivors are gathered from `b`'s lines 12..=37.
         let head = AccessStats {
             index_probes: 0,
-            value_comparisons: 640 + 214,
-            lines_fetched: 80 + 80,
+            value_comparisons: 640 + 200,
+            lines_fetched: 80 + 26,
             lines_skipped: 0,
         };
         assert_eq!(st.tail_access, head, "write head");
@@ -1251,11 +1251,12 @@ mod tests {
         (row / 32 + 3) % 32
     }
 
-    /// The plan probes `ts` (its imprint is the cheaper) and stops: the
-    /// candidate rows `ts` leaves on each part, a bin or two of it, are no
-    /// more than `sensor`'s stored vectors, so `sensor` weeds them by value
-    /// instead of walking its imprint. The conjunction bills exactly the
-    /// probes of `ts` alone, whichever order the query names the two in.
+    /// The plan probes `ts` (its imprint is the cheaper) and stops: priced
+    /// against the candidate rows `ts` leaves on each part, a bin or two of
+    /// it, `sensor`'s probe would walk more than it could save, so `sensor`
+    /// weeds them by value instead of walking its imprint. The conjunction
+    /// bills exactly the probes of `ts` alone, whichever order the query
+    /// names the two in.
     #[test]
     fn conjunction_stops_probing_once_the_joint_is_smaller_than_the_next_imprint() {
         let t = ts_sensor_table();
@@ -1325,9 +1326,10 @@ mod tests {
 
     /// On two uniform columns a 10 % range skips too few lines for a probe
     /// to pay (the census predicts it), so the plan probes neither imprint:
-    /// the joint is every row, the first conjunct in cost order is
-    /// value-checked over it, and the other weeds its survivors — rows
-    /// plus survivors compared on each part.
+    /// the joint is every row, the conjunct whose census predicts the fewer
+    /// survivors is value-checked over it (`a` on the sealed segment, `b`
+    /// on the head), and the other weeds its survivors — rows plus
+    /// survivors compared on each part, in either query order.
     #[test]
     fn uniform_conjunction_probes_nothing_and_checks_every_row_once() {
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
@@ -1349,12 +1351,13 @@ mod tests {
         let expect: Vec<u64> =
             (0..1664u64).filter(|&i| in_a(i as usize) && in_b(i as usize)).collect();
         assert!(!expect.is_empty());
-        for (preds, first) in [([pa, pb], &in_a as &dyn Fn(usize) -> bool), ([pb, pa], &in_a)] {
+        let first: [&dyn Fn(usize) -> bool; 2] = [&in_a, &in_b];
+        for preds in [[pa, pb], [pb, pa]] {
             let (ids, st) = ids_with_stats(&t, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice());
             assert!(st.tail_indexed && st.open_rows == 640, "{st:?}");
             for (part, access, rows) in [(0, st.access, 0..1024), (1, st.tail_access, 1024..1664)] {
-                let survivors = rows.clone().filter(|&i| first(i)).count() as u64;
+                let survivors = rows.clone().filter(|&i| first[part](i)).count() as u64;
                 assert_eq!(access.index_probes, 0, "part {part}: {preds:?}");
                 assert_eq!(access.lines_skipped, 0, "part {part}");
                 assert_eq!(access.value_comparisons, rows.len() as u64 + survivors, "part {part}");
