@@ -2,14 +2,12 @@
 //!
 //! The paper's ranking to reproduce: zonemap fastest (2 comparisons per
 //! value), imprints in between (a `get_bin` search per value), WAH slowest
-//! (bit bookkeeping per value across the binned vectors). Plus the §7
-//! multi-core extension: parallel vs serial imprint construction.
+//! (bit bookkeeping per value across the binned vectors).
 
 use baselines::{WahBitmap, ZoneMap};
 use colstore::Column;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use imprints::builder::BuildOptions;
-use imprints::{parallel, ColumnImprints};
+use imprints::ColumnImprints;
 
 const ROWS: usize = 1 << 20;
 
@@ -42,18 +40,5 @@ fn bench_construction(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel_build(c: &mut Criterion) {
-    let col = random_column();
-    let mut g = c.benchmark_group("parallel_build");
-    g.throughput(Throughput::Elements(ROWS as u64));
-    g.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| parallel::build_parallel(&col, BuildOptions::default(), t))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_construction, bench_parallel_build);
+criterion_group!(benches, bench_construction);
 criterion_main!(benches);

@@ -3,9 +3,10 @@
 //! Range queries over a column store return "the id list of the qualifying
 //! values" (paper §3). [`IdList`] is that materialized, ordered list. For
 //! multi-attribute queries the paper postpones materialization: each
-//! per-column query instead returns its qualifying *cachelines*
-//! ([`CachelineSet`]), the sets are merge-joined, and only ids surviving the
-//! intersection are checked for false positives. Both structures live here.
+//! per-column query instead returns its qualifying *cachelines*, as the
+//! row ids they hold ([`CachelineSet`]), the sets are merge-joined, and
+//! only ids surviving the intersection are checked for false positives.
+//! Both structures live here.
 
 use std::ops::Range;
 
@@ -136,17 +137,15 @@ impl FromIterator<u64> for IdList {
     }
 }
 
-/// The cachelines, or the rows, an index deems *possibly* relevant to a
-/// query — the late-materialization intermediate of paper §3.
+/// The rows an index deems *possibly* relevant to a query — the
+/// late-materialization intermediate of paper §3: the row ids of the
+/// candidate cachelines (`imprints::query::candidate_id_ranges`).
 ///
 /// Stored as sorted, coalesced `[start, end)` ranges, which is compact when
 /// data is clustered (long qualifying runs) and still cheap when it is not.
-/// The numbers are in one of two spaces, whichever the producer chose:
-/// cacheline numbers of one column (`imprints::query::candidates`), or
-/// row ids (`imprints::query::candidate_id_ranges`). The §3 plan works in
-/// row ids, so that the sets of columns of different widths merge-join;
-/// there every count below is of rows, and a column's lines are rows ÷
-/// the values a line holds.
+/// The numbers are row ids, so that the sets of columns of different
+/// widths merge-join: every count below is of rows, and a column's lines
+/// are rows ÷ the values a line holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CachelineSet {
     ranges: Vec<Range<u64>>,
@@ -158,14 +157,14 @@ impl CachelineSet {
         CachelineSet { ranges: Vec::new() }
     }
 
-    /// Adds cacheline `line`; coalesces with the previous range when
-    /// adjacent. Lines must be added in ascending order.
+    /// Adds row `line`; coalesces with the previous range when adjacent.
+    /// Rows must be added in ascending order.
     #[inline]
     pub fn push(&mut self, line: u64) {
         self.push_run(line, line + 1);
     }
 
-    /// Adds the run of cachelines `[start, end)`, in ascending order.
+    /// Adds the run of rows `[start, end)`, in ascending order.
     pub fn push_run(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
@@ -180,8 +179,7 @@ impl CachelineSet {
         self.ranges.push(start..end);
     }
 
-    /// Number of distinct elements in the set: cachelines in cacheline
-    /// space, rows in row-id space.
+    /// Number of rows in the set.
     pub fn line_count(&self) -> u64 {
         self.ranges.iter().map(|r| r.end - r.start).sum()
     }
@@ -191,12 +189,12 @@ impl CachelineSet {
         self.ranges.len()
     }
 
-    /// Whether no cacheline (or row) qualifies.
+    /// Whether no row qualifies.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
 
-    /// Whether cacheline `line` is in the set (binary search over runs).
+    /// Whether row `line` is in the set (binary search over runs).
     pub fn contains(&self, line: u64) -> bool {
         self.ranges
             .binary_search_by(|r| {
@@ -211,7 +209,7 @@ impl CachelineSet {
             .is_ok()
     }
 
-    /// Iterator over the individual cacheline numbers.
+    /// Iterator over the individual rows.
     pub fn lines(&self) -> impl Iterator<Item = u64> + '_ {
         self.ranges.iter().flat_map(|r| r.clone())
     }

@@ -8,11 +8,9 @@
 //! stretches of pairwise-distinct vectors share a single `repeat = 0` entry
 //! counting them.
 //!
-//! The compressor is exposed because two other paths reuse it verbatim:
-//! data appends (§4.1 — "data appends simply cause new imprint vectors to
-//! be appended to the end of the existing ones") and the multi-core build
-//! of [`crate::parallel`], which stitches per-chunk results through
-//! [`Compressor::push_run`].
+//! This scan is the one build path. The compressor is exposed because
+//! data appends reuse it verbatim (§4.1 — "data appends simply cause new
+//! imprint vectors to be appended to the end of the existing ones").
 
 use colstore::{Column, Scalar};
 
@@ -57,9 +55,9 @@ impl BuildOptions {
 
 /// Streaming run-length compressor for imprint vectors.
 ///
-/// Feed completed per-cacheline vectors with [`Compressor::push_line`] (or
-/// whole runs with [`Compressor::push_run`]); read back the compressed form
-/// as the parallel arrays [`Compressor::imprints`] / [`Compressor::dict`].
+/// Feed completed per-cacheline vectors with [`Compressor::push_line`];
+/// read back the compressed form as the parallel arrays
+/// [`Compressor::imprints`] / [`Compressor::dict`].
 ///
 /// Invariants maintained (checked by [`Compressor::verify`]):
 /// * `Σ entry.line_count() == lines_pushed`
@@ -140,45 +138,6 @@ impl Compressor {
                 self.dict[d] = e.with_cnt(e.cnt() + 1);
             }
             _ => self.dict.push(DictEntry::new(1, false)),
-        }
-    }
-
-    /// Appends `count` consecutive cachelines that all share the imprint
-    /// vector `v`. Equivalent to calling [`Compressor::push_line`] `count`
-    /// times, but O(1) per dictionary run — the stitching primitive of the
-    /// parallel builder.
-    pub fn push_run(&mut self, v: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let mut remaining = count;
-        // First line goes through the scalar path to resolve the
-        // interaction with the previous run (merge / carve-out / append).
-        self.push_line(v);
-        remaining -= 1;
-        if remaining == 0 {
-            return;
-        }
-        // Second line likewise (it may convert a distinct-run tail into a
-        // repeat run).
-        self.push_line(v);
-        remaining -= 1;
-        // Now the last dictionary entry is a repeat run for `v` (or a full
-        // counter); extend it in bulk.
-        while remaining > 0 {
-            let last = *self.dict.last().expect("non-empty after push_line");
-            if last.repeat() && self.imprints.last() == Some(&v) && last.cnt() < MAX_CNT {
-                let room = (MAX_CNT - last.cnt()) as u64;
-                let take = room.min(remaining);
-                let d = self.dict.len() - 1;
-                self.dict[d] = last.with_cnt(last.cnt() + take as u32);
-                self.lines += take;
-                remaining -= take;
-            } else {
-                // Counter exhausted: start a fresh run via the scalar path.
-                self.push_line(v);
-                remaining -= 1;
-            }
         }
     }
 
@@ -380,46 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn push_run_equivalent_to_push_line() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..50 {
-            let runs: Vec<(u64, u64)> = (0..rng.gen_range(1..20))
-                .map(|_| (rng.gen_range(0..3), rng.gen_range(1..30)))
-                .collect();
-            let mut a = Compressor::new();
-            let mut b = Compressor::new();
-            for &(v, n) in &runs {
-                a.push_run(v, n);
-                for _ in 0..n {
-                    b.push_line(v);
-                }
-            }
-            assert_eq!(a.imprints(), b.imprints());
-            assert_eq!(
-                a.dict().iter().map(|e| e.to_raw()).collect::<Vec<_>>(),
-                b.dict().iter().map(|e| e.to_raw()).collect::<Vec<_>>()
-            );
-            assert_eq!(a.lines(), b.lines());
-            a.verify().unwrap();
-        }
-    }
-
-    #[test]
-    fn push_run_zero_is_noop() {
-        let mut c = Compressor::new();
-        c.push_run(1, 0);
-        assert_eq!(c.lines(), 0);
-        assert!(c.imprints().is_empty());
-    }
-
-    #[test]
     fn counter_saturation_splits_entries() {
         // Exceed the 24-bit counter: a run of MAX_CNT + 10 identical lines
         // must split into two dictionary entries.
         let mut c = Compressor::new();
-        c.push_run(9, MAX_CNT as u64 + 10);
+        for _ in 0..MAX_CNT + 10 {
+            c.push_line(9);
+        }
         assert_eq!(c.lines(), MAX_CNT as u64 + 10);
         assert!(c.dict().len() >= 2);
         c.verify().unwrap();

@@ -148,14 +148,14 @@ impl<T: Scalar> ColumnImprints<T> {
     }
 
     /// Builds the index reusing an existing binning (the rebuild path of
-    /// §4.2 and the parallel builder both use this).
+    /// §4.2 uses this).
     pub fn build_with_binning(col: &Column<T>, binning: Binning<T>, opts: BuildOptions) -> Self {
         let (comp, tail_imprint, tail_len) = builder::build_compressed(col, &binning, &opts);
         Self::from_raw_parts(binning, comp, tail_imprint, tail_len, col.len(), opts)
     }
 
     /// (crate) Assembles an index from raw parts and takes its census;
-    /// every build, the parallel builder and the storage layer end here.
+    /// every build and the storage layer end here.
     /// Invariants are the caller's burden (checked in debug builds).
     pub(crate) fn from_raw_parts(
         binning: Binning<T>,
@@ -893,8 +893,8 @@ mod tests {
 
     /// Every way an index comes to be keeps its census equal to a count
     /// over its line vectors: a build, §4.1 appends in odd batches (a
-    /// partial tail line growing, finalized, and started again), the
-    /// parallel build that stitches per-chunk runs, and a load.
+    /// partial tail line growing, finalized, and started again), and a
+    /// load.
     fn check_census<T: Scalar>(values: Vec<T>, split: usize) {
         let col = Column::from(values);
         let idx = ColumnImprints::build(&col);
@@ -906,8 +906,6 @@ mod tests {
             assert_census(&grown, "append");
         }
         assert_eq!(grown.rows(), col.len());
-        let stitched = crate::parallel::build_parallel(&col, BuildOptions::default(), 3);
-        assert_census(&stitched, "parallel build");
         for (stage, idx) in [("load of a build", &idx), ("load of appends", &grown)] {
             let mut file = Vec::new();
             crate::storage::write_index(idx, &mut file).unwrap();

@@ -54,15 +54,14 @@
 //! | [`sampling`] | §2.4–2.5 | uniform sampling, sort, duplicate elimination |
 //! | [`binning`] | §2.5, Alg. 2 | histogram bins and borders, `get_bin` ([`Binning::bin_of`]) |
 //! | [`dict`] | §2.3–2.4 | packed cacheline-dictionary entries |
-//! | [`builder`] | §2.4, Alg. 1 | imprint construction + row-wise RLE compression |
+//! | [`builder`] | §2.4, Alg. 1 | the one build path: a single scan + row-wise RLE compression |
 //! | [`index`] | §2 | the [`ColumnImprints`] structure |
 //! | [`masks`] | §3 | query `mask` / `innermask` derivation |
-//! | [`query`] | §3, Alg. 3 | the one probe walk ([`query::probe`]) and its visitors: range evaluation, late materialization, covered counts, stats |
+//! | [`query`] | §3, Alg. 3 | the one probe walk ([`query::probe`]) and its visitors: range evaluation, row-id candidates for late materialization, covered counts, stats; the one batched value check every caller shares |
 //! | [`simd`] | §3 residual cost | lane-width vector false-positive refinement kernels |
 //! | [`update`] | §4 | appends (§4.1), in-place updates as an overlay run source for the probe walk (§4.2), saturation & rebuild |
 //! | [`entropy`] | §6.1 | the column entropy metric `E` |
 //! | [`print`](mod@print) | Fig. 3 | `x`/`.` imprint rendering |
-//! | [`parallel`] | §7 | multi-core construction (future-work extension) |
 //! | [`relation_index`] | §3 | the multi-attribute plan, written once ([`relation_index::run`]): relation-level indexes run it, and so do the engine's sealed segments and write head |
 //! | [`storage`] | — | checksummed binary persistence of an index |
 
@@ -74,7 +73,6 @@ pub mod dict;
 pub mod entropy;
 pub mod index;
 pub mod masks;
-pub mod parallel;
 pub mod print;
 pub mod query;
 pub mod relation_index;

@@ -26,10 +26,10 @@
 //! points are its visitors: [`run`] (and [`evaluate`], [`count`],
 //! [`evaluate_no_innermask`] over it) emits case 2 into a [`Hits`] sink
 //! and value-checks case 3; the late-materialization path of §3 —
-//! [`candidates`] / [`candidate_id_ranges`] — collects both cases as a
-//! [`CachelineSet`] (to be merge-joined across attributes, [`refine`]
-//! applying the false-positive check afterwards); [`count_covered`] adds
-//! up case 2 and stops at the first case 3. The one index variant,
+//! [`candidate_id_ranges`] — collects both cases as a [`CachelineSet`] of
+//! row ids (to be merge-joined across attributes, [`refine`] applying the
+//! false-positive check afterwards); [`count_covered`] adds up case 2 and
+//! stops at the first case 3. The one index variant,
 //! [`crate::OverlayImprints`] (§4.2), is a *run source*: it changes which
 //! runs the probe sees, not what it does with them.
 //!
@@ -37,7 +37,10 @@
 //! through the [`crate::simd`] refinement kernels: the predicate is
 //! compiled once per evaluation into a [`PredicateKernel`] and each
 //! stretch of adjacent fetched cachelines is weeded in one call, either
-//! by the lane-width vector kernel or by the scalar oracle loop. [`run`]
+//! by the lane-width vector kernel or by the scalar oracle loop. Every
+//! value check — the walk's, [`refine`]'s and the §3 plan's — takes its
+//! candidate stretches through one batch, `CheckAhead`, which reads the
+//! first value of 64 of them before checking any. [`run`]
 //! takes the compiled kernel and a [`Hits`] sink, so materializing ids
 //! ([`evaluate`]) and counting ([`count`]) are the same traversal with a
 //! different sink. The `value_comparisons` statistic counts values the
@@ -46,7 +49,9 @@
 
 use std::ops::{ControlFlow, Range};
 
-use colstore::{AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar};
+use colstore::{
+    AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar, CACHELINE_BYTES,
+};
 
 use crate::index::{ColumnImprints, Consecutive, DictCursor, Run, VectorLines};
 use crate::masks::{self, QueryMasks};
@@ -288,18 +293,10 @@ pub fn run<T: Scalar>(
     walk(idx, idx.runs(), col, kernel, masks::make_masks(idx.binning(), kernel.predicate()), hits)
 }
 
-/// Stretches [`walk`] holds back before emitting or checking them.
-const CHECK_BATCH: usize = 64;
-
 /// The evaluating visitor of [`probe`]: full stretches are emitted into
 /// `hits` unread, the others fetched and value-checked by `kernel`, a
-/// stretch of adjacent lines in one call. `runs` is the index's own
-/// ([`run`]) or the §4.2 overlay's view of them.
-///
-/// Stretches are taken [`CHECK_BATCH`] at a time, in order, and the first
-/// value of every one to be checked is read before any is checked. Read
-/// one at a time between the probe's branches, scattered candidate lines
-/// each cost a full cache miss; read together, their misses overlap.
+/// stretch of adjacent lines in one call, through [`CheckAhead`]. `runs`
+/// is the index's own ([`run`]) or the §4.2 overlay's view of them.
 pub(crate) fn walk<'a, T: Scalar>(
     idx: &ColumnImprints<T>,
     runs: impl Iterator<Item = Run<'a>>,
@@ -311,35 +308,111 @@ pub(crate) fn walk<'a, T: Scalar>(
     assert_eq!(col.len(), idx.rows(), "index does not cover this column");
     let mut stats = ImprintStats::default();
     let values = col.values();
-    // Each held stretch: its cacheline count, its row ids, whether full.
-    let mut batch = [(0, 0, 0, false); CHECK_BATCH];
-    let mut held = 0;
-    let settle = |stats: &mut ImprintStats, hits: &mut Hits, batch: &[(u64, u64, u64, bool)]| {
-        let first_values = batch.iter().filter(|s| !s.3).map(|s| values[s.1 as usize].sort_key());
-        std::hint::black_box(first_values.fold(0, |acc, key| acc ^ key));
-        for &(lines, start, end, full) in batch {
-            if full {
-                stats.lines_full += lines;
-                stats.ids_via_full_lines += end - start;
-                hits.emit(start..end);
-            } else {
-                stats.lines_checked += lines;
-                stats.access.lines_fetched += lines;
-                kernel.check(values, start..end, hits, &mut stats.access.value_comparisons);
-            }
+    let mut comparisons = 0;
+    let mut ahead = CheckAhead::new(values, |ids: Range<u64>, full| {
+        if full {
+            hits.emit(ids);
+        } else {
+            kernel.check(values, ids, &mut hits, &mut comparisons);
         }
-    };
+    });
     let _ = probe(idx, runs, masks, &mut stats, |stats, lines, ids, full| {
-        batch[held] = (lines.end - lines.start, ids.start, ids.end, full);
-        held += 1;
-        if held == CHECK_BATCH {
-            settle(stats, &mut hits, &batch);
-            held = 0;
+        if full {
+            stats.note_full(&lines, &ids);
+        } else {
+            stats.lines_checked += lines.end - lines.start;
+            stats.access.lines_fetched += lines.end - lines.start;
         }
+        ahead.push(ids, full);
         ControlFlow::<()>::Continue(())
     });
-    settle(&mut stats, &mut hits, &batch[..held]);
+    ahead.finish();
+    stats.access.value_comparisons = comparisons;
     (hits, stats)
+}
+
+/// Candidate stretches [`CheckAhead`] holds back before settling them.
+const CHECK_BATCH: usize = 64;
+
+/// The one batched value check. Candidate stretches of row ids into
+/// `values` come in order, each *full* (every value qualifies, so it is
+/// emitted unread) or to be checked; they are held [`CHECK_BATCH`] at a
+/// time, and a batch is settled — each stretch handed to `settle`, in
+/// order — only after the first value of every stretch in it to be
+/// checked has been read. Read one at a time between the checks,
+/// scattered candidate lines each cost a full cache miss; read together,
+/// their misses overlap. `settle` emits or checks a stretch with whatever
+/// kernel its caller compiled ([`walk`], [`refine`], and the §3 plan's
+/// check in [`crate::relation_index`]); what is billed is the caller's.
+pub(crate) struct CheckAhead<'v, T, F> {
+    values: &'v [T],
+    settle: F,
+    /// The held stretches: first and end row id, whether full.
+    held: [(u64, u64, bool); CHECK_BATCH],
+    len: usize,
+}
+
+impl<'v, T: Scalar, F: FnMut(Range<u64>, bool)> CheckAhead<'v, T, F> {
+    pub(crate) fn new(values: &'v [T], settle: F) -> Self {
+        CheckAhead { values, settle, held: [(0, 0, false); CHECK_BATCH], len: 0 }
+    }
+
+    /// Holds the non-empty stretch `ids`, settling the batch once it is
+    /// full.
+    #[inline]
+    pub(crate) fn push(&mut self, ids: Range<u64>, full: bool) {
+        self.held[self.len] = (ids.start, ids.end, full);
+        self.len += 1;
+        if self.len == CHECK_BATCH {
+            self.settle_held();
+        }
+    }
+
+    /// Settles the stretches still held.
+    pub(crate) fn finish(mut self) {
+        self.settle_held();
+    }
+
+    /// Reads the first value of every held stretch to be checked, then
+    /// settles them all in order.
+    fn settle_held(&mut self) {
+        let held = &self.held[..self.len];
+        let first_values =
+            held.iter().filter(|s| !s.2).map(|s| self.values[s.0 as usize].sort_key());
+        std::hint::black_box(first_values.fold(0, |acc, key| acc ^ key));
+        for &(start, end, full) in held {
+            (self.settle)(start..end, full);
+        }
+        self.len = 0;
+    }
+}
+
+/// Value-checks every run of the row-id set `ranges` over `values` with
+/// `check`, through [`CheckAhead`].
+pub(crate) fn check_runs<T: Scalar>(
+    values: &[T],
+    ranges: &CachelineSet,
+    mut check: impl FnMut(Range<u64>),
+) {
+    let mut ahead = CheckAhead::new(values, |ids, _| check(ids));
+    for ids in ranges.runs() {
+        ahead.push(ids, false);
+    }
+    ahead.finish();
+}
+
+/// The distinct cachelines of a column of `T` that the ascending,
+/// non-overlapping row-id ranges `runs` touch; neighbouring runs may share
+/// a line, which counts once.
+pub(crate) fn lines_touched<T: Scalar>(runs: impl Iterator<Item = Range<u64>>) -> u64 {
+    let per_line = (CACHELINE_BYTES / std::mem::size_of::<T>()) as u64;
+    let (mut lines, mut counted_to) = (0, 0);
+    for ids in runs.filter(|ids| !ids.is_empty()) {
+        let end = (ids.end - 1) / per_line + 1;
+        lines += end - (ids.start / per_line).max(counted_to);
+        counted_to = end;
+    }
+    lines
 }
 
 /// Evaluates `pred` over `col` through the index, returning the
@@ -383,41 +456,23 @@ pub fn count<T: Scalar>(
     (hits.len(), stats)
 }
 
-/// The collecting visitor of [`probe`]: every candidate run, full or not,
-/// joins a coalesced set — as cachelines, or as the row ids they hold.
-fn collect_candidates<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    pred: &RangePredicate<T>,
-    as_ids: bool,
-) -> (CachelineSet, ImprintStats) {
-    let mut stats = ImprintStats::default();
-    let mut set = CachelineSet::new();
-    let masks = masks::make_masks(idx.binning(), pred);
-    let _ = probe(idx, idx.runs(), masks, &mut stats, |_, lines, ids, _| {
-        let r = if as_ids { ids } else { lines };
-        set.push_run(r.start, r.end);
-        ControlFlow::<()>::Continue(())
-    });
-    (set, stats)
-}
-
-/// Late materialization, step 1 (§3): the cachelines that *may* contain
-/// matches, as a coalesced [`CachelineSet`] in cacheline space.
-pub fn candidates<T: Scalar>(
-    idx: &ColumnImprints<T>,
-    pred: &RangePredicate<T>,
-) -> (CachelineSet, ImprintStats) {
-    collect_candidates(idx, pred, false)
-}
-
-/// Like [`candidates`], but expressed as *row-id* ranges, so candidate sets
-/// of columns with different value widths (hence different cacheline
+/// Late materialization, step 1 (§3): the row ids that *may* match — the
+/// collecting visitor of [`probe`], every candidate stretch, full or not,
+/// joining a coalesced [`CachelineSet`] — so that candidate sets of
+/// columns with different value widths (hence different cacheline
 /// geometry) can be merge-joined with [`CachelineSet::intersect`].
 pub fn candidate_id_ranges<T: Scalar>(
     idx: &ColumnImprints<T>,
     pred: &RangePredicate<T>,
 ) -> (CachelineSet, ImprintStats) {
-    collect_candidates(idx, pred, true)
+    let mut stats = ImprintStats::default();
+    let mut set = CachelineSet::new();
+    let masks = masks::make_masks(idx.binning(), pred);
+    let _ = probe(idx, idx.runs(), masks, &mut stats, |_, _, ids, _| {
+        set.push_run(ids.start, ids.end);
+        ControlFlow::<()>::Continue(())
+    });
+    (set, stats)
 }
 
 /// Counts qualifying rows from the index alone, when it can: `Some`
@@ -447,19 +502,27 @@ pub fn count_covered<T: Scalar>(
 
 /// Late materialization, step 2: weeds out false positives from an
 /// *id-space* candidate set (as produced by [`candidate_id_ranges`],
-/// possibly intersected across attributes) with the compiled `kernel` and
-/// materializes the final ids.
+/// possibly intersected across attributes) with the compiled `kernel`
+/// through `CheckAhead`, and materializes the final ids. The cachelines
+/// the candidates touch are billed as fetched, unless the kernel can match
+/// nothing and reads no value — as the §3 plan bills its check.
+///
+/// # Panics
+/// Panics on candidates beyond `col`.
 pub fn refine<T: Scalar>(
     col: &Column<T>,
     kernel: &PredicateKernel<T>,
     id_candidates: &CachelineSet,
     stats: &mut ImprintStats,
 ) -> IdList {
+    if !kernel.is_empty() {
+        stats.access.lines_fetched += lines_touched::<T>(id_candidates.runs());
+    }
     let values = col.values();
     let mut hits = Hits::new(false);
-    for r in id_candidates.runs() {
-        kernel.check(values, r, &mut hits, &mut stats.access.value_comparisons);
-    }
+    check_runs(values, id_candidates, |ids| {
+        kernel.check(values, ids, &mut hits, &mut stats.access.value_comparisons);
+    });
     hits.into_ids()
 }
 
@@ -624,10 +687,9 @@ mod tests {
         let col: Column<i32> = (0..10_000).map(|i| (i * 17) % 500).collect();
         let idx = ColumnImprints::build(&col);
         let pred = RangePredicate::between(100, 120);
-        let (cands, _) = candidates(&idx, &pred);
-        let vpb = idx.values_per_block() as u64;
+        let (cands, _) = candidate_id_ranges(&idx, &pred);
         for id in oracle(&col, &pred) {
-            assert!(cands.contains(id / vpb), "matching id {id} not in candidate lines");
+            assert!(cands.contains(id), "matching id {id} not in the candidates");
         }
     }
 
@@ -968,6 +1030,37 @@ mod tests {
             RangePredicate::with_bounds(Exclusive(9), Exclusive(10)),
         ];
         check_probe_per_line(&bytes, &preds, &[(3, 255), (700, 9), (3212, 0)]);
+        // The walk's batch boundary: 0, 1, 63, 64, 65 and 129 stretches,
+        // each one line of 20s and 25s to check, scattered between lines
+        // of 40s the probe skips, or adjacent, every other one a line of
+        // 20s emitted whole; a line to skip ends the column.
+        let (check, full, skip) = ([20, 25], [20, 20], [40, 40]);
+        let pred = RangePredicate::between(20, 30);
+        for n in [0usize, 1, 63, 64, 65, 129] {
+            for adjacent in [false, true] {
+                let pattern = |k: usize| match (adjacent, k % 2) {
+                    (false, 1) => skip,
+                    (true, 1) => full,
+                    _ => check,
+                };
+                let lines: Vec<[i32; 2]> = if adjacent {
+                    (0..n).map(pattern).chain([skip]).collect()
+                } else {
+                    (0..2 * n).map(pattern).chain([skip]).collect()
+                };
+                let col: Column<i32> = lines.iter().flat_map(|l| l.repeat(8)).collect();
+                let idx = ColumnImprints::build(&col);
+                let expect = per_line_reference(
+                    &idx,
+                    &idx.line_imprints().collect::<Vec<_>>(),
+                    &pred,
+                    idx.imprint_count() as u64,
+                );
+                let full = if adjacent { n as u64 / 2 } else { 0 };
+                assert_eq!((expect.lines_checked, expect.lines_full), (n as u64 - full, full));
+                check_probe_per_line(&col, std::slice::from_ref(&pred), &[]);
+            }
+        }
     }
 
     /// The per-run probe loop the chunked walk replaced, kept as the

@@ -44,7 +44,6 @@
 
 use std::any::Any;
 use std::io::{Read, Write};
-use std::ops::Range;
 
 use colstore::relation::{AnyColumn, Field};
 use colstore::{
@@ -487,9 +486,10 @@ pub struct Forecast {
 /// [`PlanColumn::check`] over typed values: the compiled set over the
 /// contiguous runs of `ranges`, which is in row-id space already
 /// ([`query::candidate_id_ranges`] turns cacheline runs into id runs
-/// clamped to the column), so its runs feed the kernel directly. The
-/// cachelines those runs touch are billed as fetched, unless the set can
-/// match nothing and reads no value.
+/// clamped to the column), so its runs feed the kernel directly, through
+/// the one batched check ([`query::check_runs`]). The cachelines those
+/// runs touch are billed as fetched, unless the set can match nothing and
+/// reads no value.
 ///
 /// # Panics
 /// Panics on `ranges` beyond `values`.
@@ -501,29 +501,13 @@ fn set_check<T: Scalar>(
     stats: &mut AccessStats,
 ) -> Hits {
     if !set.is_empty() {
-        stats.lines_fetched += lines_touched::<T>(ranges.runs());
+        stats.lines_fetched += query::lines_touched::<T>(ranges.runs());
     }
-    let mut runs = ranges.runs();
-    let mut batch = [(0, 0); CHECK_BATCH];
-    loop {
-        let held = batch.iter_mut().zip(runs.by_ref()).map(|(b, r)| *b = (r.start, r.end)).count();
-        if held == 0 {
-            return hits;
-        }
-        let first_values =
-            batch[..held].iter().map(|&(start, _)| values[start as usize].sort_key());
-        std::hint::black_box(first_values.fold(0, |acc, key| acc ^ key));
-        for &(start, end) in &batch[..held] {
-            set.check(values, start..end, &mut hits, &mut stats.value_comparisons);
-        }
-    }
+    query::check_runs(values, ranges, |ids| {
+        set.check(values, ids, &mut hits, &mut stats.value_comparisons);
+    });
+    hits
 }
-
-/// Candidate runs [`set_check`] holds back before checking them. It reads
-/// the first value of every one first: read one at a time between the
-/// checks, scattered candidate lines each cost a full cache miss; read
-/// together, their misses overlap (the walk's batch, `query::walk`).
-const CHECK_BATCH: usize = 64;
 
 /// [`PlanColumn::weed`] over typed values: the gather kernel over the
 /// scattered `ids`, billing the cachelines they touch as fetched unless
@@ -538,23 +522,9 @@ fn set_weed<T: Scalar>(
     stats: &mut AccessStats,
 ) {
     if !set.is_empty() {
-        stats.lines_fetched += lines_touched::<T>(ids.iter().map(|&id| id..id + 1));
+        stats.lines_fetched += query::lines_touched::<T>(ids.iter().map(|&id| id..id + 1));
     }
     set.filter_ids(values, ids, &mut stats.value_comparisons);
-}
-
-/// The distinct cachelines of a column of `T` that the ascending,
-/// non-overlapping row-id ranges `runs` touch; neighbouring runs may share
-/// a line, which counts once.
-fn lines_touched<T: Scalar>(runs: impl Iterator<Item = Range<u64>>) -> u64 {
-    let per_line = (CACHELINE_BYTES / std::mem::size_of::<T>()) as u64;
-    let (mut lines, mut counted_to) = (0, 0);
-    for ids in runs.filter(|ids| !ids.is_empty()) {
-        let end = (ids.end - 1) / per_line + 1;
-        lines += end - (ids.start / per_line).max(counted_to);
-        counted_to = end;
-    }
-    lines
 }
 
 /// A column imprints index of whichever scalar type its column holds.
@@ -792,6 +762,7 @@ impl RelationImprints {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ImprintStats, PredicateKernel};
     use colstore::Column;
 
     fn weather(n: usize) -> Relation {
@@ -1032,6 +1003,73 @@ mod tests {
         let or = [(0, in_list), (1, between(36, 36))];
         let expect: Vec<u64> = rows.filter(|&i| wanted(i) || b[i as usize] == 36).collect();
         run_every_way(&bufs, &tails, &or, true, &expect);
+    }
+
+    /// The one batched check at its batch boundary: 0, 1, 63, 64, 65 and
+    /// 129 candidate runs, scattered (each in cachelines of its own) or
+    /// adjacent (a one-row gap, so that neighbours share a line), checked
+    /// by the plan's [`PlanColumn::check`] with a single range and with a
+    /// multi-term set into both sinks, and by [`query::refine`], against a
+    /// per-run reference: each run's matching rows, each run's rows
+    /// compared once, each line the runs touch fetched once.
+    #[test]
+    fn the_batched_check_matches_a_per_run_reference_at_the_batch_boundary() {
+        let values: Vec<i64> = (0..4096).map(|i| (i * 7919) % 1000).collect();
+        let col = i64_column(&values);
+        let typed: Column<i64> = values.iter().copied().collect();
+        let idx = AnyImprints::build(&col);
+        let column = IndexedColumn { col: &col, imprints: Some(&idx) };
+        let schema = [Field { name: "v".into(), ty: ColumnType::I64 }];
+        let points = [5, 17, 291, 400, 999];
+        let sets: [(ValueSet, &dyn Fn(i64) -> bool); 2] = [
+            (between(100, 600), &|v| (100..=600).contains(&v)),
+            (ValueSet::points(points.map(Value::I64)), &|v| points.contains(&v)),
+        ];
+        for n in [0u64, 1, 63, 64, 65, 129] {
+            for adjacent in [false, true] {
+                // i64: 8 rows a line.
+                let mut ranges = CachelineSet::new();
+                for k in 0..n {
+                    let start = if adjacent { 4 * k } else { 24 * k + 2 };
+                    ranges.push_run(start, start + 3);
+                }
+                assert_eq!(ranges.run_count() as u64, n);
+                let rows: Vec<u64> = ranges.runs().flatten().collect();
+                let mut lines: Vec<u64> = rows.iter().map(|id| id / 8).collect();
+                lines.dedup();
+                let reference = AccessStats {
+                    value_comparisons: rows.len() as u64,
+                    lines_fetched: lines.len() as u64,
+                    ..AccessStats::default()
+                };
+                for (set, matches) in &sets {
+                    let want: Vec<u64> =
+                        rows.iter().copied().filter(|&id| matches(values[id as usize])).collect();
+                    let compiled =
+                        resolve_sets(&schema, &[("v", set.clone())], simd::ambient_kernel())
+                            .unwrap();
+                    for count_only in [false, true] {
+                        let mut stats = AccessStats::default();
+                        let hits = column.check(
+                            &compiled[0].1,
+                            &ranges,
+                            Hits::new(count_only),
+                            &mut stats,
+                        );
+                        let case = format!("{n} runs, adjacent {adjacent}, {set:?}");
+                        assert_eq!(hits, Hits::from_ids(want.clone(), count_only), "{case}");
+                        assert_eq!(stats, reference, "{case}, count_only {count_only}");
+                    }
+                }
+                let kernel = PredicateKernel::new(&RangePredicate::between(100, 600));
+                let mut stats = ImprintStats::default();
+                let refined = query::refine(&typed, &kernel, &ranges, &mut stats);
+                let want: Vec<u64> =
+                    rows.iter().copied().filter(|&id| sets[0].1(values[id as usize])).collect();
+                assert_eq!(refined.as_slice(), want, "refine: {n} runs, adjacent {adjacent}");
+                assert_eq!(stats.access, reference, "refine: {n} runs, adjacent {adjacent}");
+            }
+        }
     }
 
     #[test]

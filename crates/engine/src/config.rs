@@ -39,11 +39,6 @@ pub struct EngineConfig {
     /// Durable storage: where sealed segments persist and how much of
     /// their data stays memory-resident.
     pub storage: StorageOptions,
-    /// Serving-layer knobs consumed by the network front-end
-    /// (`imprints-server`): admission-queue depth and batch size. Kept
-    /// on the engine configuration so a deployment tunes its engine and
-    /// its service surface in one place.
-    pub service: ServiceConfig,
 }
 
 impl Default for EngineConfig {
@@ -55,7 +50,6 @@ impl Default for EngineConfig {
             refine_kernel: RefineKernel::Auto,
             maintenance: MaintenanceConfig::default(),
             storage: StorageOptions::default(),
-            service: ServiceConfig::default(),
         }
     }
 }
@@ -74,7 +68,6 @@ impl EngineConfig {
     pub fn validate(&self) {
         assert!(self.segment_rows > 0, "segment_rows must be positive");
         assert_eq!(self.segment_rows % 64, 0, "segment_rows must be a multiple of 64");
-        self.service.validate();
     }
 }
 
@@ -112,40 +105,6 @@ pub struct StorageOptions {
 impl Default for StorageOptions {
     fn default() -> Self {
         StorageOptions { root: None, max_resident_data_bytes: usize::MAX, load_indexes: true }
-    }
-}
-
-/// Admission-control and batching knobs of the serving layer. The engine
-/// itself only provides the batched evaluation entry point
-/// ([`Table::query_batch`](crate::Table::query_batch)); these values are
-/// read by the network front-end sitting on top of it.
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Maximum requests queued for dispatch across all clients. An offer
-    /// past this depth is *shed*: the client gets an immediate `BUSY`
-    /// reply instead of unbounded queueing — overload degrades into
-    /// explicit rejections, never into hangs or memory growth.
-    pub queue_depth: usize,
-    /// Maximum requests dispatched as one batch. A dispatcher takes what
-    /// queued while every dispatcher was busy — it never waits for
-    /// company — groups it by table and evaluates each group as one shared
-    /// morsel pass ([`Table::query_batch`](crate::Table::query_batch)):
-    /// one segment sweep answers up to this many predicates. `1` is
-    /// request-at-a-time dispatch.
-    pub batch_max: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig { queue_depth: 1024, batch_max: 128 }
-    }
-}
-
-impl ServiceConfig {
-    /// Panics if the configuration is structurally invalid.
-    pub fn validate(&self) {
-        assert!(self.queue_depth > 0, "queue_depth must be positive");
-        assert!(self.batch_max > 0, "batch_max must be positive");
     }
 }
 

@@ -72,7 +72,7 @@ use std::time::Duration;
 use colstore::{ColumnType, IdList, Result};
 
 pub use catalog::{Catalog, StorageStats};
-pub use config::{EngineConfig, MaintenanceConfig, ServiceConfig, StorageOptions};
+pub use config::{EngineConfig, MaintenanceConfig, StorageOptions};
 pub use executor::WorkerPool;
 pub use imprints::relation_index::{SegQuery, ValueRange, ValueSet};
 pub use imprints::simd::{Hits, RefineKernel};

@@ -4,7 +4,7 @@
 //! The queue enforces three policies the raw socket buffers cannot:
 //!
 //! * **Shed on overload** — the total queued count is bounded by
-//!   [`ServiceConfig::queue_depth`](imprints_engine::ServiceConfig). An
+//!   [`ServerConfig::queue_depth`](crate::ServerConfig::queue_depth). An
 //!   offer past the bound fails immediately and the connection replies
 //!   `BUSY`; overload degrades into explicit rejections, never into hangs
 //!   or unbounded memory growth.

@@ -15,19 +15,24 @@ use crate::batcher;
 use crate::conn::{self, Conn};
 use crate::protocol::{fmt_busy, RawPred};
 
-/// Server tuning. The admission/batching knobs default from
-/// [`ServiceConfig`](imprints_engine::ServiceConfig), so a deployment
-/// normally builds this with [`ServerConfig::from_engine`].
+/// Server tuning. [`Server::start`] refuses a zero `queue_depth` or
+/// `batch_max`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address. Port `0` picks an ephemeral port; read it back with
     /// [`Server::local_addr`].
     pub addr: String,
-    /// Admission queue depth (see
-    /// [`ServiceConfig::queue_depth`](imprints_engine::ServiceConfig::queue_depth)).
+    /// Maximum requests queued for dispatch across all clients. An offer
+    /// past this depth is *shed*: the client gets an immediate `BUSY`
+    /// reply instead of unbounded queueing — overload degrades into
+    /// explicit rejections, never into hangs or memory growth.
     pub queue_depth: usize,
-    /// Maximum requests per dispatched batch (see
-    /// [`ServiceConfig::batch_max`](imprints_engine::ServiceConfig::batch_max)).
+    /// Maximum requests dispatched as one batch. A dispatcher takes what
+    /// queued while every dispatcher was busy — it never waits for
+    /// company — groups it by table and evaluates each group as one shared
+    /// morsel pass ([`Table::query_batch`](imprints_engine::Table::query_batch)):
+    /// one segment sweep answers up to this many predicates. `1` is
+    /// request-at-a-time dispatch.
     pub batch_max: usize,
     /// Hard cap on one request line's length in bytes (newline excluded).
     /// A longer line is discarded as it streams in — bounded memory per
@@ -36,24 +41,39 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
+    /// Loopback on an ephemeral port, a queue of 1,024 requests, batches
+    /// of up to 128.
     fn default() -> Self {
-        ServerConfig::from_engine(&EngineConfig::default())
-    }
-}
-
-impl ServerConfig {
-    /// Loopback config on an ephemeral port, taking the admission and
-    /// batching knobs from `cfg.service`.
-    pub fn from_engine(cfg: &EngineConfig) -> ServerConfig {
-        let s = &cfg.service;
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            queue_depth: s.queue_depth,
-            batch_max: s.batch_max,
+            queue_depth: 1024,
+            batch_max: 128,
             // Generous for QUERY lines with many predicates, small enough
             // that a hostile pipeline cannot balloon reader memory.
             max_line_bytes: 64 * 1024,
         }
+    }
+}
+
+impl ServerConfig {
+    /// The server configuration for an engine configured as `cfg`: the
+    /// [`Default`], since no engine setting shapes the serving layer.
+    pub fn from_engine(_cfg: &EngineConfig) -> ServerConfig {
+        ServerConfig::default()
+    }
+
+    /// Refuses a configuration the server cannot run: an admission queue
+    /// that holds nothing, or batches that take nothing and leave every
+    /// dispatcher waiting forever.
+    fn validate(&self) -> io::Result<()> {
+        let invalid = |what| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if self.queue_depth == 0 {
+            return invalid("queue_depth must be positive");
+        }
+        if self.batch_max == 0 {
+            return invalid("batch_max must be positive");
+        }
+        Ok(())
     }
 }
 
@@ -165,8 +185,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr` and starts serving `engine`.
+    /// Binds `cfg.addr` and starts serving `engine`. A `cfg` with a zero
+    /// `queue_depth` or `batch_max` is an [`io::ErrorKind::InvalidInput`]
+    /// error, before anything is bound or started.
     pub fn start(engine: Arc<Engine>, cfg: ServerConfig) -> io::Result<Server> {
+        cfg.validate()?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {

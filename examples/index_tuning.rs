@@ -1,6 +1,6 @@
 //! Index tuning tour: the knobs beyond the paper's defaults — block
-//! granularity, binning strategy and the multi-core build (§2.3 and §7) —
-//! measured side by side on one column.
+//! granularity and binning strategy (§2.3 and §7) — measured side by side
+//! on one column.
 //!
 //! ```text
 //! cargo run --release --example index_tuning
@@ -9,9 +9,7 @@
 use std::time::Instant;
 
 use column_imprints::colstore::{Column, RangeIndex, RangePredicate};
-use column_imprints::imprints::{
-    column_entropy, parallel, BinningStrategy, BuildOptions, ColumnImprints,
-};
+use column_imprints::imprints::{column_entropy, BinningStrategy, BuildOptions, ColumnImprints};
 
 fn main() {
     // A mid-entropy column: slow drift + per-row noise (defeats the RLE,
@@ -55,16 +53,6 @@ fn main() {
         let (ids, dt) = timed(|| idx.evaluate(&col, &pred));
         assert_eq!(ids.len(), brute);
         println!("  {name}: query {:>9.1}µs, saturation {:.3}", dt * 1e6, idx.saturation());
-    }
-
-    // --- parallel construction (§7) --------------------------------------
-    println!("\nparallel construction:");
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = Instant::now();
-        let idx = parallel::build_parallel(&col, BuildOptions::default(), threads);
-        let dt = t0.elapsed();
-        assert_eq!(idx.imprint_count(), baseline.imprint_count(), "must be bit-identical");
-        println!("  {threads} thread(s): {:>8.1}ms", dt.as_secs_f64() * 1e3);
     }
 }
 

@@ -84,15 +84,13 @@ fn main() {
     }
 
     // Candidate-set statistics: how much did each imprint prune?
-    let (cand_lat, _) = query::candidates(&idx_lat, &lat_pred);
-    let (cand_lon, _) = query::candidates(&idx_lon, &lon_pred);
+    let (cand_lat, _) = query::candidate_id_ranges(&idx_lat, &lat_pred);
+    let (cand_lon, _) = query::candidate_id_ranges(&idx_lon, &lon_pred);
     println!(
-        "\ncandidate cachelines: lat {} of {} ({} runs), lon {} of {} ({} runs)",
+        "\ncandidate rows: lat {} of {n} ({} runs), lon {} of {n} ({} runs)",
         cand_lat.line_count(),
-        idx_lat.line_count(),
         cand_lat.run_count(),
         cand_lon.line_count(),
-        idx_lon.line_count(),
         cand_lon.run_count(),
     );
 }

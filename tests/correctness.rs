@@ -191,13 +191,3 @@ fn equi_width_strategy_cross_validates() {
         }
     }
 }
-
-#[test]
-fn parallel_build_cross_validates() {
-    let col: Column<i64> = Column::from(distributions::uniform_ints(80_000, 0, 10_000, 13));
-    let idx = imprints::parallel::build_parallel(&col, Default::default(), 4);
-    let scan = SeqScan::new(&col);
-    for pred in int_preds(2000, 4000) {
-        assert_eq!(idx.evaluate(&col, &pred), scan.evaluate(&col, &pred));
-    }
-}

@@ -5,7 +5,7 @@
 
 use colstore::{CachelineSet, Column, RangePredicate, Relation, Value};
 use datagen::distributions;
-use imprints::query::{candidate_id_ranges, candidates, refine};
+use imprints::query::{candidate_id_ranges, refine};
 use imprints::relation_index::{RelationImprints, ValueRange};
 use imprints::{ColumnImprints, PredicateKernel};
 use rand::rngs::StdRng;
@@ -91,25 +91,30 @@ fn candidate_sets_shrink_with_each_attribute() {
 }
 
 #[test]
-fn line_space_candidates_convert_to_id_space_consistently() {
+fn id_space_candidates_are_whole_cachelines_clamped_to_the_column() {
     let n = 30_000usize;
     let col: Column<i16> = (0..n).map(|i| ((i * 31) % 5000) as i16).collect();
     let idx = ColumnImprints::build(&col);
     let pred = RangePredicate::between(100i16, 200);
-    let (lines, _) = candidates(&idx, &pred);
     let (ids, _) = candidate_id_ranges(&idx, &pred);
     let vpb = idx.values_per_block() as u64;
-    // Expected id count: each candidate line contributes its (possibly
-    // clamped) row range.
-    let expected: u64 =
-        lines.lines().map(|l| ((l + 1) * vpb).min(n as u64).saturating_sub(l * vpb)).sum();
-    assert_eq!(ids.line_count(), expected);
-    // And every candidate id belongs to a candidate line.
+    // Every candidate run starts on a cacheline and ends on one, or at the
+    // column's end.
+    assert!(ids.run_count() > 0);
     for r in ids.runs() {
-        for id in [r.start, r.end - 1] {
-            assert!(lines.contains(id / vpb));
+        assert_eq!(r.start % vpb, 0, "{r:?}");
+        assert!(r.end % vpb == 0 || r.end == n as u64, "{r:?}");
+    }
+    // The candidate lines are exactly those whose imprint meets the
+    // query's mask: each holds a match or an equal-binned false positive.
+    let masks = imprints::masks::make_masks(idx.binning(), &pred);
+    let mut want = CachelineSet::new();
+    for (l, v) in (0u64..).zip(idx.line_imprints()) {
+        if masks.may_match(v) {
+            want.push_run(l * vpb, ((l + 1) * vpb).min(n as u64));
         }
     }
+    assert_eq!(ids, want);
 }
 
 #[test]
@@ -174,9 +179,9 @@ fn empty_intersection_short_circuits() {
 fn cachelineset_algebra_with_imprint_output() {
     let col: Column<i64> = (0..50_000).map(|i| i / 500).collect();
     let idx = ColumnImprints::build(&col);
-    let (c1, _) = candidates(&idx, &RangePredicate::between(10, 20));
-    let (c2, _) = candidates(&idx, &RangePredicate::between(15, 30));
-    let (c_union_pred, _) = candidates(&idx, &RangePredicate::between(10, 30));
+    let (c1, _) = candidate_id_ranges(&idx, &RangePredicate::between(10, 20));
+    let (c2, _) = candidate_id_ranges(&idx, &RangePredicate::between(15, 30));
+    let (c_union_pred, _) = candidate_id_ranges(&idx, &RangePredicate::between(10, 30));
     // Candidates of the union predicate = union of candidates (same
     // binning, contiguous ranges).
     let manual_union = c1.union(&c2);

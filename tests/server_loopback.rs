@@ -292,6 +292,29 @@ fn pipelined_replies_keep_request_order_across_dispatchers() {
     assert_eq!(server.stats().batches, 200);
 }
 
+/// A queue that holds nothing, or batches that take nothing (every
+/// dispatcher would drain an empty batch and wait again, so no request is
+/// ever answered), are refused by `Server::start` with `InvalidInput`.
+#[test]
+fn zero_queue_depth_or_batch_max_is_refused_at_start() {
+    let engine = build_engine(1_000, 1024);
+    for cfg in [
+        ServerConfig { queue_depth: 0, ..ServerConfig::default() },
+        ServerConfig { batch_max: 0, ..ServerConfig::default() },
+    ] {
+        let refused = Server::start(Arc::clone(&engine), cfg.clone());
+        let err = refused.err().unwrap_or_else(|| panic!("{cfg:?} must be refused"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{cfg:?}: {err}");
+    }
+    let cfg = ServerConfig { queue_depth: 1, batch_max: 1, ..ServerConfig::default() };
+    let server = Server::start(Arc::clone(&engine), cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    client.send("COUNT readings sensor=0").unwrap();
+    let n = engine.count("readings", &[("sensor", ValueRange::equals(Value::U16(0)))]).unwrap();
+    assert_eq!(client.recv().unwrap(), fmt_ok_count(None, n));
+}
+
 #[test]
 fn shutdown_drains_queued_requests_with_busy() {
     let engine = build_engine(20_000, 1024);
