@@ -20,7 +20,7 @@
 //! search").
 
 use colstore::relation::{AnyColumn, Field};
-use colstore::{CachelineSet, Column, RangeIndex, RangePredicate, Relation, Value};
+use colstore::{Column, RangeIndex, RangePredicate, Relation, RowRuns, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imprints::builder::{BuildOptions, Compressor};
 use imprints::relation_index::{
@@ -280,18 +280,18 @@ fn bench_probe_or_scan(c: &mut Criterion) {
                 resolve_sets(&schema, &[("v", set)], kernel).expect("typed").remove(0).1
             })
             .collect();
-        let cands: Vec<CachelineSet> = sets.iter().map(|set| view.candidates(set).0).collect();
+        let cands: Vec<RowRuns> = sets.iter().map(|set| view.candidates(set).0).collect();
         let per_line = (colstore::CACHELINE_BYTES / col.column_type().width()) as u64;
         let lines = (rows as u64).div_ceil(per_line);
-        let candidate_lines = cands.iter().map(|c| c.line_count() / per_line).sum::<u64>() / 64;
-        let mut all = CachelineSet::new();
+        let candidate_lines = cands.iter().map(|c| c.row_count() / per_line).sum::<u64>() / 64;
+        let mut all = RowRuns::new();
         all.push_run(0, rows as u64);
-        g.throughput(Throughput::Elements(imprints.imprint_count() as u64));
+        g.throughput(Throughput::Elements(imprints.forecast(&sets[0]).vectors));
         g.bench_function(BenchmarkId::new("probe", name), |b| {
             let mut next = sets.iter().cycle();
-            b.iter(|| view.candidates(next.next().expect("cycles")).0.line_count())
+            b.iter(|| view.candidates(next.next().expect("cycles")).0.row_count())
         });
-        let check = |ranges: &CachelineSet, set| {
+        let check = |ranges: &RowRuns, set| {
             let mut stats = colstore::AccessStats::default();
             view.check(set, ranges, Hits::new(true), &mut stats).len()
         };

@@ -1,10 +1,10 @@
-//! Row-id result lists and candidate cacheline sets.
+//! Row-id result lists and candidate row runs.
 //!
 //! Range queries over a column store return "the id list of the qualifying
 //! values" (paper §3). [`IdList`] is that materialized, ordered list. For
 //! multi-attribute queries the paper postpones materialization: each
-//! per-column query instead returns its qualifying *cachelines*, as the
-//! row ids they hold ([`CachelineSet`]), the sets are merge-joined, and
+//! per-column query instead returns its qualifying *cachelines*, as runs
+//! of the row ids they hold ([`RowRuns`]), the sets are merge-joined, and
 //! only ids surviving the intersection are checked for false positives.
 //! Both structures live here.
 
@@ -147,24 +147,18 @@ impl FromIterator<u64> for IdList {
 /// widths merge-join: every count below is of rows, and a column's lines
 /// are rows ÷ the values a line holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CachelineSet {
+pub struct RowRuns {
     ranges: Vec<Range<u64>>,
 }
 
-impl CachelineSet {
+impl RowRuns {
     /// Creates an empty set.
     pub fn new() -> Self {
-        CachelineSet { ranges: Vec::new() }
+        RowRuns { ranges: Vec::new() }
     }
 
-    /// Adds row `line`; coalesces with the previous range when adjacent.
-    /// Rows must be added in ascending order.
-    #[inline]
-    pub fn push(&mut self, line: u64) {
-        self.push_run(line, line + 1);
-    }
-
-    /// Adds the run of rows `[start, end)`, in ascending order.
+    /// Adds the run of rows `[start, end)`, coalescing it with the previous
+    /// run when adjacent. Runs must be added in ascending order.
     pub fn push_run(&mut self, start: u64, end: u64) {
         if start >= end {
             return;
@@ -180,7 +174,7 @@ impl CachelineSet {
     }
 
     /// Number of rows in the set.
-    pub fn line_count(&self) -> u64 {
+    pub fn row_count(&self) -> u64 {
         self.ranges.iter().map(|r| r.end - r.start).sum()
     }
 
@@ -194,24 +188,19 @@ impl CachelineSet {
         self.ranges.is_empty()
     }
 
-    /// Whether row `line` is in the set (binary search over runs).
-    pub fn contains(&self, line: u64) -> bool {
+    /// Whether row `row` is in the set (binary search over runs).
+    pub fn contains(&self, row: u64) -> bool {
         self.ranges
             .binary_search_by(|r| {
-                if r.end <= line {
+                if r.end <= row {
                     std::cmp::Ordering::Less
-                } else if r.start > line {
+                } else if r.start > row {
                     std::cmp::Ordering::Greater
                 } else {
                     std::cmp::Ordering::Equal
                 }
             })
             .is_ok()
-    }
-
-    /// Iterator over the individual rows.
-    pub fn lines(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ranges.iter().flat_map(|r| r.clone())
     }
 
     /// Iterator over the coalesced runs.
@@ -222,8 +211,8 @@ impl CachelineSet {
     /// Merge-join intersection of two candidate sets: the core of the
     /// multi-attribute conjunctive query plan ("the lists of cachelines are
     /// merge-joined", §3).
-    pub fn intersect(&self, other: &CachelineSet) -> CachelineSet {
-        let mut out = CachelineSet::new();
+    pub fn intersect(&self, other: &RowRuns) -> RowRuns {
+        let mut out = RowRuns::new();
         let (mut i, mut j) = (0, 0);
         while i < self.ranges.len() && j < other.ranges.len() {
             let a = &self.ranges[i];
@@ -243,20 +232,19 @@ impl CachelineSet {
     }
 
     /// Union of two candidate sets.
-    pub fn union(&self, other: &CachelineSet) -> CachelineSet {
-        let mut out = CachelineSet::new();
+    pub fn union(&self, other: &RowRuns) -> RowRuns {
+        let mut out = RowRuns::new();
         let (mut i, mut j) = (0, 0);
         let mut pending: Option<Range<u64>> = None;
-        let add =
-            |pending: &mut Option<Range<u64>>, r: Range<u64>, out: &mut CachelineSet| match pending
-            {
-                Some(p) if r.start <= p.end => p.end = p.end.max(r.end),
-                Some(p) => {
-                    out.push_run(p.start, p.end);
-                    *pending = Some(r);
-                }
-                None => *pending = Some(r),
-            };
+        let add = |pending: &mut Option<Range<u64>>, r: Range<u64>, out: &mut RowRuns| match pending
+        {
+            Some(p) if r.start <= p.end => p.end = p.end.max(r.end),
+            Some(p) => {
+                out.push_run(p.start, p.end);
+                *pending = Some(r);
+            }
+            None => *pending = Some(r),
+        };
         while i < self.ranges.len() || j < other.ranges.len() {
             let take_a = j >= other.ranges.len()
                 || (i < self.ranges.len() && self.ranges[i].start <= other.ranges[j].start);
@@ -314,38 +302,37 @@ mod tests {
     }
 
     #[test]
-    fn cachelineset_coalesces_adjacent() {
-        let mut s = CachelineSet::new();
-        s.push(0);
-        s.push(1);
-        s.push(2);
-        s.push(10);
+    fn row_runs_coalesce_adjacent() {
+        let mut s = RowRuns::new();
+        s.push_run(0, 1);
+        s.push_run(1, 3);
+        s.push_run(10, 11);
         assert_eq!(s.run_count(), 2);
-        assert_eq!(s.line_count(), 4);
+        assert_eq!(s.row_count(), 4);
         assert!(s.contains(1));
         assert!(s.contains(10));
         assert!(!s.contains(3));
-        assert_eq!(s.lines().collect::<Vec<_>>(), vec![0, 1, 2, 10]);
+        assert_eq!(s.runs().collect::<Vec<_>>(), vec![0..3, 10..11]);
     }
 
     #[test]
-    fn cachelineset_intersect() {
-        let mut a = CachelineSet::new();
+    fn row_runs_intersect() {
+        let mut a = RowRuns::new();
         a.push_run(0, 10);
         a.push_run(20, 30);
-        let mut b = CachelineSet::new();
+        let mut b = RowRuns::new();
         b.push_run(5, 25);
         let c = a.intersect(&b);
         assert_eq!(c.runs().collect::<Vec<_>>(), vec![5..10, 20..25]);
-        assert!(a.intersect(&CachelineSet::new()).is_empty());
+        assert!(a.intersect(&RowRuns::new()).is_empty());
     }
 
     #[test]
-    fn cachelineset_union_merges_overlaps() {
-        let mut a = CachelineSet::new();
+    fn row_runs_union_merges_overlaps() {
+        let mut a = RowRuns::new();
         a.push_run(0, 3);
         a.push_run(8, 10);
-        let mut b = CachelineSet::new();
+        let mut b = RowRuns::new();
         b.push_run(2, 5);
         b.push_run(10, 12);
         let u = a.union(&b);
@@ -353,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn cachelineset_empty_run_ignored() {
-        let mut s = CachelineSet::new();
+    fn row_runs_empty_run_ignored() {
+        let mut s = RowRuns::new();
         s.push_run(5, 5);
         assert!(s.is_empty());
     }

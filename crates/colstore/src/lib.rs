@@ -13,8 +13,8 @@
 //!   corresponds to real hardware cachelines.
 //! * **Relations** ([`relation::Relation`]): a named bundle of equally-long
 //!   columns with tuple reconstruction by id (late materialization).
-//! * **Id lists** ([`idlist::IdList`], [`idlist::CachelineSet`]): sorted
-//!   row-id result sets and candidate cacheline sets, with the merge-join
+//! * **Id lists** ([`idlist::IdList`], [`idlist::RowRuns`]): sorted
+//!   row-id result sets and candidate row runs, with the merge-join
 //!   style intersection used for multi-attribute conjunctive queries.
 //! * **Binary persistence** ([`storage`]): an explicit, checksummed
 //!   little-endian page format for columns (and, in the `imprints` crate,
@@ -39,7 +39,7 @@ pub mod types;
 pub use aligned::AlignedVec;
 pub use column::Column;
 pub use error::{Error, Result};
-pub use idlist::{CachelineSet, IdList};
+pub use idlist::{IdList, RowRuns};
 pub use index::{AccessStats, RangeIndex};
 pub use predicate::{Bound, RangePredicate};
 pub use relation::{Relation, Schema};

@@ -26,7 +26,7 @@
 //! points are its visitors: [`run`] (and [`evaluate`], [`count`],
 //! [`evaluate_no_innermask`] over it) emits case 2 into a [`Hits`] sink
 //! and value-checks case 3; the late-materialization path of §3 —
-//! [`candidate_id_ranges`] — collects both cases as a [`CachelineSet`] of
+//! [`candidate_id_ranges`] — collects both cases as a [`RowRuns`] of
 //! row ids (to be merge-joined across attributes, [`refine`] applying the
 //! false-positive check afterwards); [`count_covered`] adds up case 2 and
 //! stops at the first case 3. The one index variant,
@@ -49,9 +49,7 @@
 
 use std::ops::{ControlFlow, Range};
 
-use colstore::{
-    AccessStats, CachelineSet, Column, IdList, RangePredicate, Scalar, CACHELINE_BYTES,
-};
+use colstore::{AccessStats, Column, IdList, RangePredicate, RowRuns, Scalar, CACHELINE_BYTES};
 
 use crate::index::{ColumnImprints, Consecutive, DictCursor, Run, VectorLines};
 use crate::masks::{self, QueryMasks};
@@ -391,7 +389,7 @@ impl<'v, T: Scalar, F: FnMut(Range<u64>, bool)> CheckAhead<'v, T, F> {
 /// `check`, through [`CheckAhead`].
 pub(crate) fn check_runs<T: Scalar>(
     values: &[T],
-    ranges: &CachelineSet,
+    ranges: &RowRuns,
     mut check: impl FnMut(Range<u64>),
 ) {
     let mut ahead = CheckAhead::new(values, |ids, _| check(ids));
@@ -458,15 +456,15 @@ pub fn count<T: Scalar>(
 
 /// Late materialization, step 1 (§3): the row ids that *may* match — the
 /// collecting visitor of [`probe`], every candidate stretch, full or not,
-/// joining a coalesced [`CachelineSet`] — so that candidate sets of
+/// joining a coalesced [`RowRuns`] — so that candidate sets of
 /// columns with different value widths (hence different cacheline
-/// geometry) can be merge-joined with [`CachelineSet::intersect`].
+/// geometry) can be merge-joined with [`RowRuns::intersect`].
 pub fn candidate_id_ranges<T: Scalar>(
     idx: &ColumnImprints<T>,
     pred: &RangePredicate<T>,
-) -> (CachelineSet, ImprintStats) {
+) -> (RowRuns, ImprintStats) {
     let mut stats = ImprintStats::default();
-    let mut set = CachelineSet::new();
+    let mut set = RowRuns::new();
     let masks = masks::make_masks(idx.binning(), pred);
     let _ = probe(idx, idx.runs(), masks, &mut stats, |_, _, ids, _| {
         set.push_run(ids.start, ids.end);
@@ -512,7 +510,7 @@ pub fn count_covered<T: Scalar>(
 pub fn refine<T: Scalar>(
     col: &Column<T>,
     kernel: &PredicateKernel<T>,
-    id_candidates: &CachelineSet,
+    id_candidates: &RowRuns,
     stats: &mut ImprintStats,
 ) -> IdList {
     if !kernel.is_empty() {
@@ -747,7 +745,7 @@ mod tests {
     #[test]
     fn refine_with_empty_predicate_reports_zero_comparisons() {
         let col: Column<i32> = (0..4096).collect();
-        let mut cands = CachelineSet::new();
+        let mut cands = RowRuns::new();
         cands.push_run(0, 4096);
         for flavour in [RefineKernel::Scalar, RefineKernel::Swar] {
             let kernel = PredicateKernel::with_kernel(&RangePredicate::between(10, 5), flavour);
@@ -981,7 +979,7 @@ mod tests {
             };
             assert_eq!(stats, skipped, "candidates: {pred}");
             let masks = masks::make_masks(idx.binning(), pred);
-            let mut want = CachelineSet::new();
+            let mut want = RowRuns::new();
             for (l, &v) in (0u64..).zip(&lines) {
                 if masks.may_match(v) {
                     want.push_run(l * vpb, ((l + 1) * vpb).min(col.len() as u64));
@@ -1198,7 +1196,7 @@ mod tests {
             assert_eq!(stats.access.index_probes, expect.access.index_probes, "{pred}");
             assert_eq!(stats.access.lines_skipped, expect.access.lines_skipped, "{pred}");
             let masks = masks::make_masks(idx.binning(), pred);
-            let mut want = CachelineSet::new();
+            let mut want = RowRuns::new();
             for (l, &v) in (0u64..).zip(&lines) {
                 if masks.may_match(v) {
                     want.push_run(l * vpb, ((l + 1) * vpb).min(col.len() as u64));

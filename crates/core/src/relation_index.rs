@@ -47,8 +47,8 @@ use std::io::{Read, Write};
 
 use colstore::relation::{AnyColumn, Field};
 use colstore::{
-    dispatch, AccessStats, CachelineSet, ColumnType, Error, IdList, RangePredicate, Relation,
-    Result, Scalar, Value, CACHELINE_BYTES,
+    dispatch, AccessStats, ColumnType, Error, IdList, RangePredicate, Relation, Result, RowRuns,
+    Scalar, Value, CACHELINE_BYTES,
 };
 
 use crate::index::ColumnImprints;
@@ -249,7 +249,7 @@ pub trait PlanColumn {
     /// The row-id ranges that may hold a match of `set` — the union of
     /// each term's imprint candidates — and the probe statistics. No value
     /// is read.
-    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats);
+    fn candidates(&self, set: &AnySet) -> (RowRuns, AccessStats);
 
     /// What a probe of `set` would cost and skip, and whether a value check
     /// may fault the column in ([`AnyImprints::forecast`]): the inputs of
@@ -259,23 +259,11 @@ pub trait PlanColumn {
 
     /// Value-checks the rows of `ranges` against `set` into `hits`,
     /// billing `stats`.
-    fn check(
-        &self,
-        set: &AnySet,
-        ranges: &CachelineSet,
-        hits: Hits,
-        stats: &mut AccessStats,
-    ) -> Hits;
+    fn check(&self, set: &AnySet, ranges: &RowRuns, hits: Hits, stats: &mut AccessStats) -> Hits;
 
     /// Keeps only the ids whose value satisfies `set` — the gather kernel
     /// over scattered ids ([`SetKernel::filter_ids`]) — billing `stats`.
     fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats);
-
-    /// Bills one query against the column's observation counter, if it
-    /// keeps one. The plan calls this once per touched column *up front*,
-    /// so a heat order built on the counter sees multi-predicate traffic
-    /// on every column — even ones an early exit never value-checks.
-    fn note_query(&self) {}
 }
 
 /// Evaluates `q` over the `rows` rows of `cols` into a fresh [`Hits`] sink
@@ -323,18 +311,13 @@ fn run_conjunction<C: PlanColumn>(
             (hits, AccessStats::default())
         }
         [(col, set)] if set.term_count() == 1 => cols[*col].run_range(set, count_only),
-        _ => {
-            for (col, _) in preds {
-                cols[*col].note_query();
-            }
-            late_materialize(cols, rows, preds, count_only)
-        }
+        _ => late_materialize(cols, rows, preds, count_only),
     }
 }
 
 /// Every row of a part of `rows` rows, as one candidate run.
-fn every_row(rows: u64) -> CachelineSet {
-    let mut all = CachelineSet::new();
+fn every_row(rows: u64) -> RowRuns {
+    let mut all = RowRuns::new();
     all.push_run(0, rows);
     all
 }
@@ -407,12 +390,12 @@ fn late_materialize<C: PlanColumn>(
     let mut joint = every_row(rows);
     for i in by_cost {
         let (col, set) = &preds[i];
-        if !probe_pays(&forecasts[i], set.term_count(), joint.line_count(), rows) {
+        if !probe_pays(&forecasts[i], set.term_count(), joint.row_count(), rows) {
             continue;
         }
         let (cands, s) = cols[*col].candidates(set);
         stats.merge(&s);
-        survivors[i] = cands.line_count() as f64;
+        survivors[i] = cands.row_count() as f64;
         joint = joint.intersect(&cands);
         if joint.is_empty() {
             return (Hits::new(count_only), stats);
@@ -446,7 +429,7 @@ const DIVERGED: &str = "index, column and compiled set scalar types diverged";
 fn set_candidates<T: Scalar>(
     idx: &ColumnImprints<T>,
     set: &SetKernel<T>,
-) -> (CachelineSet, AccessStats) {
+) -> (RowRuns, AccessStats) {
     let mut stats = AccessStats::default();
     let per_term = set.terms().iter().map(|term| {
         let (ranges, s) = query::candidate_id_ranges(idx, term.predicate());
@@ -496,7 +479,7 @@ pub struct Forecast {
 fn set_check<T: Scalar>(
     values: &[T],
     set: &SetKernel<T>,
-    ranges: &CachelineSet,
+    ranges: &RowRuns,
     mut hits: Hits,
     stats: &mut AccessStats,
 ) -> Hits {
@@ -569,12 +552,6 @@ impl AnyImprints {
         dispatch!(AnyImprints(i) = self => i.rows())
     }
 
-    /// Stored imprint vectors, the tail's included
-    /// ([`ColumnImprints::imprint_count`]) — what one probe walks.
-    pub fn imprint_count(&self) -> usize {
-        dispatch!(AnyImprints(i) = self => i.imprint_count())
-    }
-
     /// What the census predicts a probe of `set` would skip
     /// ([`Census::untouched`](crate::index::Census::untouched)), and the
     /// stored vectors it walks, read from the index alone.
@@ -614,7 +591,7 @@ impl AnyImprints {
     ///
     /// # Panics
     /// Panics on a set compiled for another column type.
-    pub fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
+    pub fn candidates(&self, set: &AnySet) -> (RowRuns, AccessStats) {
         dispatch!(AnyImprints(i) = self => set_candidates(i, set.typed()))
     }
 
@@ -663,7 +640,7 @@ pub struct IndexedColumn<'a> {
 
 impl IndexedColumn<'_> {
     /// Every row of the column as one candidate run.
-    fn all_rows(&self) -> CachelineSet {
+    fn all_rows(&self) -> RowRuns {
         every_row(self.col.len() as u64)
     }
 }
@@ -682,7 +659,7 @@ impl PlanColumn for IndexedColumn<'_> {
         })
     }
 
-    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
+    fn candidates(&self, set: &AnySet) -> (RowRuns, AccessStats) {
         let Some(idx) = self.imprints else { return (self.all_rows(), AccessStats::default()) };
         debug_assert_eq!(idx.rows(), self.col.len(), "imprint out of sync with its column");
         idx.candidates(set)
@@ -698,13 +675,7 @@ impl PlanColumn for IndexedColumn<'_> {
         )
     }
 
-    fn check(
-        &self,
-        set: &AnySet,
-        ranges: &CachelineSet,
-        hits: Hits,
-        stats: &mut AccessStats,
-    ) -> Hits {
+    fn check(&self, set: &AnySet, ranges: &RowRuns, hits: Hits, stats: &mut AccessStats) -> Hits {
         dispatch!(AnyColumn(c) = self.col => set_check(c.values(), set.typed(), ranges, hits, stats))
     }
 
@@ -1028,7 +999,7 @@ mod tests {
         for n in [0u64, 1, 63, 64, 65, 129] {
             for adjacent in [false, true] {
                 // i64: 8 rows a line.
-                let mut ranges = CachelineSet::new();
+                let mut ranges = RowRuns::new();
                 for k in 0..n {
                     let start = if adjacent { 4 * k } else { 24 * k + 2 };
                     ranges.push_run(start, start + 3);
@@ -1147,7 +1118,7 @@ mod tests {
         for (shape, col, width, faster_probed) in shapes {
             let idx = AnyImprints::build(&col);
             let schema = [Field { name: "v".into(), ty: col.column_type() }];
-            let (mut predicted, mut observed, mut lines) = (0.0, 0.0, 0);
+            let (mut predicted, mut observed, mut lines, mut vectors) = (0.0, 0.0, 0, 0);
             for _ in 0..32 {
                 let lo = rng.gen_range(0..domain - width);
                 let bound = |x: i64| match col {
@@ -1158,12 +1129,11 @@ mod tests {
                 let set = resolve_sets(&schema, &[("v", set)], RefineKernel::Auto).unwrap();
                 let forecast = idx.forecast(&set[0].1);
                 let (_, stats) = idx.candidates(&set[0].1);
-                lines = forecast.lines;
+                (lines, vectors) = (forecast.lines, forecast.vectors);
                 predicted += forecast.skipped / 32.0;
                 observed += stats.lines_skipped as f64 / lines as f64 / 32.0;
             }
             assert!((predicted - observed).abs() <= 0.06, "{shape}: {predicted} vs {observed}");
-            let vectors = idx.imprint_count() as u64;
             let forecast = Forecast { lines, skipped: predicted, vectors, may_fault: false };
             let probed = probe_pays(&forecast, 1, rows as u64, rows as u64);
             assert_eq!(probed, faster_probed, "{shape}: predicted skip {predicted}");

@@ -2,7 +2,11 @@
 
 use imprints::simd::RefineKernel;
 
-/// Tuning knobs for tables, sealing and query execution.
+/// What a caller sets about tables, sealing and query execution. What the
+/// engine derives or fixes instead: the write head's tail-index threshold
+/// ([`EngineConfig::tail_index_min_rows`], `segment_rows / 16`) and the
+/// compaction tiering (fan-in 4, a 64 MiB input budget per tick; see
+/// [`crate::planner`]).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Rows per sealed segment. Must be a multiple of 64 so that every
@@ -11,14 +15,6 @@ pub struct EngineConfig {
     pub segment_rows: usize,
     /// Worker threads in the query pool (`0` = one per available core).
     pub workers: usize,
-    /// Minimum open-segment row count before the write head grows its
-    /// incremental tail imprint (see [`crate::table`]). Below the
-    /// threshold queries scan the open rows linearly — a tiny head is
-    /// cheaper to scan than to index, and the bin sample would be too
-    /// thin; at the threshold the tail index is built from the rows
-    /// accumulated so far and every later append extends it under the
-    /// table write lock. `usize::MAX` disables tail indexing entirely.
-    pub tail_index_min_rows: usize,
     /// Which false-positive refinement kernel weeds fetched cachelines
     /// everywhere a value is checked (sealed imprint check lines,
     /// tail-imprint head lines, conjunction survivors): `Auto`
@@ -34,8 +30,6 @@ pub struct EngineConfig {
     /// how CI forces the scalar fallback through the whole suite. Either
     /// kernel returns byte-identical results; only speed differs.
     pub refine_kernel: RefineKernel,
-    /// Background maintenance: compaction tiering and its per-tick budget.
-    pub maintenance: MaintenanceConfig,
     /// Durable storage: where sealed segments persist and how much of
     /// their data stays memory-resident.
     pub storage: StorageOptions,
@@ -46,9 +40,7 @@ impl Default for EngineConfig {
         EngineConfig {
             segment_rows: 1 << 16,
             workers: 0,
-            tail_index_min_rows: 4096,
             refine_kernel: RefineKernel::Auto,
-            maintenance: MaintenanceConfig::default(),
             storage: StorageOptions::default(),
         }
     }
@@ -62,6 +54,18 @@ impl EngineConfig {
         } else {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
         }
+    }
+
+    /// Open-segment rows at which the write head grows its incremental
+    /// tail imprint (see [`crate::table`]): `segment_rows / 16`, which is
+    /// 4,096 at the default 65,536 and exact, since `segment_rows` is a
+    /// multiple of 64. Below it queries scan the open rows linearly — a
+    /// tiny head is cheaper to scan than to index, and the bin sample
+    /// would be too thin; at it the tail imprint is built from the rows
+    /// accumulated so far, and every later append extends it under the
+    /// table write lock.
+    pub fn tail_index_min_rows(&self) -> usize {
+        self.segment_rows / 16
     }
 
     /// Panics if the configuration is structurally invalid.
@@ -105,31 +109,5 @@ pub struct StorageOptions {
 impl Default for StorageOptions {
     fn default() -> Self {
         StorageOptions { root: None, max_resident_data_bytes: usize::MAX, load_indexes: true }
-    }
-}
-
-/// How the background planner merges small sealed segments into larger
-/// tiers. (There is nothing to configure about *re*building an index: a
-/// sealed segment's bins are sampled from its own rows at seal time, and
-/// only a compaction merge ever builds an index again.)
-#[derive(Debug, Clone)]
-pub struct MaintenanceConfig {
-    /// Tier fan-in of segment compaction: a run of this many adjacent
-    /// sealed segments of the same size tier is merged into one segment
-    /// (data concatenated, bins re-sampled once, the imprint rebuilt).
-    /// Also the size ratio between tiers. Values below 2 disable
-    /// compaction. No merge grows a segment past
-    /// [`MAX_SEGMENT_ROWS`](crate::planner::MAX_SEGMENT_ROWS) rows.
-    pub tier_fanin: usize,
-    /// Input-data budget of one maintenance tick's compaction work, in
-    /// bytes. Each tick merges at least one planned run (so tiering never
-    /// stalls) but stops starting new merges once this many input bytes
-    /// were consumed. `0` means unlimited.
-    pub compaction_budget_bytes: usize,
-}
-
-impl Default for MaintenanceConfig {
-    fn default() -> Self {
-        MaintenanceConfig { tier_fanin: 4, compaction_budget_bytes: 64 << 20 }
     }
 }

@@ -9,14 +9,15 @@
 //! each a separate stop on every query's sealed-list walk. The planner
 //! answers with LSM-style **tiered compaction**: segments are bucketed
 //! into size tiers (tier *t* holds segments of
-//! `unit·fanin^t ..< unit·fanin^(t+1)` rows), and a run of
-//! [`tier_fanin`](crate::MaintenanceConfig::tier_fanin) adjacent same-tier
+//! `unit·fanin^t ..< unit·fanin^(t+1)` rows, the unit being the table's
+//! `segment_rows`), and a run of `TIER_FANIN` = 4 adjacent same-tier
 //! segments is merged into one — data concatenated, bins re-sampled once
 //! over the union, the imprint rebuilt — then swapped in atomically,
-//! with compaction throughput capped per tick by
-//! [`compaction_budget_bytes`](crate::MaintenanceConfig::compaction_budget_bytes).
-//! The second half of a tick evicts the data pages of the coldest
-//! persisted segments when a table is over its resident-data budget.
+//! with one tick's compaction input capped at `COMPACTION_BUDGET_BYTES` =
+//! 64 MiB. Both are constants, not settings: the fixed size-ratio policy
+//! of tiered LSM compaction. The second half of a tick evicts the data
+//! pages of the coldest persisted segments when a table is over its
+//! resident-data budget.
 //!
 //! This is the automated-index-management loop (AIM-style): observe →
 //! decide → merge/evict → swap, with the table's one lock making each swap
@@ -70,19 +71,29 @@ impl MaintenanceReport {
     }
 }
 
+/// Tier fan-in of segment compaction: a run of this many adjacent sealed
+/// segments of the same size tier is merged into one, and the size ratio
+/// between tiers.
+const TIER_FANIN: usize = 4;
+
+/// Input-data budget of one maintenance tick's compaction work, in bytes.
+/// Each tick merges at least one planned run, so tiering never stalls, but
+/// starts no new merge once this many input bytes were consumed.
+const COMPACTION_BUDGET_BYTES: usize = 64 << 20;
+
 /// The top tier: no merge produces a segment of more rows than this (4 Mi),
 /// and a segment there is never rewritten.
 pub const MAX_SEGMENT_ROWS: usize = 1 << 22;
 
 /// Size tier of a segment of `rows` rows: tier `t` spans
-/// `unit·fanin^t ..< unit·fanin^(t+1)` rows (everything below `unit·fanin`
-/// is tier 0).
-fn tier_of(rows: usize, unit: usize, fanin: usize) -> u32 {
+/// `unit·fanin^t ..< unit·fanin^(t+1)` rows, with fan-in [`TIER_FANIN`]
+/// (everything below `unit·fanin` is tier 0).
+fn tier_of(rows: usize, unit: usize) -> u32 {
     let mut tier = 0u32;
-    let mut upper = unit.saturating_mul(fanin);
+    let mut upper = unit.saturating_mul(TIER_FANIN);
     while rows >= upper {
         tier += 1;
-        let next = upper.saturating_mul(fanin);
+        let next = upper.saturating_mul(TIER_FANIN);
         if next == upper {
             break; // saturated at usize::MAX
         }
@@ -92,8 +103,8 @@ fn tier_of(rows: usize, unit: usize, fanin: usize) -> u32 {
 }
 
 /// The tier policy over one frozen sealed list: walks runs of adjacent
-/// same-tier segments and emits one `Compact` window per `fanin` of them,
-/// skipping windows whose merged size would cross `max_rows`
+/// same-tier segments and emits one `Compact` window per [`TIER_FANIN`] of
+/// them, skipping windows whose merged size would cross `max_rows`
 /// ([`MAX_SEGMENT_ROWS`] outside the tests). Windows never overlap, so any
 /// prefix of the plan can be applied against the same snapshot.
 fn plan_compactions_for(
@@ -101,32 +112,28 @@ fn plan_compactions_for(
     sealed: &[Arc<SealedSegment>],
     max_rows: usize,
 ) -> Vec<CompactionAction> {
-    let fanin = table.config().maintenance.tier_fanin;
-    if fanin < 2 {
-        return Vec::new();
-    }
     // A tier-0 segment is what every fresh seal holds.
     let unit = table.config().segment_rows;
-    let tier = |s: &Arc<SealedSegment>| tier_of(s.rows(), unit, fanin);
+    let tier = |s: &Arc<SealedSegment>| tier_of(s.rows(), unit);
     let mut actions = Vec::new();
     let mut start = 0;
     for run in sealed.chunk_by(|a, b| tier(a) == tier(b)) {
         let mut at = start;
         let mut rest = run;
-        while let Some(window @ [head, ..]) = rest.get(..fanin) {
+        while let Some(window @ [head, ..]) = rest.get(..TIER_FANIN) {
             let rows: usize = window.iter().map(|s| s.rows()).sum();
             let fits = rows <= max_rows;
             if fits {
                 actions.push(CompactionAction {
                     table: table.name().to_string(),
                     start: at,
-                    len: fanin,
+                    len: TIER_FANIN,
                     rows,
                     tier: tier(head),
                 });
             }
             // A window too large for the top tier: slide past its head.
-            let step = if fits { fanin } else { 1 };
+            let step = if fits { TIER_FANIN } else { 1 };
             rest = rest.get(step..).unwrap_or_default();
             at += step;
         }
@@ -194,7 +201,7 @@ pub fn path_report(catalog: &Catalog) -> Vec<ColumnPathReport> {
 pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
     let mut report = MaintenanceReport::default();
     for table in catalog.tables() {
-        compact_table(&table, &mut report);
+        compact_table(&table, COMPACTION_BUDGET_BYTES, &mut report);
         evict_cold(&table, &mut report);
     }
     report
@@ -202,9 +209,11 @@ pub fn maintenance_tick(catalog: &Catalog) -> MaintenanceReport {
 
 /// The eviction half of one tick: when a table's resident sealed data
 /// exceeds the table's configured `storage.max_resident_data_bytes`
-/// budget, persisted segments
-/// are evicted **coldest first** — ascending cumulative per-column query
-/// counts — until the table is back under budget. Only the data pages go;
+/// budget, persisted segments are evicted **coldest first** — ascending
+/// summed per-column query counts — until the table is back under budget.
+/// Every query visits every sealed segment, so in practice a segment's
+/// heat is the queries billed since it was sealed, merged or recovered:
+/// the newest segments are the coldest. Only the data pages go;
 /// the imprints stay resident, so evicted segments keep answering
 /// fully-covered counts from memory and pruning candidates for
 /// everything else. Never-persisted segments (memory-only tables, or a
@@ -252,12 +261,9 @@ fn evict_cold(table: &Table, report: &mut MaintenanceReport) {
 /// merges cascade within one tick (four tier-0 merges can produce the four
 /// tier-1 segments that immediately merge into a tier-2), stopping when
 /// the plan is empty, the byte budget is spent, or a swap loses a race
-/// (stale snapshot; the next tick retries).
-fn compact_table(table: &Table, report: &mut MaintenanceReport) {
-    let budget = match table.config().maintenance.compaction_budget_bytes {
-        0 => usize::MAX,
-        b => b,
-    };
+/// (stale snapshot; the next tick retries). `budget` is
+/// [`COMPACTION_BUDGET_BYTES`] outside the tests.
+fn compact_table(table: &Table, budget: usize, report: &mut MaintenanceReport) {
     let mut spent = 0usize;
     loop {
         let sealed = table.sealed_snapshot();
@@ -351,53 +357,42 @@ mod tests {
     #[test]
     fn tier_of_buckets_by_size_ratio() {
         // unit 512, fanin 4: tier 0 < 2048 <= tier 1 < 8192 <= tier 2 …
-        assert_eq!(tier_of(512, 512, 4), 0);
-        assert_eq!(tier_of(2047, 512, 4), 0);
-        assert_eq!(tier_of(2048, 512, 4), 1);
-        assert_eq!(tier_of(8191, 512, 4), 1);
-        assert_eq!(tier_of(8192, 512, 4), 2);
-        assert!(tier_of(usize::MAX, 512, 4) >= 20, "huge segments terminate at a high tier");
+        assert_eq!(tier_of(512, 512), 0);
+        assert_eq!(tier_of(2047, 512), 0);
+        assert_eq!(tier_of(2048, 512), 1);
+        assert_eq!(tier_of(8191, 512), 1);
+        assert_eq!(tier_of(8192, 512), 2);
+        assert!(tier_of(usize::MAX, 512) >= 20, "huge segments terminate at a high tier");
     }
 
     #[test]
     fn compaction_plan_windows_same_tier_runs() {
         let cat = Catalog::new();
-        let cfg = EngineConfig {
-            segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig { tier_fanin: 2, ..Default::default() },
-            ..Default::default()
-        };
+        let cfg = EngineConfig { segment_rows: 128, ..Default::default() };
         let t = cat.create_table("tiers", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..128 * 6).map(|i| i % 97).collect();
+        let vals: Vec<i64> = (0..128 * 12).map(|i| i % 97).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        assert_eq!(t.sealed_segment_count(), 6);
+        assert_eq!(t.sealed_segment_count(), 12);
         let planned = plan_compactions_for(&t, &t.sealed_snapshot(), MAX_SEGMENT_ROWS);
-        // Six tier-0 segments, fan-in 2 → three non-overlapping windows.
+        // Twelve tier-0 segments, fan-in 4 → three non-overlapping windows.
         assert_eq!(planned.len(), 3);
-        assert!(planned.iter().all(|a| a.len == 2 && a.tier == 0 && a.rows == 256));
-        assert_eq!(planned.iter().map(|a| a.start).collect::<Vec<_>>(), vec![0, 2, 4]);
+        assert!(planned.iter().all(|a| a.len == 4 && a.tier == 0 && a.rows == 512));
+        assert_eq!(planned.iter().map(|a| a.start).collect::<Vec<_>>(), vec![0, 4, 8]);
     }
 
     #[test]
     fn tick_cascades_tiers_and_preserves_answers() {
         let cat = Catalog::new();
-        let cfg = EngineConfig {
-            segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig {
-                tier_fanin: 2,
-                compaction_budget_bytes: 0, // unlimited
-            },
-            ..Default::default()
-        };
+        let cfg = EngineConfig { segment_rows: 128, ..Default::default() };
         let t = cat.create_table("cascade", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..128 * 8).map(|i| (i * 7) % 500).collect();
+        let vals: Vec<i64> = (0..128 * 64).map(|i| (i * 7) % 500).collect();
         t.append_batch(vec![AnyColumn::I64(vals.iter().copied().collect())]).unwrap();
-        assert_eq!(t.sealed_segment_count(), 8);
+        assert_eq!(t.sealed_segment_count(), 64);
         let pred = [("v", ValueRange::between(Value::I64(40), Value::I64(90)))];
         let before = t.query(&pred).unwrap();
         let report = maintenance_tick(&cat);
-        // 8 tier-0 → 4 tier-1 → 2 tier-2 → 1 tier-3, all within one tick.
-        assert_eq!(report.compacted.len(), 7, "cascade must run to one segment: {report:?}");
+        // 64 tier-0 → 16 tier-1 → 4 tier-2 → 1 tier-3, all within one tick.
+        assert_eq!(report.compacted.len(), 21, "cascade must run to one segment: {report:?}");
         assert_eq!(t.sealed_segment_count(), 1);
         assert!(report.compaction_bytes > 0);
         assert_eq!(t.query(&pred).unwrap(), before, "compaction must not change answers");
@@ -407,27 +402,25 @@ mod tests {
     #[test]
     fn budget_bounds_one_tick_but_progress_never_stalls() {
         let cat = Catalog::new();
-        let seg_bytes = 128 * std::mem::size_of::<i64>(); // one segment's data
-        let cfg = EngineConfig {
-            segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig {
-                tier_fanin: 2,
-                // Budget below even one merge's input: each tick still does
-                // exactly its one guaranteed merge.
-                compaction_budget_bytes: seg_bytes,
-            },
-            ..Default::default()
-        };
+        let cfg = EngineConfig { segment_rows: 128, ..Default::default() };
         let t = cat.create_table("budget", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..128 * 4).map(|i| i % 50).collect();
+        let vals: Vec<i64> = (0..128 * 16).map(|i| i % 50).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        assert_eq!(t.sealed_segment_count(), 4);
-        let r1 = maintenance_tick(&cat);
+        assert_eq!(t.sealed_segment_count(), 16);
+        // A budget below even one merge's input: each tick still does
+        // exactly its one guaranteed merge.
+        let seg_bytes = 128 * std::mem::size_of::<i64>(); // one segment's data
+        let tick = || {
+            let mut report = MaintenanceReport::default();
+            compact_table(&t, seg_bytes, &mut report);
+            report
+        };
+        let r1 = tick();
         assert_eq!(r1.compacted.len(), 1, "budgeted tick merges exactly one window");
-        assert_eq!(t.sealed_segment_count(), 3);
+        assert_eq!(t.sealed_segment_count(), 13);
         // Ticking until idle still converges.
         let mut guard = 0;
-        while !maintenance_tick(&cat).is_idle() {
+        while !tick().is_idle() {
             guard += 1;
             assert!(guard < 16, "budgeted compaction must converge");
         }
@@ -437,47 +430,25 @@ mod tests {
     #[test]
     fn max_segment_rows_caps_the_top_tier() {
         let cat = Catalog::new();
-        let cfg = EngineConfig {
-            segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig {
-                tier_fanin: 2,
-                compaction_budget_bytes: 0,
-            },
-            ..Default::default()
-        };
+        let cfg = EngineConfig { segment_rows: 128, ..Default::default() };
         let t = cat.create_table("capped", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..128 * 8).map(|i| i % 10).collect();
+        let vals: Vec<i64> = (0..128 * 16).map(|i| i % 10).collect();
         t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
         let sealed = t.sealed_snapshot();
-        // Eight 128-row segments pair into 256-row ones, never larger.
-        let plan = plan_compactions_for(&t, &sealed, 256);
+        // Sixteen 128-row segments merge by fours into 512-row ones, never
+        // larger.
+        let plan = plan_compactions_for(&t, &sealed, 512);
         assert_eq!(plan.len(), 4);
-        assert!(plan.iter().all(|a| a.rows == 256));
-        assert!(plan_compactions_for(&t, &sealed, 255).is_empty());
-        // Applied, the 256-row tier cannot merge again under that cap.
+        assert!(plan.iter().all(|a| a.rows == 512));
+        assert!(plan_compactions_for(&t, &sealed, 511).is_empty());
+        // Applied, the 512-row tier cannot merge again under that cap.
         for a in &plan {
             let window = &sealed[a.start..a.start + a.len];
             assert!(t.install(window, SealedSegment::merge(window)));
         }
         assert_eq!(t.sealed_segment_count(), 4);
-        assert!(plan_compactions_for(&t, &t.sealed_snapshot(), 256).is_empty());
-        assert_eq!(plan_compactions_for(&t, &t.sealed_snapshot(), 512).len(), 2);
-    }
-
-    #[test]
-    fn fanin_below_two_disables_compaction() {
-        let cat = Catalog::new();
-        let cfg = EngineConfig {
-            segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig { tier_fanin: 0, ..Default::default() },
-            ..Default::default()
-        };
-        let t = cat.create_table("off", &[("v", ColumnType::I64)], cfg).unwrap();
-        let vals: Vec<i64> = (0..128 * 8).map(|i| i % 10).collect();
-        t.append_batch(vec![AnyColumn::I64(vals.into_iter().collect())]).unwrap();
-        let report = maintenance_tick(&cat);
-        assert!(report.compacted.is_empty());
-        assert_eq!(t.sealed_segment_count(), 8);
+        assert!(plan_compactions_for(&t, &t.sealed_snapshot(), 512).is_empty());
+        assert_eq!(plan_compactions_for(&t, &t.sealed_snapshot(), 2048).len(), 1);
     }
 
     /// Seals on the appending thread and compactions on a ticking one race
@@ -491,10 +462,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let cfg = EngineConfig {
             segment_rows: 128,
-            maintenance: crate::config::MaintenanceConfig {
-                tier_fanin: 2,
-                compaction_budget_bytes: 0,
-            },
             storage: crate::config::StorageOptions {
                 root: Some(root.clone()),
                 ..Default::default()
@@ -542,6 +509,43 @@ mod tests {
         }
         assert!(t.stats().compactions.load(Ordering::Relaxed) > 0, "no install raced a seal");
         assert_eq!(t.persist_errors(), 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A tick over the resident budget evicts the coldest segment's data
+    /// first. Every query visits every sealed segment, so a segment's heat
+    /// is the queries billed since it was sealed: A and B answered three
+    /// queries, C, sealed after them, none. With a budget of two segments'
+    /// data only C goes; evicting the hottest first, or the oldest first,
+    /// would evict A instead.
+    #[test]
+    fn eviction_frees_the_coldest_segment_first() {
+        let root = std::env::temp_dir().join(format!("imprints-heat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let seg_bytes = 512 * std::mem::size_of::<i64>();
+        let storage = crate::config::StorageOptions {
+            root: Some(root.clone()),
+            max_resident_data_bytes: 2 * seg_bytes,
+            ..Default::default()
+        };
+        let cat = Catalog::new();
+        let cfg = EngineConfig { segment_rows: 512, storage, ..Default::default() };
+        let t = cat.create_table("heat", &[("v", ColumnType::I64)], cfg).unwrap();
+        let seal = |from: i64| {
+            t.append_batch(vec![AnyColumn::I64((from..from + 512).collect())]).unwrap();
+        };
+        seal(0);
+        seal(512);
+        let pred = [("v", ValueRange::between(Value::I64(100), Value::I64(900)))];
+        for _ in 0..3 {
+            assert_eq!(t.query(&pred).unwrap().len(), 801);
+        }
+        seal(1024);
+        let report = maintenance_tick(&cat);
+        assert!(report.compacted.is_empty(), "three segments are below the fan-in");
+        assert_eq!((report.evicted_segments, report.evicted_bytes), (1, seg_bytes));
+        let resident: Vec<bool> = t.sealed_snapshot().iter().map(|s| s.data_resident()).collect();
+        assert_eq!(resident, [true, true, false], "only the unqueried segment is evicted");
         let _ = std::fs::remove_dir_all(&root);
     }
 

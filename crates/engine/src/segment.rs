@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use colstore::relation::AnyColumn;
-use colstore::{AccessStats, CachelineSet, ColumnType, Value};
+use colstore::{AccessStats, ColumnType, RowRuns, Value};
 use imprints::relation_index::{
     self, AnyImprints, AnySet, Forecast, IndexedColumn, PlanColumn, SegQuery,
 };
@@ -236,11 +236,6 @@ impl SegCol {
         SegCol::seal(col)
     }
 
-    /// Runs `f` over the column's data, faulted back in if evicted.
-    pub fn with_data<R>(&self, f: impl FnOnce(&AnyColumn) -> R) -> R {
-        self.data.with(f)
-    }
-
     /// The value at local row `id` (faults evicted data back in).
     pub fn value(&self, id: usize) -> Option<Value> {
         self.data.with(|col| col.value(id))
@@ -295,12 +290,11 @@ impl SegCol {
 }
 
 /// A sealed segment column under the shared §3 plan: this impl only keeps
-/// the data resident while a value is needed and bills the heat counter;
-/// the work is [`IndexedColumn`]'s, the same typed bodies the write head
-/// and `RelationImprints` run.
+/// the data resident while a value is needed; the work is
+/// [`IndexedColumn`]'s, the same typed bodies the write head and
+/// `RelationImprints` run.
 impl PlanColumn for SegCol {
     fn run_range(&self, set: &AnySet, count_only: bool) -> (Hits, AccessStats) {
-        self.note_query();
         if count_only && !self.data.is_resident() {
             // Evicted cold data: when every candidate cacheline is fully
             // covered by the predicate's inner mask the resident imprint
@@ -313,7 +307,7 @@ impl PlanColumn for SegCol {
         self.data.with(|col| self.indexed(col).run_range(set, count_only))
     }
 
-    fn candidates(&self, set: &AnySet) -> (CachelineSet, AccessStats) {
+    fn candidates(&self, set: &AnySet) -> (RowRuns, AccessStats) {
         self.imprints.candidates(set)
     }
 
@@ -325,23 +319,12 @@ impl PlanColumn for SegCol {
         Forecast { may_fault: self.data.file.get().is_some(), ..self.imprints.forecast(set) }
     }
 
-    fn check(
-        &self,
-        set: &AnySet,
-        ranges: &CachelineSet,
-        hits: Hits,
-        stats: &mut AccessStats,
-    ) -> Hits {
+    fn check(&self, set: &AnySet, ranges: &RowRuns, hits: Hits, stats: &mut AccessStats) -> Hits {
         self.data.with(|col| self.indexed(col).check(set, ranges, hits, stats))
     }
 
     fn weed(&self, set: &AnySet, ids: &mut Vec<u64>, stats: &mut AccessStats) {
         self.data.with(|col| self.indexed(col).weed(set, ids, stats));
-    }
-
-    /// The maintenance planner's eviction order reads this counter.
-    fn note_query(&self) {
-        self.obs.queries.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -490,7 +473,16 @@ impl SealedSegment {
     /// ([`relation_index::run`]): a single one-range predicate is one
     /// imprint evaluation of its column, everything else the late
     /// materialization plan over this segment's columns.
+    ///
+    /// Before the plan runs, every column `q` names is billed one query on
+    /// its heat counter per predicate naming it, whatever the plan then
+    /// reads — an early exit included — so the planner's eviction order
+    /// sees all of a query's columns.
     pub fn run(&self, q: &SegQuery) -> (Hits, AccessStats) {
+        for (col, _) in &q.preds {
+            // ordering: a heat estimate, read by the eviction order only.
+            self.cols[*col].obs.queries.fetch_add(1, Ordering::Relaxed);
+        }
         relation_index::run(&self.cols, self.rows as u64, q)
     }
 }
@@ -509,14 +501,9 @@ mod tests {
         (col, ValueSet::range(range))
     }
 
-    /// Compiles `preds` (by column position) against `seg`'s columns and
-    /// runs them, the way a table resolves a query before its sweep.
-    fn run(
-        seg: &SealedSegment,
-        preds: &[(usize, ValueSet)],
-        any: bool,
-        count_only: bool,
-    ) -> (Hits, AccessStats) {
+    /// Compiles `preds` (by column position) against `seg`'s columns, the
+    /// way a table resolves a query before its sweep.
+    fn resolve(seg: &SealedSegment, preds: &[(usize, ValueSet)]) -> Vec<(usize, AnySet)> {
         let schema: Vec<Field> = seg
             .cols
             .iter()
@@ -525,8 +512,17 @@ mod tests {
             .collect();
         let named: Vec<(String, ValueSet)> =
             preds.iter().map(|(i, set)| (i.to_string(), set.clone())).collect();
-        let preds = resolve_sets(&schema, &named, imprints::simd::ambient_kernel()).unwrap();
-        seg.run(&SegQuery { preds, any, count_only })
+        resolve_sets(&schema, &named, imprints::simd::ambient_kernel()).unwrap()
+    }
+
+    /// Compiles `preds` against `seg`'s columns and runs them.
+    fn run(
+        seg: &SealedSegment,
+        preds: &[(usize, ValueSet)],
+        any: bool,
+        count_only: bool,
+    ) -> (Hits, AccessStats) {
+        seg.run(&SegQuery { preds: resolve(seg, preds), any, count_only })
     }
 
     /// The conjunction of `preds`, materialized.
@@ -815,7 +811,10 @@ mod tests {
         let store = crate::persist::TableStore::create(&root, "t", &defs).unwrap();
         let durable = seal();
         store.persist_segment(&durable).unwrap();
-        let cheapest = durable.columns().iter().map(|c| c.imprints.imprint_count()).min();
+        let cheapest = resolve(&durable, &preds)
+            .iter()
+            .map(|(col, set)| durable.columns()[*col].imprints.forecast(set).vectors)
+            .min();
         let mut billed = Vec::new();
         for evicted in [true, false] {
             if evicted {
@@ -823,7 +822,7 @@ mod tests {
             }
             let (ids, st) = eval_ids(&durable, &preds);
             assert_eq!(ids.as_slice(), expect.as_slice(), "evicted {evicted}");
-            assert_eq!(Some(st.index_probes as usize), cheapest, "evicted {evicted}: {st:?}");
+            assert_eq!(Some(st.index_probes), cheapest, "evicted {evicted}: {st:?}");
             billed.push(st);
         }
         assert_eq!(billed[0], billed[1], "resident or evicted, the same work");

@@ -17,8 +17,9 @@
 //! and a merged segment never written, under the lock.
 //!
 //! The write head is not a blind buffer: once it holds
-//! [`EngineConfig::tail_index_min_rows`] rows, each open column buffer
-//! carries an incremental **tail imprint** (an [`AnyImprints`], see
+//! [`EngineConfig::tail_index_min_rows`] rows (`segment_rows / 16`, 4,096
+//! at the default segment size), each open column buffer carries an
+//! incremental **tail imprint** (an [`AnyImprints`], see
 //! `index_open_tail`) extended on every append inside the same write
 //! critical section, so queries skip non-qualifying cachelines of the head
 //! instead of scanning it linearly under the read lock. The tail imprint
@@ -108,8 +109,9 @@ pub struct QueryStats {
     /// the head, scalar comparisons when it fell back to the linear scan.
     pub tail_access: AccessStats,
     /// Whether the open rows were answered through the incremental tail
-    /// imprint (`false`: head below the engage threshold, tail indexing
-    /// disabled, or no predicate touched the head).
+    /// imprint (`false`: head below the engage threshold,
+    /// [`EngineConfig::tail_index_min_rows`] = `segment_rows / 16` rows, or
+    /// no predicate touched the head).
     pub tail_indexed: bool,
     /// Rows in the open write head visible to the query.
     pub open_rows: usize,
@@ -383,7 +385,7 @@ impl Table {
                 // throwaway work — skip straight to the seal.
                 self.seal_open(&mut state);
             } else {
-                index_open_tail(&mut state.head, from, self.cfg.tail_index_min_rows);
+                index_open_tail(&mut state.head, from, self.cfg.tail_index_min_rows());
             }
         }
         self.stats.rows_appended.fetch_add(rows as u64, Ordering::Relaxed);
@@ -467,11 +469,6 @@ impl Table {
     /// commits; availability beats durability, see the field's docs).
     pub fn persist_errors(&self) -> u64 {
         self.persist_errors.load(Ordering::Relaxed)
-    }
-
-    /// `true` when the table writes durable state.
-    pub fn is_durable(&self) -> bool {
-        self.store.is_some()
     }
 
     /// The durable store, for catalog-level operations (`drop_table`).
@@ -985,13 +982,9 @@ mod tests {
         assert_eq!(t.epoch(), epoch + 4, "a refused install changes nothing");
     }
 
-    fn tail_cfg(min_rows: usize) -> EngineConfig {
-        EngineConfig {
-            segment_rows: 1024,
-            workers: 2,
-            tail_index_min_rows: min_rows,
-            ..Default::default()
-        }
+    /// 1,024-row segments: the head grows its tail imprint at 64 rows.
+    fn tail_cfg() -> EngineConfig {
+        EngineConfig { segment_rows: 1024, workers: 2, ..Default::default() }
     }
 
     /// The write head's tail imprint is an invisible accelerator: a
@@ -999,13 +992,19 @@ mod tests {
     /// the indexed head skips cachelines instead of comparing every row.
     #[test]
     fn tail_indexed_head_matches_scalar_scan_and_skips_lines() {
-        let indexed = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
-        let scanned = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(usize::MAX)).unwrap();
-        // One sealed segment plus a 640-row open head of clustered values.
-        let values: Vec<i64> = (0..1664).collect();
+        let indexed = Table::new("t", &[("v", ColumnType::I64)], tail_cfg()).unwrap();
+        // 16,384-row segments: a head below 1,024 rows carries no tail.
+        let wide = EngineConfig { segment_rows: 16_384, ..tail_cfg() };
+        let scanned = Table::new("t", &[("v", ColumnType::I64)], wide).unwrap();
+        // One sealed 1,024-row segment plus a 640-row open head of
+        // clustered values; the scanned table seals its first 1,024 rows
+        // by flushing them.
+        indexed.append_batch(vec![ints(0..1664)]).unwrap();
+        scanned.append_batch(vec![ints(0..1024)]).unwrap();
+        assert!(scanned.flush_open());
+        scanned.append_batch(vec![ints(1024..1664)]).unwrap();
         for t in [&indexed, &scanned] {
-            t.append_batch(vec![AnyColumn::I64(values.iter().copied().collect())]).unwrap();
-            assert_eq!(t.sealed_segment_count(), 1);
+            assert_eq!((t.sealed_segment_count(), t.row_count()), (1, 1664));
         }
         // A narrow range inside the open head (rows 1024..1664).
         let pred = [("v", ValueRange::between(Value::I64(1100), Value::I64(1160)))];
@@ -1013,7 +1012,7 @@ mod tests {
         let (ids_s, st_s) = ids_with_stats(&scanned, &pred);
         assert_eq!(ids_i, ids_s);
         assert_eq!(ids_i.as_slice(), (1100..1161).collect::<Vec<u64>>().as_slice());
-        assert_eq!(st_i.open_rows, 640);
+        assert_eq!((st_i.open_rows, st_s.open_rows), (640, 640));
         assert!(st_i.tail_indexed, "a 640-row head above the threshold must use its tail");
         assert!(!st_s.tail_indexed);
         assert_eq!(st_s.tail_access.value_comparisons, 640, "scalar path compares every row");
@@ -1035,7 +1034,7 @@ mod tests {
     /// next maintenance tick.)
     #[test]
     fn sealing_a_monotone_key_never_loses_skipping() {
-        let cfg = EngineConfig { segment_rows: 4096, tail_index_min_rows: 64, ..small_cfg() };
+        let cfg = EngineConfig { segment_rows: 4096, ..small_cfg() };
         let t = Table::new("t", &[("k", ColumnType::I64)], cfg).unwrap();
         // Segment 0 sealed, segment 1 eight rows short of its seal; the
         // tail imprint re-binned itself as the key ran off its borders.
@@ -1071,8 +1070,8 @@ mod tests {
     /// threshold) head falls back to the scalar path until it regrows.
     #[test]
     fn every_conjunct_rides_its_tail_imprint_and_seal_discards_them() {
-        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(128))
-            .unwrap();
+        let t =
+            Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg()).unwrap();
         // Runs of 64 and 32 rows: each imprint skips most lines for one
         // value, and stores a few vectors per run.
         let a: Vec<i64> = (0..1500).map(|i| i / 64).collect();
@@ -1110,7 +1109,7 @@ mod tests {
     /// An 8,192-row tail-indexed head of two monotone columns, nothing
     /// sealed: `a` and `b` both count 0, 1, 2, ….
     fn monotone_head() -> Table {
-        let cfg = EngineConfig { segment_rows: 16_384, ..tail_cfg(64) };
+        let cfg = EngineConfig { segment_rows: 16_384, ..tail_cfg() };
         let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], cfg).unwrap();
         t.append_batch(vec![ints(0..8192), ints(0..8192)]).unwrap();
         assert_eq!((t.sealed_segment_count(), t.row_count()), (0, 8192));
@@ -1147,7 +1146,7 @@ mod tests {
     /// 640-row indexed head (80 lines).
     #[test]
     fn impossible_terms_bill_exactly_as_written() {
-        let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
+        let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg()).unwrap();
         // Runs of 32 rows, four cachelines: 32 values sealed, 20 open, and
         // a stored vector per run, so that a probe of one value pays.
         let vals: Vec<i64> = (0..1664).map(|i| (i % 1024) / 32).collect();
@@ -1197,7 +1196,7 @@ mod tests {
     #[test]
     fn conjunction_bills_the_lines_it_reads() {
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
-        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let t = Table::new("t", &schema, tail_cfg()).unwrap();
         let column = |f: fn(i64) -> i64| AnyColumn::I64((0..1664).map(f).collect());
         t.append_batch(vec![column(|i| i % 1024), column(|i| i % 3)]).unwrap();
         let preds = [
@@ -1238,7 +1237,7 @@ mod tests {
     /// line) over one 8,192-row sealed segment and a 4,096-row indexed
     /// head: `sensor` stores 256 and 128 vectors, `ts` fewer.
     fn ts_sensor_table() -> Table {
-        let cfg = EngineConfig { segment_rows: 8192, ..tail_cfg(64) };
+        let cfg = EngineConfig { segment_rows: 8192, ..tail_cfg() };
         let schema = [("ts", ColumnType::I64), ("sensor", ColumnType::U16)];
         let t = Table::new("t", &schema, cfg).unwrap();
         let sensor = (0..12_288u64).map(|i| sensor_at(i) as u16).collect();
@@ -1298,7 +1297,7 @@ mod tests {
     #[test]
     fn conjunction_probes_every_imprint_while_the_joint_stays_large() {
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
-        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let t = Table::new("t", &schema, tail_cfg()).unwrap();
         let a: Vec<i64> = (0..1664).map(|i| (i / 64) % 16).collect();
         let b: Vec<i64> = (0..1664).map(|i| (i / 128) % 8).collect();
         t.append_batch(vec![
@@ -1333,7 +1332,7 @@ mod tests {
     #[test]
     fn uniform_conjunction_probes_nothing_and_checks_every_row_once() {
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64)];
-        let t = Table::new("t", &schema, tail_cfg(64)).unwrap();
+        let t = Table::new("t", &schema, tail_cfg()).unwrap();
         let uniform = |salt: u64| {
             let mix = move |i: u64| (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54;
             (0..1664).map(move |i| mix(i) as i64)
@@ -1385,7 +1384,7 @@ mod tests {
     /// visibility, head accounting), and the count includes open rows.
     #[test]
     fn count_and_ids_report_the_same_pinned_prefix() {
-        let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg(64)).unwrap();
+        let t = Table::new("t", &[("v", ColumnType::I64)], tail_cfg()).unwrap();
         let vals: Vec<i64> = (0..2500).map(|i| (i * 37) % 1000).collect();
         t.append_batch(vec![AnyColumn::I64(vals.iter().copied().collect())]).unwrap();
         let expect: Vec<u64> =
@@ -1411,8 +1410,8 @@ mod tests {
     /// with the head populated, serially and on the pool.
     #[test]
     fn query_batch_matches_the_oracle() {
-        let t = Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg(64))
-            .unwrap();
+        let t =
+            Table::new("t", &[("a", ColumnType::I64), ("b", ColumnType::I64)], tail_cfg()).unwrap();
         let a: Vec<i64> = (0..3000).map(|i| (i * 37) % 700).collect();
         let b: Vec<i64> = (0..3000).map(|i| i % 13).collect();
         t.append_batch(vec![

@@ -88,9 +88,9 @@ fn main() {
     let (cand_lon, _) = query::candidate_id_ranges(&idx_lon, &lon_pred);
     println!(
         "\ncandidate rows: lat {} of {n} ({} runs), lon {} of {n} ({} runs)",
-        cand_lat.line_count(),
+        cand_lat.row_count(),
         cand_lat.run_count(),
-        cand_lon.line_count(),
+        cand_lon.row_count(),
         cand_lon.run_count(),
     );
 }

@@ -29,7 +29,9 @@ proptest! {
 
     /// Three-predicate conjunctions: the engine (any segment size, tail-indexed
     /// or scanned head) and the paper layer both equal the oracle in all six
-    /// predicate orders.
+    /// predicate orders. A scanned head holds fewer rows than the
+    /// `segment_rows / 16` that engage a tail imprint: the rows past it
+    /// are left out.
     #[test]
     fn conjunction_equals_oracle_in_every_predicate_order(
         rows in prop::collection::vec((0i64..1000, 0i64..100, 0i64..50), 0..3000),
@@ -39,13 +41,15 @@ proptest! {
         b_lo in 0i64..110, b_width in 0i64..40,
         c_lo in 0i64..55, c_width in 0i64..20,
     ) {
-        let cols = [column(&rows, |r| r.0), column(&rows, |r| r.1), column(&rows, |r| r.2)];
         let cfg = EngineConfig {
             segment_rows: 64usize << seg_exp, // 128..=1024
             workers: 2,
-            tail_index_min_rows: if tail_indexed { 64 } else { usize::MAX },
             ..Default::default()
         };
+        let open = rows.len() % cfg.segment_rows;
+        let kept = if tail_indexed { open } else { open % cfg.tail_index_min_rows() };
+        let rows = &rows[..rows.len() - open + kept];
+        let cols = [column(rows, |r| r.0), column(rows, |r| r.1), column(rows, |r| r.2)];
         let schema = [("a", ColumnType::I64), ("b", ColumnType::I64), ("c", ColumnType::I64)];
         let t = Table::new("t", &schema, cfg).unwrap();
         t.append_batch(cols.clone().map(|v| AnyColumn::I64(v.into_iter().collect())).into())
@@ -76,13 +80,17 @@ proptest! {
     }
 }
 
-/// Three columns of different types, with a sealed prefix and an open head.
-fn three_columns(case: u64, tail_index_min_rows: usize) -> Harness {
+/// Three columns of different types, with a sealed prefix of 256-row
+/// segments and an open head: a scanned head (`tail_indexed` false) holds
+/// fewer than the 16 rows that engage a tail imprint.
+fn three_columns(case: u64, tail_indexed: bool) -> Harness {
     let types = vec![ColumnType::I64, ColumnType::U8, ColumnType::F32];
-    let cfg = EngineConfig { tail_index_min_rows, ..memory(256) };
+    let cfg = memory(256);
+    let (seg, min_rows) = (cfg.segment_rows, cfg.tail_index_min_rows());
     let mut h = Harness::new(cfg, types, case);
     let n = h.gen.rng.gen_range(1..3000);
-    h.append(n);
+    let open = n % seg;
+    h.append(if tail_indexed { n } else { n - open + open % min_rows });
     h
 }
 
@@ -91,7 +99,7 @@ fn three_columns(case: u64, tail_index_min_rows: usize) -> Harness {
 #[test]
 fn in_lists_equal_oracle() {
     for case in 0..6 {
-        let mut h = three_columns(case, [64, usize::MAX][case as usize % 2]);
+        let mut h = three_columns(case, case % 2 == 0);
         let g = &mut h.gen;
         let queries = vec![
             Query { preds: vec![g.in_list(0)], any: false },
@@ -109,7 +117,7 @@ fn in_lists_equal_oracle() {
 #[test]
 fn disjunction_equals_oracle() {
     for case in 0..6 {
-        let mut h = three_columns(case, 64);
+        let mut h = three_columns(case, true);
         let g = &mut h.gen;
         let queries = vec![
             Query { preds: vec![g.pred(0), g.pred(1)], any: true },
@@ -127,7 +135,7 @@ fn disjunction_equals_oracle() {
 #[test]
 fn multi_predicate_answers_track_interleaved_appends() {
     for case in 0..4 {
-        let mut h = three_columns(case, 64);
+        let mut h = three_columns(case, true);
         for _ in 0..6 {
             let op = [Op::AppendPartial, Op::AppendFill, Op::AppendSpan][h.gen.rng.gen_range(0..3)];
             h.step(op);

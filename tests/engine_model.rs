@@ -6,7 +6,7 @@
 mod model;
 
 use column_imprints::colstore::ColumnType;
-use column_imprints::engine::{EngineConfig, MaintenanceConfig, StorageOptions};
+use column_imprints::engine::{EngineConfig, StorageOptions};
 use model::{concurrent, durable, tmproot, Harness, Op, OPS, TYPES};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -17,22 +17,18 @@ const DEPTH: usize = 3;
 
 /// Random configurations and random schedules; over the cases, every one
 /// of the ten column types leads a schema, some conjunction stops probing
-/// once its candidates are fewer than the next imprint's vectors, and some
-/// probes nothing on a part whose imprints cannot pay.
+/// once its candidates are fewer than the next imprint's vectors, some
+/// probes nothing on a part whose imprints cannot pay, and some tick
+/// compacts.
 #[test]
 fn generated_schedules_match_the_model() {
     let mut rng = StdRng::seed_from_u64(32);
-    let (mut fewer_probes, mut zero_probes) = (0, 0);
+    let (mut fewer_probes, mut zero_probes, mut compacted) = (0, 0, 0);
     for case in 0..40u64 {
         let durable = rng.gen_bool(0.75);
         let cfg = EngineConfig {
             segment_rows: *[64, 128, 256].choose(&mut rng).unwrap(),
             workers: 2,
-            tail_index_min_rows: *[1, 64, 200, usize::MAX].choose(&mut rng).unwrap(),
-            maintenance: MaintenanceConfig {
-                tier_fanin: *[0, 2, 3, 4].choose(&mut rng).unwrap(),
-                compaction_budget_bytes: *[0, 1].choose(&mut rng).unwrap(),
-            },
             storage: StorageOptions {
                 root: durable.then(|| tmproot(&format!("gen{case}"))),
                 max_resident_data_bytes: *[0, usize::MAX].choose(&mut rng).unwrap(),
@@ -56,19 +52,21 @@ fn generated_schedules_match_the_model() {
         }
         fewer_probes += h.fewer_probes;
         zero_probes += h.zero_probes;
+        compacted += h.compacted;
     }
     assert!(fewer_probes > 0, "no generated conjunction stopped probing");
     assert!(zero_probes > 0, "no generated conjunction left every imprint unprobed");
+    assert!(compacted > 0, "no generated schedule compacted");
 }
 
 /// Every schedule of up to [`DEPTH`] steps over [`OPS`], on a durable
-/// table with a zero resident budget and fan-in 2, so that every tick
-/// compacts and evicts what it can; some conjunction stops probing, and
-/// some probes nothing on the write head.
+/// table with a zero resident budget, so that every tick evicts all it
+/// can; some conjunction stops probing, some probes nothing on the write
+/// head, and some tick compacts.
 #[test]
 fn every_short_schedule_matches_the_model() {
     let mut schedule = vec![0usize; DEPTH];
-    let (mut fewer_probes, mut zero_probes) = (0, 0);
+    let (mut fewer_probes, mut zero_probes, mut compacted) = (0, 0, 0);
     for n in 0..OPS.len().pow(DEPTH as u32) {
         let mut k = n;
         for slot in schedule.iter_mut() {
@@ -81,15 +79,16 @@ fn every_short_schedule_matches_the_model() {
         }
         fewer_probes += h.fewer_probes;
         zero_probes += h.zero_probes;
+        compacted += h.compacted;
     }
     assert!(fewer_probes > 0, "no short schedule's conjunction stopped probing");
     assert!(zero_probes > 0, "no short schedule's conjunction left every imprint unprobed");
+    assert!(compacted > 0, "no short schedule compacted");
 }
 
 /// One appender, two readers on the engine's pool and the maintenance
 /// daemon compacting and evicting a durable table under them.
 #[test]
 fn concurrent_readers_answer_a_prefix_of_the_model() {
-    let cfg = EngineConfig { tail_index_min_rows: 128, ..durable("concurrent", 512) };
-    concurrent(cfg, vec![ColumnType::I64, ColumnType::F64], 40_000, 2);
+    concurrent(durable("concurrent", 512), vec![ColumnType::I64, ColumnType::F64], 40_000, 2);
 }

@@ -6,19 +6,14 @@
 mod model;
 
 use column_imprints::colstore::ColumnType;
-use column_imprints::engine::{EngineConfig, MaintenanceConfig};
+use column_imprints::engine::EngineConfig;
 use model::{concurrent, memory};
 
 #[test]
 fn concurrent_readers_and_appender_stay_consistent() {
-    let cfg = EngineConfig {
-        // Engage the write head's tail imprint almost immediately, so the
-        // readers exercise the tail-indexed head against the appender's
-        // extends and seal-time discards.
-        tail_index_min_rows: 128,
-        maintenance: MaintenanceConfig { tier_fanin: 4, ..Default::default() },
-        workers: 4,
-        ..memory(2048)
-    };
+    // The write head's tail imprint engages at 128 of the 2,048 rows, so
+    // the readers exercise the tail-indexed head against the appender's
+    // extends and seal-time discards.
+    let cfg = EngineConfig { workers: 4, ..memory(2048) };
     concurrent(cfg, vec![ColumnType::I64, ColumnType::F64, ColumnType::U32], 60_000, 4);
 }

@@ -3,7 +3,7 @@
 //! across columns of *different* value widths (hence different cacheline
 //! geometry) of the same relation.
 
-use colstore::{CachelineSet, Column, RangePredicate, Relation, Value};
+use colstore::{Column, RangePredicate, Relation, RowRuns, Value};
 use datagen::distributions;
 use imprints::query::{candidate_id_ranges, refine};
 use imprints::relation_index::{RelationImprints, ValueRange};
@@ -82,10 +82,10 @@ fn candidate_sets_shrink_with_each_attribute() {
     let (ca, _) = candidate_id_ranges(&ia, &pa);
     let (cb, _) = candidate_id_ranges(&ib, &pb);
     let joint = ca.intersect(&cb);
-    assert!(joint.line_count() <= ca.line_count());
-    assert!(joint.line_count() <= cb.line_count());
+    assert!(joint.row_count() <= ca.row_count());
+    assert!(joint.row_count() <= cb.row_count());
     assert!(
-        joint.line_count() < ca.line_count().max(cb.line_count()),
+        joint.row_count() < ca.row_count().max(cb.row_count()),
         "independent clustered walks should actually prune"
     );
 }
@@ -108,7 +108,7 @@ fn id_space_candidates_are_whole_cachelines_clamped_to_the_column() {
     // The candidate lines are exactly those whose imprint meets the
     // query's mask: each holds a match or an equal-binned false positive.
     let masks = imprints::masks::make_masks(idx.binning(), &pred);
-    let mut want = CachelineSet::new();
+    let mut want = RowRuns::new();
     for (l, v) in (0u64..).zip(idx.line_imprints()) {
         if masks.may_match(v) {
             want.push_run(l * vpb, ((l + 1) * vpb).min(n as u64));
@@ -188,7 +188,7 @@ fn cachelineset_algebra_with_imprint_output() {
     assert_eq!(manual_union, c_union_pred);
     // Intersection is contained in both.
     let inter = c1.intersect(&c2);
-    assert!(inter.line_count() <= c1.line_count().min(c2.line_count()));
-    let empty = CachelineSet::new();
+    assert!(inter.row_count() <= c1.row_count().min(c2.row_count()));
+    let empty = RowRuns::new();
     assert!(inter.intersect(&empty).is_empty());
 }

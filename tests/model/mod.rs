@@ -37,8 +37,7 @@ use std::time::Duration;
 use column_imprints::colstore::relation::AnyColumn;
 use column_imprints::colstore::{dispatch, ColumnType, IdList, Scalar, Value};
 use column_imprints::engine::{
-    BatchAnswer, BatchQuery, EngineConfig, MaintenanceConfig, QueryStats, StorageOptions, Table,
-    ValueRange, ValueSet,
+    BatchAnswer, BatchQuery, EngineConfig, QueryStats, StorageOptions, Table, ValueRange, ValueSet,
 };
 use column_imprints::Engine;
 use rand::rngs::StdRng;
@@ -233,7 +232,8 @@ pub enum Op {
     AppendPartial,
     /// Exactly the rows that fill the head.
     AppendFill,
-    /// Rows that fill the head and spill into the next.
+    /// Rows that fill the head and spill into up to four more segments:
+    /// one span can seal the four segments a compaction merges.
     AppendSpan,
     Flush,
     Tick,
@@ -259,14 +259,11 @@ pub fn memory(segment_rows: usize) -> EngineConfig {
 }
 
 /// A durable table under a fresh directory named for `name`, with a zero
-/// resident budget and fan-in 2, so that every tick compacts and evicts
-/// what it can.
+/// resident budget, so that every tick evicts all it can.
 pub fn durable(name: &str, segment_rows: usize) -> EngineConfig {
     EngineConfig {
         segment_rows,
         workers: 2,
-        tail_index_min_rows: 16,
-        maintenance: MaintenanceConfig { tier_fanin: 2, compaction_budget_bytes: 0 },
         storage: StorageOptions {
             root: Some(tmproot(name)),
             max_resident_data_bytes: 0,
@@ -295,6 +292,8 @@ pub struct Harness {
     /// compared values, where their conjuncts alone probe: the census said
     /// no probe could pay there.
     pub zero_probes: usize,
+    /// Compaction merges the ticks of [`Op::Tick`] applied.
+    pub compacted: usize,
 }
 
 impl Harness {
@@ -311,7 +310,16 @@ impl Harness {
         let trace = format!("seed {seed}, {types:?}, {cfg:?}; steps:");
         let gen = Gen { rng: StdRng::seed_from_u64(seed), types };
         let model = Model::default();
-        Harness { cfg, engine: Some(engine), model, gen, trace, fewer_probes: 0, zero_probes: 0 }
+        Harness {
+            cfg,
+            engine: Some(engine),
+            model,
+            gen,
+            trace,
+            fewer_probes: 0,
+            zero_probes: 0,
+            compacted: 0,
+        }
     }
 
     pub fn engine(&self) -> &Engine {
@@ -350,7 +358,7 @@ impl Harness {
                 let n = match op {
                     Op::AppendPartial => self.gen.rng.gen_range(1..room.max(2)),
                     Op::AppendFill => room,
-                    _ => room + self.gen.rng.gen_range(1..=2 * seg),
+                    _ => room + self.gen.rng.gen_range(1..=4 * seg),
                 };
                 self.append(n);
             }
@@ -370,6 +378,7 @@ impl Harness {
                     self.model.sealed_segments -= merge.len - 1;
                     self.model.superseded += merge.len;
                 }
+                self.compacted += report.compacted.len();
                 let after = self.table().sealed_segment_count();
                 assert!(report.compacted.is_empty() || after < before, "{}", self.trace);
                 let storage = self.engine().catalog().storage_stats();
@@ -455,7 +464,7 @@ impl Harness {
         assert!(answers.next().is_some_and(|a| a.is_err()), "{trace}");
         let answers: Vec<(BatchAnswer, QueryStats)> = answers.map(Result::unwrap).collect();
         let open = m.open_rows();
-        let head_indexed = open > 0 && open >= self.cfg.tail_index_min_rows;
+        let head_indexed = open > 0 && open >= self.cfg.tail_index_min_rows();
         let mut value_checked = false;
         let (mut fewer_probes, mut zero_probes) = (0, 0);
         let slots = queries.iter().flat_map(|q| [q, q]).zip(&batch).zip(&answers);

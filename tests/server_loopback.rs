@@ -27,12 +27,8 @@ const VALUE_MOD: u64 = 10007;
 /// `sensor = i % 13`, `value = i * 7919 % 10007`. Static data keeps every
 /// oracle answer stable while clients hammer the server.
 fn build_engine(rows: u64, segment_rows: usize) -> Arc<Engine> {
-    let engine = Arc::new(Engine::new(EngineConfig {
-        segment_rows,
-        workers: 2,
-        tail_index_min_rows: 256,
-        ..Default::default()
-    }));
+    let engine =
+        Arc::new(Engine::new(EngineConfig { segment_rows, workers: 2, ..Default::default() }));
     let t = engine
         .create_table("readings", &[("sensor", ColumnType::U16), ("value", ColumnType::I64)])
         .unwrap();
